@@ -16,7 +16,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from algforge.cli import report  # noqa: E402
+from algforge.cli import format_table  # noqa: E402
 from algforge.constructions import solve_all_dimensions  # noqa: E402
 from algforge.verify import verify_document  # noqa: E402
 
@@ -32,10 +32,11 @@ def main() -> int:
     for n in range(args.n_min, args.n_max + 1):
         started = time.monotonic()
         docs = [c.to_json() for c in solve_all_dimensions(n)]
-        failures = [f for d in docs for f in verify_document(d)]
+        verdicts = [verify_document(d) for d in docs]
+        failures = [f for v in verdicts for f in v]
         elapsed = time.monotonic() - started
         print(f"n = {n}  ({len(docs)} dimensions, {elapsed:.2f}s)")
-        print(report(docs))
+        print(format_table(docs, [not v for v in verdicts]))
         if failures:
             print("FAILURES:", failures)
             return 1

@@ -28,9 +28,9 @@ from .incidence import (IncidencePattern, incidence_of_dimension,
                         triangularize_incidence)
 from .matrices import (Mat, Support, commutator, companion, conjugate,
                        direct_sum, identity, inverse, is_monomial_nonneg,
-                       is_nonneg, is_positive, is_semicommuting, jordan_cell,
-                       matrix_unit, min_support_entry, ones,
-                       permutation_matrix, poly_at, regular_triangular,
+                       is_nonneg, is_positive, jordan_cell, matrix_unit,
+                       min_support_entry, ones, permutation_matrix, poly_at,
+                       regular_triangular,
                        semi_commute, support, support_union, uniform_norm,
                        uniformizer, uniformizer_inv, zero)
 from .polynomials import (Poly, multiplicity_one_part, poly_crt, poly_gcd,

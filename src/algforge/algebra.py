@@ -3,15 +3,15 @@
 The basis is the reduced row-echelon basis of the algebra's row-major
 vectorization, so equal algebras have identical bases and equality is a
 plain comparison.  Generation uses a worklist that multiplies each newly
-independent element by the generators on both sides; the span this reaches
-is exactly the span of all words in the generators, hence closed under
+independent word on the left by every generator.  The span this reaches
+contains I and is mapped into itself by left multiplication with each
+generator, so it contains every word in the generators and is closed under
 products.  Loaders and tests still verify closure by checking all pairwise
 basis products.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -83,39 +83,45 @@ def _from_span(n: int, span: EchelonSpan) -> Algebra:
     return Algebra(n, tuple(mat_from_vector(n, row) for row in span.canonical_rows()))
 
 
-def generate(n: int, gens: Iterable[Mat]) -> Algebra:
-    """Smallest unital algebra containing the generators.
+def closure_words(n: int,
+                  gens: Iterable[Mat]) -> tuple[list[Mat], EchelonSpan]:
+    """Independent words spanning the unital algebra generated by gens.
 
-    An empty generator list yields span{I}.
+    Worklist: I and the generators first, then every retained word is
+    multiplied on the left by each generator, keeping the products that
+    enlarge the span.  Returns the retained words in insertion order and
+    their span.
     """
     gens = list(gens)
     for g in gens:
         if not (g.is_square and g.rows == n):
             raise ValueError("generator size mismatch")
     span = EchelonSpan(n * n)
-    queue: deque[Mat] = deque()
+    words: list[Mat] = []
 
     def push(m: Mat) -> None:
         if span.add(m.vectorize()):
-            queue.append(m)
+            words.append(m)
 
     push(identity(n))
     for g in gens:
         push(g)
-    while queue:
-        x = queue.popleft()
+    for x in words:  # words grows while it is walked: a FIFO worklist
         for g in gens:
-            push(x @ g)
             push(g @ x)
-    return _from_span(n, span)
+    return words, span
+
+
+def generate(n: int, gens: Iterable[Mat]) -> Algebra:
+    """Smallest unital algebra containing the generators.
+
+    An empty generator list yields span{I}.
+    """
+    return _from_span(n, closure_words(n, gens)[1])
 
 
 def generate_genset(gs: GenSet) -> Algebra:
     return generate(gs.n, gs.gens)
-
-
-def equal(a: Algebra, b: Algebra) -> bool:
-    return a == b
 
 
 def conjugate_algebra(a: Algebra, c: Mat) -> Algebra:
@@ -203,13 +209,8 @@ def center(a: Algebra) -> list[Mat]:
             row = [comm[j][pos] for j in range(d)]
             if any(row):
                 rows.append(row)
-    if not rows:
-        coeff_vectors = [tuple(ONE if i == j else ZERO for j in range(d))
-                         for i in range(d)]
-    else:
-        coeff_vectors = nullspace(rows, d)
     span = EchelonSpan(a.n * a.n)
-    for cv in coeff_vectors:
+    for cv in nullspace(rows, d):
         acc = zero(a.n)
         for coef, b in zip(cv, a.basis):
             if coef:
@@ -233,10 +234,8 @@ def centralizer(m: Mat) -> Algebra:
                 row[i * n + l] -= m.data[l][j]
             if any(row):
                 rows.append(row)
-    vecs = nullspace(rows, n * n) if rows else [
-        tuple(ONE if t == s else ZERO for t in range(n * n)) for s in range(n * n)]
     span = EchelonSpan(n * n)
-    for v in vecs:
+    for v in nullspace(rows, n * n):
         span.add(v)
     alg = _from_span(n, span)
     if not (alg.is_unital() and alg.is_closed()):
@@ -266,11 +265,7 @@ def is_simple(a: Algebra) -> bool:
     if z is None:
         raise ArithmeticError("two-dimensional center without non-scalar element")
     # Solve z^2 = alpha*I + beta*z; the minimal polynomial is x^2-beta*x-alpha.
-    sp = EchelonSpan(a.n * a.n)
-    sp.add(ident.vectorize())
-    sp.add(z.vectorize())
-    z2 = z @ z
-    coeffs = _coords_in(z2, [ident, z])
+    coeffs = _coords_in(z @ z, [ident, z])
     if coeffs is None:
         raise ArithmeticError("central element square escapes its plane")
     alpha, beta = coeffs

@@ -110,10 +110,6 @@ def prop_semi_commuting(a: str, b: str, sign: str) -> dict:
     return {"kind": "semi_commuting", "a": a, "b": b, "sign": sign}
 
 
-def prop_commutes_with(target: str, other: str) -> dict:
-    return {"kind": "commutes_with", "target": target, "with": other}
-
-
 def prop_central(target: str, algebra: str) -> dict:
     return {"kind": "central", "target": target, "algebra": algebra}
 
@@ -139,10 +135,6 @@ def prop_spans_pattern(gens: Sequence[str], pattern: str) -> dict:
 
 def prop_is_centralizer(algebra: str, of: str) -> dict:
     return {"kind": "is_centralizer", "algebra": algebra, "of": of}
-
-
-def prop_idempotent_rank1(target: str) -> dict:
-    return {"kind": "idempotent_rank1", "target": target}
 
 
 def prop_has_simple_real_eigenvalue(target: str) -> dict:

@@ -14,7 +14,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebra import (Algebra, algebra_direct_sum, centralizer,
-                      conjugate_algebra, generate, incidence_algebra)
+                      closure_words, conjugate_algebra, generate,
+                      incidence_algebra)
 from .certificates import (Certificate, prop_central, prop_conjugate_of,
                            prop_covers, prop_covers_conjugated,
                            prop_dimension, prop_generate_equal,
@@ -66,36 +67,14 @@ def nonneg_generators_from_covering(a: Algebra, m: Mat) -> list[Mat]:
 
 
 def nonneg_basis_from_generators(gens: Sequence[Mat]) -> list[Mat]:
-    """A linearly independent, all-nonnegative spanning set of <gens>,
-    selected greedily from products of the nonnegative generators."""
+    """A linearly independent, all-nonnegative spanning set of <gens>: the
+    words of the nonnegative generators that `closure_words` retains."""
     if not gens:
         raise ValueError("empty generating set")
-    n = gens[0].rows
     for g in gens:
         if not is_nonneg(g):
             raise ValueError("generators must be nonnegative")
-    target = generate(n, gens)
-    from collections import deque
-    from .linear import EchelonSpan
-    span = EchelonSpan(n * n)
-    basis: list[Mat] = []
-    queue: deque[Mat] = deque()
-
-    def push(mat: Mat) -> None:
-        if span.add(mat.vectorize()):
-            basis.append(mat)
-            queue.append(mat)
-
-    push(identity(n))
-    for g in gens:
-        push(g)
-    while queue:
-        x = queue.popleft()
-        for g in gens:
-            push(x @ g)
-            push(g @ x)
-    if span.dim != target.dim:
-        raise ArithmeticError("word closure missed part of the algebra")
+    basis, _ = closure_words(gens[0].rows, gens)
     if not all(is_nonneg(b) for b in basis):
         raise ArithmeticError("a selected word is not nonnegative")
     return basis

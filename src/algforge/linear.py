@@ -88,11 +88,6 @@ class EchelonSpan:
             return NotImplemented
         return self.length == other.length and self._rows == other._rows
 
-    def copy(self) -> "EchelonSpan":
-        dup = EchelonSpan(self.length)
-        dup._rows = {p: dict(r) for p, r in self._rows.items()}
-        return dup
-
 
 def span_rows(vectors: Iterable[Vec], length: int) -> list[tuple[Fraction, ...]]:
     """Canonical reduced-echelon basis of the span of the given vectors."""
@@ -109,63 +104,20 @@ def rank(rows: Sequence[Vec], length: int | None = None) -> int:
     return sp.dim
 
 
-def solve(a_rows: Sequence[Vec], b: Vec) -> list[Fraction] | None:
-    """One exact solution of A x = b, or None when inconsistent."""
-    m = len(a_rows)
-    n = len(a_rows[0]) if m else 0
-    aug = [list(row) + [bv] for row, bv in zip(a_rows, b)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if aug[i][c]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = ONE / aug[r][c]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
-        pivots.append((r, c))
-        r += 1
+def _reduce(rows: Sequence[Vec],
+            ncols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Gauss-Jordan elimination with first-nonzero pivoting on the first
+    ncols columns (further columns ride along, as in an augmented matrix).
+
+    Returns the reduced rows, pivot rows first, and the pivot columns.
+    """
+    a = [list(r) for r in rows]
+    m = len(a)
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
         if r == m:
             break
-    for i in range(r, m):
-        if aug[i][n]:
-            return None
-    x = [ZERO] * n
-    for row_i, col in pivots:
-        x[col] = aug[row_i][n]
-    return x
-
-
-def invert(rows: Sequence[Vec]) -> list[list[Fraction]]:
-    """Exact inverse via Gauss-Jordan with first-nonzero pivoting."""
-    n = len(rows)
-    aug = [list(row) + [ONE if i == j else ZERO for j in range(n)]
-           for i, row in enumerate(rows)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if aug[i][c]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = ONE / aug[c][c]
-        aug[c] = [v * inv for v in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
-
-
-def nullspace(rows: Sequence[Vec], ncols: int) -> list[tuple[Fraction, ...]]:
-    """Canonical basis of {x : A x = 0}."""
-    m = len(rows)
-    a = [list(r) for r in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
         piv = next((i for i in range(r, m) if a[i][c]), None)
         if piv is None:
             continue
@@ -177,30 +129,45 @@ def nullspace(rows: Sequence[Vec], ncols: int) -> list[tuple[Fraction, ...]]:
                 f = a[i][c]
                 a[i] = [v - f * w for v, w in zip(a[i], a[r])]
         pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+    return a, pivots
+
+
+def solve(a_rows: Sequence[Vec], b: Vec) -> list[Fraction] | None:
+    """One exact solution of A x = b, or None when inconsistent."""
+    n = len(a_rows[0]) if a_rows else 0
+    aug, pivots = _reduce([list(row) + [bv] for row, bv in zip(a_rows, b)], n)
+    if any(row[n] for row in aug[len(pivots):]):
+        return None
+    x = [ZERO] * n
+    for row, col in zip(aug, pivots):
+        x[col] = row[n]
+    return x
+
+
+def invert(rows: Sequence[Vec]) -> list[list[Fraction]]:
+    """Exact inverse: [A | I] reduces to [I | A^-1]."""
+    n = len(rows)
+    aug = [list(row) + [ONE if i == j else ZERO for j in range(n)]
+           for i, row in enumerate(rows)]
+    aug, pivots = _reduce(aug, n)
+    if len(pivots) < n:
+        raise ValueError("singular matrix")
+    return [row[n:] for row in aug]
+
+
+def nullspace(rows: Sequence[Vec], ncols: int) -> list[tuple[Fraction, ...]]:
+    """Canonical basis of {x : A x = 0}, one vector per free column."""
+    a, pivots = _reduce(rows, ncols)
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         v = [ZERO] * ncols
         v[fc] = ONE
-        for row_i, pc in enumerate(pivots):
-            v[pc] = -a[row_i][fc]
+        for row, pc in zip(a, pivots):
+            v[pc] = -row[fc]
         basis.append(tuple(v))
     return basis
-
-
-def orthogonal_complement(rows: Sequence[Vec], n: int) -> list[tuple[Fraction, ...]]:
-    """Basis of the orthogonal complement (standard inner product)."""
-    if not rows:
-        ident = []
-        for i in range(n):
-            v = [ZERO] * n
-            v[i] = ONE
-            ident.append(tuple(v))
-        return ident
-    return nullspace(rows, n)
 
 
 def intersect_spans(rows_a: Sequence[Vec], rows_b: Sequence[Vec],

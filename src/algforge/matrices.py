@@ -308,10 +308,6 @@ def semi_commute(a: Mat, b: Mat) -> str:
     return "neither"
 
 
-def is_semicommuting(a: Mat, b: Mat) -> bool:
-    return semi_commute(a, b) != "neither"
-
-
 # -- supports ----------------------------------------------------------------
 
 @dataclass(frozen=True)

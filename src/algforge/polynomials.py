@@ -7,17 +7,13 @@ immutable and pure, so values can be shared freely between threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def rat(value: int | str | Fraction) -> Fraction:
-    """Parse a rational from an int, a Fraction, or a 'p/q' string."""
-    return Fraction(value)
 
 
 def _strip(coeffs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
@@ -40,10 +36,6 @@ class Poly:
     @staticmethod
     def from_coeffs(coeffs: Iterable[int | str | Fraction]) -> Poly:
         return Poly(_strip(tuple(Fraction(c) for c in coeffs)))
-
-    @staticmethod
-    def constant(c: int | str | Fraction) -> Poly:
-        return Poly.of(c)
 
     @property
     def degree(self) -> int:
@@ -309,13 +301,9 @@ def rational_roots(p: Poly) -> list[tuple[Fraction, int]]:
         roots.append((ZERO, mult0))
     if len(coeffs) > 1:
         q = Poly(tuple(coeffs))
-        denom_lcm = 1
-        for c in coeffs:
-            denom_lcm = denom_lcm * c.denominator // _gcd(denom_lcm, c.denominator)
+        denom_lcm = math.lcm(*(c.denominator for c in coeffs))
         ints = [int(c * denom_lcm) for c in coeffs]
-        g = 0
-        for v in ints:
-            g = _gcd(g, abs(v))
+        g = math.gcd(*ints)
         ints = [v // g for v in ints]
         seen: set[Fraction] = set()
         for dp in _divisors(ints[0]):
@@ -338,12 +326,6 @@ def rational_roots(p: Poly) -> list[tuple[Fraction, int]]:
                         roots.append((cand, mult))
     roots.sort(key=lambda t: t[0])
     return roots
-
-
-def _gcd(a: int, b: int) -> int:
-    import math
-
-    return math.gcd(a, b)
 
 
 def poly_to_json(p: Poly) -> list[str]:

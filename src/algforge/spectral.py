@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .algebra import Algebra
 from .linear import (EchelonSpan, complete_basis, intersect_spans, nullspace,
-                     orthogonal_complement, solve, span_rows)
+                     solve, span_rows)
 from .matrices import (Mat, conjugate, direct_sum, identity, inverse,
                        jordan_cell, matrix_unit, poly_at)
 from .polynomials import (P_ONE, Poly, multiplicity_one_part, poly_crt,
@@ -234,7 +234,7 @@ def structural_decomposition(a: Algebra) -> StructuralDecomposition:
     if not a.contains(matrix_unit(n, 1, 1)):
         raise ValueError("algebra does not contain the (1,1) matrix unit")
     z1 = orbit_span(a, e1)
-    z2 = orthogonal_complement(_transpose_orbit(a, e1), n)
+    z2 = nullspace(_transpose_orbit(a, e1), n)  # orthogonal complement
     dim_z1 = len(z1)
     dim_z2 = len(z2)
     inter = intersect_spans(z1, z2, n) if dim_z2 else []

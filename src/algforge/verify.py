@@ -5,9 +5,10 @@ data.  It deliberately avoids the construction code paths: membership,
 conjugation, support and closure checks are re-implemented here on plain
 Fraction lists, and conjugation identities are verified multiplicatively
 (C * target == source * C with C nonsingular) so no inverse is ever taken
-on faith.  Generated-algebra claims are re-derived with a pairwise product
-closure, which is a different algorithm from the engine's generator
-worklist.
+on faith.  Generated-algebra claims are re-derived with a worklist that
+multiplies each retained element on the right by the generators, where the
+engine's worklist multiplies on the left.  The only elimination loop is
+`_solve_conjugate`; rank and membership tests use `_Span`.
 """
 
 from __future__ import annotations
@@ -46,9 +47,6 @@ def _mul(a: Grid, b: Grid) -> Grid:
 def _sub(a: Grid, b: Grid) -> Grid:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
-def _eq(a: Grid, b: Grid) -> bool:
-    return a == b
-
 
 def _is_nonneg(a: Grid) -> bool:
     return all(v >= 0 for row in a for v in row)
@@ -65,23 +63,6 @@ def _support(a: Grid) -> set[tuple[int, int]]:
 
 def _vec(a: Grid) -> list[Fraction]:
     return [v for row in a for v in row]
-
-
-def _nonsingular(a: Grid) -> bool:
-    n = len(a)
-    m = [row[:] for row in a]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c]), None)
-        if piv is None:
-            return False
-        m[c], m[piv] = m[piv], m[c]
-        inv = ONE / m[c][c]
-        m[c] = [v * inv for v in m[c]]
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c]
-                m[i] = [v - f * w for v, w in zip(m[i], m[c])]
-    return True
 
 
 def _solve_conjugate(c: Grid, x: Grid) -> Grid:
@@ -154,35 +135,32 @@ def _identity(n: int) -> Grid:
 
 
 def _closure(gens: list[Grid]) -> tuple[_Span, int]:
-    """Span of the unital algebra generated by gens, by pairwise products:
-    every ordered product of retained elements is tried exactly once."""
+    """Span of the unital algebra generated by gens.
+
+    Worklist: I and the generators first, then every retained element is
+    multiplied on the right by each generator.  The span holds I and is
+    closed under right multiplication by every generator, so it holds every
+    word in them.
+    """
     if not gens:
         raise CertificateError("closure of an empty generator list")
     n = len(gens[0])
+    if any(len(g) != n or any(len(row) != n for row in g) for g in gens):
+        raise CertificateError("generators are not square of one size")
     span = _Span()
-    raw: list[Grid] = []
-    pending: list[Grid] = []
+    kept: list[Grid] = []
 
     def push(m: Grid) -> None:
         if span.add(_vec(m)):
-            raw.append(m)
-            pending.append(m)
+            kept.append(m)
 
     push(_identity(n))
     for g in gens:
         push(g)
-    while pending:
-        batch, pending[:] = pending[:], []
-        snapshot = raw[:]
-        for x in batch:
-            for y in snapshot:
-                push(_mul(x, y))
-                push(_mul(y, x))
+    for x in kept:  # kept grows while it is walked: a FIFO worklist
+        for g in gens:
+            push(_mul(x, g))
     return span, n
-
-
-def _same_span(a: _Span, b: _Span) -> bool:
-    return a.rows == b.rows
 
 
 # -- reference resolution ------------------------------------------------------
@@ -229,7 +207,12 @@ def _transform(doc: dict) -> Grid:
     if doc.get("C") is None:
         raise CertificateError("property requires a transformation matrix")
     c = _grid(doc["C"])
-    if not _nonsingular(c):
+    if any(len(row) != len(c) for row in c):
+        raise CertificateError("transformation matrix is not square")
+    span = _Span()
+    for row in c:
+        span.add(row)
+    if span.dim != len(c):
         raise CertificateError("transformation matrix is singular")
     return c
 
@@ -248,7 +231,7 @@ def _check_conjugate_of(doc, p):
     c = _transform(doc)
     target = _matrix(doc, p["target"])
     source = _matrix(doc, p["source"])
-    return _eq(_mul(c, target), _mul(source, c))
+    return _mul(c, target) == _mul(source, c)
 
 
 def _check_in_algebra(doc, p):
@@ -296,12 +279,6 @@ def _check_semi_commuting(doc, p):
     raise CertificateError("unknown semi-commuting sign")
 
 
-def _check_commutes_with(doc, p):
-    a = _matrix(doc, p["target"])
-    b = _matrix(doc, p["with"])
-    return _eq(_mul(a, b), _mul(b, a))
-
-
 def _check_central(doc, p):
     z = _matrix(doc, p["target"])
     basis = _algebra_basis(doc, p["algebra"])
@@ -310,7 +287,7 @@ def _check_central(doc, p):
         span.add(_vec(b))
     if not span.contains(_vec(z)):
         return False
-    return all(_eq(_mul(z, b), _mul(b, z)) for b in basis)
+    return all(_mul(z, b) == _mul(b, z) for b in basis)
 
 
 def _check_dimension(doc, p):
@@ -322,7 +299,7 @@ def _check_dimension(doc, p):
 def _check_generate_equal(doc, p):
     span_a, _ = _closure([_matrix(doc, r) for r in p["gens_a"]])
     span_b, _ = _closure([_matrix(doc, r) for r in p["gens_b"]])
-    return _same_span(span_a, span_b)
+    return span_a.rows == span_b.rows
 
 
 def _check_generate_equal_conjugated(doc, p):
@@ -330,7 +307,7 @@ def _check_generate_equal_conjugated(doc, p):
     span_a, _ = _closure([_matrix(doc, r) for r in p["gens"]])
     span_b, _ = _closure([_solve_conjugate(c, _matrix(doc, r))
                           for r in p["source_gens"]])
-    return _same_span(span_a, span_b)
+    return span_a.rows == span_b.rows
 
 
 def _check_spans_pattern(doc, p):
@@ -351,7 +328,7 @@ def _check_is_centralizer(doc, p):
     basis = _algebra_basis(doc, p["algebra"])
     m = _matrix(doc, p["of"])
     n = len(m)
-    if not all(_eq(_mul(b, m), _mul(m, b)) for b in basis):
+    if not all(_mul(b, m) == _mul(m, b) for b in basis):
         return False
     # dimension must match the kernel of X -> MX - XM
     rows = []
@@ -374,16 +351,6 @@ def _check_is_centralizer(doc, p):
     return basis_span.dim == len(basis) == kernel_dim
 
 
-def _check_idempotent_rank1(doc, p):
-    e = _matrix(doc, p["target"])
-    if not _eq(_mul(e, e), e):
-        return False
-    span = _Span()
-    for row in e:
-        span.add(row)
-    return span.dim == 1
-
-
 def _check_has_simple_real_eigenvalue(doc, p):
     from .matrices import Mat
     from .spectral import has_simple_real_eigenvalue
@@ -402,14 +369,12 @@ _CHECKS = {
     "covers": _check_covers,
     "covers_conjugated": _check_covers_conjugated,
     "semi_commuting": _check_semi_commuting,
-    "commutes_with": _check_commutes_with,
     "central": _check_central,
     "dimension": _check_dimension,
     "generate_equal": _check_generate_equal,
     "generate_equal_conjugated": _check_generate_equal_conjugated,
     "spans_pattern": _check_spans_pattern,
     "is_centralizer": _check_is_centralizer,
-    "idempotent_rank1": _check_idempotent_rank1,
     "has_simple_real_eigenvalue": _check_has_simple_real_eigenvalue,
 }
 
@@ -421,6 +386,8 @@ def verify_document(doc: dict) -> list[str]:
         props = doc["properties"]
     except (KeyError, TypeError):
         return ["document has no properties list"]
+    if not props:
+        return ["document asserts no properties"]
     for idx, p in enumerate(props):
         kind = p.get("kind")
         check = _CHECKS.get(kind)

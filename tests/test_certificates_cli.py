@@ -244,3 +244,50 @@ def test_cli_table_format(capsys):
     out, _ = capsys.readouterr()
     assert code == 0
     assert "total: 2/2 verified" in out
+
+
+def test_problem_solve_table_verifies_each_certificate_once(monkeypatch,
+                                                            capsys):
+    import algforge.cli as cli
+    calls = []
+    real = cli.verify_document
+
+    def counting(doc):
+        calls.append(doc)
+        return real(doc)
+
+    monkeypatch.setattr(cli, "verify_document", counting)
+    code, out, _ = _run(["problem-solve", "-n", "3", "--format", "table"],
+                        capsys=capsys)
+    assert code == 0
+    count = len(solve_all_dimensions(3))
+    assert out.endswith(f"total: {count}/{count} verified\n")
+    assert len(calls) == count
+
+
+def test_empty_property_list_fails(tmp_path, capsys):
+    doc = solve_all_dimensions(2)[0].to_json()
+    doc["properties"] = []
+    assert verify_document(doc)
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = _run(["verify", str(path)], capsys=capsys)
+    assert code == 1
+    assert "no properties" in err
+
+
+def test_non_square_transform_and_generators_fail():
+    def wire(rows):
+        return {"rows": len(rows), "cols": len(rows[0]),
+                "entries": [[str(v) for v in row] for row in rows]}
+
+    # C T = S C holds for this 1x2 C, but T is no conjugate of S
+    doc = {"claim": "conjugate", "inputs": {"source": wire([[1]])},
+           "C": wire([[1, 0]]), "outputs": [wire([[1, 0], [0, 5]])],
+           "properties": [{"kind": "conjugate_of", "target": "out:0",
+                           "source": "in:source"}]}
+    assert any("not square" in f for f in verify_document(doc))
+    doc = {"claim": "dimension", "inputs": {"g": wire([[0, 0, 0], [0, 0, 0]])},
+           "C": None, "outputs": [],
+           "properties": [{"kind": "dimension", "gens": ["in:g"], "value": 1}]}
+    assert any("not square" in f for f in verify_document(doc))

@@ -79,7 +79,7 @@ def _load_algebra_like(doc) -> Algebra:
     if "basis" in doc:
         try:
             alg = algebra_from_json(doc)
-        except ValueError as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"invalid algebra document: {exc}")
         _check_dim(alg.n)
         return alg
@@ -91,7 +91,7 @@ def _load_algebra_like(doc) -> Algebra:
         try:
             gens = [mat_from_json(m) for m in doc["gens"]]
             return generate(n, gens)
-        except ValueError as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"invalid generator document: {exc}")
     raise UsageError("expected an object with 'basis' or 'gens'")
 
@@ -205,8 +205,25 @@ def _cmd_problem_solve(args) -> int:
     return 0
 
 
+def _doc_sizes(doc) -> list[int]:
+    """Every integer "rows", "cols" or "n" (matrix shapes, algebra and
+    pattern sizes) anywhere in a JSON document."""
+    sizes, todo = [], [doc]
+    while todo:
+        obj = todo.pop()
+        if isinstance(obj, dict):
+            sizes += [obj[k] for k in ("rows", "cols", "n")
+                      if isinstance(obj.get(k), int)]
+            todo += obj.values()
+        elif isinstance(obj, list):
+            todo += obj
+    return sizes
+
+
 def _cmd_verify(args) -> int:
     doc = _load_json(args.input)
+    for size in _doc_sizes(doc):
+        _check_dim(size)
     if isinstance(doc, dict) and "certificates" in doc:
         docs = doc["certificates"]
     elif isinstance(doc, dict) and "certificate" in doc and doc["certificate"]:
@@ -215,6 +232,8 @@ def _cmd_verify(args) -> int:
         docs = doc
     else:
         docs = [doc]
+    if not isinstance(docs, list):
+        raise UsageError("'certificates' must be a list")
     all_failures: list[str] = []
     for i, cert_doc in enumerate(docs):
         for failure in verify_document(cert_doc):

@@ -752,7 +752,7 @@ def classify_positive_generation(a: Algebra, budget: int = 64,
         if not has_simple_real_eigenvalue(x):
             continue
         m1 = multiplicity_one_part(char_poly(x))
-        simple_rationals = [r for r, _ in rational_roots(m1)] if m1.degree >= 1 else []
+        simple_rationals = [r for r, _ in rational_roots(m1)]
         if simple_rationals:
             lam = simple_rationals[0]
             proj = rational_spectral_projector(x, lam)

@@ -10,6 +10,7 @@ Zero-size matrices are legal and act as absent direct summands.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -358,12 +359,27 @@ def mat_to_json(a: Mat) -> dict:
             "entries": [[str(v) for v in row] for row in a.data]}
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
+
+
+def _rational(s: str) -> Fraction:
+    """Parse a wire rational, which must read exactly as `str(Fraction)`
+    writes it: "p" or "p/q" in lowest terms with q > 1.  The pattern test
+    comes first, so exponent forms like "1e400" never build a big int."""
+    if isinstance(s, str) and _RATIONAL.fullmatch(s):
+        value = Fraction(s)
+        if str(value) == s:
+            return value
+    raise ValueError(f"not a canonical rational: {s!r}")
+
+
 def mat_from_json(obj: dict) -> Mat:
     rows, cols = obj["rows"], obj["cols"]
     entries = obj["entries"]
     if len(entries) != rows or any(len(r) != cols for r in entries):
         raise ValueError("entry grid does not match declared shape")
-    return Mat(rows, cols, tuple(tuple(Fraction(v) for v in row) for row in entries))
+    return Mat(rows, cols, tuple(tuple(_rational(v) for v in row)
+                                 for row in entries))
 
 
 def support_to_json(s: Support) -> dict:

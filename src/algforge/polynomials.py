@@ -3,6 +3,10 @@
 Coefficients are ascending-degree tuples of Fraction with no trailing
 zeros; the zero polynomial has an empty coefficient tuple.  Everything is
 immutable and pure, so values can be shared freely between threads.
+
+Real-root counts and rational roots (by Sturm bisection, polynomial in the
+coefficients' bit lengths) share one integer Sturm chain and one
+sign-variation counter at dyadic points.
 """
 
 from __future__ import annotations
@@ -220,29 +224,53 @@ def multiplicity_one_part(p: Poly) -> Poly:
     return dec[0] if dec else P_ONE
 
 
+def _sturm_chain(p: Poly) -> tuple[list[list[int]], int]:
+    """Sturm chain of a squarefree p, each member as a primitive integer
+    coefficient list (ascending, same sign), and b >= 1 such that every
+    real root of p lies in (-2^b, 2^b)."""
+    chain = [p]
+    nxt = p.derivative()
+    while not nxt.is_zero:
+        chain.append(nxt)
+        nxt = -(chain[-2] % nxt)
+    if chain[-1].degree > 0:
+        raise ValueError("polynomial is not squarefree")
+    ints = []
+    for q in chain:
+        den = math.lcm(*(c.denominator for c in q.coeffs))
+        row = [c.numerator * (den // c.denominator) for c in q.coeffs]
+        g = math.gcd(*row)
+        ints.append([v // g for v in row])
+    # Fujiwara: |root| <= 2 max_k |c_{d-k} / c_d|^(1/k), each ratio bounded
+    # through bit lengths by a power of two.
+    top, d = ints[0], len(ints[0]) - 1
+    lead_bits = abs(top[-1]).bit_length()
+    b = max([1] + [1 - ((lead_bits - abs(c).bit_length() - 1) // (d - i))
+                   for i, c in enumerate(top[:-1]) if c])
+    return ints, b
+
+
+def _variations(chain: list[list[int]], a: int, e: int) -> int:
+    """Sign variations of the chain at the dyadic point a / 2^e, zeros
+    skipped; each member is evaluated as the integer 2^(e deg) q(a / 2^e)."""
+    signs = []
+    for coeffs in chain:
+        acc, shift = 0, 0
+        for c in reversed(coeffs):
+            acc = acc * a + (c << shift)
+            shift += e
+        if acc:
+            signs.append(acc > 0)
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
 def sturm_real_root_count(p: Poly) -> int:
     """Number of distinct real roots of a squarefree p, by sign variations
-    of the Sturm chain at -oo and +oo."""
+    of its Sturm chain at either end of the root bound."""
     if p.is_zero:
         raise ValueError("zero polynomial")
-    if p.degree == 0:
-        return 0
-    if poly_gcd(p, p.derivative()).degree != 0:
-        raise ValueError("polynomial is not squarefree")
-    chain = [p, p.derivative()]
-    while chain[-1].degree > 0:
-        r = chain[-2] % chain[-1]
-        if r.is_zero:
-            break
-        chain.append(-r)
-
-    def variations(signs: list[int]) -> int:
-        signs = [s for s in signs if s]
-        return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
-
-    at_pos = [1 if q.leading > 0 else -1 for q in chain]
-    at_neg = [s if q.degree % 2 == 0 else -s for q, s in zip(chain, at_pos)]
-    return variations(at_neg) - variations(at_pos)
+    chain, b = _sturm_chain(p)
+    return _variations(chain, -1 << b, 0) - _variations(chain, 1 << b, 0)
 
 
 def poly_crt(pairs: Sequence[tuple[Poly, Poly]]) -> Poly:
@@ -274,57 +302,50 @@ def poly_crt(pairs: Sequence[tuple[Poly, Poly]]) -> Poly:
     return h
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+def root_multiplicity(p: Poly, r: Fraction) -> int:
+    """Multiplicity of r as a root of p (0 when it is not a root)."""
+    lin = Poly.of(-r, 1)
+    mult = 0
+    while True:
+        p, rem = divmod(p, lin)
+        if not rem.is_zero:
+            return mult
+        mult += 1
 
 
 def rational_roots(p: Poly) -> list[tuple[Fraction, int]]:
-    """All rational roots of p with multiplicities, sorted ascending."""
+    """All rational roots of p with multiplicities, sorted ascending.
+
+    Sturm bisection of the squarefree part s: a rational root of s has a
+    denominator dividing the leading coefficient L of s's primitive integer
+    form, and two such fractions differ by at least 1/L^2.  So once a root
+    is alone in a dyadic interval shorter than 1/L^2, the fraction with
+    denominator <= L nearest the midpoint is the only candidate there.
+    """
     if p.is_zero:
         raise ValueError("zero polynomial")
-    coeffs = list(p.coeffs)
-    mult0 = 0
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-        mult0 += 1
+    s = p // poly_gcd(p, p.derivative())
+    chain, b = _sturm_chain(s)
+    lead = abs(chain[0][-1])
     roots: list[tuple[Fraction, int]] = []
-    if mult0:
-        roots.append((ZERO, mult0))
-    if len(coeffs) > 1:
-        q = Poly(tuple(coeffs))
-        denom_lcm = math.lcm(*(c.denominator for c in coeffs))
-        ints = [int(c * denom_lcm) for c in coeffs]
-        g = math.gcd(*ints)
-        ints = [v // g for v in ints]
-        seen: set[Fraction] = set()
-        for dp in _divisors(ints[0]):
-            for dq in _divisors(ints[-1]):
-                for sign in (1, -1):
-                    cand = Fraction(sign * dp, dq)
-                    if cand in seen:
-                        continue
-                    seen.add(cand)
-                    if q(cand) == 0:
-                        mult = 0
-                        rem = q
-                        lin = Poly.of(-cand, 1)
-                        while True:
-                            d, r = divmod(rem, lin)
-                            if not r.is_zero:
-                                break
-                            rem = d
-                            mult += 1
-                        roots.append((cand, mult))
-    roots.sort(key=lambda t: t[0])
+    # intervals (lo / 2^e, hi / 2^e] with their end variations; popping the
+    # lower half first walks them in ascending order
+    todo = [(-1 << b, 1 << b, 0, _variations(chain, -1 << b, 0),
+             _variations(chain, 1 << b, 0))]
+    while todo:
+        lo, hi, e, vlo, vhi = todo.pop()
+        if vlo == vhi:
+            continue
+        if vlo - vhi == 1 and (hi - lo) * lead * lead < 1 << e:
+            cand = Fraction(lo + hi, 2 << e).limit_denominator(lead)
+            if Fraction(lo, 1 << e) < cand <= Fraction(hi, 1 << e) \
+                    and s(cand) == 0:
+                roots.append((cand, root_multiplicity(p, cand)))
+            continue
+        mid = lo + hi
+        vmid = _variations(chain, mid, e + 1)
+        todo.append((mid, 2 * hi, e + 1, vmid, vhi))
+        todo.append((2 * lo, mid, e + 1, vlo, vmid))
     return roots
 
 

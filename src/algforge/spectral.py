@@ -22,6 +22,7 @@ from .matrices import (Mat, conjugate, direct_sum, identity, inverse,
                        jordan_cell, matrix_unit, poly_at)
 from .polynomials import (P_ONE, Poly, multiplicity_one_part, poly_crt,
                           poly_gcd, rational_roots, sturm_real_root_count)
+from .polynomials import root_multiplicity as eigenvalue_multiplicity
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -71,32 +72,13 @@ def min_poly(a: Mat) -> Poly:
     dependency among vectorized powers I, A, A^2, ..."""
     if not a.is_square:
         raise ValueError("matrix must be square")
-    n = a.rows
-    if n == 0:
-        return P_ONE
-    length = n * n
-    rows: list[tuple[list[Fraction], list[Fraction]]] = []  # (vector, combo)
-    power = identity(n)
-    k = 0
-    while True:
-        vec = list(power.vectorize())
-        combo = [ZERO] * (k + 1)
-        combo[k] = ONE
-        for rvec, rcombo in rows:
-            piv = next(i for i, v in enumerate(rvec) if v)
-            c = vec[piv]
-            if c:
-                for i in range(length):
-                    vec[i] -= c * rvec[i]
-                for i in range(len(rcombo)):
-                    combo[i] -= c * rcombo[i]
-        if not any(vec):
-            return Poly.from_coeffs(combo[:k] + [ONE])
-        piv = next(i for i, v in enumerate(vec) if v)
-        inv = ONE / vec[piv]
-        rows.append(([v * inv for v in vec], [c * inv for c in combo]))
-        power = power @ a
-        k += 1
+    span = EchelonSpan(a.rows * a.rows)
+    powers = [identity(a.rows)]
+    while span.add(powers[-1].vectorize()):
+        powers.append(powers[-1] @ a)
+    cols = [power.vectorize() for power in powers[:-1]]
+    coeffs = solve(list(zip(*cols)), powers[-1].vectorize())
+    return Poly.from_coeffs([-c for c in coeffs] + [ONE])
 
 
 @dataclass(frozen=True)
@@ -112,9 +94,8 @@ class CharData:
 def char_data(a: Mat) -> CharData:
     cp = char_poly(a)
     mp = min_poly(a)
-    roots = tuple(rational_roots(cp)) if cp.degree >= 1 else ()
-    m1 = multiplicity_one_part(cp)
-    count = sturm_real_root_count(m1) if m1.degree >= 1 else 0
+    roots = tuple(rational_roots(cp))
+    count = sturm_real_root_count(multiplicity_one_part(cp))
     return CharData(cp, mp, roots, count)
 
 
@@ -134,10 +115,7 @@ def has_simple_real_eigenvalue(a: Mat) -> bool:
     Exact for irrational eigenvalues: Sturm-counts the real roots of the
     multiplicity-one part of the characteristic polynomial.
     """
-    m1 = multiplicity_one_part(char_poly(a))
-    if m1.degree < 1:
-        return False
-    return sturm_real_root_count(m1) > 0
+    return sturm_real_root_count(multiplicity_one_part(char_poly(a))) > 0
 
 
 def spectral_radius_bound(a: Mat) -> Fraction:
@@ -160,18 +138,6 @@ def block_projector_poly(mu_target: Poly, mu_others: Poly) -> Poly:
         raise ValueError("spectra overlap: moduli share a factor")
     return poly_crt([(mu_target, P_ONE if mu_target.degree > 0 else Poly()),
                      (mu_others, Poly())])
-
-
-def eigenvalue_multiplicity(p: Poly, lam: Fraction) -> int:
-    """Multiplicity of lam as a root of p."""
-    lin = Poly.of(-lam, 1)
-    mult = 0
-    while True:
-        q, r = divmod(p, lin)
-        if not r.is_zero:
-            return mult
-        p = q
-        mult += 1
 
 
 def rational_spectral_projector(a: Mat, lam: int | Fraction) -> Mat:

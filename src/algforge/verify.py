@@ -13,6 +13,7 @@ engine's worklist multiplies on the left.  The only elimination loop is
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Sequence
 
@@ -28,12 +29,25 @@ class CertificateError(ValueError):
 
 # -- tiny self-contained exact linear algebra ---------------------------------
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
+
+
+def _rational(s: str) -> Fraction:
+    """Only the canonical form str(Fraction) writes: "p" or "p/q" in lowest
+    terms with q > 1."""
+    if isinstance(s, str) and _RATIONAL.fullmatch(s):
+        value = Fraction(s)
+        if str(value) == s:
+            return value
+    raise CertificateError(f"not a canonical rational: {s!r}")
+
+
 def _grid(obj: dict) -> Grid:
     rows, cols = obj["rows"], obj["cols"]
     entries = obj["entries"]
     if len(entries) != rows or any(len(r) != cols for r in entries):
         raise CertificateError("matrix entries do not match declared shape")
-    return [[Fraction(v) for v in row] for row in entries]
+    return [[_rational(v) for v in row] for row in entries]
 
 
 def _mul(a: Grid, b: Grid) -> Grid:
@@ -389,6 +403,9 @@ def verify_document(doc: dict) -> list[str]:
     if not props:
         return ["document asserts no properties"]
     for idx, p in enumerate(props):
+        if not isinstance(p, dict):
+            failures.append(f"property {idx}: not an object")
+            continue
         kind = p.get("kind")
         check = _CHECKS.get(kind)
         if check is None:
@@ -396,7 +413,8 @@ def verify_document(doc: dict) -> list[str]:
             continue
         try:
             ok = check(doc, p)
-        except (CertificateError, KeyError, IndexError, ValueError) as exc:
+        except (CertificateError, KeyError, IndexError, TypeError,
+                ValueError, ZeroDivisionError) as exc:
             failures.append(f"property {idx} ({kind}): {exc}")
             continue
         if not ok:

@@ -2,6 +2,8 @@ import io
 import json
 from fractions import Fraction
 
+import pytest
+
 from algforge.algebra import generate, incidence_algebra
 from algforge.certificates import certificate_from_json
 from algforge.cli import report, run
@@ -291,3 +293,50 @@ def test_non_square_transform_and_generators_fail():
            "C": None, "outputs": [],
            "properties": [{"kind": "dimension", "gens": ["in:g"], "value": 1}]}
     assert any("not square" in f for f in verify_document(doc))
+
+
+def _tampered_entry(value):
+    doc = solve_all_dimensions(2)[0].to_json()
+    doc["outputs"][0]["entries"][0][0] = value
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("verb, text, code", [
+    ("verify", json.dumps({"properties": [1]}), 1),
+    ("verify", _tampered_entry("1/0"), 1),
+    ("verify", _tampered_entry(None), 1),
+    ("algebra-generate", json.dumps({"n": 2, "gens": "foo"}), 2),
+    ("algebra-generate", json.dumps({"n": 2, "basis": "foo"}), 2),
+    ("verify", json.dumps({"certificates": 5}), 2),
+], ids=["property-not-object", "zero-denominator", "null-entry",
+        "gens-not-list", "basis-not-list", "certificates-not-list"])
+def test_malformed_documents_fail_cleanly(verb, text, code, monkeypatch,
+                                          capsys):
+    got, _, err = _run([verb], stdin_text=text, monkeypatch=monkeypatch,
+                       capsys=capsys)
+    assert got == code
+    assert "Traceback" not in err and err
+
+
+@pytest.mark.parametrize("value", ["1e5", " 3/4 ", "2/4", "-0", 3])
+def test_wire_rationals_parse_strictly(value, monkeypatch, capsys):
+    assert verify_document(json.loads(_tampered_entry(value)))
+    gens = json.dumps({"n": 1, "gens": [
+        {"rows": 1, "cols": 1, "entries": [[value]]}]})
+    code, _, err = _run(["algebra-generate"], stdin_text=gens,
+                        monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2
+    assert "canonical" in err
+
+
+def test_verify_applies_max_dim(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "ps3.json"
+    assert run(["problem-solve", "-n", "3", "--out", str(path)]) == 0
+    monkeypatch.setenv("ALGFORGE_MAX_DIM", "2")
+    code, _, err = _run(["verify", str(path)], capsys=capsys)
+    assert code == 2
+    assert "cap" in err
+    monkeypatch.delenv("ALGFORGE_MAX_DIM")
+    code, out, _ = _run(["verify", str(path)], capsys=capsys)
+    assert code == 0
+    assert json.loads(out) == {"verified": len(solve_all_dimensions(3))}

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from algforge.polynomials import (P_ONE, Poly, multiplicity_one_part,
+from algforge.polynomials import (P_ONE, Poly, _sturm_chain,
+                                  multiplicity_one_part,
                                   poly_crt, poly_from_roots, poly_gcd,
                                   poly_from_json, poly_to_json, poly_xgcd,
                                   rational_roots, squarefree_decomposition,
@@ -163,6 +164,40 @@ def test_rational_roots():
     assert rational_roots(p) == [(Fraction(-3), 1), (Fraction(1, 2), 2)]
     assert rational_roots(Poly.of(0, 0, 1)) == [(Fraction(0), 2)]
     assert rational_roots(Poly.of(1, 0, 1)) == []
+
+
+def test_rational_roots_match_sympy_on_wide_coefficients():
+    import sympy
+    x = sympy.Symbol("x")
+    rng = random.Random(20261018)
+    for _ in range(60):
+        planted = []
+        for _ in range(rng.randint(1, 3)):
+            r = Fraction(rng.randint(-2 ** 20, 2 ** 20), rng.randint(1, 2 ** 10))
+            planted += [r] * rng.randint(1, 2)
+        bits = rng.randint(40, 60)
+        cofactor = Poly.from_coeffs(
+            [rng.randint(-2 ** bits, 2 ** bits) for _ in range(rng.randint(1, 3))]
+            + [rng.randint(2, 2 ** bits)])
+        p = poly_from_roots(planted) * cofactor
+        expr = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                           for c in reversed(p.coeffs)], x)
+        expected = sorted((Fraction(int(r.p), int(r.q)), m)
+                          for r, m in sympy.roots(expr, filter="Q").items())
+        assert rational_roots(p) == expected
+
+
+def test_rational_root_edge_cases():
+    # every root of 100x - 1 is below 1 in size: the bound floors at 2^1
+    p = Poly.of(-1, 100)
+    assert _sturm_chain(p)[1] == 1
+    assert rational_roots(p) == [(Fraction(1, 100), 1)]
+    assert rational_roots(Poly.of(7)) == []
+    assert sturm_real_root_count(Poly.of(7)) == 0
+    for k in range(1, 5):
+        assert rational_roots(X ** k) == [(Fraction(0), k)]
+    with pytest.raises(ValueError):
+        rational_roots(Poly())
 
 
 @given(st.lists(st.integers(-6, 6), min_size=1, max_size=5))

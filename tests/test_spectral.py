@@ -196,3 +196,19 @@ def test_jordan_spec():
                             jordan_cell(1, 1)])
     with pytest.raises(ValueError):
         JordanSpec(((F(0), (1,)), (F(0), (2,))))
+
+
+def test_single_generator_on_a_wide_constant_term():
+    # eigenvalue 3 above the companion block of x^4 + 2x^3 + 2x^2 + 2x + 2c,
+    # which is Eisenstein at 2: the char poly's constant term has 65 bits
+    from algforge.constructions import single_generator_nonneg
+    from algforge.verify import verify_certificate
+    c = 2 ** 62 + 1
+    a = Mat.from_rows([[3, 1, 0, 0, 0],
+                       [0, 0, 0, 0, -2 * c],
+                       [0, 1, 0, 0, -2],
+                       [0, 0, 1, 0, -2],
+                       [0, 0, 0, 1, -2]])
+    assert char_data(a).rational_eigenvalues == ((F(3), 1),)
+    cert = single_generator_nonneg(a)
+    assert verify_certificate(cert) == []

@@ -70,6 +70,8 @@ def _load_json(path: str | None):
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
     except OSError as exc:
         raise UsageError(str(exc))
+    except RecursionError:
+        raise UsageError("invalid JSON: nested too deeply")
 
 
 def _load_algebra_like(doc) -> Algebra:

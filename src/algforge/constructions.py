@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .algebra import (Algebra, algebra_direct_sum, centralizer,
                       closure_words, conjugate_algebra, generate,
@@ -727,6 +727,21 @@ def solve_all_dimensions(n: int) -> list[Certificate]:
 
 # -- positive-generation classification -----------------------------------------
 
+def _candidates(a: Algebra, budget: int, seed: int) -> Iterator[Mat]:
+    """The basis, then `budget` seeded random rational combinations of it,
+    each drawn only when the previous one has been tested."""
+    yield from a.basis
+    rng = random.Random(seed)
+    for _ in range(budget):
+        combo = zero(a.n)
+        for b in a.basis:
+            num = rng.randint(-9, 9)
+            den = rng.randint(1, 4)
+            if num:
+                combo = combo + Fraction(num, den) * b
+        yield combo
+
+
 def classify_positive_generation(a: Algebra, budget: int = 64,
                                  seed: int = 0) -> Certificate | None:
     """Semi-decision for positive generation up to similarity.
@@ -737,18 +752,8 @@ def classify_positive_generation(a: Algebra, budget: int = 64,
     irrational hit yields an existence-only witness.  Returns None
     (unknown) otherwise -- never a definite 'no'.
     """
-    rng = random.Random(seed)
-    candidates = list(a.basis)
     d = a.dim
-    for _ in range(budget):
-        combo = zero(a.n)
-        for b in a.basis:
-            num = rng.randint(-9, 9)
-            den = rng.randint(1, 4)
-            if num:
-                combo = combo + Fraction(num, den) * b
-        candidates.append(combo)
-    for x in candidates:
+    for x in _candidates(a, budget, seed):
         if not has_simple_real_eigenvalue(x):
             continue
         m1 = multiplicity_one_part(char_poly(x))

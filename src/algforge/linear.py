@@ -1,87 +1,121 @@
 """Exact linear algebra over Q: echelon spans, solving, inverses, kernels.
 
-Vectors are sequences of Fraction, matrices are lists of row lists.
-No tolerances anywhere; pivoting always picks the first nonzero entry so
-results are deterministic.
+Vectors come in as sequences of Fraction (or int), matrices as lists of row
+lists, and results go out as Fraction.  Inside, elimination runs on
+integers: a vector is multiplied once by the lcm of its denominators, and
+every echelon row is kept as a sparse dict of primitive integers (content
+divided out, positive pivot) that is fully reduced against the other rows.
+Eliminating a row from another is an integer cross-multiplication followed
+by division by the gcd, so no Fraction is built until a row is read out,
+divided by its pivot.  Such rows are unique for a given span, so they are
+canonical.  No tolerances anywhere; pivots are the first nonzero column,
+so results are deterministic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 Vec = Sequence[Fraction]
+Rows = dict[int, dict[int, int]]
 
 
-def _sparse(vec: Vec) -> dict[int, Fraction]:
-    return {i: c for i, c in enumerate(vec) if c}
+def _cleared(vec: Vec) -> dict[int, int]:
+    """The nonzero entries of vec times the lcm of their denominators."""
+    entries = [(i, c) for i, c in enumerate(vec) if c]
+    # Star-unpack lists, not generators: a generator's tuple is resized
+    # to its length, which leaves tuples piling up in the interpreter's
+    # per-length free lists (several MiB of peak memory).
+    den = lcm(*[c.denominator for _, c in entries])
+    return {i: c.numerator * (den // c.denominator) for i, c in entries}
+
+
+def _residual(rows: Rows, vec: dict[int, int]) -> dict[int, int]:
+    """A nonzero multiple of vec minus its projection onto the rows' span
+    along the pivots: zero in every pivot column, empty iff vec is in the
+    span.  The rows are fully reduced, so the coefficient of each row is
+    vec's own entry in its pivot column."""
+    hits = [p for p in vec if p in rows]
+    if not hits:
+        return vec
+    scale = lcm(*[rows[p][p] for p in hits])
+    out = {j: scale * v for j, v in vec.items()}
+    for p in hits:
+        row = rows[p]
+        f = vec[p] * (scale // row[p])
+        for j, a in row.items():
+            nv = out.get(j, 0) - f * a
+            if nv:
+                out[j] = nv
+            else:
+                del out[j]
+    return out
+
+
+def _primitive(vec: dict[int, int]) -> dict[int, int]:
+    """vec divided by its content, signed so the first entry is positive."""
+    g = gcd(*vec.values())
+    if vec[min(vec)] < 0:
+        g = -g
+    return {j: v // g for j, v in vec.items()}
+
+
+def _insert(rows: Rows, vec: dict[int, int]) -> bool:
+    """One Gauss-Jordan step: add vec to the echelon rows unless it lies in
+    their span; returns True when it enlarged the span."""
+    res = _residual(rows, vec)
+    if not res:
+        return False
+    row = _primitive(res)
+    p = min(row)
+    pivot = {p: row}
+    for q, other in rows.items():
+        if p in other:
+            rows[q] = _primitive(_residual(pivot, other))
+    rows[p] = row
+    return True
+
+
+def _dense(row: dict[int, int], length: int) -> list[Fraction]:
+    """An echelon row divided by its pivot, as a dense Fraction list."""
+    a = row[min(row)]
+    return [Fraction(row[j], a) if j in row else ZERO for j in range(length)]
 
 
 class EchelonSpan:
     """A subspace of Q^length kept as a reduced row-echelon basis.
 
-    Rows are stored sparsely and fully reduced against each other, so the
-    row list is a canonical basis: two spans are equal iff their canonical
-    rows coincide.
+    Rows are primitive integer rows fully reduced against each other, so
+    they are a canonical basis: two spans are equal iff their rows coincide.
     """
 
     def __init__(self, length: int):
         self.length = length
-        self._rows: dict[int, dict[int, Fraction]] = {}
+        self._rows: Rows = {}
 
     @property
     def dim(self) -> int:
         return len(self._rows)
 
-    def _residual(self, vec: Vec | dict[int, Fraction]) -> dict[int, Fraction]:
-        out = dict(vec) if isinstance(vec, dict) else _sparse(vec)
-        for p in sorted(self._rows):
-            c = out.get(p)
-            if c:
-                for j, a in self._rows[p].items():
-                    nv = out.get(j, ZERO) - c * a
-                    if nv:
-                        out[j] = nv
-                    else:
-                        out.pop(j, None)
-        return out
+    def contains(self, vec: Vec) -> bool:
+        return not _residual(self._rows, _cleared(vec))
 
-    def contains(self, vec: Vec | dict[int, Fraction]) -> bool:
-        return not self._residual(vec)
-
-    def add(self, vec: Vec | dict[int, Fraction]) -> bool:
+    def add(self, vec: Vec) -> bool:
         """Insert a vector; returns True when it enlarged the span."""
-        res = self._residual(vec)
-        if not res:
-            return False
-        p = min(res)
-        inv = ONE / res[p]
-        row = {j: a * inv for j, a in res.items()}
-        for other in self._rows.values():
-            b = other.get(p)
-            if b:
-                for j, a in row.items():
-                    nv = other.get(j, ZERO) - b * a
-                    if nv:
-                        other[j] = nv
-                    else:
-                        other.pop(j, None)
-        self._rows[p] = row
-        return True
+        return _insert(self._rows, _cleared(vec))
 
     def add_all(self, vecs: Iterable[Vec]) -> None:
         for v in vecs:
             self.add(v)
 
     def canonical_rows(self) -> list[tuple[Fraction, ...]]:
-        out = []
-        for p in sorted(self._rows):
-            row = self._rows[p]
-            out.append(tuple(row.get(j, ZERO) for j in range(self.length)))
-        return out
+        return [tuple(_dense(self._rows[p], self.length))
+                for p in sorted(self._rows)]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EchelonSpan):
@@ -105,42 +139,24 @@ def rank(rows: Sequence[Vec], length: int | None = None) -> int:
 
 
 def _reduce(rows: Sequence[Vec],
-            ncols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Gauss-Jordan elimination with first-nonzero pivoting on the first
-    ncols columns (further columns ride along, as in an augmented matrix).
-
-    Returns the reduced rows, pivot rows first, and the pivot columns.
-    """
-    a = [list(r) for r in rows]
-    m = len(a)
-    pivots: list[int] = []
-    for c in range(ncols):
-        r = len(pivots)
-        if r == m:
-            break
-        piv = next((i for i in range(r, m) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = ONE / a[r][c]
-        a[r] = [v * inv for v in a[r]]
-        for i in range(m):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [v - f * w for v, w in zip(a[i], a[r])]
-        pivots.append(c)
-    return a, pivots
+            length: int) -> list[tuple[int, list[Fraction]]]:
+    """Gauss-Jordan elimination of rows of the given length, by the same
+    integer step as `EchelonSpan`: the nonzero rows of the reduced
+    row-echelon form, in pivot order, as (pivot column, row) pairs."""
+    echelon: Rows = {}
+    for r in rows:
+        _insert(echelon, _cleared(r))
+    return [(p, _dense(echelon[p], length)) for p in sorted(echelon)]
 
 
 def solve(a_rows: Sequence[Vec], b: Vec) -> list[Fraction] | None:
     """One exact solution of A x = b, or None when inconsistent."""
     n = len(a_rows[0]) if a_rows else 0
-    aug, pivots = _reduce([list(row) + [bv] for row, bv in zip(a_rows, b)], n)
-    if any(row[n] for row in aug[len(pivots):]):
-        return None
     x = [ZERO] * n
-    for row, col in zip(aug, pivots):
-        x[col] = row[n]
+    for p, row in _reduce([list(r) + [bv] for r, bv in zip(a_rows, b)], n + 1):
+        if p == n:
+            return None
+        x[p] = row[n]
     return x
 
 
@@ -149,22 +165,23 @@ def invert(rows: Sequence[Vec]) -> list[list[Fraction]]:
     n = len(rows)
     aug = [list(row) + [ONE if i == j else ZERO for j in range(n)]
            for i, row in enumerate(rows)]
-    aug, pivots = _reduce(aug, n)
-    if len(pivots) < n:
+    reduced = _reduce(aug, 2 * n)
+    if [p for p, _ in reduced] != list(range(n)):
         raise ValueError("singular matrix")
-    return [row[n:] for row in aug]
+    return [row[n:] for _, row in reduced]
 
 
 def nullspace(rows: Sequence[Vec], ncols: int) -> list[tuple[Fraction, ...]]:
     """Canonical basis of {x : A x = 0}, one vector per free column."""
-    a, pivots = _reduce(rows, ncols)
+    reduced = _reduce(rows, ncols)
+    pivots = {p for p, _ in reduced}
     basis = []
     for fc in range(ncols):
         if fc in pivots:
             continue
         v = [ZERO] * ncols
         v[fc] = ONE
-        for row, pc in zip(a, pivots):
+        for pc, row in reduced:
             v[pc] = -row[fc]
         basis.append(tuple(v))
     return basis

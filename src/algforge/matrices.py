@@ -1,7 +1,10 @@
 """Dense exact rational matrices and the constructions built on them.
 
 ``Mat`` is a frozen dataclass over a tuple of row tuples of Fraction, so
-matrices are immutable, hashable and safe to share.  Raw entry access via
+matrices are immutable, hashable and safe to share.  Products run on
+integers: each operand is an integer matrix over one common denominator,
+computed on first use and cached on the instance, and ``A @ B`` builds one
+Fraction per output entry from the integer product.  Raw entry access via
 ``A.data[i][j]`` is 0-based; ``Support`` positions (and all serialized
 position data) are 1-based (row, column) pairs.
 
@@ -13,6 +16,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import linear
@@ -62,14 +68,26 @@ class Mat:
 
     __rmul__ = __mul__
 
+    @cached_property
+    def _scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(d, N) with N the integer matrix d * self, d the lcm of the
+        denominators."""
+        # Star-unpack lists, not generators: a generator's tuple is resized
+        # to its length, which leaves tuples piling up in the interpreter's
+        # per-length free lists (several MiB of peak memory).
+        d = lcm(*[v.denominator for row in self.data for v in row])
+        return d, tuple(tuple(v.numerator * (d // v.denominator) for v in row)
+                        for row in self.data)
+
     def __matmul__(self, other: Mat) -> Mat:
         if self.cols != other.rows:
             raise ValueError("size mismatch")
-        bt = tuple(zip(*other.data)) if other.data else ()
-        out = tuple(
-            tuple(sum((a * b for a, b in zip(row, col) if a and b), ZERO)
-                  for col in bt)
-            for row in self.data)
+        da, a = self._scaled
+        db, b = other._scaled
+        d = da * db
+        bt = tuple(zip(*b)) if b else ((),) * other.cols
+        out = tuple(tuple(Fraction(sum(map(mul, row, col)), d) for col in bt)
+                    for row in a)
         return Mat(self.rows, other.cols, out)
 
     def transpose(self) -> Mat:

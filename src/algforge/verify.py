@@ -2,19 +2,26 @@
 
 This module re-checks every asserted property exactly from the stored JSON
 data.  It deliberately avoids the construction code paths: membership,
-conjugation, support and closure checks are re-implemented here on plain
-Fraction lists, and conjugation identities are verified multiplicatively
-(C * target == source * C with C nonsingular) so no inverse is ever taken
-on faith.  Generated-algebra claims are re-derived with a worklist that
-multiplies each retained element on the right by the generators, where the
-engine's worklist multiplies on the left.  The only elimination loop is
-`_solve_conjugate`; rank and membership tests use `_Span`.
+conjugation, support and closure checks are re-implemented here, and
+conjugation identities are verified multiplicatively (C * target ==
+source * C with C nonsingular) so no inverse is ever taken on faith.
+Matrices are read as Fraction grids, but the arithmetic runs on integers:
+a product multiplies the integer numerators of its operands over one
+common denominator each, and `_Span` keeps primitive integer rows with a
+positive pivot, fully reduced against each other, so equal spans have equal
+rows.  `_solve_conjugate` reduces [C | XC] with a `_Span`, which is the
+module's only elimination.  Generated-algebra claims are re-derived with a
+worklist that multiplies each retained element on the right by the
+generators cleared to integers, where the engine's worklist multiplies
+on the left; each generator list is closed once per document.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 ZERO = Fraction(0)
@@ -50,12 +57,24 @@ def _grid(obj: dict) -> Grid:
     return [[_rational(v) for v in row] for row in entries]
 
 
+def _scaled(a: Grid) -> tuple[int, list[list[int]]]:
+    """(d, N) with N the integer grid d * a, d the lcm of the denominators."""
+    d = lcm(*[v.denominator for row in a for v in row])
+    return d, [[v.numerator * (d // v.denominator) for v in row] for row in a]
+
+
+def _imul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    bt = list(zip(*b)) if b else []
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
+
+
 def _mul(a: Grid, b: Grid) -> Grid:
     if (a and len(a[0]) or 0) != len(b):
         raise CertificateError("size mismatch in product")
-    bt = list(zip(*b)) if b else []
-    return [[sum((x * y for x, y in zip(row, col) if x and y), ZERO)
-             for col in bt] for row in a]
+    da, ia = _scaled(a)
+    db, ib = _scaled(b)
+    d = da * db
+    return [[Fraction(v, d) for v in row] for row in _imul(ia, ib)]
 
 
 def _sub(a: Grid, b: Grid) -> Grid:
@@ -79,63 +98,67 @@ def _vec(a: Grid) -> list[Fraction]:
     return [v for row in a for v in row]
 
 
-def _solve_conjugate(c: Grid, x: Grid) -> Grid:
-    """Y with C Y = X C, i.e. Y = C^{-1} X C; C must be nonsingular."""
-    n = len(c)
-    rhs = _mul(x, c)
-    aug = [c[i][:] + rhs[i][:] for i in range(n)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col]), None)
-        if piv is None:
-            raise CertificateError("transformation matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = ONE / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
+def _cleared(vec: Sequence[Fraction]) -> dict[int, int]:
+    """The nonzero entries of vec times the lcm of their denominators."""
+    entries = [(i, c) for i, c in enumerate(vec) if c]
+    # Star-unpack lists, not generators: a generator's tuple is resized
+    # to its length, which leaves tuples piling up in the interpreter's
+    # per-length free lists (several MiB of peak memory).
+    den = lcm(*[c.denominator for _, c in entries])
+    return {i: c.numerator * (den // c.denominator) for i, c in entries}
+
+
+def _primitive(vec: dict[int, int]) -> dict[int, int]:
+    """vec divided by its content, signed so the first entry is positive."""
+    g = gcd(*vec.values())
+    if vec[min(vec)] < 0:
+        g = -g
+    return {j: v // g for j, v in vec.items()}
+
+
+def _residual(rows: dict[int, dict[int, int]],
+              vec: dict[int, int]) -> dict[int, int]:
+    """A nonzero multiple of vec minus its projection onto the span of the
+    rows along their pivots; empty iff vec is in the span.  The rows are
+    fully reduced, so each row's coefficient is vec's entry at its pivot."""
+    hits = [p for p in vec if p in rows]
+    if not hits:
+        return vec
+    scale = lcm(*[rows[p][p] for p in hits])
+    out = {j: scale * v for j, v in vec.items()}
+    for p in hits:
+        row = rows[p]
+        f = vec[p] * (scale // row[p])
+        for j, a in row.items():
+            nv = out.get(j, 0) - f * a
+            if nv:
+                out[j] = nv
+            else:
+                del out[j]
+    return out
 
 
 class _Span:
-    """Forward-eliminated sparse span with membership testing."""
+    """Sparse span kept as primitive integer rows keyed by pivot column
+    (content divided out, positive pivot), each fully reduced against the
+    others, so `rows` is canonical: equal spans have equal rows."""
 
     def __init__(self):
-        self.rows: dict[int, dict[int, Fraction]] = {}
-
-    def _residual(self, vec: Sequence[Fraction]) -> dict[int, Fraction]:
-        out = {i: v for i, v in enumerate(vec) if v}
-        for p in sorted(self.rows):
-            c = out.get(p)
-            if c:
-                for j, a in self.rows[p].items():
-                    nv = out.get(j, ZERO) - c * a
-                    if nv:
-                        out[j] = nv
-                    else:
-                        out.pop(j, None)
-        return out
+        self.rows: dict[int, dict[int, int]] = {}
 
     def contains(self, vec: Sequence[Fraction]) -> bool:
-        return not self._residual(vec)
+        return not _residual(self.rows, _cleared(vec))
 
     def add(self, vec: Sequence[Fraction]) -> bool:
-        res = self._residual(vec)
+        res = _residual(self.rows, _cleared(vec))
         if not res:
             return False
-        p = min(res)
-        inv = ONE / res[p]
-        row = {j: a * inv for j, a in res.items()}
-        for other in self.rows.values():
-            b = other.get(p)
-            if b:
-                for j, a in row.items():
-                    nv = other.get(j, ZERO) - b * a
-                    if nv:
-                        other[j] = nv
-                    else:
-                        other.pop(j, None)
+        row = _primitive(res)
+        p = min(row)
+        pivot = {p: row}
+        for q, other in self.rows.items():
+            if p in other:
+                self.rows[q] = _primitive(_residual(pivot, other))
         self.rows[p] = row
         return True
 
@@ -144,8 +167,24 @@ class _Span:
         return len(self.rows)
 
 
-def _identity(n: int) -> Grid:
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+def _solve_conjugate(c: Grid, x: Grid) -> Grid:
+    """Y with C Y = X C, i.e. Y = C^{-1} X C; C must be nonsingular.
+
+    The rows of [C | XC] go into a `_Span`, which reduces them to [I | Y]
+    up to row scaling; C is nonsingular iff the pivots are its n columns."""
+    n = len(c)
+    rhs = _mul(x, c)
+    span = _Span()
+    for i in range(n):
+        span.add(c[i] + rhs[i])
+    if sorted(span.rows) != list(range(n)):
+        raise CertificateError("transformation matrix is singular")
+    return [[Fraction(span.rows[i].get(n + j, 0), span.rows[i][i])
+             for j in range(n)] for i in range(n)]
+
+
+def _identity(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def _closure(gens: list[Grid]) -> tuple[_Span, int]:
@@ -161,19 +200,22 @@ def _closure(gens: list[Grid]) -> tuple[_Span, int]:
     n = len(gens[0])
     if any(len(g) != n or any(len(row) != n for row in g) for g in gens):
         raise CertificateError("generators are not square of one size")
+    # Words in the generators scaled to integers are nonzero multiples of
+    # the words in the generators, so they span the same algebra.
+    ints = [_scaled(g)[1] for g in gens]
     span = _Span()
-    kept: list[Grid] = []
+    kept: list[list[list[int]]] = []
 
-    def push(m: Grid) -> None:
+    def push(m: list[list[int]]) -> None:
         if span.add(_vec(m)):
             kept.append(m)
 
     push(_identity(n))
-    for g in gens:
+    for g in ints:
         push(g)
     for x in kept:  # kept grows while it is walked: a FIFO worklist
-        for g in gens:
-            push(_mul(x, g))
+        for g in ints:
+            push(_imul(x, g))
     return span, n
 
 
@@ -233,22 +275,22 @@ def _transform(doc: dict) -> Grid:
 
 # -- property checks -----------------------------------------------------------
 
-def _check_nonneg(doc, p):
+def _check_nonneg(doc, p, closed):
     return _is_nonneg(_matrix(doc, p["target"]))
 
 
-def _check_positive(doc, p):
+def _check_positive(doc, p, closed):
     return _is_positive(_matrix(doc, p["target"]))
 
 
-def _check_conjugate_of(doc, p):
+def _check_conjugate_of(doc, p, closed):
     c = _transform(doc)
     target = _matrix(doc, p["target"])
     source = _matrix(doc, p["source"])
     return _mul(c, target) == _mul(source, c)
 
 
-def _check_in_algebra(doc, p):
+def _check_in_algebra(doc, p, closed):
     target = _matrix(doc, p["target"])
     span = _Span()
     for b in _algebra_basis(doc, p["algebra"]):
@@ -256,7 +298,7 @@ def _check_in_algebra(doc, p):
     return span.contains(_vec(target))
 
 
-def _check_in_algebra_conjugated(doc, p):
+def _check_in_algebra_conjugated(doc, p, closed):
     c = _transform(doc)
     target = _matrix(doc, p["target"])
     span = _Span()
@@ -265,7 +307,7 @@ def _check_in_algebra_conjugated(doc, p):
     return span.contains(_vec(target))
 
 
-def _check_covers(doc, p):
+def _check_covers(doc, p, closed):
     target = _matrix(doc, p["target"])
     omega: set[tuple[int, int]] = set()
     for b in _algebra_basis(doc, p["algebra"]):
@@ -273,7 +315,7 @@ def _check_covers(doc, p):
     return _support(target) == omega
 
 
-def _check_covers_conjugated(doc, p):
+def _check_covers_conjugated(doc, p, closed):
     c = _transform(doc)
     target = _matrix(doc, p["target"])
     omega: set[tuple[int, int]] = set()
@@ -282,7 +324,7 @@ def _check_covers_conjugated(doc, p):
     return _support(target) == omega
 
 
-def _check_semi_commuting(doc, p):
+def _check_semi_commuting(doc, p, closed):
     a = _matrix(doc, p["a"])
     b = _matrix(doc, p["b"])
     comm = _sub(_mul(a, b), _mul(b, a))
@@ -293,7 +335,7 @@ def _check_semi_commuting(doc, p):
     raise CertificateError("unknown semi-commuting sign")
 
 
-def _check_central(doc, p):
+def _check_central(doc, p, closed):
     z = _matrix(doc, p["target"])
     basis = _algebra_basis(doc, p["algebra"])
     span = _Span()
@@ -304,30 +346,28 @@ def _check_central(doc, p):
     return all(_mul(z, b) == _mul(b, z) for b in basis)
 
 
-def _check_dimension(doc, p):
-    gens = [_matrix(doc, r) for r in p["gens"]]
-    span, _ = _closure(gens)
+def _check_dimension(doc, p, closed):
+    span, _ = closed(p["gens"])
     return span.dim == p["value"]
 
 
-def _check_generate_equal(doc, p):
-    span_a, _ = _closure([_matrix(doc, r) for r in p["gens_a"]])
-    span_b, _ = _closure([_matrix(doc, r) for r in p["gens_b"]])
+def _check_generate_equal(doc, p, closed):
+    span_a, _ = closed(p["gens_a"])
+    span_b, _ = closed(p["gens_b"])
     return span_a.rows == span_b.rows
 
 
-def _check_generate_equal_conjugated(doc, p):
+def _check_generate_equal_conjugated(doc, p, closed):
     c = _transform(doc)
-    span_a, _ = _closure([_matrix(doc, r) for r in p["gens"]])
+    span_a, _ = closed(p["gens"])
     span_b, _ = _closure([_solve_conjugate(c, _matrix(doc, r))
                           for r in p["source_gens"]])
     return span_a.rows == span_b.rows
 
 
-def _check_spans_pattern(doc, p):
-    gens = [_matrix(doc, r) for r in p["gens"]]
+def _check_spans_pattern(doc, p, closed):
     n, positions = _pattern(doc, p["pattern"])
-    span, size = _closure(gens)
+    span, size = closed(p["gens"])
     if size != n or span.dim != len(positions):
         return False
     for (i, j) in positions:
@@ -338,7 +378,7 @@ def _check_spans_pattern(doc, p):
     return True
 
 
-def _check_is_centralizer(doc, p):
+def _check_is_centralizer(doc, p, closed):
     basis = _algebra_basis(doc, p["algebra"])
     m = _matrix(doc, p["of"])
     n = len(m)
@@ -365,7 +405,7 @@ def _check_is_centralizer(doc, p):
     return basis_span.dim == len(basis) == kernel_dim
 
 
-def _check_has_simple_real_eigenvalue(doc, p):
+def _check_has_simple_real_eigenvalue(doc, p, closed):
     from .matrices import Mat
     from .spectral import has_simple_real_eigenvalue
     grid = _matrix(doc, p["target"])
@@ -393,9 +433,26 @@ _CHECKS = {
 }
 
 
+def _closures(doc: dict):
+    """`closed(refs)`: the `_closure` of the matrices behind a list of
+    references, computed once per list for the life of `closed`."""
+    cache: dict[tuple, tuple[_Span, int]] = {}
+
+    def closed(refs) -> tuple[_Span, int]:
+        key = tuple(refs)
+        if key not in cache:
+            cache[key] = _closure([_matrix(doc, r) for r in key])
+        return cache[key]
+
+    return closed
+
+
 def verify_document(doc: dict) -> list[str]:
-    """Re-check every asserted property; returns failure messages ([] = ok)."""
+    """Re-check every asserted property; returns failure messages ([] = ok).
+
+    Generator lists that several properties close are closed once."""
     failures = []
+    closed = _closures(doc)
     try:
         props = doc["properties"]
     except (KeyError, TypeError):
@@ -412,7 +469,7 @@ def verify_document(doc: dict) -> list[str]:
             failures.append(f"property {idx}: unknown kind {kind!r}")
             continue
         try:
-            ok = check(doc, p)
+            ok = check(doc, p, closed)
         except (CertificateError, KeyError, IndexError, TypeError,
                 ValueError, ZeroDivisionError) as exc:
             failures.append(f"property {idx} ({kind}): {exc}")

@@ -3,8 +3,10 @@
 These deliberately re-derive results through different algorithms than the
 package: real-root counting by Descartes interval bisection instead of
 Sturm chains, characteristic polynomials by Faddeev-LeVerrier instead of
-the Hessenberg recurrence, and algebra dimensions by a round-based
-pairwise-product closure instead of the generator worklist.
+the Hessenberg recurrence, algebra dimensions by a round-based
+pairwise-product closure instead of the generator worklist, and echelon
+bases and products by textbook Fraction loops instead of the integer
+kernel.
 """
 
 from __future__ import annotations
@@ -159,6 +161,37 @@ def numeric_has_simple_real(a: Mat, tol: float = 1e-8) -> bool:
         sizes[r] = sizes.get(r, 0) + 1
     return any(sizes[find(i)] == 1 and abs(eigs[i].imag) <= tol
                for i in range(k))
+
+
+# -- textbook Fraction linear algebra --------------------------------------------
+
+def gauss_jordan(vectors, length: int) -> list[tuple[Fraction, ...]]:
+    """Reduced row-echelon basis of the span of the vectors: Fraction
+    Gauss-Jordan elimination, first nonzero pivot, each pivot row divided
+    by its pivot and cleared from every other row."""
+    rows = [[Fraction(v) for v in vec] for vec in vectors]
+    r = 0
+    for c in range(length):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pivot = rows[r][c]
+        rows[r] = [v / pivot for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+    return [tuple(row) for row in rows[:r]]
+
+
+def textbook_product(a: Mat, b: Mat) -> Mat:
+    """(a @ b)[i][j] = sum over k of a[i][k] * b[k][j], in Fractions."""
+    return Mat(a.rows, b.cols, tuple(
+        tuple(sum((a.data[i][k] * b.data[k][j] for k in range(a.cols)), ZERO)
+              for j in range(b.cols))
+        for i in range(a.rows)))
 
 
 # -- random samplers -------------------------------------------------------------

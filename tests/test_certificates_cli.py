@@ -308,8 +308,10 @@ def _tampered_entry(value):
     ("algebra-generate", json.dumps({"n": 2, "gens": "foo"}), 2),
     ("algebra-generate", json.dumps({"n": 2, "basis": "foo"}), 2),
     ("verify", json.dumps({"certificates": 5}), 2),
+    ("verify", "[" * 100000, 2),
 ], ids=["property-not-object", "zero-denominator", "null-entry",
-        "gens-not-list", "basis-not-list", "certificates-not-list"])
+        "gens-not-list", "basis-not-list", "certificates-not-list",
+        "nested-too-deeply"])
 def test_malformed_documents_fail_cleanly(verb, text, code, monkeypatch,
                                           capsys):
     got, _, err = _run([verb], stdin_text=text, monkeypatch=monkeypatch,

@@ -11,6 +11,7 @@ verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -50,13 +51,25 @@ def _check_dim(n: int) -> None:
         raise UsageError("matrix size must be nonnegative")
 
 
-def _dump(obj, out: str | None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _write(text: str, out: str | None) -> None:
     if out:
         with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _dump(obj, out: str | None) -> None:
+    _write(json.dumps(obj, indent=2, sort_keys=True) + "\n", out)
+
+
+def _verified(doc: dict) -> bool:
+    """Whether a freshly built certificate verifies; reports the first
+    failure on stderr when it does not."""
+    failures = verify_document(doc)
+    if failures:
+        sys.stderr.write(f"certificate failed verification: {failures[0]}\n")
+    return not failures
 
 
 def _load_json(path: str | None):
@@ -148,9 +161,7 @@ def _cmd_algebra_classify(args) -> int:
         _dump({"result": "unknown", "certificate": None}, args.out)
     else:
         doc = cert.to_json()
-        failures = verify_document(doc)
-        if failures:
-            sys.stderr.write(f"certificate failed verification: {failures[0]}\n")
+        if not _verified(doc):
             return 1
         _dump({"result": "yes", "certificate": doc}, args.out)
     return 0
@@ -175,9 +186,7 @@ def _cmd_incidence_pair(args) -> int:
     _check_dim(pattern.n)
     _, _, cert = semicommuting_pair(pattern)
     cert_doc = cert.to_json()
-    failures = verify_document(cert_doc)
-    if failures:
-        sys.stderr.write(f"certificate failed verification: {failures[0]}\n")
+    if not _verified(cert_doc):
         return 1
     _dump(cert_doc, args.out)
     return 0
@@ -190,18 +199,10 @@ def _cmd_problem_solve(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
     docs = [c.to_json() for c in certs]
-    for doc in docs:
-        failures = verify_document(doc)
-        if failures:
-            sys.stderr.write(f"certificate failed verification: {failures[0]}\n")
-            return 1
+    if not all(_verified(doc) for doc in docs):
+        return 1
     if args.format == "table":
-        text = format_table(docs, [True] * len(docs))
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(format_table(docs, [True] * len(docs)), args.out)
     else:
         _dump({"n": args.n, "certificates": docs}, args.out)
     return 0
@@ -247,6 +248,7 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="algforge",

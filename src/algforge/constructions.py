@@ -29,7 +29,7 @@ from .incidence import (IncidencePattern, incidence_of_dimension,
 from .linear import rank
 from .matrices import (Mat, commutator, conjugate, direct_sum, identity,
                        inverse, is_nonneg, is_positive, matrix_unit,
-                       min_support_entry, permutation_matrix, poly_at,
+                       min_support_entry, ones, permutation_matrix, poly_at,
                        regular_triangular, support, support_union,
                        uniform_norm, uniformizer, uniformizer_inv, zero)
 from .polynomials import Poly, multiplicity_one_part, poly_gcd, rational_roots
@@ -42,6 +42,48 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+# -- shared checks and the covering shift ---------------------------------------
+
+def _check_covering(a: Algebra, m: Mat) -> None:
+    """Raise ValueError unless M is a nonnegative member of A that covers it."""
+    if not a.contains(m):
+        raise ValueError("covering candidate is not in the algebra")
+    if not is_nonneg(m):
+        raise ValueError("covering candidate is not nonnegative")
+    if support(m) != a.support():
+        raise ValueError("candidate does not cover the algebra")
+
+
+def _check_summands(k1: int, k2: int) -> None:
+    """Raise ValueError unless the direct-sum constructions apply to
+    summands of sizes k1 and k2."""
+    if k1 < 1:
+        raise ValueError("left summand must be nonempty")
+    if k2 < 2:
+        raise ValueError("right summand of size 1 routes to the scalar"
+                         " extension construction")
+
+
+def _check_covers_conjugated(x: Mat, basis: Sequence[Mat], c: Mat,
+                             c_inv: Mat) -> None:
+    """Raise unless X has exactly the support of C^{-1} span(basis) C."""
+    if support(x) != support_union([c_inv @ b @ c for b in basis]):
+        raise ArithmeticError("covering misses conjugated support positions")
+
+
+def _check_block_diagonal(x: Mat, k: int) -> None:
+    """Raise unless X vanishes off its leading k x k and trailing blocks."""
+    if any(any(row[k:] if i < k else row[:k]) for i, row in enumerate(x.data)):
+        raise ArithmeticError("split is not block diagonal")
+
+
+def _shifted(mats: Sequence[Mat], m: Mat) -> list[Mat]:
+    """B + ((|B| + 1) / min support entry of M) M for each B: every entry at
+    a support position of M comes out at least 1."""
+    low = min_support_entry(m)
+    return [b + ((uniform_norm(b) + 1) / low) * m for b in mats]
+
+
 # -- nonnegative / positive generating systems --------------------------------
 
 def nonneg_generators_from_covering(a: Algebra, m: Mat) -> list[Mat]:
@@ -51,14 +93,8 @@ def nonneg_generators_from_covering(a: Algebra, m: Mat) -> list[Mat]:
     The minimum-support-entry denominator makes every shifted entry at a
     support position at least 1; regeneration is verified exactly.
     """
-    if not a.contains(m):
-        raise ValueError("covering candidate is not in the algebra")
-    if not is_nonneg(m):
-        raise ValueError("covering candidate is not nonnegative")
-    if support(m) != a.support():
-        raise ValueError("candidate does not cover the algebra")
-    low = min_support_entry(m)
-    gens = [b + ((uniform_norm(b) + 1) / low) * m for b in a.basis] + [m]
+    _check_covering(a, m)
+    gens = _shifted(a.basis, m) + [m]
     if not all(is_nonneg(g) for g in gens):
         raise ArithmeticError("shifted generators are not nonnegative")
     if generate(a.n, gens) != a:
@@ -82,17 +118,12 @@ def nonneg_basis_from_generators(gens: Sequence[Mat]) -> list[Mat]:
 
 def positive_generators_from_positive(a: Algebra, m: Mat) -> list[Mat]:
     """Positive generators from a strictly positive element, by the same
-    shift scheme with the minimum entry of M as denominator."""
-    if not a.contains(m):
-        raise ValueError("positive candidate is not in the algebra")
+    shift scheme: a positive member of an algebra covers it."""
     if not is_positive(m):
         raise ValueError("candidate is not strictly positive")
-    low = min_support_entry(m)
-    gens = [b + ((uniform_norm(b) + 1) / low) * m for b in a.basis] + [m]
+    gens = nonneg_generators_from_covering(a, m)
     if not all(is_positive(g) for g in gens):
         raise ArithmeticError("shifted generators are not positive")
-    if generate(a.n, gens) != a:
-        raise ArithmeticError("shifted generators fail to regenerate")
     return gens
 
 
@@ -134,8 +165,7 @@ def uniformize_rank1_idempotent(e: Mat) -> Mat:
     c1 = Mat(n, n, tuple(zip(*cols)))
     swap = permutation_matrix([n - 1] + list(range(1, n - 1)) + [0])
     c = c1 @ swap @ uniformizer(n)
-    flat = Fraction(1, n) * Mat(n, n, tuple(tuple(ONE for _ in range(n))
-                                            for _ in range(n)))
+    flat = Fraction(1, n) * ones(n)
     if conjugate(e, c) != flat:
         raise ArithmeticError("uniformizing similarity failed verification")
     return c
@@ -188,11 +218,7 @@ def scalar_extension_positive_generators(
         raise ArithmeticError("scalar extension failed to split")
     s, b1 = positive_single_generator(lifted[0], lam)
     top = conjugate(b1, s)
-    low = min_support_entry(top)
-    gens = [top]
-    for g in lifted[1:]:
-        gc = conjugate(g, s)
-        gens.append(((uniform_norm(gc) + 1) / low) * top + gc)
+    gens = [top] + _shifted([conjugate(g, s) for g in lifted[1:]], top)
     if not all(is_positive(g) for g in gens):
         raise ArithmeticError("lifted generators are not positive")
     if generate(n, gens) != conjugate_algebra(target, s):
@@ -249,17 +275,8 @@ def direct_sum_nonneg_covering(left: Algebra, right: Algebra,
     """Certificate that the conjugated direct sum has a nonnegative
     covering matrix, given a nonnegative covering of the right summand."""
     k1, k2 = left.n, right.n
-    if k1 < 1:
-        raise ValueError("left summand must be nonempty")
-    if k2 < 2:
-        raise ValueError("right summand of size 1 routes to the scalar"
-                         " extension construction")
-    if not right.contains(covering):
-        raise ValueError("covering candidate is not in the right algebra")
-    if not is_nonneg(covering):
-        raise ValueError("covering candidate is not nonnegative")
-    if support(covering) != right.support():
-        raise ValueError("candidate does not cover the right algebra")
+    _check_summands(k1, k2)
+    _check_covering(right, covering)
     c, c_inv = _padded_uniformizer(k1, k2 - 1)
     padded = direct_sum([zero(k1), covering])
     conj = c_inv @ padded @ c
@@ -269,9 +286,7 @@ def direct_sum_nonneg_covering(left: Algebra, right: Algebra,
     if conj != expected:
         raise ArithmeticError("block prediction mismatch")
     sum_alg = algebra_direct_sum(left, right)
-    conj_support = support_union([c_inv @ b @ c for b in sum_alg.basis])
-    if support(conj) != conj_support:
-        raise ArithmeticError("conjugated covering misses support positions")
+    _check_covers_conjugated(conj, sum_alg.basis, c, c_inv)
     return Certificate(
         claim="direct-sum-nonneg-covering",
         inputs={"left": left, "right": right, "covering": covering,
@@ -324,11 +339,7 @@ def direct_sum_min_nonneg_generators(
         raise ValueError("empty generating set for the sum")
     k1 = sum_gens[0][0].rows
     k2 = sum_gens[0][1].rows
-    if k1 < 1:
-        raise ValueError("left summand must be nonempty")
-    if k2 < 2:
-        raise ValueError("right summand of size 1 routes to the scalar"
-                         " extension construction")
+    _check_summands(k1, k2)
     l = len(sum_gens)
     if len(right_gens) > l:
         raise ValueError("more right generators than sum generators")
@@ -412,10 +423,7 @@ def blockwise_rank1_nonneg_covering(blocks: Sequence[Algebra],
     sum_alg = blocks[0]
     for alg in blocks[1:]:
         sum_alg = algebra_direct_sum(sum_alg, alg)
-    s_inv = inverse(s)
-    conj_support = support_union([s_inv @ b @ s for b in sum_alg.basis])
-    if support(conj) != conj_support:
-        raise ArithmeticError("conjugated element misses support positions")
+    _check_covers_conjugated(conj, sum_alg.basis, s, inverse(s))
     return Certificate(
         claim="blockwise-rank1-nonneg-covering",
         inputs={"sum": sum_alg, "element": e},
@@ -480,17 +488,9 @@ def centralizer_covering(spec: JordanSpec) -> tuple[Mat, Mat, Certificate]:
         offsets = [0]
         for gs in group_sizes:
             offsets.append(offsets[-1] + gs)
-        positions = {}
-        newoff = 0
-        for gi in order:
-            positions[gi] = newoff
-            newoff += group_sizes[gi]
-        images = [0] * n
-        for gi in range(len(spec.blocks)):
-            for t in range(group_sizes[gi]):
-                images[offsets[gi] + t] = positions[gi] + t
-        # perm maps original coordinate to permuted coordinate
-        perm = permutation_matrix([images.index(i) for i in range(n)])
+        # the original coordinates, listed in the permuted order
+        perm = permutation_matrix([offsets[gi] + t for gi in order
+                                   for t in range(group_sizes[gi])])
         k2 = group_sizes[pivot]
         k1 = n - k2
         c2, c2_inv = _padded_uniformizer(k1, k2 - 1)
@@ -500,10 +500,7 @@ def centralizer_covering(spec: JordanSpec) -> tuple[Mat, Mat, Certificate]:
             raise ArithmeticError("composed covering is not nonnegative")
         c_total = perm @ c2
         embedded = perm @ padded @ inverse(perm)
-    cinv = inverse(c_total)
-    conj_support = support_union([cinv @ b @ c_total for b in cent.basis])
-    if support(final) != conj_support:
-        raise ArithmeticError("covering misses centralizer support")
+    _check_covers_conjugated(final, cent.basis, c_total, inverse(c_total))
     if conjugate(embedded, c_total) != final:
         raise ArithmeticError("embedded covering does not conjugate correctly")
     cert = Certificate(
@@ -564,10 +561,7 @@ def central_eigenvalue_split(a: Algebra, z: Mat,
         conj_alg = conjugate_algebra(a, c1)
         k1 = n - k
         for x in conj_alg.basis:
-            for i in range(n):
-                for j in range(n):
-                    if (i < k1) != (j < k1) and x.data[i][j]:
-                        raise ArithmeticError("central split is not block diagonal")
+            _check_block_diagonal(x, k1)
         cell = conjugate(z, c1).submatrix(range(k1, n), range(k1, n))
         nil = cell - lam * identity(k)
         t = poly_at(Poly.of(1, 1) ** (k - 1), nil)
@@ -577,10 +571,7 @@ def central_eigenvalue_split(a: Algebra, z: Mat,
         c_total = c1 @ c2
     if not is_nonneg(final):
         raise ArithmeticError("covering is not nonnegative")
-    cinv = inverse(c_total)
-    conj_support = support_union([cinv @ b @ c_total for b in a.basis])
-    if support(final) != conj_support:
-        raise ArithmeticError("covering misses algebra support")
+    _check_covers_conjugated(final, a.basis, c_total, inverse(c_total))
     if not conjugate_algebra(a, c_total).contains(final):
         raise ArithmeticError("covering left the conjugated algebra")
     return Certificate(
@@ -624,10 +615,7 @@ def single_generator_nonneg(a: Mat) -> Certificate:
         k1 = n - m
         p_blk = split.submatrix(range(k1), range(k1))
         q_blk = split.submatrix(range(k1, n), range(k1, n))
-        for i in range(n):
-            for j in range(n):
-                if (i < k1) != (j < k1) and split.data[i][j]:
-                    raise ArithmeticError("eigensplit is not block diagonal")
+        _check_block_diagonal(split, k1)
         if m == 1:
             # <P (+) [0]> = R in the trailing slot: move it up front and use
             # the scalar extension construction on the single generator P.
@@ -670,19 +658,15 @@ def semicommuting_pair(p: IncidencePattern) -> tuple[Mat, Mat, Certificate]:
     span of the pattern's matrix units.
     """
     n = p.n
+    d = direct_sum([Mat.from_rows([[n - i]]) for i in range(n)])
     if p.is_upper_triangular:
         a = _pattern_sum(p)
-        d = direct_sum([Mat.from_rows([[n - i]]) for i in range(n)])
     else:
         order = triangularize_incidence(p)
         ranks = {orig + 1: pos + 1 for pos, orig in enumerate(order)}
-        tri = p.relabel(ranks)
-        a_tri = _pattern_sum(tri)
-        d_tri = direct_sum([Mat.from_rows([[n - i]]) for i in range(n)])
-        perm = permutation_matrix(order)
-        perm_inv = inverse(perm)
-        a = conjugate(a_tri, perm_inv)
-        d = conjugate(d_tri, perm_inv)
+        perm_inv = inverse(permutation_matrix(order))
+        a = conjugate(_pattern_sum(p.relabel(ranks)), perm_inv)
+        d = conjugate(d, perm_inv)
     comm = commutator(d, a)
     if not is_nonneg(a) or not is_nonneg(d) or not is_nonneg(comm):
         raise ArithmeticError("pair construction lost nonnegativity")

@@ -237,7 +237,7 @@ def _sturm_chain(p: Poly) -> tuple[list[list[int]], int]:
         raise ValueError("polynomial is not squarefree")
     ints = []
     for q in chain:
-        den = math.lcm(*(c.denominator for c in q.coeffs))
+        den = math.lcm(*[c.denominator for c in q.coeffs])
         row = [c.numerator * (den // c.denominator) for c in q.coeffs]
         g = math.gcd(*row)
         ints.append([v // g for v in row])

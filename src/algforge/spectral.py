@@ -178,12 +178,11 @@ class StructuralDecomposition:
     The conjugated algebra vanishes below the block diagonal with the
     stated sizes, the middle block compresses onto the full matrix algebra
     of its size, and the diagonal matrix unit at index l (1-based) belongs
-    to the conjugated algebra.  j0 indexes the distinguished block.
+    to the conjugated algebra.
     """
 
     transform: Mat
     sizes: tuple[int, int, int]
-    j0: int
     l: int
     case: int
 
@@ -201,50 +200,15 @@ def structural_decomposition(a: Algebra) -> StructuralDecomposition:
         raise ValueError("algebra does not contain the (1,1) matrix unit")
     z1 = orbit_span(a, e1)
     z2 = nullspace(_transpose_orbit(a, e1), n)  # orthogonal complement
-    dim_z1 = len(z1)
-    dim_z2 = len(z2)
-    inter = intersect_spans(z1, z2, n) if dim_z2 else []
-
-    if dim_z1 == n and not dim_z2:
-        case = 4
-        sizes = (0, n, 0)
-        cols: list[Sequence[Fraction]] = [tuple(ONE if i == k else ZERO
-                                                for i in range(n))
-                                          for k in range(n)]
-    elif dim_z1 == n:
-        case = 3
-        k = dim_z2
-        sizes = (k, n - k, 0)
-        cols = list(z2) + [e1]
-        cols = complete_basis(cols, n)
-    elif not inter:
-        case = 2
-        k = dim_z1
-        sizes = (0, k, n - k)
-        picked = EchelonSpan(n)
-        picked.add(e1)
-        cols = [e1]
-        for row in z1:
-            if picked.add(row):
-                cols.append(row)
-        cols = complete_basis(cols, n)
-    else:
-        case = 1
-        k1 = len(inter)
-        k2 = dim_z1 - k1
-        sizes = (k1, k2, n - k1 - k2)
-        picked = EchelonSpan(n)
-        cols = []
-        for row in inter:
-            picked.add(row)
-            cols.append(row)
-        if not picked.add(e1):
-            raise ArithmeticError("e_1 unexpectedly inside the intersection")
-        cols.append(e1)
-        for row in z1:
-            if picked.add(row):
-                cols.append(row)
-        cols = complete_basis(cols, n)
+    # The leading block is the part of the orbit orthogonal to e_1: all of
+    # z2 when the orbit is Q^n, their intersection otherwise.  It never
+    # holds e_1, whose first coordinate is 1.
+    full = len(z1) == n
+    head = z2 if full else intersect_spans(z1, z2, n)
+    case = (3 if head else 4) if full else (1 if head else 2)
+    sizes = (len(head), len(z1) - len(head), n - len(z1))
+    picked = EchelonSpan(n)
+    cols = complete_basis([v for v in [*head, e1, *z1] if picked.add(v)], n)
 
     # Normalize first coordinates so the conjugation sends the (1,1) unit
     # exactly onto the (l,l) unit: every column except e_1 itself is shifted
@@ -258,7 +222,7 @@ def structural_decomposition(a: Algebra) -> StructuralDecomposition:
             c = colv[0]
             fixed.append(tuple(v - c * e for v, e in zip(colv, e1)))
     cmat = Mat(n, n, tuple(zip(*fixed)))
-    decomposition = StructuralDecomposition(cmat, sizes, 2, l, case)
+    decomposition = StructuralDecomposition(cmat, sizes, l, case)
     _verify_decomposition(a, decomposition)
     return decomposition
 
@@ -361,26 +325,18 @@ def generalized_eigensplit(a: Mat, lam: Fraction) -> tuple[Mat, int, tuple[int, 
             im_basis.append(colv)
     m = len(im_basis)
     # matrix of the restriction of (A - lam I) to the image, in im_basis coords
-    cols_matrix = [[im_basis[k][i] for k in range(m)] for i in range(n)]
+    im_mat = Mat(n, m, tuple(zip(*im_basis)))
     restriction_cols = []
     for v in im_basis:
         image = shifted.apply(v)
-        coords = solve(cols_matrix, image)
+        coords = solve(im_mat.data, image)
         if coords is None:
             raise ArithmeticError("image basis does not span its image")
         restriction_cols.append(coords)
     restriction = Mat(m, m, tuple(zip(*[tuple(c) for c in restriction_cols])))
     w, sizes = nilpotent_jordan_basis(restriction)
-    chain_cols = []
-    for j in range(m):
-        col = [ZERO] * n
-        for k in range(m):
-            coeff = w.data[k][j]
-            if coeff:
-                for i in range(n):
-                    col[i] += coeff * im_basis[k][i]
-        chain_cols.append(tuple(col))
-    cols = [tuple(v) for v in ker_basis] + chain_cols
+    chains = im_mat @ w
+    cols = [tuple(v) for v in ker_basis] + [chains.column(j) for j in range(m)]
     c = Mat(n, n, tuple(zip(*cols)))
     inverse(c)  # raises on a bug; the columns must form a basis
     return c, m, sizes

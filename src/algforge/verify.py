@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 from operator import mul
 from typing import Sequence
@@ -290,38 +291,28 @@ def _check_conjugate_of(doc, p, closed):
     return _mul(c, target) == _mul(source, c)
 
 
-def _check_in_algebra(doc, p, closed):
-    target = _matrix(doc, p["target"])
+def _basis(doc: dict, p: dict, conjugated: bool) -> list[Grid]:
+    """The basis of the property's algebra, mapped to C^{-1} B C when the
+    property speaks of the conjugated algebra."""
+    basis = _algebra_basis(doc, p["algebra"])
+    if not conjugated:
+        return basis
+    c = _transform(doc)
+    return [_solve_conjugate(c, b) for b in basis]
+
+
+def _check_in_algebra(doc, p, closed, conjugated=False):
     span = _Span()
-    for b in _algebra_basis(doc, p["algebra"]):
+    for b in _basis(doc, p, conjugated):
         span.add(_vec(b))
-    return span.contains(_vec(target))
+    return span.contains(_vec(_matrix(doc, p["target"])))
 
 
-def _check_in_algebra_conjugated(doc, p, closed):
-    c = _transform(doc)
-    target = _matrix(doc, p["target"])
-    span = _Span()
-    for b in _algebra_basis(doc, p["algebra"]):
-        span.add(_vec(_solve_conjugate(c, b)))
-    return span.contains(_vec(target))
-
-
-def _check_covers(doc, p, closed):
-    target = _matrix(doc, p["target"])
+def _check_covers(doc, p, closed, conjugated=False):
     omega: set[tuple[int, int]] = set()
-    for b in _algebra_basis(doc, p["algebra"]):
+    for b in _basis(doc, p, conjugated):
         omega |= _support(b)
-    return _support(target) == omega
-
-
-def _check_covers_conjugated(doc, p, closed):
-    c = _transform(doc)
-    target = _matrix(doc, p["target"])
-    omega: set[tuple[int, int]] = set()
-    for b in _algebra_basis(doc, p["algebra"]):
-        omega |= _support(_solve_conjugate(c, b))
-    return _support(target) == omega
+    return _support(_matrix(doc, p["target"])) == omega
 
 
 def _check_semi_commuting(doc, p, closed):
@@ -419,9 +410,9 @@ _CHECKS = {
     "positive": _check_positive,
     "conjugate_of": _check_conjugate_of,
     "in_algebra": _check_in_algebra,
-    "in_algebra_conjugated": _check_in_algebra_conjugated,
+    "in_algebra_conjugated": partial(_check_in_algebra, conjugated=True),
     "covers": _check_covers,
-    "covers_conjugated": _check_covers_conjugated,
+    "covers_conjugated": partial(_check_covers, conjugated=True),
     "semi_commuting": _check_semi_commuting,
     "central": _check_central,
     "dimension": _check_dimension,

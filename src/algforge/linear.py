@@ -149,6 +149,27 @@ def _reduce(rows: Sequence[Vec],
     return [(p, _dense(echelon[p], length)) for p in sorted(echelon)]
 
 
+def first_dependency(vectors: Iterable[Vec]) -> list[Fraction] | None:
+    """Coefficients c_0, ..., c_k = 1 of the first linear dependency
+    c_0 v_0 + ... + c_k v_k = 0 among the vectors, read lazily, or None
+    when they are independent.
+
+    One elimination: vector k carries a marker in column len(v_k) + k, so
+    the markers of a row record which combination of the vectors it is,
+    and when v_k reduces to zero its markers are the dependency."""
+    rows: Rows = {}
+    for k, vec in enumerate(vectors):
+        n = len(vec)
+        row = _cleared(list(vec) + [ONE])
+        row[n + k] = row.pop(n)
+        res = _residual(rows, row)
+        if min(res) >= n:
+            return [Fraction(res.get(n + j, 0), res[n + k])
+                    for j in range(k + 1)]
+        _insert(rows, res)
+    return None
+
+
 def solve(a_rows: Sequence[Vec], b: Vec) -> list[Fraction] | None:
     """One exact solution of A x = b, or None when inconsistent."""
     n = len(a_rows[0]) if a_rows else 0

@@ -1,99 +1,133 @@
-"""Exact rational phase-1 simplex for linear feasibility.
+"""Exact phase-1 simplex for linear feasibility, on an integer tableau.
 
 Solves ``A x >= b`` with free variables x over Q, by minimizing the sum of
 artificial variables on the standard-form relaxation.  Bland's rule is used
 throughout, so the method cannot cycle and is fully deterministic.
+
+The tableau is fraction-free (Edmonds 1967; Bareiss 1968).  Each
+constraint row is multiplied once by the lcm ``c_i`` of its denominators,
+while its surplus and artificial columns stay unit columns, so the starting
+basis B is the identity.  With ``T0`` that integer tableau, the loop keeps
+the invariant ``T = adj(B) T0`` and ``D = det(B) > 0``: the rational
+tableau ``B^-1 T0`` is ``T / D``; the objective row holds D times the
+reduced costs, also integers since the costs are.  A pivot on
+``p = T[r][e]`` keeps row r, replaces every other row and the objective
+row by ``(p * row - row[e] * T[r]) // D``, a division that is always
+exact, and sets ``D = p``.  No Fraction is built until x is read out as
+``T[i][rhs] / D``.
+
+The pivots are those of the rational tableau with unscaled rows.  Row i
+here is that tableau's row i times c_i, with its surplus and artificial
+variables replaced by c_i times themselves.  Scaling a constraint leaves
+the rational tableau unchanged, and scaling a variable by a positive
+constant scales its column, and its row while it is basic, by a positive
+constant.  The objective, the sum of the unscaled artificials, is kept
+times ``L``, the lcm of the c_i, so its cost on the artificial of row i
+is the integer ``L / c_i``.  So every reduced cost keeps its sign, every
+ratio test compares the same ratios, compared here by integer
+cross-multiplication, and Bland's choices, ties broken by the lowest basis
+index, are the same.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
+
+
+def _pivoted(line: list[int], pivot_row: list[int], e: int, p: int,
+             den: int) -> list[int]:
+    """line after the pivot on pivot_row[e] = p, with den the old D."""
+    f = line[e]
+    return [(p * v - f * w) // den for v, w in zip(line, pivot_row)]
 
 
 def feasible_ge(a_rows: Sequence[Sequence[Fraction]],
                 b: Sequence[Fraction]) -> list[Fraction] | None:
-    """A point x with A x >= b (x free), or None when the system is infeasible."""
+    """A point x with A x >= b (x free), or None when the system is infeasible.
+
+    Entries may be int or Fraction.  Raises ValueError when the rows differ
+    in length or b does not have one entry per row.
+    """
     m = len(a_rows)
+    if len(b) != m:
+        raise ValueError(f"{len(b)} right-hand sides for {m} rows")
     if m == 0:
         return []
     d = len(a_rows[0])
+    if any(len(row) != d for row in a_rows):
+        raise ValueError("rows of unequal length")
 
-    # Flip rows so every right-hand side is nonnegative, then write
-    # A u - A v - w + s = b with u, v, w, s >= 0 and artificial basis s.
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for row, bv in zip(a_rows, b):
-        if bv < 0:
-            rows.append([-c for c in row])
-            rhs.append(-bv)
-        else:
-            rows.append(list(row))
-            rhs.append(Fraction(bv))
-
+    # Columns u (d), v (d), w (m), s (m), then the right-hand side.  Row i
+    # is c_i (A_i u - A_i v) -+ w_i + s_i = c_i |b_i|: flipped so that the
+    # right-hand side is nonnegative, surplus w_i for kept rows (>=) and
+    # slack for flipped rows (<=), artificial s_i in the starting basis.
     ncols = 2 * d + 2 * m
-    tableau: list[list[Fraction]] = []
-    for i in range(m):
-        line = [ZERO] * (ncols + 1)
-        for j in range(d):
-            line[j] = rows[i][j]
-            line[d + j] = -rows[i][j]
-        # surplus for kept rows (>=), slack for flipped rows (<=)
-        line[2 * d + i] = -ONE if b[i] >= 0 else ONE
-        line[2 * d + m + i] = ONE
-        line[ncols] = rhs[i]
+    tableau: list[list[int]] = []
+    scales: list[int] = []
+    for i, (row, bv) in enumerate(zip(a_rows, b)):
+        c = lcm(bv.denominator, *[v.denominator for v in row])
+        sign = -1 if bv < 0 else 1
+        k = sign * c
+        u = [v.numerator * (k // v.denominator) for v in row]
+        line = u + [-v for v in u] + [0] * (2 * m)
+        line[2 * d + i] = -sign
+        line[2 * d + m + i] = 1
+        line.append(bv.numerator * (k // bv.denominator))
         tableau.append(line)
+        scales.append(c)
+    basis = list(range(2 * d + m, ncols))
 
-    basis = [2 * d + m + i for i in range(m)]
+    # Objective: minimize the sum of the unscaled artificials s_i / c_i,
+    # times the lcm of the c_i, so that every cost is an integer.  Its
+    # reduced-cost row for the starting basis is minus the cost-weighted
+    # sum of the constraint rows, zero on the artificial columns.
+    common = lcm(*scales)
+    obj = [0] * (ncols + 1)
+    for c, line in zip(scales, tableau):
+        f = common // c
+        obj = [o - f * v for o, v in zip(obj, line)]
+    obj[2 * d + m:ncols] = [0] * m
 
-    # Objective: minimize the sum of artificials; reduced-cost row for the
-    # initial basis is -sum of constraint rows (artificial columns cancel).
-    obj = [ZERO] * (ncols + 1)
-    for line in tableau:
-        for j in range(ncols + 1):
-            obj[j] -= line[j]
-    for i in range(m):
-        obj[2 * d + m + i] = ZERO
-
+    den = 1
     while True:
         enter = next((j for j in range(ncols) if obj[j] < 0), None)
         if enter is None:
             break
-        leave_row = None
-        best = None
-        for i in range(m):
-            coef = tableau[i][enter]
-            if coef > 0:
-                ratio = tableau[i][ncols] / coef
-                if best is None or ratio < best or (
-                        ratio == best and basis[i] < basis[leave_row]):
-                    best = ratio
-                    leave_row = i
-        if leave_row is None:
+        leave = None
+        for i, line in enumerate(tableau):
+            coef = line[enter]
+            if coef <= 0:
+                continue
+            if leave is not None:
+                best = tableau[leave]
+                cross = line[ncols] * best[enter] - best[ncols] * coef
+                if cross > 0 or (cross == 0 and basis[i] > basis[leave]):
+                    continue
+            leave = i
+        if leave is None:
             raise ArithmeticError("phase-1 objective unbounded")  # impossible
-        piv = tableau[leave_row][enter]
-        tableau[leave_row] = [v / piv for v in tableau[leave_row]]
-        for i in range(m):
-            if i != leave_row and tableau[i][enter]:
-                f = tableau[i][enter]
-                tableau[i] = [v - f * w for v, w in
-                              zip(tableau[i], tableau[leave_row])]
-        if obj[enter]:
-            f = obj[enter]
-            obj = [v - f * w for v, w in zip(obj, tableau[leave_row])]
-        basis[leave_row] = enter
+        pivot_row = tableau[leave]
+        p = pivot_row[enter]
+        for i, line in enumerate(tableau):
+            if i != leave:
+                tableau[i] = _pivoted(line, pivot_row, enter, p, den)
+        obj = _pivoted(obj, pivot_row, enter, p, den)
+        den = p
+        basis[leave] = enter
 
-    if -obj[ncols] != 0:
+    if obj[ncols]:
         return None
 
     x = [ZERO] * d
-    for i, var in enumerate(basis):
-        val = tableau[i][ncols]
-        if var < d:
-            x[var] += val
-        elif var < 2 * d:
-            x[var - d] -= val
+    for line, var in zip(tableau, basis):
+        if var < 2 * d and line[ncols]:
+            val = Fraction(line[ncols], den)
+            if var < d:
+                x[var] += val
+            else:
+                x[var - d] -= val
     return x

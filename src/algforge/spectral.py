@@ -16,8 +16,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebra import Algebra
-from .linear import (EchelonSpan, complete_basis, intersect_spans, nullspace,
-                     solve, span_rows)
+from .linear import (EchelonSpan, complete_basis, first_dependency,
+                     intersect_spans, nullspace, solve, span_rows)
 from .matrices import (Mat, conjugate, direct_sum, identity, inverse,
                        jordan_cell, matrix_unit, poly_at)
 from .polynomials import (P_ONE, Poly, multiplicity_one_part, poly_crt,
@@ -72,13 +72,14 @@ def min_poly(a: Mat) -> Poly:
     dependency among vectorized powers I, A, A^2, ..."""
     if not a.is_square:
         raise ValueError("matrix must be square")
-    span = EchelonSpan(a.rows * a.rows)
-    powers = [identity(a.rows)]
-    while span.add(powers[-1].vectorize()):
-        powers.append(powers[-1] @ a)
-    cols = [power.vectorize() for power in powers[:-1]]
-    coeffs = solve(list(zip(*cols)), powers[-1].vectorize())
-    return Poly.from_coeffs([-c for c in coeffs] + [ONE])
+
+    def powers():
+        power = identity(a.rows)
+        while True:
+            yield power.vectorize()
+            power = power @ a
+
+    return Poly.from_coeffs(first_dependency(powers()))
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,10 @@ These deliberately re-derive results through different algorithms than the
 package: real-root counting by Descartes interval bisection instead of
 Sturm chains, characteristic polynomials by Faddeev-LeVerrier instead of
 the Hessenberg recurrence, algebra dimensions by a round-based
-pairwise-product closure instead of the generator worklist, and echelon
+pairwise-product closure instead of the generator worklist, echelon
 bases and products by textbook Fraction loops instead of the integer
-kernel.
+kernel, and phase-1 simplex feasibility by a Fraction tableau instead of
+the fraction-free integer one.
 """
 
 from __future__ import annotations
@@ -192,6 +193,94 @@ def textbook_product(a: Mat, b: Mat) -> Mat:
         tuple(sum((a.data[i][k] * b.data[k][j] for k in range(a.cols)), ZERO)
               for j in range(b.cols))
         for i in range(a.rows)))
+
+
+def fraction_feasible_ge(a_rows, b) -> list[Fraction] | None:
+    """A point x with A x >= b (x free), or None: phase-1 simplex on a
+    Fraction tableau, each pivot row divided by its pivot.  Same columns,
+    objective and Bland's rule (lowest basis index on ratio ties) as
+    `algforge.simplex.feasible_ge`, so both return the same point.  Takes
+    Fraction entries: int entries would be divided into floats."""
+    m = len(a_rows)
+    if m == 0:
+        return []
+    d = len(a_rows[0])
+
+    # Flip rows so every right-hand side is nonnegative, then write
+    # A u - A v - w + s = b with u, v, w, s >= 0 and artificial basis s.
+    rows: list[list[Fraction]] = []
+    rhs: list[Fraction] = []
+    for row, bv in zip(a_rows, b):
+        if bv < 0:
+            rows.append([-c for c in row])
+            rhs.append(-bv)
+        else:
+            rows.append(list(row))
+            rhs.append(Fraction(bv))
+
+    ncols = 2 * d + 2 * m
+    tableau: list[list[Fraction]] = []
+    for i in range(m):
+        line = [ZERO] * (ncols + 1)
+        for j in range(d):
+            line[j] = rows[i][j]
+            line[d + j] = -rows[i][j]
+        # surplus for kept rows (>=), slack for flipped rows (<=)
+        line[2 * d + i] = -ONE if b[i] >= 0 else ONE
+        line[2 * d + m + i] = ONE
+        line[ncols] = rhs[i]
+        tableau.append(line)
+
+    basis = [2 * d + m + i for i in range(m)]
+
+    # Objective: minimize the sum of artificials; reduced-cost row for the
+    # initial basis is -sum of constraint rows (artificial columns cancel).
+    obj = [ZERO] * (ncols + 1)
+    for line in tableau:
+        for j in range(ncols + 1):
+            obj[j] -= line[j]
+    for i in range(m):
+        obj[2 * d + m + i] = ZERO
+
+    while True:
+        enter = next((j for j in range(ncols) if obj[j] < 0), None)
+        if enter is None:
+            break
+        leave_row = None
+        best = None
+        for i in range(m):
+            coef = tableau[i][enter]
+            if coef > 0:
+                ratio = tableau[i][ncols] / coef
+                if best is None or ratio < best or (
+                        ratio == best and basis[i] < basis[leave_row]):
+                    best = ratio
+                    leave_row = i
+        if leave_row is None:
+            raise ArithmeticError("phase-1 objective unbounded")  # impossible
+        piv = tableau[leave_row][enter]
+        tableau[leave_row] = [v / piv for v in tableau[leave_row]]
+        for i in range(m):
+            if i != leave_row and tableau[i][enter]:
+                f = tableau[i][enter]
+                tableau[i] = [v - f * w for v, w in
+                              zip(tableau[i], tableau[leave_row])]
+        if obj[enter]:
+            f = obj[enter]
+            obj = [v - f * w for v, w in zip(obj, tableau[leave_row])]
+        basis[leave_row] = enter
+
+    if -obj[ncols] != 0:
+        return None
+
+    x = [ZERO] * d
+    for i, var in enumerate(basis):
+        val = tableau[i][ncols]
+        if var < d:
+            x[var] += val
+        elif var < 2 * d:
+            x[var - d] -= val
+    return x
 
 
 # -- random samplers -------------------------------------------------------------

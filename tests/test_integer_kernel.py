@@ -3,8 +3,8 @@
 `EchelonSpan` and the verifier's `_Span` keep primitive integer rows; read
 out, they must be the reduced row-echelon basis that textbook Fraction
 Gauss-Jordan elimination gives, whatever the insertion order.  `Mat @`
-must be the textbook Fraction product, and `solve`, `invert` and
-`nullspace` must agree with sympy.
+must be the textbook Fraction product, and `solve`, `invert`,
+`nullspace` and `first_dependency` must agree with sympy.
 """
 
 import itertools
@@ -15,7 +15,8 @@ import pytest
 
 from algforge.algebra import generate
 from algforge.constructions import _candidates, classify_positive_generation
-from algforge.linear import EchelonSpan, invert, nullspace, solve
+from algforge.linear import (EchelonSpan, first_dependency, invert, nullspace,
+                             solve)
 from algforge.matrices import Mat, matrix_unit, zero
 from algforge.verify import CertificateError, _mul, _solve_conjugate, _Span
 from oracles import gauss_jordan, random_unimodular, textbook_product
@@ -217,6 +218,25 @@ def test_solve_invert_nullspace_match_sympy():
             inv = ssq.inv()
             assert invert(sq) == [[to_fraction(inv[i, j]) for j in range(n)]
                                   for i in range(n)]
+
+
+def test_first_dependency_matches_sympy():
+    import sympy
+    rng = random.Random(515)
+    for trial in range(40):
+        n = rng.randint(1, 5)
+        vecs = low_rank(rng, rng.randint(1, 6), n, rng.randint(1, n))
+        if trial % 5 == 0:
+            vecs.insert(rng.randint(0, len(vecs)), [F(0)] * n)
+        expected = None
+        for k in range(len(vecs)):
+            s = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator)
+                               for v in vec] for vec in vecs[:k + 1]]).T
+            if s.rank() <= k:
+                null = s.nullspace()[0]
+                expected = [to_fraction(c / null[k]) for c in null]
+                break
+        assert first_dependency(iter(vecs)) == expected
 
 
 def test_solve_conjugate_matches_textbook_inverse():

@@ -1,6 +1,12 @@
+import random
 from fractions import Fraction
 
+import pytest
+import sympy
+from sympy.solvers.simplex import lpmin
+
 from algforge.simplex import feasible_ge
+from oracles import fraction_feasible_ge
 
 F = Fraction
 
@@ -34,3 +40,119 @@ def test_negative_rhs_rows():
 
 def test_empty_system():
     assert feasible_ge([], []) == []
+
+
+# -- the integer tableau against the Fraction reference -------------------------
+
+def _random_system(rng: random.Random):
+    """A small system A x >= b: mixed denominators, right-hand sides of
+    both signs and zero, zero rows, and rows that repeat an earlier row
+    times a positive factor, so ratio tests tie."""
+    m = rng.randint(1, 7)
+    d = rng.randint(0, 4)
+    den = rng.choice([1, 2, 6])
+
+    def rat():
+        return F(rng.randint(-3, 3), rng.randint(1, den))
+
+    rows = [[rat() for _ in range(d)] for _ in range(m)]
+    rhs = [rat() for _ in range(m)]
+    for i in range(1, m):
+        roll = rng.random()
+        if roll < 0.3:
+            j = rng.randrange(i)
+            k = F(rng.randint(1, 3), rng.randint(1, 2))
+            rows[i] = [k * v for v in rows[j]]
+            rhs[i] = k * rhs[j]
+        elif roll < 0.4:
+            rows[i] = [F(0)] * d
+    return rows, rhs
+
+
+SYSTEMS = [_random_system(random.Random(seed)) for seed in range(240)]
+
+
+def _lp_feasible(rows, rhs) -> bool:
+    """Feasibility by sympy: the least t >= 0 with A x + t >= b is 0.
+
+    A zero row is decided on its own (0 >= b), and left out of the linear
+    program: `lpmin` turns a one-variable constraint such as t >= b into
+    an interval by symbolic solving, which takes tens of milliseconds."""
+    if any(not any(row) and bv > 0 for row, bv in zip(rows, rhs)):
+        return False
+    kept = [(row, bv) for row, bv in zip(rows, rhs) if any(row)]
+    if not kept:
+        return True
+    xs = sympy.symbols(f"x0:{len(rows[0])}")
+    t = sympy.Symbol("t")
+    cons = [sum((sympy.Rational(c.numerator, c.denominator) * v
+                 for c, v in zip(row, xs)), t)
+            >= sympy.Rational(bv.numerator, bv.denominator)
+            for row, bv in kept]
+    best, _ = lpmin(t, cons + [t >= 0])
+    return best == 0
+
+
+def test_samples_cover_every_case():
+    assert sum(len(r[0]) == 0 for r, _ in SYSTEMS) >= 20
+    assert sum(len(r) > len(r[0]) for r, _ in SYSTEMS) >= 100
+    assert sum(any(v.denominator > 1 for row in r for v in row)
+               for r, _ in SYSTEMS) >= 100
+    assert sum(any(bv < 0 for bv in b) and any(bv == 0 for bv in b)
+               for _, b in SYSTEMS) >= 20
+    assert sum(any(not any(row) for row in r) for r, _ in SYSTEMS) >= 20
+    assert sum(any(r[i] == [k * v for v in r[j]] and any(r[i])
+                   for i in range(len(r)) for j in range(i)
+                   for k in (F(1), F(2)))
+               for r, _ in SYSTEMS) >= 40
+    assert sum(feasible_ge(r, b) is None for r, b in SYSTEMS) >= 40
+
+
+@pytest.mark.parametrize("seed", range(0, 240, 40))
+def test_same_point_as_fraction_tableau(seed):
+    for rows, rhs in SYSTEMS[seed:seed + 40]:
+        assert feasible_ge(rows, rhs) == fraction_feasible_ge(rows, rhs)
+
+
+def test_feasible_points_satisfy_the_system():
+    for rows, rhs in SYSTEMS:
+        x = feasible_ge(rows, rhs)
+        if x is not None:
+            assert all(isinstance(v, F) for v in x)
+            for row, bv in zip(rows, rhs):
+                assert sum((c * v for c, v in zip(row, x)), F(0)) >= bv
+
+
+def test_verdicts_agree_with_sympy():
+    for rows, rhs in SYSTEMS[:80]:
+        assert (feasible_ge(rows, rhs) is not None) == _lp_feasible(rows, rhs)
+
+
+def test_ratio_ties_take_the_lowest_basis_index():
+    # A ratio test on this system ties, and only the lowest-basis-index
+    # choice ends at (1, 1); the highest index would end at (1/4, -1/2).
+    rows = [[F(0), F(2)], [F(2), F(-1)], [F(2), F(-2)], [F(2), F(0)]]
+    rhs = [F(-1), F(1), F(0), F(-1)]
+    assert feasible_ge(rows, rhs) == fraction_feasible_ge(rows, rhs) == \
+        [F(1), F(1)]
+
+
+def test_integer_entries_stay_exact():
+    # int entries must not be divided into floats
+    rows = [[1, 2], [3, -1], [-1, -1]]
+    rhs = [1, 2, -4]
+    fracs = [[F(v) for v in r] for r in rows], [F(v) for v in rhs]
+    assert feasible_ge(rows, rhs) == fraction_feasible_ge(*fracs) == \
+        [F(3, 2), F(5, 2)]
+
+
+@pytest.mark.parametrize("rows, rhs", [
+    ([[F(1)], [F(1), F(-5)]], [F(1), F(1)]),
+    ([[F(1), F(0)], [F(1)]], [F(1), F(1)]),
+    ([[F(1)], [F(-1)]], [F(1)]),
+    ([[F(1)]], [F(1), F(2)]),
+    ([], [F(1)]),
+])
+def test_malformed_shapes_raise(rows, rhs):
+    with pytest.raises(ValueError):
+        feasible_ge(rows, rhs)

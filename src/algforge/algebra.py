@@ -2,12 +2,15 @@
 
 The basis is the reduced row-echelon basis of the algebra's row-major
 vectorization, so equal algebras have identical bases and equality is a
-plain comparison.  Generation uses a worklist that multiplies each newly
-independent word on the left by every generator.  The span this reaches
-contains I and is mapped into itself by left multiplication with each
-generator, so it contains every word in the generators and is closed under
-products.  Loaders and tests still verify closure by checking all pairwise
-basis products.
+plain comparison.  Spans take each matrix's integer numerators (a positive
+multiple of its vectorization), and each basis matrix is read straight off
+a primitive integer echelon row, whose pivot is its canonical denominator.
+Generation uses a worklist that multiplies each newly independent word on
+the left by every generator.  The span this reaches contains I and is
+mapped into itself by left multiplication with each generator, so it
+contains every word in the generators and is closed under products.
+Loaders and tests still verify closure by checking all pairwise basis
+products.
 """
 
 from __future__ import annotations
@@ -20,11 +23,10 @@ from typing import Iterable, Sequence
 from . import simplex
 from .incidence import IncidencePattern
 from .linear import EchelonSpan, nullspace
-from .matrices import (Mat, Support, identity, inverse, mat_from_json,
-                       mat_from_vector, mat_to_json, matrix_unit,
+from .matrices import (Mat, Support, direct_sum, identity, inverse,
+                       mat_from_json, mat_to_json, matrix_unit,
                        support_union, zero)
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -58,13 +60,13 @@ class Algebra:
     def _span(self) -> EchelonSpan:
         sp = EchelonSpan(self.n * self.n)
         for b in self.basis:
-            sp.add(b.vectorize())
+            sp.add(b.numerators())
         return sp
 
     def contains(self, x: Mat) -> bool:
         if not (x.is_square and x.rows == self.n):
             raise ValueError("size mismatch")
-        return self._span.contains(x.vectorize())
+        return self._span.contains(x.numerators())
 
     def support(self) -> Support:
         return support_union(self.basis)
@@ -72,15 +74,28 @@ class Algebra:
     def is_closed(self) -> bool:
         """Check span closure under all pairwise basis products."""
         sp = self._span
-        return all(sp.contains((a @ b).vectorize())
+        return all(sp.contains((a @ b).numerators())
                    for a in self.basis for b in self.basis)
 
     def is_unital(self) -> bool:
         return self.contains(identity(self.n))
 
 
+def _span_mats(n: int, span: EchelonSpan) -> list[Mat]:
+    """The span's canonical rows as n x n matrices: a primitive echelon row
+    over its positive pivot is already in canonical form."""
+    mats = []
+    for p, row in span.primitive_rows():
+        flat = [0] * (n * n)
+        for j, v in row.items():
+            flat[j] = v
+        mats.append(Mat.from_ints(n, n, row[p], [flat[i * n:(i + 1) * n]
+                                                 for i in range(n)]))
+    return mats
+
+
 def _from_span(n: int, span: EchelonSpan) -> Algebra:
-    return Algebra(n, tuple(mat_from_vector(n, row) for row in span.canonical_rows()))
+    return Algebra(n, tuple(_span_mats(n, span)))
 
 
 def closure_words(n: int,
@@ -100,7 +115,7 @@ def closure_words(n: int,
     words: list[Mat] = []
 
     def push(m: Mat) -> None:
-        if span.add(m.vectorize()):
+        if span.add(m.numerators()):
             words.append(m)
 
     push(identity(n))
@@ -129,7 +144,7 @@ def conjugate_algebra(a: Algebra, c: Mat) -> Algebra:
     cinv = inverse(c)
     span = EchelonSpan(a.n * a.n)
     for b in a.basis:
-        span.add((cinv @ b @ c).vectorize())
+        span.add((cinv @ b @ c).numerators())
     return _from_span(a.n, span)
 
 
@@ -138,11 +153,10 @@ def algebra_direct_sum(a: Algebra, b: Algebra) -> Algebra:
     n = a.n + b.n
     span = EchelonSpan(n * n)
     zb, za = zero(b.n), zero(a.n)
-    from .matrices import direct_sum as mat_direct_sum
     for x in a.basis:
-        span.add(mat_direct_sum([x, zb]).vectorize())
+        span.add(direct_sum([x, zb]).numerators())
     for y in b.basis:
-        span.add(mat_direct_sum([za, y]).vectorize())
+        span.add(direct_sum([za, y]).numerators())
     return _from_span(n, span)
 
 
@@ -155,13 +169,16 @@ def covering_matrix(a: Algebra) -> Mat:
     """
     acc = zero(a.n)
     for b in a.basis:
+        # acc + c b vanishes at an entry iff c = -(x / da) / (y / db), that
+        # is c * da * y == -x * db; only positive integers c matter.
+        da, db = acc.den, b.den
         bad = set()
-        for i in range(a.n):
-            for j in range(a.n):
-                if b.data[i][j]:
-                    bad.add(-acc.data[i][j] / b.data[i][j])
+        for xr, yr in zip(acc.num, b.num):
+            for x, y in zip(xr, yr):
+                if y and not (x * db) % (da * y):
+                    bad.add(-x * db // (da * y))
         c = 1
-        while Fraction(c) in bad:
+        while c in bad:
             c += 1
         acc = acc + c * b
     return acc
@@ -195,8 +212,8 @@ def two_sided_ideal(a: Algebra, x: Mat) -> list[Mat]:
     for p in a.basis:
         px = p @ x
         for q in a.basis:
-            span.add((px @ q).vectorize())
-    return [mat_from_vector(a.n, row) for row in span.canonical_rows()]
+            span.add((px @ q).numerators())
+    return _span_mats(a.n, span)
 
 
 def center(a: Algebra) -> list[Mat]:
@@ -215,23 +232,23 @@ def center(a: Algebra) -> list[Mat]:
         for coef, b in zip(cv, a.basis):
             if coef:
                 acc = acc + coef * b
-        span.add(acc.vectorize())
-    return [mat_from_vector(a.n, row) for row in span.canonical_rows()]
+        span.add(acc.numerators())
+    return _span_mats(a.n, span)
 
 
 def centralizer(m: Mat) -> Algebra:
     """The full algebra {X : MX = XM}, returned closed and unital."""
     if not m.is_square:
         raise ValueError("matrix must be square")
-    n = m.rows
+    n, num = m.rows, m.num  # den * M has the same centralizer as M
     rows = []
     for i in range(n):
         for j in range(n):
-            row = [ZERO] * (n * n)
+            row = [0] * (n * n)
             for k in range(n):
-                row[k * n + j] += m.data[i][k]
+                row[k * n + j] += num[i][k]
             for l in range(n):
-                row[i * n + l] -= m.data[l][j]
+                row[i * n + l] -= num[l][j]
             if any(row):
                 rows.append(row)
     span = EchelonSpan(n * n)
@@ -274,12 +291,12 @@ def is_simple(a: Algebra) -> bool:
 
 
 def _trace(m: Mat) -> Fraction:
-    return sum((m.data[i][i] for i in range(m.rows)), ZERO)
+    return Fraction(sum(m.num[i][i] for i in range(m.rows)), m.den)
 
 
 def _is_scalar(m: Mat) -> bool:
-    c = m.data[0][0]
-    return all(m.data[i][j] == (c if i == j else 0)
+    c = m.num[0][0]
+    return all(m.num[i][j] == (c if i == j else 0)
                for i in range(m.rows) for j in range(m.cols))
 
 
@@ -297,8 +314,8 @@ def incidence_structure(a: Algebra) -> IncidencePattern | None:
     positions = []
     for b in a.basis:
         nz = [(i + 1, j + 1) for i in range(a.n) for j in range(a.n)
-              if b.data[i][j]]
-        if len(nz) != 1 or b.data[nz[0][0] - 1][nz[0][1] - 1] != 1:
+              if b.num[i][j]]
+        if len(nz) != 1 or b.num[nz[0][0] - 1][nz[0][1] - 1] != b.den:
             return None
         positions.append(nz[0])
     pos = frozenset(positions)
@@ -311,12 +328,10 @@ def incidence_structure(a: Algebra) -> IncidencePattern | None:
 
 
 def incidence_algebra(p: IncidencePattern) -> Algebra:
-    """The span of the pattern's matrix units (closed by transitivity)."""
-    units = [matrix_unit(p.n, i, j) for (i, j) in p.sorted_positions()]
-    span = EchelonSpan(p.n * p.n)
-    for u in units:
-        span.add(u.vectorize())
-    return _from_span(p.n, span)
+    """The span of the pattern's matrix units (closed by transitivity).
+    Units in row-major position order are already the echelon basis."""
+    return Algebra(p.n, tuple(matrix_unit(p.n, i, j)
+                              for (i, j) in p.sorted_positions()))
 
 
 def contains_all_diagonal(a: Algebra) -> bool:
@@ -338,7 +353,7 @@ def algebra_from_json(obj: dict) -> Algebra:
             raise ValueError("basis matrix size mismatch")
     span = EchelonSpan(n * n)
     for m in mats:
-        if not span.add(m.vectorize()):
+        if not span.add(m.numerators()):
             raise ValueError("basis is linearly dependent")
     alg = _from_span(n, span)
     if not alg.is_unital():

@@ -28,10 +28,10 @@ from .incidence import (IncidencePattern, incidence_of_dimension,
                         triangularize_incidence)
 from .linear import rank
 from .matrices import (Mat, commutator, conjugate, direct_sum, identity,
-                       inverse, is_nonneg, is_positive, matrix_unit,
-                       min_support_entry, ones, permutation_matrix, poly_at,
-                       regular_triangular, support, support_union,
-                       uniform_norm, uniformizer, uniformizer_inv, zero)
+                       inverse, is_nonneg, is_positive, min_support_entry,
+                       ones, permutation_matrix, poly_at, regular_triangular,
+                       support, support_union, uniform_norm, uniformizer,
+                       uniformizer_inv, zero)
 from .polynomials import Poly, multiplicity_one_part, poly_gcd, rational_roots
 from .spectral import (JordanSpec, char_poly, eigenvalue_multiplicity,
                        generalized_eigensplit, has_simple_real_eigenvalue,
@@ -73,7 +73,7 @@ def _check_covers_conjugated(x: Mat, basis: Sequence[Mat], c: Mat,
 
 def _check_block_diagonal(x: Mat, k: int) -> None:
     """Raise unless X vanishes off its leading k x k and trailing blocks."""
-    if any(any(row[k:] if i < k else row[:k]) for i, row in enumerate(x.data)):
+    if any(any(row[k:] if i < k else row[:k]) for i, row in enumerate(x.num)):
         raise ArithmeticError("split is not block diagonal")
 
 
@@ -142,12 +142,12 @@ def uniformize_rank1_idempotent(e: Mat) -> Mat:
     n = e.rows
     if e @ e != e:
         raise ValueError("matrix is not idempotent")
-    rk = rank([list(r) for r in e.data], n)
+    rk = rank(e.num, n)
     if rk != 1:
         raise ValueError("idempotent does not have rank 1")
     if n == 1:
         return identity(1)
-    j0 = next(j for j in range(n) if any(e.data[i][j] for i in range(n)))
+    j0 = next(j for j in range(n) if any(e.num[i][j] for i in range(n)))
     u = e.column(j0)
     i0 = next(i for i in range(n) if u[i])
     v = tuple(e.data[i0][j] / u[i0] for j in range(n))
@@ -396,7 +396,7 @@ def blockwise_rank1_nonneg_covering(blocks: Sequence[Algebra],
         raise ValueError("one part per block required")
     if not blocks:
         raise ValueError("no blocks")
-    nonzero = [i for i, p in enumerate(parts) if any(v for row in p.data for v in row)]
+    nonzero = [i for i, p in enumerate(parts) if any(map(any, p.num))]
     if not nonzero:
         raise ValueError("all parts are zero")
     m = nonzero[-1] + 1
@@ -409,7 +409,7 @@ def blockwise_rank1_nonneg_covering(blocks: Sequence[Algebra],
             raise ValueError("part is not in its block algebra")
     for i in range(m):
         p = parts[i]
-        if p @ p != p or rank([list(r) for r in p.data], p.rows) != 1:
+        if p @ p != p or rank(p.num, p.rows) != 1:
             raise ValueError("nonzero part is not a rank-1 idempotent")
     tail = sum(blocks[i].n for i in range(m, len(blocks)))
     sims = [uniformize_rank1_idempotent(parts[i]) for i in range(m - 1)]
@@ -534,7 +534,7 @@ def central_eigenvalue_split(a: Algebra, z: Mat,
     if any(z @ b != b @ z for b in a.basis):
         raise ValueError("candidate is not central")
     shifted = z - lam * identity(n)
-    rk = rank([list(r) for r in shifted.data], n)
+    rk = rank(shifted.num, n)
     if rk == n:
         raise ValueError("not an eigenvalue of the central element")
     if rk != n - 1:
@@ -690,10 +690,11 @@ def semicommuting_pair(p: IncidencePattern) -> tuple[Mat, Mat, Certificate]:
 
 
 def _pattern_sum(p: IncidencePattern) -> Mat:
-    acc = zero(p.n)
-    for (i, j) in p.sorted_positions():
-        acc = acc + matrix_unit(p.n, i, j)
-    return acc
+    """The sum of the pattern's matrix units."""
+    grid = [[0] * p.n for _ in range(p.n)]
+    for (i, j) in p.positions:
+        grid[i - 1][j - 1] = 1
+    return Mat(p.n, p.n, grid)
 
 
 def solve_all_dimensions(n: int) -> list[Certificate]:

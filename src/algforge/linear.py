@@ -113,9 +113,14 @@ class EchelonSpan:
         for v in vecs:
             self.add(v)
 
+    def primitive_rows(self) -> list[tuple[int, dict[int, int]]]:
+        """(pivot, row) in pivot order: each row a sparse primitive integer
+        row with a positive pivot, which divided by its pivot is canonical."""
+        return [(p, self._rows[p]) for p in sorted(self._rows)]
+
     def canonical_rows(self) -> list[tuple[Fraction, ...]]:
-        return [tuple(_dense(self._rows[p], self.length))
-                for p in sorted(self._rows)]
+        return [tuple(_dense(row, self.length))
+                for _, row in self.primitive_rows()]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EchelonSpan):

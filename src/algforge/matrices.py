@@ -1,12 +1,15 @@
 """Dense exact rational matrices and the constructions built on them.
 
-``Mat`` is a frozen dataclass over a tuple of row tuples of Fraction, so
-matrices are immutable, hashable and safe to share.  Products run on
-integers: each operand is an integer matrix over one common denominator,
-computed on first use and cached on the instance, and ``A @ B`` builds one
-Fraction per output entry from the integer product.  Raw entry access via
-``A.data[i][j]`` is 0-based; ``Support`` positions (and all serialized
-position data) are 1-based (row, column) pairs.
+A ``Mat`` is stored in one canonical integer form: a denominator
+``den > 0`` and a tuple of integer rows ``num`` with gcd(den, every entry)
+= 1, so the matrix is num / den and equal matrices have equal fields.
+Products, sums, transposes, supports and sign tests run on the integers,
+and every result is brought back to canonical form by one gcd.  A Fraction
+is built only at the API and wire edges: ``A.data`` is a read-only
+Fraction grid built on first use, and ``vectorize``, ``column`` and
+``apply`` return Fractions.  ``A.data[i][j]`` is 0-based; ``Support``
+positions (and all serialized position data) are 1-based (row, column)
+pairs.  Matrices are immutable, hashable and safe to share.
 
 Zero-size matrices are legal and act as absent direct summands.
 """
@@ -17,8 +20,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
-from operator import mul
+from math import gcd, lcm
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 from . import linear
@@ -27,121 +30,206 @@ from .polynomials import Poly
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+Rows = tuple[tuple[int, ...], ...]
 
-@dataclass(frozen=True)
+
 class Mat:
+    """The rows x cols matrix num / den, in canonical form: den > 0 and
+    gcd(den, every entry of num) = 1.  `Mat(rows, cols, data)` takes a grid
+    of Fraction or int entries."""
+
     rows: int
     cols: int
-    data: tuple[tuple[Fraction, ...], ...]
+    den: int
+    num: Rows
+
+    def __init__(self, rows: int, cols: int,
+                 data: Iterable[Iterable[int | Fraction]]):
+        grid = [tuple(row) for row in data]
+        if len(grid) != rows or any(len(row) != cols for row in grid):
+            raise ValueError("entry grid does not match declared shape")
+        # Star-unpack lists, not generators: a generator's tuple is resized
+        # to its length, which leaves tuples piling up in the interpreter's
+        # per-length free lists (several MiB of peak memory).  The lcm of
+        # the reduced denominators leaves no common factor with the
+        # scaled numerators, so the result is canonical.
+        den = lcm(*[v.denominator for row in grid for v in row])
+        vars(self).update(rows=rows, cols=cols, den=den, num=tuple(
+            tuple(v.numerator * (den // v.denominator) for v in row)
+            for row in grid))
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable[int | str | Fraction]]) -> Mat:
-        data = tuple(tuple(Fraction(v) for v in row) for row in rows)
-        r = len(data)
-        c = len(data[0]) if r else 0
-        if any(len(row) != c for row in data):
+        grid = [[v if isinstance(v, (int, Fraction)) else Fraction(v)
+                 for v in row] for row in rows]
+        r = len(grid)
+        c = len(grid[0]) if r else 0
+        if any(len(row) != c for row in grid):
             raise ValueError("ragged rows")
-        return Mat(r, c, data)
+        return Mat(r, c, grid)
+
+    @staticmethod
+    def from_ints(rows: int, cols: int, den: int,
+                  num: Iterable[Iterable[int]]) -> Mat:
+        """The matrix num / den for an integer grid and a nonzero integer
+        denominator, brought to canonical form."""
+        grid = tuple(map(tuple, num))
+        if len(grid) != rows or any(len(row) != cols for row in grid):
+            raise ValueError("entry grid does not match declared shape")
+        if not den:
+            raise ZeroDivisionError("zero denominator")
+        return _normal(rows, cols, den, grid)
+
+    def __setattr__(self, *args):
+        raise AttributeError("Mat is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Mat):
+            return NotImplemented
+        return (self.rows, self.cols, self.den, self.num) == \
+            (other.rows, other.cols, other.den, other.num)
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.den, self.num))
+
+    def __repr__(self) -> str:
+        return f"Mat({self.rows}, {self.cols}, {self.data!r})"
+
+    @cached_property
+    def data(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as a Fraction grid, built on first use."""
+        d = self.den
+        return tuple(tuple(Fraction(v, d) for v in row) for row in self.num)
 
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def __add__(self, other: Mat) -> Mat:
+    def _merge(self, other: Mat, op) -> Mat:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("size mismatch")
-        return Mat(self.rows, self.cols, tuple(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.data, other.data)))
+        d = lcm(self.den, other.den)
+        fa, fb = d // self.den, d // other.den
+        return _normal(self.rows, self.cols, d, tuple(
+            tuple(op(fa * a, fb * b) for a, b in zip(ra, rb))
+            for ra, rb in zip(self.num, other.num)))
+
+    def __add__(self, other: Mat) -> Mat:
+        return self._merge(other, add)
 
     def __sub__(self, other: Mat) -> Mat:
-        return self + (-other)
+        return self._merge(other, sub)
 
     def __neg__(self) -> Mat:
-        return Mat(self.rows, self.cols,
-                   tuple(tuple(-a for a in row) for row in self.data))
+        return _mat(self.rows, self.cols, self.den,
+                    tuple(tuple(-v for v in row) for row in self.num))
 
     def __mul__(self, c: int | Fraction) -> Mat:
-        c = Fraction(c)
-        return Mat(self.rows, self.cols,
-                   tuple(tuple(c * a for a in row) for row in self.data))
+        if not isinstance(c, (int, Fraction)):
+            c = Fraction(c)
+        p = c.numerator
+        return _normal(self.rows, self.cols, self.den * c.denominator,
+                       tuple(tuple(p * v for v in row) for row in self.num))
 
     __rmul__ = __mul__
-
-    @cached_property
-    def _scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """(d, N) with N the integer matrix d * self, d the lcm of the
-        denominators."""
-        # Star-unpack lists, not generators: a generator's tuple is resized
-        # to its length, which leaves tuples piling up in the interpreter's
-        # per-length free lists (several MiB of peak memory).
-        d = lcm(*[v.denominator for row in self.data for v in row])
-        return d, tuple(tuple(v.numerator * (d // v.denominator) for v in row)
-                        for row in self.data)
 
     def __matmul__(self, other: Mat) -> Mat:
         if self.cols != other.rows:
             raise ValueError("size mismatch")
-        da, a = self._scaled
-        db, b = other._scaled
-        d = da * db
+        b = other.num
         bt = tuple(zip(*b)) if b else ((),) * other.cols
-        out = tuple(tuple(Fraction(sum(map(mul, row, col)), d) for col in bt)
-                    for row in a)
-        return Mat(self.rows, other.cols, out)
+        out = tuple(tuple(sum(map(mul, row, col)) for col in bt)
+                    for row in self.num)
+        return _normal(self.rows, other.cols, self.den * other.den, out)
 
     def transpose(self) -> Mat:
-        return Mat(self.cols, self.rows, tuple(zip(*self.data)) if self.data else ())
+        num = tuple(zip(*self.num)) if self.rows else ((),) * self.cols
+        return _mat(self.cols, self.rows, self.den, num)
 
     def vectorize(self) -> tuple[Fraction, ...]:
         """Row-major flattening, the coordinate system for algebra bases."""
         return tuple(v for row in self.data for v in row)
 
+    def numerators(self) -> tuple[int, ...]:
+        """Row-major integer numerators: den * vectorize(), a positive
+        multiple of it, which spans and supports need no more than."""
+        return tuple(v for row in self.num for v in row)
+
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> Mat:
-        return Mat(len(rows), len(cols),
-                   tuple(tuple(self.data[i][j] for j in cols) for i in rows))
+        num = self.num
+        return _normal(len(rows), len(cols), self.den,
+                       tuple(tuple(num[i][j] for j in cols) for i in rows))
 
     def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self.data)
+        return tuple(Fraction(row[j], self.den) for row in self.num)
 
     def apply(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
         if len(vec) != self.cols:
             raise ValueError("size mismatch")
         return tuple(sum((a * v for a, v in zip(row, vec) if a and v), ZERO)
-                     for row in self.data)
+                     / self.den for row in self.num)
 
     def __str__(self) -> str:
         return "[" + "; ".join(" ".join(str(v) for v in row) for row in self.data) + "]"
 
 
+def _mat(rows: int, cols: int, den: int, num: Rows) -> Mat:
+    """A Mat from fields already in canonical form."""
+    m = object.__new__(Mat)
+    vars(m).update(rows=rows, cols=cols, den=den, num=num)
+    return m
+
+
+def _normal(rows: int, cols: int, den: int, num: Rows) -> Mat:
+    """The Mat num / den for any nonzero den: the common factor of den and
+    the entries divided out, the sign moved into num."""
+    g = abs(den)
+    for row in num:
+        if g == 1:
+            break
+        g = gcd(g, *row)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return _mat(rows, cols, den, num)
+    return _mat(rows, cols, den // g,
+                tuple(tuple(v // g for v in row) for row in num))
+
+
 def mat_from_vector(n: int, vec: Sequence[Fraction], cols: int | None = None) -> Mat:
     cols = n if cols is None else cols
-    return Mat(n, cols, tuple(tuple(vec[i * cols + j] for j in range(cols))
-                              for i in range(n)))
+    return Mat(n, cols, [vec[i * cols:(i + 1) * cols] for i in range(n)])
 
 
 # -- constructors -----------------------------------------------------------
 
+def _unit_row(n: int, j: int) -> tuple[int, ...]:
+    """Row j (0-based) of the n x n identity."""
+    return (0,) * j + (1,) + (0,) * (n - j - 1)
+
+
 def zero(rows: int, cols: int | None = None) -> Mat:
     cols = rows if cols is None else cols
-    return Mat(rows, cols, tuple(tuple(ZERO for _ in range(cols)) for _ in range(rows)))
+    return _mat(rows, cols, 1, ((0,) * cols,) * rows)
 
 
 def identity(n: int) -> Mat:
-    return Mat(n, n, tuple(tuple(ONE if i == j else ZERO for j in range(n))
-                           for i in range(n)))
+    return _mat(n, n, 1, tuple(_unit_row(n, i) for i in range(n)))
 
 
 def ones(n: int) -> Mat:
-    return Mat(n, n, tuple(tuple(ONE for _ in range(n)) for _ in range(n)))
+    return _mat(n, n, 1, ((1,) * n,) * n)
 
 
 def matrix_unit(n: int, i: int, j: int) -> Mat:
     """The n x n matrix with a single 1 at 1-based position (i, j)."""
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError("position out of range")
-    return Mat(n, n, tuple(tuple(ONE if (r, c) == (i - 1, j - 1) else ZERO
-                                 for c in range(n)) for r in range(n)))
+    empty = (0,) * n
+    return _mat(n, n, 1, (empty,) * (i - 1) + (_unit_row(n, j - 1),)
+                + (empty,) * (n - i))
 
 
 def jordan_cell(k: int, lam: int | Fraction) -> Mat:
@@ -157,10 +245,10 @@ def permutation_matrix(images: Sequence[int]) -> Mat:
     n = len(images)
     if sorted(images) != list(range(n)):
         raise ValueError("not a permutation")
-    data = [[ZERO] * n for _ in range(n)]
+    cols = [0] * n
     for c, r in enumerate(images):
-        data[r][c] = ONE
-    return Mat(n, n, tuple(tuple(row) for row in data))
+        cols[r] = c
+    return _mat(n, n, 1, tuple(_unit_row(n, c) for c in cols))
 
 
 def regular_triangular(p: int, q: int, values: Sequence[int | Fraction]) -> Mat:
@@ -221,14 +309,15 @@ def direct_sum(blocks: Iterable[Mat]) -> Mat:
         if not b.is_square:
             raise ValueError("direct summands must be square")
     n = sum(b.rows for b in blocks)
-    data = [[ZERO] * n for _ in range(n)]
-    off = 0
+    # Every block is canonical, so no prime of the lcm divides all entries.
+    den = lcm(*[b.den for b in blocks])
+    num: list[tuple[int, ...]] = []
     for b in blocks:
-        for i in range(b.rows):
-            for j in range(b.cols):
-                data[off + i][off + j] = b.data[i][j]
-        off += b.rows
-    return Mat(n, n, tuple(tuple(row) for row in data))
+        f = den // b.den
+        left, right = (0,) * len(num), (0,) * (n - len(num) - b.rows)
+        num.extend(left + (row if f == 1 else tuple(f * v for v in row))
+                   + right for row in b.num)
+    return _mat(n, n, den, tuple(num))
 
 
 def companion(p: Poly) -> Mat:
@@ -250,8 +339,8 @@ def companion(p: Poly) -> Mat:
 def inverse(a: Mat) -> Mat:
     if not a.is_square:
         raise ValueError("inverse of a non-square matrix")
-    inv = linear.invert([list(row) for row in a.data])
-    return Mat(a.rows, a.cols, tuple(tuple(row) for row in inv))
+    # (num / den)^-1 = den * num^-1
+    return Mat(a.rows, a.cols, linear.invert(a.num)) * a.den
 
 
 def conjugate(a: Mat, c: Mat) -> Mat:
@@ -279,11 +368,11 @@ def commutator(a: Mat, b: Mat) -> Mat:
 
 
 def is_nonneg(a: Mat) -> bool:
-    return all(v >= 0 for row in a.data for v in row)
+    return all(v >= 0 for row in a.num for v in row)
 
 
 def is_positive(a: Mat) -> bool:
-    return bool(a.data) and all(v > 0 for row in a.data for v in row)
+    return bool(a.num) and all(v > 0 for row in a.num for v in row)
 
 
 def is_monomial_nonneg(a: Mat) -> bool:
@@ -292,7 +381,7 @@ def is_monomial_nonneg(a: Mat) -> bool:
         return False
     n = a.rows
     col_hits = [0] * n
-    for row in a.data:
+    for row in a.num:
         nz = [j for j, v in enumerate(row) if v]
         if len(nz) != 1:
             return False
@@ -302,17 +391,18 @@ def is_monomial_nonneg(a: Mat) -> bool:
 
 def uniform_norm(a: Mat) -> Fraction:
     """Max absolute entry; 0 for empty matrices."""
-    return max((abs(v) for row in a.data for v in row), default=ZERO)
+    return Fraction(max((abs(v) for row in a.num for v in row), default=0),
+                    a.den)
 
 
 def min_support_entry(a: Mat) -> Fraction:
     """Smallest entry over the support of a nonnegative nonzero matrix."""
     if not is_nonneg(a):
         raise ValueError("matrix is not nonnegative")
-    vals = [v for row in a.data for v in row if v]
+    vals = [v for row in a.num for v in row if v]
     if not vals:
         raise ValueError("zero matrix has no support")
-    return min(vals)
+    return Fraction(min(vals), a.den)
 
 
 def semi_commute(a: Mat, b: Mat) -> str:
@@ -349,7 +439,7 @@ def support(a: Mat) -> Support:
     if not a.is_square:
         raise ValueError("support is defined for square matrices")
     pos = frozenset((i + 1, j + 1)
-                    for i, row in enumerate(a.data)
+                    for i, row in enumerate(a.num)
                     for j, v in enumerate(row) if v)
     return Support(a.rows, pos)
 
@@ -363,7 +453,7 @@ def support_union(mats: Iterable[Mat]) -> Support:
     for m in mats:
         if not (m.is_square and m.rows == n):
             raise ValueError("size mismatch")
-        for i, row in enumerate(m.data):
+        for i, row in enumerate(m.num):
             for j, v in enumerate(row):
                 if v:
                     pos.add((i + 1, j + 1))
@@ -372,9 +462,15 @@ def support_union(mats: Iterable[Mat]) -> Support:
 
 # -- serialization -----------------------------------------------------------
 
+def _wire(v: int, den: int) -> str:
+    """v / den as `str(Fraction)` writes it: "p", or "p/q" in lowest terms."""
+    g = gcd(v, den)
+    return str(v // g) if g == den else f"{v // g}/{den // g}"
+
+
 def mat_to_json(a: Mat) -> dict:
     return {"rows": a.rows, "cols": a.cols,
-            "entries": [[str(v) for v in row] for row in a.data]}
+            "entries": [[_wire(v, a.den) for v in row] for row in a.num]}
 
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
@@ -392,12 +488,8 @@ def _rational(s: str) -> Fraction:
 
 
 def mat_from_json(obj: dict) -> Mat:
-    rows, cols = obj["rows"], obj["cols"]
-    entries = obj["entries"]
-    if len(entries) != rows or any(len(r) != cols for r in entries):
-        raise ValueError("entry grid does not match declared shape")
-    return Mat(rows, cols, tuple(tuple(_rational(v) for v in row)
-                                 for row in entries))
+    return Mat(obj["rows"], obj["cols"],
+               [[_rational(v) for v in row] for row in obj["entries"]])
 
 
 def support_to_json(s: Support) -> dict:

@@ -238,16 +238,16 @@ def _verify_decomposition(a: Algebra, d: StructuralDecomposition) -> None:
         for i in range(s0, n):
             limit = s0 if i < s1 else s1
             for j in range(limit):
-                if x.data[i][j]:
+                if x.num[i][j]:
                     raise ArithmeticError("conjugated algebra is not block triangular")
     span = EchelonSpan(n * n)
     for x in conj:
-        span.add(x.vectorize())
-    if not span.contains(matrix_unit(n, d.l, d.l).vectorize()):
+        span.add(x.numerators())
+    if not span.contains(matrix_unit(n, d.l, d.l).numerators()):
         raise ArithmeticError("distinguished diagonal unit missing")
     mid = EchelonSpan(k2 * k2)
     for x in conj:
-        mid.add(x.submatrix(range(s0, s1), range(s0, s1)).vectorize())
+        mid.add(x.submatrix(range(s0, s1), range(s0, s1)).numerators())
     if mid.dim != k2 * k2:
         raise ArithmeticError("distinguished block is not the full matrix algebra")
 
@@ -266,15 +266,15 @@ def nilpotent_jordan_basis(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     while True:
         nxt = powers[-1] @ m
         powers.append(nxt)
-        if all(v == 0 for row in nxt.data for v in row):
+        if not any(map(any, nxt.num)):
             break
         if len(powers) > n:
             raise ValueError("matrix is not nilpotent")
     q = len(powers) - 1  # nilpotency index
     kernels = []
     for t in range(q + 1):
-        rows = [list(r) for r in powers[t].data]
-        kernels.append(nullspace(rows, n) if t else [])
+        # den * A^t has the kernel of A^t
+        kernels.append(nullspace(powers[t].num, n) if t else [])
     sel: dict[int, list[tuple[Fraction, ...]]] = {t: [] for t in range(1, q + 2)}
     descendants: list[tuple[Fraction, ...]] = []
     for t in range(q, 0, -1):
@@ -316,8 +316,7 @@ def generalized_eigensplit(a: Mat, lam: Fraction) -> tuple[Mat, int, tuple[int, 
     n = a.rows
     shifted = a - lam * identity(n)
     proj = rational_spectral_projector(a, lam)
-    ker_rows = [list(r) for r in proj.data]
-    ker_basis = nullspace(ker_rows, n)
+    ker_basis = nullspace(proj.num, n)
     im_span = EchelonSpan(n)
     im_basis = []
     for j in range(n):

@@ -5,15 +5,18 @@ data.  It deliberately avoids the construction code paths: membership,
 conjugation, support and closure checks are re-implemented here, and
 conjugation identities are verified multiplicatively (C * target ==
 source * C with C nonsingular) so no inverse is ever taken on faith.
-Matrices are read as Fraction grids, but the arithmetic runs on integers:
-a product multiplies the integer numerators of its operands over one
-common denominator each, and `_Span` keeps primitive integer rows with a
-positive pivot, fully reduced against each other, so equal spans have equal
-rows.  `_solve_conjugate` reduces [C | XC] with a `_Span`, which is the
-module's only elimination.  Generated-algebra claims are re-derived with a
-worklist that multiplies each retained element on the right by the
-generators cleared to integers, where the engine's worklist multiplies
-on the left; each generator list is closed once per document.
+Wire strings parse straight to integers: a matrix is read as a canonical
+grid (den, rows), integer rows over a positive denominator with no common
+factor, so equal matrices have equal grids, and products, differences,
+supports, sign tests and spans all run on those integers.  `_Span` keeps
+primitive integer rows with a positive pivot, fully reduced against each
+other, so equal spans have equal rows.  `_solve_conjugate` reduces
+[dx C | X C] with a `_Span`, which is the module's only elimination.
+Generated-algebra claims are re-derived with a worklist that multiplies
+each retained element on the right by the generators' integer rows, where
+the engine's worklist multiplies on the left.  Within one
+`verify_document` call each referenced matrix is parsed once and each
+generator list is closed once.
 """
 
 from __future__ import annotations
@@ -25,10 +28,9 @@ from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
-Grid = list[list[Fraction]]
+# A matrix as (den, rows): the integer rows over den > 0, with
+# gcd(den, every entry) = 1, so equal matrices have equal grids.
+Grid = tuple[int, tuple[tuple[int, ...], ...]]
 
 
 class CertificateError(ValueError):
@@ -37,16 +39,19 @@ class CertificateError(ValueError):
 
 # -- tiny self-contained exact linear algebra ---------------------------------
 
-_RATIONAL = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
 
 
-def _rational(s: str) -> Fraction:
-    """Only the canonical form str(Fraction) writes: "p" or "p/q" in lowest
-    terms with q > 1."""
-    if isinstance(s, str) and _RATIONAL.fullmatch(s):
-        value = Fraction(s)
-        if str(value) == s:
-            return value
+def _rational(s: str) -> tuple[int, int]:
+    """(p, q) for exactly the canonical form str(Fraction) writes: "p", or
+    "p/q" in lowest terms with q > 1.  The pattern test comes first, so
+    exponent forms like "1e400" never build a big int."""
+    m = _RATIONAL.fullmatch(s) if isinstance(s, str) else None
+    if m:
+        p = int(m[1])
+        q = 1 if m[2] is None else int(m[2])
+        if str(p) == m[1] and (m[2] is None or q > 1 and gcd(p, q) == 1):
+            return p, q
     raise CertificateError(f"not a canonical rational: {s!r}")
 
 
@@ -55,56 +60,70 @@ def _grid(obj: dict) -> Grid:
     entries = obj["entries"]
     if len(entries) != rows or any(len(r) != cols for r in entries):
         raise CertificateError("matrix entries do not match declared shape")
-    return [[_rational(v) for v in row] for row in entries]
+    parsed = [[_rational(v) for v in row] for row in entries]
+    # Star-unpack lists, not generators: a generator's tuple is resized
+    # to its length, which leaves tuples piling up in the interpreter's
+    # per-length free lists (several MiB of peak memory).  The lcm of the
+    # reduced denominators shares no factor with every scaled numerator.
+    den = lcm(*[q for row in parsed for _, q in row])
+    return den, tuple(tuple(p * (den // q) for p, q in row) for row in parsed)
 
 
-def _scaled(a: Grid) -> tuple[int, list[list[int]]]:
-    """(d, N) with N the integer grid d * a, d the lcm of the denominators."""
-    d = lcm(*[v.denominator for row in a for v in row])
-    return d, [[v.numerator * (d // v.denominator) for v in row] for row in a]
+def _canonical(den: int, rows: tuple[tuple[int, ...], ...]) -> Grid:
+    """rows / den, for den > 0, with the common factor divided out."""
+    g = den
+    for row in rows:
+        if g == 1:
+            break
+        g = gcd(g, *row)
+    if g == 1:
+        return den, rows
+    return den // g, tuple(tuple(v // g for v in row) for row in rows)
 
 
-def _imul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    bt = list(zip(*b)) if b else []
-    return [[sum(map(mul, row, col)) for col in bt] for row in a]
+def _imul(a: Sequence[Sequence[int]],
+          b: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    bt = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def _mul(a: Grid, b: Grid) -> Grid:
-    if (a and len(a[0]) or 0) != len(b):
+    (da, ra), (db, rb) = a, b
+    if (ra and len(ra[0]) or 0) != len(rb):
         raise CertificateError("size mismatch in product")
-    da, ia = _scaled(a)
-    db, ib = _scaled(b)
-    d = da * db
-    return [[Fraction(v, d) for v in row] for row in _imul(ia, ib)]
+    return _canonical(da * db, _imul(ra, rb))
 
 
 def _sub(a: Grid, b: Grid) -> Grid:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    (da, ra), (db, rb) = a, b
+    d = lcm(da, db)
+    fa, fb = d // da, d // db
+    return _canonical(d, tuple(tuple(fa * x - fb * y for x, y in zip(xa, xb))
+                               for xa, xb in zip(ra, rb)))
 
 
 def _is_nonneg(a: Grid) -> bool:
-    return all(v >= 0 for row in a for v in row)
+    return all(v >= 0 for row in a[1] for v in row)
 
 
 def _is_positive(a: Grid) -> bool:
-    return bool(a) and all(v > 0 for row in a for v in row)
+    return bool(a[1]) and all(v > 0 for row in a[1] for v in row)
 
 
 def _support(a: Grid) -> set[tuple[int, int]]:
-    return {(i + 1, j + 1) for i, row in enumerate(a)
+    return {(i + 1, j + 1) for i, row in enumerate(a[1])
             for j, v in enumerate(row) if v}
 
 
-def _vec(a: Grid) -> list[Fraction]:
-    return [v for row in a for v in row]
+def _vec(a: Grid) -> list[int]:
+    """Row-major integer entries: den times the matrix's vector, which
+    spans the same line."""
+    return [v for row in a[1] for v in row]
 
 
-def _cleared(vec: Sequence[Fraction]) -> dict[int, int]:
+def _cleared(vec: Sequence[Fraction | int]) -> dict[int, int]:
     """The nonzero entries of vec times the lcm of their denominators."""
     entries = [(i, c) for i, c in enumerate(vec) if c]
-    # Star-unpack lists, not generators: a generator's tuple is resized
-    # to its length, which leaves tuples piling up in the interpreter's
-    # per-length free lists (several MiB of peak memory).
     den = lcm(*[c.denominator for _, c in entries])
     return {i: c.numerator * (den // c.denominator) for i, c in entries}
 
@@ -147,10 +166,10 @@ class _Span:
     def __init__(self):
         self.rows: dict[int, dict[int, int]] = {}
 
-    def contains(self, vec: Sequence[Fraction]) -> bool:
+    def contains(self, vec: Sequence[Fraction | int]) -> bool:
         return not _residual(self.rows, _cleared(vec))
 
-    def add(self, vec: Sequence[Fraction]) -> bool:
+    def add(self, vec: Sequence[Fraction | int]) -> bool:
         res = _residual(self.rows, _cleared(vec))
         if not res:
             return False
@@ -171,21 +190,28 @@ class _Span:
 def _solve_conjugate(c: Grid, x: Grid) -> Grid:
     """Y with C Y = X C, i.e. Y = C^{-1} X C; C must be nonsingular.
 
-    The rows of [C | XC] go into a `_Span`, which reduces them to [I | Y]
+    With C = c / dc and X = x / dx, C Y = X C reads dx c Y = x c, so the
+    rows of [dx c | x c] go into a `_Span`, which reduces them to [I | Y]
     up to row scaling; C is nonsingular iff the pivots are its n columns."""
-    n = len(c)
-    rhs = _mul(x, c)
+    (_, cn), (dx, xn) = c, x
+    n = len(cn)
+    if len(xn) != n or any(len(row) != n for row in xn):
+        raise CertificateError("size mismatch in conjugation")
+    rhs = _imul(xn, cn)
     span = _Span()
     for i in range(n):
-        span.add(c[i] + rhs[i])
-    if sorted(span.rows) != list(range(n)):
+        span.add([dx * v for v in cn[i]] + list(rhs[i]))
+    rows = span.rows
+    if sorted(rows) != list(range(n)):
         raise CertificateError("transformation matrix is singular")
-    return [[Fraction(span.rows[i].get(n + j, 0), span.rows[i][i])
-             for j in range(n)] for i in range(n)]
+    den = lcm(*[rows[i][i] for i in range(n)])
+    return _canonical(den, tuple(
+        tuple(rows[i].get(n + j, 0) * (den // rows[i][i]) for j in range(n))
+        for i in range(n)))
 
 
-def _identity(n: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
+def _identity(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def _closure(gens: list[Grid]) -> tuple[_Span, int]:
@@ -198,17 +224,17 @@ def _closure(gens: list[Grid]) -> tuple[_Span, int]:
     """
     if not gens:
         raise CertificateError("closure of an empty generator list")
-    n = len(gens[0])
-    if any(len(g) != n or any(len(row) != n for row in g) for g in gens):
+    # Words in the generators' integer rows are nonzero multiples of the
+    # words in the generators, so they span the same algebra.
+    ints = [rows for _, rows in gens]
+    n = len(ints[0])
+    if any(len(g) != n or any(len(row) != n for row in g) for g in ints):
         raise CertificateError("generators are not square of one size")
-    # Words in the generators scaled to integers are nonzero multiples of
-    # the words in the generators, so they span the same algebra.
-    ints = [_scaled(g)[1] for g in gens]
     span = _Span()
-    kept: list[list[list[int]]] = []
+    kept: list[tuple[tuple[int, ...], ...]] = []
 
-    def push(m: list[list[int]]) -> None:
-        if span.add(_vec(m)):
+    def push(m: tuple[tuple[int, ...], ...]) -> None:
+        if span.add([v for row in m for v in row]):
             kept.append(m)
 
     push(_identity(n))
@@ -222,113 +248,141 @@ def _closure(gens: list[Grid]) -> tuple[_Span, int]:
 
 # -- reference resolution ------------------------------------------------------
 
-def _resolve(doc: dict, ref: str) -> dict | list:
+def _resolve(doc: dict, ref: str, key: str, what: str) -> dict:
+    """The object behind a reference, which must hold `key`."""
+    if not isinstance(ref, str):
+        raise CertificateError(f"reference {ref!r} is not a string")
     if ref == "C":
-        if doc.get("C") is None:
+        obj = doc.get("C")
+        if obj is None:
             raise CertificateError("certificate has no transformation")
-        return doc["C"]
-    if ref.startswith("out:"):
-        idx = int(ref.split(":", 1)[1])
-        return doc["outputs"][idx]
-    if ref.startswith("in:"):
+    elif ref.startswith("out:"):
+        obj = doc["outputs"][int(ref.split(":", 1)[1])]
+    elif ref.startswith("in:"):
         parts = ref.split(":")
-        value = doc["inputs"][parts[1]]
+        obj = doc["inputs"][parts[1]]
         if len(parts) == 3:
-            return value[int(parts[2])]
-        return value
-    raise CertificateError(f"unresolvable reference {ref!r}")
+            obj = obj[int(parts[2])]
+    else:
+        raise CertificateError(f"unresolvable reference {ref!r}")
+    if not isinstance(obj, dict) or key not in obj:
+        raise CertificateError(f"{ref!r} is not {what}")
+    return obj
 
 
-def _matrix(doc: dict, ref: str) -> Grid:
-    obj = _resolve(doc, ref)
-    if not isinstance(obj, dict) or "entries" not in obj:
-        raise CertificateError(f"{ref!r} is not a matrix")
-    return _grid(obj)
+class _Document:
+    """The references of one document, read for one `verify_document`
+    call: each matrix is parsed once, each algebra basis read (and
+    conjugated) once and each generator list closed once.  Cached grids
+    are tuples and cached spans are only read, so no check can change
+    what another sees."""
 
+    def __init__(self, doc: dict):
+        self.doc = doc
+        self._memo: dict[tuple, object] = {}
 
-def _algebra_basis(doc: dict, ref: str) -> list[Grid]:
-    obj = _resolve(doc, ref)
-    if not isinstance(obj, dict) or "basis" not in obj:
-        raise CertificateError(f"{ref!r} is not an algebra")
-    return [_grid(m) for m in obj["basis"]]
+    def _once(self, key: tuple, make):
+        if key not in self._memo:
+            self._memo[key] = make()
+        return self._memo[key]
 
+    def matrix(self, ref: str) -> Grid:
+        return self._once(("matrix", ref), lambda: _grid(
+            _resolve(self.doc, ref, "entries", "a matrix")))
 
-def _pattern(doc: dict, ref: str) -> tuple[int, set[tuple[int, int]]]:
-    obj = _resolve(doc, ref)
-    if not isinstance(obj, dict) or "positions" not in obj:
-        raise CertificateError(f"{ref!r} is not a pattern")
-    return obj["n"], {(i, j) for i, j in obj["positions"]}
+    def basis(self, ref: str, conjugated: bool = False) -> tuple[Grid, ...]:
+        """The algebra's basis, mapped to C^{-1} B C when conjugated."""
+        if conjugated:
+            c = self.transform()
+            return self._once(("conjugated", ref), lambda: tuple(
+                _solve_conjugate(c, b) for b in self.basis(ref)))
+        return self._once(("basis", ref), lambda: tuple(
+            _grid(m) for m in _resolve(self.doc, ref, "basis",
+                                       "an algebra")["basis"]))
 
+    def transform(self) -> Grid:
+        """C, checked square and nonsingular."""
+        return self._once(("transform",), self._checked_transform)
 
-def _transform(doc: dict) -> Grid:
-    if doc.get("C") is None:
-        raise CertificateError("property requires a transformation matrix")
-    c = _grid(doc["C"])
-    if any(len(row) != len(c) for row in c):
-        raise CertificateError("transformation matrix is not square")
-    span = _Span()
-    for row in c:
-        span.add(row)
-    if span.dim != len(c):
-        raise CertificateError("transformation matrix is singular")
-    return c
+    def _checked_transform(self) -> Grid:
+        if self.doc.get("C") is None:
+            raise CertificateError("property requires a transformation matrix")
+        c = self.matrix("C")
+        rows = c[1]
+        if any(len(row) != len(rows) for row in rows):
+            raise CertificateError("transformation matrix is not square")
+        span = _Span()
+        for row in rows:
+            span.add(row)
+        if span.dim != len(rows):
+            raise CertificateError("transformation matrix is singular")
+        return c
+
+    def closed(self, refs) -> tuple[_Span, int]:
+        """The `_closure` of the matrices behind a list of references."""
+        key = tuple(refs)
+        return self._once(("closure", key), lambda: _closure(
+            [self.matrix(r) for r in key]))
+
+    def pattern(self, ref: str) -> tuple[int, frozenset[tuple[int, int]]]:
+        """(n, positions); every position must be a pair of integers in
+        1..n, since a position outside would stand for the zero matrix."""
+        obj = _resolve(self.doc, ref, "positions", "a pattern")
+        n = obj["n"]
+        positions = set()
+        for pos in obj["positions"]:
+            i, j = pos
+            if not (type(i) is int and type(j) is int
+                    and 1 <= i <= n and 1 <= j <= n):
+                raise CertificateError(f"pattern position {pos!r} is not in"
+                                       f" 1..{n}")
+            positions.add((i, j))
+        return n, frozenset(positions)
 
 
 # -- property checks -----------------------------------------------------------
 
-def _check_nonneg(doc, p, closed):
-    return _is_nonneg(_matrix(doc, p["target"]))
+def _check_nonneg(d: _Document, p: dict) -> bool:
+    return _is_nonneg(d.matrix(p["target"]))
 
 
-def _check_positive(doc, p, closed):
-    return _is_positive(_matrix(doc, p["target"]))
+def _check_positive(d: _Document, p: dict) -> bool:
+    return _is_positive(d.matrix(p["target"]))
 
 
-def _check_conjugate_of(doc, p, closed):
-    c = _transform(doc)
-    target = _matrix(doc, p["target"])
-    source = _matrix(doc, p["source"])
-    return _mul(c, target) == _mul(source, c)
+def _check_conjugate_of(d: _Document, p: dict) -> bool:
+    c = d.transform()
+    return _mul(c, d.matrix(p["target"])) == _mul(d.matrix(p["source"]), c)
 
 
-def _basis(doc: dict, p: dict, conjugated: bool) -> list[Grid]:
-    """The basis of the property's algebra, mapped to C^{-1} B C when the
-    property speaks of the conjugated algebra."""
-    basis = _algebra_basis(doc, p["algebra"])
-    if not conjugated:
-        return basis
-    c = _transform(doc)
-    return [_solve_conjugate(c, b) for b in basis]
-
-
-def _check_in_algebra(doc, p, closed, conjugated=False):
+def _check_in_algebra(d: _Document, p: dict, conjugated=False) -> bool:
     span = _Span()
-    for b in _basis(doc, p, conjugated):
+    for b in d.basis(p["algebra"], conjugated):
         span.add(_vec(b))
-    return span.contains(_vec(_matrix(doc, p["target"])))
+    return span.contains(_vec(d.matrix(p["target"])))
 
 
-def _check_covers(doc, p, closed, conjugated=False):
+def _check_covers(d: _Document, p: dict, conjugated=False) -> bool:
     omega: set[tuple[int, int]] = set()
-    for b in _basis(doc, p, conjugated):
+    for b in d.basis(p["algebra"], conjugated):
         omega |= _support(b)
-    return _support(_matrix(doc, p["target"])) == omega
+    return _support(d.matrix(p["target"])) == omega
 
 
-def _check_semi_commuting(doc, p, closed):
-    a = _matrix(doc, p["a"])
-    b = _matrix(doc, p["b"])
-    comm = _sub(_mul(a, b), _mul(b, a))
+def _check_semi_commuting(d: _Document, p: dict) -> bool:
+    a = d.matrix(p["a"])
+    b = d.matrix(p["b"])
+    ab, ba = _mul(a, b), _mul(b, a)
     if p["sign"] == "nonneg":
-        return _is_nonneg(comm)
+        return _is_nonneg(_sub(ab, ba))
     if p["sign"] == "nonpos":
-        return _is_nonneg([[-v for v in row] for row in comm])
+        return _is_nonneg(_sub(ba, ab))
     raise CertificateError("unknown semi-commuting sign")
 
 
-def _check_central(doc, p, closed):
-    z = _matrix(doc, p["target"])
-    basis = _algebra_basis(doc, p["algebra"])
+def _check_central(d: _Document, p: dict) -> bool:
+    z = d.matrix(p["target"])
+    basis = d.basis(p["algebra"])
     span = _Span()
     for b in basis:
         span.add(_vec(b))
@@ -337,53 +391,54 @@ def _check_central(doc, p, closed):
     return all(_mul(z, b) == _mul(b, z) for b in basis)
 
 
-def _check_dimension(doc, p, closed):
-    span, _ = closed(p["gens"])
+def _check_dimension(d: _Document, p: dict) -> bool:
+    span, _ = d.closed(p["gens"])
     return span.dim == p["value"]
 
 
-def _check_generate_equal(doc, p, closed):
-    span_a, _ = closed(p["gens_a"])
-    span_b, _ = closed(p["gens_b"])
+def _check_generate_equal(d: _Document, p: dict) -> bool:
+    span_a, _ = d.closed(p["gens_a"])
+    span_b, _ = d.closed(p["gens_b"])
     return span_a.rows == span_b.rows
 
 
-def _check_generate_equal_conjugated(doc, p, closed):
-    c = _transform(doc)
-    span_a, _ = closed(p["gens"])
-    span_b, _ = _closure([_solve_conjugate(c, _matrix(doc, r))
+def _check_generate_equal_conjugated(d: _Document, p: dict) -> bool:
+    c = d.transform()
+    span_a, _ = d.closed(p["gens"])
+    span_b, _ = _closure([_solve_conjugate(c, d.matrix(r))
                           for r in p["source_gens"]])
     return span_a.rows == span_b.rows
 
 
-def _check_spans_pattern(doc, p, closed):
-    n, positions = _pattern(doc, p["pattern"])
-    span, size = closed(p["gens"])
+def _check_spans_pattern(d: _Document, p: dict) -> bool:
+    n, positions = d.pattern(p["pattern"])
+    span, size = d.closed(p["gens"])
     if size != n or span.dim != len(positions):
         return False
     for (i, j) in positions:
-        unit = [[ONE if (r, c) == (i - 1, j - 1) else ZERO for c in range(n)]
-                for r in range(n)]
-        if not span.contains(_vec(unit)):
+        unit = [0] * (n * n)
+        unit[(i - 1) * n + j - 1] = 1
+        if not span.contains(unit):
             return False
     return True
 
 
-def _check_is_centralizer(doc, p, closed):
-    basis = _algebra_basis(doc, p["algebra"])
-    m = _matrix(doc, p["of"])
-    n = len(m)
+def _check_is_centralizer(d: _Document, p: dict) -> bool:
+    basis = d.basis(p["algebra"])
+    m = d.matrix(p["of"])
+    rows_m = m[1]  # den * M has the same centralizer as M
+    n = len(rows_m)
     if not all(_mul(b, m) == _mul(m, b) for b in basis):
         return False
     # dimension must match the kernel of X -> MX - XM
     rows = []
     for i in range(n):
         for j in range(n):
-            row = [ZERO] * (n * n)
+            row = [0] * (n * n)
             for k in range(n):
-                row[k * n + j] += m[i][k]
+                row[k * n + j] += rows_m[i][k]
             for l in range(n):
-                row[i * n + l] -= m[l][j]
+                row[i * n + l] -= rows_m[l][j]
             if any(row):
                 rows.append(row)
     span = _Span()
@@ -396,12 +451,11 @@ def _check_is_centralizer(doc, p, closed):
     return basis_span.dim == len(basis) == kernel_dim
 
 
-def _check_has_simple_real_eigenvalue(doc, p, closed):
+def _check_has_simple_real_eigenvalue(d: _Document, p: dict) -> bool:
     from .matrices import Mat
     from .spectral import has_simple_real_eigenvalue
-    grid = _matrix(doc, p["target"])
-    m = Mat(len(grid), len(grid[0]) if grid else 0,
-            tuple(tuple(row) for row in grid))
+    den, rows = d.matrix(p["target"])
+    m = Mat(len(rows), len(rows[0]) if rows else 0, rows) * Fraction(1, den)
     return has_simple_real_eigenvalue(m)
 
 
@@ -424,32 +478,18 @@ _CHECKS = {
 }
 
 
-def _closures(doc: dict):
-    """`closed(refs)`: the `_closure` of the matrices behind a list of
-    references, computed once per list for the life of `closed`."""
-    cache: dict[tuple, tuple[_Span, int]] = {}
-
-    def closed(refs) -> tuple[_Span, int]:
-        key = tuple(refs)
-        if key not in cache:
-            cache[key] = _closure([_matrix(doc, r) for r in key])
-        return cache[key]
-
-    return closed
-
-
 def verify_document(doc: dict) -> list[str]:
     """Re-check every asserted property; returns failure messages ([] = ok).
 
-    Generator lists that several properties close are closed once."""
+    References are read once per call (see `_Document`)."""
     failures = []
-    closed = _closures(doc)
     try:
         props = doc["properties"]
     except (KeyError, TypeError):
         return ["document has no properties list"]
     if not props:
         return ["document asserts no properties"]
+    reader = _Document(doc)
     for idx, p in enumerate(props):
         if not isinstance(p, dict):
             failures.append(f"property {idx}: not an object")
@@ -460,7 +500,7 @@ def verify_document(doc: dict) -> list[str]:
             failures.append(f"property {idx}: unknown kind {kind!r}")
             continue
         try:
-            ok = check(doc, p, closed)
+            ok = check(reader, p)
         except (CertificateError, KeyError, IndexError, TypeError,
                 ValueError, ZeroDivisionError) as exc:
             failures.append(f"property {idx} ({kind}): {exc}")

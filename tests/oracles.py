@@ -195,6 +195,47 @@ def textbook_product(a: Mat, b: Mat) -> Mat:
         for i in range(a.rows)))
 
 
+# -- textbook Fraction grid operations ----------------------------------------
+#
+# Grids are lists of row lists of Fraction; a matrix with no rows carries its
+# column count apart.
+
+def grid_combine(a, b, sign: int = 1):
+    """a + sign * b, entry by entry."""
+    return [[x + sign * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def grid_scale(c, a):
+    return [[c * x for x in row] for row in a]
+
+
+def grid_product(a, b, cols: int):
+    """a @ b for b with the given column count."""
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), ZERO)
+             for j in range(cols)] for i in range(len(a))]
+
+
+def grid_transpose(a, cols: int):
+    return [[a[i][j] for i in range(len(a))] for j in range(cols)]
+
+
+def grid_submatrix(a, rows, cols):
+    return [[a[i][j] for j in cols] for i in rows]
+
+
+def grid_direct_sum(blocks):
+    """Block-diagonal sum of square grids."""
+    n = sum(len(b) for b in blocks)
+    out = [[ZERO] * n for _ in range(n)]
+    off = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            for j, v in enumerate(row):
+                out[off + i][off + j] = v
+        off += len(b)
+    return out
+
+
 def fraction_feasible_ge(a_rows, b) -> list[Fraction] | None:
     """A point x with A x >= b (x free), or None: phase-1 simplex on a
     Fraction tableau, each pivot row divided by its pivot.  Same columns,

@@ -342,3 +342,56 @@ def test_verify_applies_max_dim(tmp_path, monkeypatch, capsys):
     code, out, _ = _run(["verify", str(path)], capsys=capsys)
     assert code == 0
     assert json.loads(out) == {"verified": len(solve_all_dimensions(3))}
+
+
+@pytest.mark.parametrize("position", [[7, 7], [0, 0], [3, 4], [-1, 2],
+                                      ["3", "3"], [True, True], [3.0, 3.0],
+                                      [3], [3, 3, 3]])
+def test_pattern_positions_outside_the_matrix_fail(position):
+    # An out-of-range position would stand for the zero matrix, which every
+    # span contains, so it must be rejected rather than checked.
+    doc = next(c.to_json() for c in solve_all_dimensions(3)
+               if c.inputs["pattern"].sorted_positions()
+               == [(1, 1), (2, 2), (2, 3), (3, 3)])
+    assert verify_document(doc) == []
+    tampered = json.loads(json.dumps(doc))
+    tampered["inputs"]["pattern"]["positions"][3] = position
+    failures = verify_document(tampered)
+    assert len(failures) == 1 and "spans_pattern" in failures[0]
+
+
+def test_each_referenced_matrix_is_parsed_once(monkeypatch):
+    import algforge.verify as verify
+    parsed = []
+    real = verify._grid
+
+    def counting(obj):
+        parsed.append(obj)
+        return real(obj)
+
+    monkeypatch.setattr(verify, "_grid", counting)
+    _, _, cert = semicommuting_pair(incidence_of_dimension(4, 7))
+    doc = cert.to_json()
+    assert verify_document(doc) == []
+    # nonneg, semi_commuting, spans_pattern and dimension all read the two
+    # outputs, but each is parsed once
+    assert len(parsed) == 2
+    assert verify_document(doc) == [] and len(parsed) == 4
+
+
+def test_malformed_references_and_shapes_fail_cleanly():
+    one = {"rows": 2, "cols": 2, "entries": [["1", "0"], ["0", "1"]]}
+    doc = {"C": one, "inputs": {"a": {"n": 2, "basis": [one]}},
+           "outputs": [one],
+           "properties": [{"kind": "in_algebra_conjugated",
+                           "target": "out:0", "algebra": "in:a"}]}
+    assert verify_document(doc) == []
+    # a non-string reference is a failed property, not an exception
+    bad_ref = json.loads(json.dumps(doc))
+    bad_ref["properties"][0]["target"] = 5
+    assert len(verify_document(bad_ref)) == 1
+    # an extra row in a conjugated basis matrix is not silently dropped
+    tall = json.loads(json.dumps(doc))
+    tall["inputs"]["a"]["basis"][0] = {
+        "rows": 3, "cols": 2, "entries": [["1", "0"], ["0", "1"], ["5", "5"]]}
+    assert len(verify_document(tall)) == 1

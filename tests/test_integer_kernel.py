@@ -10,16 +10,23 @@ must be the textbook Fraction product, and `solve`, `invert`,
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from algforge import verify
 from algforge.algebra import generate
 from algforge.constructions import _candidates, classify_positive_generation
 from algforge.linear import (EchelonSpan, first_dependency, invert, nullspace,
                              solve)
-from algforge.matrices import Mat, matrix_unit, zero
+from algforge.matrices import (Mat, direct_sum, identity, inverse, is_nonneg,
+                               is_positive, mat_from_json, mat_to_json,
+                               matrix_unit, permutation_matrix, support,
+                               support_union, zero)
 from algforge.verify import CertificateError, _mul, _solve_conjugate, _Span
-from oracles import gauss_jordan, random_unimodular, textbook_product
+from oracles import (gauss_jordan, grid_combine, grid_direct_sum,
+                     grid_product, grid_scale, grid_submatrix, grid_transpose,
+                     random_unimodular, textbook_product)
 
 F = Fraction
 
@@ -156,9 +163,8 @@ def test_matmul_matches_textbook_product(shape):
         assert (got.rows, got.cols) == (r, c)
         assert all(isinstance(v, Fraction) for row in got.data for v in row)
         if r and k:
-            grid = _mul([list(row) for row in a.data],
-                        [list(row) for row in b.data])
-            assert grid == [list(row) for row in got.data]
+            grid = _mul((a.den, a.num), (b.den, b.num))
+            assert grid == (got.den, got.num)
 
 
 def test_matmul_of_integer_and_sparse_matrices():
@@ -250,13 +256,11 @@ def test_solve_conjugate_matches_textbook_inverse():
             continue
         x = random_rect(rng, n, n)
         expected = textbook_product(textbook_product(c_inv, x), c)
-        got = _solve_conjugate([list(r) for r in c.data],
-                               [list(r) for r in x.data])
-        assert got == [list(r) for r in expected.data]
+        got = _solve_conjugate((c.den, c.num), (x.den, x.num))
+        assert got == (expected.den, expected.num)
     # singular C: [C | XC] still has rank 2, with one pivot outside C
     with pytest.raises(CertificateError):
-        _solve_conjugate([[F(1), F(2)], [F(2), F(4)]],
-                         [[F(1), F(0)], [F(0), F(2)]])
+        _solve_conjugate((1, ((1, 2), (2, 4))), (1, ((1, 0), (0, 2))))
 
 
 def eager_candidates(a, budget, seed):
@@ -295,3 +299,272 @@ def test_lazy_candidates_match_eager_construction(budget):
                 assert cert.inputs["witness"] == hit
             else:
                 assert cert.outputs[0] == hit
+
+
+# -- the canonical integer representation -------------------------------------
+#
+# A `Mat` is stored as integer rows `num` over one denominator `den > 0`
+# with gcd(den, every entry) = 1, and the verifier reads wire matrices into
+# the same (den, rows) form.  Every operation must give the Fraction
+# oracle's entries and leave that form canonical.
+
+SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 3), (3, 2), (4, 4)]
+
+
+def random_grid(rng, rows, cols):
+    """Mixed denominators, both signs, about a third zeros; now and then
+    an all-integer or an all-zero grid."""
+    kind = rng.random()
+    if kind < 0.1:
+        return [[F(0)] * cols for _ in range(rows)]
+    dens = (1,) if kind < 0.25 else (1, 2, 3, 4, 6, 9, 10, 35)
+    return [[F(rng.randint(-12, 12), rng.choice(dens))
+             if rng.random() < 0.7 else F(0) for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def as_data(grid):
+    return tuple(tuple(row) for row in grid)
+
+
+def assert_canonical(m, grid=None, shape=None):
+    """m is in canonical integer form and, when given, has these entries."""
+    assert m.den > 0 and type(m.den) is int
+    assert type(m.num) is tuple and len(m.num) == m.rows
+    for row in m.num:
+        assert type(row) is tuple and len(row) == m.cols
+        assert all(type(v) is int for v in row)
+    assert gcd(m.den, *[v for row in m.num for v in row]) == 1
+    if shape is not None:
+        assert (m.rows, m.cols) == shape
+    if grid is not None:
+        assert m.data == as_data(grid)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_mat_operations_match_fraction_oracles(shape):
+    r, c = shape
+    rng = random.Random(1000 + 10 * r + c)
+    for _ in range(12):
+        ga, gb = random_grid(rng, r, c), random_grid(rng, r, c)
+        a, b = Mat(r, c, ga), Mat(r, c, gb)
+        assert_canonical(a, ga, shape)
+        if r:
+            assert Mat.from_rows(ga) == a
+        assert_canonical(a + b, grid_combine(ga, gb), shape)
+        assert_canonical(a - b, grid_combine(ga, gb, -1), shape)
+        assert_canonical(-a, grid_scale(-1, ga), shape)
+        for k in (0, 1, -3, F(2, 3), F(-5, 4)):
+            assert_canonical(k * a, grid_scale(k, ga), shape)
+            assert_canonical(a * k, grid_scale(k, ga), shape)
+        assert_canonical(a.transpose(), grid_transpose(ga, c), (c, r))
+        rows = rng.sample(range(r), rng.randint(0, r))
+        cols = rng.sample(range(c), rng.randint(0, c))
+        assert_canonical(a.submatrix(rows, cols),
+                         grid_submatrix(ga, rows, cols),
+                         (len(rows), len(cols)))
+        for k in (0, 2):
+            gk = random_grid(rng, c, k)
+            assert_canonical(a @ Mat(c, k, gk), grid_product(ga, gk, k), (r, k))
+        flat = [v for row in ga for v in row]
+        assert list(a.vectorize()) == flat
+        assert list(a.numerators()) == [a.den * v for v in flat]
+        assert mat_to_json(a)["entries"] == [[str(v) for v in row]
+                                             for row in ga]
+        assert mat_from_json(mat_to_json(a)) == a
+        nonneg = [[abs(v) for v in row] for row in ga]
+        positive = [[abs(v) + 1 for v in row] for row in ga]
+        for g in (ga, nonneg, positive):
+            m = Mat(r, c, g)
+            assert is_nonneg(m) == all(v >= 0 for row in g for v in row)
+            assert is_positive(m) == (bool(g) and
+                                      all(v > 0 for row in g for v in row))
+        if r == c:
+            expected = {(i + 1, j + 1) for i in range(r) for j in range(c)
+                        if ga[i][j]}
+            assert support(a).positions == expected
+            if r:
+                union = expected | {(i + 1, j + 1) for i in range(r)
+                                    for j in range(c) if gb[i][j]}
+                assert support_union([a, b]).positions == union
+
+
+def test_constructors_match_fraction_oracles():
+    rng = random.Random(77)
+    for n in range(5):
+        eye = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+        assert_canonical(identity(n), eye, (n, n))
+        for c in (0, 2):
+            assert_canonical(zero(n, c), [[F(0)] * c for _ in range(n)],
+                             (n, c))
+        images = rng.sample(range(n), n)
+        perm = [[F(0)] * n for _ in range(n)]
+        for col, row in enumerate(images):
+            perm[row][col] = F(1)
+        assert_canonical(permutation_matrix(images), perm, (n, n))
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                unit = [[F((r, c) == (i - 1, j - 1)) for c in range(n)]
+                        for r in range(n)]
+                assert_canonical(matrix_unit(n, i, j), unit, (n, n))
+    for _ in range(30):
+        sizes = [rng.randint(0, 3) for _ in range(rng.randint(0, 4))]
+        grids = [random_grid(rng, k, k) for k in sizes]
+        total = sum(sizes)
+        assert_canonical(direct_sum([Mat(k, k, g)
+                                     for k, g in zip(sizes, grids)]),
+                         grid_direct_sum(grids), (total, total))
+
+
+def test_equal_matrices_from_different_paths_compare_and_hash_equal():
+    half = Mat.from_rows([[F(1, 2), F(1, 3)], [F(-1, 6), 0]])
+    rest = Mat.from_rows([[F(1, 2), F(2, 3)], [F(7, 6), 2]])
+    total = half + rest  # cancels to an integer matrix
+    direct = Mat.from_rows([[1, 1], [1, 2]])
+    assert total.den == 1
+    same = [total, direct, Mat(2, 2, ((F(1), F(1)), (F(1), F(2)))),
+            Mat.from_rows([["1", "1"], ["1", "2"]]), direct.transpose(),
+            Mat.from_ints(2, 2, -6, [[-6, -6], [-6, -12]]),
+            F(1, 3) * (3 * direct), inverse(inverse(direct)),
+            mat_from_json(mat_to_json(direct)),
+            direct @ identity(2), identity(2) @ direct]
+    for m in same:
+        assert m == direct and hash(m) == hash(direct)
+        assert_canonical(m)
+    assert len(set(same)) == 1
+    assert half - half == zero(2) and hash(half - half) == hash(zero(2))
+    assert 2 * Mat.from_rows([[F(1, 2)]]) == identity(1)
+    assert direct != Mat.from_rows([[1, 1], [1, 3]])
+    assert Mat(2, 0, [(), ()]) != Mat(0, 2, [])
+
+
+def test_mat_is_immutable_and_checks_its_shape():
+    m = identity(2)
+    with pytest.raises(AttributeError):
+        m.den = 2
+    with pytest.raises(AttributeError):
+        m.data = ()
+    with pytest.raises(ValueError):
+        Mat(2, 2, [[1, 2]])
+    with pytest.raises(ValueError):
+        Mat.from_ints(1, 2, 1, [[1]])
+    with pytest.raises(ZeroDivisionError):
+        Mat.from_ints(1, 1, 0, [[1]])
+
+
+def wire(grid, cols):
+    """A wire matrix written from Fractions, without the engine."""
+    return {"rows": len(grid), "cols": cols,
+            "entries": [[str(v) for v in row] for row in grid]}
+
+
+def assert_grid(g, fractions):
+    """g is a canonical verifier grid with these entries."""
+    den, rows = g
+    assert den > 0 and type(rows) is tuple
+    assert all(type(row) is tuple for row in rows)
+    assert gcd(den, *[v for row in rows for v in row]) == 1
+    assert [[F(v, den) for v in row] for row in rows] == \
+        [list(row) for row in fractions]
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_verifier_grids_match_fraction_oracles(shape):
+    r, c = shape
+    rng = random.Random(2000 + 10 * r + c)
+    for _ in range(12):
+        ga, gb = random_grid(rng, r, c), random_grid(rng, r, c)
+        a, b = verify._grid(wire(ga, c)), verify._grid(wire(gb, c))
+        assert_grid(a, ga)
+        assert a == (Mat(r, c, ga).den, Mat(r, c, ga).num)
+        assert_grid(verify._sub(a, b), grid_combine(ga, gb, -1))
+        if r and c:  # a grid with no rows carries no column count
+            gk = random_grid(rng, c, 2)
+            assert_grid(verify._mul(a, verify._grid(wire(gk, 2))),
+                        grid_product(ga, gk, 2))
+        assert verify._support(a) == {(i + 1, j + 1) for i in range(r)
+                                      for j in range(c) if ga[i][j]}
+        for g in (ga, [[abs(v) for v in row] for row in ga],
+                  [[abs(v) + 1 for v in row] for row in ga]):
+            grid = verify._grid(wire(g, c))
+            assert verify._is_nonneg(grid) == all(v >= 0 for row in g
+                                                  for v in row)
+            assert verify._is_positive(grid) == (
+                bool(g) and all(v > 0 for row in g for v in row))
+
+
+def old_wire_rule(s):
+    """The rule before integer parsing: s reads as str(Fraction(s)).
+    str() of an int past Python's digit limit raises ValueError."""
+    try:
+        v = Fraction(s)
+        return (v.numerator, v.denominator) if str(v) == s else None
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+def new_wire_rule(s):
+    try:
+        return verify._rational(s)
+    except ValueError:
+        return None
+
+
+def test_wire_rationals_match_the_fraction_rule():
+    rng = random.Random(31337)
+    corpus = ["-0", "00", "0/5", "2/4", "1/1", "1_0", "\u0661", " 1", "0",
+              "-1", "1/2", "-3/4", "+1", "1.5", "1e3", "1/0", "0/1", "01",
+              "-01", "1/-2", "1 ", "1//2", "", "-", "/", "12/18", "-7/1",
+              "\u0661/2", "1/\u0662", "1\n", "nan", "inf", "0x10",
+              "9e9999", str(2 ** 70), "-" + str(2 ** 70) + "/3"]
+    alphabet = "0123456789-/ _+.e"
+    for _ in range(3000):
+        corpus.append("".join(rng.choice(alphabet)
+                              for _ in range(rng.randint(1, 6))))
+    for _ in range(1000):
+        v = F(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 4))
+        corpus.append(str(v))
+        p, q = rng.randint(-99, 99), rng.randint(1, 99)
+        corpus.append(f"{p}/{q}")
+    accepted = 0
+    for s in corpus:
+        expected = old_wire_rule(s)
+        assert new_wire_rule(s) == expected, s
+        accepted += expected is not None
+    assert accepted > 1000
+    for bad in (1, 1.5, None, ["1"]):
+        with pytest.raises(CertificateError):
+            verify._rational(bad)
+
+
+def test_hot_paths_build_no_fraction(monkeypatch):
+    from algforge.algebra import closure_words
+    from algforge.constructions import solve_all_dimensions
+    from algforge.matrices import ones
+    made = []
+    real_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    half = Mat.from_rows([[F(1, 2), F(-1, 3)], [0, F(5, 4)]])
+    other = Mat.from_rows([[F(2, 7), 1], [F(-3, 2), 0]])
+    gens = [Mat.from_rows([[1, 2, 0], [0, 1, 1], [0, 0, 3]]),
+            Mat.from_rows([[0, 0, 0], [F(1, 2), 0, 0], [0, 0, 0]])]
+    docs = [c.to_json() for c in solve_all_dimensions(3)]
+    wire, two_thirds = mat_to_json(half), F(2, 3)
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    half @ other, half + other, half - other, -half, 3 * half
+    half * two_thirds
+    half.transpose(), half.submatrix([1], [0, 1]), half.numerators()
+    is_nonneg(half), is_positive(half), support(half), support_union([half])
+    zero(3), identity(3), ones(3), matrix_unit(3, 2, 1)
+    permutation_matrix([2, 0, 1]), direct_sum([half, other, identity(1)])
+    closure_words(3, gens), generate(3, gens), mat_to_json(half)
+    grid = verify._grid(wire)
+    verify._mul(grid, grid), verify._sub(grid, grid)
+    verify._closure([grid, verify._grid(mat_to_json(other))])
+    for doc in docs:
+        assert verify.verify_document(doc) == []
+    assert made == []

@@ -9,8 +9,11 @@ Generation uses a worklist that multiplies each newly independent word on
 the left by every generator.  The span this reaches contains I and is
 mapped into itself by left multiplication with each generator, so it
 contains every word in the generators and is closed under products.
-Loaders and tests still verify closure by checking all pairwise basis
-products.
+`generates` decides whether a list generates a known algebra without
+closing it in full: every generator must lie in the algebra, and the
+worklist, given the algebra's dimension as `stop`, returns as soon as its
+span has that dimension.  Loaders and tests still verify closure by
+checking all pairwise basis products.
 """
 
 from __future__ import annotations
@@ -98,14 +101,16 @@ def _from_span(n: int, span: EchelonSpan) -> Algebra:
     return Algebra(n, tuple(_span_mats(n, span)))
 
 
-def closure_words(n: int,
-                  gens: Iterable[Mat]) -> tuple[list[Mat], EchelonSpan]:
+def closure_words(n: int, gens: Iterable[Mat], *,
+                  stop: int | None = None) -> tuple[list[Mat], EchelonSpan]:
     """Independent words spanning the unital algebra generated by gens.
 
     Worklist: I and the generators first, then every retained word is
     multiplied on the left by each generator, keeping the products that
     enlarge the span.  Returns the retained words in insertion order and
-    their span.
+    their span.  With `stop`, no product is made once `stop` words are
+    retained, so the span is then only a subspace of the algebra; without
+    it the worklist runs to the end.
     """
     gens = list(gens)
     for g in gens:
@@ -123,8 +128,24 @@ def closure_words(n: int,
         push(g)
     for x in words:  # words grows while it is walked: a FIFO worklist
         for g in gens:
+            if len(words) == stop:
+                return words, span
             push(g @ x)
     return words, span
+
+
+def generates(a: Algebra, gens: Iterable[Mat]) -> bool:
+    """Whether gens generate exactly the algebra a, which must be closed
+    and unital, as every `Algebra` this package builds is.
+
+    Every generator in a means <gens> lies in a; the worklist's span lies
+    in <gens>, so once it reaches dim a the two algebras are equal, and
+    the worklist stops there.
+    """
+    gens = list(gens)
+    if not all(a.contains(g) for g in gens):
+        return False
+    return closure_words(a.n, gens, stop=a.dim)[1].dim == a.dim
 
 
 def generate(n: int, gens: Iterable[Mat]) -> Algebra:

@@ -14,9 +14,12 @@ other, so equal spans have equal rows.  `_solve_conjugate` reduces
 [dx C | X C] with a `_Span`, which is the module's only elimination.
 Generated-algebra claims are re-derived with a worklist that multiplies
 each retained element on the right by the generators' integer rows, where
-the engine's worklist multiplies on the left.  Within one
-`verify_document` call each referenced matrix is parsed once and each
-generator list is closed once.
+the engine's worklist multiplies on the left.  Generators are admitted
+lazily: one the span already holds is skipped, since the span is always
+the algebra generated by the admitted ones, so a redundant list costs no
+more products than its admitted part.  Within one `verify_document` call
+each referenced matrix is parsed once and each generator list is closed
+once.
 """
 
 from __future__ import annotations
@@ -89,6 +92,9 @@ def _imul(a: Sequence[Sequence[int]],
 
 def _mul(a: Grid, b: Grid) -> Grid:
     (da, ra), (db, rb) = a, b
+    if not rb:
+        # A grid with no rows records no column count.
+        raise CertificateError("empty inner dimension in product")
     if (ra and len(ra[0]) or 0) != len(rb):
         raise CertificateError("size mismatch in product")
     return _canonical(da * db, _imul(ra, rb))
@@ -217,10 +223,13 @@ def _identity(n: int) -> tuple[tuple[int, ...], ...]:
 def _closure(gens: list[Grid]) -> tuple[_Span, int]:
     """Span of the unital algebra generated by gens.
 
-    Worklist: I and the generators first, then every retained element is
-    multiplied on the right by each generator.  The span holds I and is
-    closed under right multiplication by every generator, so it holds every
-    word in them.
+    Worklist with lazy admission.  Invariant: the span holds I, is spanned
+    by the kept words, and is closed under right multiplication by every
+    admitted generator, so it is the algebra the admitted generators
+    generate.  A generator the span already holds adds nothing and is
+    skipped.  A new one is admitted: every earlier kept word is multiplied
+    on the right by it, and then every new word by each admitted generator,
+    walking the kept list by index while it grows.
     """
     if not gens:
         raise CertificateError("closure of an empty generator list")
@@ -232,6 +241,7 @@ def _closure(gens: list[Grid]) -> tuple[_Span, int]:
         raise CertificateError("generators are not square of one size")
     span = _Span()
     kept: list[tuple[tuple[int, ...], ...]] = []
+    used: list[tuple[tuple[int, ...], ...]] = []
 
     def push(m: tuple[tuple[int, ...], ...]) -> None:
         if span.add([v for row in m for v in row]):
@@ -239,10 +249,17 @@ def _closure(gens: list[Grid]) -> tuple[_Span, int]:
 
     push(_identity(n))
     for g in ints:
-        push(g)
-    for x in kept:  # kept grows while it is walked: a FIFO worklist
-        for g in ints:
+        if span.contains([v for row in g for v in row]):
+            continue
+        used.append(g)
+        old = len(kept)
+        for x in kept[:old]:
             push(_imul(x, g))
+        i = old
+        while i < len(kept):  # kept grows while it is walked
+            for h in used:
+                push(_imul(kept[i], h))
+            i += 1
     return span, n
 
 

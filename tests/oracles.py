@@ -4,7 +4,8 @@ These deliberately re-derive results through different algorithms than the
 package: real-root counting by Descartes interval bisection instead of
 Sturm chains, characteristic polynomials by Faddeev-LeVerrier instead of
 the Hessenberg recurrence, algebra dimensions by a round-based
-pairwise-product closure instead of the generator worklist, echelon
+pairwise-product closure instead of the generator worklist, the closure
+worklists as they were before early stopping and lazy admission, echelon
 bases and products by textbook Fraction loops instead of the integer
 kernel, and phase-1 simplex feasibility by a Fraction tableau instead of
 the fraction-free integer one.
@@ -133,6 +134,59 @@ def brute_closure_dim(n: int, gens: list[Mat]) -> int:
                 add(x @ y)
         if span.dim == before:
             return span.dim
+
+
+# -- the closure worklists without early stopping or lazy admission --------------
+
+def eager_closure_words(n: int, gens: list[Mat]) -> list[Mat]:
+    """The words the engine's left-generator worklist retains when it runs
+    to the end: I, the generators, then every retained word times each
+    generator on the left."""
+    from algforge.linear import EchelonSpan
+    span = EchelonSpan(n * n)
+    words: list[Mat] = []
+
+    def push(m: Mat) -> None:
+        if span.add(m.numerators()):
+            words.append(m)
+
+    push(identity(n))
+    for g in gens:
+        push(g)
+    for x in words:  # words grows while it is walked: a FIFO worklist
+        for g in gens:
+            push(g @ x)
+    return words
+
+
+def eager_verifier_closure(gens):
+    """The verifier's right-generator worklist over every generator at
+    once: I and all generators first, then every retained element times
+    each generator on the right.  Returns (span, n) as `verify._closure`
+    does."""
+    from algforge.verify import CertificateError, _identity, _imul, _Span
+    if not gens:
+        raise CertificateError("closure of an empty generator list")
+    # Words in the generators' integer rows are nonzero multiples of the
+    # words in the generators, so they span the same algebra.
+    ints = [rows for _, rows in gens]
+    n = len(ints[0])
+    if any(len(g) != n or any(len(row) != n for row in g) for g in ints):
+        raise CertificateError("generators are not square of one size")
+    span = _Span()
+    kept: list[tuple[tuple[int, ...], ...]] = []
+
+    def push(m: tuple[tuple[int, ...], ...]) -> None:
+        if span.add([v for row in m for v in row]):
+            kept.append(m)
+
+    push(_identity(n))
+    for g in ints:
+        push(g)
+    for x in kept:  # kept grows while it is walked: a FIFO worklist
+        for g in ints:
+            push(_imul(x, g))
+    return span, n
 
 
 # -- numeric eigenvalue clustering ----------------------------------------------

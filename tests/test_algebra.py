@@ -6,14 +6,16 @@ import pytest
 from algforge.algebra import (algebra_direct_sum, algebra_from_json,
                               algebra_to_json, center, centralizer,
                               conjugate_algebra, contains_all_diagonal,
-                              covering_matrix, generate, incidence_algebra,
+                              covering_matrix, generate, generates,
+                              incidence_algebra,
                               incidence_structure, is_simple,
                               nonneg_covering_exists, two_sided_ideal)
 from algforge.incidence import incidence_of_dimension
 from algforge.matrices import (Mat, conjugate, identity, is_nonneg,
                                jordan_cell, matrix_unit, ones, support,
                                support_union, zero)
-from oracles import brute_closure_dim, random_mat, random_unimodular
+from oracles import (brute_closure_dim, random_mat, random_pattern,
+                     random_unimodular)
 
 F = Fraction
 
@@ -247,3 +249,84 @@ def test_closure_check_on_generated_algebras():
     for _ in range(5):
         a = generate(3, [random_mat(rng, 3, 2), random_mat(rng, 3, 2)])
         assert a.is_closed() and a.is_unital()
+
+
+def _random_member(rng, a):
+    acc = zero(a.n)
+    for b in a.basis:
+        acc = acc + rng.randint(-3, 3) * b
+    return acc
+
+
+def _generates_cases():
+    """(algebra, gens, expected verdict) on seeded conjugated incidence
+    algebras: proper subalgebras, a generator outside, empty and redundant
+    lists."""
+    rng = random.Random(20260)
+    cases = []
+    for n in (2, 3, 3, 4):
+        p = random_pattern(rng, n, triangular=False)
+        a = conjugate_algebra(incidence_algebra(p), random_unimodular(rng, n))
+        basis = list(a.basis)
+        x, y = _random_member(rng, a), _random_member(rng, a)
+        outside = next(m for m in (random_mat(rng, n, 3) for _ in range(50))
+                       if not a.contains(m))
+        scalars = generate(n, [])
+        cases += [
+            (a, basis, True),
+            (a, basis + [identity(n)], True),
+            (a, basis + basis[::-1], True),
+            (a, [identity(n)] + basis + [zero(n)], True),
+            (a, [3 * b for b in basis] + [b + x for b in basis], True),
+            (a, basis[1:] + [x, y, x @ y, y @ x, x, y], True),
+            (a, [x, y, x, y], None),
+            (a, [x], None),
+            (a, basis + [outside], False),
+            (a, [outside], False),
+            (a, [], a.dim == 1),
+            (scalars, [], True),
+            (scalars, [2 * identity(n)], True),
+            (scalars, [x], x == x.data[0][0] * identity(n)),
+        ]
+    # proper subalgebras of the upper triangular 3 x 3 algebra
+    t3 = t_algebra(3)
+    cases += [(t3, [diag(3, 2, 1)], False),
+              (t3, [upper_ones(3)], False),
+              (t3, [upper_ones(3), diag(3, 2, 1)], True),
+              (t3, [upper_ones(3), matrix_unit(3, 2, 1)], False)]
+    return cases
+
+
+def test_generates_agrees_with_generate():
+    verdicts = set()
+    for a, gens, expected in _generates_cases():
+        got = generates(a, gens)
+        assert got == (generate(a.n, gens) == a)
+        if expected is not None:
+            assert got == expected
+        verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_generates_rejects_size_mismatch():
+    with pytest.raises(ValueError):
+        generates(t_algebra(3), [identity(2)])
+    with pytest.raises(ValueError):
+        generates(t_algebra(3), [upper_ones(3), identity(4)])
+
+
+def test_generates_stops_once_the_span_is_full(monkeypatch):
+    from algforge.matrices import Mat
+    a = t_algebra(3)
+    products = []
+    real = Mat.__matmul__
+
+    def counting(x, y):
+        products.append(1)
+        return real(x, y)
+
+    monkeypatch.setattr(Mat, "__matmul__", counting)
+    assert generates(a, list(a.basis) + [upper_ones(3)])
+    assert products == []
+    assert generates(a, [upper_ones(3), diag(3, 2, 1)])
+    assert 0 < len(products) < 2 * a.dim

@@ -1,17 +1,27 @@
 """The engine's left-generator closure, the verifier's right-generator
-closure and the brute-force oracle agree on seeded random generators."""
+closure and the brute-force oracle agree on seeded random generators,
+including redundant lists; the verifier's lazy admission keeps the spans
+of the eager worklist, and the engine's worklist keeps its words."""
 
+import copy
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from algforge import verify
 from algforge.algebra import closure_words, generate
 from algforge.certificates import Certificate, prop_dimension
 from algforge.constructions import nonneg_basis_from_generators
-from algforge.matrices import Mat, is_nonneg
+from algforge.matrices import (Mat, identity, is_nonneg, mat_from_json,
+                               mat_to_json, matrix_unit, ones, zero)
 from algforge.verify import verify_document
-from oracles import brute_closure_dim
+from oracles import (brute_closure_dim, eager_closure_words,
+                     eager_verifier_closure)
+
+DATA = Path(__file__).parent / "data"
 
 
 def _dense(rng, n):
@@ -60,6 +70,30 @@ def _cases():
 CASES = _cases()
 
 
+def _redundant_cases():
+    """Lists that repeat what earlier entries already generate: a full
+    basis, the basis with shifted copies, I, the zero matrix, scalar
+    multiples, repeated generators and words of earlier generators."""
+    rng = random.Random(20260418)
+    cases = []
+    for n in (3, 4):
+        g, h = _sparse(rng, n), _dense(rng, n)
+        basis = list(generate(n, [g, h]).basis)
+        cases += [
+            ("basis", n, basis),
+            ("shifted", n, basis + [b + 2 * g for b in basis]),
+            ("identity", n, [identity(n), g, identity(n), h]),
+            ("zero", n, [zero(n), g, zero(n), h, zero(n)]),
+            ("scalar", n, [g, 3 * g, Fraction(-1, 2) * h, h]),
+            ("repeated", n, [g, h, g, h, g]),
+            ("words", n, [g, h, g @ h, h @ g @ g, g @ g, h + g @ h]),
+        ]
+    return cases
+
+
+REDUNDANT = _redundant_cases()
+
+
 def _dimension_doc(gens, value):
     refs = [f"in:gens:{i}" for i in range(len(gens))]
     return Certificate(claim="dimension", inputs={"gens": list(gens)},
@@ -67,8 +101,9 @@ def _dimension_doc(gens, value):
                        properties=(prop_dimension(refs, value),)).to_json()
 
 
-@pytest.mark.parametrize("kind,n,gens", CASES,
-                         ids=[f"{k}-{n}x{n}-{len(g)}" for k, n, g in CASES])
+@pytest.mark.parametrize("kind,n,gens", CASES + REDUNDANT,
+                         ids=[f"{k}-{n}x{n}-{len(g)}"
+                              for k, n, g in CASES + REDUNDANT])
 def test_closures_agree(kind, n, gens):
     dim = generate(n, gens).dim
     assert brute_closure_dim(n, gens) == dim
@@ -85,3 +120,134 @@ def test_nonneg_basis_regenerates(kind, n, gens):
     assert len(basis) == alg.dim
     assert all(is_nonneg(b) for b in basis)
     assert generate(n, basis) == alg
+
+
+def _grids(gens):
+    return [verify._grid(mat_to_json(g)) for g in gens]
+
+
+@pytest.mark.parametrize("kind,n,gens", CASES + REDUNDANT,
+                         ids=[f"{k}-{n}x{n}-{len(g)}"
+                              for k, n, g in CASES + REDUNDANT])
+def test_lazy_closure_matches_eager_worklist(kind, n, gens):
+    span, size = verify._closure(_grids(gens))
+    ref, ref_size = eager_verifier_closure(_grids(gens))
+    assert size == ref_size == n
+    assert span.rows == ref.rows
+
+
+@pytest.mark.parametrize("kind,n,gens", CASES + REDUNDANT,
+                         ids=[f"{k}-{n}x{n}-{len(g)}"
+                              for k, n, g in CASES + REDUNDANT])
+def test_closure_words_without_stop_are_unchanged(kind, n, gens):
+    words, span = closure_words(n, gens)
+    assert words == eager_closure_words(n, gens)
+    assert span.dim == len(words)
+
+
+def test_lazy_closure_of_seeded_algebra_bases():
+    """Bases of random algebras, with their words and multiples mixed in,
+    close to the same canonical rows as the eager worklist."""
+    rng = random.Random(7)
+    for n in (2, 3, 4):
+        for _ in range(4):
+            gens = [_dense(rng, n) if rng.random() < 0.5 else _sparse(rng, n)
+                    for _ in range(rng.randint(1, 2))]
+            basis = list(generate(n, gens).basis)
+            extra = [rng.choice(basis) @ rng.choice(basis) for _ in range(3)]
+            mixed = basis + extra + [rng.randint(1, 5) * b for b in basis[:2]]
+            rng.shuffle(mixed)
+            for lst in (basis, mixed, gens + basis):
+                span, _ = verify._closure(_grids(lst))
+                assert span.rows == eager_verifier_closure(_grids(lst))[0].rows
+
+
+# -- positive-generation certificates: the outputs must generate the algebra --
+
+def _classify_doc():
+    return json.loads((DATA / "conjugated-2x2-classify.json").read_text())[
+        "certificate"]
+
+
+def _with_outputs(doc, outputs):
+    """doc with the given wire outputs and its properties renumbered: the
+    witness check, one positivity check per output and the conjugated
+    generation check over all outputs."""
+    out = copy.deepcopy(doc)
+    out["outputs"] = outputs
+    refs = [f"out:{i}" for i in range(len(outputs))]
+    equal = dict(doc["properties"][-1], gens=refs)
+    out["properties"] = ([doc["properties"][0]]
+                         + [{"kind": "positive", "target": r} for r in refs]
+                         + [equal])
+    return out
+
+
+def _generation_failure(doc):
+    last = len(doc["properties"]) - 1
+    return [f"property {last} (generate_equal_conjugated) failed"]
+
+
+def test_output_outside_the_algebra_fails():
+    doc = _classify_doc()
+    assert verify_document(doc) == []
+    n = doc["outputs"][0]["rows"]
+    # every output is in the conjugated algebra; ones + E_11 is positive but
+    # not in it, so only the generation check can reject it
+    outputs = [mat_from_json(m) for m in doc["outputs"]]
+    assert generate(n, outputs).contains(ones(n))
+    outside = ones(n) + matrix_unit(n, 1, 1)
+    assert not generate(n, outputs).contains(outside)
+    for k in (0, len(outputs) - 1):
+        tampered = copy.deepcopy(doc)
+        tampered["outputs"][k] = mat_to_json(outside)
+        assert verify_document(tampered) == _generation_failure(tampered)
+
+
+def test_redundant_output_replaced_inside_the_algebra_still_verifies():
+    doc = _classify_doc()
+    tampered = copy.deepcopy(doc)
+    flat = mat_from_json(doc["outputs"][-1])
+    tampered["outputs"][0] = mat_to_json(2 * flat)
+    assert verify_document(tampered) == []
+
+
+def test_outputs_generating_a_proper_subalgebra_fail():
+    """The d + 1 outputs are redundant: any d of them span the algebra, so
+    replacing one cannot shrink what they generate.  Trim the list to the
+    flat idempotent M plus the outputs that each enlarge the algebra, which
+    still verifies; then put M in place of the last one kept."""
+    doc = _classify_doc()
+    outputs = [mat_from_json(m) for m in doc["outputs"]]
+    n = outputs[0].rows
+    full = generate(n, outputs)
+    keep = [len(outputs) - 1]
+    for i in range(len(outputs) - 1):
+        dim = generate(n, [outputs[j] for j in keep]).dim
+        if dim == full.dim:
+            break
+        if generate(n, [outputs[j] for j in keep + [i]]).dim > dim:
+            keep.append(i)
+    assert 2 < len(keep) < len(outputs)
+    trimmed = _with_outputs(doc, [doc["outputs"][j] for j in keep])
+    assert verify_document(trimmed) == []
+    tampered = _with_outputs(doc, [doc["outputs"][j] for j in keep[:-1]]
+                             + [doc["outputs"][-1]])
+    assert generate(n, [mat_from_json(m)
+                        for m in tampered["outputs"]]).dim < full.dim
+    assert verify_document(tampered) == _generation_failure(tampered)
+
+
+def test_lazy_admission_bounds_verifier_products(monkeypatch):
+    """Verifying the 2 x 2 classify fixture took 312 integer products with
+    every generator admitted up front."""
+    calls = []
+    real = verify._imul
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(verify, "_imul", counting)
+    assert verify_document(_classify_doc()) == []
+    assert len(calls) <= 150

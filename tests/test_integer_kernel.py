@@ -167,6 +167,16 @@ def test_matmul_matches_textbook_product(shape):
             assert grid == (got.den, got.num)
 
 
+def test_verifier_product_rejects_an_empty_inner_dimension():
+    # a 0 x 2 grid has no rows, so nothing records its two columns: the
+    # (3, 0) . (0, 2) product cannot be formed from grids
+    left, right = (1, ((), (), ())), (1, ())
+    with pytest.raises(CertificateError):
+        _mul(left, right)
+    with pytest.raises(CertificateError):
+        _mul((1, ()), (1, ()))
+
+
 def test_matmul_of_integer_and_sparse_matrices():
     e = matrix_unit(3, 1, 2)
     assert e @ e == zero(3)

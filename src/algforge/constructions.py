@@ -32,11 +32,11 @@ from .matrices import (Mat, commutator, conjugate, direct_sum, identity,
                        ones, permutation_matrix, poly_at, regular_triangular,
                        support, support_union, uniform_norm, uniformizer,
                        uniformizer_inv, zero)
-from .polynomials import Poly, multiplicity_one_part, poly_gcd, rational_roots
+from .polynomials import (Poly, multiplicity_one_part, poly_gcd,
+                          rational_roots, sturm_real_root_count)
 from .spectral import (JordanSpec, char_poly, eigenvalue_multiplicity,
-                       generalized_eigensplit, has_simple_real_eigenvalue,
-                       nilpotent_jordan_basis, rational_spectral_projector,
-                       spectral_radius_bound)
+                       generalized_eigensplit, nilpotent_jordan_basis,
+                       rational_spectral_projector, spectral_radius_bound)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -740,9 +740,9 @@ def classify_positive_generation(a: Algebra, budget: int = 64,
     """
     d = a.dim
     for x in _candidates(a, budget, seed):
-        if not has_simple_real_eigenvalue(x):
-            continue
         m1 = multiplicity_one_part(char_poly(x))
+        if not sturm_real_root_count(m1):
+            continue
         simple_rationals = [r for r, _ in rational_roots(m1)]
         if simple_rationals:
             lam = simple_rationals[0]

@@ -8,8 +8,10 @@ divided out, positive pivot) that is fully reduced against the other rows.
 Eliminating a row from another is an integer cross-multiplication followed
 by division by the gcd, so no Fraction is built until a row is read out,
 divided by its pivot.  Such rows are unique for a given span, so they are
-canonical.  No tolerances anywhere; pivots are the first nonzero column,
-so results are deterministic.
+canonical.  `invert_num` and `first_dependency_num` take integer input and
+return integers; `invert` and `first_dependency` are Fraction views over
+them, not second eliminations.  No tolerances anywhere; pivots are the
+first nonzero column, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -157,7 +159,16 @@ def _reduce(rows: Sequence[Vec],
 def first_dependency(vectors: Iterable[Vec]) -> list[Fraction] | None:
     """Coefficients c_0, ..., c_k = 1 of the first linear dependency
     c_0 v_0 + ... + c_k v_k = 0 among the vectors, read lazily, or None
-    when they are independent.
+    when they are independent."""
+    coeffs = first_dependency_num(vectors)
+    if coeffs is None:
+        return None
+    return [Fraction(c, coeffs[-1]) for c in coeffs]
+
+
+def first_dependency_num(vectors: Iterable[Vec]) -> list[int] | None:
+    """The first linear dependency as integers c_0, ..., c_k with c_k != 0,
+    or None; `first_dependency` divides it by c_k.
 
     One elimination: vector k carries a marker in column len(v_k) + k, so
     the markers of a row record which combination of the vectors it is,
@@ -169,8 +180,7 @@ def first_dependency(vectors: Iterable[Vec]) -> list[Fraction] | None:
         row[n + k] = row.pop(n)
         res = _residual(rows, row)
         if min(res) >= n:
-            return [Fraction(res.get(n + j, 0), res[n + k])
-                    for j in range(k + 1)]
+            return [res.get(n + j, 0) for j in range(k + 1)]
         _insert(rows, res)
     return None
 
@@ -187,14 +197,31 @@ def solve(a_rows: Sequence[Vec], b: Vec) -> list[Fraction] | None:
 
 
 def invert(rows: Sequence[Vec]) -> list[list[Fraction]]:
-    """Exact inverse: [A | I] reduces to [I | A^-1]."""
+    """Exact inverse, read off `invert_num` of the rows scaled to
+    integers: A = N / den has the inverse den N^-1."""
+    den = lcm(*[v.denominator for row in rows for v in row])
+    d, inv = invert_num([[v.numerator * (den // v.denominator) for v in row]
+                         for row in rows])
+    return [[Fraction(den * v, d) for v in row] for row in inv]
+
+
+def invert_num(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+    """(d, M) with M / d the inverse of a square integer matrix.
+
+    One integer Gauss-Jordan run: [N | I] reduces to primitive rows
+    [p_i e_i | w_i], so row i of N^-1 is w_i / p_i, and d is the lcm of
+    the pivots p_i.  Raises ValueError when N is singular."""
     n = len(rows)
-    aug = [list(row) + [ONE if i == j else ZERO for j in range(n)]
-           for i, row in enumerate(rows)]
-    reduced = _reduce(aug, 2 * n)
-    if [p for p, _ in reduced] != list(range(n)):
+    echelon: Rows = {}
+    for i, row in enumerate(rows):
+        vec = {j: v for j, v in enumerate(row) if v}
+        vec[n + i] = 1
+        _insert(echelon, vec)
+    if sorted(echelon) != list(range(n)):
         raise ValueError("singular matrix")
-    return [row[n:] for _, row in reduced]
+    d = lcm(*[echelon[i][i] for i in range(n)])
+    return d, [[echelon[i].get(n + j, 0) * (d // echelon[i][i])
+                for j in range(n)] for i in range(n)]
 
 
 def nullspace(rows: Sequence[Vec], ncols: int) -> list[tuple[Fraction, ...]]:

@@ -3,7 +3,8 @@
 A ``Mat`` is stored in one canonical integer form: a denominator
 ``den > 0`` and a tuple of integer rows ``num`` with gcd(den, every entry)
 = 1, so the matrix is num / den and equal matrices have equal fields.
-Products, sums, transposes, supports and sign tests run on the integers,
+Products, sums, transposes, supports, sign tests, ``inverse`` (one integer
+Gauss-Jordan run) and ``poly_at`` (integer Horner) run on the integers,
 and every result is brought back to canonical form by one gcd.  A Fraction
 is built only at the API and wire edges: ``A.data`` is a read-only
 Fraction grid built on first use, and ``vectorize``, ``column`` and
@@ -339,8 +340,10 @@ def companion(p: Poly) -> Mat:
 def inverse(a: Mat) -> Mat:
     if not a.is_square:
         raise ValueError("inverse of a non-square matrix")
-    # (num / den)^-1 = den * num^-1
-    return Mat(a.rows, a.cols, linear.invert(a.num)) * a.den
+    # (num / den)^-1 = den num^-1 = den M / d
+    d, inv = linear.invert_num(a.num)
+    return _normal(a.rows, a.cols, d,
+                   tuple(tuple(a.den * v for v in row) for row in inv))
 
 
 def conjugate(a: Mat, c: Mat) -> Mat:
@@ -351,14 +354,27 @@ def conjugate(a: Mat, c: Mat) -> Mat:
 
 
 def poly_at(p: Poly, a: Mat) -> Mat:
-    """Evaluate a polynomial at a square matrix (Horner)."""
+    """Evaluate a polynomial at a square matrix, by integer Horner.
+
+    With p = sum c_i x^i / e of degree k and A = N / d,
+    p(A) = (sum c_i d^(k-i) N^i) / (e d^k), and the integer sum is
+    acc <- acc N + c_i d^(k-i) I from i = k down to 0."""
     if not a.is_square:
         raise ValueError("matrix must be square")
-    acc = zero(a.rows)
-    ident = identity(a.rows)
-    for c in reversed(p.coeffs):
-        acc = acc @ a + c * ident
-    return acc
+    n = a.rows
+    if p.is_zero:
+        return zero(n)
+    cols = tuple(zip(*a.num))
+    top = p.num[-1]
+    acc = [[top if i == j else 0 for j in range(n)] for i in range(n)]
+    scale = 1
+    for c in reversed(p.num[:-1]):
+        scale *= a.den
+        acc = [[sum(map(mul, row, col)) for col in cols] for row in acc]
+        if c:
+            for i in range(n):
+                acc[i][i] += c * scale
+    return _normal(n, n, p.den * scale, tuple(map(tuple, acc)))
 
 
 def commutator(a: Mat, b: Mat) -> Mat:

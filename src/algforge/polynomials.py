@@ -1,8 +1,18 @@
 """Exact univariate polynomial arithmetic over the rationals.
 
-Coefficients are ascending-degree tuples of Fraction with no trailing
-zeros; the zero polynomial has an empty coefficient tuple.  Everything is
-immutable and pure, so values can be shared freely between threads.
+A ``Poly`` is stored in one canonical integer form, as a ``Mat`` is: a
+denominator ``den > 0`` and a tuple ``num`` of integer coefficients,
+ascending by degree with no trailing zeros, with gcd(den, every entry) = 1,
+so the polynomial is num / den and equal polynomials have equal fields.
+The zero polynomial has ``num == ()`` and ``den == 1``.  Sums, products,
+powers, derivatives and ``monic`` run on the integers and divide out one
+gcd at the end; ``divmod`` pseudo-divides by the divisor's leading
+numerator (Knuth, Algorithm R) and scales back once; ``poly_gcd`` runs the
+primitive polynomial remainder sequence (Collins 1967), dividing each
+pseudo-remainder by its content.  A Fraction is built only at the edges:
+``p.coeffs`` is a read-only Fraction view built on first use, and
+``leading`` and ``p(x)`` return Fractions.  Everything is immutable and
+pure, so values can be shared freely between threads.
 
 Real-root counts and rational roots (by Sturm bisection, polynomial in the
 coefficients' bit lengths) share one integer Sturm chain and one
@@ -11,89 +21,121 @@ sign-variation counter at dyadic points.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import zip_longest
+from math import gcd, lcm
+from operator import add, sub
 from typing import Iterable, Sequence
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
-
-def _strip(coeffs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    k = len(coeffs)
-    while k > 0 and coeffs[k - 1] == 0:
-        k -= 1
-    return coeffs[:k]
-
-
-@dataclass(frozen=True)
 class Poly:
-    """Univariate polynomial over Q, coefficients ascending by degree."""
+    """The univariate polynomial num / den over Q, coefficients ascending
+    by degree, in canonical form: den > 0, no trailing zero in num and
+    gcd(den, every entry of num) = 1.  `Poly(coeffs)` takes Fraction, int
+    or string coefficients; `Poly()` is the zero polynomial."""
 
-    coeffs: tuple[Fraction, ...] = ()
+    den: int
+    num: tuple[int, ...]
+
+    def __init__(self, coeffs: Iterable[int | str | Fraction] = ()):
+        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c)
+              for c in coeffs]
+        # The lcm of the reduced denominators leaves no common factor with
+        # the scaled numerators, so the result is canonical.
+        den = lcm(*[c.denominator for c in cs])
+        num = [c.numerator * (den // c.denominator) for c in cs]
+        while num and not num[-1]:
+            num.pop()
+        vars(self).update(den=den if num else 1, num=tuple(num))
 
     @staticmethod
     def of(*coeffs: int | str | Fraction) -> Poly:
-        return Poly(_strip(tuple(Fraction(c) for c in coeffs)))
+        return Poly(coeffs)
 
     @staticmethod
     def from_coeffs(coeffs: Iterable[int | str | Fraction]) -> Poly:
-        return Poly(_strip(tuple(Fraction(c) for c in coeffs)))
+        return Poly(coeffs)
+
+    @staticmethod
+    def from_ints(den: int, num: Iterable[int]) -> Poly:
+        """The polynomial num / den for integer coefficients (ascending)
+        and a nonzero integer denominator, brought to canonical form."""
+        if not den:
+            raise ZeroDivisionError("zero denominator")
+        return _normal(den, list(num))
+
+    def __setattr__(self, *args):
+        raise AttributeError("Poly is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Poly):
+            return NotImplemented
+        return self.den == other.den and self.num == other.num
+
+    def __hash__(self) -> int:
+        return hash((self.den, self.num))
+
+    def __repr__(self) -> str:
+        return f"Poly({self.coeffs!r})"
+
+    @cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, ascending, built on first use."""
+        d = self.den
+        return tuple(Fraction(v, d) for v in self.num)
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     @property
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.num:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.num[-1], self.den)
+
+    def _merge(self, other: Poly, op) -> Poly:
+        d = lcm(self.den, other.den)
+        fa, fb = d // self.den, d // other.den
+        return _normal(d, [op(fa * x, fb * y) for x, y in
+                           zip_longest(self.num, other.num, fillvalue=0)])
 
     def __add__(self, other: Poly) -> Poly:
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(_strip(tuple(out)))
-
-    def __neg__(self) -> Poly:
-        return Poly(tuple(-c for c in self.coeffs))
+        return self._merge(other, add)
 
     def __sub__(self, other: Poly) -> Poly:
-        return self + (-other)
+        return self._merge(other, sub)
+
+    def __neg__(self) -> Poly:
+        return _poly(self.den, tuple(-v for v in self.num))
 
     def __mul__(self, other: Poly | int | Fraction) -> Poly:
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if c == 0:
-                return Poly()
-            return Poly(tuple(c * a for a in self.coeffs))
-        a, b = self.coeffs, other.coeffs
+            return _scaled(self, other.numerator, other.denominator)
+        a, b = self.num, other.num
         if not a or not b:
-            return Poly()
-        out = [ZERO] * (len(a) + len(b) - 1)
+            return P_ZERO
+        out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        out[i + j] += ca * cb
-        return Poly(_strip(tuple(out)))
+                for j, cb in enumerate(b, i):
+                    out[j] += ca * cb
+        return _normal(self.den * other.den, out)
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> Poly:
         if e < 0:
             raise ValueError("negative power")
-        out = Poly.of(1)
+        out = P_ONE
         base = self
         while e:
             if e & 1:
@@ -103,27 +145,27 @@ class Poly:
         return out
 
     def __call__(self, x: int | Fraction) -> Fraction:
-        acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """p(x) for x = u / v: the integer sum of num_i u^i v^(k-i) over
+        den v^k, where k is the degree."""
+        u, v = x.numerator, x.denominator
+        acc, scale = 0, 1
+        for c in reversed(self.num):
+            acc = acc * u + c * scale
+            scale *= v
+        # scale is now v^(k+1)
+        return Fraction(acc * v, self.den * scale)
 
     def __divmod__(self, other: Poly) -> tuple[Poly, Poly]:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq, dr = other.degree, len(rem) - 1
-        if dr < dq:
-            return Poly(), self
-        inv = ONE / other.leading
-        quo = [ZERO] * (dr - dq + 1)
-        for k in range(dr - dq, -1, -1):
-            c = rem[k + dq] * inv
-            quo[k] = c
-            if c:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] -= c * b
-        return Poly(_strip(tuple(quo))), Poly(_strip(tuple(rem)))
+        if self.degree < other.degree:
+            return P_ZERO, self
+        # lead^e a = Q b + R over the integers, with a = den_a self and
+        # b = den_b other, so self = (den_b Q / s) other + R / s for
+        # s = lead^e den_a.
+        quo, rem = _pseudo_divmod(self.num, other.num)
+        s = other.num[-1] ** (len(self.num) - len(other.num) + 1) * self.den
+        return (_normal(s, [other.den * v for v in quo]), _normal(s, rem))
 
     def __floordiv__(self, other: Poly) -> Poly:
         return divmod(self, other)[0]
@@ -132,12 +174,12 @@ class Poly:
         return divmod(self, other)[1]
 
     def derivative(self) -> Poly:
-        return Poly(_strip(tuple(Fraction(i) * c for i, c in enumerate(self.coeffs))[1:]))
+        return _normal(self.den, [i * c for i, c in enumerate(self.num)][1:])
 
     def monic(self) -> Poly:
         if self.is_zero:
             return self
-        return self * (ONE / self.leading)
+        return _normal(self.num[-1], list(self.num))
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -154,6 +196,66 @@ class Poly:
         return " + ".join(parts)
 
 
+def _poly(den: int, num: tuple[int, ...]) -> Poly:
+    """A Poly from fields already in canonical form."""
+    p = object.__new__(Poly)
+    vars(p).update(den=den, num=num)
+    return p
+
+
+def _normal(den: int, num: list[int]) -> Poly:
+    """The Poly num / den for any nonzero den: trailing zeros dropped, the
+    common factor of den and the entries divided out, the sign moved into
+    num."""
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        return P_ZERO
+    g = gcd(den, *num)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return _poly(den, tuple(num))
+    return _poly(den // g, tuple(v // g for v in num))
+
+
+def _scaled(p: Poly, m: int, d: int) -> Poly:
+    """p times m / d, for integers m and d != 0."""
+    if not m:
+        return P_ZERO
+    return _normal(p.den * d, [m * v for v in p.num])
+
+
+def _pseudo_divmod(a: Sequence[int],
+                   b: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Integer (Q, R) with lead^e a = Q b + R and len(R) < len(b), where
+    lead = b[-1] and e = len(a) - len(b) + 1 >= 1 (Knuth, Algorithm R).
+    R may have trailing zeros."""
+    n = len(b) - 1
+    lead = b[-1]
+    rem = list(a)
+    quo = [0] * (len(a) - n)
+    for k in range(len(a) - n - 1, -1, -1):
+        c = rem.pop()
+        quo[k] = c * lead ** k
+        if lead != 1:
+            rem = [lead * v for v in rem]
+        if c:
+            for j, v in enumerate(b[:n], k):
+                rem[j] -= c * v
+    return quo, rem
+
+
+def _primitive(num: Sequence[int]) -> list[int]:
+    """num divided by the gcd of its entries (positive), trailing zeros
+    dropped."""
+    out = list(num)
+    while out and not out[-1]:
+        out.pop()
+    g = gcd(*out)
+    return out if g <= 1 else [v // g for v in out]
+
+
 X = Poly.of(0, 1)
 P_ONE = Poly.of(1)
 P_ZERO = Poly()
@@ -163,18 +265,24 @@ def poly_from_roots(roots: Iterable[int | Fraction]) -> Poly:
     """Monic polynomial with the given roots (with multiplicity)."""
     out = P_ONE
     for r in roots:
-        out = out * Poly.of(-Fraction(r), 1)
+        out = out * Poly((-r, 1))
     return out
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic greatest common divisor; not defined when both are zero."""
+    """Monic greatest common divisor; not defined when both are zero.
+
+    Primitive remainder sequence on the numerators: each pseudo-remainder
+    is divided by its content, which keeps the integers as small as the
+    remainders' own primitive forms."""
     if p.is_zero and q.is_zero:
         raise ValueError("gcd of two zero polynomials")
-    a, b = p, q
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    a, b = _primitive(p.num), _primitive(q.num)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _primitive(_pseudo_divmod(a, b)[1])
+    return _normal(a[-1], a)
 
 
 def poly_xgcd(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
@@ -189,9 +297,9 @@ def poly_xgcd(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
         r0, r1 = r1, rr
         u0, u1 = u1, u0 - qq * u1
         v0, v1 = v1, v0 - qq * v1
-    lc = r0.leading
-    inv = ONE / lc
-    return r0 * inv, u0 * inv, v0 * inv
+    # times 1 / lead(r0) = den / num[-1]
+    den, lead = r0.den, r0.num[-1]
+    return r0.monic(), _scaled(u0, den, lead), _scaled(v0, den, lead)
 
 
 def squarefree_decomposition(p: Poly) -> list[Poly]:
@@ -228,19 +336,19 @@ def _sturm_chain(p: Poly) -> tuple[list[list[int]], int]:
     """Sturm chain of a squarefree p, each member as a primitive integer
     coefficient list (ascending, same sign), and b >= 1 such that every
     real root of p lies in (-2^b, 2^b)."""
-    chain = [p]
-    nxt = p.derivative()
-    while not nxt.is_zero:
-        chain.append(nxt)
-        nxt = -(chain[-2] % nxt)
-    if chain[-1].degree > 0:
+    ints = [_primitive(p.num)]
+    nxt = _primitive([i * c for i, c in enumerate(ints[0])][1:])
+    while nxt:
+        ints.append(nxt)
+        a = ints[-2]
+        # a mod nxt = R / lead^e, and the next member is -(a mod nxt) up
+        # to a positive factor: -R unless lead^e < 0.
+        rem = _pseudo_divmod(a, nxt)[1]
+        if nxt[-1] > 0 or (len(a) - len(nxt)) % 2:
+            rem = [-v for v in rem]
+        nxt = _primitive(rem)
+    if len(ints[-1]) > 1:
         raise ValueError("polynomial is not squarefree")
-    ints = []
-    for q in chain:
-        den = math.lcm(*[c.denominator for c in q.coeffs])
-        row = [c.numerator * (den // c.denominator) for c in q.coeffs]
-        g = math.gcd(*row)
-        ints.append([v // g for v in row])
     # Fujiwara: |root| <= 2 max_k |c_{d-k} / c_d|^(1/k), each ratio bounded
     # through bit lengths by a power of two.
     top, d = ints[0], len(ints[0]) - 1
@@ -303,8 +411,11 @@ def poly_crt(pairs: Sequence[tuple[Poly, Poly]]) -> Poly:
 
 
 def root_multiplicity(p: Poly, r: Fraction) -> int:
-    """Multiplicity of r as a root of p (0 when it is not a root)."""
-    lin = Poly.of(-r, 1)
+    """Multiplicity of r as a root of a nonzero p (0 when it is not a
+    root)."""
+    if p.is_zero:
+        raise ValueError("zero polynomial")
+    lin = Poly((-r, 1))
     mult = 0
     while True:
         p, rem = divmod(p, lin)

@@ -1,22 +1,25 @@
 """Exact spectral computations over Q.
 
-Characteristic polynomials come from a similarity reduction to Hessenberg
-form followed by the leading-minor recurrence; minimal polynomials from the
-first linear dependency among vectorized powers.  Irrational eigenvalues
-are never materialized: existence questions are answered by Sturm counts,
-and every operation that needs an eigenvalue takes a rational one.  The
-spectral radius is replaced throughout by the certified row-sum upper
-bound, which is all the downstream shift constructions require.
+Characteristic and minimal polynomials are computed on the integer
+numerators N of A = N / d and rescaled once: characteristic polynomials by
+Berkowitz's division-free algorithm (1984), minimal polynomials from the
+first linear dependency among the powers of N.  Neither builds a Fraction.
+Irrational eigenvalues are never materialized: existence questions are
+answered by Sturm counts, and every operation that needs an eigenvalue
+takes a rational one.  The spectral radius is replaced throughout by the
+certified row-sum upper bound, which is all the downstream shift
+constructions require.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .algebra import Algebra
-from .linear import (EchelonSpan, complete_basis, first_dependency,
+from .linear import (EchelonSpan, complete_basis, first_dependency_num,
                      intersect_spans, nullspace, solve, span_rows)
 from .matrices import (Mat, conjugate, direct_sum, identity, inverse,
                        jordan_cell, matrix_unit, poly_at)
@@ -29,57 +32,49 @@ ONE = Fraction(1)
 
 
 def char_poly(a: Mat) -> Poly:
-    """Monic characteristic polynomial det(xI - A)."""
+    """Monic characteristic polynomial det(xI - A).
+
+    Berkowitz (1984) on the integer numerators N of A = N / d: the
+    characteristic polynomial of each leading block [[N_k, c], [r, a]] is
+    a lower-triangular Toeplitz matrix with first column
+    (1, -a, -r c, -r N_k c, ..., -r N_k^(k-1) c) times that of N_k, with no
+    division.  The x^k coefficient of det(xI - N / d) is c_k d^(k - n)."""
     if not a.is_square:
         raise ValueError("matrix must be square")
-    n = a.rows
-    if n == 0:
-        return P_ONE
-    h = [list(row) for row in a.data]
-    for j in range(n - 2):
-        piv = next((r for r in range(j + 1, n) if h[r][j]), None)
-        if piv is None:
-            continue
-        if piv != j + 1:
-            h[piv], h[j + 1] = h[j + 1], h[piv]
-            for row in h:
-                row[piv], row[j + 1] = row[j + 1], row[piv]
-        inv = ONE / h[j + 1][j]
-        for r in range(j + 2, n):
-            f = h[r][j] * inv
-            if f:
-                h[r] = [v - f * w for v, w in zip(h[r], h[j + 1])]
-                for row in h:
-                    row[j + 1] += f * row[r]
-    # char polys of leading principal minors of the Hessenberg form
-    polys = [P_ONE]
-    for m in range(1, n + 1):
-        p = Poly.of(-h[m - 1][m - 1], 1) * polys[m - 1]
-        prod = ONE
-        for k in range(1, m):
-            prod *= h[m - k][m - k - 1]
-            if not prod:
-                break
-            term = h[m - 1 - k][m - 1]
-            if term:
-                p = p - (prod * term) * polys[m - 1 - k]
-        polys.append(p)
-    return polys[n]
+    n, m, d = a.rows, a.num, a.den
+    cp = [1]  # det(xI - N_k), highest degree first
+    for k in range(n):
+        col = [m[i][k] for i in range(k)]
+        row = m[k][:k]
+        t = [1, -m[k][k]]
+        for j in range(k):
+            t.append(-sum(map(mul, row, col)))
+            if j < k - 1:
+                col = [sum(map(mul, m[i], col)) for i in range(k)]
+        cp = [sum(t[i - j] * cp[j] for j in range(min(i, k) + 1))
+              for i in range(k + 2)]
+    return Poly.from_ints(d ** n, [c * d ** i
+                                   for i, c in enumerate(reversed(cp))])
 
 
 def min_poly(a: Mat) -> Poly:
     """Least-degree monic polynomial with p(A) = 0, via the first linear
-    dependency among vectorized powers I, A, A^2, ..."""
+    dependency sum c_i N^i = 0 among the powers of the integer numerators
+    N of A = N / d; the x^i coefficient is c_i d^(i - k) / c_k."""
     if not a.is_square:
         raise ValueError("matrix must be square")
+    ints = Mat.from_ints(a.rows, a.cols, 1, a.num)
 
     def powers():
         power = identity(a.rows)
         while True:
-            yield power.vectorize()
-            power = power @ a
+            yield power.numerators()
+            power = power @ ints
 
-    return Poly.from_coeffs(first_dependency(powers()))
+    coeffs = first_dependency_num(powers())
+    k = len(coeffs) - 1
+    return Poly.from_ints(coeffs[k] * a.den ** k,
+                          [c * a.den ** i for i, c in enumerate(coeffs)])
 
 
 @dataclass(frozen=True)
@@ -123,7 +118,8 @@ def spectral_radius_bound(a: Mat) -> Fraction:
     """Certified upper bound for the spectral radius: max absolute row sum."""
     if not a.is_square:
         raise ValueError("matrix must be square")
-    return max((sum((abs(v) for v in row), ZERO) for row in a.data), default=ZERO)
+    return Fraction(max((sum(map(abs, row)) for row in a.num), default=0),
+                    a.den)
 
 
 def block_projector_poly(mu_target: Poly, mu_others: Poly) -> Poly:

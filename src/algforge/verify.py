@@ -17,9 +17,12 @@ each retained element on the right by the generators' integer rows, where
 the engine's worklist multiplies on the left.  Generators are admitted
 lazily: one the span already holds is skipped, since the span is always
 the algebra generated by the admitted ones, so a redundant list costs no
-more products than its admitted part.  Within one `verify_document` call
-each referenced matrix is parsed once and each generator list is closed
-once.
+more products than its admitted part.  A claim that a second list
+generates the same algebra as a closed one is checked by containment
+(`_generates`): each of its matrices must lie in the closed span, and it
+is closed only when I and the matrices alone fall short of the span's
+dimension.  Within one `verify_document` call each referenced matrix is
+parsed once and each generator list is closed once.
 """
 
 from __future__ import annotations
@@ -263,6 +266,30 @@ def _closure(gens: list[Grid]) -> tuple[_Span, int]:
     return span, n
 
 
+def _generates(closed: tuple[_Span, int], gens: list[Grid]) -> bool:
+    """Whether gens generate the algebra spanned by a `_closure` result.
+
+    Every generator must be n x n and lie in the span, which is an algebra
+    holding I, so the algebra <gens> lies inside it; and span{I, gens}
+    lies inside <gens>.  So the two are equal once span{I, gens} has the
+    span's dimension, and otherwise exactly when the closure of gens
+    reaches it."""
+    if not gens:
+        raise CertificateError("closure of an empty generator list")
+    span, n = closed
+    for _, rows in gens:
+        if len(rows) != n or any(len(row) != n for row in rows):
+            raise CertificateError("generator size does not match the algebra")
+    vecs = [_vec(g) for g in gens]
+    if not all(map(span.contains, vecs)):
+        return False
+    low = _Span()
+    low.add([v for row in _identity(n) for v in row])
+    for v in vecs:
+        low.add(v)
+    return low.dim == span.dim or _closure(gens)[0].dim == span.dim
+
+
 # -- reference resolution ------------------------------------------------------
 
 def _resolve(doc: dict, ref: str, key: str, what: str) -> dict:
@@ -414,17 +441,15 @@ def _check_dimension(d: _Document, p: dict) -> bool:
 
 
 def _check_generate_equal(d: _Document, p: dict) -> bool:
-    span_a, _ = d.closed(p["gens_a"])
-    span_b, _ = d.closed(p["gens_b"])
-    return span_a.rows == span_b.rows
+    return _generates(d.closed(p["gens_a"]),
+                      [d.matrix(r) for r in p["gens_b"]])
 
 
 def _check_generate_equal_conjugated(d: _Document, p: dict) -> bool:
     c = d.transform()
-    span_a, _ = d.closed(p["gens"])
-    span_b, _ = _closure([_solve_conjugate(c, d.matrix(r))
-                          for r in p["source_gens"]])
-    return span_a.rows == span_b.rows
+    return _generates(d.closed(p["gens"]),
+                      [_solve_conjugate(c, d.matrix(r))
+                       for r in p["source_gens"]])
 
 
 def _check_spans_pattern(d: _Document, p: dict) -> bool:

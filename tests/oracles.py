@@ -2,8 +2,10 @@
 
 These deliberately re-derive results through different algorithms than the
 package: real-root counting by Descartes interval bisection instead of
-Sturm chains, characteristic polynomials by Faddeev-LeVerrier instead of
-the Hessenberg recurrence, algebra dimensions by a round-based
+Sturm chains, characteristic polynomials by Faddeev-LeVerrier and by the
+Fraction Hessenberg reduction instead of Berkowitz's division-free
+recurrence, polynomial arithmetic and gcds on Fraction coefficients
+instead of integer numerators, algebra dimensions by a round-based
 pairwise-product closure instead of the generator worklist, the closure
 worklists as they were before early stopping and lazy admission, echelon
 bases and products by textbook Fraction loops instead of the integer
@@ -14,7 +16,9 @@ the fraction-free integer one.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from algforge.matrices import Mat, identity, zero
 from algforge.polynomials import Poly, poly_gcd
@@ -104,6 +108,195 @@ def faddeev_char_poly(a: Mat) -> Poly:
         c = -tr / k
         coeffs[n - k] = c
     return Poly.from_coeffs(coeffs)
+
+
+# -- Fraction polynomials and the Hessenberg characteristic polynomial ----------
+#
+# The Fraction-coefficient polynomial class, its gcd and the Hessenberg
+# characteristic polynomial as they were before the integer kernel, kept as
+# references for `Poly`, `poly_gcd` and `spectral.char_poly`.
+
+def _strip(coeffs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    k = len(coeffs)
+    while k > 0 and coeffs[k - 1] == 0:
+        k -= 1
+    return coeffs[:k]
+
+
+@dataclass(frozen=True)
+class FractionPoly:
+    """Univariate polynomial over Q, coefficients ascending by degree."""
+
+    coeffs: tuple[Fraction, ...] = ()
+
+    @staticmethod
+    def of(*coeffs: int | str | Fraction) -> FractionPoly:
+        return FractionPoly(_strip(tuple(Fraction(c) for c in coeffs)))
+
+    @staticmethod
+    def from_coeffs(coeffs: Iterable[int | str | Fraction]) -> FractionPoly:
+        return FractionPoly(_strip(tuple(Fraction(c) for c in coeffs)))
+
+    @property
+    def degree(self) -> int:
+        """Degree of the polynomial; -1 for the zero polynomial."""
+        return len(self.coeffs) - 1
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    @property
+    def leading(self) -> Fraction:
+        if not self.coeffs:
+            raise ValueError("zero polynomial has no leading coefficient")
+        return self.coeffs[-1]
+
+    def __add__(self, other: FractionPoly) -> FractionPoly:
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return FractionPoly(_strip(tuple(out)))
+
+    def __neg__(self) -> FractionPoly:
+        return FractionPoly(tuple(-c for c in self.coeffs))
+
+    def __sub__(self, other: FractionPoly) -> FractionPoly:
+        return self + (-other)
+
+    def __mul__(self, other: FractionPoly | int | Fraction) -> FractionPoly:
+        if isinstance(other, (int, Fraction)):
+            c = Fraction(other)
+            if c == 0:
+                return FractionPoly()
+            return FractionPoly(tuple(c * a for a in self.coeffs))
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return FractionPoly()
+        out = [ZERO] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
+            if ca:
+                for j, cb in enumerate(b):
+                    if cb:
+                        out[i + j] += ca * cb
+        return FractionPoly(_strip(tuple(out)))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, e: int) -> FractionPoly:
+        if e < 0:
+            raise ValueError("negative power")
+        out = FractionPoly.of(1)
+        base = self
+        while e:
+            if e & 1:
+                out = out * base
+            base = base * base
+            e >>= 1
+        return out
+
+    def __call__(self, x: int | Fraction) -> Fraction:
+        acc = ZERO
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def __divmod__(self, other: FractionPoly) -> tuple[FractionPoly, FractionPoly]:
+        if other.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = list(self.coeffs)
+        dq, dr = other.degree, len(rem) - 1
+        if dr < dq:
+            return FractionPoly(), self
+        inv = ONE / other.leading
+        quo = [ZERO] * (dr - dq + 1)
+        for k in range(dr - dq, -1, -1):
+            c = rem[k + dq] * inv
+            quo[k] = c
+            if c:
+                for j, b in enumerate(other.coeffs):
+                    rem[k + j] -= c * b
+        return FractionPoly(_strip(tuple(quo))), FractionPoly(_strip(tuple(rem)))
+
+    def __floordiv__(self, other: FractionPoly) -> FractionPoly:
+        return divmod(self, other)[0]
+
+    def __mod__(self, other: FractionPoly) -> FractionPoly:
+        return divmod(self, other)[1]
+
+    def derivative(self) -> FractionPoly:
+        return FractionPoly(_strip(tuple(Fraction(i) * c for i, c in enumerate(self.coeffs))[1:]))
+
+    def monic(self) -> FractionPoly:
+        if self.is_zero:
+            return self
+        return self * (ONE / self.leading)
+
+    def __str__(self) -> str:
+        if self.is_zero:
+            return "0"
+        parts = []
+        for i, c in enumerate(self.coeffs):
+            if c:
+                if i == 0:
+                    parts.append(str(c))
+                elif i == 1:
+                    parts.append(f"{c}*x" if c != 1 else "x")
+                else:
+                    parts.append(f"{c}*x^{i}" if c != 1 else f"x^{i}")
+        return " + ".join(parts)
+
+
+def fraction_poly_gcd(p: FractionPoly, q: FractionPoly) -> FractionPoly:
+    """Monic greatest common divisor; not defined when both are zero."""
+    if p.is_zero and q.is_zero:
+        raise ValueError("gcd of two zero polynomials")
+    a, b = p, q
+    while not b.is_zero:
+        a, b = b, a % b
+    return a.monic()
+
+
+def hessenberg_char_poly(a: Mat) -> FractionPoly:
+    """Monic characteristic polynomial det(xI - A)."""
+    if not a.is_square:
+        raise ValueError("matrix must be square")
+    n = a.rows
+    if n == 0:
+        return FractionPoly.of(1)
+    h = [list(row) for row in a.data]
+    for j in range(n - 2):
+        piv = next((r for r in range(j + 1, n) if h[r][j]), None)
+        if piv is None:
+            continue
+        if piv != j + 1:
+            h[piv], h[j + 1] = h[j + 1], h[piv]
+            for row in h:
+                row[piv], row[j + 1] = row[j + 1], row[piv]
+        inv = ONE / h[j + 1][j]
+        for r in range(j + 2, n):
+            f = h[r][j] * inv
+            if f:
+                h[r] = [v - f * w for v, w in zip(h[r], h[j + 1])]
+                for row in h:
+                    row[j + 1] += f * row[r]
+    # char polys of leading principal minors of the Hessenberg form
+    polys = [FractionPoly.of(1)]
+    for m in range(1, n + 1):
+        p = FractionPoly.of(-h[m - 1][m - 1], 1) * polys[m - 1]
+        prod = ONE
+        for k in range(1, m):
+            prod *= h[m - k][m - k - 1]
+            if not prod:
+                break
+            term = h[m - 1 - k][m - 1]
+            if term:
+                p = p - (prod * term) * polys[m - 1 - k]
+        polys.append(p)
+    return polys[n]
 
 
 # -- round-based pairwise closure ------------------------------------------------

@@ -251,3 +251,119 @@ def test_lazy_admission_bounds_verifier_products(monkeypatch):
     monkeypatch.setattr(verify, "_imul", counting)
     assert verify_document(_classify_doc()) == []
     assert len(calls) <= 150
+
+
+# -- source lists are checked by containment in the closed output algebra -----
+
+def _with_sources(doc, basis, refs=None):
+    """doc with the wire algebra basis replaced and the conjugated
+    generation check reading the given references (default: all of it)."""
+    out = copy.deepcopy(doc)
+    out["inputs"]["algebra_basis"] = basis
+    if refs is None:
+        refs = [f"in:algebra_basis:{i}" for i in range(len(basis))]
+    out["properties"][-1] = dict(doc["properties"][-1], source_gens=refs)
+    return out
+
+
+def _source_algebra(doc):
+    basis = [mat_from_json(m) for m in doc["inputs"]["algebra_basis"]]
+    return basis, generate(basis[0].rows, basis)
+
+
+def test_source_matrix_outside_the_algebra_fails():
+    doc = _classify_doc()
+    basis, alg = _source_algebra(doc)
+    n = alg.n
+    outside = next(matrix_unit(n, i, j) for i in range(1, n + 1)
+                   for j in range(1, n + 1)
+                   if not alg.contains(matrix_unit(n, i, j)))
+    for k in (0, len(basis) - 1):
+        wire = list(doc["inputs"]["algebra_basis"])
+        wire[k] = mat_to_json(outside)
+        tampered = _with_sources(doc, wire)
+        assert verify_document(tampered) == _generation_failure(tampered)
+
+
+def test_source_list_generating_a_proper_subalgebra_fails():
+    """Two basis matrices that generate less than the algebra: I and the
+    two fall short of its dimension, so the verifier closes them."""
+    doc = _classify_doc()
+    basis, alg = _source_algebra(doc)
+    pair = next((i, j) for i in range(len(basis))
+                for j in range(i + 1, len(basis))
+                if 3 <= generate(alg.n, [basis[i], basis[j]]).dim < alg.dim)
+    tampered = _with_sources(doc, doc["inputs"]["algebra_basis"],
+                             [f"in:algebra_basis:{k}" for k in pair])
+    assert verify_document(tampered) == _generation_failure(tampered)
+
+
+def test_short_source_list_that_generates_the_algebra_verifies():
+    """A few basis matrices whose products fill the algebra: I and the
+    list alone fall short, and the closure reaches the full dimension."""
+    doc = _classify_doc()
+    basis, alg = _source_algebra(doc)
+    keep, dim = [], 1
+    for i, b in enumerate(basis):
+        grown = generate(alg.n, [basis[j] for j in keep] + [b]).dim
+        if grown > dim:
+            keep.append(i)
+            dim = grown
+        if dim == alg.dim:
+            break
+    assert len(keep) + 1 < alg.dim
+    tampered = _with_sources(doc, doc["inputs"]["algebra_basis"],
+                             [f"in:algebra_basis:{k}" for k in keep])
+    assert verify_document(tampered) == []
+
+
+def test_empty_and_wrong_size_source_lists_fail():
+    doc = _classify_doc()
+    last = len(doc["properties"]) - 1
+    empty = _with_sources(doc, doc["inputs"]["algebra_basis"], [])
+    assert verify_document(empty) == [
+        f"property {last} (generate_equal_conjugated): closure of an empty"
+        " generator list"]
+    wire = list(doc["inputs"]["algebra_basis"])
+    wire[0] = mat_to_json(identity(3))
+    failures = verify_document(_with_sources(doc, wire))
+    assert len(failures) == 1
+    assert failures[0].startswith(f"property {last} (generate_equal_conjugated):")
+
+
+def test_generates_checks_containment_then_closes():
+    """`verify._generates` against the engine on grids: wrong sizes and
+    empty lists raise, a matrix outside the span or a list generating a
+    proper subalgebra gives False, a list reaching it gives True."""
+    grid = verify._grid
+    n = 3
+    upper = [Mat.from_rows([[1, 2, 0], [0, 1, 0], [0, 0, 3]]),
+             Mat.from_rows([[0, 0, 0], [0, 0, Fraction(1, 2)], [0, 0, 0]])]
+    closed = verify._closure([grid(mat_to_json(m)) for m in upper])
+    assert closed[0].dim == generate(n, upper).dim == 5
+    reach = [grid(mat_to_json(upper[0] @ upper[1] + upper[1])),
+             grid(mat_to_json(upper[0]))]
+    assert verify._generates(closed, reach)
+    assert verify._generates(closed, [grid(mat_to_json(m)) for m in upper])
+    assert not verify._generates(closed, [grid(mat_to_json(upper[0]))])
+    assert not verify._generates(
+        closed, reach + [grid(mat_to_json(matrix_unit(n, 3, 1)))])
+    with pytest.raises(verify.CertificateError):
+        verify._generates(closed, [])
+    with pytest.raises(verify.CertificateError):
+        verify._generates(closed, reach + [grid(mat_to_json(identity(2)))])
+
+
+def test_containment_check_bounds_verifier_products(monkeypatch):
+    """Verifying the 2 x 2 classify fixture took 120 integer products when
+    the conjugated source list was closed in full."""
+    calls = []
+    real = verify._imul
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(verify, "_imul", counting)
+    assert verify_document(_classify_doc()) == []
+    assert len(calls) <= 80

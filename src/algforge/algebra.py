@@ -13,7 +13,9 @@ contains every word in the generators and is closed under products.
 closing it in full: every generator must lie in the algebra, and the
 worklist, given the algebra's dimension as `stop`, returns as soon as its
 span has that dimension.  Loaders and tests still verify closure by
-checking all pairwise basis products.
+checking all pairwise basis products.  `center`, `centralizer` and
+`is_simple` solve their linear systems on integer numerators: the basis
+numerators span the algebra as the basis does.
 """
 
 from __future__ import annotations
@@ -21,13 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from operator import mul
+from typing import Iterable
 
 from . import simplex
 from .incidence import IncidencePattern
-from .linear import EchelonSpan, nullspace
+from .linear import EchelonSpan, nullspace, rank, solve
 from .matrices import (Mat, Support, direct_sum, identity, inverse,
-                       mat_from_json, mat_to_json, matrix_unit,
+                       mat_from_json, mat_to_json, matrix_unit, span_rows,
                        support_union, zero)
 
 ONE = Fraction(1)
@@ -85,16 +88,10 @@ class Algebra:
 
 
 def _span_mats(n: int, span: EchelonSpan) -> list[Mat]:
-    """The span's canonical rows as n x n matrices: a primitive echelon row
-    over its positive pivot is already in canonical form."""
-    mats = []
-    for p, row in span.primitive_rows():
-        flat = [0] * (n * n)
-        for j, v in row.items():
-            flat[j] = v
-        mats.append(Mat.from_ints(n, n, row[p], [flat[i * n:(i + 1) * n]
-                                                 for i in range(n)]))
-    return mats
+    """The span's canonical rows as n x n matrices."""
+    return [Mat.from_ints(n, n, r.den, [r.num[0][i * n:(i + 1) * n]
+                                        for i in range(n)])
+            for r in span_rows(span)]
 
 
 def _from_span(n: int, span: EchelonSpan) -> Algebra:
@@ -237,23 +234,23 @@ def two_sided_ideal(a: Algebra, x: Mat) -> list[Mat]:
     return _span_mats(a.n, span)
 
 
+def _numerators(a: Algebra) -> list[Mat]:
+    """The basis numerators N_k of B_k = N_k / d_k, as integer matrices:
+    sum y_k N_k runs over the algebra as sum x_k B_k does."""
+    return [Mat.from_ints(a.n, a.n, 1, b.num) for b in a.basis]
+
+
 def center(a: Algebra) -> list[Mat]:
     """Echelon basis of {X in A : XB = BX for every B in A}."""
-    d = a.dim
+    nums = _numerators(a)
     rows = []
-    for b in a.basis:
-        comm = [(c @ b - b @ c).vectorize() for c in a.basis]
-        for pos in range(a.n * a.n):
-            row = [comm[j][pos] for j in range(d)]
-            if any(row):
-                rows.append(row)
+    for b in nums:
+        comm = [(c @ b - b @ c).numerators() for c in nums]
+        rows += [row for row in zip(*comm) if any(row)]
     span = EchelonSpan(a.n * a.n)
-    for cv in nullspace(rows, d):
-        acc = zero(a.n)
-        for coef, b in zip(cv, a.basis):
-            if coef:
-                acc = acc + coef * b
-        span.add(acc.numerators())
+    flat = [b.numerators() for b in nums]
+    for y in nullspace(rows, a.dim)[1]:
+        span.add([sum(map(mul, y, col)) for col in zip(*flat)])
     return _span_mats(a.n, span)
 
 
@@ -273,7 +270,7 @@ def centralizer(m: Mat) -> Algebra:
             if any(row):
                 rows.append(row)
     span = EchelonSpan(n * n)
-    for v in nullspace(rows, n * n):
+    for v in nullspace(rows, n * n)[1]:
         span.add(v)
     alg = _from_span(n, span)
     if not (alg.is_unital() and alg.is_closed()):
@@ -289,43 +286,35 @@ def is_simple(a: Algebra) -> bool:
     a field over the reals: dimension 1, or dimension 2 with the quadratic
     minimal polynomial of a non-scalar central element having no real root.
     """
-    d = a.dim
-    gram = [[_trace(a.basis[i] @ a.basis[j]) for j in range(d)] for i in range(d)]
-    if nullspace(gram, d):
+    nums = _numerators(a)
+    gram = [[sum((x @ y).num[i][i] for i in range(a.n)) for y in nums]
+            for x in nums]
+    if rank(gram) < a.dim:
         return False  # nonzero radical is a proper ideal
     zc = center(a)
     if len(zc) == 1:
         return True
     if len(zc) > 2:
         return False
-    ident = identity(a.n)
     z = next((m for m in zc if not _is_scalar(m)), None)
     if z is None:
         raise ArithmeticError("two-dimensional center without non-scalar element")
-    # Solve z^2 = alpha*I + beta*z; the minimal polynomial is x^2-beta*x-alpha.
-    coeffs = _coords_in(z @ z, [ident, z])
-    if coeffs is None:
+    # Solve Z^2 = (p I + r Z) / q for the numerators Z of z: the minimal
+    # polynomial x^2 - (r/q) x - p/q of Z, a multiple of z, has a real root
+    # iff that of z does, and its discriminant has the sign of r^2 + 4pq.
+    zn = Mat.from_ints(a.n, a.n, 1, z.num)
+    sol = solve(list(zip(identity(a.n).numerators(), zn.numerators())),
+                (zn @ zn).numerators())
+    if sol is None:
         raise ArithmeticError("central element square escapes its plane")
-    alpha, beta = coeffs
-    disc = beta * beta + 4 * alpha
-    return disc < 0
-
-
-def _trace(m: Mat) -> Fraction:
-    return Fraction(sum(m.num[i][i] for i in range(m.rows)), m.den)
+    q, (p, r) = sol
+    return r * r + 4 * p * q < 0
 
 
 def _is_scalar(m: Mat) -> bool:
     c = m.num[0][0]
     return all(m.num[i][j] == (c if i == j else 0)
                for i in range(m.rows) for j in range(m.cols))
-
-
-def _coords_in(x: Mat, basis: Sequence[Mat]) -> list[Fraction] | None:
-    from .linear import solve
-    cols = [b.vectorize() for b in basis]
-    rows = [[cols[k][p] for k in range(len(basis))] for p in range(len(cols[0]))]
-    return solve(rows, x.vectorize())
 
 
 def incidence_structure(a: Algebra) -> IncidencePattern | None:

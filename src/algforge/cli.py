@@ -88,21 +88,22 @@ def _load_json(path: str | None):
 
 
 def _load_algebra_like(doc) -> Algebra:
-    """Accept either an algebra document or a generator-set document."""
+    """Accept either an algebra document or a generator-set document.
+    Every size in it is checked against the cap before anything is
+    parsed or closed."""
     if not isinstance(doc, dict):
         raise UsageError("expected a JSON object")
+    for size in _doc_sizes(doc):
+        _check_dim(size)
     if "basis" in doc:
         try:
-            alg = algebra_from_json(doc)
+            return algebra_from_json(doc)
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"invalid algebra document: {exc}")
-        _check_dim(alg.n)
-        return alg
     if "gens" in doc:
         n = doc.get("n")
         if not isinstance(n, int):
             raise UsageError("generator document needs an integer 'n'")
-        _check_dim(n)
         try:
             gens = [mat_from_json(m) for m in doc["gens"]]
             return generate(n, gens)

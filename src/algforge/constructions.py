@@ -28,10 +28,10 @@ from .incidence import (IncidencePattern, incidence_of_dimension,
                         triangularize_incidence)
 from .linear import rank
 from .matrices import (Mat, commutator, conjugate, direct_sum, identity,
-                       inverse, is_nonneg, is_positive, min_support_entry,
-                       ones, permutation_matrix, poly_at, regular_triangular,
-                       support, support_union, uniform_norm, uniformizer,
-                       uniformizer_inv, zero)
+                       inverse, is_nonneg, is_positive, kernel,
+                       min_support_entry, ones, permutation_matrix, poly_at,
+                       regular_triangular, stack, support, support_union,
+                       uniform_norm, uniformizer, uniformizer_inv, zero)
 from .polynomials import (Poly, multiplicity_one_part, poly_gcd,
                           rational_roots, sturm_real_root_count)
 from .spectral import (JordanSpec, char_poly, eigenvalue_multiplicity,
@@ -142,27 +142,18 @@ def uniformize_rank1_idempotent(e: Mat) -> Mat:
     n = e.rows
     if e @ e != e:
         raise ValueError("matrix is not idempotent")
-    rk = rank(e.num, n)
+    rk = rank(e.num)
     if rk != 1:
         raise ValueError("idempotent does not have rank 1")
     if n == 1:
         return identity(1)
     j0 = next(j for j in range(n) if any(e.num[i][j] for i in range(n)))
-    u = e.column(j0)
-    i0 = next(i for i in range(n) if u[i])
-    v = tuple(e.data[i0][j] / u[i0] for j in range(n))
-    if sum((a * b for a, b in zip(v, u)), ZERO) != 1:
+    u = e.submatrix(range(n), [j0])
+    i0 = next(i for i in range(n) if u.num[i][0])
+    v = e.submatrix([i0], range(n)) * Fraction(u.den, u.num[i0][0])
+    if v @ u != identity(1):
         raise ArithmeticError("rank-1 factor trace is not 1")
-    t = next(i for i in range(n) if v[i])
-    kernel = []
-    for i in range(n):
-        if i != t:
-            w = [ZERO] * n
-            w[i] = ONE
-            w[t] = -v[i] / v[t]
-            kernel.append(tuple(w))
-    cols = [u] + kernel
-    c1 = Mat(n, n, tuple(zip(*cols)))
+    c1 = stack([u.transpose(), *kernel(v)]).transpose()
     swap = permutation_matrix([n - 1] + list(range(1, n - 1)) + [0])
     c = c1 @ swap @ uniformizer(n)
     flat = Fraction(1, n) * ones(n)
@@ -409,7 +400,7 @@ def blockwise_rank1_nonneg_covering(blocks: Sequence[Algebra],
             raise ValueError("part is not in its block algebra")
     for i in range(m):
         p = parts[i]
-        if p @ p != p or rank(p.num, p.rows) != 1:
+        if p @ p != p or rank(p.num) != 1:
             raise ValueError("nonzero part is not a rank-1 idempotent")
     tail = sum(blocks[i].n for i in range(m, len(blocks)))
     sims = [uniformize_rank1_idempotent(parts[i]) for i in range(m - 1)]
@@ -534,7 +525,7 @@ def central_eigenvalue_split(a: Algebra, z: Mat,
     if any(z @ b != b @ z for b in a.basis):
         raise ValueError("candidate is not central")
     shifted = z - lam * identity(n)
-    rk = rank(shifted.num, n)
+    rk = rank(shifted.num)
     if rk == n:
         raise ValueError("not an eigenvalue of the central element")
     if rk != n - 1:

@@ -1,40 +1,23 @@
-"""Exact linear algebra over Q: echelon spans, solving, inverses, kernels.
+"""Exact linear algebra over Q on integer rows: echelon spans, solving,
+inverses, kernels.
 
-Vectors come in as sequences of Fraction (or int), matrices as lists of row
-lists, and results go out as Fraction.  Inside, elimination runs on
-integers: a vector is multiplied once by the lcm of its denominators, and
-every echelon row is kept as a sparse dict of primitive integers (content
-divided out, positive pivot) that is fully reduced against the other rows.
-Eliminating a row from another is an integer cross-multiplication followed
-by division by the gcd, so no Fraction is built until a row is read out,
-divided by its pivot.  Such rows are unique for a given span, so they are
-canonical.  `invert_num` and `first_dependency_num` take integer input and
-return integers; `invert` and `first_dependency` are Fraction views over
-them, not second eliminations.  No tolerances anywhere; pivots are the
-first nonzero column, so results are deterministic.
+Every function takes integer rows and returns integers over one
+denominator; a rational matrix is passed as its integer numerators (a
+`Mat`'s `num`), which have the same span, rank and kernel.  Every echelon
+row is kept as a sparse dict of primitive integers (content divided out,
+positive pivot) that is fully reduced against the other rows.
+Eliminating a row from another is an integer cross-multiplication
+followed by division by the gcd.  Such rows are unique for a given span,
+so they are canonical.  No tolerances anywhere; pivots are the first
+nonzero column, so results are deterministic.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
-Vec = Sequence[Fraction]
 Rows = dict[int, dict[int, int]]
-
-
-def _cleared(vec: Vec) -> dict[int, int]:
-    """The nonzero entries of vec times the lcm of their denominators."""
-    entries = [(i, c) for i, c in enumerate(vec) if c]
-    # Star-unpack lists, not generators: a generator's tuple is resized
-    # to its length, which leaves tuples piling up in the interpreter's
-    # per-length free lists (several MiB of peak memory).
-    den = lcm(*[c.denominator for _, c in entries])
-    return {i: c.numerator * (den // c.denominator) for i, c in entries}
 
 
 def _residual(rows: Rows, vec: dict[int, int]) -> dict[int, int]:
@@ -83,10 +66,16 @@ def _insert(rows: Rows, vec: dict[int, int]) -> bool:
     return True
 
 
-def _dense(row: dict[int, int], length: int) -> list[Fraction]:
-    """An echelon row divided by its pivot, as a dense Fraction list."""
-    a = row[min(row)]
-    return [Fraction(row[j], a) if j in row else ZERO for j in range(length)]
+def _sparse(vec: Sequence[int]) -> dict[int, int]:
+    return {i: v for i, v in enumerate(vec) if v}
+
+
+def _echelon(rows: Iterable[Sequence[int]]) -> Rows:
+    """The reduced echelon rows of the span of integer rows."""
+    echelon: Rows = {}
+    for row in rows:
+        _insert(echelon, _sparse(row))
+    return echelon
 
 
 class EchelonSpan:
@@ -104,25 +93,18 @@ class EchelonSpan:
     def dim(self) -> int:
         return len(self._rows)
 
-    def contains(self, vec: Vec) -> bool:
-        return not _residual(self._rows, _cleared(vec))
+    def contains(self, vec: Sequence[int]) -> bool:
+        return not _residual(self._rows, _sparse(vec))
 
-    def add(self, vec: Vec) -> bool:
-        """Insert a vector; returns True when it enlarged the span."""
-        return _insert(self._rows, _cleared(vec))
-
-    def add_all(self, vecs: Iterable[Vec]) -> None:
-        for v in vecs:
-            self.add(v)
+    def add(self, vec: Sequence[int]) -> bool:
+        """Insert an integer vector; returns True when it enlarged the
+        span."""
+        return _insert(self._rows, _sparse(vec))
 
     def primitive_rows(self) -> list[tuple[int, dict[int, int]]]:
         """(pivot, row) in pivot order: each row a sparse primitive integer
         row with a positive pivot, which divided by its pivot is canonical."""
         return [(p, self._rows[p]) for p in sorted(self._rows)]
-
-    def canonical_rows(self) -> list[tuple[Fraction, ...]]:
-        return [tuple(_dense(row, self.length))
-                for _, row in self.primitive_rows()]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EchelonSpan):
@@ -130,45 +112,14 @@ class EchelonSpan:
         return self.length == other.length and self._rows == other._rows
 
 
-def span_rows(vectors: Iterable[Vec], length: int) -> list[tuple[Fraction, ...]]:
-    """Canonical reduced-echelon basis of the span of the given vectors."""
-    sp = EchelonSpan(length)
-    sp.add_all(vectors)
-    return sp.canonical_rows()
+def rank(rows: Sequence[Sequence[int]]) -> int:
+    return len(_echelon(rows))
 
 
-def rank(rows: Sequence[Vec], length: int | None = None) -> int:
-    if length is None:
-        length = len(rows[0]) if rows else 0
-    sp = EchelonSpan(length)
-    sp.add_all(rows)
-    return sp.dim
-
-
-def _reduce(rows: Sequence[Vec],
-            length: int) -> list[tuple[int, list[Fraction]]]:
-    """Gauss-Jordan elimination of rows of the given length, by the same
-    integer step as `EchelonSpan`: the nonzero rows of the reduced
-    row-echelon form, in pivot order, as (pivot column, row) pairs."""
-    echelon: Rows = {}
-    for r in rows:
-        _insert(echelon, _cleared(r))
-    return [(p, _dense(echelon[p], length)) for p in sorted(echelon)]
-
-
-def first_dependency(vectors: Iterable[Vec]) -> list[Fraction] | None:
-    """Coefficients c_0, ..., c_k = 1 of the first linear dependency
-    c_0 v_0 + ... + c_k v_k = 0 among the vectors, read lazily, or None
-    when they are independent."""
-    coeffs = first_dependency_num(vectors)
-    if coeffs is None:
-        return None
-    return [Fraction(c, coeffs[-1]) for c in coeffs]
-
-
-def first_dependency_num(vectors: Iterable[Vec]) -> list[int] | None:
-    """The first linear dependency as integers c_0, ..., c_k with c_k != 0,
-    or None; `first_dependency` divides it by c_k.
+def first_dependency(vectors: Iterable[Sequence[int]]) -> list[int] | None:
+    """The first linear dependency c_0 v_0 + ... + c_k v_k = 0 among the
+    vectors, read lazily, as integers with c_k != 0; None when they are
+    independent.
 
     One elimination: vector k carries a marker in column len(v_k) + k, so
     the markers of a row record which combination of the vectors it is,
@@ -176,8 +127,8 @@ def first_dependency_num(vectors: Iterable[Vec]) -> list[int] | None:
     rows: Rows = {}
     for k, vec in enumerate(vectors):
         n = len(vec)
-        row = _cleared(list(vec) + [ONE])
-        row[n + k] = row.pop(n)
+        row = _sparse(vec)
+        row[n + k] = 1
         res = _residual(rows, row)
         if min(res) >= n:
             return [res.get(n + j, 0) for j in range(k + 1)]
@@ -185,27 +136,20 @@ def first_dependency_num(vectors: Iterable[Vec]) -> list[int] | None:
     return None
 
 
-def solve(a_rows: Sequence[Vec], b: Vec) -> list[Fraction] | None:
-    """One exact solution of A x = b, or None when inconsistent."""
+def solve(a_rows: Sequence[Sequence[int]],
+          b: Sequence[int]) -> tuple[int, list[int]] | None:
+    """(d, x) with A (x / d) = b, one exact solution, or None when the
+    system is inconsistent."""
     n = len(a_rows[0]) if a_rows else 0
-    x = [ZERO] * n
-    for p, row in _reduce([list(r) + [bv] for r, bv in zip(a_rows, b)], n + 1):
-        if p == n:
-            return None
-        x[p] = row[n]
-    return x
+    echelon = _echelon([*r, bv] for r, bv in zip(a_rows, b))
+    if n in echelon:
+        return None
+    d = lcm(*[row[p] for p, row in echelon.items()])
+    return d, [echelon[p].get(n, 0) * (d // echelon[p][p])
+               if p in echelon else 0 for p in range(n)]
 
 
-def invert(rows: Sequence[Vec]) -> list[list[Fraction]]:
-    """Exact inverse, read off `invert_num` of the rows scaled to
-    integers: A = N / den has the inverse den N^-1."""
-    den = lcm(*[v.denominator for row in rows for v in row])
-    d, inv = invert_num([[v.numerator * (den // v.denominator) for v in row]
-                         for row in rows])
-    return [[Fraction(den * v, d) for v in row] for row in inv]
-
-
-def invert_num(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+def invert(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
     """(d, M) with M / d the inverse of a square integer matrix.
 
     One integer Gauss-Jordan run: [N | I] reduces to primitive rows
@@ -214,7 +158,7 @@ def invert_num(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
     n = len(rows)
     echelon: Rows = {}
     for i, row in enumerate(rows):
-        vec = {j: v for j, v in enumerate(row) if v}
+        vec = _sparse(row)
         vec[n + i] = 1
         _insert(echelon, vec)
     if sorted(echelon) != list(range(n)):
@@ -224,52 +168,20 @@ def invert_num(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
                 for j in range(n)] for i in range(n)]
 
 
-def nullspace(rows: Sequence[Vec], ncols: int) -> list[tuple[Fraction, ...]]:
-    """Canonical basis of {x : A x = 0}, one vector per free column."""
-    reduced = _reduce(rows, ncols)
-    pivots = {p for p, _ in reduced}
+def nullspace(rows: Sequence[Sequence[int]],
+              ncols: int) -> tuple[int, list[list[int]]]:
+    """(d, K): the rows of K over d are the canonical basis of
+    {x : A x = 0}, one vector per free column, which holds 1 there and 0
+    at the other free columns."""
+    echelon = _echelon(rows)
+    d = lcm(*[row[p] for p, row in echelon.items()])
     basis = []
     for fc in range(ncols):
-        if fc in pivots:
+        if fc in echelon:
             continue
-        v = [ZERO] * ncols
-        v[fc] = ONE
-        for pc, row in reduced:
-            v[pc] = -row[fc]
-        basis.append(tuple(v))
-    return basis
-
-
-def intersect_spans(rows_a: Sequence[Vec], rows_b: Sequence[Vec],
-                    n: int) -> list[tuple[Fraction, ...]]:
-    """Canonical basis of span(rows_a) intersected with span(rows_b)."""
-    if not rows_a or not rows_b:
-        return []
-    p, q = len(rows_a), len(rows_b)
-    cols = [list(v) for v in rows_a] + [[-c for c in v] for v in rows_b]
-    stacked = [[cols[k][i] for k in range(p + q)] for i in range(n)]
-    sol = nullspace(stacked, p + q)
-    sp = EchelonSpan(n)
-    for coeffs in sol:
-        vec = [ZERO] * n
-        for k in range(p):
-            if coeffs[k]:
-                for i in range(n):
-                    vec[i] += coeffs[k] * rows_a[k][i]
-        sp.add(vec)
-    return sp.canonical_rows()
-
-
-def complete_basis(rows: Sequence[Vec], n: int) -> list[tuple[Fraction, ...]]:
-    """Extend independent vectors to a basis of Q^n using standard vectors."""
-    sp = EchelonSpan(n)
-    for v in rows:
-        if not sp.add(v):
-            raise ValueError("vectors are not independent")
-    added = []
-    for i in range(n):
-        e = [ZERO] * n
-        e[i] = ONE
-        if sp.add(e):
-            added.append(tuple(e))
-    return [tuple(v) for v in rows] + added
+        v = [0] * ncols
+        v[fc] = d
+        for pc, row in echelon.items():
+            v[pc] = -row.get(fc, 0) * (d // row[pc])
+        basis.append(v)
+    return d, basis

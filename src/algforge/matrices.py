@@ -5,12 +5,13 @@ A ``Mat`` is stored in one canonical integer form: a denominator
 = 1, so the matrix is num / den and equal matrices have equal fields.
 Products, sums, transposes, supports, sign tests, ``inverse`` (one integer
 Gauss-Jordan run) and ``poly_at`` (integer Horner) run on the integers,
-and every result is brought back to canonical form by one gcd.  A Fraction
+and every result is brought back to canonical form by one gcd.  A rational
+vector is a ``1 x n`` Mat: ``stack``, ``kernel`` and ``span_rows`` build
+such rows, and a matrix acts on them as ``v @ A.transpose()``.  A Fraction
 is built only at the API and wire edges: ``A.data`` is a read-only
-Fraction grid built on first use, and ``vectorize``, ``column`` and
-``apply`` return Fractions.  ``A.data[i][j]`` is 0-based; ``Support``
-positions (and all serialized position data) are 1-based (row, column)
-pairs.  Matrices are immutable, hashable and safe to share.
+Fraction grid built on first use.  ``A.data[i][j]`` is 0-based;
+``Support`` positions (and all serialized position data) are 1-based
+(row, column) pairs.  Matrices are immutable, hashable and safe to share.
 
 Zero-size matrices are legal and act as absent direct summands.
 """
@@ -149,12 +150,9 @@ class Mat:
         num = tuple(zip(*self.num)) if self.rows else ((),) * self.cols
         return _mat(self.cols, self.rows, self.den, num)
 
-    def vectorize(self) -> tuple[Fraction, ...]:
-        """Row-major flattening, the coordinate system for algebra bases."""
-        return tuple(v for row in self.data for v in row)
-
     def numerators(self) -> tuple[int, ...]:
-        """Row-major integer numerators: den * vectorize(), a positive
+        """Row-major integer numerators: den times the row-major
+        flattening (the coordinate system for algebra bases), a positive
         multiple of it, which spans and supports need no more than."""
         return tuple(v for row in self.num for v in row)
 
@@ -162,15 +160,6 @@ class Mat:
         num = self.num
         return _normal(len(rows), len(cols), self.den,
                        tuple(tuple(num[i][j] for j in cols) for i in rows))
-
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(Fraction(row[j], self.den) for row in self.num)
-
-    def apply(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        if len(vec) != self.cols:
-            raise ValueError("size mismatch")
-        return tuple(sum((a * v for a, v in zip(row, vec) if a and v), ZERO)
-                     / self.den for row in self.num)
 
     def __str__(self) -> str:
         return "[" + "; ".join(" ".join(str(v) for v in row) for row in self.data) + "]"
@@ -197,11 +186,6 @@ def _normal(rows: int, cols: int, den: int, num: Rows) -> Mat:
         return _mat(rows, cols, den, num)
     return _mat(rows, cols, den // g,
                 tuple(tuple(v // g for v in row) for row in num))
-
-
-def mat_from_vector(n: int, vec: Sequence[Fraction], cols: int | None = None) -> Mat:
-    cols = n if cols is None else cols
-    return Mat(n, cols, [vec[i * cols:(i + 1) * cols] for i in range(n)])
 
 
 # -- constructors -----------------------------------------------------------
@@ -341,9 +325,41 @@ def inverse(a: Mat) -> Mat:
     if not a.is_square:
         raise ValueError("inverse of a non-square matrix")
     # (num / den)^-1 = den num^-1 = den M / d
-    d, inv = linear.invert_num(a.num)
+    d, inv = linear.invert(a.num)
     return _normal(a.rows, a.cols, d,
                    tuple(tuple(a.den * v for v in row) for row in inv))
+
+
+def stack(mats: Sequence[Mat]) -> Mat:
+    """Vertical concatenation of a nonempty list of matrices with equal
+    column counts."""
+    cols = mats[0].cols
+    if any(m.cols != cols for m in mats):
+        raise ValueError("size mismatch")
+    # Every block is canonical, so no prime of the lcm divides all entries.
+    den = lcm(*[m.den for m in mats])
+    return _mat(sum(m.rows for m in mats), cols, den, tuple(
+        row if m.den == den else tuple(den // m.den * v for v in row)
+        for m in mats for row in m.num))
+
+
+def kernel(a: Mat) -> list[Mat]:
+    """The canonical basis of {x : A x = 0} as 1 x cols rows, one per free
+    column of A, which holds 1 there and 0 at the other free columns."""
+    d, basis = linear.nullspace(a.num, a.cols)
+    return [_normal(1, a.cols, d, (tuple(v),)) for v in basis]
+
+
+def span_rows(span: linear.EchelonSpan) -> list[Mat]:
+    """The span's canonical rows as 1 x length matrices: a primitive
+    echelon row over its positive pivot is already in canonical form."""
+    out = []
+    for p, row in span.primitive_rows():
+        flat = [0] * span.length
+        for j, v in row.items():
+            flat[j] = v
+        out.append(_mat(1, span.length, row[p], (tuple(flat),)))
+    return out
 
 
 def conjugate(a: Mat, c: Mat) -> Mat:

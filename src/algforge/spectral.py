@@ -4,9 +4,12 @@ Characteristic and minimal polynomials are computed on the integer
 numerators N of A = N / d and rescaled once: characteristic polynomials by
 Berkowitz's division-free algorithm (1984), minimal polynomials from the
 first linear dependency among the powers of N.  Neither builds a Fraction.
-Irrational eigenvalues are never materialized: existence questions are
-answered by Sturm counts, and every operation that needs an eigenvalue
-takes a rational one.  The spectral radius is replaced throughout by the
+Vectors are 1 x n `Mat` rows, on which a matrix acts as v @ A^T: Jordan
+chains, the image of a spectral projector and the invariant subspaces of
+the structural decomposition are spans of such rows.  Irrational
+eigenvalues are never materialized: existence questions are answered by
+Sturm counts, and every operation that needs an eigenvalue takes a
+rational one.  The spectral radius is replaced throughout by the
 certified row-sum upper bound, which is all the downstream shift
 constructions require.
 """
@@ -16,20 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
 
 from .algebra import Algebra
-from .linear import (EchelonSpan, complete_basis, first_dependency_num,
-                     intersect_spans, nullspace, solve, span_rows)
+from .linear import EchelonSpan, first_dependency
 from .matrices import (Mat, conjugate, direct_sum, identity, inverse,
-                       jordan_cell, matrix_unit, poly_at)
+                       jordan_cell, kernel, matrix_unit, poly_at, span_rows,
+                       stack)
 from .polynomials import (P_ONE, Poly, multiplicity_one_part, poly_crt,
                           poly_gcd, rational_roots, sturm_real_root_count)
 from .polynomials import root_multiplicity as eigenvalue_multiplicity
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 
 def char_poly(a: Mat) -> Poly:
     """Monic characteristic polynomial det(xI - A).
@@ -71,7 +69,7 @@ def min_poly(a: Mat) -> Poly:
             yield power.numerators()
             power = power @ ints
 
-    coeffs = first_dependency_num(powers())
+    coeffs = first_dependency(powers())
     k = len(coeffs) - 1
     return Poly.from_ints(coeffs[k] * a.den ** k,
                           [c * a.den ** i for i, c in enumerate(coeffs)])
@@ -154,18 +152,17 @@ def rational_spectral_projector(a: Mat, lam: int | Fraction) -> Mat:
     return p
 
 
-def orbit_span(a: Algebra, v: Sequence[Fraction]) -> list[tuple[Fraction, ...]]:
-    """Canonical basis of the smallest A-invariant subspace containing v:
-    the span of {Bv : B basis}."""
-    if not any(v):
+def orbit_span(a: Algebra, v: Mat) -> list[Mat]:
+    """Canonical basis of the smallest A-invariant subspace containing the
+    n x 1 vector v, the span of {Bv : B basis}, as 1 x n rows."""
+    if not any(map(any, v.num)):
         raise ValueError("zero vector")
-    if len(v) != a.n:
+    if (v.rows, v.cols) != (a.n, 1):
         raise ValueError("size mismatch")
-    return span_rows([b.apply(v) for b in a.basis], a.n)
-
-
-def _transpose_orbit(a: Algebra, v: Sequence[Fraction]) -> list[tuple[Fraction, ...]]:
-    return span_rows([b.transpose().apply(v) for b in a.basis], a.n)
+    span = EchelonSpan(a.n)
+    for b in a.basis:
+        span.add((b @ v).numerators())
+    return span_rows(span)
 
 
 @dataclass(frozen=True)
@@ -192,33 +189,38 @@ def structural_decomposition(a: Algebra) -> StructuralDecomposition:
     invariant subspace orthogonal to e_1; cases 2-4 degenerate one or both.
     """
     n = a.n
-    e1 = tuple(ONE if i == 0 else ZERO for i in range(n))
     if not a.contains(matrix_unit(n, 1, 1)):
         raise ValueError("algebra does not contain the (1,1) matrix unit")
-    z1 = orbit_span(a, e1)
-    z2 = nullspace(_transpose_orbit(a, e1), n)  # orthogonal complement
-    # The leading block is the part of the orbit orthogonal to e_1: all of
-    # z2 when the orbit is Q^n, their intersection otherwise.  It never
-    # holds e_1, whose first coordinate is 1.
+    units = [identity(n).submatrix([i], range(n)) for i in range(n)]
+    e1 = units[0]
+    z1 = orbit_span(a, e1.transpose())
+    # The leading block is the part of the orbit orthogonal to e_1: the
+    # kernel of the basis' first rows F (the orthogonal complement of the
+    # transposed orbit), all of it when the orbit is Q^n, and otherwise
+    # its intersection kernel(F Z^T) Z with the orbit's rows Z, taken in
+    # canonical form.  It never holds e_1, whose first coordinate is 1.
+    first = stack([b.submatrix([0], range(n)) for b in a.basis])
     full = len(z1) == n
-    head = z2 if full else intersect_spans(z1, z2, n)
+    if full:
+        head = kernel(first)
+    else:
+        z = stack(z1)
+        meet = EchelonSpan(n)
+        for k in kernel(first @ z.transpose()):
+            meet.add((k @ z).num[0])
+        head = span_rows(meet)
     case = (3 if head else 4) if full else (1 if head else 2)
     sizes = (len(head), len(z1) - len(head), n - len(z1))
     picked = EchelonSpan(n)
-    cols = complete_basis([v for v in [*head, e1, *z1] if picked.add(v)], n)
+    cols = [v for v in [*head, e1, *z1, *units] if picked.add(v.num[0])]
 
     # Normalize first coordinates so the conjugation sends the (1,1) unit
     # exactly onto the (l,l) unit: every column except e_1 itself is shifted
     # into the hyperplane x_1 = 0 (allowed since e_1 lies in the orbit).
     l = sizes[0] + 1
-    fixed = []
-    for idx, colv in enumerate(cols):
-        if idx == l - 1:
-            fixed.append(tuple(colv))
-        else:
-            c = colv[0]
-            fixed.append(tuple(v - c * e for v, e in zip(colv, e1)))
-    cmat = Mat(n, n, tuple(zip(*fixed)))
+    cmat = stack([v if idx == l - 1 else
+                  Mat.from_ints(1, n, v.den, [(0,) + v.num[0][1:]])
+                  for idx, v in enumerate(cols)]).transpose()
     decomposition = StructuralDecomposition(cmat, sizes, l, case)
     _verify_decomposition(a, decomposition)
     return decomposition
@@ -267,35 +269,28 @@ def nilpotent_jordan_basis(m: Mat) -> tuple[Mat, tuple[int, ...]]:
         if len(powers) > n:
             raise ValueError("matrix is not nilpotent")
     q = len(powers) - 1  # nilpotency index
-    kernels = []
-    for t in range(q + 1):
-        # den * A^t has the kernel of A^t
-        kernels.append(nullspace(powers[t].num, n) if t else [])
-    sel: dict[int, list[tuple[Fraction, ...]]] = {t: [] for t in range(1, q + 2)}
-    descendants: list[tuple[Fraction, ...]] = []
+    kernels = [[]] + [kernel(p) for p in powers[1:]]
+    mt = m.transpose()  # M acts on a row v as v @ M^T
+    sel: dict[int, list[Mat]] = {q + 1: []}
+    descendants: list[Mat] = []
     for t in range(q, 0, -1):
-        descendants = [m.apply(v) for v in descendants] + \
-                      [m.apply(v) for v in sel[t + 1]]
+        descendants = [v @ mt for v in descendants + sel[t + 1]]
         blocked = EchelonSpan(n)
-        for v in kernels[t - 1]:
-            blocked.add(v)
-        for v in descendants:
-            blocked.add(v)
-        for v in kernels[t]:
-            if blocked.add(v):
-                sel[t].append(tuple(v))
-    cols: list[tuple[Fraction, ...]] = []
+        for v in kernels[t - 1] + descendants:
+            blocked.add(v.num[0])
+        sel[t] = [v for v in kernels[t] if blocked.add(v.num[0])]
+    cols: list[Mat] = []
     sizes: list[int] = []
     for t in range(q, 0, -1):
         for v in sel[t]:
             chain = [v]
             for _ in range(t - 1):
-                chain.append(m.apply(chain[-1]))
+                chain.append(chain[-1] @ mt)
             cols.extend(reversed(chain))
             sizes.append(t)
     if sum(sizes) != n:
         raise ArithmeticError("jordan chains do not fill the space")
-    c = Mat(n, n, tuple(zip(*cols)))
+    c = stack(cols).transpose()
     expected = direct_sum([jordan_cell(t, 0) for t in sizes])
     if conjugate(m, c) != expected:
         raise ArithmeticError("jordan basis verification failed")
@@ -312,28 +307,22 @@ def generalized_eigensplit(a: Mat, lam: Fraction) -> tuple[Mat, int, tuple[int, 
     n = a.rows
     shifted = a - lam * identity(n)
     proj = rational_spectral_projector(a, lam)
-    ker_basis = nullspace(proj.num, n)
-    im_span = EchelonSpan(n)
-    im_basis = []
-    for j in range(n):
-        colv = proj.column(j)
-        if im_span.add(colv):
-            im_basis.append(colv)
-    m = len(im_basis)
-    # matrix of the restriction of (A - lam I) to the image, in im_basis coords
-    im_mat = Mat(n, m, tuple(zip(*im_basis)))
-    restriction_cols = []
-    for v in im_basis:
-        image = shifted.apply(v)
-        coords = solve(im_mat.data, image)
-        if coords is None:
-            raise ArithmeticError("image basis does not span its image")
-        restriction_cols.append(coords)
-    restriction = Mat(m, m, tuple(zip(*[tuple(c) for c in restriction_cols])))
+    # the first columns of the projector that span its image
+    span = EchelonSpan(n)
+    picked = [j for j, col in enumerate(zip(*proj.num)) if span.add(col)]
+    x = proj.submatrix(range(n), picked)
+    m = len(picked)
+    # The restriction R of A - lam I to the image, in these coordinates,
+    # solves X R = (A - lam I) X, so it is read off m independent rows of X.
+    span = EchelonSpan(m)
+    rows = [i for i, row in enumerate(x.num) if span.add(row)]
+    image = shifted @ x
+    restriction = inverse(x.submatrix(rows, range(m))) @ \
+        image.submatrix(rows, range(m))
+    if x @ restriction != image:
+        raise ArithmeticError("image basis does not span its image")
     w, sizes = nilpotent_jordan_basis(restriction)
-    chains = im_mat @ w
-    cols = [tuple(v) for v in ker_basis] + [chains.column(j) for j in range(m)]
-    c = Mat(n, n, tuple(zip(*cols)))
+    c = stack(kernel(proj) + [(x @ w).transpose()]).transpose()
     inverse(c)  # raises on a bug; the columns must form a basis
     return c, m, sizes
 

@@ -22,7 +22,8 @@ generates the same algebra as a closed one is checked by containment
 (`_generates`): each of its matrices must lie in the closed span, and it
 is closed only when I and the matrices alone fall short of the span's
 dimension.  Within one `verify_document` call each referenced matrix is
-parsed once and each generator list is closed once.
+parsed once, each algebra basis is spanned once and each generator list
+is closed once.
 """
 
 from __future__ import annotations
@@ -130,11 +131,9 @@ def _vec(a: Grid) -> list[int]:
     return [v for row in a[1] for v in row]
 
 
-def _cleared(vec: Sequence[Fraction | int]) -> dict[int, int]:
-    """The nonzero entries of vec times the lcm of their denominators."""
-    entries = [(i, c) for i, c in enumerate(vec) if c]
-    den = lcm(*[c.denominator for _, c in entries])
-    return {i: c.numerator * (den // c.denominator) for i, c in entries}
+def _sparse(vec: Sequence[int]) -> dict[int, int]:
+    """The nonzero entries of an integer vector, by index."""
+    return {i: v for i, v in enumerate(vec) if v}
 
 
 def _primitive(vec: dict[int, int]) -> dict[int, int]:
@@ -175,11 +174,11 @@ class _Span:
     def __init__(self):
         self.rows: dict[int, dict[int, int]] = {}
 
-    def contains(self, vec: Sequence[Fraction | int]) -> bool:
-        return not _residual(self.rows, _cleared(vec))
+    def contains(self, vec: Sequence[int]) -> bool:
+        return not _residual(self.rows, _sparse(vec))
 
-    def add(self, vec: Sequence[Fraction | int]) -> bool:
-        res = _residual(self.rows, _cleared(vec))
+    def add(self, vec: Sequence[int]) -> bool:
+        res = _residual(self.rows, _sparse(vec))
         if not res:
             return False
         row = _primitive(res)
@@ -317,9 +316,9 @@ def _resolve(doc: dict, ref: str, key: str, what: str) -> dict:
 class _Document:
     """The references of one document, read for one `verify_document`
     call: each matrix is parsed once, each algebra basis read (and
-    conjugated) once and each generator list closed once.  Cached grids
-    are tuples and cached spans are only read, so no check can change
-    what another sees."""
+    conjugated) and spanned once and each generator list closed once.
+    Cached grids are tuples and cached spans are only read, so no check
+    can change what another sees."""
 
     def __init__(self, doc: dict):
         self.doc = doc
@@ -343,6 +342,15 @@ class _Document:
         return self._once(("basis", ref), lambda: tuple(
             _grid(m) for m in _resolve(self.doc, ref, "basis",
                                        "an algebra")["basis"]))
+
+    def span(self, ref: str, conjugated: bool = False) -> _Span:
+        """The span of the algebra's basis (conjugated or not)."""
+        def make() -> _Span:
+            span = _Span()
+            for b in self.basis(ref, conjugated):
+                span.add(_vec(b))
+            return span
+        return self._once(("span", ref, conjugated), make)
 
     def transform(self) -> Grid:
         """C, checked square and nonsingular."""
@@ -400,10 +408,8 @@ def _check_conjugate_of(d: _Document, p: dict) -> bool:
 
 
 def _check_in_algebra(d: _Document, p: dict, conjugated=False) -> bool:
-    span = _Span()
-    for b in d.basis(p["algebra"], conjugated):
-        span.add(_vec(b))
-    return span.contains(_vec(d.matrix(p["target"])))
+    return d.span(p["algebra"], conjugated).contains(
+        _vec(d.matrix(p["target"])))
 
 
 def _check_covers(d: _Document, p: dict, conjugated=False) -> bool:
@@ -426,13 +432,9 @@ def _check_semi_commuting(d: _Document, p: dict) -> bool:
 
 def _check_central(d: _Document, p: dict) -> bool:
     z = d.matrix(p["target"])
-    basis = d.basis(p["algebra"])
-    span = _Span()
-    for b in basis:
-        span.add(_vec(b))
-    if not span.contains(_vec(z)):
+    if not d.span(p["algebra"]).contains(_vec(z)):
         return False
-    return all(_mul(z, b) == _mul(b, z) for b in basis)
+    return all(_mul(z, b) == _mul(b, z) for b in d.basis(p["algebra"]))
 
 
 def _check_dimension(d: _Document, p: dict) -> bool:
@@ -487,10 +489,7 @@ def _check_is_centralizer(d: _Document, p: dict) -> bool:
     for r in rows:
         span.add(r)
     kernel_dim = n * n - span.dim
-    basis_span = _Span()
-    for b in basis:
-        basis_span.add(_vec(b))
-    return basis_span.dim == len(basis) == kernel_dim
+    return d.span(p["algebra"]).dim == len(basis) == kernel_dim
 
 
 def _check_has_simple_real_eigenvalue(d: _Document, p: dict) -> bool:

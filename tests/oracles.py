@@ -9,8 +9,11 @@ instead of integer numerators, algebra dimensions by a round-based
 pairwise-product closure instead of the generator worklist, the closure
 worklists as they were before early stopping and lazy admission, echelon
 bases and products by textbook Fraction loops instead of the integer
-kernel, and phase-1 simplex feasibility by a Fraction tableau instead of
-the fraction-free integer one.
+kernel, phase-1 simplex feasibility by a Fraction tableau instead of
+the fraction-free integer one, and kernels, solutions, span
+intersections, Jordan bases, eigenvalue splits, the structural
+decomposition and the center by the Fraction-vector routines that the
+integer-row engine replaced.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 from algforge.matrices import Mat, identity, zero
@@ -310,7 +314,7 @@ def brute_closure_dim(n: int, gens: list[Mat]) -> int:
     elements: list[Mat] = []
 
     def add(mat: Mat) -> None:
-        if span.add(mat.vectorize()):
+        if span.add(mat.numerators()):
             elements.append(mat)
 
     add(identity(n))
@@ -432,6 +436,13 @@ def gauss_jordan(vectors, length: int) -> list[tuple[Fraction, ...]]:
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         r += 1
     return [tuple(row) for row in rows[:r]]
+
+
+def cleared(vec) -> list[int]:
+    """A Fraction vector times the lcm of its denominators: an integer
+    vector on the same line."""
+    den = lcm(*[Fraction(v).denominator for v in vec])
+    return [int(v * den) for v in vec]
 
 
 def textbook_product(a: Mat, b: Mat) -> Mat:
@@ -619,3 +630,290 @@ def random_nonneg_on_pattern(rng: random.Random, pattern) -> Mat:
     for (i, j) in pattern.positions:
         data[i - 1][j - 1] = Fraction(rng.randint(1, 9), rng.randint(1, 3))
     return Mat(n, n, tuple(tuple(row) for row in data))
+
+
+# -- the Fraction-vector routines the integer-row engine replaced ---------------
+#
+# `solve`, `nullspace`, `intersect_spans`, `nilpotent_jordan_basis`,
+# `generalized_eigensplit`, `structural_decomposition` and `center` are the
+# engine's routines from when a vector was a tuple of Fractions, copied
+# verbatim.  Only what they stood on is replaced: the echelon span and the
+# elimination behind them are the textbook `gauss_jordan` above, and
+# `_apply`, `_column` and `_vectorize` stand for the `Mat` methods of the
+# same names.
+
+def _apply(m: Mat, vec) -> tuple[Fraction, ...]:
+    """M v for a Fraction vector v."""
+    if len(vec) != m.cols:
+        raise ValueError("size mismatch")
+    return tuple(sum((a * v for a, v in zip(row, vec)), ZERO)
+                 for row in m.data)
+
+
+def _column(m: Mat, j: int) -> tuple[Fraction, ...]:
+    return tuple(row[j] for row in m.data)
+
+
+def _vectorize(m: Mat) -> tuple[Fraction, ...]:
+    return tuple(v for row in m.data for v in row)
+
+
+class FractionSpan:
+    """A span of Fraction vectors kept as its reduced row-echelon basis."""
+
+    def __init__(self, length: int):
+        self.length = length
+        self.rows: list[tuple[Fraction, ...]] = []
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def add(self, vec) -> bool:
+        """Insert a vector; returns True when it enlarged the span."""
+        rows = gauss_jordan(self.rows + [vec], self.length)
+        if len(rows) == len(self.rows):
+            return False
+        self.rows = rows
+        return True
+
+    def canonical_rows(self) -> list[tuple[Fraction, ...]]:
+        return list(self.rows)
+
+
+EchelonSpan = FractionSpan
+
+
+def _reduce(rows, length: int) -> list[tuple[int, list[Fraction]]]:
+    """The nonzero rows of the reduced row-echelon form, in pivot order,
+    as (pivot column, row) pairs."""
+    return [(next(j for j, v in enumerate(row) if v), list(row))
+            for row in gauss_jordan(rows, length)]
+
+
+def span_rows(vectors, length: int) -> list[tuple[Fraction, ...]]:
+    """Canonical reduced-echelon basis of the span of the given vectors."""
+    return gauss_jordan(list(vectors), length)
+
+
+def solve(a_rows, b) -> list[Fraction] | None:
+    """One exact solution of A x = b, or None when inconsistent."""
+    n = len(a_rows[0]) if a_rows else 0
+    x = [ZERO] * n
+    for p, row in _reduce([list(r) + [bv] for r, bv in zip(a_rows, b)], n + 1):
+        if p == n:
+            return None
+        x[p] = row[n]
+    return x
+
+
+def nullspace(rows, ncols: int) -> list[tuple[Fraction, ...]]:
+    """Canonical basis of {x : A x = 0}, one vector per free column."""
+    reduced = _reduce(rows, ncols)
+    pivots = {p for p, _ in reduced}
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [ZERO] * ncols
+        v[fc] = ONE
+        for pc, row in reduced:
+            v[pc] = -row[fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def intersect_spans(rows_a, rows_b, n: int) -> list[tuple[Fraction, ...]]:
+    """Canonical basis of span(rows_a) intersected with span(rows_b)."""
+    if not rows_a or not rows_b:
+        return []
+    p, q = len(rows_a), len(rows_b)
+    cols = [list(v) for v in rows_a] + [[-c for c in v] for v in rows_b]
+    stacked = [[cols[k][i] for k in range(p + q)] for i in range(n)]
+    sol = nullspace(stacked, p + q)
+    sp = EchelonSpan(n)
+    for coeffs in sol:
+        vec = [ZERO] * n
+        for k in range(p):
+            if coeffs[k]:
+                for i in range(n):
+                    vec[i] += coeffs[k] * rows_a[k][i]
+        sp.add(vec)
+    return sp.canonical_rows()
+
+
+def complete_basis(rows, n: int) -> list[tuple[Fraction, ...]]:
+    """Extend independent vectors to a basis of Q^n using standard vectors."""
+    sp = EchelonSpan(n)
+    for v in rows:
+        if not sp.add(v):
+            raise ValueError("vectors are not independent")
+    added = []
+    for i in range(n):
+        e = [ZERO] * n
+        e[i] = ONE
+        if sp.add(e):
+            added.append(tuple(e))
+    return [tuple(v) for v in rows] + added
+
+
+def orbit_span(a, v) -> list[tuple[Fraction, ...]]:
+    """Canonical basis of the smallest A-invariant subspace containing v:
+    the span of {Bv : B basis}."""
+    if not any(v):
+        raise ValueError("zero vector")
+    if len(v) != a.n:
+        raise ValueError("size mismatch")
+    return span_rows([_apply(b, v) for b in a.basis], a.n)
+
+
+def _transpose_orbit(a, v) -> list[tuple[Fraction, ...]]:
+    return span_rows([_apply(b.transpose(), v) for b in a.basis], a.n)
+
+
+def structural_decomposition(a):
+    """Split an algebra containing the (1,1) diagonal matrix unit along its
+    minimal and maximal invariant subspaces attached to e_1."""
+    from algforge.matrices import matrix_unit
+    from algforge.spectral import (StructuralDecomposition,
+                                   _verify_decomposition)
+    n = a.n
+    e1 = tuple(ONE if i == 0 else ZERO for i in range(n))
+    if not a.contains(matrix_unit(n, 1, 1)):
+        raise ValueError("algebra does not contain the (1,1) matrix unit")
+    z1 = orbit_span(a, e1)
+    z2 = nullspace(_transpose_orbit(a, e1), n)  # orthogonal complement
+    # The leading block is the part of the orbit orthogonal to e_1: all of
+    # z2 when the orbit is Q^n, their intersection otherwise.  It never
+    # holds e_1, whose first coordinate is 1.
+    full = len(z1) == n
+    head = z2 if full else intersect_spans(z1, z2, n)
+    case = (3 if head else 4) if full else (1 if head else 2)
+    sizes = (len(head), len(z1) - len(head), n - len(z1))
+    picked = EchelonSpan(n)
+    cols = complete_basis([v for v in [*head, e1, *z1] if picked.add(v)], n)
+
+    # Normalize first coordinates so the conjugation sends the (1,1) unit
+    # exactly onto the (l,l) unit: every column except e_1 itself is shifted
+    # into the hyperplane x_1 = 0 (allowed since e_1 lies in the orbit).
+    l = sizes[0] + 1
+    fixed = []
+    for idx, colv in enumerate(cols):
+        if idx == l - 1:
+            fixed.append(tuple(colv))
+        else:
+            c = colv[0]
+            fixed.append(tuple(v - c * e for v, e in zip(colv, e1)))
+    cmat = Mat(n, n, tuple(zip(*fixed)))
+    decomposition = StructuralDecomposition(cmat, sizes, l, case)
+    _verify_decomposition(a, decomposition)
+    return decomposition
+
+
+def nilpotent_jordan_basis(m: Mat) -> tuple[Mat, tuple[int, ...]]:
+    """Columns of a similarity taking a nilpotent matrix to its Jordan form
+    with block sizes sorted descending; returns (C, sizes)."""
+    from algforge.matrices import conjugate, direct_sum, jordan_cell
+    if not m.is_square:
+        raise ValueError("matrix must be square")
+    n = m.rows
+    if n == 0:
+        return Mat(0, 0, ()), ()
+    powers = [identity(n)]
+    while True:
+        nxt = powers[-1] @ m
+        powers.append(nxt)
+        if not any(map(any, nxt.num)):
+            break
+        if len(powers) > n:
+            raise ValueError("matrix is not nilpotent")
+    q = len(powers) - 1  # nilpotency index
+    kernels = []
+    for t in range(q + 1):
+        # den * A^t has the kernel of A^t
+        kernels.append(nullspace(powers[t].num, n) if t else [])
+    sel: dict[int, list[tuple[Fraction, ...]]] = {t: [] for t in range(1, q + 2)}
+    descendants: list[tuple[Fraction, ...]] = []
+    for t in range(q, 0, -1):
+        descendants = [_apply(m, v) for v in descendants] + \
+                      [_apply(m, v) for v in sel[t + 1]]
+        blocked = EchelonSpan(n)
+        for v in kernels[t - 1]:
+            blocked.add(v)
+        for v in descendants:
+            blocked.add(v)
+        for v in kernels[t]:
+            if blocked.add(v):
+                sel[t].append(tuple(v))
+    cols: list[tuple[Fraction, ...]] = []
+    sizes: list[int] = []
+    for t in range(q, 0, -1):
+        for v in sel[t]:
+            chain = [v]
+            for _ in range(t - 1):
+                chain.append(_apply(m, chain[-1]))
+            cols.extend(reversed(chain))
+            sizes.append(t)
+    if sum(sizes) != n:
+        raise ArithmeticError("jordan chains do not fill the space")
+    c = Mat(n, n, tuple(zip(*cols)))
+    expected = direct_sum([jordan_cell(t, 0) for t in sizes])
+    if conjugate(m, c) != expected:
+        raise ArithmeticError("jordan basis verification failed")
+    return c, tuple(sizes)
+
+
+def generalized_eigensplit(a: Mat, lam: Fraction) -> tuple[Mat, int, tuple[int, ...]]:
+    """Similarity C with C^{-1}(A - lam I)C = P (+) N, where N collects the
+    Jordan cells of the eigenvalue and 0 is not an eigenvalue of P."""
+    from algforge.matrices import inverse
+    from algforge.spectral import rational_spectral_projector
+    n = a.rows
+    shifted = a - lam * identity(n)
+    proj = rational_spectral_projector(a, lam)
+    ker_basis = nullspace(proj.num, n)
+    im_span = EchelonSpan(n)
+    im_basis = []
+    for j in range(n):
+        colv = _column(proj, j)
+        if im_span.add(colv):
+            im_basis.append(colv)
+    m = len(im_basis)
+    # matrix of the restriction of (A - lam I) to the image, in im_basis coords
+    im_mat = Mat(n, m, tuple(zip(*im_basis)))
+    restriction_cols = []
+    for v in im_basis:
+        image = _apply(shifted, v)
+        coords = solve(im_mat.data, image)
+        if coords is None:
+            raise ArithmeticError("image basis does not span its image")
+        restriction_cols.append(coords)
+    restriction = Mat(m, m, tuple(zip(*[tuple(c) for c in restriction_cols])))
+    w, sizes = nilpotent_jordan_basis(restriction)
+    chains = im_mat @ w
+    cols = [tuple(v) for v in ker_basis] + [_column(chains, j) for j in range(m)]
+    c = Mat(n, n, tuple(zip(*cols)))
+    inverse(c)  # raises on a bug; the columns must form a basis
+    return c, m, sizes
+
+
+def center(a) -> list[Mat]:
+    """Echelon basis of {X in A : XB = BX for every B in A}."""
+    d = a.dim
+    rows = []
+    for b in a.basis:
+        comm = [_vectorize(c @ b - b @ c) for c in a.basis]
+        for pos in range(a.n * a.n):
+            row = [comm[j][pos] for j in range(d)]
+            if any(row):
+                rows.append(row)
+    span = EchelonSpan(a.n * a.n)
+    for cv in nullspace(rows, d):
+        acc = zero(a.n)
+        for coef, b in zip(cv, a.basis):
+            if coef:
+                acc = acc + coef * b
+        span.add(_vectorize(acc))
+    n = a.n
+    return [Mat(n, n, [row[i * n:(i + 1) * n] for i in range(n)])
+            for row in span.canonical_rows()]

@@ -94,8 +94,8 @@ def test_generate_dim_invariant_under_conjugation():
 
 
 def test_support_relations():
+    from algforge.algebra import _span_mats
     from algforge.linear import EchelonSpan
-    from algforge.matrices import mat_from_vector
     rng = random.Random(8)
     for _ in range(10):
         gens = [random_mat(rng, 3, 2), random_mat(rng, 3, 2)]
@@ -104,9 +104,8 @@ def test_support_relations():
         # the linear span (no closure) has exactly the generators' support
         sp = EchelonSpan(9)
         for g in gens:
-            sp.add(g.vectorize())
-        span_basis = [mat_from_vector(3, row) for row in sp.canonical_rows()]
-        assert support_union(span_basis) == support_union(gens)
+            sp.add(g.numerators())
+        assert support_union(_span_mats(3, sp)) == support_union(gens)
 
 
 def test_covering_matrix():

@@ -213,6 +213,33 @@ def test_cli_max_dim_cap(monkeypatch, capsys):
     assert code == 0
 
 
+def test_cap_applies_before_an_algebra_document_is_loaded(monkeypatch,
+                                                           capsys):
+    import algforge.cli
+    from algforge.algebra import algebra_to_json
+    from algforge.incidence import pattern_from_positions
+    n = 17
+    upper = incidence_algebra(pattern_from_positions(
+        n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]))
+    loaded = []
+    monkeypatch.setattr(algforge.cli, "algebra_from_json", loaded.append)
+    code, _, err = _run(["algebra-dim"],
+                        stdin_text=json.dumps(algebra_to_json(upper)),
+                        monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2
+    assert "cap" in err
+    assert loaded == []
+
+
+def test_cap_applies_to_generator_matrices(monkeypatch, capsys):
+    big = {"rows": 17, "cols": 17, "entries": [["0"] * 17] * 17}
+    code, _, err = _run(["algebra-generate"],
+                        stdin_text=json.dumps({"n": 2, "gens": [big]}),
+                        monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2
+    assert "cap" in err
+
+
 def test_cli_usage_errors(monkeypatch, capsys):
     code, _, _ = _run(["problem-solve", "-n", "1"], capsys=capsys)
     assert code == 2

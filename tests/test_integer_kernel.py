@@ -1,8 +1,9 @@
 """The integer elimination and product kernels against Fraction oracles.
 
-`EchelonSpan` and the verifier's `_Span` keep primitive integer rows; read
-out, they must be the reduced row-echelon basis that textbook Fraction
-Gauss-Jordan elimination gives, whatever the insertion order.  `Mat @`
+`EchelonSpan` and the verifier's `_Span` take integer rows and keep
+primitive integer rows; read out, they must be the reduced row-echelon
+basis that textbook Fraction Gauss-Jordan elimination gives for the
+Fraction vectors those rows clear, whatever the insertion order.  `Mat @`
 must be the textbook Fraction product, and `solve`, `invert`,
 `nullspace` and `first_dependency` must agree with sympy.
 """
@@ -10,7 +11,7 @@ must be the textbook Fraction product, and `solve`, `invert`,
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -21,10 +22,10 @@ from algforge.linear import (EchelonSpan, first_dependency, invert, nullspace,
                              solve)
 from algforge.matrices import (Mat, direct_sum, identity, inverse, is_nonneg,
                                is_positive, mat_from_json, mat_to_json,
-                               matrix_unit, permutation_matrix, support,
-                               support_union, zero)
+                               matrix_unit, permutation_matrix, span_rows,
+                               support, support_union, zero)
 from algforge.verify import CertificateError, _mul, _solve_conjugate, _Span
-from oracles import (gauss_jordan, grid_combine, grid_direct_sum,
+from oracles import (cleared, gauss_jordan, grid_combine, grid_direct_sum,
                      grid_product, grid_scale, grid_submatrix, grid_transpose,
                      random_unimodular, textbook_product)
 
@@ -37,10 +38,15 @@ def verifier_rows(span: _Span, length: int) -> list[tuple[Fraction, ...]]:
                   for j in range(length)) for p in sorted(span.rows)]
 
 
+def engine_rows(span: EchelonSpan) -> list[tuple[Fraction, ...]]:
+    """The engine span's canonical rows as Fraction tuples."""
+    return [row.data[0] for row in span_rows(span)]
+
+
 def both_spans(vectors, length):
     engine, verifier = EchelonSpan(length), _Span()
     for v in vectors:
-        assert engine.add(v) == verifier.add(v)
+        assert engine.add(cleared(v)) == verifier.add(cleared(v))
     return engine, verifier
 
 
@@ -78,23 +84,23 @@ def test_spans_match_gauss_jordan_on_random_vectors():
         vectors = sample_vectors(rng, length, rng.randint(0, 8))
         expected = gauss_jordan(vectors, length)
         engine, verifier = both_spans(vectors, length)
-        assert engine.canonical_rows() == expected
+        assert engine_rows(engine) == expected
         assert verifier_rows(verifier, length) == expected
         assert engine.dim == verifier.dim == len(expected)
         for v in vectors:
-            assert engine.contains(v) and verifier.contains(v)
+            assert engine.contains(cleared(v)) and verifier.contains(cleared(v))
 
 
 def test_negative_pivots_and_single_entries():
     vectors = [[F(-3, 4), F(0), F(6)], [F(0), F(-1, 5), F(0)], [F(-2)] * 3]
     engine, verifier = both_spans(vectors, 3)
     expected = gauss_jordan(vectors, 3)
-    assert engine.canonical_rows() == verifier_rows(verifier, 3) == expected
+    assert engine_rows(engine) == verifier_rows(verifier, 3) == expected
     for row in verifier.rows.values():
         assert row[min(row)] > 0
     zero_only, verifier = both_spans([[F(0)] * 4, [F(0)] * 4], 4)
     assert zero_only.dim == verifier.dim == 0
-    assert zero_only.canonical_rows() == [] and verifier.rows == {}
+    assert engine_rows(zero_only) == [] and verifier.rows == {}
 
 
 def test_membership_matches_rank():
@@ -105,6 +111,7 @@ def test_membership_matches_rank():
         engine, verifier = both_spans(vectors, length)
         probe = random_vector(rng, length)
         inside = len(gauss_jordan(vectors + [probe], length)) == engine.dim
+        probe = cleared(probe)
         assert engine.contains(probe) == verifier.contains(probe) == inside
 
 
@@ -117,7 +124,7 @@ def test_every_insertion_order_gives_the_same_rows(seed):
     first = None
     for order in itertools.permutations(vectors):
         engine, verifier = both_spans(order, length)
-        assert engine.canonical_rows() == expected
+        assert engine_rows(engine) == expected
         if first is None:
             first = engine, verifier
         assert engine == first[0]
@@ -141,7 +148,7 @@ def test_equal_spans_from_different_vectors_have_equal_rows():
         eb, vb = both_spans(mixed, length)
         assert ea == eb
         assert va.rows == vb.rows
-        assert ea.canonical_rows() == eb.canonical_rows()
+        assert engine_rows(ea) == engine_rows(eb)
 
 
 def random_rect(rng, rows, cols):
@@ -203,9 +210,11 @@ def test_solve_invert_nullspace_match_sympy():
         s = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator)
                            for v in row] for row in a])
 
+        # scaling a row changes neither the kernel nor the solutions
         expected_null = [tuple(to_fraction(v) for v in vec)
                          for vec in s.nullspace()]
-        assert nullspace(a, n) == expected_null
+        d, basis = nullspace([cleared(row) for row in a], n)
+        assert [tuple(F(v, d) for v in vec) for vec in basis] == expected_null
 
         if trial % 2:
             x0 = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
@@ -215,25 +224,29 @@ def test_solve_invert_nullspace_match_sympy():
         sb = sympy.Matrix([sympy.Rational(v.numerator, v.denominator)
                            for v in b])
         aug, pivots = s.row_join(sb).rref()
-        x = solve(a, b)
+        rows = [cleared(list(r) + [bv]) for r, bv in zip(a, b)]
+        x = solve([row[:n] for row in rows], [row[n] for row in rows])
         if n in pivots:
             assert x is None
         else:
             expected_x = [F(0)] * n
             for i, p in enumerate(pivots):
                 expected_x[p] = to_fraction(aug[i, n])
-            assert x == expected_x
+            d, num = x
+            assert [F(v, d) for v in num] == expected_x
 
-        sq = [row[:] for row in low_rank(rng, n, n, rng.randint(1, n))]
+        sq = Mat(n, n, low_rank(rng, n, n, rng.randint(1, n)))
         ssq = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator)
-                             for v in row] for row in sq])
+                             for v in row] for row in sq.data])
         if ssq.det() == 0:
             with pytest.raises(ValueError):
-                invert(sq)
+                invert(sq.num)
         else:
             inv = ssq.inv()
-            assert invert(sq) == [[to_fraction(inv[i, j]) for j in range(n)]
-                                  for i in range(n)]
+            # (N / den)^-1 = den N^-1
+            d, num = invert(sq.num)
+            assert [[F(sq.den * v, d) for v in row] for row in num] == \
+                [[to_fraction(inv[i, j]) for j in range(n)] for i in range(n)]
 
 
 def test_first_dependency_matches_sympy():
@@ -252,7 +265,14 @@ def test_first_dependency_matches_sympy():
                 null = s.nullspace()[0]
                 expected = [to_fraction(c / null[k]) for c in null]
                 break
-        assert first_dependency(iter(vecs)) == expected
+        # one common scale keeps the coefficients of every dependency
+        den = lcm(*[v.denominator for vec in vecs for v in vec])
+        coeffs = first_dependency(iter([[int(v * den) for v in vec]
+                                        for vec in vecs]))
+        if expected is None:
+            assert coeffs is None
+        else:
+            assert [F(c, coeffs[-1]) for c in coeffs] == expected
 
 
 def test_solve_conjugate_matches_textbook_inverse():
@@ -260,8 +280,7 @@ def test_solve_conjugate_matches_textbook_inverse():
     for n in (1, 2, 3, 4):
         c = random_unimodular(rng, n) @ random_rect(rng, n, n)
         try:
-            c_inv = Mat(n, n, tuple(tuple(r) for r in
-                                    invert([list(r) for r in c.data])))
+            c_inv = inverse(c)
         except ValueError:
             continue
         x = random_rect(rng, n, n)
@@ -377,7 +396,6 @@ def test_mat_operations_match_fraction_oracles(shape):
             gk = random_grid(rng, c, k)
             assert_canonical(a @ Mat(c, k, gk), grid_product(ga, gk, k), (r, k))
         flat = [v for row in ga for v in row]
-        assert list(a.vectorize()) == flat
         assert list(a.numerators()) == [a.den * v for v in flat]
         assert mat_to_json(a)["entries"] == [[str(v) for v in row]
                                              for row in ga]

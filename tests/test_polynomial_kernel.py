@@ -6,7 +6,8 @@ coefficients of the Fraction-coefficient class kept in `oracles`.
 `char_poly` (Berkowitz on the integer numerators) must equal both the
 Fraction Hessenberg reduction and Faddeev-LeVerrier on rational matrices,
 and `inverse`, `poly_at` and `min_poly` must equal their Fraction
-counterparts.  None of these builds a Fraction.
+counterparts (textbook Gauss-Jordan and the Fraction `nullspace` in
+`oracles`).  None of these builds a Fraction.
 """
 
 import random
@@ -15,7 +16,7 @@ from math import gcd
 
 import pytest
 
-from algforge.linear import first_dependency, invert
+from algforge.linear import invert
 from algforge.matrices import Mat, identity, inverse, poly_at, zero
 from algforge.polynomials import (P_ZERO, Poly, multiplicity_one_part,
                                   poly_from_roots, poly_gcd, poly_xgcd,
@@ -23,7 +24,8 @@ from algforge.polynomials import (P_ZERO, Poly, multiplicity_one_part,
                                   sturm_real_root_count)
 from algforge.spectral import char_poly, min_poly
 from oracles import (FractionPoly, faddeev_char_poly, fraction_poly_gcd,
-                     hessenberg_char_poly, random_mat)
+                     gauss_jordan, hessenberg_char_poly, nullspace,
+                     random_mat)
 
 F = Fraction
 
@@ -199,13 +201,16 @@ def test_char_poly_matches_both_oracles_on_rational_matrices(n):
 
 def fraction_min_poly(a):
     """The minimal polynomial from the first dependency among the
-    vectorized Fraction powers of A."""
-    def powers():
-        power = identity(a.rows)
-        while True:
-            yield power.vectorize()
-            power = power @ a
-    return Poly(first_dependency(powers()))
+    flattened Fraction powers of A: the kernel of the first k + 1 powers,
+    taken as columns, is one line once the first k are independent."""
+    powers = [identity(a.rows)]
+    while True:
+        cols = [[v for row in p.data for v in row] for p in powers]
+        kern = nullspace([list(r) for r in zip(*cols)], len(powers))
+        if kern:
+            (coeffs,) = kern
+            return Poly(coeffs)
+        powers.append(powers[-1] @ a)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -225,12 +230,17 @@ def test_inverse_matches_linear_invert(n):
     done = 0
     while done < 5:
         a = random_mat(rng, n, height=9, max_den=7)
-        try:
-            expected = invert([list(row) for row in a.data])
-        except ValueError:
+        # textbook Gauss-Jordan on [A | I] leaves [I | A^-1] when A is
+        # nonsingular
+        eye = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+        rref = gauss_jordan([list(r) + e for r, e in zip(a.data, eye)], 2 * n)
+        if [row[:n] for row in rref] != [tuple(e) for e in eye]:
+            with pytest.raises(ValueError):
+                invert(a.num)
             with pytest.raises(ValueError):
                 inverse(a)
             continue
+        expected = [row[n:] for row in rref]
         inv = inverse(a)
         assert inv == Mat(n, n, expected)
         assert inv @ a == identity(n) == a @ inv

@@ -21,7 +21,6 @@ numerators span the algebra as the basis does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from operator import mul
 from typing import Iterable
@@ -32,8 +31,6 @@ from .linear import EchelonSpan, nullspace, rank, solve
 from .matrices import (Mat, Support, direct_sum, identity, inverse,
                        mat_from_json, mat_to_json, matrix_unit, span_rows,
                        support_union, zero)
-
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -210,13 +207,14 @@ def nonneg_covering_exists(a: Algebra) -> Mat | None:
     identically, and by homogeneity strict positivity reduces to >= 1).
     """
     omega = a.support().sorted_positions()
-    rows = [[b.data[i - 1][j - 1] for b in a.basis] for (i, j) in omega]
-    rhs = [ONE] * len(rows)
-    x = simplex.feasible_ge(rows, rhs)
-    if x is None:
+    # Column k holds the numerators N_k = d_k B_k: scaling a variable by
+    # d_k > 0 changes no pivot, and sum y_k N_k = sum x_k B_k.
+    rows = [[b.num[i - 1][j - 1] for b in a.basis] for (i, j) in omega]
+    y = simplex.feasible_ge(rows, [1] * len(rows))
+    if y is None:
         return None
     acc = zero(a.n)
-    for coef, b in zip(x, a.basis):
+    for coef, b in zip(y, _numerators(a)):
         if coef:
             acc = acc + coef * b
     return acc

@@ -4,12 +4,17 @@ A ``Mat`` is stored in one canonical integer form: a denominator
 ``den > 0`` and a tuple of integer rows ``num`` with gcd(den, every entry)
 = 1, so the matrix is num / den and equal matrices have equal fields.
 Products, sums, transposes, supports, sign tests, ``inverse`` (one integer
-Gauss-Jordan run) and ``poly_at`` (integer Horner) run on the integers,
-and every result is brought back to canonical form by one gcd.  A rational
-vector is a ``1 x n`` Mat: ``stack``, ``kernel`` and ``span_rows`` build
-such rows, and a matrix acts on them as ``v @ A.transpose()``.  A Fraction
-is built only at the API and wire edges: ``A.data`` is a read-only
-Fraction grid built on first use.  ``A.data[i][j]`` is 0-based;
+Gauss-Jordan run), ``poly_at`` (integer Horner) and the fixed constructors
+(``jordan_cell``, ``companion``, ``regular_triangular``, ``uniformizer``
+and its inverse) run on the integers, and every result is brought back to
+canonical form by one gcd.  A rational vector is a ``1 x n`` Mat:
+``stack``, ``kernel`` and ``span_rows`` build such rows, and a matrix acts
+on them as ``v @ A.transpose()``.  The wire is read as integers too:
+``mat_from_json`` parses each entry with ``polynomials.parse_rational``
+into an integer pair.  A Fraction is built only where a caller passes one
+in or reads ``A.data``, a read-only Fraction grid built on first use, or
+the Fraction results of ``uniform_norm`` and ``min_support_entry``.
+``A.data[i][j]`` is 0-based;
 ``Support`` positions (and all serialized position data) are 1-based
 (row, column) pairs.  Matrices are immutable, hashable and safe to share.
 
@@ -18,7 +23,6 @@ Zero-size matrices are legal and act as absent direct summands.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -27,10 +31,7 @@ from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 from . import linear
-from .polynomials import Poly
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .polynomials import Poly, parse_rational, wire_rational
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -219,9 +220,9 @@ def matrix_unit(n: int, i: int, j: int) -> Mat:
 
 def jordan_cell(k: int, lam: int | Fraction) -> Mat:
     """Upper Jordan cell of size k for the eigenvalue lam."""
-    lam = Fraction(lam)
-    return Mat(k, k, tuple(tuple(
-        lam if i == j else (ONE if j == i + 1 else ZERO) for j in range(k))
+    p, q = lam.numerator, lam.denominator
+    return _normal(k, k, q, tuple(tuple(
+        p if i == j else (q if j == i + 1 else 0) for j in range(k))
         for i in range(k)))
 
 
@@ -246,16 +247,14 @@ def regular_triangular(p: int, q: int, values: Sequence[int | Fraction]) -> Mat:
     m = min(p, q)
     if len(values) != m:
         raise ValueError("need min(p, q) parameters")
-    vals = [Fraction(v) for v in values]
-    sq = [[vals[j - i] if 0 <= j - i < m else ZERO for j in range(m)]
-          for i in range(m)]
-    data = [[ZERO] * q for _ in range(p)]
-    roff = 0
-    coff = q - p if q > p else 0
+    den = lcm(*[v.denominator for v in values])
+    vals = [v.numerator * (den // v.denominator) for v in values]
+    num = [[0] * q for _ in range(p)]
+    coff = q - m
     for i in range(m):
-        for j in range(m):
-            data[roff + i][coff + j] = sq[i][j]
-    return Mat(p, q, tuple(tuple(row) for row in data))
+        for j in range(i, m):
+            num[i][coff + j] = vals[j - i]
+    return _normal(p, q, den, tuple(map(tuple, num)))
 
 
 def uniformizer(n: int) -> Mat:
@@ -263,28 +262,20 @@ def uniformizer(n: int) -> Mat:
     the flat rank-one idempotent ones(n)/n.  Defined for n >= 2."""
     if n < 2:
         raise ValueError("uniformizer needs n >= 2")
-    data = [[ZERO] * n for _ in range(n)]
-    inv_n = Fraction(1, n)
-    for i in range(n - 1):
-        for j in range(n):
-            data[i][j] = (Fraction(n - 1, n) if j == i + 1 else -inv_n)
-    for j in range(n):
-        data[n - 1][j] = inv_n
-    return Mat(n, n, tuple(tuple(row) for row in data))
+    # n times the matrix: n - 1 on the superdiagonal and -1 elsewhere in
+    # the first n - 1 rows, a last row of ones
+    return _mat(n, n, n, tuple(
+        tuple(n - 1 if j == i + 1 else -1 for j in range(n))
+        for i in range(n - 1)) + ((1,) * n,))
 
 
 def uniformizer_inv(n: int) -> Mat:
     """Exact inverse of uniformizer(n), in closed form."""
     if n < 2:
         raise ValueError("uniformizer needs n >= 2")
-    data = [[ZERO] * n for _ in range(n)]
-    for j in range(n - 1):
-        data[0][j] = -ONE
-    data[0][n - 1] = ONE
-    for i in range(1, n):
-        data[i][i - 1] = ONE
-        data[i][n - 1] = ONE
-    return Mat(n, n, tuple(tuple(row) for row in data))
+    first = (-1,) * (n - 1) + (1,)
+    return _mat(n, n, 1, (first,) + tuple(
+        _unit_row(n - 1, i) + (1,) for i in range(n - 1)))
 
 
 def direct_sum(blocks: Iterable[Mat]) -> Mat:
@@ -311,12 +302,13 @@ def companion(p: Poly) -> Mat:
         raise ValueError("need degree >= 1")
     q = p.monic()
     n = q.degree
-    data = [[ZERO] * n for _ in range(n)]
+    # den times the matrix: den on the subdiagonal, -num in the last column
+    num = [[0] * n for _ in range(n)]
     for i in range(1, n):
-        data[i][i - 1] = ONE
+        num[i][i - 1] = q.den
     for i in range(n):
-        data[i][n - 1] = -q.coeffs[i]
-    return Mat(n, n, tuple(tuple(row) for row in data))
+        num[i][n - 1] = -q.num[i]
+    return _normal(n, n, q.den, tuple(map(tuple, num)))
 
 
 # -- core operations --------------------------------------------------------
@@ -494,34 +486,17 @@ def support_union(mats: Iterable[Mat]) -> Support:
 
 # -- serialization -----------------------------------------------------------
 
-def _wire(v: int, den: int) -> str:
-    """v / den as `str(Fraction)` writes it: "p", or "p/q" in lowest terms."""
-    g = gcd(v, den)
-    return str(v // g) if g == den else f"{v // g}/{den // g}"
-
-
 def mat_to_json(a: Mat) -> dict:
     return {"rows": a.rows, "cols": a.cols,
-            "entries": [[_wire(v, a.den) for v in row] for row in a.num]}
-
-
-_RATIONAL = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
-
-
-def _rational(s: str) -> Fraction:
-    """Parse a wire rational, which must read exactly as `str(Fraction)`
-    writes it: "p" or "p/q" in lowest terms with q > 1.  The pattern test
-    comes first, so exponent forms like "1e400" never build a big int."""
-    if isinstance(s, str) and _RATIONAL.fullmatch(s):
-        value = Fraction(s)
-        if str(value) == s:
-            return value
-    raise ValueError(f"not a canonical rational: {s!r}")
+            "entries": [[wire_rational(v, a.den) for v in row]
+                        for row in a.num]}
 
 
 def mat_from_json(obj: dict) -> Mat:
-    return Mat(obj["rows"], obj["cols"],
-               [[_rational(v) for v in row] for row in obj["entries"]])
+    parsed = [[parse_rational(v) for v in row] for row in obj["entries"]]
+    den = lcm(*[q for row in parsed for _, q in row])
+    return Mat.from_ints(obj["rows"], obj["cols"], den, [
+        [p * (den // q) for p, q in row] for row in parsed])
 
 
 def support_to_json(s: Support) -> dict:

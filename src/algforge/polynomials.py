@@ -9,10 +9,16 @@ powers, derivatives and ``monic`` run on the integers and divide out one
 gcd at the end; ``divmod`` pseudo-divides by the divisor's leading
 numerator (Knuth, Algorithm R) and scales back once; ``poly_gcd`` runs the
 primitive polynomial remainder sequence (Collins 1967), dividing each
-pseudo-remainder by its content.  A Fraction is built only at the edges:
-``p.coeffs`` is a read-only Fraction view built on first use, and
-``leading`` and ``p(x)`` return Fractions.  Everything is immutable and
-pure, so values can be shared freely between threads.
+pseudo-remainder by its content.  A Fraction is built only where a
+caller passes one in or reads one out: ``p.coeffs`` is a read-only
+Fraction view built on first use, and ``leading``, ``p(x)`` and the
+rational roots are Fractions.  Everything is immutable and pure, so values
+can be shared freely between threads.
+
+The wire form of a rational lives here, below ``matrices``, so that both
+loaders share it: ``parse_rational`` reads exactly the canonical string
+``str(Fraction)`` writes straight to an integer pair, and
+``wire_rational`` writes it from an integer over a denominator.
 
 Real-root counts and rational roots (by Sturm bisection, polynomial in the
 coefficients' bit lengths) share one integer Sturm chain and one
@@ -21,6 +27,7 @@ sign-variation counter at dyadic points.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import cached_property
 from itertools import zip_longest
@@ -460,9 +467,35 @@ def rational_roots(p: Poly) -> list[tuple[Fraction, int]]:
     return roots
 
 
+# -- the wire form of a rational -----------------------------------------------
+
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
+
+
+def wire_rational(v: int, den: int) -> str:
+    """v / den as `str(Fraction)` writes it: "p", or "p/q" in lowest terms."""
+    g = gcd(v, den)
+    return str(v // g) if g == den else f"{v // g}/{den // g}"
+
+
+def parse_rational(s: str) -> tuple[int, int]:
+    """(p, q) for exactly the canonical form `wire_rational` writes: "p",
+    or "p/q" in lowest terms with q > 1.  The pattern test comes first, so
+    exponent forms like "1e400" never build a big int."""
+    m = _RATIONAL.fullmatch(s) if isinstance(s, str) else None
+    if m:
+        p = int(m[1])
+        q = 1 if m[2] is None else int(m[2])
+        if str(p) == m[1] and (m[2] is None or q > 1 and gcd(p, q) == 1):
+            return p, q
+    raise ValueError(f"not a canonical rational: {s!r}")
+
+
 def poly_to_json(p: Poly) -> list[str]:
-    return [str(c) for c in p.coeffs]
+    return [wire_rational(v, p.den) for v in p.num]
 
 
 def poly_from_json(coeffs: Iterable[str]) -> Poly:
-    return Poly.from_coeffs(Fraction(c) for c in coeffs)
+    parsed = [parse_rational(c) for c in coeffs]
+    den = lcm(*[q for _, q in parsed])
+    return Poly.from_ints(den, [p * (den // q) for p, q in parsed])

@@ -35,8 +35,6 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-ZERO = Fraction(0)
-
 
 def _pivoted(line: list[int], pivot_row: list[int], e: int, p: int,
              den: int) -> list[int]:
@@ -122,12 +120,10 @@ def feasible_ge(a_rows: Sequence[Sequence[Fraction]],
     if obj[ncols]:
         return None
 
-    x = [ZERO] * d
+    x = [0] * d
     for line, var in zip(tableau, basis):
-        if var < 2 * d and line[ncols]:
-            val = Fraction(line[ncols], den)
-            if var < d:
-                x[var] += val
-            else:
-                x[var - d] -= val
-    return x
+        if var < d:
+            x[var] += line[ncols]
+        elif var < 2 * d:
+            x[var - d] -= line[ncols]
+    return [Fraction(v, den) for v in x]

@@ -26,7 +26,8 @@ from .matrices import (Mat, conjugate, direct_sum, identity, inverse,
                        jordan_cell, kernel, matrix_unit, poly_at, span_rows,
                        stack)
 from .polynomials import (P_ONE, Poly, multiplicity_one_part, poly_crt,
-                          poly_gcd, rational_roots, sturm_real_root_count)
+                          poly_gcd, poly_to_json, rational_roots,
+                          sturm_real_root_count)
 from .polynomials import root_multiplicity as eigenvalue_multiplicity
 
 def char_poly(a: Mat) -> Poly:
@@ -94,7 +95,6 @@ def char_data(a: Mat) -> CharData:
 
 
 def char_data_to_json(cd: CharData) -> dict:
-    from .polynomials import poly_to_json
     return {
         "char_poly": poly_to_json(cd.char),
         "min_poly": poly_to_json(cd.minimal),

@@ -24,6 +24,7 @@ from algforge.matrices import (Mat, direct_sum, identity, inverse, is_nonneg,
                                is_positive, mat_from_json, mat_to_json,
                                matrix_unit, permutation_matrix, span_rows,
                                support, support_union, zero)
+from algforge.polynomials import Poly, poly_from_json
 from algforge.verify import CertificateError, _mul, _solve_conjugate, _Span
 from oracles import (cleared, gauss_jordan, grid_combine, grid_direct_sum,
                      grid_product, grid_scale, grid_submatrix, grid_transpose,
@@ -538,6 +539,22 @@ def new_wire_rule(s):
         return None
 
 
+def engine_matrix_rule(s):
+    try:
+        m = mat_from_json({"rows": 1, "cols": 1, "entries": [[s]]})
+    except ValueError:
+        return None
+    return m.num[0][0], m.den
+
+
+def engine_poly_rule(s):
+    try:
+        p = poly_from_json([s])
+    except ValueError:
+        return None
+    return (p.num[0] if p.num else 0), p.den
+
+
 def test_wire_rationals_match_the_fraction_rule():
     rng = random.Random(31337)
     corpus = ["-0", "00", "0/5", "2/4", "1/1", "1_0", "\u0661", " 1", "0",
@@ -558,17 +575,27 @@ def test_wire_rationals_match_the_fraction_rule():
     for s in corpus:
         expected = old_wire_rule(s)
         assert new_wire_rule(s) == expected, s
+        assert engine_matrix_rule(s) == expected, s
+        assert engine_poly_rule(s) == expected, s
         accepted += expected is not None
     assert accepted > 1000
     for bad in (1, 1.5, None, ["1"]):
         with pytest.raises(CertificateError):
             verify._rational(bad)
+        with pytest.raises(ValueError):
+            mat_from_json({"rows": 1, "cols": 1, "entries": [[bad]]})
+        with pytest.raises(ValueError):
+            poly_from_json([bad])
 
 
 def test_hot_paths_build_no_fraction(monkeypatch):
-    from algforge.algebra import closure_words
-    from algforge.constructions import solve_all_dimensions
-    from algforge.matrices import ones
+    from algforge.algebra import (algebra_from_json, algebra_to_json,
+                                  closure_words)
+    from algforge.constructions import (predict_padded_conjugation,
+                                        solve_all_dimensions)
+    from algforge.matrices import (companion, jordan_cell, ones,
+                                   regular_triangular, uniformizer,
+                                   uniformizer_inv)
     made = []
     real_new = Fraction.__new__
 
@@ -582,6 +609,9 @@ def test_hot_paths_build_no_fraction(monkeypatch):
             Mat.from_rows([[0, 0, 0], [F(1, 2), 0, 0], [0, 0, 0]])]
     docs = [c.to_json() for c in solve_all_dimensions(3)]
     wire, two_thirds = mat_to_json(half), F(2, 3)
+    alg_doc = algebra_to_json(generate(2, [half]))
+    cubic = Poly.of(-6, 11, -6, 1)
+    block = Mat.from_rows([[2, -1, 3], [0, 4, 1], [5, 0, 7]])
     monkeypatch.setattr(Fraction, "__new__", counting_new)
     half @ other, half + other, half - other, -half, 3 * half
     half * two_thirds
@@ -590,6 +620,9 @@ def test_hot_paths_build_no_fraction(monkeypatch):
     zero(3), identity(3), ones(3), matrix_unit(3, 2, 1)
     permutation_matrix([2, 0, 1]), direct_sum([half, other, identity(1)])
     closure_words(3, gens), generate(3, gens), mat_to_json(half)
+    mat_from_json(wire), algebra_from_json(alg_doc)
+    uniformizer(4), uniformizer_inv(4), jordan_cell(3, 0), companion(cubic)
+    regular_triangular(2, 3, [5, 7]), predict_padded_conjugation(block, 2)
     grid = verify._grid(wire)
     verify._mul(grid, grid), verify._sub(grid, grid)
     verify._closure([grid, verify._grid(mat_to_json(other))])

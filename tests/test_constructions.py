@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 
 from algforge.algebra import (algebra_direct_sum, centralizer,
-                              conjugate_algebra, generate, incidence_algebra)
-from algforge.constructions import (blockwise_rank1_nonneg_covering,
+                              conjugate_algebra, generate, generates,
+                              incidence_algebra, nonneg_covering_exists)
+from algforge.constructions import (_check_pair_generates,
+                                    blockwise_rank1_nonneg_covering,
                                     central_eigenvalue_split,
                                     centralizer_covering,
                                     classify_positive_generation,
@@ -31,6 +33,7 @@ from algforge.matrices import (Mat, commutator, companion, conjugate,
 from algforge.polynomials import Poly
 from algforge.spectral import JordanSpec
 from algforge.verify import verify_certificate
+from oracles import random_pattern, random_unimodular
 
 F = Fraction
 
@@ -63,6 +66,24 @@ def test_nonneg_generators_from_covering():
     assert all(is_nonneg(g) for g in gens)
     with pytest.raises(ValueError):
         nonneg_generators_from_covering(T2, identity(2))  # zero at (1,2)
+
+
+def test_nonneg_generators_regenerate_conjugated_incidence_algebras():
+    """The closure the construction no longer runs, as an oracle, on
+    seeded conjugated incidence algebras that have a nonnegative covering."""
+    rng = random.Random(1212)
+    checked = 0
+    while checked < 8:
+        n = rng.randint(2, 4)
+        p = random_pattern(rng, n, triangular=rng.random() < 0.5)
+        alg = conjugate_algebra(incidence_algebra(p), random_unimodular(rng, n))
+        covering = nonneg_covering_exists(alg)
+        if covering is None:
+            continue
+        gens = nonneg_generators_from_covering(alg, covering)
+        assert all(is_nonneg(g) for g in gens)
+        assert generates(alg, gens)
+        checked += 1
 
 
 def test_nonneg_basis_from_generators():
@@ -368,6 +389,61 @@ def test_semicommuting_pair():
     assert is_nonneg(a) and is_nonneg(d)
     assert support(a).positions == pat.positions
     assert verify_certificate(cert) == []
+
+
+def _assert_pair_generates(pat):
+    a, d, _ = semicommuting_pair(pat)
+    assert generates(incidence_algebra(pat), [a, d])
+
+
+def test_semicommuting_pair_generates_its_pattern():
+    """The closure the construction no longer runs, as an oracle: every
+    staircase pattern up to n = 7, and seeded relabelled patterns, which
+    take the non-upper-triangular branch."""
+    for n in range(2, 8):
+        for k in range(n, n * (n + 1) // 2 + 1):
+            _assert_pair_generates(incidence_of_dimension(n, k))
+    rng = random.Random(4242)
+    relabelled = 0
+    for _ in range(40):
+        pat = random_pattern(rng, rng.randint(2, 6), triangular=False)
+        relabelled += not pat.is_upper_triangular
+        _assert_pair_generates(pat)
+    assert relabelled >= 20
+
+
+def test_pair_check_rejects_broken_hypotheses():
+    pat = incidence_of_dimension(3, 5)
+    a, d, _ = semicommuting_pair(pat)
+    _check_pair_generates(pat, a, d)
+    missing = next(iter(pat.strict()))
+    extra = next((i, j) for i in range(1, 4) for j in range(1, 4)
+                 if (i, j) not in pat.positions)
+    for bad_a, bad_d in [
+            (a, diag(3, 3, 1)),
+            (a, d + matrix_unit(3, 1, 2)),
+            (a - matrix_unit(3, *missing), d),
+            (a + matrix_unit(3, *extra), d),
+            (direct_sum([a, identity(1)]), direct_sum([d, zero(1)]))]:
+        with pytest.raises(ArithmeticError):
+            _check_pair_generates(pat, bad_a, bad_d)
+
+
+def test_semicommuting_pair_makes_few_products(monkeypatch):
+    """The n = 8 staircase patterns took 1260 products (about 43 each)
+    when the pair was checked by closing it."""
+    calls = []
+    real = Mat.__matmul__
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(Mat, "__matmul__", counting)
+    patterns = [incidence_of_dimension(8, k) for k in range(8, 37)]
+    for pat in patterns:
+        semicommuting_pair(pat)
+    assert len(calls) <= 4 * len(patterns)
 
 
 def test_solve_all_dimensions():

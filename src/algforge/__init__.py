@@ -5,8 +5,8 @@ generating systems up to similarity, incidence algebras, semi-commuting
 generator pairs, and machine-verifiable certificates for all of it.
 """
 
-from .algebra import (Algebra, GenSet, algebra_direct_sum, center,
-                      centralizer, conjugate_algebra, contains_all_diagonal,
+from .algebra import (Algebra, algebra_direct_sum, center, centralizer,
+                      conjugate_algebra, contains_all_diagonal,
                       covering_matrix, generate, incidence_algebra,
                       incidence_structure, is_simple, nonneg_covering_exists,
                       two_sided_ideal)

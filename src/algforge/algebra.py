@@ -9,21 +9,21 @@ Generation uses a worklist that multiplies each newly independent word on
 the left by every generator.  The span this reaches contains I and is
 mapped into itself by left multiplication with each generator, so it
 contains every word in the generators and is closed under products.
+Closedness is a type guarantee: `Algebra(n, mats)` checks it, and the
+builders' trusted `_from_span` keeps the span they already hold.
 `generates` decides whether a list generates a known algebra without
 closing it in full: every generator must lie in the algebra, and the
 worklist, given the algebra's dimension as `stop`, returns as soon as its
-span has that dimension.  Loaders and tests still verify closure by
-checking all pairwise basis products.  `center`, `centralizer` and
+span has that dimension.  `center`, `centralizer` and
 `is_simple` solve their linear systems on integer numerators: the basis
 numerators span the algebra as the basis does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from operator import mul
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from . import simplex
 from .incidence import IncidencePattern
@@ -34,37 +34,31 @@ from .matrices import (Mat, Support, direct_sum, identity, inverse,
 
 
 @dataclass(frozen=True)
-class GenSet:
-    """A nonempty list of same-size square generators."""
-
-    n: int
-    gens: tuple[Mat, ...]
-
-    def __post_init__(self):
-        if not self.gens:
-            raise ValueError("empty generating set")
-        for g in self.gens:
-            if not (g.is_square and g.rows == self.n):
-                raise ValueError("generator size mismatch")
-
-
-@dataclass(frozen=True)
 class Algebra:
-    """A unital matrix algebra with canonical echelon basis."""
+    """A unital matrix algebra with canonical echelon basis.  Raises
+    ValueError unless the n x n mats are independent and their span holds
+    I and is closed under products; keeps that span's canonical basis."""
 
     n: int
     basis: tuple[Mat, ...]
+    _span: EchelonSpan = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n, mats = self.n, tuple(self.basis)
+        if not all(m.is_square and m.rows == n for m in mats):
+            raise ValueError("basis matrix size mismatch")
+        span = _span_of(n, [m.numerators() for m in mats])
+        if span.dim != len(mats):
+            raise ValueError("basis is linearly dependent")
+        vars(self).update(basis=tuple(_span_mats(n, span)), _span=span)
+        if not self.is_unital():
+            raise ValueError("algebra is not unital")
+        if not self.is_closed():
+            raise ValueError("span is not closed under products")
 
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    @cached_property
-    def _span(self) -> EchelonSpan:
-        sp = EchelonSpan(self.n * self.n)
-        for b in self.basis:
-            sp.add(b.numerators())
-        return sp
 
     def contains(self, x: Mat) -> bool:
         if not (x.is_square and x.rows == self.n):
@@ -84,6 +78,14 @@ class Algebra:
         return self.contains(identity(self.n))
 
 
+def _span_of(n: int, vecs: Iterable[Sequence[int]]) -> EchelonSpan:
+    """The span of integer vectors of length n * n."""
+    span = EchelonSpan(n * n)
+    for v in vecs:
+        span.add(v)
+    return span
+
+
 def _span_mats(n: int, span: EchelonSpan) -> list[Mat]:
     """The span's canonical rows as n x n matrices."""
     return [Mat.from_ints(n, n, r.den, [r.num[0][i * n:(i + 1) * n]
@@ -92,7 +94,10 @@ def _span_mats(n: int, span: EchelonSpan) -> list[Mat]:
 
 
 def _from_span(n: int, span: EchelonSpan) -> Algebra:
-    return Algebra(n, tuple(_span_mats(n, span)))
+    """Trusted: span must be a closed unital algebra; it is kept as is."""
+    a = object.__new__(Algebra)
+    vars(a).update(n=n, basis=tuple(_span_mats(n, span)), _span=span)
+    return a
 
 
 def closure_words(n: int, gens: Iterable[Mat], *,
@@ -129,10 +134,10 @@ def closure_words(n: int, gens: Iterable[Mat], *,
 
 
 def generates(a: Algebra, gens: Iterable[Mat]) -> bool:
-    """Whether gens generate exactly the algebra a, which must be closed
-    and unital, as every `Algebra` this package builds is.
+    """Whether gens generate exactly the algebra a.
 
-    Every generator in a means <gens> lies in a; the worklist's span lies
+    Every `Algebra` is closed and unital (the constructor checks it), so
+    every generator in a means <gens> lies in a; the worklist's span lies
     in <gens>, so once it reaches dim a the two algebras are equal, and
     the worklist stops there.
     """
@@ -150,29 +155,20 @@ def generate(n: int, gens: Iterable[Mat]) -> Algebra:
     return _from_span(n, closure_words(n, gens)[1])
 
 
-def generate_genset(gs: GenSet) -> Algebra:
-    return generate(gs.n, gs.gens)
-
-
 def conjugate_algebra(a: Algebra, c: Mat) -> Algebra:
     """Basis-wise conjugation C^{-1} A C, re-echelonized."""
     cinv = inverse(c)
-    span = EchelonSpan(a.n * a.n)
-    for b in a.basis:
-        span.add((cinv @ b @ c).numerators())
-    return _from_span(a.n, span)
+    return _from_span(a.n, _span_of(a.n, [(cinv @ b @ c).numerators()
+                                          for b in a.basis]))
 
 
 def algebra_direct_sum(a: Algebra, b: Algebra) -> Algebra:
     """Block-diagonal sum {X (+) Y : X in A, Y in B}."""
     n = a.n + b.n
-    span = EchelonSpan(n * n)
     zb, za = zero(b.n), zero(a.n)
-    for x in a.basis:
-        span.add(direct_sum([x, zb]).numerators())
-    for y in b.basis:
-        span.add(direct_sum([za, y]).numerators())
-    return _from_span(n, span)
+    blocks = ([direct_sum([x, zb]) for x in a.basis]
+              + [direct_sum([za, y]) for y in b.basis])
+    return _from_span(n, _span_of(n, [m.numerators() for m in blocks]))
 
 
 def covering_matrix(a: Algebra) -> Mat:
@@ -224,12 +220,9 @@ def two_sided_ideal(a: Algebra, x: Mat) -> list[Mat]:
     """Echelon basis of the two-sided ideal generated by x inside a."""
     if not a.contains(x):
         raise ValueError("element is not in the algebra")
-    span = EchelonSpan(a.n * a.n)
-    for p in a.basis:
-        px = p @ x
-        for q in a.basis:
-            span.add((px @ q).numerators())
-    return _span_mats(a.n, span)
+    left = [p @ x for p in a.basis]
+    return _span_mats(a.n, _span_of(a.n, [(px @ q).numerators()
+                                          for px in left for q in a.basis]))
 
 
 def _numerators(a: Algebra) -> list[Mat]:
@@ -245,11 +238,10 @@ def center(a: Algebra) -> list[Mat]:
     for b in nums:
         comm = [(c @ b - b @ c).numerators() for c in nums]
         rows += [row for row in zip(*comm) if any(row)]
-    span = EchelonSpan(a.n * a.n)
     flat = [b.numerators() for b in nums]
-    for y in nullspace(rows, a.dim)[1]:
-        span.add([sum(map(mul, y, col)) for col in zip(*flat)])
-    return _span_mats(a.n, span)
+    return _span_mats(a.n, _span_of(a.n, [
+        [sum(map(mul, y, col)) for col in zip(*flat)]
+        for y in nullspace(rows, a.dim)[1]]))
 
 
 def centralizer(m: Mat) -> Algebra:
@@ -267,10 +259,7 @@ def centralizer(m: Mat) -> Algebra:
                 row[i * n + l] -= num[l][j]
             if any(row):
                 rows.append(row)
-    span = EchelonSpan(n * n)
-    for v in nullspace(rows, n * n)[1]:
-        span.add(v)
-    alg = _from_span(n, span)
+    alg = _from_span(n, _span_of(n, nullspace(rows, n * n)[1]))
     if not (alg.is_unital() and alg.is_closed()):
         raise ArithmeticError("centralizer failed closure check")
     return alg
@@ -336,10 +325,9 @@ def incidence_structure(a: Algebra) -> IncidencePattern | None:
 
 
 def incidence_algebra(p: IncidencePattern) -> Algebra:
-    """The span of the pattern's matrix units (closed by transitivity).
-    Units in row-major position order are already the echelon basis."""
-    return Algebra(p.n, tuple(matrix_unit(p.n, i, j)
-                              for (i, j) in p.sorted_positions()))
+    """The span of the pattern's matrix units (closed by transitivity)."""
+    return _from_span(p.n, _span_of(p.n, [matrix_unit(p.n, i, j).numerators()
+                                          for (i, j) in p.positions]))
 
 
 def contains_all_diagonal(a: Algebra) -> bool:
@@ -353,19 +341,5 @@ def algebra_to_json(a: Algebra) -> dict:
 
 
 def algebra_from_json(obj: dict) -> Algebra:
-    """Load and re-verify an algebra: independence, unitality, closure."""
-    n = obj["n"]
-    mats = [mat_from_json(m) for m in obj["basis"]]
-    for m in mats:
-        if not (m.is_square and m.rows == n):
-            raise ValueError("basis matrix size mismatch")
-    span = EchelonSpan(n * n)
-    for m in mats:
-        if not span.add(m.numerators()):
-            raise ValueError("basis is linearly dependent")
-    alg = _from_span(n, span)
-    if not alg.is_unital():
-        raise ValueError("algebra is not unital")
-    if not alg.is_closed():
-        raise ValueError("span is not closed under products")
-    return alg
+    """Load an algebra; the `Algebra` constructor re-verifies it."""
+    return Algebra(obj["n"], tuple(mat_from_json(m) for m in obj["basis"]))

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .algebra import Algebra
-from .linear import EchelonSpan, first_dependency
+from .algebra import Algebra, conjugate_algebra
+from .linear import EchelonSpan, first_dependency, rank
 from .matrices import (Mat, conjugate, direct_sum, identity, inverse,
                        jordan_cell, kernel, matrix_unit, poly_at, span_rows,
                        stack)
@@ -229,24 +229,21 @@ def structural_decomposition(a: Algebra) -> StructuralDecomposition:
 def _verify_decomposition(a: Algebra, d: StructuralDecomposition) -> None:
     n = a.n
     k1, k2, _ = d.sizes
-    cinv = inverse(d.transform)
-    conj = [cinv @ b @ d.transform for b in a.basis]
+    # The conjugated algebra is block triangular iff every matrix of its
+    # basis is: the block-triangular matrices form a subspace.
+    conj = conjugate_algebra(a, d.transform)
     s0, s1 = k1, k1 + k2
-    for x in conj:
+    for x in conj.basis:
         for i in range(s0, n):
             limit = s0 if i < s1 else s1
             for j in range(limit):
                 if x.num[i][j]:
                     raise ArithmeticError("conjugated algebra is not block triangular")
-    span = EchelonSpan(n * n)
-    for x in conj:
-        span.add(x.numerators())
-    if not span.contains(matrix_unit(n, d.l, d.l).numerators()):
+    if not conj.contains(matrix_unit(n, d.l, d.l)):
         raise ArithmeticError("distinguished diagonal unit missing")
-    mid = EchelonSpan(k2 * k2)
-    for x in conj:
-        mid.add(x.submatrix(range(s0, s1), range(s0, s1)).numerators())
-    if mid.dim != k2 * k2:
+    mid = [x.submatrix(range(s0, s1), range(s0, s1)).numerators()
+           for x in conj.basis]
+    if rank(mid) != k2 * k2:
         raise ArithmeticError("distinguished block is not the full matrix algebra")
 
 

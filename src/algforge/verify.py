@@ -106,6 +106,8 @@ def _mul(a: Grid, b: Grid) -> Grid:
 
 def _sub(a: Grid, b: Grid) -> Grid:
     (da, ra), (db, rb) = a, b
+    if list(map(len, ra)) != list(map(len, rb)):
+        raise CertificateError("size mismatch in difference")
     d = lcm(da, db)
     fa, fb = d // da, d // db
     return _canonical(d, tuple(tuple(fa * x - fb * y for x, y in zip(xa, xb))
@@ -203,7 +205,7 @@ def _solve_conjugate(c: Grid, x: Grid) -> Grid:
     up to row scaling; C is nonsingular iff the pivots are its n columns."""
     (_, cn), (dx, xn) = c, x
     n = len(cn)
-    if len(xn) != n or any(len(row) != n for row in xn):
+    if not _is_square(xn, n):
         raise CertificateError("size mismatch in conjugation")
     rhs = _imul(xn, cn)
     span = _Span()
@@ -216,6 +218,11 @@ def _solve_conjugate(c: Grid, x: Grid) -> Grid:
     return _canonical(den, tuple(
         tuple(rows[i].get(n + j, 0) * (den // rows[i][i]) for j in range(n))
         for i in range(n)))
+
+
+def _is_square(rows: Sequence[Sequence[int]], n: int) -> bool:
+    """Whether integer rows form an n x n matrix."""
+    return len(rows) == n and all(len(row) == n for row in rows)
 
 
 def _identity(n: int) -> tuple[tuple[int, ...], ...]:
@@ -239,7 +246,7 @@ def _closure(gens: list[Grid]) -> tuple[_Span, int]:
     # words in the generators, so they span the same algebra.
     ints = [rows for _, rows in gens]
     n = len(ints[0])
-    if any(len(g) != n or any(len(row) != n for row in g) for g in ints):
+    if not all(_is_square(g, n) for g in ints):
         raise CertificateError("generators are not square of one size")
     span = _Span()
     kept: list[tuple[tuple[int, ...], ...]] = []
@@ -276,9 +283,8 @@ def _generates(closed: tuple[_Span, int], gens: list[Grid]) -> bool:
     if not gens:
         raise CertificateError("closure of an empty generator list")
     span, n = closed
-    for _, rows in gens:
-        if len(rows) != n or any(len(row) != n for row in rows):
-            raise CertificateError("generator size does not match the algebra")
+    if not all(_is_square(rows, n) for _, rows in gens):
+        raise CertificateError("generator size does not match the algebra")
     vecs = [_vec(g) for g in gens]
     if not all(map(span.contains, vecs)):
         return False
@@ -291,23 +297,27 @@ def _generates(closed: tuple[_Span, int], gens: list[Grid]) -> bool:
 
 # -- reference resolution ------------------------------------------------------
 
+# "out:<i>", "in:<name>" or "in:<name>:<i>", each index a plain decimal.
+_REFERENCE = re.compile(r"out:(0|[1-9][0-9]*)|in:([^:]*)(?::(0|[1-9][0-9]*))?")
+
+
 def _resolve(doc: dict, ref: str, key: str, what: str) -> dict:
     """The object behind a reference, which must hold `key`."""
     if not isinstance(ref, str):
         raise CertificateError(f"reference {ref!r} is not a string")
+    m = _REFERENCE.fullmatch(ref)
     if ref == "C":
         obj = doc.get("C")
         if obj is None:
             raise CertificateError("certificate has no transformation")
-    elif ref.startswith("out:"):
-        obj = doc["outputs"][int(ref.split(":", 1)[1])]
-    elif ref.startswith("in:"):
-        parts = ref.split(":")
-        obj = doc["inputs"][parts[1]]
-        if len(parts) == 3:
-            obj = obj[int(parts[2])]
-    else:
+    elif m is None:
         raise CertificateError(f"unresolvable reference {ref!r}")
+    elif m[1] is not None:
+        obj = doc["outputs"][int(m[1])]
+    else:
+        obj = doc["inputs"][m[2]]
+        if m[3] is not None:
+            obj = obj[int(m[3])]
     if not isinstance(obj, dict) or key not in obj:
         raise CertificateError(f"{ref!r} is not {what}")
     return obj
@@ -340,8 +350,15 @@ class _Document:
             return self._once(("conjugated", ref), lambda: tuple(
                 _solve_conjugate(c, b) for b in self.basis(ref)))
         return self._once(("basis", ref), lambda: tuple(
-            _grid(m) for m in _resolve(self.doc, ref, "basis",
-                                       "an algebra")["basis"]))
+            self.sized(_grid(m), ref) for m in _resolve(
+                self.doc, ref, "basis", "an algebra")["basis"]))
+
+    def sized(self, grid: Grid, ref: str) -> Grid:
+        """grid, which must be n x n for the n of the algebra behind ref."""
+        n = _resolve(self.doc, ref, "basis", "an algebra")["n"]
+        if not _is_square(grid[1], n):
+            raise CertificateError(f"matrix is not {n} x {n} like {ref!r}")
+        return grid
 
     def span(self, ref: str, conjugated: bool = False) -> _Span:
         """The span of the algebra's basis (conjugated or not)."""
@@ -409,14 +426,14 @@ def _check_conjugate_of(d: _Document, p: dict) -> bool:
 
 def _check_in_algebra(d: _Document, p: dict, conjugated=False) -> bool:
     return d.span(p["algebra"], conjugated).contains(
-        _vec(d.matrix(p["target"])))
+        _vec(d.sized(d.matrix(p["target"]), p["algebra"])))
 
 
 def _check_covers(d: _Document, p: dict, conjugated=False) -> bool:
     omega: set[tuple[int, int]] = set()
     for b in d.basis(p["algebra"], conjugated):
         omega |= _support(b)
-    return _support(d.matrix(p["target"])) == omega
+    return _support(d.sized(d.matrix(p["target"]), p["algebra"])) == omega
 
 
 def _check_semi_commuting(d: _Document, p: dict) -> bool:

@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from algforge.algebra import (algebra_direct_sum, algebra_from_json,
-                              algebra_to_json, center, centralizer,
-                              conjugate_algebra, contains_all_diagonal,
-                              covering_matrix, generate, generates,
-                              incidence_algebra,
+from algforge.algebra import (Algebra, algebra_direct_sum,
+                              algebra_from_json, algebra_to_json, center,
+                              centralizer, closure_words, conjugate_algebra,
+                              contains_all_diagonal, covering_matrix,
+                              generate, generates, incidence_algebra,
                               incidence_structure, is_simple,
                               nonneg_covering_exists, two_sided_ideal)
 from algforge.incidence import incidence_of_dimension
@@ -182,14 +182,59 @@ def test_center_and_centralizer():
     assert cent.is_unital() and cent.is_closed()
 
 
-def test_genset_invariants():
-    from algforge.algebra import GenSet, generate_genset
-    gs = GenSet(2, (matrix_unit(2, 1, 2),))
-    assert generate_genset(gs).dim == 2
-    with pytest.raises(ValueError):
-        GenSet(2, ())
-    with pytest.raises(ValueError):
-        GenSet(3, (matrix_unit(2, 1, 2),))
+def test_constructor_rejects_what_is_not_a_closed_unital_algebra():
+    i2, e12, e21 = identity(2), matrix_unit(2, 1, 2), matrix_unit(2, 2, 1)
+    # span{I, E12, E21} misses E12 E21 = E11; generates() once accepted it
+    with pytest.raises(ValueError, match="closed"):
+        Algebra(2, (i2, e12, e21))
+    with pytest.raises(ValueError, match="dependent"):
+        Algebra(2, (i2, e12, 3 * e12))
+    with pytest.raises(ValueError, match="size"):
+        Algebra(2, (identity(3),))
+    with pytest.raises(ValueError, match="size"):
+        Algebra(2, (i2, Mat.from_rows([[1, 0, 0, 1]])))
+    with pytest.raises(ValueError, match="unital"):
+        Algebra(2, (e12,))
+    assert Algebra(2, (i2, e12, e21, e12 @ e21)) == m_algebra(2)
+
+
+def test_constructor_keeps_the_canonical_basis():
+    rng = random.Random(13)
+    reordered = 0
+    for n in (2, 3, 3, 4, 4):
+        a = conjugate_algebra(incidence_algebra(random_pattern(rng, n)),
+                              random_unimodular(rng, n))
+        gens = [_random_member(rng, a) for _ in range(2)]
+        for hs in (gens, [random_mat(rng, n, 3)]):
+            words, _ = closure_words(n, hs)
+            mats = [rng.choice((1, -2, 3)) * w for w in words]
+            rng.shuffle(mats)
+            built = Algebra(n, mats)
+            assert built == generate(n, hs)
+            assert built.is_closed() and built.dim == len(mats)
+            reordered += tuple(mats) != built.basis
+    assert reordered >= 5
+
+
+def test_membership_reuses_the_span_it_was_built_from(monkeypatch):
+    from algforge.linear import EchelonSpan
+    a = generate(3, [upper_ones(3), diag(3, 2, 1)])
+    built = [a, t_algebra(3), conjugate_algebra(a, random_unimodular(
+        random.Random(14), 3)), algebra_direct_sum(a, d_algebra(2)),
+        centralizer(jordan_cell(3, 0)),
+        Algebra(3, tuple(reversed(a.basis)))]
+    adds = []
+    real = EchelonSpan.add
+
+    def counting(span, vec):
+        adds.append(1)
+        return real(span, vec)
+
+    monkeypatch.setattr(EchelonSpan, "add", counting)
+    for alg in built:
+        assert alg.contains(identity(alg.n))
+        assert not alg.contains(matrix_unit(alg.n, alg.n, 1))
+    assert adds == []
 
 
 def test_centralizer_dimension_formula():
@@ -308,6 +353,8 @@ def test_generates_agrees_with_generate():
 
 
 def test_generates_rejects_size_mismatch():
+    with pytest.raises(ValueError):
+        generate(3, [matrix_unit(2, 1, 2)])
     with pytest.raises(ValueError):
         generates(t_algebra(3), [identity(2)])
     with pytest.raises(ValueError):

@@ -422,3 +422,63 @@ def test_malformed_references_and_shapes_fail_cleanly():
     tall["inputs"]["a"]["basis"][0] = {
         "rows": 3, "cols": 2, "entries": [["1", "0"], ["0", "1"], ["5", "5"]]}
     assert len(verify_document(tall)) == 1
+
+
+def _wire(rows):
+    return {"rows": len(rows), "cols": len(rows[0]),
+            "entries": [[str(v) for v in row] for row in rows]}
+
+
+_T2 = {"n": 2, "basis": [_wire([[1, 0], [0, 0]]), _wire([[0, 1], [0, 0]]),
+                         _wire([[0, 0], [0, 1]])]}
+
+
+@pytest.mark.parametrize("kind, target", [
+    ("covers", [[1, 1, 0], [0, 1, 0], [0, 0, 0]]),
+    ("covers_conjugated", [[1, 1, 0], [0, 1, 0], [0, 0, 0]]),
+    ("in_algebra", [[1, 0, 0, 1]]),
+    ("in_algebra_conjugated", [[1, 0, 0, 1]]),
+])
+def test_targets_must_match_their_algebra(kind, target):
+    # Each target has the support, or the row-major entries, of a member of
+    # the 2 x 2 upper triangular algebra, but the wrong shape.
+    doc = {"C": _wire([[1, 0], [0, 1]]), "inputs": {"a": _T2},
+           "outputs": [_wire(target)],
+           "properties": [{"kind": kind, "target": "out:0",
+                           "algebra": "in:a"}]}
+    failures = verify_document(doc)
+    assert len(failures) == 1 and "2 x 2" in failures[0]
+    doc["outputs"] = [_wire([[1, 1], [0, 1]])]
+    assert verify_document(doc) == []
+
+
+def test_semi_commuting_needs_square_factors_of_one_size():
+    # A B = I_2 and B A = diag(1, 1, 0); their difference has no shape
+    a = [[1, 0, 0], [0, 1, 0]]
+    doc = {"C": None, "inputs": {}, "outputs": [_wire(a), _wire(
+        [list(col) for col in zip(*a)])],
+        "properties": [{"kind": "semi_commuting", "a": "out:0", "b": "out:1",
+                        "sign": sign} for sign in ("nonneg", "nonpos")]}
+    failures = verify_document(doc)
+    assert len(failures) == 2 and all("size mismatch" in f for f in failures)
+
+
+def _referencing_document():
+    return {"C": None, "inputs": {"a": _T2, "g": [_wire([[1, 1], [0, 1]])]},
+            "outputs": [_wire([[1, 1], [0, 2]])],
+            "properties": [
+                {"kind": "in_algebra", "target": "out:0", "algebra": "in:a"},
+                {"kind": "dimension", "gens": ["in:g:0"], "value": 2}]}
+
+
+@pytest.mark.parametrize("field, ref", [
+    ("target", "out:-1"), ("target", "out:+0"), ("target", "out: 0"),
+    ("target", "out:0_0"), ("target", "out:00"), ("gens", "in:g:-1"),
+    ("gens", "in:g:00"), ("algebra", "in:a:0:0"), ("gens", "in:g:0:0"),
+])
+def test_reference_indices_are_plain_decimals(field, ref):
+    doc = _referencing_document()
+    assert verify_document(doc) == []
+    prop = doc["properties"][field == "gens"]
+    prop[field] = [ref] if field == "gens" else ref
+    assert len(verify_document(doc)) == 1

@@ -45,6 +45,8 @@ class Algebra:
 
     def __post_init__(self):
         n, mats = self.n, tuple(self.basis)
+        if not (type(n) is int and n >= 0):
+            raise ValueError("algebra size must be a nonnegative integer")
         if not all(m.is_square and m.rows == n for m in mats):
             raise ValueError("basis matrix size mismatch")
         span = _span_of(n, [m.numerators() for m in mats])

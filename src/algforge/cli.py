@@ -102,8 +102,9 @@ def _load_algebra_like(doc) -> Algebra:
             raise UsageError(f"invalid algebra document: {exc}")
     if "gens" in doc:
         n = doc.get("n")
-        if not isinstance(n, int):
-            raise UsageError("generator document needs an integer 'n'")
+        if not (type(n) is int and n >= 0):
+            raise UsageError("generator document needs a nonnegative"
+                             " integer 'n'")
         try:
             gens = [mat_from_json(m) for m in doc["gens"]]
             return generate(n, gens)

@@ -10,20 +10,29 @@ grid (den, rows), integer rows over a positive denominator with no common
 factor, so equal matrices have equal grids, and products, differences,
 supports, sign tests and spans all run on those integers.  `_Span` keeps
 primitive integer rows with a positive pivot, fully reduced against each
-other, so equal spans have equal rows.  `_solve_conjugate` reduces
-[dx C | X C] with a `_Span`, which is the module's only elimination.
-Generated-algebra claims are re-derived with a worklist that multiplies
-each retained element on the right by the generators' integer rows, where
-the engine's worklist multiplies on the left.  Generators are admitted
-lazily: one the span already holds is skipped, since the span is always
-the algebra generated by the admitted ones, so a redundant list costs no
-more products than its admitted part.  A claim that a second list
-generates the same algebra as a closed one is checked by containment
-(`_generates`): each of its matrices must lie in the closed span, and it
-is closed only when I and the matrices alone fall short of the span's
-dimension.  Within one `verify_document` call each referenced matrix is
-parsed once, each algebra basis is spanned once and each generator list
-is closed once.
+other, so equal spans have equal rows.  `_inverse` reduces [C | I] with
+a `_Span`, once per document: the elimination that proves C nonsingular
+also yields C^{-1}, and each conjugate C^{-1} X C is then two products.
+Generated-algebra claims are re-derived in one of two ways.  When some
+generator is diagonal with pairwise distinct entries, the generation
+lemma gives the algebra outright: it is the span of the matrix units on
+the reflexive-transitive closure R of the generators' supports.  The
+powers of that generator span the diagonal (Vandermonde), E_ii g E_jj =
+g_ij E_ij gives each unit on a support, and products of units close R; and
+span(R) is a unital algebra holding every generator.  Every pair
+certificate has such a generator, so none is closed by products.  Any
+other list goes through a worklist that multiplies each retained element
+on the right by the generators' integer rows, where the engine's worklist
+multiplies on the left.  Generators are admitted lazily: one the span
+already holds is skipped, since the span is always the algebra generated
+by the admitted ones, so a redundant list costs no more products than its
+admitted part.  A claim that a second list generates the same algebra as
+a closed one is checked by containment (`_generates`): each of its
+matrices must lie in the closed span, and it is closed only when I and
+the matrices alone fall short of the span's dimension.  Within one
+`verify_document` call each referenced matrix is parsed once, each
+algebra basis is spanned once, each generator list is closed once and C
+is inverted once.
 """
 
 from __future__ import annotations
@@ -197,27 +206,36 @@ class _Span:
         return len(self.rows)
 
 
-def _solve_conjugate(c: Grid, x: Grid) -> Grid:
-    """Y with C Y = X C, i.e. Y = C^{-1} X C; C must be nonsingular.
+def _inverse(c: Grid) -> Grid:
+    """(dinv, inv) with inv / dinv the inverse of C's integer rows c, not
+    necessarily in lowest terms.
 
-    With C = c / dc and X = x / dx, C Y = X C reads dx c Y = x c, so the
-    rows of [dx c | x c] go into a `_Span`, which reduces them to [I | Y]
-    up to row scaling; C is nonsingular iff the pivots are its n columns."""
-    (_, cn), (dx, xn) = c, x
+    The rows of [c | I] go into a `_Span`, which reduces them to
+    [I | c^{-1}] up to row scaling; c is nonsingular iff the pivots are
+    its n columns."""
+    cn = c[1]
     n = len(cn)
-    if not _is_square(xn, n):
-        raise CertificateError("size mismatch in conjugation")
-    rhs = _imul(xn, cn)
+    if not _is_square(cn, n):
+        raise CertificateError("transformation matrix is not square")
     span = _Span()
-    for i in range(n):
-        span.add([dx * v for v in cn[i]] + list(rhs[i]))
+    for i, row in enumerate(cn):
+        span.add(list(row) + [int(i == j) for j in range(n)])
     rows = span.rows
     if sorted(rows) != list(range(n)):
         raise CertificateError("transformation matrix is singular")
-    den = lcm(*[rows[i][i] for i in range(n)])
-    return _canonical(den, tuple(
-        tuple(rows[i].get(n + j, 0) * (den // rows[i][i]) for j in range(n))
-        for i in range(n)))
+    dinv = lcm(*[rows[i][i] for i in range(n)])
+    return dinv, tuple(
+        tuple(rows[i].get(n + j, 0) * (dinv // rows[i][i]) for j in range(n))
+        for i in range(n))
+
+
+def _conjugate(c: Grid, inverse: Grid, x: Grid) -> Grid:
+    """Y = C^{-1} X C, given `_inverse(c)`.  With C = c / dc, X = x / dx
+    and c^{-1} = inv / dinv, dc cancels: Y = inv x c / (dinv dx)."""
+    (_, cn), (dinv, inv), (dx, xn) = c, inverse, x
+    if not _is_square(xn, len(cn)):
+        raise CertificateError("size mismatch in conjugation")
+    return _canonical(dinv * dx, _imul(_imul(inv, xn), cn))
 
 
 def _is_square(rows: Sequence[Sequence[int]], n: int) -> bool:
@@ -229,16 +247,55 @@ def _identity(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
+def _is_distinct_diagonal(rows: Sequence[Sequence[int]]) -> bool:
+    """Whether square integer rows are diagonal with pairwise distinct
+    diagonal entries."""
+    diag = [row[i] for i, row in enumerate(rows)]
+    return (len(set(diag)) == len(rows)
+            and all(v == 0 or i == j
+                    for i, row in enumerate(rows) for j, v in enumerate(row)))
+
+
+def _unit_span(ints: list[tuple[tuple[int, ...], ...]], n: int) -> _Span:
+    """The span of the matrix units E_ij on the reflexive-transitive
+    closure R of the union of the supports of the generators' rows."""
+    reach = [1 << i for i in range(n)]
+    for g in ints:
+        for i, row in enumerate(g):
+            for j, v in enumerate(row):
+                if v:
+                    reach[i] |= 1 << j
+    for k in range(n):  # Warshall: paths through 0..k
+        for i in range(n):
+            if reach[i] >> k & 1:
+                reach[i] |= reach[k]
+    span = _Span()
+    span.rows = {p: {p: 1} for p in range(n * n)
+                 if reach[p // n] >> (p % n) & 1}
+    return span
+
+
 def _closure(gens: list[Grid]) -> tuple[_Span, int]:
     """Span of the unital algebra generated by gens.
 
-    Worklist with lazy admission.  Invariant: the span holds I, is spanned
-    by the kept words, and is closed under right multiplication by every
-    admitted generator, so it is the algebra the admitted generators
-    generate.  A generator the span already holds adds nothing and is
-    skipped.  A new one is admitted: every earlier kept word is multiplied
-    on the right by it, and then every new word by each admitted generator,
-    walking the kept list by index while it grows.
+    Generation lemma.  When some generator D is diagonal with pairwise
+    distinct entries, the algebra is span{E_ij : (i, j) in R}, for R the
+    reflexive-transitive closure of the union of the generators' supports,
+    and no product is made.  The powers of D span the diagonal
+    (Vandermonde), so every E_ii is in it; E_ii g E_jj = g_ij E_ij puts
+    each unit on a generator's support in it, E_ij E_jk = E_ik closes
+    those positions transitively and I gives the diagonal.  Conversely
+    span(R) is a unital algebra, as R is reflexive and transitive, and
+    holds every generator.  Unit rows are the canonical `_Span` rows of
+    that span, the same rows the worklist reaches.
+
+    Otherwise a worklist with lazy admission.  Invariant: the span holds
+    I, is spanned by the kept words, and is closed under right
+    multiplication by every admitted generator, so it is the algebra the
+    admitted generators generate.  A generator the span already holds adds
+    nothing and is skipped.  A new one is admitted: every earlier kept
+    word is multiplied on the right by it, and then every new word by each
+    admitted generator, walking the kept list by index while it grows.
     """
     if not gens:
         raise CertificateError("closure of an empty generator list")
@@ -248,6 +305,8 @@ def _closure(gens: list[Grid]) -> tuple[_Span, int]:
     n = len(ints[0])
     if not all(_is_square(g, n) for g in ints):
         raise CertificateError("generators are not square of one size")
+    if any(map(_is_distinct_diagonal, ints)):
+        return _unit_span(ints, n), n
     span = _Span()
     kept: list[tuple[tuple[int, ...], ...]] = []
     used: list[tuple[tuple[int, ...], ...]] = []
@@ -326,9 +385,9 @@ def _resolve(doc: dict, ref: str, key: str, what: str) -> dict:
 class _Document:
     """The references of one document, read for one `verify_document`
     call: each matrix is parsed once, each algebra basis read (and
-    conjugated) and spanned once and each generator list closed once.
-    Cached grids are tuples and cached spans are only read, so no check
-    can change what another sees."""
+    conjugated) and spanned once, each generator list closed once and C
+    inverted once.  Cached grids are tuples and cached spans are only
+    read, so no check can change what another sees."""
 
     def __init__(self, doc: dict):
         self.doc = doc
@@ -346,9 +405,8 @@ class _Document:
     def basis(self, ref: str, conjugated: bool = False) -> tuple[Grid, ...]:
         """The algebra's basis, mapped to C^{-1} B C when conjugated."""
         if conjugated:
-            c = self.transform()
             return self._once(("conjugated", ref), lambda: tuple(
-                _solve_conjugate(c, b) for b in self.basis(ref)))
+                map(self.conjugate, self.basis(ref))))
         return self._once(("basis", ref), lambda: tuple(
             self.sized(_grid(m), ref) for m in _resolve(
                 self.doc, ref, "basis", "an algebra")["basis"]))
@@ -356,6 +414,8 @@ class _Document:
     def sized(self, grid: Grid, ref: str) -> Grid:
         """grid, which must be n x n for the n of the algebra behind ref."""
         n = _resolve(self.doc, ref, "basis", "an algebra")["n"]
+        if type(n) is not int:
+            raise CertificateError(f"algebra size {n!r} is not an integer")
         if not _is_square(grid[1], n):
             raise CertificateError(f"matrix is not {n} x {n} like {ref!r}")
         return grid
@@ -369,23 +429,20 @@ class _Document:
             return span
         return self._once(("span", ref, conjugated), make)
 
-    def transform(self) -> Grid:
-        """C, checked square and nonsingular."""
-        return self._once(("transform",), self._checked_transform)
+    def transform(self) -> tuple[Grid, Grid]:
+        """(C, `_inverse(C)`), C checked square and nonsingular by the
+        same elimination that yields its inverse."""
+        def make() -> tuple[Grid, Grid]:
+            if self.doc.get("C") is None:
+                raise CertificateError(
+                    "property requires a transformation matrix")
+            c = self.matrix("C")
+            return c, _inverse(c)
+        return self._once(("transform",), make)
 
-    def _checked_transform(self) -> Grid:
-        if self.doc.get("C") is None:
-            raise CertificateError("property requires a transformation matrix")
-        c = self.matrix("C")
-        rows = c[1]
-        if any(len(row) != len(rows) for row in rows):
-            raise CertificateError("transformation matrix is not square")
-        span = _Span()
-        for row in rows:
-            span.add(row)
-        if span.dim != len(rows):
-            raise CertificateError("transformation matrix is singular")
-        return c
+    def conjugate(self, x: Grid) -> Grid:
+        """C^{-1} X C."""
+        return _conjugate(*self.transform(), x)
 
     def closed(self, refs) -> tuple[_Span, int]:
         """The `_closure` of the matrices behind a list of references."""
@@ -398,6 +455,8 @@ class _Document:
         1..n, since a position outside would stand for the zero matrix."""
         obj = _resolve(self.doc, ref, "positions", "a pattern")
         n = obj["n"]
+        if type(n) is not int:
+            raise CertificateError(f"pattern size {n!r} is not an integer")
         positions = set()
         for pos in obj["positions"]:
             i, j = pos
@@ -420,7 +479,7 @@ def _check_positive(d: _Document, p: dict) -> bool:
 
 
 def _check_conjugate_of(d: _Document, p: dict) -> bool:
-    c = d.transform()
+    c, _ = d.transform()
     return _mul(c, d.matrix(p["target"])) == _mul(d.matrix(p["source"]), c)
 
 
@@ -456,7 +515,7 @@ def _check_central(d: _Document, p: dict) -> bool:
 
 def _check_dimension(d: _Document, p: dict) -> bool:
     span, _ = d.closed(p["gens"])
-    return span.dim == p["value"]
+    return type(p["value"]) is int and span.dim == p["value"]
 
 
 def _check_generate_equal(d: _Document, p: dict) -> bool:
@@ -465,10 +524,8 @@ def _check_generate_equal(d: _Document, p: dict) -> bool:
 
 
 def _check_generate_equal_conjugated(d: _Document, p: dict) -> bool:
-    c = d.transform()
     return _generates(d.closed(p["gens"]),
-                      [_solve_conjugate(c, d.matrix(r))
-                       for r in p["source_gens"]])
+                      [d.conjugate(d.matrix(r)) for r in p["source_gens"]])
 
 
 def _check_spans_pattern(d: _Document, p: dict) -> bool:

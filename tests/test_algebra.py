@@ -198,6 +198,13 @@ def test_constructor_rejects_what_is_not_a_closed_unital_algebra():
     assert Algebra(2, (i2, e12, e21, e12 @ e21)) == m_algebra(2)
 
 
+@pytest.mark.parametrize("n", [True, False, -1, 1.0])
+def test_constructor_rejects_a_size_that_is_not_a_nonnegative_int(n):
+    # True == 1 in Python: a check by value alone takes a 1 x 1 basis
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        Algebra(n, (identity(1),))
+
+
 def test_constructor_keeps_the_canonical_basis():
     rng = random.Random(13)
     reordered = 0

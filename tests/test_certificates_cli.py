@@ -482,3 +482,45 @@ def test_reference_indices_are_plain_decimals(field, ref):
     prop = doc["properties"][field == "gens"]
     prop[field] = [ref] if field == "gens" else ref
     assert len(verify_document(doc)) == 1
+
+
+# -- JSON booleans are not sizes or dimensions ---------------------------------
+
+@pytest.mark.parametrize("key", ["basis", "gens"])
+def test_boolean_size_is_a_usage_error(key, monkeypatch, capsys):
+    # True == 1 in Python: a check by value alone takes a 1 x 1 matrix
+    text = json.dumps({"n": True, key: [_wire([[1]])]})
+    code, out, err = _run(["algebra-dim"], stdin_text=text,
+                          monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2 and out == ""
+    assert "Traceback" not in err and "integer" in err
+
+
+def _one_by_one_document():
+    one = _wire([[1]])
+    return {"C": None,
+            "inputs": {"a": {"n": 1, "basis": [one]},
+                       "pattern": {"n": 1, "positions": [[1, 1]]}},
+            "outputs": [one],
+            "properties": [
+                {"kind": "in_algebra", "target": "out:0", "algebra": "in:a"},
+                {"kind": "spans_pattern", "gens": ["out:0"],
+                 "pattern": "in:pattern"},
+                {"kind": "dimension", "gens": ["out:0"], "value": 1}]}
+
+
+@pytest.mark.parametrize("index, path", [
+    (0, ("inputs", "a", "n")),
+    (1, ("inputs", "pattern", "n")),
+    (2, ("properties", 2, "value")),
+], ids=["algebra-size", "pattern-size", "dimension-value"])
+def test_verifier_rejects_boolean_sizes(index, path):
+    doc = _one_by_one_document()
+    assert verify_document(doc) == []
+    *outer, last = path
+    obj = doc
+    for key in outer:
+        obj = obj[key]
+    obj[last] = True
+    failures = verify_document(doc)
+    assert len(failures) == 1 and failures[0].startswith(f"property {index} ")

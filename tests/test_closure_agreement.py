@@ -14,12 +14,14 @@ import pytest
 from algforge import verify
 from algforge.algebra import closure_words, generate
 from algforge.certificates import Certificate, prop_dimension
-from algforge.constructions import nonneg_basis_from_generators
+from algforge.constructions import (nonneg_basis_from_generators,
+                                    semicommuting_pair, solve_all_dimensions)
+from algforge.incidence import incidence_of_dimension
 from algforge.matrices import (Mat, identity, is_nonneg, mat_from_json,
                                mat_to_json, matrix_unit, ones, zero)
 from algforge.verify import verify_document
 from oracles import (brute_closure_dim, eager_closure_words,
-                     eager_verifier_closure)
+                     eager_verifier_closure, random_pattern)
 
 DATA = Path(__file__).parent / "data"
 
@@ -124,6 +126,18 @@ def test_nonneg_basis_regenerates(kind, n, gens):
 
 def _grids(gens):
     return [verify._grid(mat_to_json(g)) for g in gens]
+
+
+def _count_imul(monkeypatch):
+    calls = []
+    real = verify._imul
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(verify, "_imul", counting)
+    return calls
 
 
 @pytest.mark.parametrize("kind,n,gens", CASES + REDUNDANT,
@@ -241,14 +255,7 @@ def test_outputs_generating_a_proper_subalgebra_fail():
 def test_lazy_admission_bounds_verifier_products(monkeypatch):
     """Verifying the 2 x 2 classify fixture took 312 integer products with
     every generator admitted up front."""
-    calls = []
-    real = verify._imul
-
-    def counting(a, b):
-        calls.append(1)
-        return real(a, b)
-
-    monkeypatch.setattr(verify, "_imul", counting)
+    calls = _count_imul(monkeypatch)
     assert verify_document(_classify_doc()) == []
     assert len(calls) <= 150
 
@@ -357,13 +364,144 @@ def test_generates_checks_containment_then_closes():
 def test_containment_check_bounds_verifier_products(monkeypatch):
     """Verifying the 2 x 2 classify fixture took 120 integer products when
     the conjugated source list was closed in full."""
-    calls = []
-    real = verify._imul
-
-    def counting(a, b):
-        calls.append(1)
-        return real(a, b)
-
-    monkeypatch.setattr(verify, "_imul", counting)
+    calls = _count_imul(monkeypatch)
     assert verify_document(_classify_doc()) == []
     assert len(calls) <= 80
+
+
+# -- the generation lemma: a diagonal generator with distinct entries ---------
+
+def _lemma_lists():
+    """Seeded lists holding one diagonal matrix with distinct entries (a
+    zero among them allowed) at a random place, and up to three other
+    generators with mixed signs, denominators and sparse supports that are
+    mostly not transitive."""
+    rng = random.Random(1414)
+    lists = []
+    for n in range(1, 8):
+        for _ in range(30):
+            # distinct values over one denominator stay distinct
+            den = rng.randint(1, 3)
+            diag = [Fraction(v, den) for v in rng.sample(range(-4, 5), n)]
+            d = Mat.from_rows([[diag[i] if i == j else 0 for j in range(n)]
+                               for i in range(n)])
+            density = rng.choice((0.1, 0.2, 0.35))
+            others = [Mat.from_rows([[Fraction(rng.choice((-3, -1, 1, 2)),
+                                               rng.randint(1, 3))
+                                      if rng.random() < density else 0
+                                      for _ in range(n)] for _ in range(n)])
+                      for _ in range(rng.randint(0, 3))]
+            others.insert(rng.randint(0, len(others)), d)
+            lists.append(others)
+    return lists
+
+
+def _pair_lists():
+    """(D, A) and (A, D) of every staircase pair up to n = 7 and of seeded
+    relabelled patterns, at least ten of them not upper-triangular."""
+    patterns = [incidence_of_dimension(n, k) for n in range(2, 8)
+                for k in range(n, n * (n + 1) // 2 + 1)]
+    rng = random.Random(4141)
+    relabelled = [random_pattern(rng, rng.randint(2, 7), triangular=False)
+                  for _ in range(20)]
+    assert sum(not p.is_upper_triangular for p in relabelled) >= 10
+    lists = []
+    for pat in patterns + relabelled:
+        a, d, _ = semicommuting_pair(pat)
+        lists += [[d, a], [a, d]]
+    return lists
+
+
+@pytest.mark.parametrize("source", ["seeded", "pairs"])
+def test_lemma_closure_matches_eager_worklist(source, monkeypatch):
+    lists = _lemma_lists() if source == "seeded" else _pair_lists()
+    assert len(lists) >= 70
+    for gens in lists:
+        grids = _grids(gens)
+        calls = _count_imul(monkeypatch)
+        span, size = verify._closure(grids)
+        assert calls == []  # the lemma path makes no product
+        monkeypatch.undo()
+        ref, ref_size = eager_verifier_closure(grids)
+        assert size == ref_size == gens[0].rows
+        assert span.rows == ref.rows
+
+
+def _pair_docs():
+    docs = [c.to_json() for n in range(2, 6) for c in solve_all_dimensions(n)]
+    rng = random.Random(77)
+    for _ in range(8):
+        pat = random_pattern(rng, rng.randint(3, 6), triangular=False)
+        docs.append(semicommuting_pair(pat)[2].to_json())
+    return docs
+
+
+def _outside(positions, n):
+    """The first position, 0-based, that is not in a 1-based pattern."""
+    return next((i, j) for i in range(n) for j in range(n)
+                if [i + 1, j + 1] not in positions)
+
+
+def _cover(positions):
+    """A strict position (i, j), 0-based, that no third index k factors
+    through, or None; removing it from the support shrinks the closure."""
+    pos = {tuple(p) for p in positions}
+    for i, j in sorted(pos):
+        if i != j and not any((i, k) in pos and (k, j) in pos
+                              for k, _ in pos if k not in (i, j)):
+            return i - 1, j - 1
+    return None
+
+
+TAMPERS = ("D-repeated", "D-off-diagonal", "A-zeroed", "A-extra",
+           "pattern-removed", "dimension-up", "dimension-down")
+
+
+def _tampers(doc):
+    """Named tampered copies of one pair certificate (outputs D, A).  A
+    pattern with no strict position has no A entry whose loss changes
+    the algebra, so it gets no "A-zeroed" copy."""
+    pattern = doc["inputs"]["pattern"]
+    r, c = _outside(pattern["positions"], pattern["n"])
+    cover = _cover(pattern["positions"])
+    for name in TAMPERS:
+        t = copy.deepcopy(doc)
+        d, a = (m["entries"] for m in t["outputs"])
+        if name == "D-repeated":
+            d[1][1] = d[0][0]
+        elif name == "D-off-diagonal":
+            d[r][c] = "1"
+        elif name == "A-zeroed":
+            if cover is None:
+                continue
+            a[cover[0]][cover[1]] = "0"
+        elif name == "A-extra":
+            a[r][c] = "1"
+        elif name == "pattern-removed":
+            t["inputs"]["pattern"]["positions"].pop()
+        else:
+            t["properties"][-1]["value"] += 1 if name == "dimension-up" else -1
+        yield name, t
+
+
+def test_tampered_pair_certificates_fail():
+    seen = set()
+    for doc in _pair_docs():
+        assert doc["claim"] == "semicommuting-incidence-pair"
+        assert verify_document(doc) == []
+        for name, tampered in _tampers(doc):
+            assert tampered != doc
+            assert verify_document(tampered), name
+            seen.add(name)
+    assert seen == set(TAMPERS)
+
+
+def test_pair_certificates_make_no_closure_products(monkeypatch):
+    """Verifying the 29 n = 8 pair certificates took 1326 integer products
+    when each pair was closed by the worklist; the semi-commuting check's
+    two products are all that is left."""
+    docs = [c.to_json() for c in solve_all_dimensions(8)]
+    assert len(docs) == 29
+    calls = _count_imul(monkeypatch)
+    assert all(verify_document(doc) == [] for doc in docs)
+    assert len(calls) <= 2 * len(docs)

@@ -25,7 +25,8 @@ from algforge.matrices import (Mat, direct_sum, identity, inverse, is_nonneg,
                                matrix_unit, permutation_matrix, span_rows,
                                support, support_union, zero)
 from algforge.polynomials import Poly, poly_from_json
-from algforge.verify import CertificateError, _mul, _solve_conjugate, _Span
+from algforge.verify import (CertificateError, _conjugate, _inverse, _mul,
+                             _Span)
 from oracles import (cleared, gauss_jordan, grid_combine, grid_direct_sum,
                      grid_product, grid_scale, grid_submatrix, grid_transpose,
                      random_unimodular, textbook_product)
@@ -286,11 +287,12 @@ def test_solve_conjugate_matches_textbook_inverse():
             continue
         x = random_rect(rng, n, n)
         expected = textbook_product(textbook_product(c_inv, x), c)
-        got = _solve_conjugate((c.den, c.num), (x.den, x.num))
+        grid = (c.den, c.num)
+        got = _conjugate(grid, _inverse(grid), (x.den, x.num))
         assert got == (expected.den, expected.num)
-    # singular C: [C | XC] still has rank 2, with one pivot outside C
+    # singular C: [C | I] still has rank 2, with one pivot outside C
     with pytest.raises(CertificateError):
-        _solve_conjugate((1, ((1, 2), (2, 4))), (1, ((1, 0), (0, 2))))
+        _inverse((1, ((1, 2), (2, 4))))
 
 
 def eager_candidates(a, budget, seed):

@@ -11,10 +11,8 @@ mapped into itself by left multiplication with each generator, so it
 contains every word in the generators and is closed under products.
 Closedness is a type guarantee: `Algebra(n, mats)` checks it, and the
 builders' trusted `_from_span` keeps the span they already hold.
-`generates` decides whether a list generates a known algebra without
-closing it in full: every generator must lie in the algebra, and the
-worklist, given the algebra's dimension as `stop`, returns as soon as its
-span has that dimension.  `center`, `centralizer` and
+`generates` decides whether a list generates a known algebra by closing
+it and comparing the canonical spans.  `center`, `centralizer` and
 `is_simple` solve their linear systems on integer numerators: the basis
 numerators span the algebra as the basis does.
 """
@@ -102,16 +100,14 @@ def _from_span(n: int, span: EchelonSpan) -> Algebra:
     return a
 
 
-def closure_words(n: int, gens: Iterable[Mat], *,
-                  stop: int | None = None) -> tuple[list[Mat], EchelonSpan]:
+def closure_words(n: int,
+                  gens: Iterable[Mat]) -> tuple[list[Mat], EchelonSpan]:
     """Independent words spanning the unital algebra generated by gens.
 
     Worklist: I and the generators first, then every retained word is
     multiplied on the left by each generator, keeping the products that
     enlarge the span.  Returns the retained words in insertion order and
-    their span.  With `stop`, no product is made once `stop` words are
-    retained, so the span is then only a subspace of the algebra; without
-    it the worklist runs to the end.
+    their span.
     """
     gens = list(gens)
     for g in gens:
@@ -129,24 +125,14 @@ def closure_words(n: int, gens: Iterable[Mat], *,
         push(g)
     for x in words:  # words grows while it is walked: a FIFO worklist
         for g in gens:
-            if len(words) == stop:
-                return words, span
             push(g @ x)
     return words, span
 
 
 def generates(a: Algebra, gens: Iterable[Mat]) -> bool:
-    """Whether gens generate exactly the algebra a.
-
-    Every `Algebra` is closed and unital (the constructor checks it), so
-    every generator in a means <gens> lies in a; the worklist's span lies
-    in <gens>, so once it reaches dim a the two algebras are equal, and
-    the worklist stops there.
-    """
-    gens = list(gens)
-    if not all(a.contains(g) for g in gens):
-        return False
-    return closure_words(a.n, gens, stop=a.dim)[1].dim == a.dim
+    """Whether gens generate exactly the algebra a: the closure's echelon
+    rows are canonical, so equal spans have equal rows."""
+    return closure_words(a.n, gens)[1] == a._span
 
 
 def generate(n: int, gens: Iterable[Mat]) -> Algebra:

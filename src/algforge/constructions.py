@@ -208,11 +208,14 @@ def scalar_extension_positive_generators(
         raise ArithmeticError("scalar extension failed to split")
     s, b1 = positive_single_generator(lifted[0], lam)
     top = conjugate(b1, s)
+    # _shifted adds multiples of top, so span(gens) = span{top, S^{-1} g S :
+    # g in lifted[1:]} and <gens> = S^{-1} <b1, lifted[1:]> S; with
+    # <b1> = <lifted[0]> (checked by positive_single_generator) and
+    # <lifted> = target (checked above), <gens> = S^{-1} target S without
+    # a closure.
     gens = [top] + _shifted([conjugate(g, s) for g in lifted[1:]], top)
     if not all(is_positive(g) for g in gens):
         raise ArithmeticError("lifted generators are not positive")
-    if not generates(conjugate_algebra(target, s), gens):
-        raise ArithmeticError("lifted generators fail to regenerate")
     return s, gens
 
 
@@ -619,9 +622,10 @@ def single_generator_nonneg(a: Mat) -> Certificate:
 # -- incidence algebras and the dimension table --------------------------------
 
 def semicommuting_pair(p: IncidencePattern) -> tuple[Mat, Mat, Certificate]:
-    """(A, D, certificate): the all-units covering matrix and a strictly
-    decreasing positive diagonal, conjugated back through a triangularizing
-    permutation when the pattern is not upper-triangular.
+    """(A, D, certificate): the all-units covering matrix A and the
+    positive diagonal D with D_ii = n - (0-based place of i in a
+    topological order of the pattern), so D_ii > D_jj for every strict
+    position (i, j).
 
     The certificate orders the outputs (D, A) so the asserted commutator
     [D, A] is nonnegative.  That the pair generates exactly the span of
@@ -630,15 +634,10 @@ def semicommuting_pair(p: IncidencePattern) -> tuple[Mat, Mat, Certificate]:
     closure; the verifier re-closes the certificate on its own.
     """
     n = p.n
-    d = direct_sum([Mat.from_rows([[n - i]]) for i in range(n)])
-    if p.is_upper_triangular:
-        a = _pattern_sum(p)
-    else:
-        order = triangularize_incidence(p)
-        ranks = {orig + 1: pos + 1 for pos, orig in enumerate(order)}
-        perm_inv = inverse(permutation_matrix(order))
-        a = conjugate(_pattern_sum(p.relabel(ranks)), perm_inv)
-        d = conjugate(d, perm_inv)
+    rank = {orig: pos for pos, orig in enumerate(triangularize_incidence(p))}
+    d = Mat.from_ints(n, n, 1, [[n - rank[i] if j == i else 0
+                                 for j in range(n)] for i in range(n)])
+    a = _pattern_sum(p)
     comm = commutator(d, a)
     if not is_nonneg(a) or not is_nonneg(d) or not is_nonneg(comm):
         raise ArithmeticError("pair construction lost nonnegativity")

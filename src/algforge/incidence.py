@@ -17,6 +17,9 @@ class IncidencePattern:
 
     def __post_init__(self):
         pos = self.positions
+        if not (type(self.n) is int
+                and all(type(i) is int and type(j) is int for (i, j) in pos)):
+            raise ValueError("pattern size and positions must be integers")
         for (i, j) in pos:
             if not (1 <= i <= self.n and 1 <= j <= self.n):
                 raise ValueError("position out of range")

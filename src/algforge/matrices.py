@@ -493,6 +493,8 @@ def mat_to_json(a: Mat) -> dict:
 
 
 def mat_from_json(obj: dict) -> Mat:
+    if not (type(obj["rows"]) is int and type(obj["cols"]) is int):
+        raise ValueError("matrix shape must be integers")
     parsed = [[parse_rational(v) for v in row] for row in obj["entries"]]
     den = lcm(*[q for row in parsed for _, q in row])
     return Mat.from_ints(obj["rows"], obj["cols"], den, [

@@ -73,6 +73,9 @@ def _rational(s: str) -> tuple[int, int]:
 
 def _grid(obj: dict) -> Grid:
     rows, cols = obj["rows"], obj["cols"]
+    if not (type(rows) is int and type(cols) is int):
+        raise CertificateError(f"matrix shape {rows!r} x {cols!r} is not"
+                               " a pair of integers")
     entries = obj["entries"]
     if len(entries) != rows or any(len(r) != cols for r in entries):
         raise CertificateError("matrix entries do not match declared shape")

@@ -13,7 +13,9 @@ kernel, phase-1 simplex feasibility by a Fraction tableau instead of
 the fraction-free integer one, and kernels, solutions, span
 intersections, Jordan bases, eigenvalue splits, the structural
 decomposition and the center by the Fraction-vector routines that the
-integer-row engine replaced.
+integer-row engine replaced, and the semi-commuting pair of a pattern
+that is not upper-triangular by conjugating the triangularized pattern's
+pair back instead of ranking the diagonal by a topological order.
 """
 
 from __future__ import annotations
@@ -384,6 +386,50 @@ def eager_verifier_closure(gens):
         for g in ints:
             push(_imul(x, g))
     return span, n
+
+
+# -- the semi-commuting pair through a triangularizing conjugation ---------------
+
+def conjugated_pair(p):
+    """(A, D, certificate) as `semicommuting_pair` built them when a
+    pattern that is not upper-triangular was relabelled by a topological
+    order, given the pair of the relabelled pattern and conjugated back by
+    the permutation matrix."""
+    from algforge.certificates import (Certificate, prop_dimension,
+                                       prop_nonneg, prop_semi_commuting,
+                                       prop_spans_pattern)
+    from algforge.constructions import _check_pair_generates, _pattern_sum
+    from algforge.incidence import triangularize_incidence
+    from algforge.matrices import (commutator, conjugate, direct_sum,
+                                   inverse, is_nonneg, permutation_matrix)
+    n = p.n
+    d = direct_sum([Mat.from_rows([[n - i]]) for i in range(n)])
+    if p.is_upper_triangular:
+        a = _pattern_sum(p)
+    else:
+        order = triangularize_incidence(p)
+        ranks = {orig + 1: pos + 1 for pos, orig in enumerate(order)}
+        perm_inv = inverse(permutation_matrix(order))
+        a = conjugate(_pattern_sum(p.relabel(ranks)), perm_inv)
+        d = conjugate(d, perm_inv)
+    comm = commutator(d, a)
+    if not is_nonneg(a) or not is_nonneg(d) or not is_nonneg(comm):
+        raise ArithmeticError("pair construction lost nonnegativity")
+    _check_pair_generates(p, a, d)
+    cert = Certificate(
+        claim="semicommuting-incidence-pair",
+        inputs={"pattern": p},
+        transform=None,
+        outputs=(d, a),
+        properties=(
+            prop_nonneg("out:0"),
+            prop_nonneg("out:1"),
+            prop_semi_commuting("out:0", "out:1", "nonneg"),
+            prop_spans_pattern(["out:0", "out:1"], "in:pattern"),
+            prop_dimension(["out:0", "out:1"], p.size),
+        ),
+    )
+    return a, d, cert
 
 
 # -- numeric eigenvalue clustering ----------------------------------------------

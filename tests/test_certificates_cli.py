@@ -496,6 +496,28 @@ def test_boolean_size_is_a_usage_error(key, monkeypatch, capsys):
     assert "Traceback" not in err and "integer" in err
 
 
+def test_boolean_matrix_shape_is_a_usage_error(monkeypatch, capsys):
+    shaped = dict(_wire([[2]]), rows=True, cols=True)
+    text = json.dumps({"n": 1, "gens": [shaped]})
+    code, out, err = _run(["algebra-dim"], stdin_text=text,
+                          monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2 and out == ""
+    assert "Traceback" not in err and "integers" in err
+
+
+@pytest.mark.parametrize("doc", [
+    {"n": True, "positions": [[1, 1]]},
+    {"n": 2, "positions": [[1, 1], [2, 2], [True, 2]]},
+    {"n": 2, "positions": [[1, 1], [2, 2], [1.0, 2]]},
+], ids=["boolean-size", "boolean-position", "float-position"])
+def test_non_integer_pattern_is_a_usage_error(doc, monkeypatch, capsys):
+    # True == 1.0 == 1 in Python: a check by value alone builds the pair
+    code, out, err = _run(["incidence-pair"], stdin_text=json.dumps(doc),
+                          monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2 and out == ""
+    assert "Traceback" not in err and "integers" in err
+
+
 def _one_by_one_document():
     one = _wire([[1]])
     return {"C": None,
@@ -524,3 +546,12 @@ def test_verifier_rejects_boolean_sizes(index, path):
     obj[last] = True
     failures = verify_document(doc)
     assert len(failures) == 1 and failures[0].startswith(f"property {index} ")
+
+
+def test_verifier_rejects_boolean_matrix_shapes():
+    doc = {"C": None, "inputs": {}, "outputs": [_wire([[2]])],
+           "properties": [{"kind": "nonneg", "target": "out:0"}]}
+    assert verify_document(doc) == []
+    doc["outputs"][0].update(rows=True, cols=True)
+    failures = verify_document(doc)
+    assert len(failures) == 1 and failures[0].startswith("property 0 ")

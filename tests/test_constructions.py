@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from algforge import linear
 from algforge.algebra import (algebra_direct_sum, centralizer,
                               conjugate_algebra, generate, generates,
                               incidence_algebra, nonneg_covering_exists)
@@ -33,7 +34,8 @@ from algforge.matrices import (Mat, commutator, companion, conjugate,
 from algforge.polynomials import Poly
 from algforge.spectral import JordanSpec
 from algforge.verify import verify_certificate
-from oracles import random_pattern, random_unimodular
+from oracles import (conjugated_pair, random_mat, random_pattern,
+                     random_unimodular)
 
 F = Fraction
 
@@ -157,6 +159,16 @@ def test_scalar_extension_positive_generators():
     target = algebra_direct_sum(generate(1, []), T2)
     assert generate(3, gens) == conjugate_algebra(target, s)
     assert generate(3, gens).dim == 4
+
+    # the closure the construction no longer runs, as an oracle
+    rng = random.Random(1515)
+    for _ in range(12):
+        nb = rng.randint(1, 4)
+        b_gens = [random_mat(rng, nb, 3) for _ in range(rng.randint(1, 3))]
+        s, gens = scalar_extension_positive_generators(b_gens)
+        assert len(gens) == len(b_gens) and all(is_positive(g) for g in gens)
+        target = algebra_direct_sum(generate(1, []), generate(nb, b_gens))
+        assert generate(nb + 1, gens) == conjugate_algebra(target, s)
 
 
 # -- padded conjugation blocks ---------------------------------------------------
@@ -398,8 +410,8 @@ def _assert_pair_generates(pat):
 
 def test_semicommuting_pair_generates_its_pattern():
     """The closure the construction no longer runs, as an oracle: every
-    staircase pattern up to n = 7, and seeded relabelled patterns, which
-    take the non-upper-triangular branch."""
+    staircase pattern up to n = 7, and seeded relabelled patterns, most
+    of which are not upper-triangular."""
     for n in range(2, 8):
         for k in range(n, n * (n + 1) // 2 + 1):
             _assert_pair_generates(incidence_of_dimension(n, k))
@@ -429,21 +441,48 @@ def test_pair_check_rejects_broken_hypotheses():
             _check_pair_generates(pat, bad_a, bad_d)
 
 
+def test_semicommuting_pair_matches_the_conjugated_construction():
+    """One path for every pattern gives the pair and the certificate that
+    relabelling, building and conjugating back gave: every staircase
+    pattern up to n = 7, and seeded relabelled patterns."""
+    patterns = [incidence_of_dimension(n, k) for n in range(2, 8)
+                for k in range(n, n * (n + 1) // 2 + 1)]
+    rng = random.Random(1516)
+    relabelled = [random_pattern(rng, rng.randint(2, 7), triangular=False)
+                  for _ in range(48)]
+    assert sum(not pat.is_upper_triangular for pat in relabelled) >= 20
+    for pat in patterns + relabelled:
+        a, d, cert = semicommuting_pair(pat)
+        old_a, old_d, old_cert = conjugated_pair(pat)
+        assert (a, d) == (old_a, old_d)
+        assert cert.to_json() == old_cert.to_json()
+
+
 def test_semicommuting_pair_makes_few_products(monkeypatch):
     """The n = 8 staircase patterns took 1260 products (about 43 each)
-    when the pair was checked by closing it."""
-    calls = []
-    real = Mat.__matmul__
+    when the pair was checked by closing it, and a relabelled pattern
+    took one inverse when its pair was conjugated back."""
+    calls, inverses = [], []
+    real_mul, real_invert = Mat.__matmul__, linear.invert
 
     def counting(a, b):
         calls.append(1)
-        return real(a, b)
+        return real_mul(a, b)
 
-    monkeypatch.setattr(Mat, "__matmul__", counting)
+    def counting_invert(rows):
+        inverses.append(1)
+        return real_invert(rows)
+
+    rng = random.Random(1517)
     patterns = [incidence_of_dimension(8, k) for k in range(8, 37)]
+    patterns += [random_pattern(rng, 8, triangular=False) for _ in range(8)]
+    assert any(not pat.is_upper_triangular for pat in patterns)
+    monkeypatch.setattr(Mat, "__matmul__", counting)
+    monkeypatch.setattr(linear, "invert", counting_invert)
     for pat in patterns:
         semicommuting_pair(pat)
     assert len(calls) <= 4 * len(patterns)
+    assert inverses == []
 
 
 def test_solve_all_dimensions():

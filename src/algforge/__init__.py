@@ -6,11 +6,10 @@ generator pairs, and machine-verifiable certificates for all of it.
 """
 
 from .algebra import (Algebra, algebra_direct_sum, center, centralizer,
-                      conjugate_algebra, contains_all_diagonal,
-                      covering_matrix, generate, incidence_algebra,
-                      incidence_structure, is_simple, nonneg_covering_exists,
+                      conjugate_algebra, covering_matrix, generate,
+                      incidence_algebra, is_simple, nonneg_covering_exists,
                       two_sided_ideal)
-from .certificates import Certificate, certificate_from_json
+from .certificates import Certificate
 from .constructions import (blockwise_rank1_nonneg_covering,
                             central_eigenvalue_split, centralizer_covering,
                             classify_positive_generation,
@@ -27,12 +26,11 @@ from .constructions import (blockwise_rank1_nonneg_covering,
 from .incidence import (IncidencePattern, incidence_of_dimension,
                         triangularize_incidence)
 from .matrices import (Mat, Support, commutator, companion, conjugate,
-                       direct_sum, identity, inverse, is_monomial_nonneg,
-                       is_nonneg, is_positive, jordan_cell, matrix_unit,
-                       min_support_entry, ones, permutation_matrix, poly_at,
-                       regular_triangular,
-                       semi_commute, support, support_union, uniform_norm,
-                       uniformizer, uniformizer_inv, zero)
+                       direct_sum, identity, inverse, is_nonneg, is_positive,
+                       jordan_cell, matrix_unit, min_support_entry, ones,
+                       permutation_matrix, poly_at, regular_triangular,
+                       support, support_union, uniform_norm, uniformizer,
+                       uniformizer_inv, zero)
 from .polynomials import (Poly, multiplicity_one_part, poly_crt, poly_gcd,
                           rational_roots, squarefree_decomposition,
                           sturm_real_root_count)

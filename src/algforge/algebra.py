@@ -292,34 +292,10 @@ def _is_scalar(m: Mat) -> bool:
                for i in range(m.rows) for j in range(m.cols))
 
 
-def incidence_structure(a: Algebra) -> IncidencePattern | None:
-    """The incidence pattern of the algebra when its canonical basis is a
-    legal matrix-unit basis (all diagonal units present, no symmetric pair);
-    None otherwise."""
-    positions = []
-    for b in a.basis:
-        nz = [(i + 1, j + 1) for i in range(a.n) for j in range(a.n)
-              if b.num[i][j]]
-        if len(nz) != 1 or b.num[nz[0][0] - 1][nz[0][1] - 1] != b.den:
-            return None
-        positions.append(nz[0])
-    pos = frozenset(positions)
-    if len(pos) != len(positions):
-        return None
-    try:
-        return IncidencePattern(a.n, pos)
-    except ValueError:
-        return None
-
-
 def incidence_algebra(p: IncidencePattern) -> Algebra:
     """The span of the pattern's matrix units (closed by transitivity)."""
     return _from_span(p.n, _span_of(p.n, [matrix_unit(p.n, i, j).numerators()
                                           for (i, j) in p.positions]))
-
-
-def contains_all_diagonal(a: Algebra) -> bool:
-    return all(a.contains(matrix_unit(a.n, i, i)) for i in range(1, a.n + 1))
 
 
 # -- serialization -----------------------------------------------------------

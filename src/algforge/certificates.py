@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
-from .algebra import Algebra, algebra_from_json, algebra_to_json
-from .incidence import IncidencePattern, pattern_from_json, pattern_to_json
-from .matrices import Mat, mat_from_json, mat_to_json
+from .algebra import Algebra, algebra_to_json
+from .incidence import IncidencePattern, pattern_to_json
+from .matrices import Mat, mat_to_json
 
 InputValue = Any  # Mat | Algebra | IncidencePattern | list[Mat]
 
@@ -47,29 +47,6 @@ def _input_to_json(value: InputValue):
     if isinstance(value, (list, tuple)):
         return [mat_to_json(m) for m in value]
     raise TypeError(f"unsupported input value: {type(value)!r}")
-
-
-def input_from_json(obj) -> InputValue:
-    """Inverse of _input_to_json; the shape determines the type."""
-    if isinstance(obj, list):
-        return [mat_from_json(m) for m in obj]
-    if "entries" in obj:
-        return mat_from_json(obj)
-    if "basis" in obj:
-        return algebra_from_json(obj)
-    if "positions" in obj:
-        return pattern_from_json(obj)
-    raise ValueError("unrecognized input value shape")
-
-
-def certificate_from_json(doc: dict) -> Certificate:
-    return Certificate(
-        claim=doc["claim"],
-        inputs={k: input_from_json(v) for k, v in doc["inputs"].items()},
-        transform=mat_from_json(doc["C"]) if doc.get("C") is not None else None,
-        outputs=tuple(mat_from_json(m) for m in doc["outputs"]),
-        properties=tuple(dict(p) for p in doc["properties"]),
-    )
 
 
 # -- property constructors ----------------------------------------------------

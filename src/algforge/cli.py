@@ -113,14 +113,9 @@ def _load_algebra_like(doc) -> Algebra:
     raise UsageError("expected an object with 'basis' or 'gens'")
 
 
-def report(cert_docs: list[dict]) -> str:
-    """Human-readable table: one row (k, dim, verified) per certificate,
-    plus a totals line."""
-    return format_table(cert_docs, [not verify_document(d) for d in cert_docs])
-
-
 def format_table(cert_docs: list[dict], verified: list[bool]) -> str:
-    """The `report` table for certificates whose verdicts are known."""
+    """Human-readable table: one row (k, dim, verified) per certificate,
+    given each certificate's verdict, plus a totals line."""
     lines = ["   k  dim  verified"]
     for doc, ok in zip(cert_docs, verified):
         dim_value = None

@@ -399,20 +399,6 @@ def is_positive(a: Mat) -> bool:
     return bool(a.num) and all(v > 0 for row in a.num for v in row)
 
 
-def is_monomial_nonneg(a: Mat) -> bool:
-    """Nonnegative with exactly one (positive) entry per row and column."""
-    if not a.is_square or not is_nonneg(a):
-        return False
-    n = a.rows
-    col_hits = [0] * n
-    for row in a.num:
-        nz = [j for j, v in enumerate(row) if v]
-        if len(nz) != 1:
-            return False
-        col_hits[nz[0]] += 1
-    return all(h == 1 for h in col_hits)
-
-
 def uniform_norm(a: Mat) -> Fraction:
     """Max absolute entry; 0 for empty matrices."""
     return Fraction(max((abs(v) for row in a.num for v in row), default=0),
@@ -427,18 +413,6 @@ def min_support_entry(a: Mat) -> Fraction:
     if not vals:
         raise ValueError("zero matrix has no support")
     return Fraction(min(vals), a.den)
-
-
-def semi_commute(a: Mat, b: Mat) -> str:
-    """Classify [a, b] as 'nonneg', 'nonpos', or 'neither'.
-
-    A zero commutator is reported as 'nonneg' (it is both)."""
-    c = commutator(a, b)
-    if is_nonneg(c):
-        return "nonneg"
-    if is_nonneg(-c):
-        return "nonpos"
-    return "neither"
 
 
 # -- supports ----------------------------------------------------------------
@@ -499,11 +473,3 @@ def mat_from_json(obj: dict) -> Mat:
     den = lcm(*[q for row in parsed for _, q in row])
     return Mat.from_ints(obj["rows"], obj["cols"], den, [
         [p * (den // q) for p, q in row] for row in parsed])
-
-
-def support_to_json(s: Support) -> dict:
-    return {"n": s.n, "positions": [list(p) for p in s.sorted_positions()]}
-
-
-def support_from_json(obj: dict) -> Support:
-    return Support(obj["n"], frozenset((i, j) for i, j in obj["positions"]))

@@ -15,10 +15,11 @@ Fraction view built on first use, and ``leading``, ``p(x)`` and the
 rational roots are Fractions.  Everything is immutable and pure, so values
 can be shared freely between threads.
 
-The wire form of a rational lives here, below ``matrices``, so that both
-loaders share it: ``parse_rational`` reads exactly the canonical string
-``str(Fraction)`` writes straight to an integer pair, and
-``wire_rational`` writes it from an integer over a denominator.
+The wire form of a rational lives here, below ``matrices``, whose matrix
+reader and writer use it (polynomials themselves have no wire form):
+``parse_rational`` reads exactly the canonical string ``str(Fraction)``
+writes straight to an integer pair, and ``wire_rational`` writes it from
+an integer over a denominator.
 
 Real-root counts and rational roots (by Sturm bisection, polynomial in the
 coefficients' bit lengths) share one integer Sturm chain and one
@@ -489,13 +490,3 @@ def parse_rational(s: str) -> tuple[int, int]:
         if str(p) == m[1] and (m[2] is None or q > 1 and gcd(p, q) == 1):
             return p, q
     raise ValueError(f"not a canonical rational: {s!r}")
-
-
-def poly_to_json(p: Poly) -> list[str]:
-    return [wire_rational(v, p.den) for v in p.num]
-
-
-def poly_from_json(coeffs: Iterable[str]) -> Poly:
-    parsed = [parse_rational(c) for c in coeffs]
-    den = lcm(*[q for _, q in parsed])
-    return Poly.from_ints(den, [p * (den // q) for p, q in parsed])

@@ -26,7 +26,7 @@ from .matrices import (Mat, conjugate, direct_sum, identity, inverse,
                        jordan_cell, kernel, matrix_unit, poly_at, span_rows,
                        stack)
 from .polynomials import (P_ONE, Poly, multiplicity_one_part, poly_crt,
-                          poly_gcd, poly_to_json, rational_roots,
+                          poly_gcd, rational_roots,
                           sturm_real_root_count)
 from .polynomials import root_multiplicity as eigenvalue_multiplicity
 
@@ -92,15 +92,6 @@ def char_data(a: Mat) -> CharData:
     roots = tuple(rational_roots(cp))
     count = sturm_real_root_count(multiplicity_one_part(cp))
     return CharData(cp, mp, roots, count)
-
-
-def char_data_to_json(cd: CharData) -> dict:
-    return {
-        "char_poly": poly_to_json(cd.char),
-        "min_poly": poly_to_json(cd.minimal),
-        "rational_roots": [[str(r), m] for r, m in cd.rational_eigenvalues],
-        "simple_real_count": cd.simple_real_count,
-    }
 
 
 def has_simple_real_eigenvalue(a: Mat) -> bool:

@@ -6,9 +6,8 @@ import pytest
 from algforge.algebra import (Algebra, algebra_direct_sum,
                               algebra_from_json, algebra_to_json, center,
                               centralizer, closure_words, conjugate_algebra,
-                              contains_all_diagonal, covering_matrix,
-                              generate, generates, incidence_algebra,
-                              incidence_structure, is_simple,
+                              covering_matrix, generate, generates,
+                              incidence_algebra, is_simple,
                               nonneg_covering_exists, two_sided_ideal)
 from algforge.incidence import incidence_of_dimension
 from algforge.matrices import (Mat, conjugate, identity, is_nonneg,
@@ -255,21 +254,6 @@ def test_centralizer_dimension_formula():
         a = direct_sum([jordan_cell(s, 0) for s in sizes])
         expected = sum(min(p, q) for p in sizes for q in sizes)
         assert centralizer(a).dim == expected
-
-
-def test_incidence_structure():
-    t3 = t_algebra(3)
-    pat = incidence_structure(t3)
-    assert pat is not None
-    assert pat.positions == frozenset((i, j) for i in range(1, 4)
-                                      for j in range(i, 4))
-    assert incidence_structure(C_LIKE) is None
-    dn = d_algebra(3)
-    pat = incidence_structure(dn)
-    assert pat is not None and pat.positions == frozenset(
-        (i, i) for i in range(1, 4))
-    assert contains_all_diagonal(t3)
-    assert not contains_all_diagonal(C_LIKE)
 
 
 def test_algebra_json_round_trip_and_loader_rejection():

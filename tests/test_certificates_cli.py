@@ -1,18 +1,23 @@
+import ast
 import io
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from algforge.algebra import generate, incidence_algebra
-from algforge.certificates import certificate_from_json
-from algforge.cli import report, run
+import algforge.verify
+from algforge.algebra import (algebra_from_json, algebra_to_json, generate,
+                              incidence_algebra)
+from algforge.cli import format_table, run
 from algforge.constructions import (centralizer_covering,
                                     direct_sum_nonneg_covering,
                                     semicommuting_pair, single_generator_nonneg,
                                     solve_all_dimensions)
-from algforge.incidence import incidence_of_dimension
-from algforge.matrices import Mat, direct_sum, jordan_cell
+from algforge.incidence import (incidence_of_dimension, pattern_from_json,
+                                pattern_to_json)
+from algforge.matrices import (Mat, direct_sum, jordan_cell, mat_from_json,
+                               mat_to_json)
 from algforge.spectral import JordanSpec
 from algforge.verify import verify_document
 
@@ -62,11 +67,23 @@ def test_every_emitted_certificate_verifies():
         assert verify_document(doc) == []
 
 
+def _round_trips(value):
+    """Whether a stored matrix, algebra or pattern reads back through the
+    loader the CLI uses for its kind and writes out unchanged."""
+    if "entries" in value:
+        return mat_to_json(mat_from_json(value)) == value
+    if "basis" in value:
+        return algebra_to_json(algebra_from_json(value)) == value
+    return pattern_to_json(pattern_from_json(value)) == value
+
+
 def test_certificate_json_round_trip():
-    docs = emitted_certificates()
-    for doc in docs:
-        cert = certificate_from_json(doc)
-        assert cert.to_json() == doc
+    for doc in emitted_certificates():
+        stored = [doc["C"]] if doc["C"] is not None else []
+        stored += doc["outputs"]
+        for value in doc["inputs"].values():
+            stored += value if isinstance(value, list) else [value]
+        assert all(_round_trips(v) for v in stored)
 
 
 def test_tampered_certificate_fails():
@@ -252,13 +269,13 @@ def test_cli_usage_errors(monkeypatch, capsys):
 
 def test_report_table(capsys):
     docs = [c.to_json() for c in solve_all_dimensions(2)]
-    text = report(docs)
+    text = format_table(docs, [not verify_document(d) for d in docs])
     lines = text.strip().splitlines()
     assert lines[0].split() == ["k", "dim", "verified"]
     assert lines[-1] == "total: 2/2 verified"
     assert "ok" in lines[1]
     # header-only table for an empty list
-    empty = report([]).splitlines()
+    empty = format_table([], []).splitlines()
     assert empty == ["   k  dim  verified", "total: 0/0 verified"]
 
 
@@ -516,6 +533,43 @@ def test_non_integer_pattern_is_a_usage_error(doc, monkeypatch, capsys):
                           monkeypatch=monkeypatch, capsys=capsys)
     assert code == 2 and out == ""
     assert "Traceback" not in err and "integers" in err
+
+
+def test_empty_pattern_is_a_usage_error(monkeypatch, capsys):
+    text = json.dumps({"n": 0, "positions": []})
+    code, out, err = _run(["incidence-pair"], stdin_text=text,
+                          monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2 and out == ""
+    assert "Traceback" not in err and "n >= 1" in err
+    # the smallest pattern still has its pair
+    text = json.dumps({"n": 1, "positions": [[1, 1]]})
+    code, out, _ = _run(["incidence-pair"], stdin_text=text,
+                        monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0 and verify_document(json.loads(out)) == []
+
+
+def test_verifier_imports_no_package_module_at_module_level():
+    """The constructions call the verifier on what they emit, so an import
+    of package code at the verifier's module level would be a cycle and
+    would let it trust the code it checks."""
+    tree = ast.parse(Path(algforge.verify.__file__).read_text())
+
+    def module_level(nodes):
+        for node in nodes:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                yield node
+            yield from module_level(ast.iter_child_nodes(node))
+
+    for node in module_level(tree.body):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0, ast.unparse(node)
+            names = [node.module]
+        else:
+            names = [alias.name for alias in node.names]
+        assert not any(name.split(".")[0] == "algforge" for name in names), \
+            ast.unparse(node)
 
 
 def _one_by_one_document():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from algforge import linear
+from algforge import constructions, linear
 from algforge.algebra import (algebra_direct_sum, centralizer,
                               conjugate_algebra, generate, generates,
                               incidence_algebra, nonneg_covering_exists)
@@ -313,6 +313,73 @@ def test_central_eigenvalue_split():
         central_eigenvalue_split(generate(2, []), identity(2), 1)
     with pytest.raises(ValueError):
         central_eigenvalue_split(alg, z, 7)
+
+
+# -- faults the emitted certificate catches ---------------------------------------
+#
+# Each construction below checks its outputs by verifying the certificate it
+# emits.  Every injected fault is one an engine postcondition used to catch;
+# the verifier must now refuse the certificate and name the failed property.
+
+def _fails_on_emission(kind, build):
+    with pytest.raises(ArithmeticError,
+                       match=rf"^certificate failed: property \d+ \({kind}\)"):
+        build()
+
+
+def test_direct_sum_covering_fault_is_caught(monkeypatch):
+    # a sum algebra that lost the right summand's non-scalar part
+    real = constructions.algebra_direct_sum
+    monkeypatch.setattr(constructions, "algebra_direct_sum",
+                        lambda left, right: real(left, generate(right.n, [])))
+    _fails_on_emission("in_algebra", lambda: direct_sum_nonneg_covering(
+        C_LIKE, T2, upper_ones(2)))
+
+
+def test_min_nonneg_generators_fault_is_caught(monkeypatch):
+    # a shift that returns the unshifted lift A (+) Z
+    real = constructions._min_nonneg_shift
+    monkeypatch.setattr(
+        constructions, "_min_nonneg_shift",
+        lambda a, b, z: (real(a, b, z)[0], direct_sum([a, z])))
+    z = [upper_ones(2), diag(2, 1)]
+    _fails_on_emission("nonneg", lambda: direct_sum_min_nonneg_generators(
+        [(diag(2), zero(2)), (zero(1), z[0]), (zero(1), z[1])], z))
+    zp = [ones(2) + identity(2)]
+    _fails_on_emission("positive", lambda: direct_sum_min_nonneg_generators(
+        [(diag(5), zp[0])], zp))
+
+
+def test_blockwise_covering_fault_is_caught(monkeypatch):
+    # a similarity that does not flatten the idempotent
+    monkeypatch.setattr(constructions, "uniformize_rank1_idempotent",
+                        lambda e: identity(e.rows))
+    _fails_on_emission("covers_conjugated",
+                       lambda: blockwise_rank1_nonneg_covering(
+                           [M2, M2],
+                           [matrix_unit(2, 1, 1), matrix_unit(2, 1, 1)]))
+    _fails_on_emission("nonneg", lambda: blockwise_rank1_nonneg_covering(
+        [M2], [Mat.from_rows([[1, -1], [0, 0]])]))
+
+
+def _wrong_inverse(pad, rest):
+    """The padded uniformizer with I in place of its inverse."""
+    return (direct_sum([uniformizer(pad + 1), identity(rest)]),
+            identity(pad + 1 + rest))
+
+
+def test_centralizer_covering_fault_is_caught(monkeypatch):
+    spec = JordanSpec(((F(1), (2,)), (F(2), (1,))))
+    monkeypatch.setattr(constructions, "_padded_uniformizer", _wrong_inverse)
+    _fails_on_emission("conjugate_of", lambda: centralizer_covering(spec))
+
+
+def test_central_eigenvalue_split_fault_is_caught(monkeypatch):
+    z = direct_sum([diag(2), jordan_cell(2, 1)])
+    alg = generate(3, [z])
+    monkeypatch.setattr(constructions, "_padded_uniformizer", _wrong_inverse)
+    _fails_on_emission("in_algebra_conjugated",
+                       lambda: central_eigenvalue_split(alg, z, 1))
 
 
 def test_single_generator_nonneg():

@@ -24,7 +24,7 @@ from algforge.matrices import (Mat, direct_sum, identity, inverse, is_nonneg,
                                is_positive, mat_from_json, mat_to_json,
                                matrix_unit, permutation_matrix, span_rows,
                                support, support_union, zero)
-from algforge.polynomials import Poly, poly_from_json
+from algforge.polynomials import Poly
 from algforge.verify import (CertificateError, _conjugate, _inverse, _mul,
                              _Span)
 from oracles import (cleared, gauss_jordan, grid_combine, grid_direct_sum,
@@ -549,14 +549,6 @@ def engine_matrix_rule(s):
     return m.num[0][0], m.den
 
 
-def engine_poly_rule(s):
-    try:
-        p = poly_from_json([s])
-    except ValueError:
-        return None
-    return (p.num[0] if p.num else 0), p.den
-
-
 def test_wire_rationals_match_the_fraction_rule():
     rng = random.Random(31337)
     corpus = ["-0", "00", "0/5", "2/4", "1/1", "1_0", "\u0661", " 1", "0",
@@ -578,7 +570,6 @@ def test_wire_rationals_match_the_fraction_rule():
         expected = old_wire_rule(s)
         assert new_wire_rule(s) == expected, s
         assert engine_matrix_rule(s) == expected, s
-        assert engine_poly_rule(s) == expected, s
         accepted += expected is not None
     assert accepted > 1000
     for bad in (1, 1.5, None, ["1"]):
@@ -586,8 +577,6 @@ def test_wire_rationals_match_the_fraction_rule():
             verify._rational(bad)
         with pytest.raises(ValueError):
             mat_from_json({"rows": 1, "cols": 1, "entries": [[bad]]})
-        with pytest.raises(ValueError):
-            poly_from_json([bad])
 
 
 def test_hot_paths_build_no_fraction(monkeypatch):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from algforge.polynomials import (P_ONE, Poly, _sturm_chain,
                                   multiplicity_one_part,
                                   poly_crt, poly_from_roots, poly_gcd,
-                                  poly_from_json, poly_to_json, poly_xgcd,
+                                  poly_xgcd,
                                   rational_roots, squarefree_decomposition,
                                   sturm_real_root_count)
 from oracles import bisection_real_root_count
@@ -218,9 +218,3 @@ def test_rational_roots_recover_linear_factors(roots):
     p = poly_from_roots(roots)
     got = rational_roots(p)
     assert got == sorted((Fraction(r), roots.count(r)) for r in set(roots))
-
-
-def test_poly_json_round_trip():
-    p = Poly.of(Fraction(1, 3), -2, 0, 5)
-    assert poly_from_json(poly_to_json(p)) == p
-    assert poly_to_json(p) == ["1/3", "-2", "0", "5"]

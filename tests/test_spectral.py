@@ -9,7 +9,7 @@ from algforge.matrices import (Mat, companion, conjugate, direct_sum,
                                zero)
 from algforge.polynomials import Poly, poly_from_roots
 from algforge.spectral import (JordanSpec, block_projector_poly, char_data,
-                               char_data_to_json, char_poly,
+                               char_poly,
                                eigenvalue_multiplicity,
                                generalized_eigensplit,
                                has_simple_real_eigenvalue, min_poly,
@@ -118,8 +118,6 @@ def test_char_data_json():
     cd = char_data(diag(1, 1, 2))
     assert cd.rational_eigenvalues == ((F(1), 2), (F(2), 1))
     assert cd.simple_real_count == 1
-    doc = char_data_to_json(cd)
-    assert doc["rational_roots"] == [["1", 2], ["2", 1]]
 
 
 def test_orbit_span():

@@ -29,10 +29,12 @@ class IncidencePattern:
         for (i, j) in pos:
             if i != j and (j, i) in pos:
                 raise ValueError("pattern is not antisymmetric")
+        # transitive iff (i, j) in pos puts every successor of j among i's
+        succ: dict[int, set[int]] = {i: set() for i in range(1, self.n + 1)}
         for (i, j) in pos:
-            for (jj, t) in pos:
-                if jj == j and (i, t) not in pos:
-                    raise ValueError("pattern is not transitive")
+            succ[i].add(j)
+        if not all(succ[j] <= succ[i] for (i, j) in pos):
+            raise ValueError("pattern is not transitive")
 
     @property
     def size(self) -> int:

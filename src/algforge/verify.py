@@ -26,13 +26,18 @@ on the right by the generators' integer rows, where the engine's worklist
 multiplies on the left.  Generators are admitted lazily: one the span
 already holds is skipped, since the span is always the algebra generated
 by the admitted ones, so a redundant list costs no more products than its
-admitted part.  A claim that a second list generates the same algebra as
-a closed one is checked by containment (`_generates`): each of its
-matrices must lie in the closed span, and it is closed only when I and
-the matrices alone fall short of the span's dimension.  Within one
-`verify_document` call each referenced matrix is parsed once, each
-algebra basis is spanned once, each generator list is closed once and C
-is inverted once.
+admitted part.  A claim that two lists generate the same algebra is
+first decided by their unital spans, with no closure: <X> = <span{I, X}>
+for any list X, so span{I, X} = span{I, Y} proves <X> = <Y>.  The
+outputs of a positive-generation certificate have the unital span of
+the conjugated basis, so it verifies with no product beyond the
+conjugations.  When the spans differ, the first list is closed and the
+second checked by containment (`_generates`): each of its matrices must
+lie in the closed span, and it is closed only when I and the matrices
+alone fall short of the span's dimension.  Within one `verify_document`
+call each referenced matrix is parsed once, each algebra basis is
+spanned once, each generator list is closed at most once and C is
+inverted once.
 """
 
 from __future__ import annotations
@@ -278,6 +283,16 @@ def _unit_span(ints: list[tuple[tuple[int, ...], ...]], n: int) -> _Span:
     return span
 
 
+def _size_of(gens: list[Grid]) -> int:
+    """n, for a non-empty list of n x n generators."""
+    if not gens:
+        raise CertificateError("closure of an empty generator list")
+    n = len(gens[0][1])
+    if not all(_is_square(rows, n) for _, rows in gens):
+        raise CertificateError("generators are not square of one size")
+    return n
+
+
 def _closure(gens: list[Grid]) -> tuple[_Span, int]:
     """Span of the unital algebra generated by gens.
 
@@ -300,14 +315,10 @@ def _closure(gens: list[Grid]) -> tuple[_Span, int]:
     word is multiplied on the right by it, and then every new word by each
     admitted generator, walking the kept list by index while it grows.
     """
-    if not gens:
-        raise CertificateError("closure of an empty generator list")
+    n = _size_of(gens)
     # Words in the generators' integer rows are nonzero multiples of the
     # words in the generators, so they span the same algebra.
     ints = [rows for _, rows in gens]
-    n = len(ints[0])
-    if not all(_is_square(g, n) for g in ints):
-        raise CertificateError("generators are not square of one size")
     if any(map(_is_distinct_diagonal, ints)):
         return _unit_span(ints, n), n
     span = _Span()
@@ -334,27 +345,38 @@ def _closure(gens: list[Grid]) -> tuple[_Span, int]:
     return span, n
 
 
+def _require_size(gens: list[Grid], n: int) -> None:
+    """Raise unless gens is a non-empty list of n x n matrices."""
+    if not gens:
+        raise CertificateError("closure of an empty generator list")
+    if not all(_is_square(rows, n) for _, rows in gens):
+        raise CertificateError("generator size does not match the algebra")
+
+
+def _unital_span(gens: list[Grid], n: int) -> _Span:
+    """span{I, gens} for n x n gens."""
+    span = _Span()
+    for g in [(1, _identity(n))] + gens:
+        span.add(_vec(g))
+    return span
+
+
 def _generates(closed: tuple[_Span, int], gens: list[Grid]) -> bool:
     """Whether gens generate the algebra spanned by a `_closure` result.
 
-    Every generator must be n x n and lie in the span, which is an algebra
-    holding I, so the algebra <gens> lies inside it; and span{I, gens}
-    lies inside <gens>.  So the two are equal once span{I, gens} has the
-    span's dimension, and otherwise exactly when the closure of gens
-    reaches it."""
-    if not gens:
-        raise CertificateError("closure of an empty generator list")
+    `_generate_equal` calls it only when span{I, gens} differs from the
+    unital span of the closed list, which would prove equality outright
+    (<X> = <span{I, X}> for any list X).  Every generator must be n x n
+    and lie in the span, which is an algebra holding I, so the algebra
+    <gens> lies inside it; and span{I, gens} lies inside <gens>.  So the
+    two are equal once span{I, gens} has the span's dimension, and
+    otherwise exactly when the closure of gens reaches it."""
     span, n = closed
-    if not all(_is_square(rows, n) for _, rows in gens):
-        raise CertificateError("generator size does not match the algebra")
-    vecs = [_vec(g) for g in gens]
-    if not all(map(span.contains, vecs)):
+    _require_size(gens, n)
+    if not all(span.contains(_vec(g)) for g in gens):
         return False
-    low = _Span()
-    low.add([v for row in _identity(n) for v in row])
-    for v in vecs:
-        low.add(v)
-    return low.dim == span.dim or _closure(gens)[0].dim == span.dim
+    return (_unital_span(gens, n).dim == span.dim
+            or _closure(gens)[0].dim == span.dim)
 
 
 # -- reference resolution ------------------------------------------------------
@@ -521,14 +543,33 @@ def _check_dimension(d: _Document, p: dict) -> bool:
     return type(p["value"]) is int and span.dim == p["value"]
 
 
+def _generate_equal(d: _Document, refs, others) -> bool:
+    """Whether the matrices behind refs generate the same algebra as the
+    list others() returns, which is built only once refs are read and
+    checked.
+
+    Spans first: the unital algebra <X> generated by a list X is the one
+    generated by span{I, X}, since that span lies in <X> and holds X.  So
+    span{I, X} = span{I, Y} proves <X> = <Y> with no product, and the
+    canonical `_Span` rows of equal spans are equal.  Otherwise the
+    closure of refs decides it (`_generates`)."""
+    gens = [d.matrix(r) for r in refs]
+    n = _size_of(gens)
+    other = others()
+    _require_size(other, n)
+    if _unital_span(gens, n).rows == _unital_span(other, n).rows:
+        return True
+    return _generates(d.closed(refs), other)
+
+
 def _check_generate_equal(d: _Document, p: dict) -> bool:
-    return _generates(d.closed(p["gens_a"]),
-                      [d.matrix(r) for r in p["gens_b"]])
+    return _generate_equal(d, p["gens_a"], lambda: [
+        d.matrix(r) for r in p["gens_b"]])
 
 
 def _check_generate_equal_conjugated(d: _Document, p: dict) -> bool:
-    return _generates(d.closed(p["gens"]),
-                      [d.conjugate(d.matrix(r)) for r in p["source_gens"]])
+    return _generate_equal(d, p["gens"], lambda: [
+        d.conjugate(d.matrix(r)) for r in p["source_gens"]])
 
 
 def _check_spans_pattern(d: _Document, p: dict) -> bool:
@@ -536,12 +577,9 @@ def _check_spans_pattern(d: _Document, p: dict) -> bool:
     span, size = d.closed(p["gens"])
     if size != n or span.dim != len(positions):
         return False
-    for (i, j) in positions:
-        unit = [0] * (n * n)
-        unit[(i - 1) * n + j - 1] = 1
-        if not span.contains(unit):
-            return False
-    return True
+    # positions are in 1..n (`_Document.pattern`), so each unit is one entry
+    return not any(_residual(span.rows, {(i - 1) * n + j - 1: 1})
+                   for (i, j) in positions)
 
 
 def _check_is_centralizer(d: _Document, p: dict) -> bool:

@@ -13,9 +13,11 @@ kernel, phase-1 simplex feasibility by a Fraction tableau instead of
 the fraction-free integer one, and kernels, solutions, span
 intersections, Jordan bases, eigenvalue splits, the structural
 decomposition and the center by the Fraction-vector routines that the
-integer-row engine replaced, and the semi-commuting pair of a pattern
+integer-row engine replaced, the semi-commuting pair of a pattern
 that is not upper-triangular by conjugating the triangularized pattern's
-pair back instead of ranking the diagonal by a topological order.
+pair back instead of ranking the diagonal by a topological order, and a
+pattern's transitivity by the pairwise loop over its positions instead
+of successor-set inclusion.
 """
 
 from __future__ import annotations
@@ -667,6 +669,18 @@ def random_pattern(rng: random.Random, n: int, triangular: bool = True):
         rng.shuffle(perm)
         pattern = pattern.relabel({i + 1: perm[i] for i in range(n)})
     return pattern
+
+
+def pairwise_is_transitive(positions) -> bool:
+    """Whether a position set is transitive, by the loop over all pairs of
+    positions that `IncidencePattern` ran before it compared successor
+    sets."""
+    pos = set(positions)
+    for (i, j) in pos:
+        for (jj, t) in pos:
+            if jj == j and (i, t) not in pos:
+                return False
+    return True
 
 
 def random_nonneg_on_pattern(rng: random.Random, pattern) -> Mat:

@@ -1,7 +1,8 @@
 """The engine's left-generator closure, the verifier's right-generator
 closure and the brute-force oracle agree on seeded random generators,
 including redundant lists; the verifier's lazy admission keeps the spans
-of the eager worklist, and the engine's worklist keeps its words."""
+of the eager worklist, and the engine's worklist keeps its words.  Lists
+with one unital span are found to generate one algebra with no closure."""
 
 import copy
 import json
@@ -13,7 +14,8 @@ import pytest
 
 from algforge import verify
 from algforge.algebra import closure_words, generate
-from algforge.certificates import Certificate, prop_dimension
+from algforge.certificates import (Certificate, prop_dimension,
+                                   prop_generate_equal)
 from algforge.constructions import (nonneg_basis_from_generators,
                                     semicommuting_pair, solve_all_dimensions)
 from algforge.incidence import incidence_of_dimension
@@ -21,7 +23,7 @@ from algforge.matrices import (Mat, identity, is_nonneg, mat_from_json,
                                mat_to_json, matrix_unit, ones, zero)
 from algforge.verify import verify_document
 from oracles import (brute_closure_dim, eager_closure_words,
-                     eager_verifier_closure, random_pattern)
+                     eager_verifier_closure, gauss_jordan, random_pattern)
 
 DATA = Path(__file__).parent / "data"
 
@@ -128,16 +130,20 @@ def _grids(gens):
     return [verify._grid(mat_to_json(g)) for g in gens]
 
 
-def _count_imul(monkeypatch):
+def _count_calls(monkeypatch, name):
     calls = []
-    real = verify._imul
+    real = getattr(verify, name)
 
-    def counting(a, b):
+    def counting(*args):
         calls.append(1)
-        return real(a, b)
+        return real(*args)
 
-    monkeypatch.setattr(verify, "_imul", counting)
+    monkeypatch.setattr(verify, name, counting)
     return calls
+
+
+def _count_imul(monkeypatch):
+    return _count_calls(monkeypatch, "_imul")
 
 
 @pytest.mark.parametrize("kind,n,gens", CASES + REDUNDANT,
@@ -250,6 +256,39 @@ def test_outputs_generating_a_proper_subalgebra_fail():
     assert generate(n, [mat_from_json(m)
                         for m in tampered["outputs"]]).dim < full.dim
     assert verify_document(tampered) == _generation_failure(tampered)
+
+
+def test_classify_fixture_verifies_by_spans_alone(monkeypatch):
+    """The outputs and the conjugated basis have one unital span, so the
+    2 x 2 classify fixture verifies with no closure: its only products are
+    the two of each basis matrix's conjugation."""
+    doc = _classify_doc()
+    products = _count_imul(monkeypatch)
+    closures = _count_calls(monkeypatch, "_closure")
+    assert verify_document(doc) == []
+    assert len(products) == 2 * len(doc["inputs"]["algebra_basis"]) == 24
+    assert closures == []
+
+
+def test_trimmed_outputs_still_close_and_verify(monkeypatch):
+    """The flat idempotent M plus the outputs that each enlarge the
+    algebra, as in `test_outputs_generating_a_proper_subalgebra_fail`,
+    span less than the algebra but generate it: the worklist decides."""
+    doc = _classify_doc()
+    outputs = [mat_from_json(m) for m in doc["outputs"]]
+    n = outputs[0].rows
+    full = generate(n, outputs)
+    keep = [len(outputs) - 1]
+    for i in range(len(outputs) - 1):
+        dim = generate(n, [outputs[j] for j in keep]).dim
+        if dim == full.dim:
+            break
+        if generate(n, [outputs[j] for j in keep + [i]]).dim > dim:
+            keep.append(i)
+    trimmed = _with_outputs(doc, [doc["outputs"][j] for j in keep])
+    closures = _count_calls(monkeypatch, "_closure")
+    assert verify_document(trimmed) == []
+    assert closures
 
 
 def test_lazy_admission_bounds_verifier_products(monkeypatch):
@@ -367,6 +406,93 @@ def test_containment_check_bounds_verifier_products(monkeypatch):
     calls = _count_imul(monkeypatch)
     assert verify_document(_classify_doc()) == []
     assert len(calls) <= 80
+
+
+# -- equal unital spans decide generated-algebra equality --------------------
+
+def _equal_doc(xs, ys):
+    refs = {name: [f"in:{name}:{i}" for i in range(len(m))]
+            for name, m in (("x", xs), ("y", ys))}
+    return Certificate(
+        claim="generate-equal", inputs={"x": list(xs), "y": list(ys)},
+        transform=None, outputs=(),
+        properties=(prop_generate_equal(refs["x"], refs["y"]),)).to_json()
+
+
+def _unital_rref(n, gens):
+    """The reduced row-echelon basis of span{I, gens}, by the textbook
+    Fraction elimination."""
+    return gauss_jordan([[v for row in m.data for v in row]
+                         for m in [identity(n)] + list(gens)], n * n)
+
+
+def _equal_pairs():
+    """Seeded (kind, n, X, Y).  "span": Y is shifted, scaled and summed
+    members of span{I, X}, which it spans again.  "algebra": Y adds
+    products of X's members, or is the basis of <X>, so it spans more
+    but generates the same.  "other": one of Y's members is changed or
+    dropped, so most pairs generate different algebras."""
+    rng = random.Random(31337)
+    pairs = []
+    while len(pairs) < 60:
+        n = rng.choice((2, 3, 4))
+        xs = [_dense(rng, n) if rng.random() < 0.5 else _sparse(rng, n)
+              for _ in range(rng.randint(1, 3))]
+        kind = ("span", "algebra", "other")[len(pairs) % 3]
+        if kind == "span":
+            ys = [Fraction(rng.choice((-2, 1, 3)), rng.randint(1, 3))
+                  * (x + rng.randint(-2, 2) * identity(n)) for x in xs]
+            ys.append(xs[0] + xs[-1])
+        elif kind == "algebra":
+            ys = (list(generate(n, xs).basis) if rng.random() < 0.5
+                  else xs + [rng.choice(xs) @ rng.choice(xs)])
+        else:
+            ys = list(xs)
+            k = rng.randrange(len(ys))
+            if len(ys) > 1 and rng.random() < 0.5:
+                del ys[k]
+            else:
+                ys[k] = ys[k] + matrix_unit(n, rng.randint(1, n),
+                                            rng.randint(1, n))
+        rng.shuffle(ys)
+        same_span = _unital_rref(n, xs) == _unital_rref(n, ys)
+        if same_span != (kind == "span"):
+            continue
+        pairs.append((kind, n, xs, ys))
+    return pairs
+
+
+EQUAL_PAIRS = _equal_pairs()
+
+
+def test_generate_equal_matches_the_engine(monkeypatch):
+    """The verdict is the engine's `generate(n, X) == generate(n, Y)`;
+    pairs with one unital span are decided with no closure, and every
+    other pair is closed."""
+    verdicts = {}
+    for kind, n, xs, ys in EQUAL_PAIRS:
+        expected = generate(n, xs) == generate(n, ys)
+        closures = _count_calls(monkeypatch, "_closure")
+        assert (verify_document(_equal_doc(xs, ys)) == []) == expected
+        assert bool(closures) == (kind != "span")
+        monkeypatch.undo()
+        verdicts.setdefault(kind, set()).add(expected)
+    assert verdicts == {"span": {True}, "algebra": {True},
+                        "other": {False, True}}
+
+
+def test_generate_equal_refuses_a_reshaped_member_of_the_span():
+    """A 2 x 8 matrix whose row-major entries are those of a 4 x 4 member
+    of span{I, X} is not a 4 x 4 matrix, whatever its entries."""
+    rng = random.Random(8)
+    xs = [_dense(rng, 4), _sparse(rng, 4)]
+    member = xs[0] + 2 * identity(4)
+    flat = [v for row in member.data for v in row]
+    reshaped = Mat.from_rows([flat[:8], flat[8:]])
+    for ys in ([reshaped], xs + [reshaped]):
+        assert verify_document(_equal_doc(xs, ys)) == [
+            "property 0 (generate_equal): generator size does not match the"
+            " algebra"]
 
 
 # -- the generation lemma: a diagonal generator with distinct entries ---------

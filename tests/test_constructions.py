@@ -34,8 +34,8 @@ from algforge.matrices import (Mat, commutator, companion, conjugate,
 from algforge.polynomials import Poly
 from algforge.spectral import JordanSpec
 from algforge.verify import verify_certificate
-from oracles import (conjugated_pair, random_mat, random_pattern,
-                     random_unimodular)
+from oracles import (conjugated_pair, pairwise_is_transitive, random_mat,
+                     random_pattern, random_unimodular)
 
 F = Fraction
 
@@ -433,6 +433,34 @@ def test_incidence_of_dimension_always_valid():
         for k in range(n, n * (n + 1) // 2 + 1):
             pat = incidence_of_dimension(n, k)  # invariants checked on init
             assert pat.size == k
+
+
+def test_transitivity_check_matches_the_pairwise_loop():
+    """Seeded reflexive antisymmetric position sets, about half of them
+    closed transitively: a pattern is refused as not transitive exactly
+    when the pairwise loop finds a broken pair."""
+    rng = random.Random(1517)
+    verdicts = []
+    for _ in range(300):
+        n = rng.randint(3, 7)
+        order = rng.sample(range(1, n + 1), n)  # strict pairs follow it
+        pos = {(i, i) for i in range(1, n + 1)} | {
+            (order[a], order[b]) for a in range(n) for b in range(a + 1, n)
+            if rng.random() < 0.4}
+        if rng.random() < 0.5:
+            for k in range(1, n + 1):  # Warshall: paths through 1..k
+                pos |= {(i, t) for (i, kk) in pos if kk == k
+                        for (k2, t) in pos if k2 == k}
+        expected = pairwise_is_transitive(pos)
+        try:
+            IncidencePattern(n, frozenset(pos))
+            transitive = True
+        except ValueError as exc:
+            assert str(exc) == "pattern is not transitive"
+            transitive = False
+        assert transitive == expected
+        verdicts.append(expected)
+    assert min(verdicts.count(True), verdicts.count(False)) >= 60
 
 
 def test_triangularize_incidence():

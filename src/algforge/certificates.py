@@ -5,6 +5,9 @@ of matrices), an optional transformation matrix C, output matrices, and a
 list of asserted properties.  Every property refers to stored data through
 references ("C", "out:<i>", "in:<name>", "in:<name>:<i>") and can be
 re-checked exactly by the verifier without trusting any construction code.
+"in:<name>:<i>" is item i of a list input, or basis matrix i of an
+algebra input, so an algebra is stored once even where a property lists
+its basis matrices.
 """
 
 from __future__ import annotations

@@ -34,8 +34,12 @@ the conjugated basis, so it verifies with no product beyond the
 conjugations.  When the spans differ, the first list is closed and the
 second checked by containment (`_generates`): each of its matrices must
 lie in the closed span, and it is closed only when I and the matrices
-alone fall short of the span's dimension.  Within one `verify_document`
-call each referenced matrix is parsed once, each algebra basis is
+alone fall short of the span's dimension.  A reference "in:<name>:<i>"
+reads item i of a list input or basis matrix i of an algebra input, so
+a certificate stores an algebra once and names its basis matrices as a
+source list.  Within one `verify_document` call each referenced matrix is
+parsed once, an algebra's basis matrices included, whether it is read as
+part of the basis or through an indexed reference; each algebra basis is
 spanned once, each generator list is closed at most once and C is
 inverted once.
 """
@@ -381,12 +385,25 @@ def _generates(closed: tuple[_Span, int], gens: list[Grid]) -> bool:
 
 # -- reference resolution ------------------------------------------------------
 
-# "out:<i>", "in:<name>" or "in:<name>:<i>", each index a plain decimal.
+# out:<i>, in:<name> or in:<name>:<i> (list or basis item), <i> plain decimal.
 _REFERENCE = re.compile(r"out:(0|[1-9][0-9]*)|in:([^:]*)(?::(0|[1-9][0-9]*))?")
 
 
+def _item(items, index: str, ref: str):
+    """Item `index` of the list behind an indexed reference."""
+    if not isinstance(items, list):
+        raise CertificateError(f"{ref!r} is not an index into a list or an"
+                               " algebra")
+    if int(index) >= len(items):
+        raise CertificateError(f"{ref!r} is not an index below {len(items)}")
+    return items[int(index)]
+
+
 def _resolve(doc: dict, ref: str, key: str, what: str) -> dict:
-    """The object behind a reference, which must hold `key`."""
+    """The object behind a reference, which must hold `key`.  An indexed
+    "in:<name>:<i>" reads item i of a list input, or basis matrix i of an
+    algebra input, so one stored algebra serves both as an algebra and as
+    a list of its basis matrices."""
     if not isinstance(ref, str):
         raise CertificateError(f"reference {ref!r} is not a string")
     m = _REFERENCE.fullmatch(ref)
@@ -397,11 +414,12 @@ def _resolve(doc: dict, ref: str, key: str, what: str) -> dict:
     elif m is None:
         raise CertificateError(f"unresolvable reference {ref!r}")
     elif m[1] is not None:
-        obj = doc["outputs"][int(m[1])]
+        obj = _item(doc["outputs"], m[1], ref)
     else:
         obj = doc["inputs"][m[2]]
         if m[3] is not None:
-            obj = obj[int(m[3])]
+            obj = _item(obj.get("basis") if isinstance(obj, dict) else obj,
+                        m[3], ref)
     if not isinstance(obj, dict) or key not in obj:
         raise CertificateError(f"{ref!r} is not {what}")
     return obj
@@ -409,10 +427,11 @@ def _resolve(doc: dict, ref: str, key: str, what: str) -> dict:
 
 class _Document:
     """The references of one document, read for one `verify_document`
-    call: each matrix is parsed once, each algebra basis read (and
-    conjugated) and spanned once, each generator list closed once and C
-    inverted once.  Cached grids are tuples and cached spans are only
-    read, so no check can change what another sees."""
+    call: each matrix is parsed once (basis matrix i of the algebra "in:a"
+    is the matrix "in:a:i"), each algebra basis read (and conjugated) and
+    spanned once, each generator list closed once and C inverted once.
+    Cached grids are tuples and cached spans are only read, so no check
+    can change what another sees."""
 
     def __init__(self, doc: dict):
         self.doc = doc
@@ -428,13 +447,15 @@ class _Document:
             _resolve(self.doc, ref, "entries", "a matrix")))
 
     def basis(self, ref: str, conjugated: bool = False) -> tuple[Grid, ...]:
-        """The algebra's basis, mapped to C^{-1} B C when conjugated."""
+        """The algebra's basis, mapped to C^{-1} B C when conjugated.  Basis
+        matrix i is read as the reference "<ref>:<i>", so a source list
+        that names it shares its parse."""
         if conjugated:
             return self._once(("conjugated", ref), lambda: tuple(
                 map(self.conjugate, self.basis(ref))))
         return self._once(("basis", ref), lambda: tuple(
-            self.sized(_grid(m), ref) for m in _resolve(
-                self.doc, ref, "basis", "an algebra")["basis"]))
+            self.sized(self.matrix(f"{ref}:{i}"), ref) for i in range(len(
+                _resolve(self.doc, ref, "basis", "an algebra")["basis"]))))
 
     def sized(self, grid: Grid, ref: str) -> Grid:
         """grid, which must be n x n for the n of the algebra behind ref."""
@@ -458,9 +479,6 @@ class _Document:
         """(C, `_inverse(C)`), C checked square and nonsingular by the
         same elimination that yields its inverse."""
         def make() -> tuple[Grid, Grid]:
-            if self.doc.get("C") is None:
-                raise CertificateError(
-                    "property requires a transformation matrix")
             c = self.matrix("C")
             return c, _inverse(c)
         return self._once(("transform",), make)

@@ -266,8 +266,50 @@ def test_classify_fixture_verifies_by_spans_alone(monkeypatch):
     products = _count_imul(monkeypatch)
     closures = _count_calls(monkeypatch, "_closure")
     assert verify_document(doc) == []
-    assert len(products) == 2 * len(doc["inputs"]["algebra_basis"]) == 24
+    assert len(products) == 2 * len(doc["inputs"]["algebra"]["basis"]) == 24
     assert closures == []
+
+
+def test_classify_fixture_parses_each_matrix_once(monkeypatch):
+    """The algebra is stored once and the generation check's sources index
+    its basis, so the 12 basis matrices, the 13 outputs, the witness and C
+    are each parsed once: 27 grids, where a second stored copy of the
+    basis made 39."""
+    doc = _classify_doc()
+    grids = _count_calls(monkeypatch, "_grid")
+    assert set(doc["inputs"]) == {"algebra", "witness"}
+    assert verify_document(doc) == []
+    assert len(grids) == (len(doc["inputs"]["algebra"]["basis"])
+                          + len(doc["outputs"]) + 2) == 27
+
+
+def test_classify_document_with_a_second_basis_copy_still_verifies():
+    """The older form stores the basis again as a list input, which the
+    sources index; it verifies as the one-copy form does."""
+    doc = copy.deepcopy(_classify_doc())
+    basis = doc["inputs"]["algebra"]["basis"]
+    doc["inputs"]["algebra_basis"] = copy.deepcopy(basis)
+    doc["properties"][-1]["source_gens"] = [
+        f"in:algebra_basis:{i}" for i in range(len(basis))]
+    assert verify_document(doc) == []
+
+
+@pytest.mark.parametrize("ref,message", [
+    ("in:witness:0", "'in:witness:0' is not an index into a list or an"
+                     " algebra"),
+    ("in:algebra:12", "'in:algebra:12' is not an index below 12"),
+    ("in:algebra_basis:99", "'in:algebra_basis:99' is not an index below 12"),
+    ("out:13", "'out:13' is not an index below 13"),
+    ("out:99", "'out:99' is not an index below 13"),
+])
+def test_bad_indexed_references_fail_by_name(ref, message):
+    """An index into a matrix, or past the end of a list input, an
+    algebra's basis or the outputs, fails with the reference named."""
+    doc = copy.deepcopy(_classify_doc())
+    doc["inputs"]["algebra_basis"] = copy.deepcopy(
+        doc["inputs"]["algebra"]["basis"])
+    doc["properties"][0] = dict(doc["properties"][0], target=ref)
+    assert verify_document(doc) == [f"property 0 (in_algebra): {message}"]
 
 
 def test_trimmed_outputs_still_close_and_verify(monkeypatch):
@@ -302,18 +344,19 @@ def test_lazy_admission_bounds_verifier_products(monkeypatch):
 # -- source lists are checked by containment in the closed output algebra -----
 
 def _with_sources(doc, basis, refs=None):
-    """doc with the wire algebra basis replaced and the conjugated
-    generation check reading the given references (default: all of it)."""
+    """doc with the given wire list stored as the input `sources` and the
+    conjugated generation check reading the given references into it
+    (default: all of it); the algebra input is left as it is."""
     out = copy.deepcopy(doc)
-    out["inputs"]["algebra_basis"] = basis
+    out["inputs"]["sources"] = basis
     if refs is None:
-        refs = [f"in:algebra_basis:{i}" for i in range(len(basis))]
+        refs = [f"in:sources:{i}" for i in range(len(basis))]
     out["properties"][-1] = dict(doc["properties"][-1], source_gens=refs)
     return out
 
 
 def _source_algebra(doc):
-    basis = [mat_from_json(m) for m in doc["inputs"]["algebra_basis"]]
+    basis = [mat_from_json(m) for m in doc["inputs"]["algebra"]["basis"]]
     return basis, generate(basis[0].rows, basis)
 
 
@@ -325,7 +368,7 @@ def test_source_matrix_outside_the_algebra_fails():
                    for j in range(1, n + 1)
                    if not alg.contains(matrix_unit(n, i, j)))
     for k in (0, len(basis) - 1):
-        wire = list(doc["inputs"]["algebra_basis"])
+        wire = list(doc["inputs"]["algebra"]["basis"])
         wire[k] = mat_to_json(outside)
         tampered = _with_sources(doc, wire)
         assert verify_document(tampered) == _generation_failure(tampered)
@@ -339,8 +382,8 @@ def test_source_list_generating_a_proper_subalgebra_fails():
     pair = next((i, j) for i in range(len(basis))
                 for j in range(i + 1, len(basis))
                 if 3 <= generate(alg.n, [basis[i], basis[j]]).dim < alg.dim)
-    tampered = _with_sources(doc, doc["inputs"]["algebra_basis"],
-                             [f"in:algebra_basis:{k}" for k in pair])
+    tampered = _with_sources(doc, doc["inputs"]["algebra"]["basis"],
+                             [f"in:sources:{k}" for k in pair])
     assert verify_document(tampered) == _generation_failure(tampered)
 
 
@@ -358,19 +401,19 @@ def test_short_source_list_that_generates_the_algebra_verifies():
         if dim == alg.dim:
             break
     assert len(keep) + 1 < alg.dim
-    tampered = _with_sources(doc, doc["inputs"]["algebra_basis"],
-                             [f"in:algebra_basis:{k}" for k in keep])
+    tampered = _with_sources(doc, doc["inputs"]["algebra"]["basis"],
+                             [f"in:sources:{k}" for k in keep])
     assert verify_document(tampered) == []
 
 
 def test_empty_and_wrong_size_source_lists_fail():
     doc = _classify_doc()
     last = len(doc["properties"]) - 1
-    empty = _with_sources(doc, doc["inputs"]["algebra_basis"], [])
+    empty = _with_sources(doc, doc["inputs"]["algebra"]["basis"], [])
     assert verify_document(empty) == [
         f"property {last} (generate_equal_conjugated): closure of an empty"
         " generator list"]
-    wire = list(doc["inputs"]["algebra_basis"])
+    wire = list(doc["inputs"]["algebra"]["basis"])
     wire[0] = mat_to_json(identity(3))
     failures = verify_document(_with_sources(doc, wire))
     assert len(failures) == 1

@@ -461,9 +461,13 @@ def support_union(mats: Iterable[Mat]) -> Support:
 # -- serialization -----------------------------------------------------------
 
 def mat_to_json(a: Mat) -> dict:
-    return {"rows": a.rows, "cols": a.cols,
-            "entries": [[wire_rational(v, a.den) for v in row]
-                        for row in a.num]}
+    """The wire matrix; an integer matrix writes each entry as `str(v)`,
+    which is what `wire_rational(v, 1)` writes, without its gcd."""
+    if a.den == 1:
+        entries = [list(map(str, row)) for row in a.num]
+    else:
+        entries = [[wire_rational(v, a.den) for v in row] for row in a.num]
+    return {"rows": a.rows, "cols": a.cols, "entries": entries}
 
 
 def mat_from_json(obj: dict) -> Mat:

@@ -8,9 +8,15 @@ source * C with C nonsingular) so no inverse is ever taken on faith.
 Wire strings parse straight to integers: a matrix is read as a canonical
 grid (den, rows), integer rows over a positive denominator with no common
 factor, so equal matrices have equal grids, and products, differences,
-supports, sign tests and spans all run on those integers.  `_Span` keeps
-primitive integer rows with a positive pivot, fully reduced against each
-other, so equal spans have equal rows.  `_inverse` reduces [C | I] with
+supports, sign tests and spans all run on those integers.  Each distinct
+entry string of a matrix is parsed once, so a sparse matrix costs one
+parse of "0".  A product skips the zero entries of its left factor: each
+output row is the sum of the right factor's rows weighted by the nonzero
+entries of the left factor's row, so a product of 0/1 pattern matrices
+costs its nonzeros, not n^3.  `_Span` keeps primitive integer rows with
+a positive pivot, fully reduced against each other, so equal spans have
+equal rows, and a matrix unit lies in a span exactly when the span's row
+at the unit's position is that unit.  `_inverse` reduces [C | I] with
 a `_Span`, once per document: the elimination that proves C nonsingular
 also yields C^{-1}, and each conjugate C^{-1} X C is then two products.
 Generated-algebra claims are re-derived in one of two ways.  When some
@@ -50,7 +56,6 @@ import re
 from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
-from operator import mul
 from typing import Sequence
 
 # A matrix as (den, rows): the integer rows over den > 0, with
@@ -81,6 +86,11 @@ def _rational(s: str) -> tuple[int, int]:
 
 
 def _grid(obj: dict) -> Grid:
+    """The canonical grid of a wire matrix.  Each distinct entry string is
+    parsed once, by `_rational` into a local dict; an entry that is not a
+    str always goes to `_rational`, which refuses it.  So the grid, or the
+    error and the first bad entry in row-major order that it names, is
+    what parsing entry by entry gives."""
     rows, cols = obj["rows"], obj["cols"]
     if not (type(rows) is int and type(cols) is int):
         raise CertificateError(f"matrix shape {rows!r} x {cols!r} is not"
@@ -88,13 +98,19 @@ def _grid(obj: dict) -> Grid:
     entries = obj["entries"]
     if len(entries) != rows or any(len(r) != cols for r in entries):
         raise CertificateError("matrix entries do not match declared shape")
-    parsed = [[_rational(v) for v in row] for row in entries]
-    # Star-unpack lists, not generators: a generator's tuple is resized
-    # to its length, which leaves tuples piling up in the interpreter's
-    # per-length free lists (several MiB of peak memory).  The lcm of the
-    # reduced denominators shares no factor with every scaled numerator.
-    den = lcm(*[q for row in parsed for _, q in row])
-    return den, tuple(tuple(p * (den // q) for p, q in row) for row in parsed)
+    parsed: dict[str, tuple[int, int]] = {}
+    for row in entries:
+        for v in row:
+            if type(v) is not str or v not in parsed:
+                parsed[v] = _rational(v)
+    # The lcm of the reduced denominators shares no factor with every
+    # scaled numerator.  Star-unpack lists and build tuples from lists,
+    # not generators: a generator's tuple is resized to its length, which
+    # leaves tuples piling up in the interpreter's per-length free lists
+    # (several MiB of peak memory).
+    den = lcm(*[q for _, q in parsed.values()])
+    scaled = {v: p * (den // q) for v, (p, q) in parsed.items()}
+    return den, tuple([tuple([scaled[v] for v in row]) for row in entries])
 
 
 def _canonical(den: int, rows: tuple[tuple[int, ...], ...]) -> Grid:
@@ -106,13 +122,30 @@ def _canonical(den: int, rows: tuple[tuple[int, ...], ...]) -> Grid:
         g = gcd(g, *row)
     if g == 1:
         return den, rows
-    return den // g, tuple(tuple(v // g for v in row) for row in rows)
+    return den // g, tuple([tuple([v // g for v in row]) for row in rows])
 
 
 def _imul(a: Sequence[Sequence[int]],
           b: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    bt = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
+    """a b on integer rows.  Each output row is the sum of b's rows
+    weighted by the nonzero entries of a's row, built as a list and made a
+    tuple once: a zero entry costs one test, and a row whose one nonzero
+    entry is 1 yields b's row itself."""
+    zero = (0,) * (len(b[0]) if b else 0)
+    out = []
+    for row in a:
+        acc = None
+        for v, brow in zip(row, b):
+            if not v:
+                continue
+            if acc is None:
+                acc = brow if v == 1 else [v * x for x in brow]
+            elif v == 1:
+                acc = [x + y for x, y in zip(acc, brow)]
+            else:
+                acc = [x + v * y for x, y in zip(acc, brow)]
+        out.append(zero if acc is None else tuple(acc))
+    return tuple(out)
 
 
 def _mul(a: Grid, b: Grid) -> Grid:
@@ -403,7 +436,8 @@ def _resolve(doc: dict, ref: str, key: str, what: str) -> dict:
     """The object behind a reference, which must hold `key`.  An indexed
     "in:<name>:<i>" reads item i of a list input, or basis matrix i of an
     algebra input, so one stored algebra serves both as an algebra and as
-    a list of its basis matrices."""
+    a list of its basis matrices.  Whatever the reference names and the
+    document lacks fails with the reference named."""
     if not isinstance(ref, str):
         raise CertificateError(f"reference {ref!r} is not a string")
     m = _REFERENCE.fullmatch(ref)
@@ -414,9 +448,18 @@ def _resolve(doc: dict, ref: str, key: str, what: str) -> dict:
     elif m is None:
         raise CertificateError(f"unresolvable reference {ref!r}")
     elif m[1] is not None:
+        if "outputs" not in doc:
+            raise CertificateError(f"{ref!r}: certificate has no outputs")
         obj = _item(doc["outputs"], m[1], ref)
     else:
-        obj = doc["inputs"][m[2]]
+        inputs = doc.get("inputs")
+        if not isinstance(inputs, dict):
+            raise CertificateError(f"{ref!r}: certificate has no inputs"
+                                   " object")
+        if m[2] not in inputs:
+            raise CertificateError(f"{ref!r}: certificate has no input"
+                                   f" {m[2]!r}")
+        obj = inputs[m[2]]
         if m[3] is not None:
             obj = _item(obj.get("basis") if isinstance(obj, dict) else obj,
                         m[3], ref)
@@ -591,13 +634,21 @@ def _check_generate_equal_conjugated(d: _Document, p: dict) -> bool:
 
 
 def _check_spans_pattern(d: _Document, p: dict) -> bool:
+    """Whether the algebra the gens generate is span{E_ij : (i, j) in the
+    pattern}: it has the pattern's dimension and holds each E_ij.  The
+    span's rows are fully reduced, so a vector in the span is the
+    combination of the rows whose coefficients are its entries at their
+    pivots.  For E_ij that is a multiple of the row with pivot (i, j)
+    alone, or nothing, so E_ij lies in the span exactly when that row,
+    primitive with a positive pivot, is E_ij itself."""
     n, positions = d.pattern(p["pattern"])
     span, size = d.closed(p["gens"])
     if size != n or span.dim != len(positions):
         return False
-    # positions are in 1..n (`_Document.pattern`), so each unit is one entry
-    return not any(_residual(span.rows, {(i - 1) * n + j - 1: 1})
-                   for (i, j) in positions)
+    # positions are in 1..n (`_Document.pattern`), so each unit is one
+    # entry p of the vectorization
+    units = [(i - 1) * n + j - 1 for (i, j) in positions]
+    return all(span.rows.get(p) == {p: 1} for p in units)
 
 
 def _check_is_centralizer(d: _Document, p: dict) -> bool:

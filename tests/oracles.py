@@ -9,8 +9,10 @@ instead of integer numerators, algebra dimensions by a round-based
 pairwise-product closure instead of the generator worklist, the closure
 worklists as they were before early stopping and lazy admission, echelon
 bases and products by textbook Fraction loops instead of the integer
-kernel, phase-1 simplex feasibility by a Fraction tableau instead of
-the fraction-free integer one, and kernels, solutions, span
+kernel, the verifier's integer product by the dense sum over every inner
+index instead of the sum of rows weighted by nonzero entries, phase-1
+simplex feasibility by a Fraction tableau instead of the fraction-free
+integer one, and kernels, solutions, span
 intersections, Jordan bases, eigenvalue splits, the structural
 decomposition and the center by the Fraction-vector routines that the
 integer-row engine replaced, the semi-commuting pair of a pattern
@@ -499,6 +501,13 @@ def textbook_product(a: Mat, b: Mat) -> Mat:
         tuple(sum((a.data[i][k] * b.data[k][j] for k in range(a.cols)), ZERO)
               for j in range(b.cols))
         for i in range(a.rows)))
+
+
+def dense_integer_product(a, b, cols: int) -> tuple[tuple[int, ...], ...]:
+    """a @ b on integer rows, every entry the full sum over k, for b with
+    the given column count."""
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(len(b)))
+                       for j in range(cols)) for i in range(len(a)))
 
 
 # -- textbook Fraction grid operations ----------------------------------------

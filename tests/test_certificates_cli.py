@@ -404,6 +404,30 @@ def test_pattern_positions_outside_the_matrix_fail(position):
     assert len(failures) == 1 and "spans_pattern" in failures[0]
 
 
+def _spans_pattern_document(gen, positions):
+    return {"C": None,
+            "inputs": {"pattern": {"n": len(gen), "positions": positions}},
+            "outputs": [_wire(gen)],
+            "properties": [{"kind": "spans_pattern", "gens": ["out:0"],
+                            "pattern": "in:pattern"}]}
+
+
+@pytest.mark.parametrize("positions", [[[1, 1], [2, 2]], [[1, 1], [1, 2]]],
+                         ids=["diagonal", "pivots"])
+def test_spans_pattern_needs_each_unit_in_the_span(positions):
+    """The swap S generates span{I, S}, of dimension 2, which holds no
+    matrix unit.  Its canonical rows are E_11 + E_22 and E_12 + E_21, with
+    pivots at (1, 1) and (1, 2): against the second pattern every position
+    is a pivot, and only the rows' not being units shows that the units
+    are not in the span."""
+    swap = [[0, 1], [1, 0]]
+    assert verify_document(_spans_pattern_document(swap, positions)) == [
+        "property 0 (spans_pattern) failed"]
+    diagonal = [[1, 0], [0, 2]]
+    assert verify_document(_spans_pattern_document(
+        diagonal, [[1, 1], [2, 2]])) == []
+
+
 def test_each_referenced_matrix_is_parsed_once(monkeypatch):
     import algforge.verify as verify
     parsed = []

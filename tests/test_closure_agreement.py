@@ -312,6 +312,47 @@ def test_bad_indexed_references_fail_by_name(ref, message):
     assert verify_document(doc) == [f"property 0 (in_algebra): {message}"]
 
 
+def test_missing_input_name_fails_by_reference():
+    """An input name the certificate does not hold fails with the
+    reference named, not with a bare key."""
+    doc = copy.deepcopy(_classify_doc())
+    for ref in ("in:nosuch", "in:nosuch:0"):
+        doc["properties"][0] = dict(doc["properties"][0], target=ref)
+        assert verify_document(doc) == [
+            f"property 0 (in_algebra): {ref!r}: certificate has no input"
+            " 'nosuch'"]
+
+
+def test_missing_outputs_fail_by_reference():
+    """With no outputs, every property that reads one names it."""
+    doc = copy.deepcopy(_classify_doc())
+    last = len(doc["properties"]) - 1
+    del doc["outputs"]
+    assert verify_document(doc) == [
+        f"property {i} (positive): 'out:{i - 1}': certificate has no"
+        " outputs" for i in range(1, last)] + [
+        f"property {last} (generate_equal_conjugated): 'out:0':"
+        " certificate has no outputs"]
+
+
+@pytest.mark.parametrize("inputs", [None, [], "algebra"],
+                         ids=["missing", "list", "string"])
+def test_missing_inputs_fail_by_reference(inputs):
+    """With no inputs object, the properties that read an input name the
+    first reference they read."""
+    doc = copy.deepcopy(_classify_doc())
+    last = len(doc["properties"]) - 1
+    if inputs is None:
+        del doc["inputs"]
+    else:
+        doc["inputs"] = inputs
+    assert verify_document(doc) == [
+        "property 0 (in_algebra): 'in:algebra': certificate has no inputs"
+        " object",
+        f"property {last} (generate_equal_conjugated): 'in:algebra:0':"
+        " certificate has no inputs object"]
+
+
 def test_trimmed_outputs_still_close_and_verify(monkeypatch):
     """The flat idempotent M plus the outputs that each enlarge the
     algebra, as in `test_outputs_generating_a_proper_subalgebra_fail`,

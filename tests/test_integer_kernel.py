@@ -14,6 +14,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algforge import verify
 from algforge.algebra import generate
@@ -27,9 +29,10 @@ from algforge.matrices import (Mat, direct_sum, identity, inverse, is_nonneg,
 from algforge.polynomials import Poly
 from algforge.verify import (CertificateError, _conjugate, _inverse, _mul,
                              _Span)
-from oracles import (cleared, gauss_jordan, grid_combine, grid_direct_sum,
-                     grid_product, grid_scale, grid_submatrix, grid_transpose,
-                     random_unimodular, textbook_product)
+from oracles import (cleared, dense_integer_product, gauss_jordan,
+                     grid_combine, grid_direct_sum, grid_product, grid_scale,
+                     grid_submatrix, grid_transpose, random_unimodular,
+                     textbook_product)
 
 F = Fraction
 
@@ -184,6 +187,48 @@ def test_verifier_product_rejects_an_empty_inner_dimension():
         _mul(left, right)
     with pytest.raises(CertificateError):
         _mul((1, ()), (1, ()))
+
+
+def integer_grid(rng, rows, cols):
+    """Seeded integer rows: all zero, 0/1, small with zeros, or past 64
+    bits, now and then with a zero row and a zero column."""
+    kind = rng.choice(["zero", "unit", "small", "big"])
+    bound = {"zero": 0, "unit": 1, "small": 9, "big": 2 ** 80}[kind]
+    low = 0 if kind == "unit" else -bound
+    grid = [[rng.randint(low, bound) if rng.random() < 0.5 else 0
+             for _ in range(cols)] for _ in range(rows)]
+    if rows and cols and rng.random() < 0.5:
+        grid[rng.randrange(rows)] = [0] * cols
+        j = rng.randrange(cols)
+        for row in grid:
+            row[j] = 0
+    return tuple(tuple(row) for row in grid)
+
+
+@pytest.mark.parametrize("shape", [
+    (1, 1, 1), (1, 5, 1), (5, 1, 5), (0, 3, 2), (3, 3, 0), (2, 3, 4),
+    (4, 4, 4), (6, 6, 6)])
+def test_verifier_integer_product_matches_the_dense_sum(shape):
+    r, k, c = shape
+    rng = random.Random(7000 + 100 * r + 10 * k + c)
+    for _ in range(40):
+        a, b = integer_grid(rng, r, k), integer_grid(rng, k, c)
+        got = verify._imul(a, b)
+        assert got == dense_integer_product(a, b, c)
+        assert type(got) is tuple and all(
+            type(row) is tuple and len(row) == c for row in got)
+        assert all(type(v) is int for row in got for v in row)
+
+
+def test_verifier_product_guards_are_unchanged():
+    two = (1, ((1, 2), (3, 4)))
+    with pytest.raises(CertificateError, match="^empty inner dimension in"
+                       " product$"):
+        _mul((1, ((), ())), (1, ()))
+    with pytest.raises(CertificateError, match="^size mismatch in product$"):
+        _mul(two, (1, ((1, 2, 3),)))
+    with pytest.raises(CertificateError, match="^size mismatch in product$"):
+        _mul((1, ()), two)
 
 
 def test_matmul_of_integer_and_sparse_matrices():
@@ -577,6 +622,70 @@ def test_wire_rationals_match_the_fraction_rule():
             verify._rational(bad)
         with pytest.raises(ValueError):
             mat_from_json({"rows": 1, "cols": 1, "entries": [[bad]]})
+
+
+def entrywise_grid(obj):
+    """The verifier's grid with every entry parsed on its own by
+    `_rational`: the reference the per-matrix parse memo must match."""
+    rows, cols = obj["rows"], obj["cols"]
+    if not (type(rows) is int and type(cols) is int):
+        raise CertificateError(f"matrix shape {rows!r} x {cols!r} is not"
+                               " a pair of integers")
+    entries = obj["entries"]
+    if len(entries) != rows or any(len(r) != cols for r in entries):
+        raise CertificateError("matrix entries do not match declared shape")
+    parsed = [[verify._rational(v) for v in row] for row in entries]
+    den = lcm(*[q for row in parsed for _, q in row])
+    return den, tuple(tuple(p * (den // q) for p, q in row)
+                      for row in parsed)
+
+
+def outcome(read, obj):
+    try:
+        return read(obj)
+    except CertificateError as exc:
+        return "error", str(exc)
+
+
+WIRE_FORMS = ["0", "-0", "00", "+1", "1/1", "2/4", " 1", "1e5", "\u0663",
+              "1", "-1", "1/4", "-3/7", "6/1", str(2 ** 70),
+              "-" + str(3 ** 50) + "/" + str(2 ** 40)]
+wire_entries = st.one_of(
+    st.sampled_from(WIRE_FORMS),
+    st.integers(-10 ** 30, 10 ** 30).map(str),
+    st.fractions(max_denominator=10 ** 6).map(str),
+    st.one_of(st.integers(-3, 3), st.none(), st.just(["1"])))
+
+
+@settings(max_examples=300)
+@given(st.lists(wire_entries, min_size=1, max_size=4),
+       st.integers(0, 4), st.integers(0, 4), st.data())
+def test_grid_memo_reads_entries_as_the_entrywise_parse(pool, rows, cols,
+                                                       data):
+    """Entries repeat strings from a small pool, canonical or not, mixed
+    with non-strings; the memo must give the entry-by-entry grid, or the
+    same error for the same first bad entry."""
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1),
+                               min_size=rows * cols, max_size=rows * cols))
+    obj = {"rows": rows, "cols": cols,
+           "entries": [[pool[picks[i * cols + j]] for j in range(cols)]
+                       for i in range(rows)]}
+    assert outcome(verify._grid, obj) == outcome(entrywise_grid, obj)
+
+
+def test_grid_parses_each_distinct_entry_string_once(monkeypatch):
+    parsed = []
+    real = verify._rational
+
+    def counting(s):
+        parsed.append(s)
+        return real(s)
+
+    monkeypatch.setattr(verify, "_rational", counting)
+    identity_wire = wire([[F(int(i == j)) for j in range(5)]
+                          for i in range(5)], 5)
+    assert verify._grid(identity_wire) == (1, verify._identity(5))
+    assert sorted(parsed) == ["0", "1"]
 
 
 def test_hot_paths_build_no_fraction(monkeypatch):

@@ -10,7 +10,13 @@ the left by every generator.  The span this reaches contains I and is
 mapped into itself by left multiplication with each generator, so it
 contains every word in the generators and is closed under products.
 Closedness is a type guarantee: `Algebra(n, mats)` checks it, and the
-builders' trusted `_from_span` keeps the span they already hold.
+builders' trusted `_from_span` keeps the span they already hold.  The
+check closes the basis with the verifier's lazy-admission worklist
+(`verify._closure`) on its integer rows, stopped as soon as the span
+exceeds the basis's dimension d, in place of all d^2 basis products: a
+unital span is closed exactly when the basis generates no more than it,
+so a closed basis costs a worklist that ends at d, and one that is not
+closed is refused a few products after the span outgrows it.
 `generates` decides whether a list generates a known algebra by closing
 it and comparing the canonical spans.  `center`, `centralizer` and
 `is_simple` solve their linear systems on integer numerators: the basis
@@ -29,6 +35,7 @@ from .linear import EchelonSpan, nullspace, rank, solve
 from .matrices import (Mat, Support, direct_sum, identity, inverse,
                        mat_from_json, mat_to_json, matrix_unit, span_rows,
                        support_union, zero)
+from .verify import _closure
 
 
 @dataclass(frozen=True)
@@ -69,10 +76,18 @@ class Algebra:
         return support_union(self.basis)
 
     def is_closed(self) -> bool:
-        """Check span closure under all pairwise basis products."""
-        sp = self._span
-        return all(sp.contains((a @ b).numerators())
-                   for a in self.basis for b in self.basis)
+        """Whether the span V, which holds I, is closed under products.
+
+        The verifier's lazy-admission worklist closes the basis, stopping
+        once its span exceeds d = dim V.  Each basis matrix is either held
+        by that span or admitted to it, so the span contains V; the full
+        closure is <basis>, which lies in V exactly when V is closed.  So V
+        is closed iff the worklist ends at dimension d, and any growth past
+        d proves it is not, after a few products."""
+        if not self.basis:
+            return True  # n = 0: the empty basis spans the 0 x 0 algebra
+        span, _ = _closure([(b.den, b.num) for b in self.basis], self.dim)
+        return span.dim == self.dim
 
     def is_unital(self) -> bool:
         return self.contains(identity(self.n))

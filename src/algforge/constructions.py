@@ -31,11 +31,11 @@ from .certificates import (Certificate, prop_central, prop_conjugate_of,
 from .incidence import (IncidencePattern, incidence_of_dimension,
                         triangularize_incidence)
 from .linear import rank
-from .matrices import (Mat, commutator, conjugate, direct_sum, identity,
-                       inverse, is_nonneg, is_positive, kernel,
-                       min_support_entry, ones, permutation_matrix, poly_at,
-                       regular_triangular, stack, support, uniform_norm,
-                       uniformizer, uniformizer_inv, zero)
+from .matrices import (Mat, conjugate, direct_sum, identity, inverse,
+                       is_nonneg, is_positive, kernel, min_support_entry,
+                       ones, permutation_matrix, poly_at, regular_triangular,
+                       stack, support, uniform_norm, uniformizer,
+                       uniformizer_inv, zero)
 from .polynomials import (Poly, multiplicity_one_part, poly_gcd,
                           rational_roots, sturm_real_root_count)
 from .spectral import (JordanSpec, char_poly, eigenvalue_multiplicity,
@@ -162,10 +162,15 @@ def uniformize_rank1_idempotent(e: Mat) -> Mat:
     c1 = stack([u.transpose(), *kernel(v)]).transpose()
     swap = permutation_matrix([n - 1] + list(range(1, n - 1)) + [0])
     c = c1 @ swap @ uniformizer(n)
-    flat = Mat.from_ints(n, n, n, ones(n).num)
-    if conjugate(e, c) != flat:
+    if conjugate(e, c) != _flat_idempotent(n):
         raise ArithmeticError("uniformizing similarity failed verification")
     return c
+
+
+def _flat_idempotent(n: int) -> Mat:
+    """ones(n)/n, which `uniformize_rank1_idempotent`'s C conjugates its
+    idempotent onto."""
+    return Mat.from_ints(n, n, n, ones(n).num)
 
 
 def positive_single_generator(a: Mat, lam: int | Fraction) -> tuple[Mat, Mat]:
@@ -513,9 +518,7 @@ def central_eigenvalue_split(a: Algebra, z: Mat,
     elif k == 1:
         proj = rational_spectral_projector(z, lam)
         c_total = uniformize_rank1_idempotent(proj)
-        final = conjugate(proj, c_total)
-        if not is_positive(final):
-            raise ArithmeticError("flat idempotent is not positive")
+        final = _flat_idempotent(n)
     else:
         c1, m, sizes = generalized_eigensplit(z, lam)
         if m != k or sizes != (k,):
@@ -619,8 +622,11 @@ def semicommuting_pair(p: IncidencePattern) -> tuple[Mat, Mat, Certificate]:
     d = Mat.from_ints(n, n, 1, [[n - rank[i] if j == i else 0
                                  for j in range(n)] for i in range(n)])
     a = _pattern_sum(p)
-    comm = commutator(d, a)
-    if not is_nonneg(a) or not is_nonneg(d) or not is_nonneg(comm):
+    # D is diagonal (`_check_pair_generates`), so [D, A]_ij is
+    # (D_ii - D_jj) A_ij, and only A's support can make it negative.
+    if not is_nonneg(a) or not is_nonneg(d) or any(
+            (d.num[i][i] - d.num[j][j]) * v < 0
+            for i, row in enumerate(a.num) for j, v in enumerate(row) if v):
         raise ArithmeticError("pair construction lost nonnegativity")
     _check_pair_generates(p, a, d)
     cert = Certificate(
@@ -718,8 +724,8 @@ def classify_positive_generation(a: Algebra, budget: int = 64,
             proj = rational_spectral_projector(x, lam)
             c = uniformize_rank1_idempotent(proj)
             conj_alg = conjugate_algebra(a, c)
-            flat = conjugate(proj, c)
-            gens = positive_generators_from_positive(conj_alg, flat)
+            gens = positive_generators_from_positive(conj_alg,
+                                                     _flat_idempotent(a.n))
             props = [prop_in_algebra("in:witness", "in:algebra")]
             props += [prop_positive(f"out:{i}") for i in range(len(gens))]
             props.append(prop_generate_equal_conjugated(

@@ -40,14 +40,18 @@ the conjugated basis, so it verifies with no product beyond the
 conjugations.  When the spans differ, the first list is closed and the
 second checked by containment (`_generates`): each of its matrices must
 lie in the closed span, and it is closed only when I and the matrices
-alone fall short of the span's dimension.  A reference "in:<name>:<i>"
-reads item i of a list input or basis matrix i of an algebra input, so
-a certificate stores an algebra once and names its basis matrices as a
-source list.  Within one `verify_document` call each referenced matrix is
-parsed once, an algebra's basis matrices included, whether it is read as
-part of the basis or through an indexed reference; each algebra basis is
-spanned once, each generator list is closed at most once and C is
-inverted once.
+alone fall short of the span's dimension.  The same worklist also serves
+the engine's check that a loaded algebra basis is closed
+(`algebra.Algebra.is_closed`), under a dimension bound: given one, it
+stops as soon as its span exceeds the bound, which proves the generated
+algebra larger.  Certificate checks never pass a bound, so the worklist
+they run is unchanged.  A reference "in:<name>:<i>" reads item i of a
+list input or basis matrix i of an algebra input, so a certificate
+stores an algebra once and names its basis matrices as a source list.
+Within one `verify_document` call each referenced matrix is parsed once,
+an algebra's basis matrices included, whether it is read as part of the
+basis or through an indexed reference; each algebra basis is spanned
+once, each generator list is closed at most once and C is inverted once.
 """
 
 from __future__ import annotations
@@ -330,8 +334,10 @@ def _size_of(gens: list[Grid]) -> int:
     return n
 
 
-def _closure(gens: list[Grid]) -> tuple[_Span, int]:
-    """Span of the unital algebra generated by gens.
+def _closure(gens: list[Grid],
+             bound: int | None = None) -> tuple[_Span, int]:
+    """Span of the unital algebra generated by gens, or, given a bound,
+    a subspace of it whose dimension exceeds the bound.
 
     Generation lemma.  When some generator D is diagonal with pairwise
     distinct entries, the algebra is span{E_ij : (i, j) in R}, for R the
@@ -351,6 +357,9 @@ def _closure(gens: list[Grid]) -> tuple[_Span, int]:
     nothing and is skipped.  A new one is admitted: every earlier kept
     word is multiplied on the right by it, and then every new word by each
     admitted generator, walking the kept list by index while it grows.
+    The span only grows, and within the algebra, so the worklist stops as
+    soon as its dimension exceeds the bound: the algebra is then larger
+    than the bound too.
     """
     n = _size_of(gens)
     # Words in the generators' integer rows are nonzero multiples of the
@@ -362,23 +371,29 @@ def _closure(gens: list[Grid]) -> tuple[_Span, int]:
     kept: list[tuple[tuple[int, ...], ...]] = []
     used: list[tuple[tuple[int, ...], ...]] = []
 
-    def push(m: tuple[tuple[int, ...], ...]) -> None:
+    def words():
+        """I, then the worklist's products, each made once the previous
+        word has been pushed."""
+        yield _identity(n)
+        for g in ints:
+            if span.contains([v for row in g for v in row]):
+                continue
+            used.append(g)
+            old = len(kept)
+            for x in kept[:old]:
+                yield _imul(x, g)
+            i = old
+            while i < len(kept):  # kept grows while it is walked
+                for h in used:
+                    yield _imul(kept[i], h)
+                i += 1
+
+    limit = n * n if bound is None else bound
+    for m in words():
         if span.add([v for row in m for v in row]):
             kept.append(m)
-
-    push(_identity(n))
-    for g in ints:
-        if span.contains([v for row in g for v in row]):
-            continue
-        used.append(g)
-        old = len(kept)
-        for x in kept[:old]:
-            push(_imul(x, g))
-        i = old
-        while i < len(kept):  # kept grows while it is walked
-            for h in used:
-                push(_imul(kept[i], h))
-            i += 1
+            if span.dim > limit:
+                break
     return span, n
 
 

@@ -7,7 +7,9 @@ Fraction Hessenberg reduction instead of Berkowitz's division-free
 recurrence, polynomial arithmetic and gcds on Fraction coefficients
 instead of integer numerators, algebra dimensions by a round-based
 pairwise-product closure instead of the generator worklist, the closure
-worklists as they were before early stopping and lazy admission, echelon
+worklists as they were before early stopping and lazy admission, an
+algebra's closedness by all d^2 basis products instead of the verifier's
+worklist capped at its dimension, echelon
 bases and products by textbook Fraction loops instead of the integer
 kernel, the verifier's integer product by the dense sum over every inner
 index instead of the sum of rows weighted by nonzero entries, phase-1
@@ -390,6 +392,15 @@ def eager_verifier_closure(gens):
         for g in ints:
             push(_imul(x, g))
     return span, n
+
+
+def pairwise_is_closed(alg) -> bool:
+    """Whether an algebra's span is closed under products, by the loop
+    `Algebra.is_closed` ran before it reused the verifier's worklist: every
+    one of the d^2 pairwise basis products must lie in the span."""
+    sp = alg._span
+    return all(sp.contains((a @ b).numerators())
+               for a in alg.basis for b in alg.basis)
 
 
 # -- the semi-commuting pair through a triangularizing conjugation ---------------

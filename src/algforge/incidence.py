@@ -7,7 +7,6 @@ positions are 1-based (row, column) pairs and always include the diagonal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -54,24 +53,6 @@ class IncidencePattern:
         """Apply a bijection of {1..n} to both coordinates."""
         return IncidencePattern(self.n, frozenset(
             (images[i], images[j]) for (i, j) in self.positions))
-
-
-def pattern_from_positions(n: int, positions: Iterable[tuple[int, int]],
-                           close: bool = False) -> IncidencePattern:
-    """Build a pattern from strict positions plus the diagonal, optionally
-    taking the transitive closure first."""
-    pos = {(i, j) for (i, j) in positions}
-    pos |= {(i, i) for i in range(1, n + 1)}
-    if close:
-        changed = True
-        while changed:
-            changed = False
-            for (i, j) in list(pos):
-                for (jj, t) in list(pos):
-                    if jj == j and (i, t) not in pos:
-                        pos.add((i, t))
-                        changed = True
-    return IncidencePattern(n, frozenset(pos))
 
 
 def incidence_of_dimension(n: int, k: int) -> IncidencePattern:

@@ -106,6 +106,18 @@ class Mat:
         d = self.den
         return tuple(tuple(Fraction(v, d) for v in row) for row in self.num)
 
+    @cached_property
+    def inverse(self) -> Mat:
+        """The inverse, computed by one integer Gauss-Jordan run on first
+        use.  Raises ValueError when the matrix is not square or is
+        singular."""
+        if not self.is_square:
+            raise ValueError("inverse of a non-square matrix")
+        # (num / den)^-1 = den num^-1 = den M / d
+        d, inv = linear.invert(self.num)
+        return _normal(self.rows, self.cols, d,
+                       tuple(tuple(self.den * v for v in row) for row in inv))
+
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -314,12 +326,8 @@ def companion(p: Poly) -> Mat:
 # -- core operations --------------------------------------------------------
 
 def inverse(a: Mat) -> Mat:
-    if not a.is_square:
-        raise ValueError("inverse of a non-square matrix")
-    # (num / den)^-1 = den num^-1 = den M / d
-    d, inv = linear.invert(a.num)
-    return _normal(a.rows, a.cols, d,
-                   tuple(tuple(a.den * v for v in row) for row in inv))
+    """A^-1, computed once per matrix and then shared (`Mat.inverse`)."""
+    return a.inverse
 
 
 def stack(mats: Sequence[Mat]) -> Mat:

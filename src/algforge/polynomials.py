@@ -269,14 +269,6 @@ P_ONE = Poly.of(1)
 P_ZERO = Poly()
 
 
-def poly_from_roots(roots: Iterable[int | Fraction]) -> Poly:
-    """Monic polynomial with the given roots (with multiplicity)."""
-    out = P_ONE
-    for r in roots:
-        out = out * Poly((-r, 1))
-    return out
-
-
 def poly_gcd(p: Poly, q: Poly) -> Poly:
     """Monic greatest common divisor; not defined when both are zero.
 

@@ -14,14 +14,16 @@ bases and products by textbook Fraction loops instead of the integer
 kernel, the verifier's integer product by the dense sum over every inner
 index instead of the sum of rows weighted by nonzero entries, phase-1
 simplex feasibility by a Fraction tableau instead of the fraction-free
-integer one, and kernels, solutions, span
+integer one and by the full integer tableau instead of its stored u and s
+columns, and kernels, solutions, span
 intersections, Jordan bases, eigenvalue splits, the structural
 decomposition and the center by the Fraction-vector routines that the
 integer-row engine replaced, the semi-commuting pair of a pattern
 that is not upper-triangular by conjugating the triangularized pattern's
 pair back instead of ranking the diagonal by a topological order, and a
 pattern's transitivity by the pairwise loop over its positions instead
-of successor-set inclusion.
+of successor-set inclusion.  It also holds builders that only the tests
+use: `poly_from_roots` and `pattern_from_positions`.
 """
 
 from __future__ import annotations
@@ -30,8 +32,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable
+from typing import Iterable, Sequence
 
+from algforge.incidence import IncidencePattern
 from algforge.matrices import Mat, identity, zero
 from algforge.polynomials import Poly, poly_gcd
 
@@ -650,6 +653,134 @@ def fraction_feasible_ge(a_rows, b) -> list[Fraction] | None:
     return x
 
 
+# -- the fraction-free simplex on its full 2d + 2m column tableau ---------------
+#
+# `algforge.simplex.feasible_ge` as it was before it stored only the u and s
+# columns and derived v = -u and w_i = -sign_i s_i, copied verbatim: the
+# u, v, w and s columns are all kept and pivoted.
+
+
+def _full_pivoted(line: list[int], pivot_row: list[int], e: int, p: int,
+                  den: int) -> list[int]:
+    """line after the pivot on pivot_row[e] = p, with den the old D."""
+    f = line[e]
+    return [(p * v - f * w) // den for v, w in zip(line, pivot_row)]
+
+
+def full_tableau_feasible_ge(a_rows: Sequence[Sequence[Fraction]],
+                             b: Sequence[Fraction]) -> list[Fraction] | None:
+    """A point x with A x >= b (x free), or None when the system is infeasible.
+
+    Entries may be int or Fraction.  Raises ValueError when the rows differ
+    in length or b does not have one entry per row.
+    """
+    m = len(a_rows)
+    if len(b) != m:
+        raise ValueError(f"{len(b)} right-hand sides for {m} rows")
+    if m == 0:
+        return []
+    d = len(a_rows[0])
+    if any(len(row) != d for row in a_rows):
+        raise ValueError("rows of unequal length")
+
+    # Columns u (d), v (d), w (m), s (m), then the right-hand side.  Row i
+    # is c_i (A_i u - A_i v) -+ w_i + s_i = c_i |b_i|: flipped so that the
+    # right-hand side is nonnegative, surplus w_i for kept rows (>=) and
+    # slack for flipped rows (<=), artificial s_i in the starting basis.
+    ncols = 2 * d + 2 * m
+    tableau: list[list[int]] = []
+    scales: list[int] = []
+    for i, (row, bv) in enumerate(zip(a_rows, b)):
+        c = lcm(bv.denominator, *[v.denominator for v in row])
+        sign = -1 if bv < 0 else 1
+        k = sign * c
+        u = [v.numerator * (k // v.denominator) for v in row]
+        line = u + [-v for v in u] + [0] * (2 * m)
+        line[2 * d + i] = -sign
+        line[2 * d + m + i] = 1
+        line.append(bv.numerator * (k // bv.denominator))
+        tableau.append(line)
+        scales.append(c)
+    basis = list(range(2 * d + m, ncols))
+
+    # Objective: minimize the sum of the unscaled artificials s_i / c_i,
+    # times the lcm of the c_i, so that every cost is an integer.  Its
+    # reduced-cost row for the starting basis is minus the cost-weighted
+    # sum of the constraint rows, zero on the artificial columns.
+    common = lcm(*scales)
+    obj = [0] * (ncols + 1)
+    for c, line in zip(scales, tableau):
+        f = common // c
+        obj = [o - f * v for o, v in zip(obj, line)]
+    obj[2 * d + m:ncols] = [0] * m
+
+    den = 1
+    while True:
+        enter = next((j for j in range(ncols) if obj[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        for i, line in enumerate(tableau):
+            coef = line[enter]
+            if coef <= 0:
+                continue
+            if leave is not None:
+                best = tableau[leave]
+                cross = line[ncols] * best[enter] - best[ncols] * coef
+                if cross > 0 or (cross == 0 and basis[i] > basis[leave]):
+                    continue
+            leave = i
+        if leave is None:
+            raise ArithmeticError("phase-1 objective unbounded")  # impossible
+        pivot_row = tableau[leave]
+        p = pivot_row[enter]
+        for i, line in enumerate(tableau):
+            if i != leave:
+                tableau[i] = _full_pivoted(line, pivot_row, enter, p, den)
+        obj = _full_pivoted(obj, pivot_row, enter, p, den)
+        den = p
+        basis[leave] = enter
+
+    if obj[ncols]:
+        return None
+
+    x = [0] * d
+    for line, var in zip(tableau, basis):
+        if var < d:
+            x[var] += line[ncols]
+        elif var < 2 * d:
+            x[var - d] -= line[ncols]
+    return [Fraction(v, den) for v in x]
+
+
+# -- builders the tests use and the package does not ---------------------------
+
+def poly_from_roots(roots: Iterable[int | Fraction]) -> Poly:
+    """Monic polynomial with the given roots (with multiplicity)."""
+    out = Poly.of(1)
+    for r in roots:
+        out = out * Poly((-r, 1))
+    return out
+
+
+def pattern_from_positions(n: int, positions: Iterable[tuple[int, int]],
+                           close: bool = False) -> IncidencePattern:
+    """Build a pattern from strict positions plus the diagonal, optionally
+    taking the transitive closure first."""
+    pos = {(i, j) for (i, j) in positions}
+    pos |= {(i, i) for i in range(1, n + 1)}
+    if close:
+        changed = True
+        while changed:
+            changed = False
+            for (i, j) in list(pos):
+                for (jj, t) in list(pos):
+                    if jj == j and (i, t) not in pos:
+                        pos.add((i, t))
+                        changed = True
+    return IncidencePattern(n, frozenset(pos))
+
+
 # -- random samplers -------------------------------------------------------------
 
 def random_rat(rng: random.Random, height: int = 10,
@@ -680,7 +811,6 @@ def random_pattern(rng: random.Random, n: int, triangular: bool = True):
     """Random incidence pattern: a transitively closed random set of strict
     upper positions plus the diagonal, optionally relabeled by a random
     permutation."""
-    from algforge.incidence import pattern_from_positions
     strict = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
               if rng.random() < 0.4]
     pattern = pattern_from_positions(n, strict, close=True)

@@ -25,11 +25,11 @@ from algforge.matrices import (Mat, commutator, conjugate, direct_sum,
                                identity, is_nonneg, is_positive, jordan_cell,
                                matrix_unit, ones, support, uniformizer,
                                uniformizer_inv, zero)
-from algforge.polynomials import Poly, poly_from_roots
+from algforge.polynomials import Poly
 from algforge.spectral import (JordanSpec, char_poly,
                                has_simple_real_eigenvalue, min_poly)
 from algforge.verify import verify_document
-from oracles import (numeric_has_simple_real, random_mat,
+from oracles import (numeric_has_simple_real, poly_from_roots, random_mat,
                      random_nonneg_on_pattern, random_pattern,
                      random_unimodular)
 

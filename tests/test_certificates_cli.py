@@ -234,7 +234,7 @@ def test_cap_applies_before_an_algebra_document_is_loaded(monkeypatch,
                                                            capsys):
     import algforge.cli
     from algforge.algebra import algebra_to_json
-    from algforge.incidence import pattern_from_positions
+    from oracles import pattern_from_positions
     n = 17
     upper = incidence_algebra(pattern_from_positions(
         n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]))

@@ -25,7 +25,6 @@ from algforge.constructions import (_check_pair_generates,
                                     solve_all_dimensions,
                                     uniformize_rank1_idempotent)
 from algforge.incidence import (IncidencePattern, incidence_of_dimension,
-                                pattern_from_positions,
                                 triangularize_incidence)
 from algforge.matrices import (Mat, commutator, companion, conjugate,
                                direct_sum, identity, is_nonneg, is_positive,
@@ -34,8 +33,9 @@ from algforge.matrices import (Mat, commutator, companion, conjugate,
 from algforge.polynomials import Poly
 from algforge.spectral import JordanSpec
 from algforge.verify import verify_certificate
-from oracles import (conjugated_pair, pairwise_is_transitive, random_mat,
-                     random_pattern, random_unimodular)
+from oracles import (conjugated_pair, pairwise_is_transitive,
+                     pattern_from_positions, random_mat, random_pattern,
+                     random_unimodular)
 
 F = Fraction
 

@@ -29,13 +29,14 @@ from algforge.constructions import (blockwise_rank1_nonneg_covering,
                                     semicommuting_pair,
                                     single_generator_nonneg,
                                     uniformize_rank1_idempotent)
-from algforge.incidence import incidence_of_dimension, pattern_from_positions
+from algforge.incidence import incidence_of_dimension
 from algforge.matrices import (Mat, conjugate, direct_sum, identity,
                                jordan_cell, mat_to_json, matrix_unit, ones,
                                zero)
 from algforge.spectral import (JordanSpec, StructuralDecomposition,
                                generalized_eigensplit,
                                structural_decomposition)
+from oracles import pattern_from_positions
 
 DATA = Path(__file__).parent / "data"
 

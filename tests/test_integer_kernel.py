@@ -528,6 +528,30 @@ def test_mat_is_immutable_and_checks_its_shape():
         Mat.from_ints(1, 1, 0, [[1]])
 
 
+def test_inverse_is_computed_once_and_shared():
+    rng = random.Random(5)
+    for _ in range(30):
+        n = rng.randint(1, 5)
+        c = F(rng.randint(1, 7), rng.randint(1, 7)) * \
+            random_unimodular(rng, n) @ Mat.from_rows(
+                [[F(rng.randint(1, 3), rng.randint(1, 4)) if i == j else
+                  F(rng.randint(-2, 2)) * (i < j) for j in range(n)]
+                 for i in range(n)])
+        before = (c.rows, c.cols, c.den, c.num, hash(c))
+        inv = inverse(c)
+        assert inverse(c) is inv and c.inverse is inv
+        d, m = invert(c.num)
+        assert inv == Mat(n, n, [[F(c.den * v, d) for v in row] for row in m])
+        assert (c.rows, c.cols, c.den, c.num, hash(c)) == before
+        with pytest.raises(AttributeError):
+            c.inverse = identity(n)
+        assert inverse(c) is inv
+    for bad in (Mat.from_rows([[1, 2], [2, 4]]), Mat.from_rows([[1, 2]])):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                inverse(bad)
+
+
 def wire(grid, cols):
     """A wire matrix written from Fractions, without the engine."""
     return {"rows": len(grid), "cols": cols,

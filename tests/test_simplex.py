@@ -5,8 +5,12 @@ import pytest
 import sympy
 from sympy.solvers.simplex import lpmin
 
+from algforge import simplex
+from algforge.algebra import generate, nonneg_covering_exists
+from algforge.matrices import Mat, conjugate
 from algforge.simplex import feasible_ge
-from oracles import fraction_feasible_ge
+from oracles import (fraction_feasible_ge, full_tableau_feasible_ge,
+                     random_mat, random_unimodular)
 
 F = Fraction
 
@@ -146,13 +150,102 @@ def test_integer_entries_stay_exact():
         [F(3, 2), F(5, 2)]
 
 
-@pytest.mark.parametrize("rows, rhs", [
+MALFORMED = [
     ([[F(1)], [F(1), F(-5)]], [F(1), F(1)]),
     ([[F(1), F(0)], [F(1)]], [F(1), F(1)]),
     ([[F(1)], [F(-1)]], [F(1)]),
     ([[F(1)]], [F(1), F(2)]),
     ([], [F(1)]),
-])
+]
+
+
+@pytest.mark.parametrize("rows, rhs", MALFORMED)
 def test_malformed_shapes_raise(rows, rhs):
     with pytest.raises(ValueError):
         feasible_ge(rows, rhs)
+
+
+# -- the stored [u | s | rhs] tableau against the full one ----------------------
+
+def _wide_system(rng: random.Random):
+    """A system A x >= b with m <= 16 rows and d <= 6 unknowns: mixed
+    denominators and signs, zero right-hand sides, zero rows, and rows
+    that repeat an earlier row times a positive factor."""
+    m = rng.randint(1, 16)
+    d = rng.randint(0, 6)
+    den = rng.choice([1, 1, 3, 4])
+    height = rng.choice([2, 5])
+
+    def rat():
+        return F(rng.randint(-height, height), rng.randint(1, den))
+
+    rows = [[rat() for _ in range(d)] for _ in range(m)]
+    rhs = [rat() for _ in range(m)]
+    for i in range(1, m):
+        roll = rng.random()
+        if roll < 0.15:
+            j = rng.randrange(i)
+            k = F(rng.randint(1, 3), rng.randint(1, 2))
+            rows[i] = [k * v for v in rows[j]]
+            rhs[i] = k * rhs[j]
+        elif roll < 0.2:
+            rows[i] = [F(0)] * d
+    return rows, rhs
+
+
+WIDE = [_wide_system(random.Random(10_000 + seed)) for seed in range(2000)]
+
+
+def _covering_lps():
+    """The covering systems `nonneg_covering_exists` solves for seeded
+    4 x 4 generators: nonnegative integer ones, each also conjugated by a
+    unimodular matrix, and signed ones; recorded as they reach the
+    simplex."""
+    seen = []
+
+    def spy(rows, rhs):
+        seen.append((rows, rhs))
+        return feasible_ge(rows, rhs)
+
+    rng = random.Random(21)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "feasible_ge", spy)
+        for _ in range(40):
+            a = Mat.from_rows([[rng.randint(0, 3) for _ in range(4)]
+                               for _ in range(4)])
+            for gen in (a, conjugate(a, random_unimodular(rng, 4)),
+                        random_mat(rng, 4, height=3)):
+                nonneg_covering_exists(generate(4, [gen]))
+        nonneg_covering_exists(generate(2, [Mat.from_rows([[0, 1], [-1, 0]])]))
+    return seen
+
+
+COVERING = _covering_lps()
+
+
+def test_wide_samples_cover_every_case():
+    assert sum(len(r) >= 12 and len(r[0]) >= 5 for r, _ in WIDE) >= 100
+    assert sum(any(bv < 0 for bv in b) and any(bv > 0 for bv in b)
+               for _, b in WIDE) >= 1000
+    verdicts = [full_tableau_feasible_ge(r, b) is None for r, b in WIDE]
+    assert sum(verdicts) >= 300 and len(verdicts) - sum(verdicts) >= 300
+    assert sum(len(r) == 16 for r, _ in COVERING) >= 60
+    covered = [full_tableau_feasible_ge(r, b) is not None for r, b in COVERING]
+    assert sum(covered) >= 30 and len(covered) - sum(covered) >= 1
+
+
+@pytest.mark.parametrize("start", range(0, 2000, 250))
+def test_same_result_as_full_tableau(start):
+    for rows, rhs in WIDE[start:start + 250]:
+        assert feasible_ge(rows, rhs) == full_tableau_feasible_ge(rows, rhs)
+
+
+def test_same_covering_points_as_full_tableau():
+    for rows, rhs in COVERING:
+        assert feasible_ge(rows, rhs) == full_tableau_feasible_ge(rows, rhs)
+
+
+def test_full_tableau_oracle_raises_on_the_same_shapes():
+    for rows, rhs in MALFORMED:
+        with pytest.raises(ValueError):
+            full_tableau_feasible_ge(rows, rhs)

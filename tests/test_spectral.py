@@ -7,7 +7,7 @@ from algforge.algebra import generate
 from algforge.matrices import (Mat, companion, conjugate, direct_sum,
                                identity, jordan_cell, matrix_unit, poly_at,
                                zero)
-from algforge.polynomials import Poly, poly_from_roots
+from algforge.polynomials import Poly
 from algforge.spectral import (JordanSpec, block_projector_poly, char_data,
                                char_poly,
                                eigenvalue_multiplicity,
@@ -17,7 +17,8 @@ from algforge.spectral import (JordanSpec, block_projector_poly, char_data,
                                rational_spectral_projector,
                                spectral_radius_bound,
                                structural_decomposition)
-from oracles import faddeev_char_poly, random_mat, random_unimodular
+from oracles import (faddeev_char_poly, poly_from_roots, random_mat,
+                     random_unimodular)
 
 F = Fraction
 

@@ -552,10 +552,14 @@ def single_generator_nonneg(a: Mat) -> Certificate:
     """Certificate: <A> is generated by one nonnegative matrix up to
     similarity, for A with at least one rational eigenvalue.
 
-    The smallest rational eigenvalue is shifted to zero; the nilpotent part
-    is brought to Jordan form (nonnegative); when an invertible complement
-    remains, a single shifted generator is produced as in the minimal
-    direct-sum construction.
+    The smallest rational eigenvalue lam, of algebraic multiplicity m, picks
+    one of three cases:
+    - m = n: A - lam I is nilpotent, and its Jordan form is nonnegative;
+    - m = 1: lam is simple, and `positive_single_generator` gives (C, B)
+      with <B> = <A> and C^{-1} B C strictly positive;
+    - 1 < m < n: A - lam I splits as P (+) N with N nilpotent, and a
+      single shifted generator is produced as in the minimal direct-sum
+      construction.
     """
     n = a.rows
     roots = rational_roots(char_poly(a))
@@ -567,6 +571,9 @@ def single_generator_nonneg(a: Mat) -> Certificate:
     if m == n:
         c_total, _ = nilpotent_jordan_basis(a0)
         gen_out = conjugate(a0, c_total)
+    elif m == 1:
+        c_total, b = positive_single_generator(a, lam)
+        gen_out = conjugate(b, c_total)
     else:
         c1, mult, _ = generalized_eigensplit(a, lam)
         if mult != m:
@@ -576,18 +583,10 @@ def single_generator_nonneg(a: Mat) -> Certificate:
         p_blk = split.submatrix(range(k1), range(k1))
         q_blk = split.submatrix(range(k1, n), range(k1, n))
         _check_block_diagonal(split, k1)
-        if m == 1:
-            # <P (+) [0]> = R in the trailing slot: move it up front and use
-            # the scalar extension construction on the single generator P.
-            cycle = permutation_matrix([(i - 1) % n for i in range(n)])
-            s, gens = scalar_extension_positive_generators([p_blk])
-            c_total = c1 @ cycle @ s
-            gen_out = gens[0]
-        else:
-            _, u = _min_nonneg_shift(p_blk, q_blk, q_blk)
-            c2, c2_inv = _padded_uniformizer(k1, m - 1)
-            gen_out = c2_inv @ u @ c2
-            c_total = c1 @ c2
+        _, u = _min_nonneg_shift(p_blk, q_blk, q_blk)
+        c2, c2_inv = _padded_uniformizer(k1, m - 1)
+        gen_out = c2_inv @ u @ c2
+        c_total = c1 @ c2
     return _certified(Certificate(
         claim="single-generator-nonneg",
         inputs={"generator": a},

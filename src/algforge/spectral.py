@@ -23,7 +23,7 @@ from operator import mul
 from .algebra import Algebra, conjugate_algebra
 from .linear import EchelonSpan, first_dependency, rank
 from .matrices import (Mat, conjugate, direct_sum, identity, inverse,
-                       jordan_cell, kernel, matrix_unit, poly_at, span_rows,
+                       jordan_cell, kernel, matrix_unit, span_rows,
                        stack)
 from .polynomials import (P_ONE, Poly, multiplicity_one_part, poly_crt,
                           poly_gcd, rational_roots,
@@ -128,16 +128,25 @@ def block_projector_poly(mu_target: Poly, mu_others: Poly) -> Poly:
 
 def rational_spectral_projector(a: Mat, lam: int | Fraction) -> Mat:
     """The projector onto the generalized eigenspace of a rational
-    eigenvalue, along the remaining generalized eigenspaces."""
+    eigenvalue, along the remaining generalized eigenspaces.
+
+    With m the multiplicity of lam in the characteristic polynomial and
+    N = (A - lam I)^m, the columns of X span ker N (the generalized
+    eigenspace) and the rows of Y^T span the left kernel {y : y N = 0},
+    which annihilates every other generalized eigenspace.  Y^T X is then
+    invertible and the projector is P = X (Y^T X)^-1 Y^T.
+    """
     lam = Fraction(lam)
-    mu = min_poly(a)
-    e = eigenvalue_multiplicity(mu, lam)
-    if e == 0:
+    m = eigenvalue_multiplicity(char_poly(a), lam)
+    if m == 0:
         raise ValueError("not an eigenvalue of the matrix")
-    target = Poly.of(-lam, 1) ** e
-    others = mu // target
-    h = block_projector_poly(target, others)
-    p = poly_at(h, a)
+    shifted = a - lam * identity(a.rows)
+    power = shifted
+    for _ in range(m - 1):
+        power = power @ shifted
+    x = stack(kernel(power)).transpose()
+    yt = stack(kernel(power.transpose()))
+    p = x @ inverse(yt @ x) @ yt
     if p @ p != p or a @ p != p @ a:
         raise ArithmeticError("projector construction failed")
     return p

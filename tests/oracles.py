@@ -15,7 +15,8 @@ kernel, the verifier's integer product by the dense sum over every inner
 index instead of the sum of rows weighted by nonzero entries, phase-1
 simplex feasibility by a Fraction tableau instead of the fraction-free
 integer one and by the full integer tableau instead of its stored u and s
-columns, and kernels, solutions, span
+columns, spectral projectors by the min_poly and CRT polynomial instead of
+generalized eigenvectors, and kernels, solutions, span
 intersections, Jordan bases, eigenvalue splits, the structural
 decomposition and the center by the Fraction-vector routines that the
 integer-row engine replaced, the semi-commuting pair of a pattern
@@ -751,6 +752,24 @@ def full_tableau_feasible_ge(a_rows: Sequence[Sequence[Fraction]],
         elif var < 2 * d:
             x[var - d] -= line[ncols]
     return [Fraction(v, den) for v in x]
+
+
+# -- the spectral projector as a polynomial in the matrix -----------------------
+
+def polynomial_spectral_projector(a: Mat, lam: int | Fraction) -> Mat:
+    """h(A) for the h with h = 1 mod (x - lam)^e and h = 0 mod mu / (x -
+    lam)^e, where mu is the minimal polynomial and e the multiplicity of lam
+    in it."""
+    from algforge.matrices import poly_at
+    from algforge.polynomials import root_multiplicity
+    from algforge.spectral import block_projector_poly, min_poly
+    lam = Fraction(lam)
+    mu = min_poly(a)
+    e = root_multiplicity(mu, lam)
+    if e == 0:
+        raise ValueError("not an eigenvalue of the matrix")
+    target = Poly.of(-lam, 1) ** e
+    return poly_at(block_projector_poly(target, mu // target), a)
 
 
 # -- builders the tests use and the package does not ---------------------------

@@ -32,7 +32,7 @@ from algforge.matrices import (Mat, commutator, companion, conjugate,
                                uniformizer, zero)
 from algforge.polynomials import Poly
 from algforge.spectral import JordanSpec
-from algforge.verify import verify_certificate
+from algforge.verify import verify_certificate, verify_document
 from oracles import (conjugated_pair, pairwise_is_transitive,
                      pattern_from_positions, random_mat, random_pattern,
                      random_unimodular)
@@ -393,10 +393,12 @@ def test_single_generator_nonneg():
     assert is_nonneg(cert.outputs[0])
     assert generate(3, [cert.outputs[0]]).dim == generate(3, [a]).dim
 
-    # multiplicity-1 rational eigenvalue routes through the scalar extension
+    # a simple rational eigenvalue goes straight to positive_single_generator,
+    # whose conjugated shift is strictly positive
     a = direct_sum([diag(2), jordan_cell(2, 3)])
     cert = single_generator_nonneg(a)
     assert verify_certificate(cert) == []
+    assert is_positive(cert.outputs[0])
 
     # several nilpotent cells plus an invertible part, off Jordan coordinates
     from oracles import random_unimodular
@@ -407,6 +409,63 @@ def test_single_generator_nonneg():
 
     with pytest.raises(ValueError):
         single_generator_nonneg(Mat.from_rows([[0, -1], [1, 0]]))
+
+
+def _planted_simple_eigenvalue(rng, n):
+    """An n x n integer matrix whose only rational eigenvalue is simple: the
+    eigenvalue beside the companion block of the Eisenstein polynomial
+    x^(n-1) + 2 a_(n-2) x^(n-2) + ... + 2 a_1 x + 2c (c odd), conjugated by
+    a unimodular matrix."""
+    coeffs = [2 * (2 * rng.randint(-2, 1) + 1)]
+    coeffs += [2 * rng.randint(-2, 2) for _ in range(n - 2)]
+    lam = rng.randint(-3, 3)
+    top = [lam] + [rng.randint(-2, 2) for _ in range(n - 1)]
+    block = companion(Poly.from_coeffs(coeffs + [1]))
+    rows = [top] + [[0] + list(r) for r in block.num]
+    return conjugate(Mat.from_rows(rows), random_unimodular(rng, n))
+
+
+def test_single_generator_simple_eigenvalue_is_positive():
+    rng = random.Random(4242)
+    for n in range(3, 7):
+        for _ in range(2):
+            a = _planted_simple_eigenvalue(rng, n)
+            cert = single_generator_nonneg(a)
+            out = cert.outputs[0]
+            assert is_positive(out)
+            assert verify_certificate(cert) == []
+            assert generate(n, [out]) == conjugate_algebra(
+                generate(n, [a]), cert.transform)
+            # one entry raised by 1 leaves the algebra
+            doc = cert.to_json()
+            i, j = rng.randrange(n), rng.randrange(n)
+            row = doc["outputs"][0]["entries"][i]
+            row[j] = str(Fraction(row[j]) + 1)
+            assert verify_document(doc) != []
+
+
+def test_single_generator_simple_eigenvalue_skips_the_split(monkeypatch):
+    calls = {"split": 0, "extension": 0}
+
+    def counted(name, key):
+        original = getattr(constructions, name)
+
+        def wrapper(*args):
+            calls[key] += 1
+            return original(*args)
+        monkeypatch.setattr(constructions, name, wrapper)
+    counted("generalized_eigensplit", "split")
+    counted("scalar_extension_positive_generators", "extension")
+
+    a = _planted_simple_eigenvalue(random.Random(7), 4)
+    assert verify_certificate(single_generator_nonneg(a)) == []
+    assert verify_certificate(single_generator_nonneg(
+        direct_sum([diag(2), jordan_cell(2, 3)]))) == []
+    assert calls == {"split": 0, "extension": 0}
+    # 1 < m < n still splits off the nilpotent part
+    cert = single_generator_nonneg(direct_sum([diag(7), jordan_cell(2, 0)]))
+    assert verify_certificate(cert) == []
+    assert calls == {"split": 1, "extension": 0}
 
 
 # -- incidence constructions -----------------------------------------------------

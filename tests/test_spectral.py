@@ -17,7 +17,8 @@ from algforge.spectral import (JordanSpec, block_projector_poly, char_data,
                                rational_spectral_projector,
                                spectral_radius_bound,
                                structural_decomposition)
-from oracles import (faddeev_char_poly, poly_from_roots, random_mat,
+from oracles import (faddeev_char_poly, poly_from_roots,
+                     polynomial_spectral_projector, random_mat,
                      random_unimodular)
 
 F = Fraction
@@ -100,6 +101,39 @@ def test_projector_rank_is_algebraic_multiplicity():
         mult = eigenvalue_multiplicity(char_poly(a), lam)
         assert proj @ proj == proj
         assert rank(proj.num) == mult
+
+
+def test_projector_matches_the_polynomial_oracle():
+    # seeded unimodular conjugates of Jordan forms, one target eigenvalue of
+    # multiplicity 1-3 (one or two cells) beside other rational cells and,
+    # sometimes, the irrational pair of x^2 - 2; sizes 2-6
+    rng = random.Random(2222)
+    seen = set()
+    for _ in range(60):
+        mult = rng.randint(1, 3)
+        n = rng.randint(max(2, mult), 6)
+        lam = F(rng.randint(-3, 3), rng.choice((1, 1, 2)))
+        first = rng.randint(1, mult)
+        blocks = [jordan_cell(s, lam) for s in (first, mult - first) if s]
+        rest = n - mult
+        if rest >= 2 and rng.random() < 0.4:
+            blocks.append(companion(Poly.of(-2, 0, 1)))
+            rest -= 2
+        others = [e for e in range(-4, 5) if e != lam]
+        while rest:
+            s = rng.randint(1, rest)
+            blocks.append(jordan_cell(s, rng.choice(others)))
+            rest -= s
+        rng.shuffle(blocks)
+        a = conjugate(direct_sum(blocks), random_unimodular(rng, n))
+        assert eigenvalue_multiplicity(char_poly(a), lam) == mult
+        proj = rational_spectral_projector(a, lam)
+        assert proj == polynomial_spectral_projector(a, lam)
+        seen.add((mult, n))
+        with pytest.raises(ValueError):
+            rational_spectral_projector(a, F(11, 3))
+    assert {m for m, _ in seen} == {1, 2, 3}
+    assert {n for _, n in seen} == {2, 3, 4, 5, 6}
 
 
 def test_spectral_radius_bound():

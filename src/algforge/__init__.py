@@ -31,13 +31,13 @@ from .matrices import (Mat, Support, commutator, companion, conjugate,
                        permutation_matrix, poly_at, regular_triangular,
                        support, support_union, uniform_norm, uniformizer,
                        uniformizer_inv, zero)
-from .polynomials import (Poly, multiplicity_one_part, poly_crt, poly_gcd,
+from .polynomials import (Poly, multiplicity_one_part, poly_gcd,
                           rational_roots, squarefree_decomposition,
                           sturm_real_root_count)
-from .spectral import (CharData, JordanSpec, block_projector_poly, char_data,
-                       char_poly, has_simple_real_eigenvalue, min_poly,
-                       orbit_span, rational_spectral_projector,
-                       spectral_radius_bound, structural_decomposition)
+from .spectral import (CharData, JordanSpec, char_data, char_poly,
+                       has_simple_real_eigenvalue, min_poly, orbit_span,
+                       rational_spectral_projector, spectral_radius_bound,
+                       structural_decomposition)
 from .verify import verify_certificate, verify_document
 
 __version__ = "0.1.0"

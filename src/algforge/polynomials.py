@@ -285,23 +285,6 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     return _normal(a[-1], a)
 
 
-def poly_xgcd(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
-    """Extended gcd: returns (g, u, v) monic g with u*p + v*q = g."""
-    if p.is_zero and q.is_zero:
-        raise ValueError("gcd of two zero polynomials")
-    r0, r1 = p, q
-    u0, u1 = P_ONE, P_ZERO
-    v0, v1 = P_ZERO, P_ONE
-    while not r1.is_zero:
-        qq, rr = divmod(r0, r1)
-        r0, r1 = r1, rr
-        u0, u1 = u1, u0 - qq * u1
-        v0, v1 = v1, v0 - qq * v1
-    # times 1 / lead(r0) = den / num[-1]
-    den, lead = r0.den, r0.num[-1]
-    return r0.monic(), _scaled(u0, den, lead), _scaled(v0, den, lead)
-
-
 def squarefree_decomposition(p: Poly) -> list[Poly]:
     """Yun decomposition of a nonzero p: returns monic [a1, a2, ...] with
     p ~ prod a_i^i and each a_i squarefree, pairwise coprime."""
@@ -379,35 +362,6 @@ def sturm_real_root_count(p: Poly) -> int:
         raise ValueError("zero polynomial")
     chain, b = _sturm_chain(p)
     return _variations(chain, -1 << b, 0) - _variations(chain, 1 << b, 0)
-
-
-def poly_crt(pairs: Sequence[tuple[Poly, Poly]]) -> Poly:
-    """Chinese remainder interpolation: the unique h with h = r_i (mod m_i)
-    and deg h < sum deg m_i, for pairwise coprime moduli.
-
-    Raises ValueError when two moduli share a factor or a residue is not
-    reduced below its modulus.
-    """
-    if not pairs:
-        raise ValueError("empty congruence system")
-    for m, r in pairs:
-        if m.is_zero:
-            raise ValueError("zero modulus")
-        if r.degree >= m.degree:
-            raise ValueError("residue degree not below modulus degree")
-    h, big = pairs[0][1], pairs[0][0]
-    for m, r in pairs[1:]:
-        g, u, _ = poly_xgcd(big, m)
-        if g.degree != 0:
-            raise ValueError("moduli are not coprime: spectra are not disjoint")
-        if m.degree == 0:
-            continue
-        # h' = h + big * t with t = (r - h) * big^{-1} mod m
-        t = ((r - h) * u) % m
-        h = h + big * t
-        big = big * m
-        h = h % big
-    return h
 
 
 def root_multiplicity(p: Poly, r: Fraction) -> int:

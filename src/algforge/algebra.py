@@ -73,6 +73,8 @@ class Algebra:
         return self._span.contains(x.numerators())
 
     def support(self) -> Support:
+        if not self.basis:  # the algebra of 0 x 0 matrices: empty support
+            return Support(self.n, frozenset())
         return support_union(self.basis)
 
     def is_closed(self) -> bool:

@@ -32,15 +32,15 @@ from .incidence import (IncidencePattern, incidence_of_dimension,
                         triangularize_incidence)
 from .linear import rank
 from .matrices import (Mat, conjugate, direct_sum, identity, inverse,
-                       is_nonneg, is_positive, kernel, min_support_entry,
-                       ones, permutation_matrix, poly_at, regular_triangular,
-                       stack, support, uniform_norm, uniformizer,
-                       uniformizer_inv, zero)
+                       is_nonneg, is_positive, kernel, ones,
+                       permutation_matrix, poly_at, regular_triangular, stack,
+                       support, uniform_norm, uniformizer, uniformizer_inv,
+                       zero)
 from .polynomials import (Poly, multiplicity_one_part, poly_gcd,
                           rational_roots, sturm_real_root_count)
-from .spectral import (JordanSpec, char_poly, eigenvalue_multiplicity,
-                       generalized_eigensplit, nilpotent_jordan_basis,
-                       rational_spectral_projector, spectral_radius_bound)
+from .spectral import (JordanSpec, _spectral_projector, char_poly,
+                       eigenvalue_multiplicity, generalized_eigensplit,
+                       nilpotent_jordan_basis, spectral_radius_bound)
 from .verify import verify_certificate
 
 
@@ -83,9 +83,19 @@ def _certified(cert: Certificate) -> Certificate:
 
 def _shifted(mats: Sequence[Mat], m: Mat) -> list[Mat]:
     """B + ((|B| + 1) / min support entry of M) M for each B: every entry at
-    a support position of M comes out at least 1."""
-    low = min_support_entry(m)
-    return [b + ((uniform_norm(b) + 1) / low) * m for b in mats]
+    a support position of M comes out at least 1.
+
+    On numerators, with B = N / d, |B| = h / d and M = K / e whose least
+    positive entry is l / e, that is (l N + (h + d) K) / (d l)."""
+    low = min(v for row in m.num for v in row if v > 0)
+    out = []
+    for b in mats:
+        d = b.den
+        k = max((abs(v) for row in b.num for v in row), default=0) + d
+        out.append(Mat.from_ints(b.rows, b.cols, d * low, [
+            [low * x + k * y for x, y in zip(rb, rm)]
+            for rb, rm in zip(b.num, m.num)]))
+    return out
 
 
 # -- nonnegative / positive generating systems --------------------------------
@@ -177,24 +187,40 @@ def positive_single_generator(a: Mat, lam: int | Fraction) -> tuple[Mat, Mat]:
     """(C, B) with C^{-1} B C > 0 and <B> = <A>, for a matrix with a simple
     rational eigenvalue lam.
 
-    B = A + beta*E shifts the rank-one spectral projector E of lam by
-    beta = max(n*|C^{-1}AC| + 1, 2*rho_bound(A) + 1); both postconditions
-    are verified exactly.
+    Raises ValueError unless lam has multiplicity 1 in the characteristic
+    polynomial.  `_positive_shift` builds (C, B) and checks positivity;
+    <B> = <A> is checked here, by closing both.
     """
     lam = Fraction(lam)
-    n = a.rows
     if eigenvalue_multiplicity(char_poly(a), lam) != 1:
         raise ValueError("eigenvalue is not simple (algebraic multiplicity 1)")
-    e = rational_spectral_projector(a, lam)
+    c, b, _ = _positive_shift(a, lam)
+    if not generates(generate(a.rows, [a]), [b]):
+        raise ArithmeticError("shift changed the generated algebra")
+    return c, b
+
+
+def _positive_shift(a: Mat, lam: Fraction) -> tuple[Mat, Mat, Mat]:
+    """(C, B, C^{-1} B C) for lam of multiplicity 1 in the characteristic
+    polynomial of A, which the caller has checked; raises ArithmeticError
+    unless C^{-1} B C is strictly positive.
+
+    B = A + beta*E shifts the rank-one spectral projector E of lam by
+    beta = max(n*|C^{-1}AC| + 1, 2*rho_bound(A) + 1).  C^{-1} E C is the
+    flat idempotent (checked by `uniformize_rank1_idempotent`), so
+    C^{-1} B C = C^{-1} A C + beta ones(n)/n with no second conjugation.
+    B is a polynomial in A, so <B> lies in <A>; that the two are equal is
+    not checked here.
+    """
+    n = a.rows
+    e = _spectral_projector(a, lam, 1)
     c = uniformize_rank1_idempotent(e)
     conj_a = conjugate(a, c)
     beta = max(n * uniform_norm(conj_a) + 1, 2 * spectral_radius_bound(a) + 1)
-    b = a + beta * e
-    if not is_positive(conjugate(b, c)):
+    conj_b = conj_a + beta * _flat_idempotent(n)
+    if not is_positive(conj_b):
         raise ArithmeticError("shifted generator is not positive")
-    if not generates(generate(n, [a]), [b]):
-        raise ArithmeticError("shift changed the generated algebra")
-    return c, b
+    return c, a + beta * e, conj_b
 
 
 def scalar_extension_positive_generators(
@@ -516,7 +542,7 @@ def central_eigenvalue_split(a: Algebra, z: Mat,
         nil = cell - lam * identity(n)
         final = poly_at(Poly.of(1, 1) ** (n - 1), nil)  # (I + N)^(n-1)
     elif k == 1:
-        proj = rational_spectral_projector(z, lam)
+        proj = _spectral_projector(z, lam, 1)
         c_total = uniformize_rank1_idempotent(proj)
         final = _flat_idempotent(n)
     else:
@@ -555,8 +581,10 @@ def single_generator_nonneg(a: Mat) -> Certificate:
     The smallest rational eigenvalue lam, of algebraic multiplicity m, picks
     one of three cases:
     - m = n: A - lam I is nilpotent, and its Jordan form is nonnegative;
-    - m = 1: lam is simple, and `positive_single_generator` gives (C, B)
-      with <B> = <A> and C^{-1} B C strictly positive;
+    - m = 1: lam is simple, and `_positive_shift` gives (C, B) with B a
+      polynomial in A and C^{-1} B C strictly positive; that
+      <C^{-1} B C> = C^{-1} <A> C is checked once, by the verifier, like
+      every other case;
     - 1 < m < n: A - lam I splits as P (+) N with N nilpotent, and a
       single shifted generator is produced as in the minimal direct-sum
       construction.
@@ -572,8 +600,9 @@ def single_generator_nonneg(a: Mat) -> Certificate:
         c_total, _ = nilpotent_jordan_basis(a0)
         gen_out = conjugate(a0, c_total)
     elif m == 1:
-        c_total, b = positive_single_generator(a, lam)
-        gen_out = conjugate(b, c_total)
+        # <C^{-1} B C> = C^{-1} <A> C is the certificate's claim, which
+        # `_certified` checks, so the shift is not closed here as well
+        c_total, _, gen_out = _positive_shift(a, lam)
     else:
         c1, mult, _ = generalized_eigensplit(a, lam)
         if mult != m:
@@ -720,7 +749,8 @@ def classify_positive_generation(a: Algebra, budget: int = 64,
         simple_rationals = [r for r, _ in rational_roots(m1)]
         if simple_rationals:
             lam = simple_rationals[0]
-            proj = rational_spectral_projector(x, lam)
+            # a root of the multiplicity-one part is simple in char_poly(x)
+            proj = _spectral_projector(x, lam, 1)
             c = uniformize_rank1_idempotent(proj)
             conj_alg = conjugate_algebra(a, c)
             gens = positive_generators_from_positive(conj_alg,

@@ -21,9 +21,11 @@ reader and writer use it (polynomials themselves have no wire form):
 writes straight to an integer pair, and ``wire_rational`` writes it from
 an integer over a denominator.
 
-Real-root counts and rational roots (by Sturm bisection, polynomial in the
-coefficients' bit lengths) share one integer Sturm chain and one
-sign-variation counter at dyadic points.
+Real-root counts and rational roots share one integer Sturm chain and one
+sign-variation counter at dyadic points; rational roots (polynomial in the
+coefficients' bit lengths) then bisect each isolated root on the sign of
+the squarefree part alone, down to width 1/L for its leading coefficient
+L.
 """
 
 from __future__ import annotations
@@ -341,17 +343,20 @@ def _sturm_chain(p: Poly) -> tuple[list[list[int]], int]:
     return ints, b
 
 
+def _at(coeffs: list[int], a: int, e: int) -> int:
+    """The integer 2^(e deg) q(a / 2^e), whose sign is that of q at the
+    dyadic point a / 2^e, for q with integer coefficients (ascending)."""
+    acc, shift = 0, 0
+    for c in reversed(coeffs):
+        acc = acc * a + (c << shift)
+        shift += e
+    return acc
+
+
 def _variations(chain: list[list[int]], a: int, e: int) -> int:
     """Sign variations of the chain at the dyadic point a / 2^e, zeros
-    skipped; each member is evaluated as the integer 2^(e deg) q(a / 2^e)."""
-    signs = []
-    for coeffs in chain:
-        acc, shift = 0, 0
-        for c in reversed(coeffs):
-            acc = acc * a + (c << shift)
-            shift += e
-        if acc:
-            signs.append(acc > 0)
+    skipped."""
+    signs = [v > 0 for v in (_at(q, a, e) for q in chain) if v]
     return sum(x != y for x, y in zip(signs, signs[1:]))
 
 
@@ -381,17 +386,21 @@ def root_multiplicity(p: Poly, r: Fraction) -> int:
 def rational_roots(p: Poly) -> list[tuple[Fraction, int]]:
     """All rational roots of p with multiplicities, sorted ascending.
 
-    Sturm bisection of the squarefree part s: a rational root of s has a
-    denominator dividing the leading coefficient L of s's primitive integer
-    form, and two such fractions differ by at least 1/L^2.  So once a root
-    is alone in a dyadic interval shorter than 1/L^2, the fraction with
-    denominator <= L nearest the midpoint is the only candidate there.
+    The Sturm chain of the squarefree part s isolates each real root in a
+    dyadic interval (lo, hi]; then the sign of s alone halves that
+    interval, keeping (lo, mid] when s(mid) is 0 or has the sign of s(hi),
+    until it is narrower than 1/L, where L is the leading coefficient of
+    s's primitive integer form.  A rational root r = u/q of s has q | L
+    (the rational root theorem), so L r is an integer, and a half-open
+    interval narrower than 1/L holds at most one point k/L: the one with
+    k = floor(hi L).  That point is the root exactly when s(k/L) = 0.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
     s = p // poly_gcd(p, p.derivative())
     chain, b = _sturm_chain(s)
-    lead = abs(chain[0][-1])
+    top = chain[0]
+    lead = abs(top[-1])
     roots: list[tuple[Fraction, int]] = []
     # intervals (lo / 2^e, hi / 2^e] with their end variations; popping the
     # lower half first walks them in ascending order
@@ -401,16 +410,29 @@ def rational_roots(p: Poly) -> list[tuple[Fraction, int]]:
         lo, hi, e, vlo, vhi = todo.pop()
         if vlo == vhi:
             continue
-        if vlo - vhi == 1 and (hi - lo) * lead * lead < 1 << e:
-            cand = Fraction(lo + hi, 2 << e).limit_denominator(lead)
-            if Fraction(lo, 1 << e) < cand <= Fraction(hi, 1 << e) \
-                    and s(cand) == 0:
-                roots.append((cand, root_multiplicity(p, cand)))
+        if vlo - vhi > 1:
+            mid = lo + hi
+            vmid = _variations(chain, mid, e + 1)
+            todo.append((mid, 2 * hi, e + 1, vmid, vhi))
+            todo.append((2 * lo, mid, e + 1, vlo, vmid))
             continue
-        mid = lo + hi
-        vmid = _variations(chain, mid, e + 1)
-        todo.append((mid, 2 * hi, e + 1, vmid, vhi))
-        todo.append((2 * lo, mid, e + 1, vlo, vmid))
+        # s is squarefree, so between the root and hi it has the sign of
+        # s(hi), and the opposite sign between lo and the root
+        at_hi = _at(top, hi, e)
+        sign_hi = (at_hi > 0) - (at_hi < 0)
+        while (hi - lo) * lead >= 1 << e:
+            mid = lo + hi
+            e += 1
+            at_mid = _at(top, mid, e)
+            if not at_mid or (at_mid > 0) - (at_mid < 0) == sign_hi:
+                lo, hi = 2 * lo, mid
+            else:
+                lo, hi = mid, 2 * hi
+        k = (hi * lead) >> e
+        if k << e > lo * lead:
+            cand = Fraction(k, lead)
+            if s(cand) == 0:
+                roots.append((cand, root_multiplicity(p, cand)))
     return roots
 
 

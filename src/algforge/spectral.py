@@ -114,16 +114,26 @@ def rational_spectral_projector(a: Mat, lam: int | Fraction) -> Mat:
     """The projector onto the generalized eigenspace of a rational
     eigenvalue, along the remaining generalized eigenspaces.
 
-    With m the multiplicity of lam in the characteristic polynomial and
-    N = (A - lam I)^m, the columns of X span ker N (the generalized
-    eigenspace) and the rows of Y^T span the left kernel {y : y N = 0},
-    which annihilates every other generalized eigenspace.  Y^T X is then
-    invertible and the projector is P = X (Y^T X)^-1 Y^T.
+    It reads the multiplicity m of lam from the characteristic polynomial
+    and hands it to `_spectral_projector`; a caller that already holds m
+    calls that step directly and skips the characteristic polynomial.
     """
     lam = Fraction(lam)
     m = eigenvalue_multiplicity(char_poly(a), lam)
     if m == 0:
         raise ValueError("not an eigenvalue of the matrix")
+    return _spectral_projector(a, lam, m)
+
+
+def _spectral_projector(a: Mat, lam: Fraction, m: int) -> Mat:
+    """The spectral projector of lam, given its multiplicity m >= 1 in the
+    characteristic polynomial of A.
+
+    With N = (A - lam I)^m, the columns of X span ker N (the generalized
+    eigenspace) and the rows of Y^T span the left kernel {y : y N = 0},
+    which annihilates every other generalized eigenspace.  Y^T X is then
+    invertible and the projector is P = X (Y^T X)^-1 Y^T.
+    """
     shifted = a - lam * identity(a.rows)
     power = shifted
     for _ in range(m - 1):

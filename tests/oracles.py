@@ -24,7 +24,9 @@ integer-row engine replaced, the semi-commuting pair of a pattern
 that is not upper-triangular by conjugating the triangularized pattern's
 pair back instead of ranking the diagonal by a topological order, and a
 pattern's transitivity by the pairwise loop over its positions instead
-of successor-set inclusion.  It also holds code that only the tests
+of successor-set inclusion, and rational roots by refining each isolated
+root on the whole Sturm chain to width 1/L^2 instead of on the squarefree
+part alone to width 1/L.  It also holds code that only the tests
 use: `poly_from_roots`, `pattern_from_positions`, and `poly_xgcd`,
 `poly_crt` and `block_projector_poly` behind the polynomial projector.
 """
@@ -39,7 +41,8 @@ from typing import Iterable, Sequence
 
 from algforge.incidence import IncidencePattern
 from algforge.matrices import Mat, identity, zero
-from algforge.polynomials import P_ONE, P_ZERO, Poly, _scaled, poly_gcd
+from algforge.polynomials import (P_ONE, P_ZERO, Poly, _scaled, _sturm_chain,
+                                  _variations, poly_gcd, root_multiplicity)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -838,6 +841,44 @@ def polynomial_spectral_projector(a: Mat, lam: int | Fraction) -> Mat:
         raise ValueError("not an eigenvalue of the matrix")
     target = Poly.of(-lam, 1) ** e
     return poly_at(block_projector_poly(target, mu // target), a)
+
+
+# -- rational roots refined on the whole Sturm chain -------------------------
+
+def full_chain_rational_roots(p: Poly) -> list[tuple[Fraction, int]]:
+    """All rational roots of p with multiplicities, sorted ascending.
+
+    Sturm bisection of the squarefree part s: a rational root of s has a
+    denominator dividing the leading coefficient L of s's primitive integer
+    form, and two such fractions differ by at least 1/L^2.  So once a root
+    is alone in a dyadic interval shorter than 1/L^2, the fraction with
+    denominator <= L nearest the midpoint is the only candidate there.
+    """
+    if p.is_zero:
+        raise ValueError("zero polynomial")
+    s = p // poly_gcd(p, p.derivative())
+    chain, b = _sturm_chain(s)
+    lead = abs(chain[0][-1])
+    roots: list[tuple[Fraction, int]] = []
+    # intervals (lo / 2^e, hi / 2^e] with their end variations; popping the
+    # lower half first walks them in ascending order
+    todo = [(-1 << b, 1 << b, 0, _variations(chain, -1 << b, 0),
+             _variations(chain, 1 << b, 0))]
+    while todo:
+        lo, hi, e, vlo, vhi = todo.pop()
+        if vlo == vhi:
+            continue
+        if vlo - vhi == 1 and (hi - lo) * lead * lead < 1 << e:
+            cand = Fraction(lo + hi, 2 << e).limit_denominator(lead)
+            if Fraction(lo, 1 << e) < cand <= Fraction(hi, 1 << e) \
+                    and s(cand) == 0:
+                roots.append((cand, root_multiplicity(p, cand)))
+            continue
+        mid = lo + hi
+        vmid = _variations(chain, mid, e + 1)
+        todo.append((mid, 2 * hi, e + 1, vmid, vhi))
+        todo.append((2 * lo, mid, e + 1, vlo, vmid))
+    return roots
 
 
 # -- builders the tests use and the package does not ---------------------------

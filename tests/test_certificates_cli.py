@@ -201,6 +201,15 @@ def test_cli_algebra_commands(monkeypatch, capsys):
     assert json.loads(out)["result"] == "unknown"
 
 
+def test_the_empty_algebra_has_the_empty_covering(monkeypatch, capsys):
+    code, out, _ = _run(["algebra-covering"],
+                        stdin_text='{"n": 0, "gens": []}',
+                        monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0
+    empty = {"rows": 0, "cols": 0, "entries": []}
+    assert json.loads(out) == {"covering": empty, "nonneg_covering": empty}
+
+
 def test_cli_verify_accepts_all_document_shapes(monkeypatch, capsys):
     docs = [c.to_json() for c in solve_all_dimensions(2)]
     # bare list of certificates

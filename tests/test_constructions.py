@@ -88,6 +88,22 @@ def test_nonneg_generators_regenerate_conjugated_incidence_algebras():
         checked += 1
 
 
+def test_shift_on_numerators_matches_the_fraction_formula():
+    # B + ((|B| + 1) / min support entry of M) M, entry for entry
+    from algforge.matrices import min_support_entry, uniform_norm
+    rng = random.Random(84)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        m = Mat.from_rows([[F(rng.randint(0, 9) * rng.randint(0, 1),
+                              rng.randint(1, 6)) for _ in range(n)]
+                           for _ in range(n)]) + F(1, 7) * matrix_unit(n, 1, 1)
+        mats = [random_mat(rng, n, height=20) * F(1, rng.randint(1, 9))
+                for _ in range(3)] + [zero(n)]
+        low = min_support_entry(m)
+        assert constructions._shifted(mats, m) == [
+            b + ((uniform_norm(b) + 1) / low) * m for b in mats]
+
+
 def test_nonneg_basis_from_generators():
     gens = nonneg_generators_from_covering(T2, upper_ones(2))
     basis = nonneg_basis_from_generators(gens)
@@ -466,6 +482,46 @@ def test_single_generator_simple_eigenvalue_skips_the_split(monkeypatch):
     cert = single_generator_nonneg(direct_sum([diag(7), jordan_cell(2, 0)]))
     assert verify_certificate(cert) == []
     assert calls == {"split": 1, "extension": 0}
+
+
+def test_single_generator_simple_eigenvalue_closes_once(monkeypatch):
+    # m = 1: the engine neither closes <A> nor <B>, and builds char_poly(A)
+    # once; the verifier's closure checks the certificate's claim
+    from algforge import algebra, spectral, verify
+    calls = {"closure_words": [], "_closure": [], "char_poly": []}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name].append(args)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+    for module, name in ((algebra, "closure_words"), (verify, "_closure"),
+                         (constructions, "char_poly"),
+                         (spectral, "char_poly")):
+        counted(module, name)
+    for seed in (7, 8):
+        a = _planted_simple_eigenvalue(random.Random(seed), 4)
+        for made in calls.values():
+            made.clear()
+        single_generator_nonneg(a)
+        assert calls["char_poly"] == [(a,)]
+        assert calls["closure_words"] == []
+        assert calls["_closure"]
+
+
+def test_positive_single_generator_still_checks_the_shift(monkeypatch):
+    # a shift that loses <A> is refused by the public wrapper's own check
+    real = constructions._positive_shift
+
+    def lossy(a, lam):
+        c, _, conj_b = real(a, lam)
+        return c, identity(a.rows), conj_b
+    monkeypatch.setattr(constructions, "_positive_shift", lossy)
+    with pytest.raises(ArithmeticError,
+                       match="shift changed the generated algebra"):
+        positive_single_generator(diag(1, 2, 2), 1)
 
 
 # -- incidence constructions -----------------------------------------------------

@@ -9,8 +9,8 @@ from algforge.polynomials import (P_ONE, Poly, _sturm_chain,
                                   multiplicity_one_part, poly_gcd,
                                   rational_roots, squarefree_decomposition,
                                   sturm_real_root_count)
-from oracles import (bisection_real_root_count, poly_crt, poly_from_roots,
-                     poly_xgcd)
+from oracles import (bisection_real_root_count, full_chain_rational_roots,
+                     poly_crt, poly_from_roots, poly_xgcd)
 
 X = Poly.of(0, 1)
 
@@ -197,6 +197,58 @@ def test_rational_root_edge_cases():
         assert rational_roots(X ** k) == [(Fraction(0), k)]
     with pytest.raises(ValueError):
         rational_roots(Poly())
+
+
+def _root_sample(seed):
+    """A seeded polynomial of degree at most 10: planted rational roots
+    (denominators up to 50, some repeated, some at 0, at +-2^k or at a
+    dyadic bisection point), an irrational factor x^2 - c or an integer
+    cofactor, and a random integer scale."""
+    rng = random.Random(seed)
+    kind = rng.randrange(4)
+    roots = []
+    for _ in range(rng.randint(0, 4)):
+        if kind == 0:
+            r = Fraction(rng.randint(-200, 200), rng.randint(1, 50))
+        elif kind == 1:
+            r = Fraction(rng.choice((-1, 1)) * 2 ** rng.randint(-6, 12))
+        elif kind == 2:
+            r = Fraction(rng.randint(-64, 64), 2 ** rng.randint(0, 6))
+        else:
+            r = Fraction(0)
+        roots += [r] * rng.choice((1, 1, 2, 3))
+    p = poly_from_roots(roots[:8])
+    room = 10 - p.degree
+    if room >= 2 and rng.random() < 0.5:
+        c = Fraction(rng.choice((2, 3, 5, 7, 12)), rng.choice((1, 4, 9)))
+        p = p * Poly.of(-c, 0, 1)  # x^2 - c, irrational roots unless square
+        room -= 2
+    if room >= 1 and rng.random() < 0.5:
+        top = rng.randint(1, 40) * rng.choice((-1, 1))
+        p = p * Poly.of(*[rng.randint(-30, 30)
+                          for _ in range(rng.randint(1, room))], top)
+    return p * rng.choice((1, -3, 7, Fraction(5, 12)))
+
+
+def test_rational_roots_match_the_full_chain_oracle():
+    c = 2 ** 62 + 1
+    fixed = [
+        # the characteristic polynomial of the benchmark's fixed input
+        Poly.of(-3, 1) * Poly.of(2 * c, 2, 2, 2, 1),
+        Poly.of(-2, 0, 1),
+        Poly.of(-2, 0, 1) * Poly.of(-1, 0, 1) ** 2,
+        X ** 3 * Poly.of(-2, 0, 1),
+        poly_from_roots([Fraction(1, 50), Fraction(-49, 50), Fraction(1, 49)]),
+        poly_from_roots([1, 2, 4, 8, -16, Fraction(1, 2), Fraction(-1, 4)]),
+        poly_from_roots([Fraction(k, 8) for k in range(-4, 5)]),
+        Poly.of(-1, 100),
+    ]
+    found = 0
+    for p in fixed + [_root_sample(seed) for seed in range(400)]:
+        got = rational_roots(p)
+        assert got == full_chain_rational_roots(p)
+        found += len(got)
+    assert found > 400
 
 
 @given(st.lists(st.integers(-6, 6), min_size=1, max_size=5))

@@ -7,7 +7,7 @@ from sympy.solvers.simplex import lpmin
 
 from algforge import simplex
 from algforge.algebra import generate, nonneg_covering_exists
-from algforge.matrices import Mat, conjugate
+from algforge.matrices import Mat, conjugate, zero
 from algforge.simplex import feasible_ge
 from oracles import (fraction_feasible_ge, full_tableau_feasible_ge,
                      random_mat, random_unimodular)
@@ -392,6 +392,7 @@ def test_fraction_rows_with_negative_right_hand_sides():
 
 
 def test_the_algebra_of_zero_by_zero_matrices_has_no_support():
-    # unchanged: the empty basis has no support to cover
-    with pytest.raises(ValueError, match="empty set has no support"):
-        nonneg_covering_exists(generate(0, []))
+    # the empty matrix is nonnegative and covers the empty support
+    alg = generate(0, [])
+    assert alg.support().positions == frozenset()
+    assert nonneg_covering_exists(alg) == zero(0)

@@ -9,8 +9,8 @@ Wire strings parse straight to integers: a matrix is read as a canonical
 grid (den, rows), integer rows over a positive denominator with no common
 factor, so equal matrices have equal grids, and products, differences,
 supports, sign tests and spans all run on those integers.  Each distinct
-entry string of a matrix is parsed once, so a sparse matrix costs one
-parse of "0".  A product skips the zero entries of its left factor: each
+entry string of a document is parsed once, so its sparse matrices share
+one parse of "0".  A product skips the zero entries of its left factor: each
 output row is the sum of the right factor's rows weighted by the nonzero
 entries of the left factor's row, so a product of 0/1 pattern matrices
 costs its nonzeros, not n^3.  `_Span` keeps primitive integer rows with
@@ -32,26 +32,27 @@ on the right by the generators' integer rows, where the engine's worklist
 multiplies on the left.  Generators are admitted lazily: one the span
 already holds is skipped, since the span is always the algebra generated
 by the admitted ones, so a redundant list costs no more products than its
-admitted part.  A claim that two lists generate the same algebra is
-first decided by their unital spans, with no closure: <X> = <span{I, X}>
-for any list X, so span{I, X} = span{I, Y} proves <X> = <Y>.  The
-outputs of a positive-generation certificate have the unital span of
-the conjugated basis, so it verifies with no product beyond the
-conjugations.  When the spans differ, the first list is closed and the
-second checked by containment (`_generates`): each of its matrices must
-lie in the closed span, and it is closed only when I and the matrices
-alone fall short of the span's dimension.  The same worklist also serves
-the engine's check that a loaded algebra basis is closed
-(`algebra.Algebra.is_closed`), under a dimension bound: given one, it
-stops as soon as its span exceeds the bound, which proves the generated
-algebra larger.  Certificate checks never pass a bound, so the worklist
-they run is unchanged.  A reference "in:<name>:<i>" reads item i of a
-list input or basis matrix i of an algebra input, so a certificate
+admitted part.  A claim <X> = <Y>, or <X> = C^{-1} <Y> C, is first
+decided by one elimination, with no closure: <X> = <span{I, X}>, so it
+holds once each y, or C^{-1} y C, lies in span{I, X} and span{I, Y} has
+its dimension.  Conjugation by C is a linear algebra automorphism, so
+the source side is read on the stored Y, and `in_algebra_conjugated`
+tests C X C^{-1} against the stored span.  A positive-generation
+certificate so verifies with no product beyond the conjugations.
+Otherwise the first list is closed, each y (or C^{-1} y C) must lie in
+it, and the stored Y is closed only when span{I, Y} falls short.  The
+same worklist also serves the engine's check that a loaded algebra
+basis is closed (`algebra.Algebra.is_closed`), under a dimension bound:
+given one, it stops as soon as its span exceeds the bound, which proves
+the generated algebra larger.  Certificate checks never pass a bound, so
+the worklist they run is unchanged.  A reference "in:<name>:<i>" reads
+item i of a list input or basis matrix i of an algebra input, so a certificate
 stores an algebra once and names its basis matrices as a source list.
 Within one `verify_document` call each referenced matrix is parsed once,
 an algebra's basis matrices included, whether it is read as part of the
-basis or through an indexed reference; each algebra basis is spanned
-once, each generator list is closed at most once and C is inverted once.
+basis or through an indexed reference, and each distinct entry string
+once; each algebra basis is spanned once, each generator list is closed
+at most once and C is inverted once.
 """
 
 from __future__ import annotations
@@ -89,12 +90,13 @@ def _rational(s: str) -> tuple[int, int]:
     raise CertificateError(f"not a canonical rational: {s!r}")
 
 
-def _grid(obj: dict) -> Grid:
-    """The canonical grid of a wire matrix.  Each distinct entry string is
-    parsed once, by `_rational` into a local dict; an entry that is not a
-    str always goes to `_rational`, which refuses it.  So the grid, or the
-    error and the first bad entry in row-major order that it names, is
-    what parsing entry by entry gives."""
+def _grid(obj: dict, parsed: dict[str, tuple[int, int]]) -> Grid:
+    """The canonical grid of a wire matrix.  `parsed` maps each entry
+    string read so far to its `_rational`; `_Document` passes one dict for
+    every matrix of a document, so each distinct string is parsed once per
+    document.  An entry that is not a str always goes to `_rational`, which
+    refuses it.  So the grid, or the error and the first bad entry in
+    row-major order that it names, is what parsing entry by entry gives."""
     rows, cols = obj["rows"], obj["cols"]
     if not (type(rows) is int and type(cols) is int):
         raise CertificateError(f"matrix shape {rows!r} x {cols!r} is not"
@@ -102,18 +104,20 @@ def _grid(obj: dict) -> Grid:
     entries = obj["entries"]
     if len(entries) != rows or any(len(r) != cols for r in entries):
         raise CertificateError("matrix entries do not match declared shape")
-    parsed: dict[str, tuple[int, int]] = {}
+    own: dict[str, tuple[int, int]] = {}
     for row in entries:
         for v in row:
-            if type(v) is not str or v not in parsed:
-                parsed[v] = _rational(v)
+            if type(v) is not str or v not in own:
+                if type(v) is not str or v not in parsed:
+                    parsed[v] = _rational(v)
+                own[v] = parsed[v]
     # The lcm of the reduced denominators shares no factor with every
     # scaled numerator.  Star-unpack lists and build tuples from lists,
     # not generators: a generator's tuple is resized to its length, which
     # leaves tuples piling up in the interpreter's per-length free lists
     # (several MiB of peak memory).
-    den = lcm(*[q for _, q in parsed.values()])
-    scaled = {v: p * (den // q) for v, (p, q) in parsed.items()}
+    den = lcm(*[q for _, q in own.values()])
+    scaled = {v: p * (den // q) for v, (p, q) in own.items()}
     return den, tuple([tuple([scaled[v] for v in row]) for row in entries])
 
 
@@ -413,24 +417,6 @@ def _unital_span(gens: list[Grid], n: int) -> _Span:
     return span
 
 
-def _generates(closed: tuple[_Span, int], gens: list[Grid]) -> bool:
-    """Whether gens generate the algebra spanned by a `_closure` result.
-
-    `_generate_equal` calls it only when span{I, gens} differs from the
-    unital span of the closed list, which would prove equality outright
-    (<X> = <span{I, X}> for any list X).  Every generator must be n x n
-    and lie in the span, which is an algebra holding I, so the algebra
-    <gens> lies inside it; and span{I, gens} lies inside <gens>.  So the
-    two are equal once span{I, gens} has the span's dimension, and
-    otherwise exactly when the closure of gens reaches it."""
-    span, n = closed
-    _require_size(gens, n)
-    if not all(span.contains(_vec(g)) for g in gens):
-        return False
-    return (_unital_span(gens, n).dim == span.dim
-            or _closure(gens)[0].dim == span.dim)
-
-
 # -- reference resolution ------------------------------------------------------
 
 # out:<i>, in:<name> or in:<name>:<i> (list or basis item), <i> plain decimal.
@@ -485,15 +471,17 @@ def _resolve(doc: dict, ref: str, key: str, what: str) -> dict:
 
 class _Document:
     """The references of one document, read for one `verify_document`
-    call: each matrix is parsed once (basis matrix i of the algebra "in:a"
-    is the matrix "in:a:i"), each algebra basis read (and conjugated) and
-    spanned once, each generator list closed once and C inverted once.
+    call: each entry string is parsed once and each matrix read once
+    (basis matrix i of the algebra "in:a" is the matrix "in:a:i"), each
+    algebra basis read, conjugated and spanned at most once, each
+    generator list closed once and C inverted once.
     Cached grids are tuples and cached spans are only read, so no check
     can change what another sees."""
 
     def __init__(self, doc: dict):
         self.doc = doc
         self._memo: dict[tuple, object] = {}
+        self._parsed: dict[str, tuple[int, int]] = {}
 
     def _once(self, key: tuple, make):
         if key not in self._memo:
@@ -502,7 +490,7 @@ class _Document:
 
     def matrix(self, ref: str) -> Grid:
         return self._once(("matrix", ref), lambda: _grid(
-            _resolve(self.doc, ref, "entries", "a matrix")))
+            _resolve(self.doc, ref, "entries", "a matrix"), self._parsed))
 
     def basis(self, ref: str, conjugated: bool = False) -> tuple[Grid, ...]:
         """The algebra's basis, mapped to C^{-1} B C when conjugated.  Basis
@@ -524,14 +512,22 @@ class _Document:
             raise CertificateError(f"matrix is not {n} x {n} like {ref!r}")
         return grid
 
-    def span(self, ref: str, conjugated: bool = False) -> _Span:
-        """The span of the algebra's basis (conjugated or not)."""
+    def span(self, ref: str) -> _Span:
+        """The span of the algebra's basis, which a list naming its basis
+        matrices in order shares."""
+        return self.spanned([f"{ref}:{i}" for i in range(len(
+            self.basis(ref)))])
+
+    def spanned(self, refs) -> _Span:
+        """The span of the matrices behind a list of references."""
+        key = tuple(refs)
+
         def make() -> _Span:
             span = _Span()
-            for b in self.basis(ref, conjugated):
-                span.add(_vec(b))
+            for r in key:
+                span.add(_vec(self.matrix(r)))
             return span
-        return self._once(("span", ref, conjugated), make)
+        return self._once(("span", key), make)
 
     def transform(self) -> tuple[Grid, Grid]:
         """(C, `_inverse(C)`), C checked square and nonsingular by the
@@ -585,8 +581,20 @@ def _check_conjugate_of(d: _Document, p: dict) -> bool:
 
 
 def _check_in_algebra(d: _Document, p: dict, conjugated=False) -> bool:
-    return d.span(p["algebra"], conjugated).contains(
-        _vec(d.sized(d.matrix(p["target"]), p["algebra"])))
+    """Whether the algebra A holds X or, conjugated, C^{-1} A C does: A
+    holds C X C^{-1}, on its stored span.  C is read where conjugating the
+    basis would read it: after the basis, before X, never for no basis."""
+    ref = p["algebra"]
+    span = d.span(ref)
+    conjugated = conjugated and bool(d.basis(ref))
+    if conjugated:
+        c, (_, inv) = d.transform()
+        if len(c[1]) != len(d.basis(ref)[0][1]):
+            raise CertificateError("size mismatch in conjugation")
+    x = d.sized(d.matrix(p["target"]), ref)[1]
+    if conjugated:
+        x = _imul(_imul(c[1], x), inv)  # a nonzero multiple of C X C^{-1}
+    return span.contains([v for row in x for v in row])
 
 
 def _check_covers(d: _Document, p: dict, conjugated=False) -> bool:
@@ -619,33 +627,37 @@ def _check_dimension(d: _Document, p: dict) -> bool:
     return type(p["value"]) is int and span.dim == p["value"]
 
 
-def _generate_equal(d: _Document, refs, others) -> bool:
-    """Whether the matrices behind refs generate the same algebra as the
-    list others() returns, which is built only once refs are read and
-    checked.
+def _check_generate_equal(d: _Document, p: dict, conjugated=False) -> bool:
+    """Whether the lists X and Y behind the property's two reference lists
+    generate the same algebra or, conjugated, whether <X> = C^{-1} <Y> C.
+    Write Y' for Y, or for its conjugates C^{-1} y C; Y is read only once
+    X is read and checked.
 
-    Spans first: the unital algebra <X> generated by a list X is the one
-    generated by span{I, X}, since that span lies in <X> and holds X.  So
-    span{I, X} = span{I, Y} proves <X> = <Y> with no product, and the
-    canonical `_Span` rows of equal spans are equal.  Otherwise the
-    closure of refs decides it (`_generates`)."""
+    One elimination, in X's coordinates: <X> is the algebra generated by
+    span{I, X}, which lies in <X> and holds X, so span{I, X} = span{I, Y'}
+    proves <X> = <Y'>; it holds when every y' lies in span{I, X} and
+    span{I, Y'} has its dimension.  Conjugation by C, which `_inverse`
+    proved nonsingular, is a linear algebra automorphism fixing I, so
+    span{I, Y'} and <Y'> have the dimensions of span{I, Y} and <Y>, read
+    on the stored Y: span{Y}, the algebra's own span when Y names its
+    basis, plus one unless it holds I.  Otherwise X is closed: every y'
+    must lie in <X>, which then holds <Y'>, and the two are equal once
+    span{I, Y} or, closed, <Y> has the dimension of <X>."""
+    refs = p["gens" if conjugated else "gens_a"]
     gens = [d.matrix(r) for r in refs]
     n = _size_of(gens)
-    other = others()
-    _require_size(other, n)
-    if _unital_span(gens, n).rows == _unital_span(other, n).rows:
+    sources = p["source_gens" if conjugated else "gens_b"]
+    others = [d.conjugate(d.matrix(r)) if conjugated else d.matrix(r)
+              for r in sources]
+    _require_size(others, n)
+    span = _unital_span(gens, n)
+    stored = d.spanned(sources)
+    dim = stored.dim + (not stored.contains(_vec((1, _identity(n)))))
+    if dim == span.dim and all(span.contains(_vec(y)) for y in others):
         return True
-    return _generates(d.closed(refs), other)
-
-
-def _check_generate_equal(d: _Document, p: dict) -> bool:
-    return _generate_equal(d, p["gens_a"], lambda: [
-        d.matrix(r) for r in p["gens_b"]])
-
-
-def _check_generate_equal_conjugated(d: _Document, p: dict) -> bool:
-    return _generate_equal(d, p["gens"], lambda: [
-        d.conjugate(d.matrix(r)) for r in p["source_gens"]])
+    span, _ = d.closed(refs)
+    return all(span.contains(_vec(y)) for y in others) and (
+        dim == span.dim or d.closed(sources)[0].dim == span.dim)
 
 
 def _check_spans_pattern(d: _Document, p: dict) -> bool:
@@ -711,7 +723,8 @@ _CHECKS = {
     "central": _check_central,
     "dimension": _check_dimension,
     "generate_equal": _check_generate_equal,
-    "generate_equal_conjugated": _check_generate_equal_conjugated,
+    "generate_equal_conjugated": partial(_check_generate_equal,
+                                         conjugated=True),
     "spans_pattern": _check_spans_pattern,
     "is_centralizer": _check_is_centralizer,
     "has_simple_real_eigenvalue": _check_has_simple_real_eigenvalue,

@@ -1,6 +1,8 @@
+import copy
 import os
 import sys
 
+import pytest
 from hypothesis import HealthCheck, settings
 
 sys.path.insert(0, os.path.dirname(__file__))
@@ -13,3 +15,29 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("exact")
+
+
+@pytest.fixture
+def spans_first_agreement(request, monkeypatch):
+    """Record each document the test verifies through its module's
+    `verify_document` or the CLI's, and check after the test, its spies
+    undone, that the spans-first oracle gives each the same failures.  The
+    recorders are set by hand, so a test that undoes its own monkeypatches
+    midway keeps them."""
+    from algforge import cli, verify
+    from oracles import spans_first_failures
+    docs = []
+
+    def recording(doc):
+        docs.append(copy.deepcopy(doc))
+        return verify.verify_document(doc)
+
+    module = request.module
+    module.verify_document = cli.verify_document = recording
+    try:
+        yield
+    finally:
+        monkeypatch.undo()
+        module.verify_document = cli.verify_document = verify.verify_document
+    for doc in docs:
+        assert spans_first_failures(doc) == verify.verify_document(doc)

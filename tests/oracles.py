@@ -26,7 +26,11 @@ pair back instead of ranking the diagonal by a topological order, and a
 pattern's transitivity by the pairwise loop over its positions instead
 of successor-set inclusion, and rational roots by refining each isolated
 root on the whole Sturm chain to width 1/L^2 instead of on the squarefree
-part alone to width 1/L.  It also holds code that only the tests
+part alone to width 1/L, and generated-algebra equality and conjugated
+membership by eliminating span{I, X} and span{I, C^{-1} Y C} and closing
+the conjugated list, and by the span of the conjugated basis, instead of
+by one elimination with the source side read on the stored matrices.
+It also holds code that only the tests
 use: `poly_from_roots`, `pattern_from_positions`, and `poly_xgcd`,
 `poly_crt` and `block_projector_poly` behind the polynomial projector.
 """
@@ -43,6 +47,8 @@ from algforge.incidence import IncidencePattern
 from algforge.matrices import Mat, identity, zero
 from algforge.polynomials import (P_ONE, P_ZERO, Poly, _scaled, _sturm_chain,
                                   _variations, poly_gcd, root_multiplicity)
+from algforge.verify import (_closure, _require_size, _size_of, _Span,
+                             _unital_span, _vec)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -410,6 +416,82 @@ def pairwise_is_closed(alg) -> bool:
     sp = alg._span
     return all(sp.contains((a @ b).numerators())
                for a in alg.basis for b in alg.basis)
+
+
+# -- generated-algebra equality by two unital spans -----------------------------
+#
+# `spans_first_generate_equal` and `_spans_first_generates` are the
+# verifier's `_generate_equal` and `_generates` from when it compared the
+# canonical rows of span{I, X} with those of span{I, C^{-1} Y C}, and closed
+# the conjugated list on the fallback, copied verbatim but for their names.
+
+def _spans_first_generates(closed, gens) -> bool:
+    """Whether gens generate the algebra spanned by a `_closure` result.
+
+    `_generate_equal` calls it only when span{I, gens} differs from the
+    unital span of the closed list, which would prove equality outright
+    (<X> = <span{I, X}> for any list X).  Every generator must be n x n
+    and lie in the span, which is an algebra holding I, so the algebra
+    <gens> lies inside it; and span{I, gens} lies inside <gens>.  So the
+    two are equal once span{I, gens} has the span's dimension, and
+    otherwise exactly when the closure of gens reaches it."""
+    span, n = closed
+    _require_size(gens, n)
+    if not all(span.contains(_vec(g)) for g in gens):
+        return False
+    return (_unital_span(gens, n).dim == span.dim
+            or _closure(gens)[0].dim == span.dim)
+
+
+def spans_first_generate_equal(d, refs, others) -> bool:
+    """Whether the matrices behind refs generate the same algebra as the
+    list others() returns, which is built only once refs are read and
+    checked.
+
+    Spans first: the unital algebra <X> generated by a list X is the one
+    generated by span{I, X}, since that span lies in <X> and holds X.  So
+    span{I, X} = span{I, Y} proves <X> = <Y> with no product, and the
+    canonical `_Span` rows of equal spans are equal.  Otherwise the
+    closure of refs decides it (`_generates`)."""
+    gens = [d.matrix(r) for r in refs]
+    n = _size_of(gens)
+    other = others()
+    _require_size(other, n)
+    if _unital_span(gens, n).rows == _unital_span(other, n).rows:
+        return True
+    return _spans_first_generates(d.closed(refs), other)
+
+
+def conjugated_span_in_algebra(d, p) -> bool:
+    """`in_algebra_conjugated` as the verifier checked it before it read
+    the stored span: the target against the span of the conjugated
+    basis, eliminated on its own."""
+    span = _Span()
+    for b in d.basis(p["algebra"], True):
+        span.add(_vec(b))
+    return span.contains(_vec(d.sized(d.matrix(p["target"]), p["algebra"])))
+
+
+SPANS_FIRST_CHECKS = {
+    "generate_equal": lambda d, p: spans_first_generate_equal(
+        d, p["gens_a"], lambda: [d.matrix(r) for r in p["gens_b"]]),
+    "generate_equal_conjugated": lambda d, p: spans_first_generate_equal(
+        d, p["gens"], lambda: [
+            d.conjugate(d.matrix(r)) for r in p["source_gens"]]),
+    "in_algebra_conjugated": conjugated_span_in_algebra,
+}
+
+
+def spans_first_failures(doc) -> list[str]:
+    """`verify_document` with the checks of `SPANS_FIRST_CHECKS` in place
+    of the verifier's own."""
+    from algforge import verify
+    saved = dict(verify._CHECKS)
+    verify._CHECKS.update(SPANS_FIRST_CHECKS)
+    try:
+        return verify.verify_document(doc)
+    finally:
+        verify._CHECKS.update(saved)
 
 
 # -- the semi-commuting pair through a triangularizing conjugation ---------------

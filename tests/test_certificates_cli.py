@@ -23,6 +23,10 @@ from algforge.verify import verify_document
 
 F = Fraction
 
+# Every document a test here verifies, tampered or not, must fail the same
+# way under the spans-first oracle (`oracles.spans_first_failures`).
+pytestmark = pytest.mark.usefixtures("spans_first_agreement")
+
 
 def upper_ones(n):
     return Mat.from_rows([[1 if j >= i else 0 for j in range(n)]
@@ -439,21 +443,24 @@ def test_spans_pattern_needs_each_unit_in_the_span(positions):
 
 def test_each_referenced_matrix_is_parsed_once(monkeypatch):
     import algforge.verify as verify
-    parsed = []
+    parsed, caches = [], []
     real = verify._grid
 
-    def counting(obj):
+    def counting(obj, cache):
         parsed.append(obj)
-        return real(obj)
+        caches.append(cache)
+        return real(obj, cache)
 
     monkeypatch.setattr(verify, "_grid", counting)
     _, _, cert = semicommuting_pair(incidence_of_dimension(4, 7))
     doc = cert.to_json()
     assert verify_document(doc) == []
     # nonneg, semi_commuting, spans_pattern and dimension all read the two
-    # outputs, but each is parsed once
-    assert len(parsed) == 2
+    # outputs, but each is parsed once, both through the document's one
+    # cache of entry strings
+    assert len(parsed) == 2 and caches[0] is caches[1]
     assert verify_document(doc) == [] and len(parsed) == 4
+    assert caches[2] is caches[3] and caches[2] is not caches[0]
 
 
 def test_malformed_references_and_shapes_fail_cleanly():

@@ -27,6 +27,10 @@ from oracles import (brute_closure_dim, eager_closure_words,
 
 DATA = Path(__file__).parent / "data"
 
+# Every document a test here verifies, tampered or not, must fail the same
+# way under the spans-first oracle (`oracles.spans_first_failures`).
+pytestmark = pytest.mark.usefixtures("spans_first_agreement")
+
 
 def _dense(rng, n):
     return Mat.from_rows([[Fraction(rng.randint(0, 4), rng.randint(1, 3))
@@ -127,7 +131,7 @@ def test_nonneg_basis_regenerates(kind, n, gens):
 
 
 def _grids(gens):
-    return [verify._grid(mat_to_json(g)) for g in gens]
+    return [verify._grid(mat_to_json(g), {}) for g in gens]
 
 
 def _count_calls(monkeypatch, name):
@@ -461,27 +465,39 @@ def test_empty_and_wrong_size_source_lists_fail():
     assert failures[0].startswith(f"property {last} (generate_equal_conjugated):")
 
 
-def test_generates_checks_containment_then_closes():
-    """`verify._generates` against the engine on grids: wrong sizes and
-    empty lists raise, a matrix outside the span or a list generating a
-    proper subalgebra gives False, a list reaching it gives True."""
-    grid = verify._grid
+def test_generates_checks_containment_then_closes(monkeypatch):
+    """`generate_equal` against the engine where the unital spans differ:
+    wrong sizes and empty lists fail by name, a matrix outside <X> or a
+    list generating a proper subalgebra fails, a list reaching <X>
+    verifies, and past the one elimination X is closed first."""
     n = 3
     upper = [Mat.from_rows([[1, 2, 0], [0, 1, 0], [0, 0, 3]]),
              Mat.from_rows([[0, 0, 0], [0, 0, Fraction(1, 2)], [0, 0, 0]])]
-    closed = verify._closure([grid(mat_to_json(m)) for m in upper])
-    assert closed[0].dim == generate(n, upper).dim == 5
-    reach = [grid(mat_to_json(upper[0] @ upper[1] + upper[1])),
-             grid(mat_to_json(upper[0]))]
-    assert verify._generates(closed, reach)
-    assert verify._generates(closed, [grid(mat_to_json(m)) for m in upper])
-    assert not verify._generates(closed, [grid(mat_to_json(upper[0]))])
-    assert not verify._generates(
-        closed, reach + [grid(mat_to_json(matrix_unit(n, 3, 1)))])
-    with pytest.raises(verify.CertificateError):
-        verify._generates(closed, [])
-    with pytest.raises(verify.CertificateError):
-        verify._generates(closed, reach + [grid(mat_to_json(identity(2)))])
+    assert (verify._closure(_grids(upper))[0].dim
+            == generate(n, upper).dim == 5)
+    reach = [upper[0] @ upper[1] + upper[1], upper[0]]
+    failed = ["property 0 (generate_equal) failed"]
+    closed = []
+    real = verify._closure
+
+    def closing(gens):
+        closed.append(gens)
+        return real(gens)
+
+    monkeypatch.setattr(verify, "_closure", closing)
+    assert verify_document(_equal_doc(upper, reach)) == []
+    assert closed[0] == _grids(upper)
+    assert verify_document(_equal_doc(upper, upper)) == []
+    assert verify_document(_equal_doc(upper, [upper[0]])) == failed
+    closed.clear()
+    assert verify_document(_equal_doc(
+        upper, reach + [matrix_unit(n, 3, 1)])) == failed
+    assert closed == [_grids(upper)]
+    assert verify_document(_equal_doc(upper, [])) == [
+        "property 0 (generate_equal): closure of an empty generator list"]
+    assert verify_document(_equal_doc(upper, reach + [identity(2)])) == [
+        "property 0 (generate_equal): generator size does not match the"
+        " algebra"]
 
 
 def test_containment_check_bounds_verifier_products(monkeypatch):

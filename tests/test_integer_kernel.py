@@ -574,19 +574,19 @@ def test_verifier_grids_match_fraction_oracles(shape):
     rng = random.Random(2000 + 10 * r + c)
     for _ in range(12):
         ga, gb = random_grid(rng, r, c), random_grid(rng, r, c)
-        a, b = verify._grid(wire(ga, c)), verify._grid(wire(gb, c))
+        a, b = verify._grid(wire(ga, c), {}), verify._grid(wire(gb, c), {})
         assert_grid(a, ga)
         assert a == (Mat(r, c, ga).den, Mat(r, c, ga).num)
         assert_grid(verify._sub(a, b), grid_combine(ga, gb, -1))
         if r and c:  # a grid with no rows carries no column count
             gk = random_grid(rng, c, 2)
-            assert_grid(verify._mul(a, verify._grid(wire(gk, 2))),
+            assert_grid(verify._mul(a, verify._grid(wire(gk, 2), {})),
                         grid_product(ga, gk, 2))
         assert verify._support(a) == {(i + 1, j + 1) for i in range(r)
                                       for j in range(c) if ga[i][j]}
         for g in (ga, [[abs(v) for v in row] for row in ga],
                   [[abs(v) + 1 for v in row] for row in ga]):
-            grid = verify._grid(wire(g, c))
+            grid = verify._grid(wire(g, c), {})
             assert verify._is_nonneg(grid) == all(v >= 0 for row in g
                                                   for v in row)
             assert verify._is_positive(grid) == (
@@ -694,7 +694,8 @@ def test_grid_memo_reads_entries_as_the_entrywise_parse(pool, rows, cols,
     obj = {"rows": rows, "cols": cols,
            "entries": [[pool[picks[i * cols + j]] for j in range(cols)]
                        for i in range(rows)]}
-    assert outcome(verify._grid, obj) == outcome(entrywise_grid, obj)
+    assert outcome(lambda o: verify._grid(o, {}), obj) == outcome(
+        entrywise_grid, obj)
 
 
 def test_grid_parses_each_distinct_entry_string_once(monkeypatch):
@@ -708,7 +709,7 @@ def test_grid_parses_each_distinct_entry_string_once(monkeypatch):
     monkeypatch.setattr(verify, "_rational", counting)
     identity_wire = wire([[F(int(i == j)) for j in range(5)]
                           for i in range(5)], 5)
-    assert verify._grid(identity_wire) == (1, verify._identity(5))
+    assert verify._grid(identity_wire, {}) == (1, verify._identity(5))
     assert sorted(parsed) == ["0", "1"]
 
 
@@ -747,9 +748,9 @@ def test_hot_paths_build_no_fraction(monkeypatch):
     mat_from_json(wire), algebra_from_json(alg_doc)
     uniformizer(4), uniformizer_inv(4), jordan_cell(3, 0), companion(cubic)
     regular_triangular(2, 3, [5, 7]), predict_padded_conjugation(block, 2)
-    grid = verify._grid(wire)
+    grid = verify._grid(wire, {})
     verify._mul(grid, grid), verify._sub(grid, grid)
-    verify._closure([grid, verify._grid(mat_to_json(other))])
+    verify._closure([grid, verify._grid(mat_to_json(other), {})])
     for doc in docs:
         assert verify.verify_document(doc) == []
     assert made == []

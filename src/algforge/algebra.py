@@ -5,6 +5,8 @@ vectorization, so equal algebras have identical bases and equality is a
 plain comparison.  Spans take each matrix's integer numerators (a positive
 multiple of its vectorization), and each basis matrix is read straight off
 a primitive integer echelon row, whose pivot is its canonical denominator.
+`conjugate_algebra` spans the integer products N(C^{-1}) N(B) N(C) of the
+numerators, each a positive multiple of C^{-1} B C.
 Generation uses a worklist that multiplies each newly independent word on
 the left by every generator.  The span this reaches contains I and is
 mapped into itself by left multiplication with each generator, so it
@@ -32,9 +34,9 @@ from typing import Iterable, Sequence
 from . import simplex
 from .incidence import IncidencePattern
 from .linear import EchelonSpan, nullspace, rank, solve
-from .matrices import (Mat, Support, direct_sum, identity, inverse,
-                       mat_from_json, mat_to_json, matrix_unit, span_rows,
-                       support_union, zero)
+from .matrices import (Mat, Support, _mat, direct_sum, identity, inverse,
+                       mat_from_json, mat_to_json, matrix_unit, support_union,
+                       zero)
 from .verify import _closure
 
 
@@ -105,9 +107,14 @@ def _span_of(n: int, vecs: Iterable[Sequence[int]]) -> EchelonSpan:
 
 def _span_mats(n: int, span: EchelonSpan) -> list[Mat]:
     """The span's canonical rows as n x n matrices."""
-    return [Mat.from_ints(n, n, r.den, [r.num[0][i * n:(i + 1) * n]
-                                        for i in range(n)])
-            for r in span_rows(span)]
+    out = []
+    for p, row in span.primitive_rows():
+        flat = [0] * (n * n)
+        for j, v in row.items():
+            flat[j] = v
+        out.append(_mat(n, n, row[p], tuple(
+            tuple(flat[i * n:(i + 1) * n]) for i in range(n))))
+    return out
 
 
 def _from_span(n: int, span: EchelonSpan) -> Algebra:
@@ -162,9 +169,14 @@ def generate(n: int, gens: Iterable[Mat]) -> Algebra:
 
 def conjugate_algebra(a: Algebra, c: Mat) -> Algebra:
     """Basis-wise conjugation C^{-1} A C, re-echelonized."""
-    cinv = inverse(c)
-    return _from_span(a.n, _span_of(a.n, [(cinv @ b @ c).numerators()
-                                          for b in a.basis]))
+    left, right = inverse(c).num, tuple(zip(*c.num))
+
+    def conjugated(b: Mat) -> list[int]:
+        bc = tuple(zip(*[[sum(map(mul, row, col)) for col in right]
+                         for row in b.num]))
+        return [sum(map(mul, row, col)) for row in left for col in bc]
+
+    return _from_span(a.n, _span_of(a.n, map(conjugated, a.basis)))
 
 
 def algebra_direct_sum(a: Algebra, b: Algebra) -> Algebra:

@@ -95,22 +95,21 @@ def _load_algebra_like(doc) -> Algebra:
         raise UsageError("expected a JSON object")
     for size in _doc_sizes(doc):
         _check_dim(size)
-    if "basis" in doc:
-        try:
+    key = next((k for k in ("basis", "gens") if k in doc), None)
+    if key is None:
+        raise UsageError("expected an object with 'basis' or 'gens'")
+    kind = "algebra" if key == "basis" else "generator"
+    n = doc.get("n")
+    if not (type(n) is int and n >= 0):
+        raise UsageError(f"{kind} document needs a nonnegative integer 'n'")
+    if not isinstance(doc[key], list):
+        raise UsageError(f"'{key}' must be a list")
+    try:
+        if key == "basis":
             return algebra_from_json(doc)
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise UsageError(f"invalid algebra document: {exc}")
-    if "gens" in doc:
-        n = doc.get("n")
-        if not (type(n) is int and n >= 0):
-            raise UsageError("generator document needs a nonnegative"
-                             " integer 'n'")
-        try:
-            gens = [mat_from_json(m) for m in doc["gens"]]
-            return generate(n, gens)
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise UsageError(f"invalid generator document: {exc}")
-    raise UsageError("expected an object with 'basis' or 'gens'")
+        return generate(n, [mat_from_json(m) for m in doc["gens"]])
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"invalid {kind} document: {exc}")
 
 
 def format_table(cert_docs: list[dict], verified: list[bool]) -> str:

@@ -5,11 +5,12 @@ Every function takes integer rows and returns integers over one
 denominator; a rational matrix is passed as its integer numerators (a
 `Mat`'s `num`), which have the same span, rank and kernel.  Every echelon
 row is kept as a sparse dict of primitive integers (content divided out,
-positive pivot) that is fully reduced against the other rows.
-Eliminating a row from another is an integer cross-multiplication
-followed by division by the gcd.  Such rows are unique for a given span,
-so they are canonical.  No tolerances anywhere; pivots are the first
-nonzero column, so results are deterministic.
+positive pivot) that is fully reduced against the other rows.  A new row
+with pivot p is eliminated from each row that holds column p as
+c other - a row, (c, a) = (row[p], other[p]) over their gcd, then divided
+by its content.  Such rows are unique for a given span, so canonical.  No
+tolerances anywhere; pivots are the first nonzero column, so results are
+deterministic.
 """
 
 from __future__ import annotations
@@ -24,21 +25,22 @@ def _residual(rows: Rows, vec: dict[int, int]) -> dict[int, int]:
     """A nonzero multiple of vec minus its projection onto the rows' span
     along the pivots: zero in every pivot column, empty iff vec is in the
     span.  The rows are fully reduced, so the coefficient of each row is
-    vec's own entry in its pivot column."""
+    vec's own entry in its pivot column, and the pivot columns cancel."""
     hits = [p for p in vec if p in rows]
     if not hits:
         return vec
     scale = lcm(*[rows[p][p] for p in hits])
-    out = {j: scale * v for j, v in vec.items()}
+    out = {j: scale * v for j, v in vec.items() if j not in rows}
     for p in hits:
         row = rows[p]
         f = vec[p] * (scale // row[p])
         for j, a in row.items():
-            nv = out.get(j, 0) - f * a
-            if nv:
-                out[j] = nv
-            else:
-                del out[j]
+            if j != p:
+                nv = out.get(j, 0) - f * a
+                if nv:
+                    out[j] = nv
+                else:
+                    del out[j]
     return out
 
 
@@ -52,16 +54,29 @@ def _primitive(vec: dict[int, int]) -> dict[int, int]:
 
 def _insert(rows: Rows, vec: dict[int, int]) -> bool:
     """One Gauss-Jordan step: add vec to the echelon rows unless it lies in
-    their span; returns True when it enlarged the span."""
+    their span; returns True when it enlarged the span.  Column p cancels in
+    each back-reduced row, whose pivot q < p keeps the sign of c > 0."""
     res = _residual(rows, vec)
     if not res:
         return False
     row = _primitive(res)
     p = min(row)
-    pivot = {p: row}
+    rp = row[p]
     for q, other in rows.items():
-        if p in other:
-            rows[q] = _primitive(_residual(pivot, other))
+        op = other.get(p)
+        if op:
+            g = gcd(rp, op)
+            c, a = rp // g, op // g
+            out = {j: c * v for j, v in other.items() if j != p}
+            for j, v in row.items():
+                if j != p:
+                    nv = out.get(j, 0) - a * v
+                    if nv:
+                        out[j] = nv
+                    else:
+                        del out[j]
+            g = gcd(*out.values())
+            rows[q] = {j: v // g for j, v in out.items()} if g > 1 else out
     rows[p] = row
     return True
 

@@ -479,6 +479,10 @@ def mat_to_json(a: Mat) -> dict:
 
 
 def mat_from_json(obj: dict) -> Mat:
+    if not (isinstance(obj, dict) and {"rows", "cols", "entries"} <= obj.keys()
+            and isinstance(obj["entries"], list)
+            and all(isinstance(row, list) for row in obj["entries"])):
+        raise ValueError("matrix needs rows, cols and entries, a list of rows")
     if not (type(obj["rows"]) is int and type(obj["cols"]) is int):
         raise ValueError("matrix shape must be integers")
     parsed = [[parse_rational(v) for v in row] for row in obj["entries"]]

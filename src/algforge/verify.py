@@ -16,9 +16,12 @@ entries of the left factor's row, so a product of 0/1 pattern matrices
 costs its nonzeros, not n^3.  `_Span` keeps primitive integer rows with
 a positive pivot, fully reduced against each other, so equal spans have
 equal rows, and a matrix unit lies in a span exactly when the span's row
-at the unit's position is that unit.  `_inverse` reduces [C | I] with
-a `_Span`, once per document: the elimination that proves C nonsingular
-also yields C^{-1}, and each conjugate C^{-1} X C is then two products.
+at the unit's position is that unit.  A new row r with pivot p turns each
+row o that holds column p into c o - a r, (c, a) = (r[p], o[p]) over their
+gcd, divided by its content; c > 0, so o keeps a positive pivot.
+`_inverse` reduces [C | I] with a `_Span`, once per document: the
+elimination that proves C nonsingular also yields C^{-1}, and each
+conjugate C^{-1} X C is then two products.
 Generated-algebra claims are re-derived in one of two ways.  When some
 generator is diagonal with pairwise distinct entries, the generation
 lemma gives the algebra outright: it is the span of the matrix units on
@@ -212,21 +215,23 @@ def _residual(rows: dict[int, dict[int, int]],
               vec: dict[int, int]) -> dict[int, int]:
     """A nonzero multiple of vec minus its projection onto the span of the
     rows along their pivots; empty iff vec is in the span.  The rows are
-    fully reduced, so each row's coefficient is vec's entry at its pivot."""
+    fully reduced, so each row's coefficient is vec's entry at its pivot,
+    and the pivot columns cancel."""
     hits = [p for p in vec if p in rows]
     if not hits:
         return vec
     scale = lcm(*[rows[p][p] for p in hits])
-    out = {j: scale * v for j, v in vec.items()}
+    out = {j: scale * v for j, v in vec.items() if j not in rows}
     for p in hits:
         row = rows[p]
         f = vec[p] * (scale // row[p])
         for j, a in row.items():
-            nv = out.get(j, 0) - f * a
-            if nv:
-                out[j] = nv
-            else:
-                del out[j]
+            if j != p:
+                nv = out.get(j, 0) - f * a
+                if nv:
+                    out[j] = nv
+                else:
+                    del out[j]
     return out
 
 
@@ -245,13 +250,25 @@ class _Span:
         res = _residual(self.rows, _sparse(vec))
         if not res:
             return False
-        row = _primitive(res)
+        row, rows = _primitive(res), self.rows
         p = min(row)
-        pivot = {p: row}
-        for q, other in self.rows.items():
-            if p in other:
-                self.rows[q] = _primitive(_residual(pivot, other))
-        self.rows[p] = row
+        rp = row[p]
+        for q, other in rows.items():
+            op = other.get(p)
+            if op:  # other becomes c other - a row, free of column p
+                g = gcd(rp, op)
+                c, a = rp // g, op // g
+                out = {j: c * v for j, v in other.items() if j != p}
+                for j, v in row.items():
+                    if j != p:
+                        nv = out.get(j, 0) - a * v
+                        if nv:
+                            out[j] = nv
+                        else:
+                            del out[j]
+                g = gcd(*out.values())
+                rows[q] = {j: v // g for j, v in out.items()} if g > 1 else out
+        rows[p] = row
         return True
 
     @property

@@ -29,7 +29,13 @@ root on the whole Sturm chain to width 1/L^2 instead of on the squarefree
 part alone to width 1/L, and generated-algebra equality and conjugated
 membership by eliminating span{I, X} and span{I, C^{-1} Y C} and closing
 the conjugated list, and by the span of the conjugated basis, instead of
-by one elimination with the source side read on the stored matrices.
+by one elimination with the source side read on the stored matrices,
+the engine's and the verifier's Gauss-Jordan steps by the lcm-scaled
+residual of each reduced row against the new row, made primitive again,
+instead of by the gcd-reduced cross-multiplication, and an algebra's
+conjugate and basis matrices by normalized `Mat` products and 1 x n^2
+`span_rows` matrices instead of integer numerator products and rows read
+straight into n x n matrices.
 It also holds code that only the tests
 use: `poly_from_roots`, `pattern_from_positions`, and `poly_xgcd`,
 `poly_crt` and `block_projector_poly` behind the polynomial projector.
@@ -40,15 +46,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
+from algforge import matrices
+from algforge.algebra import _from_span, _span_of
 from algforge.incidence import IncidencePattern
-from algforge.matrices import Mat, identity, zero
+from algforge.matrices import Mat, identity, inverse, zero
 from algforge.polynomials import (P_ONE, P_ZERO, Poly, _scaled, _sturm_chain,
                                   _variations, poly_gcd, root_multiplicity)
 from algforge.verify import (_closure, _require_size, _size_of, _Span,
-                             _unital_span, _vec)
+                             _sparse, _unital_span, _vec)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -565,6 +573,127 @@ def numeric_has_simple_real(a: Mat, tol: float = 1e-8) -> bool:
         sizes[r] = sizes.get(r, 0) + 1
     return any(sizes[find(i)] == 1 and abs(eigs[i].imag) <= tol
                for i in range(k))
+
+
+# -- the Gauss-Jordan steps before the gcd-reduced back-reduction ----------------
+
+def lcm_residual(rows, vec):
+    """A nonzero multiple of vec minus its projection onto the rows' span
+    along the pivots: zero in every pivot column, empty iff vec is in the
+    span.  The rows are fully reduced, so the coefficient of each row is
+    vec's own entry in its pivot column."""
+    hits = [p for p in vec if p in rows]
+    if not hits:
+        return vec
+    scale = lcm(*[rows[p][p] for p in hits])
+    out = {j: scale * v for j, v in vec.items()}
+    for p in hits:
+        row = rows[p]
+        f = vec[p] * (scale // row[p])
+        for j, a in row.items():
+            nv = out.get(j, 0) - f * a
+            if nv:
+                out[j] = nv
+            else:
+                del out[j]
+    return out
+
+
+def lcm_primitive(vec):
+    """vec divided by its content, signed so the first entry is positive."""
+    g = gcd(*vec.values())
+    if vec[min(vec)] < 0:
+        g = -g
+    return {j: v // g for j, v in vec.items()}
+
+
+def lcm_insert(rows, vec) -> bool:
+    """One Gauss-Jordan step: add vec to the echelon rows unless it lies in
+    their span; returns True when it enlarged the span."""
+    res = lcm_residual(rows, vec)
+    if not res:
+        return False
+    row = lcm_primitive(res)
+    p = min(row)
+    pivot = {p: row}
+    for q, other in rows.items():
+        if p in other:
+            rows[q] = lcm_primitive(lcm_residual(pivot, other))
+    rows[p] = row
+    return True
+
+
+def _verifier_primitive(vec):
+    """vec divided by its content, signed so the first entry is positive."""
+    g = gcd(*vec.values())
+    if vec[min(vec)] < 0:
+        g = -g
+    return {j: v // g for j, v in vec.items()}
+
+
+def _verifier_residual(rows, vec):
+    """A nonzero multiple of vec minus its projection onto the span of the
+    rows along their pivots; empty iff vec is in the span.  The rows are
+    fully reduced, so each row's coefficient is vec's entry at its pivot."""
+    hits = [p for p in vec if p in rows]
+    if not hits:
+        return vec
+    scale = lcm(*[rows[p][p] for p in hits])
+    out = {j: scale * v for j, v in vec.items()}
+    for p in hits:
+        row = rows[p]
+        f = vec[p] * (scale // row[p])
+        for j, a in row.items():
+            nv = out.get(j, 0) - f * a
+            if nv:
+                out[j] = nv
+            else:
+                del out[j]
+    return out
+
+
+class LcmVerifierSpan:
+    """The verifier's `_Span` with its lcm-scaled Gauss-Jordan step."""
+
+    def __init__(self):
+        self.rows = {}
+
+    def contains(self, vec) -> bool:
+        return not _verifier_residual(self.rows, _sparse(vec))
+
+    def add(self, vec) -> bool:
+        res = _verifier_residual(self.rows, _sparse(vec))
+        if not res:
+            return False
+        row = _verifier_primitive(res)
+        p = min(row)
+        pivot = {p: row}
+        for q, other in self.rows.items():
+            if p in other:
+                self.rows[q] = _verifier_primitive(
+                    _verifier_residual(pivot, other))
+        self.rows[p] = row
+        return True
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+
+def product_conjugate_algebra(a, c):
+    """Basis-wise conjugation C^{-1} A C, re-echelonized, by two
+    normalized `Mat` products per basis matrix."""
+    cinv = inverse(c)
+    return _from_span(a.n, _span_of(a.n, [(cinv @ b @ c).numerators()
+                                          for b in a.basis]))
+
+
+def span_rows_mats(n: int, span) -> list[Mat]:
+    """The span's canonical rows as n x n matrices, through 1 x n^2
+    `span_rows` matrices."""
+    return [Mat.from_ints(n, n, r.den, [r.num[0][i * n:(i + 1) * n]
+                                        for i in range(n)])
+            for r in matrices.span_rows(span)]
 
 
 # -- textbook Fraction linear algebra --------------------------------------------

@@ -377,6 +377,26 @@ def test_malformed_documents_fail_cleanly(verb, text, code, monkeypatch,
     assert "Traceback" not in err and err
 
 
+_NEEDS = "matrix needs rows, cols and entries"
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"n": 2, "gens": {"a": 1}}, "'gens' must be a list"),
+    ({"n": 2, "basis": 5}, "'basis' must be a list"),
+    ({"n": 2, "basis": [5]}, _NEEDS),
+    ({"n": 2, "gens": [{"rows": 2, "cols": 2}]}, _NEEDS),
+    ({"n": 1, "gens": [{"rows": 1, "cols": 1, "entries": 5}]}, _NEEDS),
+    ({"n": 1, "gens": [{"rows": 1, "cols": 1, "entries": ["1"]}]}, _NEEDS),
+    ({"basis": []}, "algebra document needs a nonnegative integer 'n'"),
+], ids=["gens-dict", "basis-int", "matrix-int", "no-entries",
+        "entries-int", "row-not-list", "basis-without-n"])
+def test_loader_names_the_malformed_field(doc, message, monkeypatch, capsys):
+    code, out, err = _run(["algebra-dim"], stdin_text=json.dumps(doc),
+                          monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2 and out == ""
+    assert message in err
+
+
 @pytest.mark.parametrize("value", ["1e5", " 3/4 ", "2/4", "-0", 3])
 def test_wire_rationals_parse_strictly(value, monkeypatch, capsys):
     assert verify_document(json.loads(_tampered_entry(value)))

@@ -1,0 +1,253 @@
+"""The gcd-reduced Gauss-Jordan steps against the lcm-scaled ones they
+replaced, and the integer conjugation of an algebra against the `Mat`
+products it replaced.
+
+Both steps keep canonical rows, so the engine's `EchelonSpan` and the
+verifier's `_Span` must hold exactly the rows of `oracles.lcm_insert` and
+`oracles.LcmVerifierSpan` after every insert, give the same residual and
+`contains` verdict for every probe, and, through the engine's routines,
+the same `rank`, `solve`, `invert`, `nullspace` and `first_dependency`,
+all of which must also agree with textbook Fraction elimination.
+"""
+
+import random
+from fractions import Fraction
+from math import gcd
+
+import pytest
+
+from algforge import linear, verify
+from algforge.algebra import (algebra_direct_sum, conjugate_algebra, generate,
+                              incidence_algebra)
+from algforge.linear import EchelonSpan
+from algforge.matrices import Mat, identity
+from algforge.verify import _Span
+from oracles import (LcmVerifierSpan, gauss_jordan, lcm_insert, lcm_residual,
+                     product_conjugate_algebra, random_mat, random_pattern,
+                     random_unimodular, span_rows_mats)
+
+F = Fraction
+FAMILIES = ("dense", "sparse", "wide")
+
+
+def fresh_vector(rng, family, length):
+    """Dense small integers, a sparse 0/1 pattern, or ~100-bit entries
+    (about half of them zero)."""
+    if family == "dense":
+        return [rng.randint(-9, 9) for _ in range(length)]
+    if family == "sparse":
+        ones = rng.sample(range(length), rng.randint(1, min(length, 3)))
+        return [int(j in ones) for j in range(length)]
+    return [rng.randint(-2 ** 100, 2 ** 100) if rng.random() < 0.5 else 0
+            for _ in range(length)]
+
+
+def kernel_sequence(rng, length):
+    """Fresh vectors of one family mixed with integer combinations of
+    earlier vectors, scaled repeats (some by ~100-bit factors) and zero
+    vectors."""
+    family = rng.choice(FAMILIES)
+    out = []
+    for _ in range(rng.randint(1, min(length, 10) + 3)):
+        kind = rng.random()
+        if out and kind < 0.2:
+            k = rng.choice((-1, 2, -3, 7, 2 ** 100 + 1, -(3 ** 60)))
+            out.append([k * v for v in rng.choice(out)])
+        elif len(out) > 1 and kind < 0.4:
+            picked = rng.sample(out, min(len(out), rng.randint(2, 3)))
+            coeffs = [rng.choice((-5, -2, -1, 1, 3, 4)) for _ in picked]
+            out.append([sum(c * v[j] for c, v in zip(coeffs, picked))
+                        for j in range(length)])
+        elif kind < 0.45:
+            out.append([0] * length)
+        else:
+            out.append(fresh_vector(rng, family, length))
+    return out
+
+
+def sequence_lengths(count):
+    """1 and 144 first, then lengths spread evenly on a log scale."""
+    rng = random.Random(26)
+    return [1, 144] + [min(144, int(2 ** rng.uniform(0, 7.2)))
+                       for _ in range(count - 2)]
+
+
+def combination(rng, vectors, length):
+    """An integer combination of the vectors (zero for none)."""
+    coeffs = [rng.randint(-3, 3) for _ in vectors]
+    return [sum(c * v[j] for c, v in zip(coeffs, vectors))
+            for j in range(length)]
+
+
+def test_rows_and_verdicts_match_the_lcm_steps_on_every_insert():
+    rng = random.Random(2026)
+    grew = held = 0
+    for length in sequence_lengths(1000):
+        vectors = kernel_sequence(rng, length)
+        engine, old_engine = EchelonSpan(length), {}
+        verifier, old_verifier = _Span(), LcmVerifierSpan()
+        seen = []
+        for vec in vectors:
+            sparse = linear._sparse(vec)
+            inside = combination(rng, seen, length) if seen else vec
+            for probe in (vec, inside, fresh_vector(rng, "dense", length)):
+                probe_sparse = linear._sparse(probe)
+                residual = linear._residual(engine._rows, probe_sparse)
+                assert residual == lcm_residual(old_engine, dict(probe_sparse))
+                assert (engine.contains(probe) == verifier.contains(probe)
+                        == old_verifier.contains(probe) == (not residual))
+                held += not residual
+            added = engine.add(vec)
+            grew += added
+            assert added == lcm_insert(old_engine, dict(sparse))
+            assert added == verifier.add(vec) == old_verifier.add(vec)
+            assert engine._rows == old_engine
+            assert verifier.rows == old_verifier.rows == old_engine
+            seen.append(vec)
+        if length <= 12:
+            expected = gauss_jordan(vectors, length)
+            assert [tuple(F(row.get(j, 0), row[p]) for j in range(length))
+                    for p, row in engine.primitive_rows()] == expected
+    assert grew > 2000 and held > 2000
+
+
+def test_back_reduction_divides_out_the_pivot_gcd_before_combining(
+        monkeypatch):
+    # e0 + K e1 reduced by the new row K e1 + e2: with (c, a) = (K, K) over
+    # their gcd the combination is e0 - e2 and its content pass sees 1s,
+    # where K (e0 + K e1) - K (K e1 + e2) would hand it multiples of K
+    big = 3 ** 80 * 2 ** 40
+    for module, span in ((linear, EchelonSpan(3)), (verify, _Span())):
+        calls = []
+        monkeypatch.setattr(module, "gcd",
+                            lambda *args: calls.append(args) or gcd(*args))
+        span.add([1, big, 0])
+        span.add([0, big, 1])
+        rows = span._rows if module is linear else span.rows
+        assert rows == {0: {0: 1, 2: -1}, 1: {1: big, 2: 1}}
+        assert sorted(map(abs, calls[-1])) == [1, 1]
+        monkeypatch.undo()
+
+
+def kernel_matrix(rng, rows, cols):
+    family = rng.choice(FAMILIES)
+    out = [fresh_vector(rng, family, cols) for _ in range(rows)]
+    if rows > 1 and rng.random() < 0.4:
+        out[-1] = combination(rng, out[:-1], cols)
+    return out
+
+
+def with_lcm_kernel(monkeypatch, fn, *args):
+    """fn(*args) with the engine's Gauss-Jordan step swapped for the lcm
+    one; an exception is returned as its type."""
+    with monkeypatch.context() as m:
+        m.setattr(linear, "_insert", lcm_insert)
+        m.setattr(linear, "_residual", lcm_residual)
+        try:
+            return fn(*args)
+        except ValueError as exc:
+            return type(exc)
+
+
+def rref_pivots(vectors, length):
+    """{pivot column: reduced row} of textbook Fraction elimination."""
+    return {next(j for j, v in enumerate(row) if v): row
+            for row in gauss_jordan(vectors, length)}
+
+
+def test_routines_match_the_lcm_steps_and_fraction_elimination(monkeypatch):
+    rng = random.Random(126)
+    for _ in range(300):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        a = kernel_matrix(rng, m, n)
+        b = fresh_vector(rng, "dense", m)
+        square = kernel_matrix(rng, n, n)
+
+        rank = linear.rank(a)
+        assert rank == with_lcm_kernel(monkeypatch, linear.rank, a)
+        assert rank == len(gauss_jordan(a, n))
+
+        d, kernel = linear.nullspace(a, n)
+        assert (d, kernel) == with_lcm_kernel(monkeypatch, linear.nullspace,
+                                              a, n)
+        pivots = rref_pivots(a, n)
+        free = [j for j in range(n) if j not in pivots]
+        assert len(kernel) == len(free)
+        for fc, v in zip(free, kernel):
+            want = [F(int(j == fc)) for j in range(n)]
+            for pc, row in pivots.items():
+                want[pc] = -row[fc]
+            assert [F(x, d) for x in v] == want
+
+        sol = linear.solve(a, b)
+        assert sol == with_lcm_kernel(monkeypatch, linear.solve, a, b)
+        augmented = rref_pivots([[*r, bv] for r, bv in zip(a, b)], n + 1)
+        if n in augmented:
+            assert sol is None
+        else:
+            d, x = sol
+            assert [F(v, d) for v in x] == [
+                augmented[j][n] if j in augmented else 0 for j in range(n)]
+
+        inv = with_lcm_kernel(monkeypatch, linear.invert, square)
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        reduced = gauss_jordan([[*r, *e] for r, e in zip(square, eye)], 2 * n)
+        if len(reduced) == n and all(row[i] for i, row in enumerate(reduced)):
+            d, got = linear.invert(square)
+            assert (d, got) == inv
+            assert [[F(v, d) for v in row] for row in got] == [
+                list(row[n:]) for row in reduced]
+        else:
+            assert inv is ValueError
+            with pytest.raises(ValueError):
+                linear.invert(square)
+
+        vectors = kernel_matrix(rng, rng.randint(1, 8), n)
+        dep = linear.first_dependency(vectors)
+        assert dep == with_lcm_kernel(monkeypatch, linear.first_dependency,
+                                      vectors)
+        ranks = [len(gauss_jordan(vectors[:k + 1], n))
+                 for k in range(len(vectors))]
+        first = next((k for k, r in enumerate(ranks) if r <= k), None)
+        if first is None:
+            assert dep is None
+        else:
+            assert len(dep) == first + 1 and dep[-1]
+            assert all(sum(c * v[j] for c, v in zip(dep, vectors)) == 0
+                       for j in range(n))
+
+
+def seeded_algebras(rng):
+    """Incidence algebras, their unimodular conjugates, algebras generated
+    by rational matrices, and a direct sum, on n = 1 .. 5."""
+    for n in range(1, 6):
+        pattern = incidence_algebra(random_pattern(rng, n, triangular=False))
+        yield pattern
+        yield conjugate_algebra(pattern, random_unimodular(rng, n))
+        yield generate(n, [random_mat(rng, n, height=4, max_den=3)
+                           for _ in range(rng.randint(0, 2))])
+    yield algebra_direct_sum(generate(2, [random_mat(rng, 2, max_den=5)]),
+                             incidence_algebra(random_pattern(rng, 3)))
+
+
+def rational_conjugator(rng, n):
+    """A nonsingular rational matrix that is not unimodular."""
+    while True:
+        c = random_mat(rng, n, height=6, max_den=5)
+        if linear.rank(c.num) == n and c.den > 1:
+            return c
+
+
+def test_integer_conjugation_matches_the_mat_products():
+    rng = random.Random(326)
+    for _ in range(4):
+        for a in seeded_algebras(rng):
+            c = rational_conjugator(rng, a.n)
+            got = conjugate_algebra(a, c)
+            want = product_conjugate_algebra(a, c)
+            assert got == want and got._span == want._span
+            assert got.basis == tuple(span_rows_mats(a.n, got._span))
+            assert all(isinstance(m, Mat) and m.den > 0 for m in got.basis)
+            assert got.contains(identity(a.n))
+    empty = generate(0, [])
+    assert conjugate_algebra(empty, Mat(0, 0, [])) == empty

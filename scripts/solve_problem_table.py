@@ -9,14 +9,13 @@ Writes one JSON document with all certificates and prints the per-n tables.
 """
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from algforge.cli import format_table  # noqa: E402
+from algforge.cli import dumps, format_table  # noqa: E402
 from algforge.constructions import solve_all_dimensions  # noqa: E402
 from algforge.verify import verify_document  # noqa: E402
 
@@ -43,8 +42,7 @@ def main() -> int:
         result[str(n)] = docs
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(result, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(dumps(result) + "\n")
         print(f"wrote {args.out}")
     return 0
 

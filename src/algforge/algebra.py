@@ -334,5 +334,8 @@ def algebra_to_json(a: Algebra) -> dict:
 
 
 def algebra_from_json(obj: dict) -> Algebra:
-    """Load an algebra; the `Algebra` constructor re-verifies it."""
-    return Algebra(obj["n"], tuple(mat_from_json(m) for m in obj["basis"]))
+    """Load an algebra; the `Algebra` constructor re-verifies it.  Each
+    distinct entry string of the document is parsed once."""
+    parsed: dict[str, tuple[int, int]] = {}
+    return Algebra(obj["n"], tuple(mat_from_json(m, parsed)
+                                   for m in obj["basis"]))

@@ -4,8 +4,10 @@ Verbs: algebra-generate, algebra-dim, algebra-covering, algebra-classify,
 incidence-build, incidence-pair, problem-solve, verify.
 
 All output is JSON with rationals as canonical strings; fixed inputs and
---seed produce byte-identical files.  Exit codes: 0 success, 1 certificate
-verification failure, 2 usage error.
+--seed produce byte-identical files.  `dumps` writes every document: the
+bytes of `json.dumps(obj, indent=2, sort_keys=True)`, built with the C
+string encoder in place of the stdlib's pure-Python indenting encoder.
+Exit codes: 0 success, 1 certificate verification failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .algebra import (Algebra, algebra_from_json, algebra_to_json,
                       covering_matrix, generate, nonneg_covering_exists)
@@ -42,13 +45,14 @@ def _max_dim() -> int:
         raise UsageError(f"ALGFORGE_MAX_DIM is not an integer: {raw!r}")
 
 
-def _check_dim(n: int) -> None:
+def _check_dim(*sizes: int) -> None:
     cap = _max_dim()
-    if n > cap:
-        raise UsageError(f"matrix size {n} exceeds the cap {cap}"
-                         " (set ALGFORGE_MAX_DIM to raise it)")
-    if n < 0:
-        raise UsageError("matrix size must be nonnegative")
+    for n in sizes:
+        if n > cap:
+            raise UsageError(f"matrix size {n} exceeds the cap {cap}"
+                             " (set ALGFORGE_MAX_DIM to raise it)")
+        if n < 0:
+            raise UsageError("matrix size must be nonnegative")
 
 
 def _write(text: str, out: str | None) -> None:
@@ -59,8 +63,50 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def dumps(obj) -> str:
+    """`json.dumps(obj, indent=2, sort_keys=True)`, byte for byte, for what
+    the CLI writes: dicts with str keys, lists, str, int, bool and None.
+    Anything else raises TypeError.  Every string goes through
+    `encode_basestring_ascii`, the C encoder `json` itself uses, and a list
+    of strings is joined in one call, so no Python code runs per entry."""
+    return _encode(obj, "\n")
+
+
+def _encode(obj, nl: str) -> str:
+    """`obj` as it stands after a line break `nl` (newline and indent)."""
+    t = type(obj)
+    if t is list:
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        kinds = set(map(type, obj))
+        if kinds == {str}:
+            items = map(_encode_str, obj)
+        elif kinds == {int}:
+            items = map(int.__repr__, obj)
+        else:
+            items = [_encode(v, inner) for v in obj]
+        return f"[{inner}{f',{inner}'.join(items)}{nl}]"
+    if t is dict:
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        body = f",{inner}".join([f"{_encode_str(k)}: {_encode(obj[k], inner)}"
+                                 for k in sorted(obj)])
+        return f"{{{inner}{body}{nl}}}"
+    if t is str:
+        return _encode_str(obj)
+    if t is int:
+        return int.__repr__(obj)
+    if obj is None:
+        return "null"
+    if t is bool:
+        return "true" if obj else "false"
+    raise TypeError(f"cannot write a {t.__name__} as JSON")
+
+
 def _dump(obj, out: str | None) -> None:
-    _write(json.dumps(obj, indent=2, sort_keys=True) + "\n", out)
+    _write(dumps(obj) + "\n", out)
 
 
 def _verified(doc: dict) -> bool:
@@ -93,8 +139,7 @@ def _load_algebra_like(doc) -> Algebra:
     parsed or closed."""
     if not isinstance(doc, dict):
         raise UsageError("expected a JSON object")
-    for size in _doc_sizes(doc):
-        _check_dim(size)
+    _check_dim(*_doc_sizes(doc))
     key = next((k for k in ("basis", "gens") if k in doc), None)
     if key is None:
         raise UsageError("expected an object with 'basis' or 'gens'")
@@ -107,7 +152,8 @@ def _load_algebra_like(doc) -> Algebra:
     try:
         if key == "basis":
             return algebra_from_json(doc)
-        return generate(n, [mat_from_json(m) for m in doc["gens"]])
+        parsed: dict[str, tuple[int, int]] = {}
+        return generate(n, [mat_from_json(m, parsed) for m in doc["gens"]])
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"invalid {kind} document: {exc}")
 
@@ -177,7 +223,7 @@ def _cmd_incidence_pair(args) -> int:
     doc = _load_json(args.input)
     try:
         pattern = pattern_from_json(doc)
-    except (ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:
         raise UsageError(f"invalid pattern document: {exc}")
     _check_dim(pattern.n)
     _, _, cert = semicommuting_pair(pattern)
@@ -206,23 +252,23 @@ def _cmd_problem_solve(args) -> int:
 
 def _doc_sizes(doc) -> list[int]:
     """Every integer "rows", "cols" or "n" (matrix shapes, algebra and
-    pattern sizes) anywhere in a JSON document."""
-    sizes, todo = [], [doc]
+    pattern sizes) anywhere in a JSON document.  Only dicts and lists go on
+    the worklist, so a matrix's entry strings are looked at once each."""
+    sizes = []
+    todo = [doc] if type(doc) is dict or type(doc) is list else []
     while todo:
         obj = todo.pop()
-        if isinstance(obj, dict):
+        if type(obj) is dict:
             sizes += [obj[k] for k in ("rows", "cols", "n")
                       if isinstance(obj.get(k), int)]
-            todo += obj.values()
-        elif isinstance(obj, list):
-            todo += obj
+            obj = obj.values()
+        todo += [v for v in obj if type(v) is dict or type(v) is list]
     return sizes
 
 
 def _cmd_verify(args) -> int:
     doc = _load_json(args.input)
-    for size in _doc_sizes(doc):
-        _check_dim(size)
+    _check_dim(*_doc_sizes(doc))
     if isinstance(doc, dict) and "certificates" in doc:
         docs = doc["certificates"]
     elif isinstance(doc, dict) and "certificate" in doc and doc["certificate"]:

@@ -113,4 +113,14 @@ def pattern_to_json(p: IncidencePattern) -> dict:
 
 
 def pattern_from_json(obj: dict) -> IncidencePattern:
-    return IncidencePattern(obj["n"], frozenset((i, j) for i, j in obj["positions"]))
+    """Load a pattern document; a malformed one raises ValueError naming
+    the field at fault."""
+    if not (isinstance(obj, dict) and "n" in obj and "positions" in obj):
+        raise ValueError("expected an object with 'n' and 'positions'")
+    positions = obj["positions"]
+    if not (isinstance(positions, list) and all(
+            isinstance(p, list) and len(p) == 2
+            and type(p[0]) is int and type(p[1]) is int for p in positions)):
+        raise ValueError("'positions' must be a list of [i, j] pairs of"
+                         " integers")
+    return IncidencePattern(obj["n"], frozenset(map(tuple, positions)))

@@ -10,10 +10,12 @@ and its inverse) run on the integers, and every result is brought back to
 canonical form by one gcd.  A rational vector is a ``1 x n`` Mat:
 ``stack``, ``kernel`` and ``span_rows`` build such rows, and a matrix acts
 on them as ``v @ A.transpose()``.  The wire is read as integers too:
-``mat_from_json`` parses each entry with ``polynomials.parse_rational``
-into an integer pair.  A Fraction is built only where a caller passes one
-in or reads ``A.data``, a read-only Fraction grid built on first use, or
-the Fraction results of ``uniform_norm`` and ``min_support_entry``.
+``mat_from_json`` parses each distinct entry string with
+``polynomials.parse_rational`` into an integer pair, once per document
+when the loader passes one cache for all its matrices.  A Fraction is
+built only where a caller passes one in or reads ``A.data``, a read-only
+Fraction grid built on first use, or the Fraction results of
+``uniform_norm`` and ``min_support_entry``.
 ``A.data[i][j]`` is 0-based;
 ``Support`` positions (and all serialized position data) are 1-based
 (row, column) pairs.  Matrices are immutable, hashable and safe to share.
@@ -478,14 +480,29 @@ def mat_to_json(a: Mat) -> dict:
     return {"rows": a.rows, "cols": a.cols, "entries": entries}
 
 
-def mat_from_json(obj: dict) -> Mat:
+def mat_from_json(obj: dict,
+                  parsed: dict[str, tuple[int, int]] | None = None) -> Mat:
+    """The Mat of a wire matrix.  `parsed` maps each entry string read so
+    far to its `parse_rational` pair; a loader passes one dict for every
+    matrix of a document, so each distinct string is parsed once per
+    document.  An entry that is not a str always goes to `parse_rational`,
+    which refuses it, so the error names the first bad entry in row-major
+    order, as parsing entry by entry does."""
     if not (isinstance(obj, dict) and {"rows", "cols", "entries"} <= obj.keys()
             and isinstance(obj["entries"], list)
             and all(isinstance(row, list) for row in obj["entries"])):
         raise ValueError("matrix needs rows, cols and entries, a list of rows")
     if not (type(obj["rows"]) is int and type(obj["cols"]) is int):
         raise ValueError("matrix shape must be integers")
-    parsed = [[parse_rational(v) for v in row] for row in obj["entries"]]
-    den = lcm(*[q for row in parsed for _, q in row])
+    if parsed is None:
+        parsed = {}
+    entries = obj["entries"]
+    for row in entries:
+        for v in row:
+            if type(v) is not str or v not in parsed:
+                parsed[v] = parse_rational(v)
+    own = {v: parsed[v] for v in set().union(*entries)}
+    den = lcm(*[q for _, q in own.values()])
+    scaled = {v: p * (den // q) for v, (p, q) in own.items()}
     return Mat.from_ints(obj["rows"], obj["cols"], den, [
-        [p * (den // q) for p, q in row] for row in parsed])
+        [scaled[v] for v in row] for row in entries])

@@ -35,7 +35,10 @@ residual of each reduced row against the new row, made primitive again,
 instead of by the gcd-reduced cross-multiplication, and an algebra's
 conjugate and basis matrices by normalized `Mat` products and 1 x n^2
 `span_rows` matrices instead of integer numerator products and rows read
-straight into n x n matrices.
+straight into n x n matrices, and the CLI's document sizes and wire
+matrices by a worklist that visits every JSON value and by parsing every
+entry on its own instead of by a worklist of containers only and one parse
+per distinct entry string.
 It also holds code that only the tests
 use: `poly_from_roots`, `pattern_from_positions`, and `poly_xgcd`,
 `poly_crt` and `block_projector_poly` behind the polynomial projector.
@@ -54,7 +57,8 @@ from algforge.algebra import _from_span, _span_of
 from algforge.incidence import IncidencePattern
 from algforge.matrices import Mat, identity, inverse, zero
 from algforge.polynomials import (P_ONE, P_ZERO, Poly, _scaled, _sturm_chain,
-                                  _variations, poly_gcd, root_multiplicity)
+                                  _variations, parse_rational, poly_gcd,
+                                  root_multiplicity)
 from algforge.verify import (_closure, _require_size, _size_of, _Span,
                              _sparse, _unital_span, _vec)
 
@@ -1090,6 +1094,36 @@ def full_chain_rational_roots(p: Poly) -> list[tuple[Fraction, int]]:
         todo.append((mid, 2 * hi, e + 1, vmid, vhi))
         todo.append((2 * lo, mid, e + 1, vlo, vmid))
     return roots
+
+
+# -- the CLI's readers before the parse cache -----------------------------------
+
+def worklist_doc_sizes(doc) -> list[int]:
+    """Every integer "rows", "cols" or "n" (matrix shapes, algebra and
+    pattern sizes) anywhere in a JSON document."""
+    sizes, todo = [], [doc]
+    while todo:
+        obj = todo.pop()
+        if isinstance(obj, dict):
+            sizes += [obj[k] for k in ("rows", "cols", "n")
+                      if isinstance(obj.get(k), int)]
+            todo += obj.values()
+        elif isinstance(obj, list):
+            todo += obj
+    return sizes
+
+
+def per_entry_mat_from_json(obj: dict) -> Mat:
+    if not (isinstance(obj, dict) and {"rows", "cols", "entries"} <= obj.keys()
+            and isinstance(obj["entries"], list)
+            and all(isinstance(row, list) for row in obj["entries"])):
+        raise ValueError("matrix needs rows, cols and entries, a list of rows")
+    if not (type(obj["rows"]) is int and type(obj["cols"]) is int):
+        raise ValueError("matrix shape must be integers")
+    parsed = [[parse_rational(v) for v in row] for row in obj["entries"]]
+    den = lcm(*[q for row in parsed for _, q in row])
+    return Mat.from_ints(obj["rows"], obj["cols"], den, [
+        [p * (den // q) for p, q in row] for row in parsed])
 
 
 # -- builders the tests use and the package does not ---------------------------

@@ -595,6 +595,27 @@ def test_non_integer_pattern_is_a_usage_error(doc, monkeypatch, capsys):
     assert "Traceback" not in err and "integers" in err
 
 
+POSITIONS_ERROR = ("error: invalid pattern document: 'positions' must be a"
+                   " list of [i, j] pairs of integers\n")
+FIELDS_ERROR = ("error: invalid pattern document: expected an object with"
+                " 'n' and 'positions'\n")
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"n": 2, "positions": {"a": 1}}, POSITIONS_ERROR),
+    ({"n": 2, "positions": [5]}, POSITIONS_ERROR),
+    ({"n": 2}, FIELDS_ERROR),
+    ([1], FIELDS_ERROR),
+    ({"n": 2, "positions": [[1, 1], [2, 2], [[1], 2]]}, POSITIONS_ERROR),
+], ids=["positions-object", "position-not-a-pair", "no-positions",
+        "not-an-object", "list-coordinate"])
+def test_malformed_pattern_document_names_the_field(doc, message, monkeypatch,
+                                                    capsys):
+    code, out, err = _run(["incidence-pair"], stdin_text=json.dumps(doc),
+                          monkeypatch=monkeypatch, capsys=capsys)
+    assert (code, out, err) == (2, "", message)
+
+
 def test_empty_pattern_is_a_usage_error(monkeypatch, capsys):
     text = json.dumps({"n": 0, "positions": []})
     code, out, err = _run(["incidence-pair"], stdin_text=text,

@@ -45,14 +45,13 @@ def _max_dim() -> int:
         raise UsageError(f"ALGFORGE_MAX_DIM is not an integer: {raw!r}")
 
 
-def _check_dim(*sizes: int) -> None:
+def _check_dim(n: int) -> None:
     cap = _max_dim()
-    for n in sizes:
-        if n > cap:
-            raise UsageError(f"matrix size {n} exceeds the cap {cap}"
-                             " (set ALGFORGE_MAX_DIM to raise it)")
-        if n < 0:
-            raise UsageError("matrix size must be nonnegative")
+    if n > cap:
+        raise UsageError(f"matrix size {n} exceeds the cap {cap}"
+                         " (set ALGFORGE_MAX_DIM to raise it)")
+    if n < 0:
+        raise UsageError("matrix size must be nonnegative")
 
 
 def _write(text: str, out: str | None) -> None:
@@ -79,11 +78,8 @@ def _encode(obj, nl: str) -> str:
         if not obj:
             return "[]"
         inner = nl + "  "
-        kinds = set(map(type, obj))
-        if kinds == {str}:
+        if set(map(type, obj)) == {str}:
             items = map(_encode_str, obj)
-        elif kinds == {int}:
-            items = map(int.__repr__, obj)
         else:
             items = [_encode(v, inner) for v in obj]
         return f"[{inner}{f',{inner}'.join(items)}{nl}]"
@@ -139,7 +135,8 @@ def _load_algebra_like(doc) -> Algebra:
     parsed or closed."""
     if not isinstance(doc, dict):
         raise UsageError("expected a JSON object")
-    _check_dim(*_doc_sizes(doc))
+    for size in _doc_sizes(doc):
+        _check_dim(size)
     key = next((k for k in ("basis", "gens") if k in doc), None)
     if key is None:
         raise UsageError("expected an object with 'basis' or 'gens'")
@@ -268,7 +265,8 @@ def _doc_sizes(doc) -> list[int]:
 
 def _cmd_verify(args) -> int:
     doc = _load_json(args.input)
-    _check_dim(*_doc_sizes(doc))
+    for size in _doc_sizes(doc):
+        _check_dim(size)
     if isinstance(doc, dict) and "certificates" in doc:
         docs = doc["certificates"]
     elif isinstance(doc, dict) and "certificate" in doc and doc["certificate"]:

@@ -11,8 +11,8 @@ canonical form by one gcd.  A rational vector is a ``1 x n`` Mat:
 ``stack``, ``kernel`` and ``span_rows`` build such rows, and a matrix acts
 on them as ``v @ A.transpose()``.  The wire is read as integers too:
 ``mat_from_json`` parses each distinct entry string with
-``polynomials.parse_rational`` into an integer pair, once per document
-when the loader passes one cache for all its matrices.  A Fraction is
+``polynomials.parse_rational`` into an integer pair, once per document:
+every loader passes one cache for all the matrices of a document.  A Fraction is
 built only where a caller passes one in or reads ``A.data``, a read-only
 Fraction grid built on first use, or the Fraction results of
 ``uniform_norm`` and ``min_support_entry``.
@@ -480,8 +480,7 @@ def mat_to_json(a: Mat) -> dict:
     return {"rows": a.rows, "cols": a.cols, "entries": entries}
 
 
-def mat_from_json(obj: dict,
-                  parsed: dict[str, tuple[int, int]] | None = None) -> Mat:
+def mat_from_json(obj: dict, parsed: dict[str, tuple[int, int]]) -> Mat:
     """The Mat of a wire matrix.  `parsed` maps each entry string read so
     far to its `parse_rational` pair; a loader passes one dict for every
     matrix of a document, so each distinct string is parsed once per
@@ -494,15 +493,15 @@ def mat_from_json(obj: dict,
         raise ValueError("matrix needs rows, cols and entries, a list of rows")
     if not (type(obj["rows"]) is int and type(obj["cols"]) is int):
         raise ValueError("matrix shape must be integers")
-    if parsed is None:
-        parsed = {}
-    entries = obj["entries"]
-    for row in entries:
+    grid = []
+    for row in obj["entries"]:
+        pairs = []
         for v in row:
-            if type(v) is not str or v not in parsed:
-                parsed[v] = parse_rational(v)
-    own = {v: parsed[v] for v in set().union(*entries)}
-    den = lcm(*[q for _, q in own.values()])
-    scaled = {v: p * (den // q) for v, (p, q) in own.items()}
+            pq = parsed.get(v) if type(v) is str else None
+            if pq is None:
+                pq = parsed[v] = parse_rational(v)
+            pairs.append(pq)
+        grid.append(pairs)
+    den = lcm(*{q for row in grid for _, q in row})
     return Mat.from_ints(obj["rows"], obj["cols"], den, [
-        [scaled[v] for v in row] for row in entries])
+        [p * (den // q) for p, q in row] for row in grid])

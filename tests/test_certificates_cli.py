@@ -75,7 +75,7 @@ def _round_trips(value):
     """Whether a stored matrix, algebra or pattern reads back through the
     loader the CLI uses for its kind and writes out unchanged."""
     if "entries" in value:
-        return mat_to_json(mat_from_json(value)) == value
+        return mat_to_json(mat_from_json(value, {})) == value
     if "basis" in value:
         return algebra_to_json(algebra_from_json(value)) == value
     return pattern_to_json(pattern_from_json(value)) == value

@@ -218,7 +218,7 @@ def test_output_outside_the_algebra_fails():
     n = doc["outputs"][0]["rows"]
     # every output is in the conjugated algebra; ones + E_11 is positive but
     # not in it, so only the generation check can reject it
-    outputs = [mat_from_json(m) for m in doc["outputs"]]
+    outputs = [mat_from_json(m, {}) for m in doc["outputs"]]
     assert generate(n, outputs).contains(ones(n))
     outside = ones(n) + matrix_unit(n, 1, 1)
     assert not generate(n, outputs).contains(outside)
@@ -231,7 +231,7 @@ def test_output_outside_the_algebra_fails():
 def test_redundant_output_replaced_inside_the_algebra_still_verifies():
     doc = _classify_doc()
     tampered = copy.deepcopy(doc)
-    flat = mat_from_json(doc["outputs"][-1])
+    flat = mat_from_json(doc["outputs"][-1], {})
     tampered["outputs"][0] = mat_to_json(2 * flat)
     assert verify_document(tampered) == []
 
@@ -242,7 +242,7 @@ def test_outputs_generating_a_proper_subalgebra_fail():
     flat idempotent M plus the outputs that each enlarge the algebra, which
     still verifies; then put M in place of the last one kept."""
     doc = _classify_doc()
-    outputs = [mat_from_json(m) for m in doc["outputs"]]
+    outputs = [mat_from_json(m, {}) for m in doc["outputs"]]
     n = outputs[0].rows
     full = generate(n, outputs)
     keep = [len(outputs) - 1]
@@ -257,7 +257,7 @@ def test_outputs_generating_a_proper_subalgebra_fail():
     assert verify_document(trimmed) == []
     tampered = _with_outputs(doc, [doc["outputs"][j] for j in keep[:-1]]
                              + [doc["outputs"][-1]])
-    assert generate(n, [mat_from_json(m)
+    assert generate(n, [mat_from_json(m, {})
                         for m in tampered["outputs"]]).dim < full.dim
     assert verify_document(tampered) == _generation_failure(tampered)
 
@@ -362,7 +362,7 @@ def test_trimmed_outputs_still_close_and_verify(monkeypatch):
     algebra, as in `test_outputs_generating_a_proper_subalgebra_fail`,
     span less than the algebra but generate it: the worklist decides."""
     doc = _classify_doc()
-    outputs = [mat_from_json(m) for m in doc["outputs"]]
+    outputs = [mat_from_json(m, {}) for m in doc["outputs"]]
     n = outputs[0].rows
     full = generate(n, outputs)
     keep = [len(outputs) - 1]
@@ -401,7 +401,7 @@ def _with_sources(doc, basis, refs=None):
 
 
 def _source_algebra(doc):
-    basis = [mat_from_json(m) for m in doc["inputs"]["algebra"]["basis"]]
+    basis = [mat_from_json(m, {}) for m in doc["inputs"]["algebra"]["basis"]]
     return basis, generate(basis[0].rows, basis)
 
 

@@ -253,14 +253,14 @@ def test_in_algebra_conjugated_off_the_algebra_or_with_C_tampered(name):
     assert verify_document(doc) == []
     n = doc["C"]["rows"]
     rng = random.Random(n)
-    algebra = generate(n, [mat_from_json(b)
+    algebra = generate(n, [mat_from_json(b, {})
                            for b in doc["inputs"]["algebra"]["basis"]])
     off = next(matrix_unit(n, i, j) for i in range(1, n + 1)
                for j in range(1, n + 1)
                if not algebra.contains(matrix_unit(n, i, j)))
     moved = copy.deepcopy(doc)
     moved["outputs"][0] = mat_to_json(conjugate(
-        off + identity(n), mat_from_json(doc["C"])))
+        off + identity(n), mat_from_json(doc["C"], {})))
     tampered_c = copy.deepcopy(doc)
     tampered_c["C"] = mat_to_json(random_unimodular(rng, n, 3))
     singular = copy.deepcopy(doc)

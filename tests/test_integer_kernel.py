@@ -447,7 +447,7 @@ def test_mat_operations_match_fraction_oracles(shape):
         assert list(a.numerators()) == [a.den * v for v in flat]
         assert mat_to_json(a)["entries"] == [[str(v) for v in row]
                                              for row in ga]
-        assert mat_from_json(mat_to_json(a)) == a
+        assert mat_from_json(mat_to_json(a), {}) == a
         nonneg = [[abs(v) for v in row] for row in ga]
         positive = [[abs(v) + 1 for v in row] for row in ga]
         for g in (ga, nonneg, positive):
@@ -502,7 +502,7 @@ def test_equal_matrices_from_different_paths_compare_and_hash_equal():
             Mat.from_rows([["1", "1"], ["1", "2"]]), direct.transpose(),
             Mat.from_ints(2, 2, -6, [[-6, -6], [-6, -12]]),
             F(1, 3) * (3 * direct), inverse(inverse(direct)),
-            mat_from_json(mat_to_json(direct)),
+            mat_from_json(mat_to_json(direct), {}),
             direct @ identity(2), identity(2) @ direct]
     for m in same:
         assert m == direct and hash(m) == hash(direct)
@@ -612,7 +612,7 @@ def new_wire_rule(s):
 
 def engine_matrix_rule(s):
     try:
-        m = mat_from_json({"rows": 1, "cols": 1, "entries": [[s]]})
+        m = mat_from_json({"rows": 1, "cols": 1, "entries": [[s]]}, {})
     except ValueError:
         return None
     return m.num[0][0], m.den
@@ -645,7 +645,7 @@ def test_wire_rationals_match_the_fraction_rule():
         with pytest.raises(CertificateError):
             verify._rational(bad)
         with pytest.raises(ValueError):
-            mat_from_json({"rows": 1, "cols": 1, "entries": [[bad]]})
+            mat_from_json({"rows": 1, "cols": 1, "entries": [[bad]]}, {})
 
 
 def entrywise_grid(obj):
@@ -745,7 +745,7 @@ def test_hot_paths_build_no_fraction(monkeypatch):
     zero(3), identity(3), ones(3), matrix_unit(3, 2, 1)
     permutation_matrix([2, 0, 1]), direct_sum([half, other, identity(1)])
     closure_words(3, gens), generate(3, gens), mat_to_json(half)
-    mat_from_json(wire), algebra_from_json(alg_doc)
+    mat_from_json(wire, {}), algebra_from_json(alg_doc)
     uniformizer(4), uniformizer_inv(4), jordan_cell(3, 0), companion(cubic)
     regular_triangular(2, 3, [5, 7]), predict_padded_conjugation(block, 2)
     grid = verify._grid(wire, {})

@@ -176,7 +176,7 @@ def test_mat_from_json_agrees_with_the_per_entry_oracle():
     for _ in range(200):
         n = rng.randrange(5)
         wire = mat_to_json(random_mat(rng, n, height=rng.choice([1, 3, 30])))
-        assert mat_from_json(wire) == per_entry_mat_from_json(wire)
+        assert mat_from_json(wire, {}) == per_entry_mat_from_json(wire)
         # a cache shared across matrices gives the same matrices
         assert mat_from_json(wire, parsed) == per_entry_mat_from_json(wire)
     for wire in ([_wire([["1/2", "1/3"], ["-1/6", "0"]]), _wire([]),
@@ -202,7 +202,7 @@ def test_mat_from_json_names_the_first_bad_entry(bad):
     for wire in wires:
         want = _error(per_entry_mat_from_json, wire)
         assert repr(bad) in want
-        assert _error(mat_from_json, wire) == want
+        assert _error(lambda w: mat_from_json(w, {}), wire) == want
         assert _error(lambda w: mat_from_json(w, dict(warm)), wire) == want
 
 
@@ -215,7 +215,8 @@ def test_mat_from_json_names_the_first_bad_entry(bad):
     [["1"]],
 ], ids=["short", "ragged", "bool-shape", "flat", "no-entries", "not-a-dict"])
 def test_mat_from_json_refuses_malformed_shapes_as_the_oracle(wire):
-    assert _error(mat_from_json, wire) == _error(per_entry_mat_from_json, wire)
+    assert (_error(lambda w: mat_from_json(w, {}), wire)
+            == _error(per_entry_mat_from_json, wire))
 
 
 def _distinct_entries(mats) -> set:

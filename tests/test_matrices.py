@@ -145,7 +145,7 @@ def test_mat_json_round_trip():
     a = Mat.from_rows([[F(1, 3), -2], [0, F(7, 2)]])
     doc = mat_to_json(a)
     assert doc["entries"] == [["1/3", "-2"], ["0", "7/2"]]
-    assert mat_from_json(doc) == a
+    assert mat_from_json(doc, {}) == a
 
 
 @given(st.integers(2, 5))

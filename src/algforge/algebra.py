@@ -10,7 +10,9 @@ numerators, each a positive multiple of C^{-1} B C.
 Generation uses a worklist that multiplies each newly independent word on
 the left by every generator.  The span this reaches contains I and is
 mapped into itself by left multiplication with each generator, so it
-contains every word in the generators and is closed under products.
+contains every word in the generators and is closed under products.  I
+itself is not multiplied (g I = g is a generator), and the worklist stops
+once the span reaches n for one generator (Cayley-Hamilton) or n^2.
 Closedness is a type guarantee: `Algebra(n, mats)` checks it, and the
 builders' trusted `_from_span` keeps the span they already hold.  The
 check closes the basis with the verifier's lazy-admission worklist
@@ -28,6 +30,7 @@ numerators span the algebra as the basis does.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -128,10 +131,13 @@ def closure_words(n: int,
                   gens: Iterable[Mat]) -> tuple[list[Mat], EchelonSpan]:
     """Independent words spanning the unital algebra generated by gens.
 
-    Worklist: I and the generators first, then every retained word is
-    multiplied on the left by each generator, keeping the products that
-    enlarge the span.  Returns the retained words in insertion order and
-    their span.
+    Worklist: I and the generators first, then every retained word past I
+    is multiplied on the left by each generator, keeping the products that
+    enlarge the span; g I = g is pushed already.  The walk stops once the
+    span reaches the a-priori ceiling, when every further product lies in
+    it: n for one generator, whose algebra is spanned by its first n
+    powers (Cayley-Hamilton), and n^2 otherwise.  Returns the retained
+    words in insertion order and their span.
     """
     gens = list(gens)
     for g in gens:
@@ -147,8 +153,12 @@ def closure_words(n: int,
     push(identity(n))
     for g in gens:
         push(g)
-    for x in words:  # words grows while it is walked: a FIFO worklist
+    ceiling = n if len(gens) == 1 else n * n
+    # words grows while it is walked: a FIFO worklist
+    for x in islice(words, 1, None):
         for g in gens:
+            if span.dim == ceiling:
+                return words, span
             push(g @ x)
     return words, span
 

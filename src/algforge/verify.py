@@ -35,27 +35,31 @@ on the right by the generators' integer rows, where the engine's worklist
 multiplies on the left.  Generators are admitted lazily: one the span
 already holds is skipped, since the span is always the algebra generated
 by the admitted ones, so a redundant list costs no more products than its
-admitted part.  A claim <X> = <Y>, or <X> = C^{-1} <Y> C, is first
-decided by one elimination, with no closure: <X> = <span{I, X}>, so it
-holds once each y, or C^{-1} y C, lies in span{I, X} and span{I, Y} has
-its dimension.  Conjugation by C is a linear algebra automorphism, so
-the source side is read on the stored Y, and `in_algebra_conjugated`
-tests C X C^{-1} against the stored span.  A positive-generation
-certificate so verifies with no product beyond the conjugations.
-Otherwise the first list is closed, each y (or C^{-1} y C) must lie in
-it, and the stored Y is closed only when span{I, Y} falls short.  The
-same worklist also serves the engine's check that a loaded algebra
-basis is closed (`algebra.Algebra.is_closed`), under a dimension bound:
-given one, it stops as soon as its span exceeds the bound, which proves
-the generated algebra larger.  Certificate checks never pass a bound, so
-the worklist they run is unchanged.  A reference "in:<name>:<i>" reads
+admitted part.  An admitted generator is kept as it is, with no product
+by I, and the worklist stops once its span reaches the a-priori ceiling:
+n for one n x n matrix, whose algebra is spanned by its first n powers
+(Cayley-Hamilton), and n^2 otherwise.  A claim <X> = <Y>, or <X> =
+C^{-1} <Y> C, is first decided by one elimination, with no closure:
+<X> = <span{I, X}>, so it holds once each y, or C^{-1} y C, lies in
+span{I, X} and span{I, Y} has its dimension.  Conjugation by C is a
+linear algebra automorphism, so the source side is read on the stored Y,
+and `in_algebra_conjugated` tests C X C^{-1} against the stored span.  A
+positive-generation certificate so verifies with no product beyond the
+conjugations.  Otherwise X is closed, its worklist resumed from
+span{I, x_1}, which the elimination passed through; each y (or
+C^{-1} y C) must lie in <X>, and the stored Y is closed only when
+span{I, Y} falls short, and then only until it reaches dim <X>.  The
+engine's check that a loaded algebra basis is closed
+(`algebra.Algebra.is_closed`) bounds the worklist the same way: given a
+bound, it stops as soon as its span exceeds it, which proves the
+generated algebra larger.  A reference "in:<name>:<i>" reads
 item i of a list input or basis matrix i of an algebra input, so a certificate
 stores an algebra once and names its basis matrices as a source list.
 Within one `verify_document` call each referenced matrix is parsed once,
 an algebra's basis matrices included, whether it is read as part of the
 basis or through an indexed reference, and each distinct entry string
 once; each algebra basis is spanned once, each generator list is closed
-at most once and C is inverted once.
+at most once under each bound and C is inverted once.
 """
 
 from __future__ import annotations
@@ -105,7 +109,18 @@ def _grid(obj: dict, parsed: dict[str, tuple[int, int]]) -> Grid:
         raise CertificateError(f"matrix shape {rows!r} x {cols!r} is not"
                                " a pair of integers")
     entries = obj["entries"]
-    if len(entries) != rows or any(len(r) != cols for r in entries):
+    # A str or dict has a length and items too, so a list is required:
+    # ["12"] is not [["1", "2"]].
+    if type(entries) is not list:
+        raise CertificateError("matrix entries are a"
+                               f" {type(entries).__name__}, not a list of"
+                               " rows")
+    if len(entries) != rows or any(type(r) is not list or len(r) != cols
+                                   for r in entries):
+        for i, row in enumerate(entries):
+            if type(row) is not list:
+                raise CertificateError(f"matrix row {i} is a"
+                                       f" {type(row).__name__}, not a list")
         raise CertificateError("matrix entries do not match declared shape")
     own: dict[str, tuple[int, int]] = {}
     for row in entries:
@@ -355,10 +370,13 @@ def _size_of(gens: list[Grid]) -> int:
     return n
 
 
-def _closure(gens: list[Grid],
-             bound: int | None = None) -> tuple[_Span, int]:
+def _closure(gens: list[Grid], bound: int | None = None,
+             start: dict[int, dict[int, int]] | None = None
+             ) -> tuple[_Span, int]:
     """Span of the unital algebra generated by gens, or, given a bound,
-    a subspace of it whose dimension exceeds the bound.
+    a subspace of it whose dimension exceeds the bound.  `start`, when
+    given, holds the `_Span` rows of span{I, g_1}, from which the worklist
+    then grows.
 
     Generation lemma.  When some generator D is diagonal with pairwise
     distinct entries, the algebra is span{E_ij : (i, j) in R}, for R the
@@ -375,12 +393,16 @@ def _closure(gens: list[Grid],
     I, is spanned by the kept words, and is closed under right
     multiplication by every admitted generator, so it is the algebra the
     admitted generators generate.  A generator the span already holds adds
-    nothing and is skipped.  A new one is admitted: every earlier kept
-    word is multiplied on the right by it, and then every new word by each
-    admitted generator, walking the kept list by index while it grows.
+    nothing and is skipped.  A new one is admitted: it is kept itself (the
+    first kept word is I, and I g = g needs no product), every other
+    earlier kept word is multiplied on the right by it, and then every new
+    word by each admitted generator, walking the kept list by index while
+    it grows.  The worklist starts from span{I, g_1}: its first two words.
     The span only grows, and within the algebra, so the worklist stops as
-    soon as its dimension exceeds the bound: the algebra is then larger
-    than the bound too.
+    soon as its dimension exceeds the bound, when the algebra is larger
+    than the bound too, or reaches the a-priori ceiling, when it is the
+    whole algebra: n for one generator, whose algebra is spanned by its
+    first n powers (Cayley-Hamilton), and n^2 otherwise.
     """
     n = _size_of(gens)
     # Words in the generators' integer rows are nonzero multiples of the
@@ -388,33 +410,44 @@ def _closure(gens: list[Grid],
     ints = [rows for _, rows in gens]
     if any(map(_is_distinct_diagonal, ints)):
         return _unit_span(ints, n), n
-    span = _Span()
-    kept: list[tuple[tuple[int, ...], ...]] = []
-    used: list[tuple[tuple[int, ...], ...]] = []
+    if start is None:
+        span = _unital_span(gens[:1], n)
+    else:
+        span = _Span()
+        span.rows = start
+    kept = [_identity(n)] + ints[:1] if span.dim > 1 else [_identity(n)]
+    used = kept[1:]
+
+    def walk(i):
+        """Kept word i on, each times every admitted generator."""
+        while i < len(kept):  # kept grows while it is walked
+            for h in used:
+                yield _imul(kept[i], h)
+            i += 1
 
     def words():
-        """I, then the worklist's products, each made once the previous
-        word has been pushed."""
-        yield _identity(n)
-        for g in ints:
+        """The worklist's words past span{I, g_1}, each product made once
+        the previous word has been pushed."""
+        yield from walk(1)
+        for g in ints[1:]:
             if span.contains([v for row in g for v in row]):
                 continue
             used.append(g)
             old = len(kept)
-            for x in kept[:old]:
+            yield g
+            for x in kept[1:old]:
                 yield _imul(x, g)
-            i = old
-            while i < len(kept):  # kept grows while it is walked
-                for h in used:
-                    yield _imul(kept[i], h)
-                i += 1
+            yield from walk(old)
 
-    limit = n * n if bound is None else bound
-    for m in words():
-        if span.add([v for row in m for v in row]):
-            kept.append(m)
-            if span.dim > limit:
-                break
+    limit = (n if len(ints) == 1 else n * n) - 1
+    if bound is not None:
+        limit = min(limit, bound)
+    if span.dim <= limit:
+        for m in words():
+            if span.add([v for row in m for v in row]):
+                kept.append(m)
+                if span.dim > limit:
+                    break
     return span, n
 
 
@@ -558,11 +591,14 @@ class _Document:
         """C^{-1} X C."""
         return _conjugate(*self.transform(), x)
 
-    def closed(self, refs) -> tuple[_Span, int]:
-        """The `_closure` of the matrices behind a list of references."""
+    def closed(self, refs, bound: int | None = None,
+               start: dict[int, dict[int, int]] | None = None
+               ) -> tuple[_Span, int]:
+        """The `_closure` of the matrices behind a list of references,
+        under a bound if given, grown from `start` if it is made here."""
         key = tuple(refs)
-        return self._once(("closure", key), lambda: _closure(
-            [self.matrix(r) for r in key]))
+        return self._once(("closure", key, bound), lambda: _closure(
+            [self.matrix(r) for r in key], bound, start))
 
     def pattern(self, ref: str) -> tuple[int, frozenset[tuple[int, int]]]:
         """(n, positions); every position must be a pair of integers in
@@ -657,9 +693,13 @@ def _check_generate_equal(d: _Document, p: dict, conjugated=False) -> bool:
     proved nonsingular, is a linear algebra automorphism fixing I, so
     span{I, Y'} and <Y'> have the dimensions of span{I, Y} and <Y>, read
     on the stored Y: span{Y}, the algebra's own span when Y names its
-    basis, plus one unless it holds I.  Otherwise X is closed: every y'
-    must lie in <X>, which then holds <Y'>, and the two are equal once
-    span{I, Y} or, closed, <Y> has the dimension of <X>."""
+    basis, plus one unless it holds I.  Otherwise X is closed: its
+    worklist resumes from span{I, x_1}, its first two words, which the
+    elimination passed through (for one matrix, the whole of it), and the
+    document keeps the result as its closure of X.  Every y' must lie in
+    <X>, which then holds <Y'>, so dim <Y> <= dim <X>, and the two are
+    equal once span{I, Y} or <Y> has the dimension of <X>.  So Y is closed
+    under the bound dim <X> - 1 and stops as soon as it passes it."""
     refs = p["gens" if conjugated else "gens_a"]
     gens = [d.matrix(r) for r in refs]
     n = _size_of(gens)
@@ -667,14 +707,20 @@ def _check_generate_equal(d: _Document, p: dict, conjugated=False) -> bool:
     others = [d.conjugate(d.matrix(r)) if conjugated else d.matrix(r)
               for r in sources]
     _require_size(others, n)
-    span = _unital_span(gens, n)
+    span = _unital_span(gens[:1], n)
+    # span{I, x_1}, where X's worklist starts; `_Span.add` replaces rows
+    # and never changes one in place, so a copy of the dict is a snapshot
+    head = dict(span.rows)
+    for g in gens[1:]:
+        span.add(_vec(g))
     stored = d.spanned(sources)
     dim = stored.dim + (not stored.contains(_vec((1, _identity(n)))))
     if dim == span.dim and all(span.contains(_vec(y)) for y in others):
         return True
-    span, _ = d.closed(refs)
+    span, _ = d.closed(refs, start=head)
     return all(span.contains(_vec(y)) for y in others) and (
-        dim == span.dim or d.closed(sources)[0].dim == span.dim)
+        dim == span.dim
+        or d.closed(sources, span.dim - 1)[0].dim == span.dim)
 
 
 def _check_spans_pattern(d: _Document, p: dict) -> bool:

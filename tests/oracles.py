@@ -7,7 +7,9 @@ Fraction Hessenberg reduction instead of Berkowitz's division-free
 recurrence, polynomial arithmetic and gcds on Fraction coefficients
 instead of integer numerators, algebra dimensions by a round-based
 pairwise-product closure instead of the generator worklist, the closure
-worklists as they were before early stopping and lazy admission, an
+worklists as they were before early stopping and lazy admission, the
+verifier's lazy worklist as it was before it skipped the product by I,
+stopped at the a-priori ceiling and resumed from span{I, g_1}, an
 algebra's closedness by all d^2 basis products instead of the verifier's
 worklist capped at its dimension, echelon
 bases and products by textbook Fraction loops instead of the integer
@@ -59,8 +61,9 @@ from algforge.matrices import Mat, identity, inverse, zero
 from algforge.polynomials import (P_ONE, P_ZERO, Poly, _scaled, _sturm_chain,
                                   _variations, parse_rational, poly_gcd,
                                   root_multiplicity)
-from algforge.verify import (_closure, _require_size, _size_of, _Span,
-                             _sparse, _unital_span, _vec)
+from algforge.verify import (_identity, _imul, _is_distinct_diagonal,
+                             _require_size, _size_of, _Span, _sparse,
+                             _unit_span, _unital_span, _vec)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -370,10 +373,10 @@ def brute_closure_dim(n: int, gens: list[Mat]) -> int:
 
 # -- the closure worklists without early stopping or lazy admission --------------
 
-def eager_closure_words(n: int, gens: list[Mat]) -> list[Mat]:
+def eager_closure_words(n: int, gens: list[Mat]):
     """The words the engine's left-generator worklist retains when it runs
-    to the end: I, the generators, then every retained word times each
-    generator on the left."""
+    to the end, and their span: I, the generators, then every retained word
+    times each generator on the left."""
     from algforge.linear import EchelonSpan
     span = EchelonSpan(n * n)
     words: list[Mat] = []
@@ -388,7 +391,7 @@ def eager_closure_words(n: int, gens: list[Mat]) -> list[Mat]:
     for x in words:  # words grows while it is walked: a FIFO worklist
         for g in gens:
             push(g @ x)
-    return words
+    return words, span
 
 
 def eager_verifier_closure(gens):
@@ -421,6 +424,75 @@ def eager_verifier_closure(gens):
     return span, n
 
 
+# -- the verifier's lazy worklist before its ceiling and resumed start ----------
+#
+# `lazy_verifier_closure` is `verify._closure` from before it kept each
+# admitted generator with no product by I, stopped at the a-priori
+# ceiling and could resume from span{I, g_1}, copied verbatim but for its
+# name and signature.
+
+def lazy_verifier_closure(gens, bound: int | None = None):
+    """Span of the unital algebra generated by gens, or, given a bound,
+    a subspace of it whose dimension exceeds the bound.
+
+    Generation lemma.  When some generator D is diagonal with pairwise
+    distinct entries, the algebra is span{E_ij : (i, j) in R}, for R the
+    reflexive-transitive closure of the union of the generators' supports,
+    and no product is made.  The powers of D span the diagonal
+    (Vandermonde), so every E_ii is in it; E_ii g E_jj = g_ij E_ij puts
+    each unit on a generator's support in it, E_ij E_jk = E_ik closes
+    those positions transitively and I gives the diagonal.  Conversely
+    span(R) is a unital algebra, as R is reflexive and transitive, and
+    holds every generator.  Unit rows are the canonical `_Span` rows of
+    that span, the same rows the worklist reaches.
+
+    Otherwise a worklist with lazy admission.  Invariant: the span holds
+    I, is spanned by the kept words, and is closed under right
+    multiplication by every admitted generator, so it is the algebra the
+    admitted generators generate.  A generator the span already holds adds
+    nothing and is skipped.  A new one is admitted: every earlier kept
+    word is multiplied on the right by it, and then every new word by each
+    admitted generator, walking the kept list by index while it grows.
+    The span only grows, and within the algebra, so the worklist stops as
+    soon as its dimension exceeds the bound: the algebra is then larger
+    than the bound too.
+    """
+    n = _size_of(gens)
+    # Words in the generators' integer rows are nonzero multiples of the
+    # words in the generators, so they span the same algebra.
+    ints = [rows for _, rows in gens]
+    if any(map(_is_distinct_diagonal, ints)):
+        return _unit_span(ints, n), n
+    span = _Span()
+    kept: list[tuple[tuple[int, ...], ...]] = []
+    used: list[tuple[tuple[int, ...], ...]] = []
+
+    def words():
+        """I, then the worklist's products, each made once the previous
+        word has been pushed."""
+        yield _identity(n)
+        for g in ints:
+            if span.contains([v for row in g for v in row]):
+                continue
+            used.append(g)
+            old = len(kept)
+            for x in kept[:old]:
+                yield _imul(x, g)
+            i = old
+            while i < len(kept):  # kept grows while it is walked
+                for h in used:
+                    yield _imul(kept[i], h)
+                i += 1
+
+    limit = n * n if bound is None else bound
+    for m in words():
+        if span.add([v for row in m for v in row]):
+            kept.append(m)
+            if span.dim > limit:
+                break
+    return span, n
+
+
 def pairwise_is_closed(alg) -> bool:
     """Whether an algebra's span is closed under products, by the loop
     `Algebra.is_closed` ran before it reused the verifier's worklist: every
@@ -435,7 +507,9 @@ def pairwise_is_closed(alg) -> bool:
 # `spans_first_generate_equal` and `_spans_first_generates` are the
 # verifier's `_generate_equal` and `_generates` from when it compared the
 # canonical rows of span{I, X} with those of span{I, C^{-1} Y C}, and closed
-# the conjugated list on the fallback, copied verbatim but for their names.
+# the conjugated list on the fallback, copied verbatim but for their names
+# and for closing that list with `lazy_verifier_closure`, the closure of
+# that time.
 
 def _spans_first_generates(closed, gens) -> bool:
     """Whether gens generate the algebra spanned by a `_closure` result.
@@ -452,7 +526,7 @@ def _spans_first_generates(closed, gens) -> bool:
     if not all(span.contains(_vec(g)) for g in gens):
         return False
     return (_unital_span(gens, n).dim == span.dim
-            or _closure(gens)[0].dim == span.dim)
+            or lazy_verifier_closure(gens)[0].dim == span.dim)
 
 
 def spans_first_generate_equal(d, refs, others) -> bool:

@@ -1,8 +1,10 @@
 """The engine's left-generator closure, the verifier's right-generator
 closure and the brute-force oracle agree on seeded random generators,
-including redundant lists; the verifier's lazy admission keeps the spans
-of the eager worklist, and the engine's worklist keeps its words.  Lists
-with one unital span are found to generate one algebra with no closure."""
+including redundant lists and one-matrix lists; the verifier's lazy
+admission keeps the spans of the eager worklist, its ceiling and its
+resumed start keep the rows of the lazy worklist before them, and the
+engine's worklist keeps its words and span.  Lists with one unital span
+are found to generate one algebra with no closure."""
 
 import copy
 import json
@@ -15,15 +17,19 @@ import pytest
 from algforge import verify
 from algforge.algebra import closure_words, generate
 from algforge.certificates import (Certificate, prop_dimension,
-                                   prop_generate_equal)
+                                   prop_generate_equal,
+                                   prop_generate_equal_conjugated)
 from algforge.constructions import (nonneg_basis_from_generators,
                                     semicommuting_pair, solve_all_dimensions)
 from algforge.incidence import incidence_of_dimension
-from algforge.matrices import (Mat, identity, is_nonneg, mat_from_json,
+from algforge.matrices import (Mat, companion, direct_sum, identity,
+                               inverse, is_nonneg, jordan_cell, mat_from_json,
                                mat_to_json, matrix_unit, ones, zero)
+from algforge.polynomials import Poly
 from algforge.verify import verify_document
 from oracles import (brute_closure_dim, eager_closure_words,
-                     eager_verifier_closure, gauss_jordan, random_pattern)
+                     eager_verifier_closure, gauss_jordan,
+                     lazy_verifier_closure, random_pattern)
 
 DATA = Path(__file__).parent / "data"
 
@@ -102,6 +108,23 @@ def _redundant_cases():
 REDUNDANT = _redundant_cases()
 
 
+def _diag(*vals):
+    n = len(vals)
+    return Mat.from_rows([[vals[i] if i == j else 0 for j in range(n)]
+                          for i in range(n)])
+
+
+# One-matrix lists: the a-priori ceiling n stops the worklists early only
+# on a nonderogatory matrix, whose algebra has dimension n.
+ONE_MATRIX = [
+    ("nonderogatory", 5, [companion(Poly.of(-2, 0, 0, 0, 0, 1))]),
+    ("derogatory", 3, [_diag(1, 1, 2)]),
+    ("nilpotent", 4, [direct_sum([jordan_cell(3, 0), zero(1)])]),
+    ("scalar", 3, [Fraction(3, 2) * identity(3)]),
+    ("one-by-one", 1, [Mat.from_rows([[Fraction(-4, 3)]])]),
+]
+
+
 def _dimension_doc(gens, value):
     refs = [f"in:gens:{i}" for i in range(len(gens))]
     return Certificate(claim="dimension", inputs={"gens": list(gens)},
@@ -150,6 +173,19 @@ def _count_imul(monkeypatch):
     return _count_calls(monkeypatch, "_imul")
 
 
+def _count_matmul(monkeypatch):
+    """Record each engine product `Mat @ Mat`."""
+    products = []
+    real = Mat.__matmul__
+
+    def counting(a, b):
+        products.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(Mat, "__matmul__", counting)
+    return products
+
+
 @pytest.mark.parametrize("kind,n,gens", CASES + REDUNDANT,
                          ids=[f"{k}-{n}x{n}-{len(g)}"
                               for k, n, g in CASES + REDUNDANT])
@@ -160,13 +196,32 @@ def test_lazy_closure_matches_eager_worklist(kind, n, gens):
     assert span.rows == ref.rows
 
 
-@pytest.mark.parametrize("kind,n,gens", CASES + REDUNDANT,
+@pytest.mark.parametrize("kind,n,gens", CASES + REDUNDANT + ONE_MATRIX,
                          ids=[f"{k}-{n}x{n}-{len(g)}"
-                              for k, n, g in CASES + REDUNDANT])
+                              for k, n, g in CASES + REDUNDANT + ONE_MATRIX])
 def test_closure_words_without_stop_are_unchanged(kind, n, gens):
+    """Skipping g I and stopping at the ceiling keep the words and span of
+    the worklist that runs to the end."""
     words, span = closure_words(n, gens)
-    assert words == eager_closure_words(n, gens)
-    assert span.dim == len(words)
+    ref_words, ref_span = eager_closure_words(n, gens)
+    assert words == ref_words
+    assert span == ref_span and span.dim == len(words)
+
+
+@pytest.mark.parametrize("kind,n,gens", CASES + REDUNDANT + ONE_MATRIX,
+                         ids=[f"{k}-{n}x{n}-{len(g)}"
+                              for k, n, g in CASES + REDUNDANT + ONE_MATRIX])
+def test_closure_matches_the_lazy_worklist(kind, n, gens):
+    """With and without a bound, the closure reaches the rows of the lazy
+    worklist that multiplied by I and ran past the ceiling."""
+    grids = _grids(gens)
+    full, size = verify._closure(grids)
+    ref, ref_size = lazy_verifier_closure(grids)
+    assert size == ref_size == n
+    assert full.rows == ref.rows
+    for bound in range(1, full.dim + 2):
+        assert (verify._closure(grids, bound)[0].rows
+                == lazy_verifier_closure(grids, bound)[0].rows)
 
 
 def test_lazy_closure_of_seeded_algebra_bases():
@@ -184,6 +239,37 @@ def test_lazy_closure_of_seeded_algebra_bases():
             for lst in (basis, mixed, gens + basis):
                 span, _ = verify._closure(_grids(lst))
                 assert span.rows == eager_verifier_closure(_grids(lst))[0].rows
+                assert span.rows == lazy_verifier_closure(_grids(lst))[0].rows
+
+
+@pytest.mark.parametrize("kind,n,gens", ONE_MATRIX,
+                         ids=[k for k, _, _ in ONE_MATRIX])
+def test_one_matrix_closures_make_no_product_by_i(kind, n, gens,
+                                                  monkeypatch):
+    """Both closures of one matrix g with an algebra of dimension d > 1
+    make the products g^2 .. g^(d-1), and g^d, which proves the end, only
+    when d < n: at d = n the ceiling stops them.  A scalar makes none.
+    Before, each also made g I (or I g) and always g^d."""
+    dim = generate(n, gens).dim
+    expected = max(dim - 2 + (dim < n), 0)
+    calls = _count_imul(monkeypatch)
+    assert verify._closure(_grids(gens))[0].dim == dim
+    assert len(calls) == expected
+    products = _count_matmul(monkeypatch)
+    assert generate(n, gens).dim == dim
+    assert len(products) == expected
+
+
+def test_generate_pins_one_generator_products(monkeypatch):
+    """companion(x^4 + 2) closes in 2 products (A^2, A^3) where the
+    worklist that multiplied by I and ran past the ceiling made 4, and
+    diag(1, 1, 2) in 1 (D^2) where it made 2."""
+    products = _count_matmul(monkeypatch)
+    for g, dim, made in ((companion(Poly.of(2, 0, 0, 0, 1)), 4, 2),
+                         (_diag(1, 1, 2), 2, 1)):
+        products.clear()
+        assert generate(g.rows, [g]).dim == dim
+        assert len(products) == made
 
 
 # -- positive-generation certificates: the outputs must generate the algebra --
@@ -480,9 +566,9 @@ def test_generates_checks_containment_then_closes(monkeypatch):
     closed = []
     real = verify._closure
 
-    def closing(gens):
+    def closing(gens, bound=None, start=None):
         closed.append(gens)
-        return real(gens)
+        return real(gens, bound, start)
 
     monkeypatch.setattr(verify, "_closure", closing)
     assert verify_document(_equal_doc(upper, reach)) == []
@@ -593,6 +679,93 @@ def test_generate_equal_refuses_a_reshaped_member_of_the_span():
         assert verify_document(_equal_doc(xs, ys)) == [
             "property 0 (generate_equal): generator size does not match the"
             " algebra"]
+
+
+# -- one-generator claims: the closure of X, then the bounded one of Y -------
+
+# x = U diag(1, -1, 2) U^{-1} for a unimodular U is not diagonal, so the
+# generation lemma does not apply; <x> has dimension 3.
+_U = Mat.from_rows([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+_X = _U @ _diag(1, -1, 2) @ inverse(_U)
+_C = Mat.from_rows([[1, 0, 1], [1, 1, 0], [0, 1, 2]])
+
+
+def _one_generator_doc(x, y, c=_C):
+    """The claim <x> = C^{-1} <y> C, with x the output and y stored."""
+    return Certificate(
+        claim="generate-equal-conjugated", inputs={"y": [y]}, transform=c,
+        outputs=(x,), properties=(prop_generate_equal_conjugated(
+            ["out:0"], ["in:y:0"]),)).to_json()
+
+
+def _conjugated(x):
+    return inverse(_C) @ x @ _C
+
+
+def _spy_closures(monkeypatch):
+    """(gens, bound, dim) of each `_closure` call."""
+    closed = []
+    real = verify._closure
+
+    def closing(gens, bound=None, start=None):
+        span, n = real(gens, bound, start)
+        closed.append((gens, bound, span.dim))
+        return span, n
+
+    monkeypatch.setattr(verify, "_closure", closing)
+    return closed
+
+
+def test_one_generator_claims_that_hold_verify(monkeypatch):
+    """x^2 + x has eigenvalues 2, 0 and 6, so it generates <x>, though x
+    is not in span{I, x^2 + x}: X is closed to dimension 3, and the stored
+    x closed under the bound 2 passes it.  x + 2 I needs no closure."""
+    y = _X @ _X + _X
+    assert generate(3, [y]) == generate(3, [_X])
+    closed = _spy_closures(monkeypatch)
+    assert verify_document(_one_generator_doc(_conjugated(y), _X)) == []
+    assert [(bound, dim) for _, bound, dim in closed] == [(None, 3), (2, 3)]
+    assert closed[1][0] == _grids([_X])
+    assert verify_document(_equal_doc([y], [_X])) == []
+    closed.clear()
+    assert verify_document(_one_generator_doc(
+        _conjugated(_X + 2 * identity(3)), _X)) == []
+    assert closed == []
+
+
+def test_one_generator_claim_with_a_singular_c_fails():
+    doc = _one_generator_doc(_conjugated(_X), _X,
+                             Mat.from_rows([[1, 2, 3], [2, 4, 6], [0, 0, 1]]))
+    assert verify_document(doc) == [
+        "property 0 (generate_equal_conjugated): transformation matrix is"
+        " singular"]
+
+
+def test_one_generator_claim_with_a_source_outside_fails(monkeypatch):
+    """C^{-1} E_13 C is nilpotent and nonzero, so it is not in the
+    semisimple <C^{-1} x C>; the stored source is never closed."""
+    closed = _spy_closures(monkeypatch)
+    doc = _one_generator_doc(_conjugated(_X), matrix_unit(3, 1, 3))
+    assert verify_document(doc) == [
+        "property 0 (generate_equal_conjugated) failed"]
+    assert [(bound, dim) for _, bound, dim in closed] == [(None, 3)]
+
+
+def test_one_generator_claim_on_a_proper_subalgebra_fails(monkeypatch):
+    """<x^2> is a proper subalgebra of <x> (x^2 has eigenvalues 1, 1, 4),
+    and x^2 lies in <x>; span{I, x^2} has the dimension of span{I, x}.  So
+    only the closure of the stored x^2, bounded by dim <x> - 1 = 2, can
+    refuse the claim, and it stops at dimension 2."""
+    square = _X @ _X
+    assert generate(3, [square]).dim == 2
+    closed = _spy_closures(monkeypatch)
+    failed = ["property 0 (generate_equal_conjugated) failed"]
+    doc = _one_generator_doc(_conjugated(_X), square)
+    assert verify_document(doc) == failed
+    assert [(bound, dim) for _, bound, dim in closed] == [(None, 3), (2, 2)]
+    assert closed[1][0] == _grids([square])
+    assert verify_document(_equal_doc([_X], [square])) == [
+        "property 0 (generate_equal) failed"]
 
 
 # -- the generation lemma: a diagonal generator with distinct entries ---------

@@ -8,6 +8,7 @@ golden document and on seeded conjugated block-triangular documents, true
 and tampered."""
 
 import copy
+import io
 import json
 import random
 from fractions import Fraction
@@ -17,6 +18,7 @@ import pytest
 
 from algforge import verify
 from algforge.algebra import generate
+from algforge.cli import run
 from algforge.constructions import single_generator_nonneg
 from algforge.matrices import (Mat, conjugate, direct_sum, identity,
                                jordan_cell, mat_from_json, mat_to_json,
@@ -352,13 +354,39 @@ def test_closure_fallback_closes_the_stored_sources(monkeypatch):
     closed = []
     real = verify._closure
 
-    def closing(gens, bound=None):
+    def closing(gens, bound=None, start=None):
         closed.append(gens)
-        return real(gens, bound)
+        return real(gens, bound, start)
 
     monkeypatch.setattr(verify, "_closure", closing)
     assert verify_document(doc) == []
     assert closed == [[d.matrix(r) for r in prop["gens"]], [stored]]
+
+
+def test_closure_fallback_counts_on_the_m1_certificate(monkeypatch):
+    """The same certificate verifies in 4 integer products and 10 span
+    insertions, where closing from I and multiplying by it, past the
+    ceiling n = 3 and the source's bound dim <B> - 1 = 2, took 8 and 14.
+    Products: C^{-1} A C (two), B^2, which brings <B> to the ceiling, and
+    A^2, which takes <A> past the bound.  Insertions: the three rows of
+    [C | I], I and B, A's stored span, B^2 and I, A and A^2."""
+    a = direct_sum([Mat.from_rows([[2]]), jordan_cell(2, 3)])
+    doc = single_generator_nonneg(a).to_json()
+    products, insertions = [], []
+    real_imul, real_add = verify._imul, verify._Span.add
+
+    def imul(x, y):
+        products.append(1)
+        return real_imul(x, y)
+
+    def add(span, vec):
+        insertions.append(1)
+        return real_add(span, vec)
+
+    monkeypatch.setattr(verify, "_imul", imul)
+    monkeypatch.setattr(verify._Span, "add", add)
+    assert verify_document(doc) == []
+    assert (len(products), len(insertions)) == (4, 10)
 
 
 # -- malformed entries under the shared parse cache ----------------------------
@@ -375,25 +403,53 @@ def _entrywise_error(entries):
     return None
 
 
-@pytest.mark.parametrize("bad", [1.5, None, [1], {}, "2/4", " 1", "1e3"],
+_BAD_ENTRIES = [1.5, None, [1], {}, "2/4", " 1", "1e3"]
+
+# (wire matrix, failure): a bad entry between cached strings and before a
+# second bad one, then rows or entries that are not lists.  A string row
+# or a string or dict of entries was read by its characters or keys when
+# their count matched the declared shape, so ["12"] read as [[1, 2]].
+MALFORMED = [
+    ({"rows": 2, "cols": 2, "entries": [["1", "1/2"], [bad, "007"]]},
+     f"not a canonical rational: {bad!r}") for bad in _BAD_ENTRIES] + [
+    ({"rows": 1, "cols": 2, "entries": ["12"]},
+     "matrix row 0 is a str, not a list"),
+    ({"rows": 1, "cols": 1, "entries": {"5": "x"}},
+     "matrix entries are a dict, not a list of rows"),
+    ({"rows": 1, "cols": 1, "entries": "5"},
+     "matrix entries are a str, not a list of rows"),
+]
+
+
+@pytest.mark.parametrize("matrix,message", MALFORMED,
                          ids=["float", "none", "list", "dict", "unreduced",
-                              "space", "exponent"])
-def test_malformed_entries_fail_as_entry_by_entry(bad):
+                              "space", "exponent", "string-row",
+                              "dict-entries", "string-entries"])
+def test_malformed_entries_fail_as_entry_by_entry(matrix, message,
+                                                  monkeypatch, capsys):
     """A matrix read after another has filled the document's cache: the
-    bad entry sits between cached strings and before a second bad one, and
-    the failure names it, as parsing entry by entry does, and is a
-    `CertificateError` even for an unhashable entry."""
+    failure names the first bad entry, as parsing entry by entry does, or
+    the row or entries that are not a list, and is a `CertificateError`
+    even for an unhashable entry.  `mat_from_json` refuses the matrix too,
+    and the CLI's `verify` exits 1."""
     good = {"rows": 2, "cols": 2, "entries": [["1", "1/2"], ["0", "2"]]}
-    entries = [["1", "1/2"], [bad, "007"]]
-    doc = {"outputs": [good, {"rows": 2, "cols": 2, "entries": entries}],
+    entries = matrix["entries"]
+    doc = {"outputs": [good, matrix],
            "properties": [{"kind": "nonneg", "target": "out:0"},
                           {"kind": "nonneg", "target": "out:1"}]}
-    message = _entrywise_error(entries)
-    assert message == f"not a canonical rational: {bad!r}"
+    if isinstance(entries, list) and all(isinstance(r, list)
+                                         for r in entries):
+        assert _entrywise_error(entries) == message
     assert verify_document(doc) == [f"property 1 (nonneg): {message}"]
     d = verify._Document(doc)
     d.matrix("out:0")
-    with pytest.raises(verify.CertificateError, match="canonical rational"):
+    with pytest.raises(verify.CertificateError) as exc:
         d.matrix("out:1")
+    assert str(exc.value) == message
     # a failed read caches nothing it refused
     assert set(d._parsed) == {"1", "1/2", "0", "2"}
+    with pytest.raises(ValueError):
+        mat_from_json(matrix, {})
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert run(["verify"]) == 1
+    capsys.readouterr()

@@ -5,8 +5,10 @@ vectorization, so equal algebras have identical bases and equality is a
 plain comparison.  Spans take each matrix's integer numerators (a positive
 multiple of its vectorization), and each basis matrix is read straight off
 a primitive integer echelon row, whose pivot is its canonical denominator.
-`conjugate_algebra` spans the integer products N(C^{-1}) N(B) N(C) of the
-numerators, each a positive multiple of C^{-1} B C.
+`conjugate_algebra` works on the smaller side: for dim A <= n^2 / 2 it
+spans the integer products N(C^{-1}) N(B) N(C) of the numerators, each a
+positive multiple of C^{-1} B C, and otherwise it conjugates A's
+annihilator, read off its echelon rows, and takes the kernel.
 Generation uses a worklist that multiplies each newly independent word on
 the left by every generator.  The span this reaches contains I and is
 mapped into itself by left multiplication with each generator, so it
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
+from math import lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -177,16 +180,62 @@ def generate(n: int, gens: Iterable[Mat]) -> Algebra:
     return _from_span(n, closure_words(n, gens)[1])
 
 
+def _sandwich(left: Sequence[Sequence[int]], m: Sequence[Sequence[int]],
+              right: Sequence[Sequence[int]]) -> list[int]:
+    """The row-major entries of L M R^T on integer rows, for L = left
+    and R = right."""
+    mr = tuple(zip(*[[sum(map(mul, row, col)) for col in right]
+                     for row in m]))
+    return [sum(map(mul, row, col)) for row in left for col in mr]
+
+
+def _annihilator(n: int, span: EchelonSpan) -> list[list[list[int]]]:
+    """One n x n integer matrix G_j per non-pivot column j of the span's
+    rows, with <G_j, X>_F = 0 for every j iff X lies in the span: G_j is
+    L e_j - sum_p (L / r_p) row_p[j] e_p, for r_p the pivot entry of row p
+    and L the lcm of the r_p of the rows that hold column j.  The rows are
+    fully reduced, so a member's coefficient of row p is X_p / r_p."""
+    rows = dict(span.primitive_rows())
+    out = []
+    for j in range(n * n):
+        if j in rows:
+            continue
+        hits = [p for p, row in rows.items() if j in row]
+        scale = lcm(*[rows[p][p] for p in hits])
+        g = [0] * (n * n)
+        g[j] = scale
+        for p in hits:
+            g[p] = -(scale // rows[p][p]) * rows[p][j]
+        out.append([g[i * n:(i + 1) * n] for i in range(n)])
+    return out
+
+
 def conjugate_algebra(a: Algebra, c: Mat) -> Algebra:
-    """Basis-wise conjugation C^{-1} A C, re-echelonized."""
-    left, right = inverse(c).num, tuple(zip(*c.num))
+    """C^{-1} A C, re-echelonized, through the smaller of A's basis and
+    its annihilator.
 
-    def conjugated(b: Mat) -> list[int]:
-        bc = tuple(zip(*[[sum(map(mul, row, col)) for col in right]
-                         for row in b.num]))
-        return [sum(map(mul, row, col)) for row in left for col in bc]
-
-    return _from_span(a.n, _span_of(a.n, map(conjugated, a.basis)))
+    With 2 dim A <= n^2, basis-wise: the integer products N(C^{-1}) N(B)
+    N(C) of the numerators, each a positive multiple of C^{-1} B C.
+    Otherwise X lies in C^{-1} A C iff C X C^{-1} lies in A, that is iff
+    <C^T G C^{-T}, X>_F = <G, C X C^{-1}>_F = 0 for each annihilator
+    matrix G of A, so C^{-1} A C is the kernel of the n^2 - dim A
+    conjugated annihilator rows N(C)^T G N(C^{-1})^T.  That kernel is read
+    in reversed column order: `nullspace` gives one vector per free column
+    of the reversed system, 1 there and 0 at the other free ones, so,
+    reversed back, each leads at its own column and is 0 at the others'.
+    Those columns are the pivots of the kernel's reduced echelon form, so
+    the vectors are its rows up to a positive scale, and adding each to a
+    span only makes it primitive."""
+    n = a.n
+    if not (c.is_square and c.rows == n):
+        raise ValueError("size mismatch")
+    inv, ct = inverse(c).num, tuple(zip(*c.num))
+    if 2 * a.dim <= n * n:
+        return _from_span(n, _span_of(n, [_sandwich(inv, b.num, ct)
+                                          for b in a.basis]))
+    rows = [_sandwich(ct, g, inv)[::-1] for g in _annihilator(n, a._span)]
+    return _from_span(n, _span_of(n, [v[::-1] for v in
+                                      nullspace(rows, n * n)[1]]))
 
 
 def algebra_direct_sum(a: Algebra, b: Algebra) -> Algebra:

@@ -32,6 +32,8 @@ part alone to width 1/L, and generated-algebra equality and conjugated
 membership by eliminating span{I, X} and span{I, C^{-1} Y C} and closing
 the conjugated list, and by the span of the conjugated basis, instead of
 by one elimination with the source side read on the stored matrices,
+that one elimination, with every source conjugated, instead of a larger
+stored span's annihilator, conjugated once, and a rank count,
 the engine's and the verifier's Gauss-Jordan steps by the lcm-scaled
 residual of each reduced row against the new row, made primitive again,
 instead of by the gcd-reduced cross-multiplication, and an algebra's
@@ -51,6 +53,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -568,16 +571,84 @@ SPANS_FIRST_CHECKS = {
 }
 
 
-def spans_first_failures(doc) -> list[str]:
-    """`verify_document` with the checks of `SPANS_FIRST_CHECKS` in place
-    of the verifier's own."""
+def _failures_with(checks, doc) -> list[str]:
+    """`verify_document` with `checks` in place of the verifier's own."""
     from algforge import verify
     saved = dict(verify._CHECKS)
-    verify._CHECKS.update(SPANS_FIRST_CHECKS)
+    verify._CHECKS.update(checks)
     try:
         return verify.verify_document(doc)
     finally:
         verify._CHECKS.update(saved)
+
+
+def spans_first_failures(doc) -> list[str]:
+    """`verify_document` with the checks of `SPANS_FIRST_CHECKS` in place
+    of the verifier's own."""
+    return _failures_with(SPANS_FIRST_CHECKS, doc)
+
+
+# -- generated-algebra equality by one elimination, on every span ---------------
+#
+# `one_elimination_generate_equal` is the verifier's `_check_generate_equal`
+# from before it read a larger stored span through its annihilator, copied
+# verbatim but for its name: it conjugates every source and eliminates
+# span{I, X} whatever the sizes.
+
+def one_elimination_generate_equal(d, p, conjugated=False) -> bool:
+    """Whether the lists X and Y behind the property's two reference lists
+    generate the same algebra or, conjugated, whether <X> = C^{-1} <Y> C.
+    Write Y' for Y, or for its conjugates C^{-1} y C; Y is read only once
+    X is read and checked.
+
+    One elimination, in X's coordinates: <X> is the algebra generated by
+    span{I, X}, which lies in <X> and holds X, so span{I, X} = span{I, Y'}
+    proves <X> = <Y'>; it holds when every y' lies in span{I, X} and
+    span{I, Y'} has its dimension.  Conjugation by C, which `_inverse`
+    proved nonsingular, is a linear algebra automorphism fixing I, so
+    span{I, Y'} and <Y'> have the dimensions of span{I, Y} and <Y>, read
+    on the stored Y: span{Y}, the algebra's own span when Y names its
+    basis, plus one unless it holds I.  Otherwise X is closed: its
+    worklist resumes from span{I, x_1}, its first two words, which the
+    elimination passed through (for one matrix, the whole of it), and the
+    document keeps the result as its closure of X.  Every y' must lie in
+    <X>, which then holds <Y'>, so dim <Y> <= dim <X>, and the two are
+    equal once span{I, Y} or <Y> has the dimension of <X>.  So Y is closed
+    under the bound dim <X> - 1 and stops as soon as it passes it."""
+    refs = p["gens" if conjugated else "gens_a"]
+    gens = [d.matrix(r) for r in refs]
+    n = _size_of(gens)
+    sources = p["source_gens" if conjugated else "gens_b"]
+    others = [d.conjugate(d.matrix(r)) if conjugated else d.matrix(r)
+              for r in sources]
+    _require_size(others, n)
+    span = _unital_span(gens[:1], n)
+    # span{I, x_1}, where X's worklist starts; `_Span.add` replaces rows
+    # and never changes one in place, so a copy of the dict is a snapshot
+    head = dict(span.rows)
+    for g in gens[1:]:
+        span.add(_vec(g))
+    stored = d.spanned(sources)
+    dim = stored.dim + (not stored.contains(_vec((1, _identity(n)))))
+    if dim == span.dim and all(span.contains(_vec(y)) for y in others):
+        return True
+    span, _ = d.closed(refs, start=head)
+    return all(span.contains(_vec(y)) for y in others) and (
+        dim == span.dim
+        or d.closed(sources, span.dim - 1)[0].dim == span.dim)
+
+
+ONE_ELIMINATION_CHECKS = {
+    "generate_equal": one_elimination_generate_equal,
+    "generate_equal_conjugated": partial(one_elimination_generate_equal,
+                                         conjugated=True),
+}
+
+
+def one_elimination_failures(doc) -> list[str]:
+    """`verify_document` with the checks of `ONE_ELIMINATION_CHECKS` in
+    place of the verifier's own."""
+    return _failures_with(ONE_ELIMINATION_CHECKS, doc)
 
 
 # -- the semi-commuting pair through a triangularizing conjugation ---------------

@@ -10,11 +10,13 @@ from algforge.algebra import (Algebra, algebra_direct_sum,
                               incidence_algebra, is_simple,
                               nonneg_covering_exists, two_sided_ideal)
 from algforge.incidence import incidence_of_dimension
+from algforge.linear import rank
 from algforge.matrices import (Mat, conjugate, identity, is_nonneg,
                                jordan_cell, matrix_unit, ones, support,
                                support_union, zero)
-from oracles import (brute_closure_dim, random_mat, random_pattern,
-                     random_unimodular)
+from oracles import brute_closure_dim
+from oracles import product_conjugate_algebra as oracle_conjugate_algebra
+from oracles import random_mat, random_pattern, random_unimodular
 
 F = Fraction
 
@@ -147,6 +149,60 @@ def test_conjugate_and_direct_sum():
     r = generate(1, [])
     assert algebra_direct_sum(r, r) == d_algebra(2)
     assert algebra_direct_sum(t2, d_algebra(2)).dim == 5
+
+
+def _preorder_units(rng, n):
+    """The matrix units on the reflexive-transitive closure of a random
+    relation: a block-triangular algebra, of any dimension from n to n^2
+    that one can have."""
+    reach = [[i == j or rng.random() < 0.3 for j in range(n)]
+             for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            if reach[i][k]:
+                reach[i] = [a or b for a, b in zip(reach[i], reach[k])]
+    return [matrix_unit(n, i + 1, j + 1) for i in range(n) for j in range(n)
+            if reach[i][j]]
+
+
+def _algebras_of_every_dimension(rng, n):
+    """One algebra of n x n matrices for each dimension a unital algebra
+    can have, 1..n^2 - n + 1 and n^2: k <= n from one diagonal matrix with
+    k distinct entries, the others spanned by the units on a preorder,
+    mixed into dense rows by a unimodular conjugation; and two algebras
+    generated by random matrices."""
+    out = {k: generate(n, [diag(*[min(i, k - 1) for i in range(n)])])
+           for k in range(1, n + 1)}
+    for _ in range(400):
+        units = _preorder_units(rng, n)
+        if len(units) not in out:
+            a = Algebra(n, tuple(units))
+            if rng.random() < 0.5:
+                a = oracle_conjugate_algebra(a, random_unimodular(rng, n))
+            out[len(units)] = a
+    return list(out.values()) + [generate(n, [random_mat(rng, n, 2)
+                                              for _ in range(k)])
+                                 for k in (1, 2)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_conjugate_algebra_matches_the_product_oracle(n):
+    """Through the annihilator when 2 dim A > n^2, basis-wise otherwise,
+    C^{-1} A C has the canonical rows that conjugating each basis matrix
+    by normalized products and re-echelonizing gives, for algebras of every
+    dimension, M_n and the incidence algebras among them, under
+    unimodular and rational C."""
+    rng = random.Random(40 + n)
+    algebras = _algebras_of_every_dimension(rng, n)
+    assert {a.dim for a in algebras} == set(range(1, n * n - n + 2)) | {n * n}
+    for a in algebras:
+        for c in (random_unimodular(rng, n), random_mat(rng, n, 3, 2)):
+            if rank(c.num) < n:
+                continue
+            got, want = conjugate_algebra(a, c), oracle_conjugate_algebra(a, c)
+            assert got == want and got._span == want._span
+    with pytest.raises(ValueError):
+        conjugate_algebra(algebras[0], identity(n + 1))
 
 
 def test_ideals_and_simplicity():

@@ -445,6 +445,19 @@ def _spans_pattern_document(gen, positions):
                             "pattern": "in:pattern"}]}
 
 
+@pytest.mark.parametrize("position", [5, [1], [1, 2, 3], "12"],
+                         ids=["int", "single", "triple", "string"])
+def test_pattern_positions_that_are_not_pairs_fail_by_name(position):
+    """A position that is not a list of two integers is named in the
+    failure, not unpacked: 5 failed with "cannot unpack non-iterable int
+    object", and "12" unpacked to the characters "1" and "2"."""
+    diagonal = [[1, 0], [0, 2]]
+    assert verify_document(_spans_pattern_document(
+        diagonal, [[1, 1], position])) == [
+        f"property 0 (spans_pattern): pattern position {position!r} is not"
+        " a list of two integers"]
+
+
 @pytest.mark.parametrize("positions", [[[1, 1], [2, 2]], [[1, 1], [1, 2]]],
                          ids=["diagonal", "pivots"])
 def test_spans_pattern_needs_each_unit_in_the_span(positions):

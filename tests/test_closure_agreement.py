@@ -350,13 +350,32 @@ def test_outputs_generating_a_proper_subalgebra_fail():
 
 def test_classify_fixture_verifies_by_spans_alone(monkeypatch):
     """The outputs and the conjugated basis have one unital span, so the
-    2 x 2 classify fixture verifies with no closure: its only products are
-    the two of each basis matrix's conjugation."""
+    2 x 2 classify fixture verifies with no closure.  The algebra is the
+    larger side (d = 12 of n^2 = 16), so its only products are the two of
+    each annihilator vector's conjugation, 8 where conjugating the basis
+    took 24.  Its span insertions are the 12 of the stored span and the 4
+    of [C | I], and its only containment tests the witness's and I's in
+    the stored span (30 and 14 when span{I, outputs} was eliminated)."""
     doc = _classify_doc()
     products = _count_imul(monkeypatch)
     closures = _count_calls(monkeypatch, "_closure")
+    insertions, tests = [], []
+    real_add, real_contains = verify._Span.add, verify._Span.contains
+
+    def add(span, vec):
+        insertions.append(1)
+        return real_add(span, vec)
+
+    def contains(span, vec):
+        tests.append(1)
+        return real_contains(span, vec)
+
+    monkeypatch.setattr(verify._Span, "add", add)
+    monkeypatch.setattr(verify._Span, "contains", contains)
     assert verify_document(doc) == []
-    assert len(products) == 2 * len(doc["inputs"]["algebra"]["basis"]) == 24
+    n, d = doc["C"]["rows"], len(doc["inputs"]["algebra"]["basis"])
+    assert len(products) == 2 * (n * n - d) == 8
+    assert (len(insertions), len(tests)) == (16, 2)
     assert closures == []
 
 

@@ -1,11 +1,13 @@
 """Conjugated checks read the stored algebra.  `generate_equal` and
-`generate_equal_conjugated` make one elimination, span{I, X}, and read
-the source side's dimensions on the stored matrices; `in_algebra_conjugated`
-tests C X C^{-1} against the stored span; each wire entry string is parsed
-once per document.  The verdicts and failure messages are those of the
-spans-first oracle, which eliminated span{I, C^{-1} Y C} as well, on every
-golden document and on seeded conjugated block-triangular documents, true
-and tampered."""
+`generate_equal_conjugated` test X against the conjugated annihilator of
+a stored span that is the larger side, and otherwise make one
+elimination, span{I, X}, and read the source side's dimensions on the
+stored matrices; `in_algebra_conjugated` tests C X C^{-1} against the
+stored span; each wire entry string is parsed once per document.  The
+verdicts and failure messages are those of the spans-first oracle, which
+eliminated span{I, C^{-1} Y C} as well, and of the one-elimination
+oracle, which never took the annihilator, on every golden document and on
+seeded conjugated block-triangular documents, true and tampered."""
 
 import copy
 import io
@@ -24,7 +26,9 @@ from algforge.matrices import (Mat, conjugate, direct_sum, identity,
                                jordan_cell, mat_from_json, mat_to_json,
                                matrix_unit, zero)
 from algforge.verify import verify_document
-from oracles import SPANS_FIRST_CHECKS, random_unimodular, spans_first_failures
+from oracles import (ONE_ELIMINATION_CHECKS, SPANS_FIRST_CHECKS,
+                     one_elimination_failures, random_unimodular,
+                     spans_first_failures)
 
 DATA = Path(__file__).parent / "data"
 
@@ -323,12 +327,19 @@ def _spans_in_conjugated_coordinates(monkeypatch, check):
 
 
 def test_generate_equal_conjugated_builds_one_conjugated_span(monkeypatch):
-    """span{I, outputs} is the one span in conjugated coordinates, and the
-    only span it builds: the sources name the algebra's basis, whose
-    stored span the witness's `in_algebra` check has built.  The
-    spans-first oracle built two spans, both conjugated."""
+    """On the basis path span{I, outputs} is the one span in conjugated
+    coordinates, and the only span it builds: the sources name the
+    algebra's basis, whose stored span the witness's `in_algebra` check
+    has built.  The golden's algebra (d = 12 of n^2 = 16) takes the
+    annihilator path, which builds no span at all: the outputs are tested
+    against the stored span's conjugated annihilator and counted by a
+    forward elimination.  The spans-first oracle built two spans, both
+    conjugated."""
     check = verify._CHECKS["generate_equal_conjugated"]
-    conjugated, total = _spans_in_conjugated_coordinates(monkeypatch, check)
+    assert _spans_in_conjugated_coordinates(monkeypatch, check) == ([], 0)
+    basis_path = ONE_ELIMINATION_CHECKS["generate_equal_conjugated"]
+    conjugated, total = _spans_in_conjugated_coordinates(monkeypatch,
+                                                         basis_path)
     assert len(conjugated) == total == 1
     outputs = _classify_doc()["outputs"]
     assert conjugated[0].added[1:] == [
@@ -389,6 +400,163 @@ def test_closure_fallback_counts_on_the_m1_certificate(monkeypatch):
     assert (len(products), len(insertions)) == (4, 10)
 
 
+# -- a larger stored span through its annihilator ------------------------------
+
+def _spy(monkeypatch, name):
+    """Record the calls of the verifier's function `name`."""
+    calls = []
+    real = getattr(verify, name)
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(verify, name, recording)
+    return calls
+
+
+def test_golden_and_seeded_documents_agree_with_one_elimination(monkeypatch):
+    """Every golden document and every seeded one, true or tampered, fails
+    as it did when each claim was decided by the one elimination of
+    span{I, X} with every source conjugated, messages included.  Both
+    kinds of claim take the annihilator path on some seeded algebras and
+    the basis path on others."""
+    count = 0
+    for path in sorted(DATA.glob("*.json")):
+        for doc in _documents(json.loads(path.read_text())):
+            assert verify_document(doc) == one_elimination_failures(doc), path
+            count += 1
+    assert count >= 28
+    assert len(SEEDED) >= 300
+    taken = {}
+    for name, doc in SEEDED:
+        calls = _spy(monkeypatch, "_annihilated")
+        failures = verify_document(doc)
+        monkeypatch.undo()
+        assert failures == one_elimination_failures(doc), name
+        for call in calls:
+            taken[call[-1]] = taken.get(call[-1], 0) + 1
+    # each seeded document holds one claim of each kind
+    assert 0 < taken[True] < len(SEEDED) and 0 < taken[False] < len(SEEDED)
+
+
+def _units(n, positions):
+    return [matrix_unit(n, i, j) for i, j in positions]
+
+
+def _generation_doc(c, sources, outputs):
+    """The one claim <outputs> = C^{-1} <sources> C."""
+    return {"C": mat_to_json(c), "inputs": {"sources": _wires(sources)},
+            "outputs": _wires(outputs),
+            "properties": [{"kind": "generate_equal_conjugated",
+                            "gens": _refs("out", outputs),
+                            "source_gens": _refs("in:sources", sources)}]}
+
+
+def _upper(n):
+    return [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+
+
+def _annihilator_cases():
+    """(name, document, verdict, path): each claim, whether it holds, and
+    whether the annihilator path decides it ("annihilator"), is tried and
+    falls back ("fallback"), or is never tried ("basis")."""
+    rng = random.Random(29)
+    for n in (3, 4):
+        c = random_unimodular(rng, n)
+        units = _units(n, _upper(n))
+        # without E_nn, I and the other units of T_n still span it
+        outputs = [conjugate(u, c) for u in units if u != matrix_unit(n, n, n)]
+        yield f"upper-{n}", _generation_doc(c, units, outputs), True, \
+            "annihilator"
+        # C^{-1} E_11 C replaced by a copy of C^{-1} E_22 C: span{I, X} is
+        # short by one, and X generates no E_11
+        copied = [conjugate(matrix_unit(n, 2, 2), c) if u == matrix_unit(
+            n, 1, 1) else x for u, x in zip(units, outputs)]
+        yield f"copy-{n}", _generation_doc(c, units, copied), False, \
+            "fallback"
+        full = _units(n, [(i, j) for i in range(1, n + 1)
+                          for j in range(1, n + 1)])
+        conj = [conjugate(u, c) for u in full]
+        yield f"full-{n}", _generation_doc(c, full, conj), True, \
+            "annihilator"
+        # span{units but E_nn} holds no I, but generates M_n
+        yield f"no-identity-{n}", _generation_doc(c, full[:-1], conj[:-1]), \
+            True, "basis"
+    # d = n^2 / 2 stays on the basis path
+    for n, positions in ((2, [(1, 1), (2, 2)]),
+                         (4, [(i, j) for i in range(1, 5)
+                              for j in range(1, 5) if (i < 3) == (j < 3)])):
+        c = random_unimodular(rng, n)
+        units = _units(n, positions)
+        yield f"half-{n}", _generation_doc(
+            c, units, [conjugate(u, c) for u in units]), True, "basis"
+
+
+ANNIHILATOR_CASES = list(_annihilator_cases())
+
+
+@pytest.mark.parametrize("name,doc,verdict,path", ANNIHILATOR_CASES,
+                         ids=[case[0] for case in ANNIHILATOR_CASES])
+def test_annihilator_path_agrees_with_one_elimination(name, doc, verdict,
+                                                      path, monkeypatch):
+    """The annihilator is tried only when the stored span S holds I and
+    is the larger side, n^2 - dim S < dim S; it conjugates each of its
+    n^2 - dim S vectors by two products and conjugates no source, and a
+    claim it cannot prove falls back to the basis path, which conjugates
+    every source and closes X.  Verdicts and messages are those of the
+    one-elimination oracle."""
+    annihilated = _spy(monkeypatch, "_annihilated")
+    products = _spy(monkeypatch, "_imul")
+    closures = _spy(monkeypatch, "_closure")
+    failures = verify_document(doc)
+    monkeypatch.undo()
+    assert failures == one_elimination_failures(doc)
+    assert failures == ([] if verdict else [
+        "property 0 (generate_equal_conjugated) failed"])
+    n = doc["C"]["rows"]
+    d = verify._Document(doc)
+    dim = d.spanned(doc["properties"][0]["source_gens"]).dim
+    sources = len(doc["inputs"]["sources"])
+    assert len(annihilated) == (path != "basis")
+    assert bool(closures) == (path == "fallback")
+    if path == "fallback":  # and then the products of X's closure
+        assert len(products) > 2 * (n * n - dim) + 2 * sources
+    else:
+        assert len(products) == (2 * (n * n - dim) if path == "annihilator"
+                                 else 2 * sources)
+
+
+def test_output_moved_off_the_conjugated_algebra_fails_as_before():
+    """An output of the 2 x 2 classify golden plus E_11 lies outside
+    C^{-1} A C: the annihilator finds it, and the claim then fails on the
+    basis path, with the one-elimination oracle's messages."""
+    doc = _classify_doc()
+    n = doc["C"]["rows"]
+    outputs = [mat_from_json(m, {}) for m in doc["outputs"]]
+    assert not generate(n, outputs).contains(matrix_unit(n, 1, 1))
+    last = len(doc["properties"]) - 1
+    for k in (0, len(outputs) - 1):
+        tampered = copy.deepcopy(doc)
+        tampered["outputs"][k] = mat_to_json(outputs[k] + matrix_unit(n, 1, 1))
+        failures = verify_document(tampered)
+        assert failures == one_elimination_failures(tampered)
+        assert failures == [f"property {last} (generate_equal_conjugated)"
+                            " failed"]
+
+
+def test_full_algebra_claim_conjugates_nothing(monkeypatch):
+    """C^{-1} M_3 C = M_3: the annihilator of the stored span is empty, so
+    the claim is decided with no product at all."""
+    c = random_unimodular(random.Random(3), 3)
+    full = _units(3, [(i, j) for i in range(1, 4) for j in range(1, 4)])
+    doc = _generation_doc(c, full, [conjugate(u, c) + identity(3)
+                                    for u in full])
+    products = _spy(monkeypatch, "_imul")
+    assert verify_document(doc) == []
+    assert products == []
+
+
 # -- malformed entries under the shared parse cache ----------------------------
 
 def _entrywise_error(entries):
@@ -418,27 +586,31 @@ MALFORMED = [
      "matrix entries are a dict, not a list of rows"),
     ({"rows": 1, "cols": 1, "entries": "5"},
      "matrix entries are a str, not a list of rows"),
+    ({"cols": 1, "entries": [["1"]]}, "matrix has no 'rows' field"),
+    ({"rows": 1, "entries": [["1"]]}, "matrix has no 'cols' field"),
 ]
 
 
 @pytest.mark.parametrize("matrix,message", MALFORMED,
                          ids=["float", "none", "list", "dict", "unreduced",
                               "space", "exponent", "string-row",
-                              "dict-entries", "string-entries"])
+                              "dict-entries", "string-entries",
+                              "missing-rows", "missing-cols"])
 def test_malformed_entries_fail_as_entry_by_entry(matrix, message,
                                                   monkeypatch, capsys):
     """A matrix read after another has filled the document's cache: the
     failure names the first bad entry, as parsing entry by entry does, or
-    the row or entries that are not a list, and is a `CertificateError`
-    even for an unhashable entry.  `mat_from_json` refuses the matrix too,
-    and the CLI's `verify` exits 1."""
+    the row or entries that are not a list, or the missing shape field,
+    and is a `CertificateError` even for an unhashable entry.
+    `mat_from_json` refuses the matrix too, and the CLI's `verify` exits
+    1."""
     good = {"rows": 2, "cols": 2, "entries": [["1", "1/2"], ["0", "2"]]}
     entries = matrix["entries"]
     doc = {"outputs": [good, matrix],
            "properties": [{"kind": "nonneg", "target": "out:0"},
                           {"kind": "nonneg", "target": "out:1"}]}
-    if isinstance(entries, list) and all(isinstance(r, list)
-                                         for r in entries):
+    if {"rows", "cols"} <= matrix.keys() and isinstance(entries, list) and all(
+            isinstance(r, list) for r in entries):
         assert _entrywise_error(entries) == message
     assert verify_document(doc) == [f"property 1 (nonneg): {message}"]
     d = verify._Document(doc)

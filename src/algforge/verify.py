@@ -38,8 +38,16 @@ by the admitted ones, so a redundant list costs no more products than its
 admitted part.  An admitted generator is kept as it is, with no product
 by I, and the worklist stops once its span reaches the a-priori ceiling:
 n for one n x n matrix, whose algebra is spanned by its first n powers
-(Cayley-Hamilton), and n^2 otherwise.  A claim <X> = <Y>, or <X> =
-C^{-1} <Y> C, is first decided with no closure, since <X> =
+(Cayley-Hamilton), and n^2 otherwise.  A claim with one matrix a side,
+<x> = <y> or <x> = C^{-1} <y> C, is first decided by the commutant of a
+cyclic matrix, with no span of n^2-vectors: when y and x each have a
+cyclic vector among e_1 and (1, ..., 1), shown by n - 1 integer
+mat-vec products and a rank count, and x commutes with y' = C^{-1} y C,
+two products after the two of the conjugation, the claim holds, since
+the matrices that commute with a cyclic y' are its polynomials and both
+algebras then have dimension n (see `_check_generate_equal`).  Any other
+claim <X> = <Y>, or <X> = C^{-1} <Y> C, or one that fails those tests,
+is decided with no closure first, since <X> =
 <span{I, X}>.  When the stored span S = span{Y} holds I and is the
 larger side, n^2 - dim S < dim S as for every block-triangular algebra,
 it goes through S's annihilator, read off S's fully reduced rows: each
@@ -546,6 +554,22 @@ def _rank_reaches(vecs: Sequence[Sequence[int]], k: int) -> bool:
     return len(pivots) >= k
 
 
+def _is_cyclic(rows: Sequence[Sequence[int]]) -> bool:
+    """Whether the n x n integer rows y have a cyclic vector v, one with
+    v, y v, ..., y^(n-1) v of rank n, among e_1 and (1, ..., 1), tried in
+    that order.  A cyclic y whose cyclic vectors miss both reads False,
+    which only sends its claim to the general path."""
+    n = len(rows)
+    for v in ([int(i == 0) for i in range(n)], [1] * n):
+        krylov = [v]
+        for _ in range(n - 1):
+            v = [sum(map(mul, row, v)) for row in rows]
+            krylov.append(v)
+        if _rank_reaches(krylov, n):
+            return True
+    return False
+
+
 # -- reference resolution ------------------------------------------------------
 
 # out:<i>, in:<name> or in:<name>:<i> (list or basis item), <i> plain decimal.
@@ -598,6 +622,16 @@ def _resolve(doc: dict, ref: str, key: str, what: str) -> dict:
     return obj
 
 
+def _size_field(obj: dict, what: str) -> int:
+    """The "n" field of an algebra or pattern object, an integer."""
+    if "n" not in obj:
+        raise CertificateError(f"{what} has no 'n' field")
+    n = obj["n"]
+    if type(n) is not int:
+        raise CertificateError(f"{what} size {n!r} is not an integer")
+    return n
+
+
 class _Document:
     """The references of one document, read for one `verify_document`
     call: each entry string is parsed once and each matrix read once
@@ -634,9 +668,8 @@ class _Document:
 
     def sized(self, grid: Grid, ref: str) -> Grid:
         """grid, which must be n x n for the n of the algebra behind ref."""
-        n = _resolve(self.doc, ref, "basis", "an algebra")["n"]
-        if type(n) is not int:
-            raise CertificateError(f"algebra size {n!r} is not an integer")
+        n = _size_field(_resolve(self.doc, ref, "basis", "an algebra"),
+                        "algebra")
         if not _is_square(grid[1], n):
             raise CertificateError(f"matrix is not {n} x {n} like {ref!r}")
         return grid
@@ -684,9 +717,7 @@ class _Document:
         in 1..n, since a position outside would stand for the zero
         matrix."""
         obj = _resolve(self.doc, ref, "positions", "a pattern")
-        n = obj["n"]
-        if type(n) is not int:
-            raise CertificateError(f"pattern size {n!r} is not an integer")
+        n = _size_field(obj, "pattern")
         positions = set()
         for pos in obj["positions"]:
             if not (type(pos) is list and len(pos) == 2
@@ -791,6 +822,22 @@ def _check_generate_equal(d: _Document, p: dict, conjugated=False) -> bool:
     only once X is read and checked, and are read and size-checked, source
     by source, before anything is conjugated.
 
+    By the commutant, when X = [x] and Y = [y]: y has a cyclic vector v
+    (v, y v, ..., y^(n-1) v have rank n), x has one, and x y' = y' x for
+    y' = C^{-1} y C (y itself unconjugated).  `_is_cyclic` tests y, then
+    x, on mat-vec products alone, so a derogatory y costs no product; y'
+    is made only then, and is reused below when the claim goes on.  Why
+    it is sound: C^{-1} v is cyclic for y', as y'^k C^{-1} v = C^{-1} y^k
+    v.  Take T with T y' = y' T and write T C^{-1} v = p(y') C^{-1} v;
+    then T y'^k C^{-1} v = y'^k T C^{-1} v = p(y') y'^k C^{-1} v for every
+    k, and those vectors span Q^n, so T = p(y').  So x lies in <y'>.  And
+    x and y' are cyclic, so I, x, ..., x^(n-1) are independent (a relation
+    among them, applied to x's cyclic vector, would be one among its
+    Krylov vectors), and so are the powers of y': dim <x> = n = dim <y'>,
+    with Cayley-Hamilton for the upper bound.  Hence <x> = <y'> =
+    C^{-1} <y> C.  When a test fails the claim goes on as below, whose
+    verdict is exact, so the commutant only decides sooner.
+
     Through the annihilator, when S = span{Y}, the stored span, is the
     larger side: n^2 - dim S < dim S, I lies in S and |X| + 1 >= dim S,
     so that small algebras pay only these comparisons.  Each x must lie in
@@ -827,6 +874,13 @@ def _check_generate_equal(d: _Document, p: dict, conjugated=False) -> bool:
             _conjugable(d.transform()[0], others[-1])
     # with sources, C is then n x n, which `_annihilated` relies on
     _require_size(others, n)
+    primed = None  # [C^{-1} y C], once the commutant test has made it
+    if len(gens) == len(others) == 1 and _is_cyclic(
+            others[0][1]) and _is_cyclic(gens[0][1]):
+        primed = [d.conjugate(others[0])] if conjugated else others
+        x, y = gens[0][1], primed[0][1]
+        if _imul(x, y) == _imul(y, x):
+            return True
     stored = d.spanned(sources)
     unit = _vec((1, _identity(n)))
     unital = stored.contains(unit)
@@ -836,7 +890,7 @@ def _check_generate_equal(d: _Document, p: dict, conjugated=False) -> bool:
                 and _rank_reaches([unit] + vecs, stored.dim)):
             return True
     if conjugated:
-        others = [d.conjugate(y) for y in others]
+        others = primed or [d.conjugate(y) for y in others]
     span = _unital_span(gens[:1], n)
     # span{I, x_1}, where X's worklist starts; `_Span.add` replaces rows
     # and never changes one in place, so a copy of the dict is a snapshot
@@ -931,6 +985,8 @@ def verify_document(doc: dict) -> list[str]:
     try:
         props = doc["properties"]
     except (KeyError, TypeError):
+        props = None
+    if type(props) is not list:
         return ["document has no properties list"]
     if not props:
         return ["document asserts no properties"]
@@ -940,7 +996,8 @@ def verify_document(doc: dict) -> list[str]:
             failures.append(f"property {idx}: not an object")
             continue
         kind = p.get("kind")
-        check = _CHECKS.get(kind)
+        # a kind that is no str may be unhashable, a list or an object
+        check = _CHECKS.get(kind) if type(kind) is str else None
         if check is None:
             failures.append(f"property {idx}: unknown kind {kind!r}")
             continue

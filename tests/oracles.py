@@ -33,7 +33,9 @@ membership by eliminating span{I, X} and span{I, C^{-1} Y C} and closing
 the conjugated list, and by the span of the conjugated basis, instead of
 by one elimination with the source side read on the stored matrices,
 that one elimination, with every source conjugated, instead of a larger
-stored span's annihilator, conjugated once, and a rank count,
+stored span's annihilator, conjugated once, and a rank count, and a claim
+with one matrix a side by that annihilator, elimination and closures
+instead of by the commutant of a cyclic matrix,
 the engine's and the verifier's Gauss-Jordan steps by the lcm-scaled
 residual of each reduced row against the new row, made primitive again,
 instead of by the gcd-reduced cross-multiplication, and an algebra's
@@ -64,7 +66,9 @@ from algforge.matrices import Mat, identity, inverse, zero
 from algforge.polynomials import (P_ONE, P_ZERO, Poly, _scaled, _sturm_chain,
                                   _variations, parse_rational, poly_gcd,
                                   root_multiplicity)
-from algforge.verify import (_identity, _imul, _is_distinct_diagonal,
+from algforge.verify import (_annihilated, _conjugable, _Document,
+                             _identity, _imul, _is_distinct_diagonal,
+                             _rank_reaches,
                              _require_size, _size_of, _Span, _sparse,
                              _unit_span, _unital_span, _vec)
 
@@ -649,6 +653,95 @@ def one_elimination_failures(doc) -> list[str]:
     """`verify_document` with the checks of `ONE_ELIMINATION_CHECKS` in
     place of the verifier's own."""
     return _failures_with(ONE_ELIMINATION_CHECKS, doc)
+
+
+# -- generated-algebra equality with no commutant test ---------------------------
+#
+# `annihilator_generate_equal` is the verifier's `_check_generate_equal`
+# from before it decided a claim with one matrix a side by the commutant
+# of a cyclic matrix, copied verbatim but for its name: it tries a larger
+# stored span's annihilator, then one elimination, then the closures.
+
+def annihilator_generate_equal(d: _Document, p: dict, conjugated=False) -> bool:
+    """Whether the lists X and Y behind the property's two reference lists
+    generate the same algebra or, conjugated, whether <X> = C^{-1} <Y> C.
+    Write Y' for Y, or for its conjugates C^{-1} y C; Y and C are read
+    only once X is read and checked, and are read and size-checked, source
+    by source, before anything is conjugated.
+
+    Through the annihilator, when S = span{Y}, the stored span, is the
+    larger side: n^2 - dim S < dim S, I lies in S and |X| + 1 >= dim S,
+    so that small algebras pay only these comparisons.  Each x must lie in
+    S', which is S or C^{-1} S C, by `_annihilated`, and I and X together
+    must have rank at least dim S by `_rank_reaches`.  Then span{I, X}
+    lies in S', which holds I, and has at least its dimension, so
+    span{I, X} = S'; hence <X> = <S'> = C^{-1} <S> C, and <S> = <Y>.
+    When either test fails the claim goes on as below, so the verdict is
+    the one the basis path alone gives: if the two tests pass, span{I, X}
+    = span{I, Y'} and the basis path's own first test passes too.
+
+    Otherwise one elimination, in X's coordinates: <X> is the algebra
+    generated by span{I, X}, which lies in <X> and holds X, so span{I, X}
+    = span{I, Y'} proves <X> = <Y'>; it holds when every y' lies in
+    span{I, X} and span{I, Y'} has its dimension.  Conjugation by C, which
+    `_inverse` proved nonsingular, is a linear algebra automorphism fixing
+    I, so span{I, Y'} and <Y'> have the dimensions of span{I, Y} and <Y>,
+    read on the stored Y: span{Y}, the algebra's own span when Y names its
+    basis, plus one unless it holds I.  Otherwise X is closed: its
+    worklist resumes from span{I, x_1}, its first two words, which the
+    elimination passed through (for one matrix, the whole of it), and the
+    document keeps the result as its closure of X.  Every y' must lie in
+    <X>, which then holds <Y'>, so dim <Y> <= dim <X>, and the two are
+    equal once span{I, Y} or <Y> has the dimension of <X>.  So Y is closed
+    under the bound dim <X> - 1 and stops as soon as it passes it."""
+    refs = p["gens" if conjugated else "gens_a"]
+    gens = [d.matrix(r) for r in refs]
+    n = _size_of(gens)
+    sources = p["source_gens" if conjugated else "gens_b"]
+    others = []
+    for r in sources:
+        others.append(d.matrix(r))
+        if conjugated:  # C is read, inverted and sized as `_conjugate` does
+            _conjugable(d.transform()[0], others[-1])
+    # with sources, C is then n x n, which `_annihilated` relies on
+    _require_size(others, n)
+    stored = d.spanned(sources)
+    unit = _vec((1, _identity(n)))
+    unital = stored.contains(unit)
+    if n * n < 2 * stored.dim and stored.dim <= len(gens) + 1 and unital:
+        vecs = [_vec(x) for x in gens]
+        if (_annihilated(d, stored, vecs, n, conjugated)
+                and _rank_reaches([unit] + vecs, stored.dim)):
+            return True
+    if conjugated:
+        others = [d.conjugate(y) for y in others]
+    span = _unital_span(gens[:1], n)
+    # span{I, x_1}, where X's worklist starts; `_Span.add` replaces rows
+    # and never changes one in place, so a copy of the dict is a snapshot
+    head = dict(span.rows)
+    for g in gens[1:]:
+        span.add(_vec(g))
+    dim = stored.dim + (not unital)
+    if dim == span.dim and all(span.contains(_vec(y)) for y in others):
+        return True
+    span, _ = d.closed(refs, start=head)
+    return all(span.contains(_vec(y)) for y in others) and (
+        dim == span.dim
+        or d.closed(sources, span.dim - 1)[0].dim == span.dim)
+
+
+
+ANNIHILATOR_CHECKS = {
+    "generate_equal": annihilator_generate_equal,
+    "generate_equal_conjugated": partial(annihilator_generate_equal,
+                                         conjugated=True),
+}
+
+
+def annihilator_failures(doc) -> list[str]:
+    """`verify_document` with the checks of `ANNIHILATOR_CHECKS` in place
+    of the verifier's own."""
+    return _failures_with(ANNIHILATOR_CHECKS, doc)
 
 
 # -- the semi-commuting pair through a triangularizing conjugation ---------------

@@ -358,6 +358,18 @@ def _tampered_entry(value):
     return json.dumps(doc)
 
 
+_ONE = {"rows": 1, "cols": 1, "entries": [["1"]]}
+# an algebra and a pattern with no size field "n"
+_UNSIZED_ALGEBRA = {
+    "inputs": {"a": {"basis": [_ONE]}}, "outputs": [_ONE],
+    "properties": [{"kind": "in_algebra", "target": "out:0",
+                    "algebra": "in:a"}]}
+_UNSIZED_PATTERN = {
+    "inputs": {"p": {"positions": [[1, 1]]}}, "outputs": [_ONE],
+    "properties": [{"kind": "spans_pattern", "gens": ["out:0"],
+                    "pattern": "in:p"}]}
+
+
 @pytest.mark.parametrize("verb, text, code", [
     ("verify", json.dumps({"properties": [1]}), 1),
     ("verify", _tampered_entry("1/0"), 1),
@@ -366,15 +378,43 @@ def _tampered_entry(value):
     ("algebra-generate", json.dumps({"n": 2, "basis": "foo"}), 2),
     ("verify", json.dumps({"certificates": 5}), 2),
     ("verify", "[" * 100000, 2),
+    ("verify", json.dumps({"properties": [{"kind": ["nonneg"],
+                                           "target": "out:0"}],
+                           "outputs": []}), 1),
+    ("verify", json.dumps(_UNSIZED_ALGEBRA), 1),
+    ("verify", json.dumps(_UNSIZED_PATTERN), 1),
+    ("verify", json.dumps({"properties": 1}), 1),
 ], ids=["property-not-object", "zero-denominator", "null-entry",
         "gens-not-list", "basis-not-list", "certificates-not-list",
-        "nested-too-deeply"])
+        "nested-too-deeply", "unhashable-kind", "algebra-without-n",
+        "pattern-without-n", "int-properties"])
 def test_malformed_documents_fail_cleanly(verb, text, code, monkeypatch,
                                           capsys):
     got, _, err = _run([verb], stdin_text=text, monkeypatch=monkeypatch,
                        capsys=capsys)
     assert got == code
     assert "Traceback" not in err and err
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"properties": [{"kind": kind, "target": "out:0"}], "outputs": []},
+     f"property 0: unknown kind {kind!r}")
+    for kind in (["nonneg"], {"a": 1}, None, 3)] + [
+    ({"properties": props}, "document has no properties list")
+    for props in (1, True, None, {"kind": "nonneg"})] + [
+    (_UNSIZED_ALGEBRA, "property 0 (in_algebra): algebra has no 'n' field"),
+    (_UNSIZED_PATTERN,
+     "property 0 (spans_pattern): pattern has no 'n' field"),
+], ids=["list-kind", "object-kind", "null-kind", "int-kind",
+        "int-properties", "bool-properties", "null-properties",
+        "object-properties", "algebra-without-n", "pattern-without-n"])
+def test_verifier_names_what_is_malformed(doc, message):
+    """A kind that is no string, unhashable or not, is an unknown kind, a
+    properties value that is no list is refused, and a missing size field
+    is named: a list kind raised TypeError out of the lookup of the
+    checks, an int or bool properties value raised TypeError out of the
+    loop over them, and a missing "n" failed as "'n'"."""
+    assert verify_document(doc) == [message]
 
 
 _NEEDS = "matrix needs rows, cols and entries"

@@ -7,12 +7,18 @@ stored span; each wire entry string is parsed once per document.  The
 verdicts and failure messages are those of the spans-first oracle, which
 eliminated span{I, C^{-1} Y C} as well, and of the one-elimination
 oracle, which never took the annihilator, on every golden document and on
-seeded conjugated block-triangular documents, true and tampered."""
+seeded conjugated block-triangular documents, true and tampered.  A claim
+with one matrix a side is decided first by the commutant of a cyclic
+matrix; its failures are those of the annihilator oracle, which had no
+such test, on those documents, on seeded one-matrix claims and on the
+benchmark's documents."""
 
 import copy
+import importlib.util
 import io
 import json
 import random
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,8 +33,8 @@ from algforge.matrices import (Mat, conjugate, direct_sum, identity,
                                matrix_unit, zero)
 from algforge.verify import verify_document
 from oracles import (ONE_ELIMINATION_CHECKS, SPANS_FIRST_CHECKS,
-                     one_elimination_failures, random_unimodular,
-                     spans_first_failures)
+                     annihilator_failures, one_elimination_failures,
+                     random_unimodular, span_rows, spans_first_failures)
 
 DATA = Path(__file__).parent / "data"
 
@@ -349,12 +355,16 @@ def test_generate_equal_conjugated_builds_one_conjugated_span(monkeypatch):
     assert len(conjugated) == total == 2
 
 
+def _diag(*values):
+    return direct_sum([Mat.from_rows([[v]]) for v in values])
+
+
 def test_closure_fallback_closes_the_stored_sources(monkeypatch):
-    """The m = 1 single-generator certificate of diag(2) (+) J_2(3): its
-    positive output and I span less than <A>, so the verifier closes the
-    output and then A as stored, never C^{-1} A C."""
-    a = direct_sum([Mat.from_rows([[2]]), jordan_cell(2, 3)])
-    doc = single_generator_nonneg(a).to_json()
+    """The m = 1 single-generator certificate of the derogatory
+    diag(2, 2, 3, 5): A is not cyclic, so the commutant test cannot decide
+    the claim; its positive output and I span less than <A>, so the
+    verifier closes the output and then A as stored, never C^{-1} A C."""
+    doc = single_generator_nonneg(_diag(2, 2, 3, 5)).to_json()
     prop = doc["properties"][-1]
     assert prop["kind"] == "generate_equal_conjugated"
     (source,) = prop["source_gens"]
@@ -374,30 +384,47 @@ def test_closure_fallback_closes_the_stored_sources(monkeypatch):
     assert closed == [[d.matrix(r) for r in prop["gens"]], [stored]]
 
 
-def test_closure_fallback_counts_on_the_m1_certificate(monkeypatch):
-    """The same certificate verifies in 4 integer products and 10 span
-    insertions, where closing from I and multiplying by it, past the
-    ceiling n = 3 and the source's bound dim <B> - 1 = 2, took 8 and 14.
-    Products: C^{-1} A C (two), B^2, which brings <B> to the ceiling, and
-    A^2, which takes <A> past the bound.  Insertions: the three rows of
-    [C | I], I and B, A's stored span, B^2 and I, A and A^2."""
-    a = direct_sum([Mat.from_rows([[2]]), jordan_cell(2, 3)])
-    doc = single_generator_nonneg(a).to_json()
-    products, insertions = [], []
-    real_imul, real_add = verify._imul, verify._Span.add
-
-    def imul(x, y):
-        products.append(1)
-        return real_imul(x, y)
+def _counts(monkeypatch, doc, failures=verify_document):
+    """(products, span insertions, closures) that `failures` makes on
+    doc, which must verify."""
+    products = _spy(monkeypatch, "_imul")
+    closures = _spy(monkeypatch, "_closure")
+    insertions = []
+    real_add = verify._Span.add
 
     def add(span, vec):
         insertions.append(1)
         return real_add(span, vec)
 
-    monkeypatch.setattr(verify, "_imul", imul)
     monkeypatch.setattr(verify._Span, "add", add)
-    assert verify_document(doc) == []
-    assert (len(products), len(insertions)) == (4, 10)
+    assert failures(doc) == []
+    monkeypatch.undo()
+    return len(products), len(insertions), len(closures)
+
+
+def test_closure_fallback_counts_on_the_m1_certificate(monkeypatch):
+    """The diag(2, 2, 3, 5) certificate verifies in 5 integer products and
+    12 span insertions, as it did with no commutant test: A fails the
+    cyclic test on mat-vec products alone, so the fallback pays no extra
+    product.  Products: C^{-1} A C (two), B^2 and B^3, which close <B> at
+    dimension 3 below the ceiling 4, and A^2, which takes <A> past the
+    bound dim <B> - 1 = 2.  Insertions: the four rows of [C | I], A's
+    stored span, I and B, B^2 and B^3, and I, A and A^2."""
+    doc = single_generator_nonneg(_diag(2, 2, 3, 5)).to_json()
+    assert _counts(monkeypatch, doc) == _counts(
+        monkeypatch, doc, annihilator_failures) == (5, 12, 2)
+
+
+def test_commutant_counts_on_a_cyclic_certificate(monkeypatch):
+    """The m = 1 single-generator certificate of diag(2) (+) J_2(3), whose
+    A is cyclic, verifies by the commutant in 4 integer products and 3
+    span insertions, with no closure: C^{-1} A C (two) and B A', A' B for
+    A' = C^{-1} A C, and the three rows of [C | I].  With no commutant
+    test it took 4 products, 10 insertions and 2 closures."""
+    a = direct_sum([Mat.from_rows([[2]]), jordan_cell(2, 3)])
+    doc = single_generator_nonneg(a).to_json()
+    assert _counts(monkeypatch, doc) == (4, 3, 0)
+    assert _counts(monkeypatch, doc, annihilator_failures) == (4, 10, 2)
 
 
 # -- a larger stored span through its annihilator ------------------------------
@@ -555,6 +582,268 @@ def test_full_algebra_claim_conjugates_nothing(monkeypatch):
     products = _spy(monkeypatch, "_imul")
     assert verify_document(doc) == []
     assert products == []
+
+
+# -- one matrix a side: the commutant of a cyclic matrix ----------------------
+
+def _one_matrix_doc(x, y, c=None):
+    """The claim <x> = <y>, or given C, <x> = C^{-1} <y> C."""
+    doc = {"inputs": {"generator": mat_to_json(y)},
+           "outputs": [mat_to_json(x)]}
+    if c is None:
+        doc["properties"] = [{"kind": "generate_equal", "gens_a": ["out:0"],
+                              "gens_b": ["in:generator"]}]
+    else:
+        doc["C"] = mat_to_json(c)
+        doc["properties"] = [{"kind": "generate_equal_conjugated",
+                              "gens": ["out:0"],
+                              "source_gens": ["in:generator"]}]
+    return doc
+
+
+def _similar(rng, m):
+    return conjugate(m, random_unimodular(rng, m.rows))
+
+
+def _one_matrix_variants(rng, n):
+    """Named one-matrix claims for a seeded cyclic y of size n: a Jordan
+    block beside distinct eigenvalues, under a random similarity."""
+    k = rng.randint(1, n)
+    values = rng.sample([v for v in range(-6, 7) if v != 0], n - k + 1)
+    y = _similar(rng, direct_sum([jordan_cell(k, values[0])] + [
+        Mat.from_rows([[v]]) for v in values[1:]]))
+    c = random_unimodular(rng, n) * Fraction(rng.randint(1, 3),
+                                             rng.randint(1, 2))
+    a, b = rng.choice([-2, -1, 1, 3]), rng.randint(-2, 2)
+    cases = [("cyclic-true", a * y + b * identity(n), y),
+             ("other-algebra", _similar(rng, jordan_cell(n, 1)), y)]
+    if n > 1:
+        # two Jordan blocks for one eigenvalue: y is derogatory
+        derogatory = _similar(rng, direct_sum(
+            [jordan_cell(n - 1, values[0]), Mat.from_rows([[values[0]]])]))
+        # w^2 commutes with the cyclic w but takes 1 and -1 both to 1
+        w = _similar(rng, _diag(1, -1, *range(2, n)))
+        cases += [("derogatory-true", a * derogatory + b * identity(n),
+                   derogatory),
+                  ("commuting-derogatory", w @ w, w)]
+    cases.append(("source-size", y, identity(n + 1)))
+    for name, x, source in cases:
+        yield name, _one_matrix_doc(x, source)
+        if name != "source-size":
+            yield name, _one_matrix_doc(conjugate(x, c), source, c)
+    x = conjugate(a * y + b * identity(n), c)
+    yield "other-C", _one_matrix_doc(x, y, random_unimodular(rng, n, 3))
+    yield "singular-C", _one_matrix_doc(x, y, _singular(c))
+    yield "C-size", _one_matrix_doc(x, y, random_unimodular(rng, n + 1))
+    yield "source-size", _one_matrix_doc(x, identity(n + 1), c)
+
+
+ONE_MATRIX = [case for seed in range(15) for case in _one_matrix_variants(
+    random.Random(300 + seed), 1 + seed % 5)]
+
+
+def _rank(vectors, n):
+    return len(span_rows(vectors, n))
+
+
+def _krylov_cyclic(m):
+    """Whether e_1 or (1, ..., 1) is a cyclic vector of the `Mat` m, by
+    Fraction products and the Fraction Gauss-Jordan rank."""
+    n = m.rows
+    for v in ([[int(i == 0)] for i in range(n)], [[1]] * n):
+        vecs, v = [], Mat.from_rows(v)
+        for _ in range(n):
+            vecs.append(v.transpose().data[0])
+            v = m @ v
+        if _rank(vecs, n) == n:
+            return True
+    return False
+
+
+def _expected_path(doc):
+    """The path the claim of a one-matrix document should take, read
+    with engine arithmetic: "commutant" when the source and the output are
+    cyclic by `_krylov_cyclic` and the output commutes with C^{-1} y C,
+    "fallback" when it is well formed but fails one of those tests, and
+    None when it is malformed."""
+    (x,) = [mat_from_json(m, {}) for m in doc["outputs"]]
+    y = mat_from_json(doc["inputs"]["generator"], {})
+    if y.rows != x.rows:
+        return None
+    conj = y
+    if "C" in doc:
+        c = mat_from_json(doc["C"], {})
+        if c.rows != x.rows or _rank(c.data, c.rows) < c.rows:
+            return None
+        conj = conjugate(y, c)
+    if _krylov_cyclic(y) and _krylov_cyclic(x) and x @ conj == conj @ x:
+        return "commutant"
+    return "fallback"
+
+
+def _paths(monkeypatch, doc):
+    """For each generation claim of doc, checked on its own, the path
+    that decides it: "commutant" when both cyclic tests pass and the
+    claim returns before the stored span is built, "fallback" when the
+    cyclic tests run and the claim goes on, and None when they never run
+    (more than one matrix a side, or a malformed document)."""
+    paths = []
+    for p in doc["properties"]:
+        if p["kind"] not in ("generate_equal", "generate_equal_conjugated"):
+            continue
+        cyclic, spanned = [], []
+        real_cyclic, real_spanned = verify._is_cyclic, verify._Document.spanned
+
+        def is_cyclic(rows):
+            cyclic.append(real_cyclic(rows))
+            return cyclic[-1]
+
+        def spanned_(self, refs):
+            spanned.append(refs)
+            return real_spanned(self, refs)
+
+        monkeypatch.setattr(verify, "_is_cyclic", is_cyclic)
+        monkeypatch.setattr(verify._Document, "spanned", spanned_)
+        try:
+            verify._CHECKS[p["kind"]](verify._Document(doc), p)
+        except (verify.CertificateError, KeyError, TypeError, ValueError):
+            pass
+        monkeypatch.undo()
+        if not cyclic:
+            paths.append(None)
+        else:
+            paths.append("fallback" if spanned else "commutant")
+            assert spanned or cyclic == [True, True]
+    return paths
+
+
+def test_one_matrix_documents_agree_with_the_annihilator_oracle(monkeypatch):
+    """Seeded one-matrix claims, plain and conjugated, true and tampered:
+    the failures, messages included, are those of the verifier with no
+    commutant test, and each claim takes the path that engine arithmetic
+    predicts.  A fallback pays no product beyond the oracle's but the two
+    of the commutation test, and those only when both matrices are
+    cyclic, as C^{-1} y C is made once."""
+    assert len(ONE_MATRIX) >= 100
+    verdicts, taken = {}, {}
+    for name, doc in ONE_MATRIX:
+        products = _spy(monkeypatch, "_imul")
+        failures = verify_document(doc)
+        monkeypatch.undo()
+        oracle_products = _spy(monkeypatch, "_imul")
+        assert failures == annihilator_failures(doc), name
+        monkeypatch.undo()
+        (path,) = _paths(monkeypatch, doc)
+        assert path == _expected_path(doc), name
+        if path == "fallback":
+            x, y = (mat_from_json(m, {}) for m in (
+                doc["outputs"][0], doc["inputs"]["generator"]))
+            extra = 2 if _krylov_cyclic(y) and _krylov_cyclic(x) else 0
+            assert len(products) == len(oracle_products) + extra, name
+        verdicts.setdefault(name, set()).add(tuple(failures))
+        taken.setdefault(name, set()).add(path)
+    assert verdicts["cyclic-true"] == verdicts["derogatory-true"] == {()}
+    assert () not in verdicts["commuting-derogatory"]
+    for name in ("C-size", "source-size"):
+        assert () not in verdicts[name], name
+    assert all(f == ("property 0 (generate_equal_conjugated): transformation"
+                     " matrix is singular",) for f in verdicts["singular-C"])
+    assert taken["cyclic-true"] >= {"commutant"}
+    assert taken["derogatory-true"] == taken["commuting-derogatory"] == {
+        "fallback"}
+    assert taken["singular-C"] == taken["C-size"] == taken["source-size"] == {
+        None}
+
+
+def test_cyclic_matrix_with_no_cyclic_test_vector_falls_back(monkeypatch):
+    """y = S diag(1, 2, 3) S^{-1} has distinct eigenvalues, so it is
+    cyclic, but e_1 and (1, 1, 1) are eigenvectors of it: the cyclic test
+    reads False, and the claim verifies through the fallback."""
+    s = Mat.from_rows([[1, 1, 0], [0, 1, 1], [0, 1, 0]])
+    y = conjugate(_diag(1, 2, 3), s.inverse)
+    assert not _krylov_cyclic(y)
+    c = random_unimodular(random.Random(5), 3)
+    for doc in (_one_matrix_doc(2 * y + identity(3), y),
+                _one_matrix_doc(conjugate(2 * y + identity(3), c), y, c)):
+        assert verify_document(doc) == annihilator_failures(doc) == []
+        assert _paths(monkeypatch, doc) == ["fallback"]
+
+
+def _golden_documents():
+    return [doc for path in sorted(DATA.glob("*.json"))
+            for doc in _documents(json.loads(path.read_text()))]
+
+
+def _benchmark_documents(seed, work):
+    """The documents of one library pass of each benchmark workload for
+    seed, and the single-generator workload's fixed 5 x 5 input."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).parent.parent / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    program = types.SimpleNamespace(**{
+        name: importlib.import_module(f"algforge.{name}") for name in (
+            "algebra", "cli", "constructions", "matrices", "spectral",
+            "verify")})
+
+    class LibraryPass:
+        """What a workload's library pass asks of the benchmark runner."""
+
+        def op(self, stage, fn, expect=None):
+            result = fn()
+            assert expect is None or expect(result), stage
+            return result
+
+        def round_trip(self, certs):
+            return [json.loads(workloads.canonical(c.to_json()))
+                    for c in certs]
+
+        def verdicts(self, docs):
+            return [f for doc in docs for f in verify_document(doc)]
+
+    docs = {}
+    for name, workload in sorted(workloads.WORKLOADS.items()):
+        made = workload(program, seed, str(work), False)
+        docs[name] = made.library(LibraryPass())["docs"]
+        if name == "single-generator":
+            docs["hostile"] = [single_generator_nonneg(
+                made.hostile).to_json()]
+    return docs
+
+
+def test_documents_agree_with_the_annihilator_oracle(monkeypatch, tmp_path):
+    """Every golden, every seeded block-triangular document and every
+    document of the benchmark's seeds 1 to 3 fails as the verifier with
+    no commutant test failed it, messages included.  Each
+    single-generator certificate, the fixed 5 x 5 input's among them,
+    takes the commutant path; no claim with more than one matrix a side
+    tries it."""
+    sets = {"golden": _golden_documents(),
+            "seeded": [doc for _, doc in SEEDED]}
+    for seed in (1, 2, 3):
+        for name, docs in _benchmark_documents(seed, tmp_path).items():
+            sets.setdefault(name, []).extend(docs)
+    assert len(sets["golden"]) >= 28 and len(sets["seeded"]) >= 300
+    taken = {}
+    for name, docs in sets.items():
+        for doc in docs:
+            assert verify_document(doc) == annihilator_failures(doc), name
+            for p, path in zip([p for p in doc["properties"] if p["kind"] in (
+                    "generate_equal", "generate_equal_conjugated")],
+                    _paths(monkeypatch, doc)):
+                one = len(p.get("gens", p.get("gens_a"))) == len(p.get(
+                    "source_gens", p.get("gens_b"))) == 1
+                assert one or path is None, name
+                key = (name, doc.get("claim"))
+                taken.setdefault(key, []).append(path)
+    single = taken[("single-generator", "single-generator-nonneg")]
+    assert single == ["commutant"] * 24
+    assert taken[("hostile", "single-generator-nonneg")] == ["commutant"] * 3
+    # classify certificates name the whole basis on each side, and the
+    # dimension table's pair certificates assert no generation claim
+    for name in ("conjugated-classify", "single-generator"):
+        assert set(taken[(name, "positive-generation")]) == {None}, name
+    assert "dimension-table" not in {name for name, _ in taken}
 
 
 # -- malformed entries under the shared parse cache ----------------------------

@@ -632,6 +632,15 @@ def _size_field(obj: dict, what: str) -> int:
     return n
 
 
+def _listed(obj: dict, key: str, items: str) -> list:
+    """obj[key], which must be a list: a string or an object would be read
+    item by item, and an empty one as an empty list."""
+    value = obj[key]
+    if type(value) is not list:
+        raise CertificateError(f"{key!r} is not a list of {items}")
+    return value
+
+
 class _Document:
     """The references of one document, read for one `verify_document`
     call: each entry string is parsed once and each matrix read once
@@ -664,7 +673,8 @@ class _Document:
                 map(self.conjugate, self.basis(ref))))
         return self._once(("basis", ref), lambda: tuple(
             self.sized(self.matrix(f"{ref}:{i}"), ref) for i in range(len(
-                _resolve(self.doc, ref, "basis", "an algebra")["basis"]))))
+                _listed(_resolve(self.doc, ref, "basis", "an algebra"),
+                        "basis", "matrices")))))
 
     def sized(self, grid: Grid, ref: str) -> Grid:
         """grid, which must be n x n for the n of the algebra behind ref."""
@@ -719,7 +729,7 @@ class _Document:
         obj = _resolve(self.doc, ref, "positions", "a pattern")
         n = _size_field(obj, "pattern")
         positions = set()
-        for pos in obj["positions"]:
+        for pos in _listed(obj, "positions", "positions"):
             if not (type(pos) is list and len(pos) == 2
                     and type(pos[0]) is int and type(pos[1]) is int):
                 raise CertificateError(f"pattern position {pos!r} is not a"
@@ -790,7 +800,7 @@ def _check_central(d: _Document, p: dict) -> bool:
 
 
 def _check_dimension(d: _Document, p: dict) -> bool:
-    span, _ = d.closed(p["gens"])
+    span, _ = d.closed(_listed(p, "gens", "references"))
     return type(p["value"]) is int and span.dim == p["value"]
 
 
@@ -863,10 +873,11 @@ def _check_generate_equal(d: _Document, p: dict, conjugated=False) -> bool:
     <X>, which then holds <Y'>, so dim <Y> <= dim <X>, and the two are
     equal once span{I, Y} or <Y> has the dimension of <X>.  So Y is closed
     under the bound dim <X> - 1 and stops as soon as it passes it."""
-    refs = p["gens" if conjugated else "gens_a"]
+    refs = _listed(p, "gens" if conjugated else "gens_a", "references")
     gens = [d.matrix(r) for r in refs]
     n = _size_of(gens)
-    sources = p["source_gens" if conjugated else "gens_b"]
+    sources = _listed(p, "source_gens" if conjugated else "gens_b",
+                      "references")
     others = []
     for r in sources:
         others.append(d.matrix(r))
@@ -915,7 +926,7 @@ def _check_spans_pattern(d: _Document, p: dict) -> bool:
     alone, or nothing, so E_ij lies in the span exactly when that row,
     primitive with a positive pivot, is E_ij itself."""
     n, positions = d.pattern(p["pattern"])
-    span, size = d.closed(p["gens"])
+    span, size = d.closed(_listed(p, "gens", "references"))
     if size != n or span.dim != len(positions):
         return False
     # positions are in 1..n (`_Document.pattern`), so each unit is one
@@ -926,7 +937,7 @@ def _check_spans_pattern(d: _Document, p: dict) -> bool:
 
 def _check_is_centralizer(d: _Document, p: dict) -> bool:
     basis = d.basis(p["algebra"])
-    m = d.matrix(p["of"])
+    m = d.sized(d.matrix(p["of"]), p["algebra"])
     rows_m = m[1]  # den * M has the same centralizer as M
     n = len(rows_m)
     if not all(_mul(b, m) == _mul(m, b) for b in basis):

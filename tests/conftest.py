@@ -1,4 +1,5 @@
 import copy
+import json
 import os
 import sys
 
@@ -18,18 +19,19 @@ settings.load_profile("exact")
 
 
 @pytest.fixture
-def spans_first_agreement(request, monkeypatch):
+def reference_agreement(request, monkeypatch):
     """Record each document the test verifies through its module's
     `verify_document` or the CLI's, and check after the test, its spies
-    undone, that the spans-first oracle gives each the same failures.  The
-    recorders are set by hand, so a test that undoes its own monkeypatches
-    midway keeps them."""
+    undone, that each property of each fails exactly when the reference
+    says it does not hold.  The recorders are set by hand, so a test that
+    undoes its own monkeypatches midway keeps them."""
     from algforge import cli, verify
-    from oracles import spans_first_failures
-    docs = []
+    import reference
+    from corpus import agrees
+    docs = {}
 
     def recording(doc):
-        docs.append(copy.deepcopy(doc))
+        docs.setdefault(json.dumps(doc, sort_keys=True), copy.deepcopy(doc))
         return verify.verify_document(doc)
 
     module = request.module
@@ -39,5 +41,5 @@ def spans_first_agreement(request, monkeypatch):
     finally:
         monkeypatch.undo()
         module.verify_document = cli.verify_document = verify.verify_document
-    for doc in docs:
-        assert spans_first_failures(doc) == verify.verify_document(doc)
+    for doc in docs.values():
+        assert agrees(reference.verdicts(doc), verify.verify_document(doc))

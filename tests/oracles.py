@@ -1,53 +1,33 @@
-"""Independent oracles and samplers for the test suite.
+"""Independent oracles and samplers for the engine's tests.
 
-These deliberately re-derive results through different algorithms than the
-package: real-root counting by Descartes interval bisection instead of
-Sturm chains, characteristic polynomials by Faddeev-LeVerrier and by the
-Fraction Hessenberg reduction instead of Berkowitz's division-free
-recurrence, polynomial arithmetic and gcds on Fraction coefficients
-instead of integer numerators, algebra dimensions by a round-based
-pairwise-product closure instead of the generator worklist, the closure
-worklists as they were before early stopping and lazy admission, the
-verifier's lazy worklist as it was before it skipped the product by I,
-stopped at the a-priori ceiling and resumed from span{I, g_1}, an
-algebra's closedness by all d^2 basis products instead of the verifier's
-worklist capped at its dimension, echelon
-bases and products by textbook Fraction loops instead of the integer
-kernel, the verifier's integer product by the dense sum over every inner
-index instead of the sum of rows weighted by nonzero entries, phase-1
-simplex feasibility by a Fraction tableau instead of the fraction-free
-integer one and by the full integer tableau instead of its stored u and s
-columns (and, for a system with no solution, by the primal alone instead
-of the Farkas dual), spectral projectors by the min_poly and CRT
-polynomial instead of generalized eigenvectors, and kernels, solutions, span
-intersections, Jordan bases, eigenvalue splits, the structural
-decomposition and the center by the Fraction-vector routines that the
-integer-row engine replaced, the semi-commuting pair of a pattern
-that is not upper-triangular by conjugating the triangularized pattern's
-pair back instead of ranking the diagonal by a topological order, and a
-pattern's transitivity by the pairwise loop over its positions instead
-of successor-set inclusion, and rational roots by refining each isolated
-root on the whole Sturm chain to width 1/L^2 instead of on the squarefree
-part alone to width 1/L, and generated-algebra equality and conjugated
-membership by eliminating span{I, X} and span{I, C^{-1} Y C} and closing
-the conjugated list, and by the span of the conjugated basis, instead of
-by one elimination with the source side read on the stored matrices,
-that one elimination, with every source conjugated, instead of a larger
-stored span's annihilator, conjugated once, and a rank count, and a claim
-with one matrix a side by that annihilator, elimination and closures
-instead of by the commutant of a cyclic matrix,
-the engine's and the verifier's Gauss-Jordan steps by the lcm-scaled
-residual of each reduced row against the new row, made primitive again,
-instead of by the gcd-reduced cross-multiplication, and an algebra's
+Each oracle re-derives a result by another algorithm than the package:
+real-root counts by Descartes interval bisection instead of Sturm chains;
+characteristic polynomials by Faddeev-LeVerrier and by the Fraction
+Hessenberg reduction instead of Berkowitz's division-free recurrence;
+polynomial arithmetic and gcds on Fraction coefficients instead of
+integer numerators; the engine's closure worklist as it was before early
+stopping; an algebra's closedness by all d^2 basis products instead of
+the verifier's worklist capped at its dimension; products by
+textbook Fraction loops instead of the integer kernel, and the verifier's
+integer product by the dense sum over every inner index; phase-1 simplex
+feasibility by a Fraction tableau and by the full integer tableau (and,
+for a system with no solution, by the primal alone instead of the Farkas
+dual); spectral projectors by the min_poly and CRT polynomial instead of
+generalized eigenvectors; kernels, solutions, span intersections, Jordan
+bases, eigenvalue splits, the structural decomposition and the center by
+the Fraction-vector routines that the integer-row engine replaced; the
+semi-commuting pair of a pattern that is not upper-triangular by
+conjugating the triangularized pattern's pair back; a pattern's
+transitivity by the pairwise loop over its positions; rational roots by
+refining each isolated root on the whole Sturm chain; an algebra's
 conjugate and basis matrices by normalized `Mat` products and 1 x n^2
-`span_rows` matrices instead of integer numerator products and rows read
-straight into n x n matrices, and the CLI's document sizes and wire
-matrices by a worklist that visits every JSON value and by parsing every
-entry on its own instead of by a worklist of containers only and one parse
-per distinct entry string.
-It also holds code that only the tests
-use: `poly_from_roots`, `pattern_from_positions`, and `poly_xgcd`,
-`poly_crt` and `block_projector_poly` behind the polynomial projector.
+`span_rows` matrices; and the CLI's document sizes and
+wire matrices by a worklist over every JSON value and by parsing every
+entry on its own.  The verifier is tested against `reference`, whose
+`gauss_jordan` is the textbook elimination used here; nothing here comes
+from `algforge.verify`.  Only the tests use `poly_from_roots`,
+`pattern_from_positions`, and `poly_xgcd`, `poly_crt` and
+`block_projector_poly` behind the polynomial projector.
 """
 
 from __future__ import annotations
@@ -55,8 +35,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, Sequence
 
 from algforge import matrices
@@ -66,11 +45,7 @@ from algforge.matrices import Mat, identity, inverse, zero
 from algforge.polynomials import (P_ONE, P_ZERO, Poly, _scaled, _sturm_chain,
                                   _variations, parse_rational, poly_gcd,
                                   root_multiplicity)
-from algforge.verify import (_annihilated, _conjugable, _Document,
-                             _identity, _imul, _is_distinct_diagonal,
-                             _rank_reaches,
-                             _require_size, _size_of, _Span, _sparse,
-                             _unit_span, _unital_span, _vec)
+from reference import gauss_jordan
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -348,37 +323,7 @@ def hessenberg_char_poly(a: Mat) -> FractionPoly:
     return polys[n]
 
 
-# -- round-based pairwise closure ------------------------------------------------
-
-def brute_closure_dim(n: int, gens: list[Mat]) -> int:
-    """Dimension of the unital algebra generated by gens, by re-multiplying
-    the full current basis against itself and the generators every round
-    until the dimension is stable for one full round."""
-    from algforge.linear import EchelonSpan
-    span = EchelonSpan(n * n)
-    elements: list[Mat] = []
-
-    def add(mat: Mat) -> None:
-        if span.add(mat.numerators()):
-            elements.append(mat)
-
-    add(identity(n))
-    for g in gens:
-        add(g)
-    while True:
-        before = span.dim
-        snapshot = list(elements)
-        for x in snapshot:
-            for g in gens:
-                add(x @ g)
-                add(g @ x)
-            for y in snapshot:
-                add(x @ y)
-        if span.dim == before:
-            return span.dim
-
-
-# -- the closure worklists without early stopping or lazy admission --------------
+# -- the engine's closure worklist without early stopping -----------------------
 
 def eager_closure_words(n: int, gens: list[Mat]):
     """The words the engine's left-generator worklist retains when it runs
@@ -401,104 +346,7 @@ def eager_closure_words(n: int, gens: list[Mat]):
     return words, span
 
 
-def eager_verifier_closure(gens):
-    """The verifier's right-generator worklist over every generator at
-    once: I and all generators first, then every retained element times
-    each generator on the right.  Returns (span, n) as `verify._closure`
-    does."""
-    from algforge.verify import CertificateError, _identity, _imul, _Span
-    if not gens:
-        raise CertificateError("closure of an empty generator list")
-    # Words in the generators' integer rows are nonzero multiples of the
-    # words in the generators, so they span the same algebra.
-    ints = [rows for _, rows in gens]
-    n = len(ints[0])
-    if any(len(g) != n or any(len(row) != n for row in g) for g in ints):
-        raise CertificateError("generators are not square of one size")
-    span = _Span()
-    kept: list[tuple[tuple[int, ...], ...]] = []
-
-    def push(m: tuple[tuple[int, ...], ...]) -> None:
-        if span.add([v for row in m for v in row]):
-            kept.append(m)
-
-    push(_identity(n))
-    for g in ints:
-        push(g)
-    for x in kept:  # kept grows while it is walked: a FIFO worklist
-        for g in ints:
-            push(_imul(x, g))
-    return span, n
-
-
-# -- the verifier's lazy worklist before its ceiling and resumed start ----------
-#
-# `lazy_verifier_closure` is `verify._closure` from before it kept each
-# admitted generator with no product by I, stopped at the a-priori
-# ceiling and could resume from span{I, g_1}, copied verbatim but for its
-# name and signature.
-
-def lazy_verifier_closure(gens, bound: int | None = None):
-    """Span of the unital algebra generated by gens, or, given a bound,
-    a subspace of it whose dimension exceeds the bound.
-
-    Generation lemma.  When some generator D is diagonal with pairwise
-    distinct entries, the algebra is span{E_ij : (i, j) in R}, for R the
-    reflexive-transitive closure of the union of the generators' supports,
-    and no product is made.  The powers of D span the diagonal
-    (Vandermonde), so every E_ii is in it; E_ii g E_jj = g_ij E_ij puts
-    each unit on a generator's support in it, E_ij E_jk = E_ik closes
-    those positions transitively and I gives the diagonal.  Conversely
-    span(R) is a unital algebra, as R is reflexive and transitive, and
-    holds every generator.  Unit rows are the canonical `_Span` rows of
-    that span, the same rows the worklist reaches.
-
-    Otherwise a worklist with lazy admission.  Invariant: the span holds
-    I, is spanned by the kept words, and is closed under right
-    multiplication by every admitted generator, so it is the algebra the
-    admitted generators generate.  A generator the span already holds adds
-    nothing and is skipped.  A new one is admitted: every earlier kept
-    word is multiplied on the right by it, and then every new word by each
-    admitted generator, walking the kept list by index while it grows.
-    The span only grows, and within the algebra, so the worklist stops as
-    soon as its dimension exceeds the bound: the algebra is then larger
-    than the bound too.
-    """
-    n = _size_of(gens)
-    # Words in the generators' integer rows are nonzero multiples of the
-    # words in the generators, so they span the same algebra.
-    ints = [rows for _, rows in gens]
-    if any(map(_is_distinct_diagonal, ints)):
-        return _unit_span(ints, n), n
-    span = _Span()
-    kept: list[tuple[tuple[int, ...], ...]] = []
-    used: list[tuple[tuple[int, ...], ...]] = []
-
-    def words():
-        """I, then the worklist's products, each made once the previous
-        word has been pushed."""
-        yield _identity(n)
-        for g in ints:
-            if span.contains([v for row in g for v in row]):
-                continue
-            used.append(g)
-            old = len(kept)
-            for x in kept[:old]:
-                yield _imul(x, g)
-            i = old
-            while i < len(kept):  # kept grows while it is walked
-                for h in used:
-                    yield _imul(kept[i], h)
-                i += 1
-
-    limit = n * n if bound is None else bound
-    for m in words():
-        if span.add([v for row in m for v in row]):
-            kept.append(m)
-            if span.dim > limit:
-                break
-    return span, n
-
+# -- an algebra's closedness by all pairwise basis products ---------------------
 
 def pairwise_is_closed(alg) -> bool:
     """Whether an algebra's span is closed under products, by the loop
@@ -507,241 +355,6 @@ def pairwise_is_closed(alg) -> bool:
     sp = alg._span
     return all(sp.contains((a @ b).numerators())
                for a in alg.basis for b in alg.basis)
-
-
-# -- generated-algebra equality by two unital spans -----------------------------
-#
-# `spans_first_generate_equal` and `_spans_first_generates` are the
-# verifier's `_generate_equal` and `_generates` from when it compared the
-# canonical rows of span{I, X} with those of span{I, C^{-1} Y C}, and closed
-# the conjugated list on the fallback, copied verbatim but for their names
-# and for closing that list with `lazy_verifier_closure`, the closure of
-# that time.
-
-def _spans_first_generates(closed, gens) -> bool:
-    """Whether gens generate the algebra spanned by a `_closure` result.
-
-    `_generate_equal` calls it only when span{I, gens} differs from the
-    unital span of the closed list, which would prove equality outright
-    (<X> = <span{I, X}> for any list X).  Every generator must be n x n
-    and lie in the span, which is an algebra holding I, so the algebra
-    <gens> lies inside it; and span{I, gens} lies inside <gens>.  So the
-    two are equal once span{I, gens} has the span's dimension, and
-    otherwise exactly when the closure of gens reaches it."""
-    span, n = closed
-    _require_size(gens, n)
-    if not all(span.contains(_vec(g)) for g in gens):
-        return False
-    return (_unital_span(gens, n).dim == span.dim
-            or lazy_verifier_closure(gens)[0].dim == span.dim)
-
-
-def spans_first_generate_equal(d, refs, others) -> bool:
-    """Whether the matrices behind refs generate the same algebra as the
-    list others() returns, which is built only once refs are read and
-    checked.
-
-    Spans first: the unital algebra <X> generated by a list X is the one
-    generated by span{I, X}, since that span lies in <X> and holds X.  So
-    span{I, X} = span{I, Y} proves <X> = <Y> with no product, and the
-    canonical `_Span` rows of equal spans are equal.  Otherwise the
-    closure of refs decides it (`_generates`)."""
-    gens = [d.matrix(r) for r in refs]
-    n = _size_of(gens)
-    other = others()
-    _require_size(other, n)
-    if _unital_span(gens, n).rows == _unital_span(other, n).rows:
-        return True
-    return _spans_first_generates(d.closed(refs), other)
-
-
-def conjugated_span_in_algebra(d, p) -> bool:
-    """`in_algebra_conjugated` as the verifier checked it before it read
-    the stored span: the target against the span of the conjugated
-    basis, eliminated on its own."""
-    span = _Span()
-    for b in d.basis(p["algebra"], True):
-        span.add(_vec(b))
-    return span.contains(_vec(d.sized(d.matrix(p["target"]), p["algebra"])))
-
-
-SPANS_FIRST_CHECKS = {
-    "generate_equal": lambda d, p: spans_first_generate_equal(
-        d, p["gens_a"], lambda: [d.matrix(r) for r in p["gens_b"]]),
-    "generate_equal_conjugated": lambda d, p: spans_first_generate_equal(
-        d, p["gens"], lambda: [
-            d.conjugate(d.matrix(r)) for r in p["source_gens"]]),
-    "in_algebra_conjugated": conjugated_span_in_algebra,
-}
-
-
-def _failures_with(checks, doc) -> list[str]:
-    """`verify_document` with `checks` in place of the verifier's own."""
-    from algforge import verify
-    saved = dict(verify._CHECKS)
-    verify._CHECKS.update(checks)
-    try:
-        return verify.verify_document(doc)
-    finally:
-        verify._CHECKS.update(saved)
-
-
-def spans_first_failures(doc) -> list[str]:
-    """`verify_document` with the checks of `SPANS_FIRST_CHECKS` in place
-    of the verifier's own."""
-    return _failures_with(SPANS_FIRST_CHECKS, doc)
-
-
-# -- generated-algebra equality by one elimination, on every span ---------------
-#
-# `one_elimination_generate_equal` is the verifier's `_check_generate_equal`
-# from before it read a larger stored span through its annihilator, copied
-# verbatim but for its name: it conjugates every source and eliminates
-# span{I, X} whatever the sizes.
-
-def one_elimination_generate_equal(d, p, conjugated=False) -> bool:
-    """Whether the lists X and Y behind the property's two reference lists
-    generate the same algebra or, conjugated, whether <X> = C^{-1} <Y> C.
-    Write Y' for Y, or for its conjugates C^{-1} y C; Y is read only once
-    X is read and checked.
-
-    One elimination, in X's coordinates: <X> is the algebra generated by
-    span{I, X}, which lies in <X> and holds X, so span{I, X} = span{I, Y'}
-    proves <X> = <Y'>; it holds when every y' lies in span{I, X} and
-    span{I, Y'} has its dimension.  Conjugation by C, which `_inverse`
-    proved nonsingular, is a linear algebra automorphism fixing I, so
-    span{I, Y'} and <Y'> have the dimensions of span{I, Y} and <Y>, read
-    on the stored Y: span{Y}, the algebra's own span when Y names its
-    basis, plus one unless it holds I.  Otherwise X is closed: its
-    worklist resumes from span{I, x_1}, its first two words, which the
-    elimination passed through (for one matrix, the whole of it), and the
-    document keeps the result as its closure of X.  Every y' must lie in
-    <X>, which then holds <Y'>, so dim <Y> <= dim <X>, and the two are
-    equal once span{I, Y} or <Y> has the dimension of <X>.  So Y is closed
-    under the bound dim <X> - 1 and stops as soon as it passes it."""
-    refs = p["gens" if conjugated else "gens_a"]
-    gens = [d.matrix(r) for r in refs]
-    n = _size_of(gens)
-    sources = p["source_gens" if conjugated else "gens_b"]
-    others = [d.conjugate(d.matrix(r)) if conjugated else d.matrix(r)
-              for r in sources]
-    _require_size(others, n)
-    span = _unital_span(gens[:1], n)
-    # span{I, x_1}, where X's worklist starts; `_Span.add` replaces rows
-    # and never changes one in place, so a copy of the dict is a snapshot
-    head = dict(span.rows)
-    for g in gens[1:]:
-        span.add(_vec(g))
-    stored = d.spanned(sources)
-    dim = stored.dim + (not stored.contains(_vec((1, _identity(n)))))
-    if dim == span.dim and all(span.contains(_vec(y)) for y in others):
-        return True
-    span, _ = d.closed(refs, start=head)
-    return all(span.contains(_vec(y)) for y in others) and (
-        dim == span.dim
-        or d.closed(sources, span.dim - 1)[0].dim == span.dim)
-
-
-ONE_ELIMINATION_CHECKS = {
-    "generate_equal": one_elimination_generate_equal,
-    "generate_equal_conjugated": partial(one_elimination_generate_equal,
-                                         conjugated=True),
-}
-
-
-def one_elimination_failures(doc) -> list[str]:
-    """`verify_document` with the checks of `ONE_ELIMINATION_CHECKS` in
-    place of the verifier's own."""
-    return _failures_with(ONE_ELIMINATION_CHECKS, doc)
-
-
-# -- generated-algebra equality with no commutant test ---------------------------
-#
-# `annihilator_generate_equal` is the verifier's `_check_generate_equal`
-# from before it decided a claim with one matrix a side by the commutant
-# of a cyclic matrix, copied verbatim but for its name: it tries a larger
-# stored span's annihilator, then one elimination, then the closures.
-
-def annihilator_generate_equal(d: _Document, p: dict, conjugated=False) -> bool:
-    """Whether the lists X and Y behind the property's two reference lists
-    generate the same algebra or, conjugated, whether <X> = C^{-1} <Y> C.
-    Write Y' for Y, or for its conjugates C^{-1} y C; Y and C are read
-    only once X is read and checked, and are read and size-checked, source
-    by source, before anything is conjugated.
-
-    Through the annihilator, when S = span{Y}, the stored span, is the
-    larger side: n^2 - dim S < dim S, I lies in S and |X| + 1 >= dim S,
-    so that small algebras pay only these comparisons.  Each x must lie in
-    S', which is S or C^{-1} S C, by `_annihilated`, and I and X together
-    must have rank at least dim S by `_rank_reaches`.  Then span{I, X}
-    lies in S', which holds I, and has at least its dimension, so
-    span{I, X} = S'; hence <X> = <S'> = C^{-1} <S> C, and <S> = <Y>.
-    When either test fails the claim goes on as below, so the verdict is
-    the one the basis path alone gives: if the two tests pass, span{I, X}
-    = span{I, Y'} and the basis path's own first test passes too.
-
-    Otherwise one elimination, in X's coordinates: <X> is the algebra
-    generated by span{I, X}, which lies in <X> and holds X, so span{I, X}
-    = span{I, Y'} proves <X> = <Y'>; it holds when every y' lies in
-    span{I, X} and span{I, Y'} has its dimension.  Conjugation by C, which
-    `_inverse` proved nonsingular, is a linear algebra automorphism fixing
-    I, so span{I, Y'} and <Y'> have the dimensions of span{I, Y} and <Y>,
-    read on the stored Y: span{Y}, the algebra's own span when Y names its
-    basis, plus one unless it holds I.  Otherwise X is closed: its
-    worklist resumes from span{I, x_1}, its first two words, which the
-    elimination passed through (for one matrix, the whole of it), and the
-    document keeps the result as its closure of X.  Every y' must lie in
-    <X>, which then holds <Y'>, so dim <Y> <= dim <X>, and the two are
-    equal once span{I, Y} or <Y> has the dimension of <X>.  So Y is closed
-    under the bound dim <X> - 1 and stops as soon as it passes it."""
-    refs = p["gens" if conjugated else "gens_a"]
-    gens = [d.matrix(r) for r in refs]
-    n = _size_of(gens)
-    sources = p["source_gens" if conjugated else "gens_b"]
-    others = []
-    for r in sources:
-        others.append(d.matrix(r))
-        if conjugated:  # C is read, inverted and sized as `_conjugate` does
-            _conjugable(d.transform()[0], others[-1])
-    # with sources, C is then n x n, which `_annihilated` relies on
-    _require_size(others, n)
-    stored = d.spanned(sources)
-    unit = _vec((1, _identity(n)))
-    unital = stored.contains(unit)
-    if n * n < 2 * stored.dim and stored.dim <= len(gens) + 1 and unital:
-        vecs = [_vec(x) for x in gens]
-        if (_annihilated(d, stored, vecs, n, conjugated)
-                and _rank_reaches([unit] + vecs, stored.dim)):
-            return True
-    if conjugated:
-        others = [d.conjugate(y) for y in others]
-    span = _unital_span(gens[:1], n)
-    # span{I, x_1}, where X's worklist starts; `_Span.add` replaces rows
-    # and never changes one in place, so a copy of the dict is a snapshot
-    head = dict(span.rows)
-    for g in gens[1:]:
-        span.add(_vec(g))
-    dim = stored.dim + (not unital)
-    if dim == span.dim and all(span.contains(_vec(y)) for y in others):
-        return True
-    span, _ = d.closed(refs, start=head)
-    return all(span.contains(_vec(y)) for y in others) and (
-        dim == span.dim
-        or d.closed(sources, span.dim - 1)[0].dim == span.dim)
-
-
-
-ANNIHILATOR_CHECKS = {
-    "generate_equal": annihilator_generate_equal,
-    "generate_equal_conjugated": partial(annihilator_generate_equal,
-                                         conjugated=True),
-}
-
-
-def annihilator_failures(doc) -> list[str]:
-    """`verify_document` with the checks of `ANNIHILATOR_CHECKS` in place
-    of the verifier's own."""
-    return _failures_with(ANNIHILATOR_CHECKS, doc)
 
 
 # -- the semi-commuting pair through a triangularizing conjugation ---------------
@@ -817,110 +430,7 @@ def numeric_has_simple_real(a: Mat, tol: float = 1e-8) -> bool:
                for i in range(k))
 
 
-# -- the Gauss-Jordan steps before the gcd-reduced back-reduction ----------------
-
-def lcm_residual(rows, vec):
-    """A nonzero multiple of vec minus its projection onto the rows' span
-    along the pivots: zero in every pivot column, empty iff vec is in the
-    span.  The rows are fully reduced, so the coefficient of each row is
-    vec's own entry in its pivot column."""
-    hits = [p for p in vec if p in rows]
-    if not hits:
-        return vec
-    scale = lcm(*[rows[p][p] for p in hits])
-    out = {j: scale * v for j, v in vec.items()}
-    for p in hits:
-        row = rows[p]
-        f = vec[p] * (scale // row[p])
-        for j, a in row.items():
-            nv = out.get(j, 0) - f * a
-            if nv:
-                out[j] = nv
-            else:
-                del out[j]
-    return out
-
-
-def lcm_primitive(vec):
-    """vec divided by its content, signed so the first entry is positive."""
-    g = gcd(*vec.values())
-    if vec[min(vec)] < 0:
-        g = -g
-    return {j: v // g for j, v in vec.items()}
-
-
-def lcm_insert(rows, vec) -> bool:
-    """One Gauss-Jordan step: add vec to the echelon rows unless it lies in
-    their span; returns True when it enlarged the span."""
-    res = lcm_residual(rows, vec)
-    if not res:
-        return False
-    row = lcm_primitive(res)
-    p = min(row)
-    pivot = {p: row}
-    for q, other in rows.items():
-        if p in other:
-            rows[q] = lcm_primitive(lcm_residual(pivot, other))
-    rows[p] = row
-    return True
-
-
-def _verifier_primitive(vec):
-    """vec divided by its content, signed so the first entry is positive."""
-    g = gcd(*vec.values())
-    if vec[min(vec)] < 0:
-        g = -g
-    return {j: v // g for j, v in vec.items()}
-
-
-def _verifier_residual(rows, vec):
-    """A nonzero multiple of vec minus its projection onto the span of the
-    rows along their pivots; empty iff vec is in the span.  The rows are
-    fully reduced, so each row's coefficient is vec's entry at its pivot."""
-    hits = [p for p in vec if p in rows]
-    if not hits:
-        return vec
-    scale = lcm(*[rows[p][p] for p in hits])
-    out = {j: scale * v for j, v in vec.items()}
-    for p in hits:
-        row = rows[p]
-        f = vec[p] * (scale // row[p])
-        for j, a in row.items():
-            nv = out.get(j, 0) - f * a
-            if nv:
-                out[j] = nv
-            else:
-                del out[j]
-    return out
-
-
-class LcmVerifierSpan:
-    """The verifier's `_Span` with its lcm-scaled Gauss-Jordan step."""
-
-    def __init__(self):
-        self.rows = {}
-
-    def contains(self, vec) -> bool:
-        return not _verifier_residual(self.rows, _sparse(vec))
-
-    def add(self, vec) -> bool:
-        res = _verifier_residual(self.rows, _sparse(vec))
-        if not res:
-            return False
-        row = _verifier_primitive(res)
-        p = min(row)
-        pivot = {p: row}
-        for q, other in self.rows.items():
-            if p in other:
-                self.rows[q] = _verifier_primitive(
-                    _verifier_residual(pivot, other))
-        self.rows[p] = row
-        return True
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
+# -- an algebra's conjugate by normalized `Mat` products ------------------------
 
 def product_conjugate_algebra(a, c):
     """Basis-wise conjugation C^{-1} A C, re-echelonized, by two
@@ -939,27 +449,6 @@ def span_rows_mats(n: int, span) -> list[Mat]:
 
 
 # -- textbook Fraction linear algebra --------------------------------------------
-
-def gauss_jordan(vectors, length: int) -> list[tuple[Fraction, ...]]:
-    """Reduced row-echelon basis of the span of the vectors: Fraction
-    Gauss-Jordan elimination, first nonzero pivot, each pivot row divided
-    by its pivot and cleared from every other row."""
-    rows = [[Fraction(v) for v in vec] for vec in vectors]
-    r = 0
-    for c in range(length):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pivot = rows[r][c]
-        rows[r] = [v / pivot for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-    return [tuple(row) for row in rows[:r]]
-
 
 def cleared(vec) -> list[int]:
     """A Fraction vector times the lcm of its denominators: an integer
@@ -1459,7 +948,7 @@ def random_nonneg_on_pattern(rng: random.Random, pattern) -> Mat:
 # `generalized_eigensplit`, `structural_decomposition` and `center` are the
 # engine's routines from when a vector was a tuple of Fractions, copied
 # verbatim.  Only what they stood on is replaced: the echelon span and the
-# elimination behind them are the textbook `gauss_jordan` above, and
+# elimination behind them are the textbook `gauss_jordan`, and
 # `_apply`, `_column` and `_vectorize` stand for the `Mat` methods of the
 # same names.
 

@@ -23,9 +23,9 @@ from algforge.verify import verify_document
 
 F = Fraction
 
-# Every document a test here verifies, tampered or not, must fail the same
-# way under the spans-first oracle (`oracles.spans_first_failures`).
-pytestmark = pytest.mark.usefixtures("spans_first_agreement")
+# Every document a test here verifies, tampered or not, must fail exactly
+# where the reference (`reference.verdicts`) says it does not hold.
+pytestmark = pytest.mark.usefixtures("reference_agreement")
 
 
 def upper_ones(n):

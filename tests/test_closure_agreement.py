@@ -1,10 +1,11 @@
 """The engine's left-generator closure, the verifier's right-generator
-closure and the brute-force oracle agree on seeded random generators,
-including redundant lists and one-matrix lists; the verifier's lazy
-admission keeps the spans of the eager worklist, its ceiling and its
-resumed start keep the rows of the lazy worklist before them, and the
-engine's worklist keeps its words and span.  Lists with one unital span
-are found to generate one algebra with no closure."""
+closure and the reference's worklist agree on seeded random generators,
+including redundant lists and one-matrix lists; the verifier's closure,
+with and without a bound, reaches the reduced row-echelon basis of the
+reference's worklist, and the engine's worklist keeps its words and span.
+Lists with one unital span are found to generate one algebra with no
+closure.  Every document a test here verifies, tampered or not, fails
+exactly where the reference says it does not hold."""
 
 import copy
 import json
@@ -27,15 +28,12 @@ from algforge.matrices import (Mat, companion, direct_sum, identity,
                                mat_to_json, matrix_unit, ones, zero)
 from algforge.polynomials import Poly
 from algforge.verify import verify_document
-from oracles import (brute_closure_dim, eager_closure_words,
-                     eager_verifier_closure, gauss_jordan,
-                     lazy_verifier_closure, random_pattern)
+from oracles import eager_closure_words, random_pattern
+from reference import algebra_rref, gauss_jordan
 
 DATA = Path(__file__).parent / "data"
 
-# Every document a test here verifies, tampered or not, must fail the same
-# way under the spans-first oracle (`oracles.spans_first_failures`).
-pytestmark = pytest.mark.usefixtures("spans_first_agreement")
+pytestmark = pytest.mark.usefixtures("reference_agreement")
 
 
 def _dense(rng, n):
@@ -137,7 +135,7 @@ def _dimension_doc(gens, value):
                               for k, n, g in CASES + REDUNDANT])
 def test_closures_agree(kind, n, gens):
     dim = generate(n, gens).dim
-    assert brute_closure_dim(n, gens) == dim
+    assert len(algebra_rref(gens)) == dim
     assert verify_document(_dimension_doc(gens, dim)) == []
     assert verify_document(_dimension_doc(gens, dim + 1))
     assert verify_document(_dimension_doc(gens, dim - 1))
@@ -155,6 +153,19 @@ def test_nonneg_basis_regenerates(kind, n, gens):
 
 def _grids(gens):
     return [verify._grid(mat_to_json(g), {}) for g in gens]
+
+
+def _rref(span):
+    """A verifier span's rows, each divided by its pivot entry."""
+    return {p: {j: Fraction(v, row[p]) for j, v in row.items()}
+            for p, row in span.rows.items()}
+
+
+def _within(span, rows, length):
+    """Whether a verifier span lies in the span of reference rows."""
+    dense = [[row.get(j, 0) for j in range(length)]
+             for row in [*rows.values(), *span.rows.values()]]
+    return len(gauss_jordan(dense, length)) == len(rows)
 
 
 def _count_calls(monkeypatch, name):
@@ -190,10 +201,11 @@ def _count_matmul(monkeypatch):
                          ids=[f"{k}-{n}x{n}-{len(g)}"
                               for k, n, g in CASES + REDUNDANT])
 def test_lazy_closure_matches_eager_worklist(kind, n, gens):
+    """The verifier's closure, which admits generators lazily, reaches the
+    algebra of the reference's worklist."""
     span, size = verify._closure(_grids(gens))
-    ref, ref_size = eager_verifier_closure(_grids(gens))
-    assert size == ref_size == n
-    assert span.rows == ref.rows
+    assert size == n
+    assert _rref(span) == algebra_rref(gens)
 
 
 @pytest.mark.parametrize("kind,n,gens", CASES + REDUNDANT + ONE_MATRIX,
@@ -212,21 +224,23 @@ def test_closure_words_without_stop_are_unchanged(kind, n, gens):
                          ids=[f"{k}-{n}x{n}-{len(g)}"
                               for k, n, g in CASES + REDUNDANT + ONE_MATRIX])
 def test_closure_matches_the_lazy_worklist(kind, n, gens):
-    """With and without a bound, the closure reaches the rows of the lazy
-    worklist that multiplied by I and ran past the ceiling."""
+    """Without a bound the closure reaches the algebra of the reference's
+    worklist; under a bound it stops inside that algebra, once its
+    dimension exceeds the bound or at the whole algebra."""
     grids = _grids(gens)
     full, size = verify._closure(grids)
-    ref, ref_size = lazy_verifier_closure(grids)
-    assert size == ref_size == n
-    assert full.rows == ref.rows
+    ref = algebra_rref(gens)
+    assert size == n
+    assert _rref(full) == ref
     for bound in range(1, full.dim + 2):
-        assert (verify._closure(grids, bound)[0].rows
-                == lazy_verifier_closure(grids, bound)[0].rows)
+        span = verify._closure(grids, bound)[0]
+        assert _within(span, ref, n * n)
+        assert span.dim > bound or _rref(span) == ref
 
 
 def test_lazy_closure_of_seeded_algebra_bases():
     """Bases of random algebras, with their words and multiples mixed in,
-    close to the same canonical rows as the eager worklist."""
+    close to the algebra of the reference's worklist."""
     rng = random.Random(7)
     for n in (2, 3, 4):
         for _ in range(4):
@@ -238,8 +252,7 @@ def test_lazy_closure_of_seeded_algebra_bases():
             rng.shuffle(mixed)
             for lst in (basis, mixed, gens + basis):
                 span, _ = verify._closure(_grids(lst))
-                assert span.rows == eager_verifier_closure(_grids(lst))[0].rows
-                assert span.rows == lazy_verifier_closure(_grids(lst))[0].rows
+                assert _rref(span) == algebra_rref(lst)
 
 
 @pytest.mark.parametrize("kind,n,gens", ONE_MATRIX,
@@ -832,6 +845,8 @@ def _pair_lists():
 
 @pytest.mark.parametrize("source", ["seeded", "pairs"])
 def test_lemma_closure_matches_eager_worklist(source, monkeypatch):
+    """The generation lemma makes no product and reaches the algebra of
+    the reference's worklist."""
     lists = _lemma_lists() if source == "seeded" else _pair_lists()
     assert len(lists) >= 70
     for gens in lists:
@@ -840,9 +855,12 @@ def test_lemma_closure_matches_eager_worklist(source, monkeypatch):
         span, size = verify._closure(grids)
         assert calls == []  # the lemma path makes no product
         monkeypatch.undo()
-        ref, ref_size = eager_verifier_closure(grids)
-        assert size == ref_size == gens[0].rows
-        assert span.rows == ref.rows
+        assert size == gens[0].rows
+        # <gens> does not depend on their order, and the reference's
+        # worklist is fastest from the diagonal generator
+        assert _rref(span) == algebra_rref(sorted(gens, key=lambda g: any(
+            v for i, row in enumerate(g.data) for j, v in enumerate(row)
+            if i != j)))
 
 
 def _pair_docs():

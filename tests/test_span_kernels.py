@@ -1,13 +1,14 @@
-"""The gcd-reduced Gauss-Jordan steps against the lcm-scaled ones they
-replaced, and the integer conjugation of an algebra against the `Mat`
-products it replaced.
+"""The gcd-reduced Gauss-Jordan steps of both span kernels against
+textbook Fraction elimination, and the integer conjugation of an algebra
+against the `Mat` products it replaced.
 
-Both steps keep canonical rows, so the engine's `EchelonSpan` and the
-verifier's `_Span` must hold exactly the rows of `oracles.lcm_insert` and
-`oracles.LcmVerifierSpan` after every insert, give the same residual and
-`contains` verdict for every probe, and, through the engine's routines,
-the same `rank`, `solve`, `invert`, `nullspace` and `first_dependency`,
-all of which must also agree with textbook Fraction elimination.
+Both kernels keep canonical rows: after every insert, the engine's
+`EchelonSpan` and the verifier's `_Span` hold the same primitive integer
+rows, which divided by their pivots are the reduced row-echelon basis
+`gauss_jordan` gives, and every probe lies in them exactly when
+`gauss_jordan` finds it in the span.  The engine's `rank`, `solve`,
+`invert`, `nullspace` and `first_dependency` must agree with that
+elimination too.
 """
 
 import random
@@ -22,9 +23,8 @@ from algforge.algebra import (algebra_direct_sum, conjugate_algebra, generate,
 from algforge.linear import EchelonSpan
 from algforge.matrices import Mat, identity
 from algforge.verify import _Span
-from oracles import (LcmVerifierSpan, gauss_jordan, lcm_insert, lcm_residual,
-                     product_conjugate_algebra, random_mat, random_pattern,
-                     random_unimodular, span_rows_mats)
+from oracles import (gauss_jordan, product_conjugate_algebra, random_mat,
+                     random_pattern, random_unimodular, span_rows_mats)
 
 F = Fraction
 FAMILIES = ("dense", "sparse", "wide")
@@ -79,35 +79,35 @@ def combination(rng, vectors, length):
             for j in range(length)]
 
 
-def test_rows_and_verdicts_match_the_lcm_steps_on_every_insert():
+def test_rows_and_verdicts_match_gauss_jordan_on_every_insert():
+    """On sequences of length at most 12, the rows are checked against
+    `gauss_jordan` after every insert and each probe's verdict against
+    it; on longer ones the two kernels are checked against each other."""
     rng = random.Random(2026)
     grew = held = 0
     for length in sequence_lengths(1000):
         vectors = kernel_sequence(rng, length)
-        engine, old_engine = EchelonSpan(length), {}
-        verifier, old_verifier = _Span(), LcmVerifierSpan()
-        seen = []
+        engine, verifier = EchelonSpan(length), _Span()
+        rref, seen = [], []
         for vec in vectors:
-            sparse = linear._sparse(vec)
             inside = combination(rng, seen, length) if seen else vec
             for probe in (vec, inside, fresh_vector(rng, "dense", length)):
-                probe_sparse = linear._sparse(probe)
-                residual = linear._residual(engine._rows, probe_sparse)
-                assert residual == lcm_residual(old_engine, dict(probe_sparse))
+                residual = linear._residual(engine._rows, linear._sparse(probe))
                 assert (engine.contains(probe) == verifier.contains(probe)
-                        == old_verifier.contains(probe) == (not residual))
+                        == (not residual))
+                if length <= 12:
+                    assert (not residual) == (len(gauss_jordan(
+                        rref + [probe], length)) == len(rref))
                 held += not residual
             added = engine.add(vec)
             grew += added
-            assert added == lcm_insert(old_engine, dict(sparse))
-            assert added == verifier.add(vec) == old_verifier.add(vec)
-            assert engine._rows == old_engine
-            assert verifier.rows == old_verifier.rows == old_engine
+            assert added == verifier.add(vec)
+            assert verifier.rows == engine._rows
             seen.append(vec)
-        if length <= 12:
-            expected = gauss_jordan(vectors, length)
-            assert [tuple(F(row.get(j, 0), row[p]) for j in range(length))
-                    for p, row in engine.primitive_rows()] == expected
+            if length <= 12:
+                rref = gauss_jordan(rref + [vec], length)
+                assert [tuple(F(row.get(j, 0), row[p]) for j in range(length))
+                        for p, row in engine.primitive_rows()] == rref
     assert grew > 2000 and held > 2000
 
 
@@ -137,25 +137,13 @@ def kernel_matrix(rng, rows, cols):
     return out
 
 
-def with_lcm_kernel(monkeypatch, fn, *args):
-    """fn(*args) with the engine's Gauss-Jordan step swapped for the lcm
-    one; an exception is returned as its type."""
-    with monkeypatch.context() as m:
-        m.setattr(linear, "_insert", lcm_insert)
-        m.setattr(linear, "_residual", lcm_residual)
-        try:
-            return fn(*args)
-        except ValueError as exc:
-            return type(exc)
-
-
 def rref_pivots(vectors, length):
     """{pivot column: reduced row} of textbook Fraction elimination."""
     return {next(j for j, v in enumerate(row) if v): row
             for row in gauss_jordan(vectors, length)}
 
 
-def test_routines_match_the_lcm_steps_and_fraction_elimination(monkeypatch):
+def test_routines_match_fraction_elimination():
     rng = random.Random(126)
     for _ in range(300):
         m, n = rng.randint(1, 7), rng.randint(1, 7)
@@ -163,13 +151,9 @@ def test_routines_match_the_lcm_steps_and_fraction_elimination(monkeypatch):
         b = fresh_vector(rng, "dense", m)
         square = kernel_matrix(rng, n, n)
 
-        rank = linear.rank(a)
-        assert rank == with_lcm_kernel(monkeypatch, linear.rank, a)
-        assert rank == len(gauss_jordan(a, n))
+        assert linear.rank(a) == len(gauss_jordan(a, n))
 
         d, kernel = linear.nullspace(a, n)
-        assert (d, kernel) == with_lcm_kernel(monkeypatch, linear.nullspace,
-                                              a, n)
         pivots = rref_pivots(a, n)
         free = [j for j in range(n) if j not in pivots]
         assert len(kernel) == len(free)
@@ -180,7 +164,6 @@ def test_routines_match_the_lcm_steps_and_fraction_elimination(monkeypatch):
             assert [F(x, d) for x in v] == want
 
         sol = linear.solve(a, b)
-        assert sol == with_lcm_kernel(monkeypatch, linear.solve, a, b)
         augmented = rref_pivots([[*r, bv] for r, bv in zip(a, b)], n + 1)
         if n in augmented:
             assert sol is None
@@ -189,23 +172,18 @@ def test_routines_match_the_lcm_steps_and_fraction_elimination(monkeypatch):
             assert [F(v, d) for v in x] == [
                 augmented[j][n] if j in augmented else 0 for j in range(n)]
 
-        inv = with_lcm_kernel(monkeypatch, linear.invert, square)
         eye = [[int(i == j) for j in range(n)] for i in range(n)]
         reduced = gauss_jordan([[*r, *e] for r, e in zip(square, eye)], 2 * n)
         if len(reduced) == n and all(row[i] for i, row in enumerate(reduced)):
             d, got = linear.invert(square)
-            assert (d, got) == inv
             assert [[F(v, d) for v in row] for row in got] == [
                 list(row[n:]) for row in reduced]
         else:
-            assert inv is ValueError
             with pytest.raises(ValueError):
                 linear.invert(square)
 
         vectors = kernel_matrix(rng, rng.randint(1, 8), n)
         dep = linear.first_dependency(vectors)
-        assert dep == with_lcm_kernel(monkeypatch, linear.first_dependency,
-                                      vectors)
         ranks = [len(gauss_jordan(vectors[:k + 1], n))
                  for k in range(len(vectors))]
         first = next((k for k, r in enumerate(ranks) if r <= k), None)

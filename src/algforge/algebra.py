@@ -24,9 +24,9 @@ unital span is closed exactly when the basis generates no more than it,
 so a closed basis costs a worklist that ends at d, and one that is not
 closed is refused a few products after the span outgrows it.
 `generates` decides whether a list generates a known algebra by closing
-it and comparing the canonical spans.  `center`, `centralizer` and
-`is_simple` solve their linear systems on integer numerators: the basis
-numerators span the algebra as the basis does.
+it and comparing the canonical spans.  `centralizer` solves its linear
+system on the integer numerators of the matrix, which has the same
+centralizer.
 """
 
 from __future__ import annotations
@@ -38,11 +38,9 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from . import simplex
-from .incidence import IncidencePattern
-from .linear import EchelonSpan, nullspace, rank, solve
+from .linear import EchelonSpan, nullspace
 from .matrices import (Mat, Support, _mat, direct_sum, identity, inverse,
-                       mat_from_json, mat_to_json, matrix_unit, support_union,
-                       zero)
+                       mat_from_json, mat_to_json, support_union, zero)
 from .verify import _closure
 
 
@@ -292,32 +290,10 @@ def nonneg_covering_exists(a: Algebra) -> Mat | None:
     return acc
 
 
-def two_sided_ideal(a: Algebra, x: Mat) -> list[Mat]:
-    """Echelon basis of the two-sided ideal generated by x inside a."""
-    if not a.contains(x):
-        raise ValueError("element is not in the algebra")
-    left = [p @ x for p in a.basis]
-    return _span_mats(a.n, _span_of(a.n, [(px @ q).numerators()
-                                          for px in left for q in a.basis]))
-
-
 def _numerators(a: Algebra) -> list[Mat]:
     """The basis numerators N_k of B_k = N_k / d_k, as integer matrices:
     sum y_k N_k runs over the algebra as sum x_k B_k does."""
     return [Mat.from_ints(a.n, a.n, 1, b.num) for b in a.basis]
-
-
-def center(a: Algebra) -> list[Mat]:
-    """Echelon basis of {X in A : XB = BX for every B in A}."""
-    nums = _numerators(a)
-    rows = []
-    for b in nums:
-        comm = [(c @ b - b @ c).numerators() for c in nums]
-        rows += [row for row in zip(*comm) if any(row)]
-    flat = [b.numerators() for b in nums]
-    return _span_mats(a.n, _span_of(a.n, [
-        [sum(map(mul, y, col)) for col in zip(*flat)]
-        for y in nullspace(rows, a.dim)[1]]))
 
 
 def centralizer(m: Mat) -> Algebra:
@@ -339,51 +315,6 @@ def centralizer(m: Mat) -> Algebra:
     if not (alg.is_unital() and alg.is_closed()):
         raise ArithmeticError("centralizer failed closure check")
     return alg
-
-
-def is_simple(a: Algebra) -> bool:
-    """Whether the algebra is simple as a real algebra.
-
-    Radical first (trace-form kernel, exact in characteristic zero); a
-    semisimple algebra is then simple iff its center is a field that stays
-    a field over the reals: dimension 1, or dimension 2 with the quadratic
-    minimal polynomial of a non-scalar central element having no real root.
-    """
-    nums = _numerators(a)
-    gram = [[sum((x @ y).num[i][i] for i in range(a.n)) for y in nums]
-            for x in nums]
-    if rank(gram) < a.dim:
-        return False  # nonzero radical is a proper ideal
-    zc = center(a)
-    if len(zc) == 1:
-        return True
-    if len(zc) > 2:
-        return False
-    z = next((m for m in zc if not _is_scalar(m)), None)
-    if z is None:
-        raise ArithmeticError("two-dimensional center without non-scalar element")
-    # Solve Z^2 = (p I + r Z) / q for the numerators Z of z: the minimal
-    # polynomial x^2 - (r/q) x - p/q of Z, a multiple of z, has a real root
-    # iff that of z does, and its discriminant has the sign of r^2 + 4pq.
-    zn = Mat.from_ints(a.n, a.n, 1, z.num)
-    sol = solve(list(zip(identity(a.n).numerators(), zn.numerators())),
-                (zn @ zn).numerators())
-    if sol is None:
-        raise ArithmeticError("central element square escapes its plane")
-    q, (p, r) = sol
-    return r * r + 4 * p * q < 0
-
-
-def _is_scalar(m: Mat) -> bool:
-    c = m.num[0][0]
-    return all(m.num[i][j] == (c if i == j else 0)
-               for i in range(m.rows) for j in range(m.cols))
-
-
-def incidence_algebra(p: IncidencePattern) -> Algebra:
-    """The span of the pattern's matrix units (closed by transitivity)."""
-    return _from_span(p.n, _span_of(p.n, [matrix_unit(p.n, i, j).numerators()
-                                          for (i, j) in p.positions]))
 
 
 # -- serialization -----------------------------------------------------------

@@ -19,7 +19,7 @@ from itertools import chain
 from typing import Iterator, Sequence
 
 from .algebra import (Algebra, algebra_direct_sum, centralizer,
-                      closure_words, conjugate_algebra, generate, generates)
+                      conjugate_algebra, generate, generates)
 from .certificates import (Certificate, prop_central, prop_conjugate_of,
                            prop_covers, prop_covers_conjugated,
                            prop_dimension, prop_generate_equal,
@@ -115,20 +115,6 @@ def nonneg_generators_from_covering(a: Algebra, m: Mat) -> list[Mat]:
     if not all(is_nonneg(g) for g in gens):
         raise ArithmeticError("shifted generators are not nonnegative")
     return gens
-
-
-def nonneg_basis_from_generators(gens: Sequence[Mat]) -> list[Mat]:
-    """A linearly independent, all-nonnegative spanning set of <gens>: the
-    words of the nonnegative generators that `closure_words` retains."""
-    if not gens:
-        raise ValueError("empty generating set")
-    for g in gens:
-        if not is_nonneg(g):
-            raise ValueError("generators must be nonnegative")
-    basis, _ = closure_words(gens[0].rows, gens)
-    if not all(is_nonneg(b) for b in basis):
-        raise ArithmeticError("a selected word is not nonnegative")
-    return basis
 
 
 def positive_generators_from_positive(a: Algebra, m: Mat) -> list[Mat]:

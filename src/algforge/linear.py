@@ -131,26 +131,6 @@ def rank(rows: Sequence[Sequence[int]]) -> int:
     return len(_echelon(rows))
 
 
-def first_dependency(vectors: Iterable[Sequence[int]]) -> list[int] | None:
-    """The first linear dependency c_0 v_0 + ... + c_k v_k = 0 among the
-    vectors, read lazily, as integers with c_k != 0; None when they are
-    independent.
-
-    One elimination: vector k carries a marker in column len(v_k) + k, so
-    the markers of a row record which combination of the vectors it is,
-    and when v_k reduces to zero its markers are the dependency."""
-    rows: Rows = {}
-    for k, vec in enumerate(vectors):
-        n = len(vec)
-        row = _sparse(vec)
-        row[n + k] = 1
-        res = _residual(rows, row)
-        if min(res) >= n:
-            return [res.get(n + j, 0) for j in range(k + 1)]
-        _insert(rows, res)
-    return None
-
-
 def solve(a_rows: Sequence[Sequence[int]],
           b: Sequence[int]) -> tuple[int, list[int]] | None:
     """(d, x) with A (x / d) = b, one exact solution, or None when the

@@ -5,17 +5,17 @@ A ``Mat`` is stored in one canonical integer form: a denominator
 = 1, so the matrix is num / den and equal matrices have equal fields.
 Products, sums, transposes, supports, sign tests, ``inverse`` (one integer
 Gauss-Jordan run), ``poly_at`` (integer Horner) and the fixed constructors
-(``jordan_cell``, ``companion``, ``regular_triangular``, ``uniformizer``
-and its inverse) run on the integers, and every result is brought back to
+(``jordan_cell``, ``regular_triangular``, ``uniformizer`` and its
+inverse) run on the integers, and every result is brought back to
 canonical form by one gcd.  A rational vector is a ``1 x n`` Mat:
-``stack``, ``kernel`` and ``span_rows`` build such rows, and a matrix acts
-on them as ``v @ A.transpose()``.  The wire is read as integers too:
+``stack`` and ``kernel`` build such rows, and a matrix acts on them as
+``v @ A.transpose()``.  The wire is read as integers too:
 ``mat_from_json`` parses each distinct entry string with
 ``polynomials.parse_rational`` into an integer pair, once per document:
 every loader passes one cache for all the matrices of a document.  A Fraction is
 built only where a caller passes one in or reads ``A.data``, a read-only
-Fraction grid built on first use, or the Fraction results of
-``uniform_norm`` and ``min_support_entry``.
+Fraction grid built on first use, or the Fraction result of
+``uniform_norm``.
 ``A.data[i][j]`` is 0-based;
 ``Support`` positions (and all serialized position data) are 1-based
 (row, column) pairs.  Matrices are immutable, hashable and safe to share.
@@ -223,15 +223,6 @@ def ones(n: int) -> Mat:
     return _mat(n, n, 1, ((1,) * n,) * n)
 
 
-def matrix_unit(n: int, i: int, j: int) -> Mat:
-    """The n x n matrix with a single 1 at 1-based position (i, j)."""
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError("position out of range")
-    empty = (0,) * n
-    return _mat(n, n, 1, (empty,) * (i - 1) + (_unit_row(n, j - 1),)
-                + (empty,) * (n - i))
-
-
 def jordan_cell(k: int, lam: int | Fraction) -> Mat:
     """Upper Jordan cell of size k for the eigenvalue lam."""
     p, q = lam.numerator, lam.denominator
@@ -310,21 +301,6 @@ def direct_sum(blocks: Iterable[Mat]) -> Mat:
     return _mat(n, n, den, tuple(num))
 
 
-def companion(p: Poly) -> Mat:
-    """Companion matrix of a monic polynomial of degree >= 1."""
-    if p.degree < 1:
-        raise ValueError("need degree >= 1")
-    q = p.monic()
-    n = q.degree
-    # den times the matrix: den on the subdiagonal, -num in the last column
-    num = [[0] * n for _ in range(n)]
-    for i in range(1, n):
-        num[i][i - 1] = q.den
-    for i in range(n):
-        num[i][n - 1] = -q.num[i]
-    return _normal(n, n, q.den, tuple(map(tuple, num)))
-
-
 # -- core operations --------------------------------------------------------
 
 def inverse(a: Mat) -> Mat:
@@ -350,18 +326,6 @@ def kernel(a: Mat) -> list[Mat]:
     column of A, which holds 1 there and 0 at the other free columns."""
     d, basis = linear.nullspace(a.num, a.cols)
     return [_normal(1, a.cols, d, (tuple(v),)) for v in basis]
-
-
-def span_rows(span: linear.EchelonSpan) -> list[Mat]:
-    """The span's canonical rows as 1 x length matrices: a primitive
-    echelon row over its positive pivot is already in canonical form."""
-    out = []
-    for p, row in span.primitive_rows():
-        flat = [0] * span.length
-        for j, v in row.items():
-            flat[j] = v
-        out.append(_mat(1, span.length, row[p], (tuple(flat),)))
-    return out
 
 
 def conjugate(a: Mat, c: Mat) -> Mat:
@@ -395,12 +359,6 @@ def poly_at(p: Poly, a: Mat) -> Mat:
     return _normal(n, n, p.den * scale, tuple(map(tuple, acc)))
 
 
-def commutator(a: Mat, b: Mat) -> Mat:
-    if not (a.is_square and b.is_square and a.rows == b.rows):
-        raise ValueError("size mismatch")
-    return a @ b - b @ a
-
-
 def is_nonneg(a: Mat) -> bool:
     return all(v >= 0 for row in a.num for v in row)
 
@@ -413,16 +371,6 @@ def uniform_norm(a: Mat) -> Fraction:
     """Max absolute entry; 0 for empty matrices."""
     return Fraction(max((abs(v) for row in a.num for v in row), default=0),
                     a.den)
-
-
-def min_support_entry(a: Mat) -> Fraction:
-    """Smallest entry over the support of a nonnegative nonzero matrix."""
-    if not is_nonneg(a):
-        raise ValueError("matrix is not nonnegative")
-    vals = [v for row in a.num for v in row if v]
-    if not vals:
-        raise ValueError("zero matrix has no support")
-    return Fraction(min(vals), a.den)
 
 
 # -- supports ----------------------------------------------------------------

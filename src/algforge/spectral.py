@@ -1,17 +1,14 @@
 """Exact spectral computations over Q.
 
-Characteristic and minimal polynomials are computed on the integer
-numerators N of A = N / d and rescaled once: characteristic polynomials by
-Berkowitz's division-free algorithm (1984), minimal polynomials from the
-first linear dependency among the powers of N.  Neither builds a Fraction.
-Vectors are 1 x n `Mat` rows, on which a matrix acts as v @ A^T: Jordan
-chains, the image of a spectral projector and the invariant subspaces of
-the structural decomposition are spans of such rows.  Irrational
-eigenvalues are never materialized: existence questions are answered by
-Sturm counts, and every operation that needs an eigenvalue takes a
-rational one.  The spectral radius is replaced throughout by the
-certified row-sum upper bound, which is all the downstream shift
-constructions require.
+Characteristic polynomials are computed on the integer numerators N of
+A = N / d by Berkowitz's division-free algorithm (1984) and rescaled once,
+with no Fraction built.  Vectors are 1 x n `Mat` rows, on which a matrix
+acts as v @ A^T: Jordan chains and the image of a spectral projector are
+spans of such rows.  Irrational eigenvalues are never materialized:
+existence questions are answered by Sturm counts, and every operation
+that needs an eigenvalue takes a rational one.  The spectral radius is
+replaced throughout by the certified row-sum upper bound, which is all
+the downstream shift constructions require.
 """
 
 from __future__ import annotations
@@ -20,14 +17,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .algebra import Algebra, conjugate_algebra
-from .linear import EchelonSpan, first_dependency, rank
+from .linear import EchelonSpan
 from .matrices import (Mat, conjugate, direct_sum, identity, inverse,
-                       jordan_cell, kernel, matrix_unit, span_rows,
-                       stack)
-from .polynomials import (Poly, multiplicity_one_part, rational_roots,
-                          sturm_real_root_count)
+                       jordan_cell, kernel, stack)
+from .polynomials import Poly, multiplicity_one_part, sturm_real_root_count
 from .polynomials import root_multiplicity as eigenvalue_multiplicity
+
 
 def char_poly(a: Mat) -> Poly:
     """Monic characteristic polynomial det(xI - A).
@@ -53,44 +48,6 @@ def char_poly(a: Mat) -> Poly:
               for i in range(k + 2)]
     return Poly.from_ints(d ** n, [c * d ** i
                                    for i, c in enumerate(reversed(cp))])
-
-
-def min_poly(a: Mat) -> Poly:
-    """Least-degree monic polynomial with p(A) = 0, via the first linear
-    dependency sum c_i N^i = 0 among the powers of the integer numerators
-    N of A = N / d; the x^i coefficient is c_i d^(i - k) / c_k."""
-    if not a.is_square:
-        raise ValueError("matrix must be square")
-    ints = Mat.from_ints(a.rows, a.cols, 1, a.num)
-
-    def powers():
-        power = identity(a.rows)
-        while True:
-            yield power.numerators()
-            power = power @ ints
-
-    coeffs = first_dependency(powers())
-    k = len(coeffs) - 1
-    return Poly.from_ints(coeffs[k] * a.den ** k,
-                          [c * a.den ** i for i, c in enumerate(coeffs)])
-
-
-@dataclass(frozen=True)
-class CharData:
-    """Exactly computable spectral data of a square matrix."""
-
-    char: Poly
-    minimal: Poly
-    rational_eigenvalues: tuple[tuple[Fraction, int], ...]
-    simple_real_count: int
-
-
-def char_data(a: Mat) -> CharData:
-    cp = char_poly(a)
-    mp = min_poly(a)
-    roots = tuple(rational_roots(cp))
-    count = sturm_real_root_count(multiplicity_one_part(cp))
-    return CharData(cp, mp, roots, count)
 
 
 def has_simple_real_eigenvalue(a: Mat) -> bool:
@@ -144,101 +101,6 @@ def _spectral_projector(a: Mat, lam: Fraction, m: int) -> Mat:
     if p @ p != p or a @ p != p @ a:
         raise ArithmeticError("projector construction failed")
     return p
-
-
-def orbit_span(a: Algebra, v: Mat) -> list[Mat]:
-    """Canonical basis of the smallest A-invariant subspace containing the
-    n x 1 vector v, the span of {Bv : B basis}, as 1 x n rows."""
-    if not any(map(any, v.num)):
-        raise ValueError("zero vector")
-    if (v.rows, v.cols) != (a.n, 1):
-        raise ValueError("size mismatch")
-    span = EchelonSpan(a.n)
-    for b in a.basis:
-        span.add((b @ v).numerators())
-    return span_rows(span)
-
-
-@dataclass(frozen=True)
-class StructuralDecomposition:
-    """Block upper-triangular presentation isolating a full matrix block.
-
-    The conjugated algebra vanishes below the block diagonal with the
-    stated sizes, the middle block compresses onto the full matrix algebra
-    of its size, and the diagonal matrix unit at index l (1-based) belongs
-    to the conjugated algebra.
-    """
-
-    transform: Mat
-    sizes: tuple[int, int, int]
-    l: int
-    case: int
-
-
-def structural_decomposition(a: Algebra) -> StructuralDecomposition:
-    """Split an algebra containing the (1,1) diagonal matrix unit along its
-    minimal and maximal invariant subspaces attached to e_1.
-
-    Case 1: both the orbit of e_1 is proper and it meets the largest
-    invariant subspace orthogonal to e_1; cases 2-4 degenerate one or both.
-    """
-    n = a.n
-    if not a.contains(matrix_unit(n, 1, 1)):
-        raise ValueError("algebra does not contain the (1,1) matrix unit")
-    units = [identity(n).submatrix([i], range(n)) for i in range(n)]
-    e1 = units[0]
-    z1 = orbit_span(a, e1.transpose())
-    # The leading block is the part of the orbit orthogonal to e_1: the
-    # kernel of the basis' first rows F (the orthogonal complement of the
-    # transposed orbit), all of it when the orbit is Q^n, and otherwise
-    # its intersection kernel(F Z^T) Z with the orbit's rows Z, taken in
-    # canonical form.  It never holds e_1, whose first coordinate is 1.
-    first = stack([b.submatrix([0], range(n)) for b in a.basis])
-    full = len(z1) == n
-    if full:
-        head = kernel(first)
-    else:
-        z = stack(z1)
-        meet = EchelonSpan(n)
-        for k in kernel(first @ z.transpose()):
-            meet.add((k @ z).num[0])
-        head = span_rows(meet)
-    case = (3 if head else 4) if full else (1 if head else 2)
-    sizes = (len(head), len(z1) - len(head), n - len(z1))
-    picked = EchelonSpan(n)
-    cols = [v for v in [*head, e1, *z1, *units] if picked.add(v.num[0])]
-
-    # Normalize first coordinates so the conjugation sends the (1,1) unit
-    # exactly onto the (l,l) unit: every column except e_1 itself is shifted
-    # into the hyperplane x_1 = 0 (allowed since e_1 lies in the orbit).
-    l = sizes[0] + 1
-    cmat = stack([v if idx == l - 1 else
-                  Mat.from_ints(1, n, v.den, [(0,) + v.num[0][1:]])
-                  for idx, v in enumerate(cols)]).transpose()
-    decomposition = StructuralDecomposition(cmat, sizes, l, case)
-    _verify_decomposition(a, decomposition)
-    return decomposition
-
-
-def _verify_decomposition(a: Algebra, d: StructuralDecomposition) -> None:
-    n = a.n
-    k1, k2, _ = d.sizes
-    # The conjugated algebra is block triangular iff every matrix of its
-    # basis is: the block-triangular matrices form a subspace.
-    conj = conjugate_algebra(a, d.transform)
-    s0, s1 = k1, k1 + k2
-    for x in conj.basis:
-        for i in range(s0, n):
-            limit = s0 if i < s1 else s1
-            for j in range(limit):
-                if x.num[i][j]:
-                    raise ArithmeticError("conjugated algebra is not block triangular")
-    if not conj.contains(matrix_unit(n, d.l, d.l)):
-        raise ArithmeticError("distinguished diagonal unit missing")
-    mid = [x.submatrix(range(s0, s1), range(s0, s1)).numerators()
-           for x in conj.basis]
-    if rank(mid) != k2 * k2:
-        raise ArithmeticError("distinguished block is not the full matrix algebra")
 
 
 # -- Jordan structure for nilpotent matrices ---------------------------------

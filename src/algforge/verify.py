@@ -196,8 +196,11 @@ def _imul(a: Sequence[Sequence[int]],
 
 def _mul(a: Grid, b: Grid) -> Grid:
     (da, ra), (db, rb) = a, b
-    if not rb:
-        # A grid with no rows records no column count.
+    if not rb and ra:
+        # A grid with no rows records no column count, so the product of
+        # r x 0 and 0 x c would have rows of unknown length.  With no rows
+        # on either side it is the empty grid: every matrix a check
+        # multiplies is declared square, so both factors are 0 x 0.
         raise CertificateError("empty inner dimension in product")
     if (ra and len(ra[0]) or 0) != len(rb):
         raise CertificateError("size mismatch in product")
@@ -219,7 +222,7 @@ def _is_nonneg(a: Grid) -> bool:
 
 
 def _is_positive(a: Grid) -> bool:
-    return bool(a[1]) and all(v > 0 for row in a[1] for v in row)
+    return bool(a[1] and a[1][0]) and all(v > 0 for row in a[1] for v in row)
 
 
 def _support(a: Grid) -> set[tuple[int, int]]:
@@ -586,15 +589,21 @@ def _item(items, index: str, ref: str):
     return items[int(index)]
 
 
+def _string(ref) -> str:
+    """ref, which must be a string; checked before a reference is used as
+    a memo key, where a list or an object would be unhashable."""
+    if not isinstance(ref, str):
+        raise CertificateError(f"reference {ref!r} is not a string")
+    return ref
+
+
 def _resolve(doc: dict, ref: str, key: str, what: str) -> dict:
     """The object behind a reference, which must hold `key`.  An indexed
     "in:<name>:<i>" reads item i of a list input, or basis matrix i of an
     algebra input, so one stored algebra serves both as an algebra and as
     a list of its basis matrices.  Whatever the reference names and the
     document lacks fails with the reference named."""
-    if not isinstance(ref, str):
-        raise CertificateError(f"reference {ref!r} is not a string")
-    m = _REFERENCE.fullmatch(ref)
+    m = _REFERENCE.fullmatch(_string(ref))
     if ref == "C":
         obj = doc.get("C")
         if obj is None:
@@ -660,14 +669,23 @@ class _Document:
             self._memo[key] = make()
         return self._memo[key]
 
-    def matrix(self, ref: str) -> Grid:
-        return self._once(("matrix", ref), lambda: _grid(
+    def matrix(self, ref: str, square: bool = True) -> Grid:
+        """The grid behind ref.  A grid with no rows records no column
+        count, so one declared 0 x k with k > 0 would pass for 0 x 0 in
+        every product and size test: unless `square` is false, it is
+        refused here.  Every other shape is checked where it is used."""
+        grid = self._once(("matrix", _string(ref)), lambda: _grid(
             _resolve(self.doc, ref, "entries", "a matrix"), self._parsed))
+        if square and not grid[1] and _resolve(self.doc, ref, "entries",
+                                               "a matrix")["cols"]:
+            raise CertificateError(f"matrix {ref!r} is not square")
+        return grid
 
     def basis(self, ref: str, conjugated: bool = False) -> tuple[Grid, ...]:
         """The algebra's basis, mapped to C^{-1} B C when conjugated.  Basis
         matrix i is read as the reference "<ref>:<i>", so a source list
         that names it shares its parse."""
+        _string(ref)
         if conjugated:
             return self._once(("conjugated", ref), lambda: tuple(
                 map(self.conjugate, self.basis(ref))))
@@ -692,7 +710,7 @@ class _Document:
 
     def spanned(self, refs) -> _Span:
         """The span of the matrices behind a list of references."""
-        key = tuple(refs)
+        key = tuple(map(_string, refs))
 
         def make() -> _Span:
             span = _Span()
@@ -713,12 +731,21 @@ class _Document:
         """C^{-1} X C."""
         return _conjugate(*self.transform(), x)
 
+    def transform_of(self, ref: str) -> tuple[Grid, Grid]:
+        """`transform`, with C checked to be n x n for the n of the
+        algebra behind ref, which an empty basis does not show."""
+        c, inverse = self.transform()
+        if len(c[1]) != _size_field(_resolve(self.doc, ref, "basis",
+                                             "an algebra"), "algebra"):
+            raise CertificateError("size mismatch in conjugation")
+        return c, inverse
+
     def closed(self, refs, bound: int | None = None,
                start: dict[int, dict[int, int]] | None = None
                ) -> tuple[_Span, int]:
         """The `_closure` of the matrices behind a list of references,
         under a bound if given, grown from `start` if it is made here."""
-        key = tuple(refs)
+        key = tuple(map(_string, refs))
         return self._once(("closure", key, bound), lambda: _closure(
             [self.matrix(r) for r in key], bound, start))
 
@@ -745,11 +772,11 @@ class _Document:
 # -- property checks -----------------------------------------------------------
 
 def _check_nonneg(d: _Document, p: dict) -> bool:
-    return _is_nonneg(d.matrix(p["target"]))
+    return _is_nonneg(d.matrix(p["target"], square=False))
 
 
 def _check_positive(d: _Document, p: dict) -> bool:
-    return _is_positive(d.matrix(p["target"]))
+    return _is_positive(d.matrix(p["target"], square=False))
 
 
 def _check_conjugate_of(d: _Document, p: dict) -> bool:
@@ -760,14 +787,11 @@ def _check_conjugate_of(d: _Document, p: dict) -> bool:
 def _check_in_algebra(d: _Document, p: dict, conjugated=False) -> bool:
     """Whether the algebra A holds X or, conjugated, C^{-1} A C does: A
     holds C X C^{-1}, on its stored span.  C is read where conjugating the
-    basis would read it: after the basis, before X, never for no basis."""
+    basis would read it: after the basis, before X."""
     ref = p["algebra"]
     span = d.span(ref)
-    conjugated = conjugated and bool(d.basis(ref))
     if conjugated:
-        c, (_, inv) = d.transform()
-        if len(c[1]) != len(d.basis(ref)[0][1]):
-            raise CertificateError("size mismatch in conjugation")
+        c, (_, inv) = d.transform_of(ref)
     x = d.sized(d.matrix(p["target"]), ref)[1]
     if conjugated:
         x = _imul(_imul(c[1], x), inv)  # a nonzero multiple of C X C^{-1}
@@ -778,6 +802,8 @@ def _check_covers(d: _Document, p: dict, conjugated=False) -> bool:
     omega: set[tuple[int, int]] = set()
     for b in d.basis(p["algebra"], conjugated):
         omega |= _support(b)
+    if conjugated:
+        d.transform_of(p["algebra"])  # C is read even for no basis
     return _support(d.sized(d.matrix(p["target"]), p["algebra"])) == omega
 
 
@@ -793,7 +819,7 @@ def _check_semi_commuting(d: _Document, p: dict) -> bool:
 
 
 def _check_central(d: _Document, p: dict) -> bool:
-    z = d.matrix(p["target"])
+    z = d.sized(d.matrix(p["target"]), p["algebra"])
     if not d.span(p["algebra"]).contains(_vec(z)):
         return False
     return all(_mul(z, b) == _mul(b, z) for b in d.basis(p["algebra"]))

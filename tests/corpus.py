@@ -31,9 +31,9 @@ from algforge.constructions import (classify_positive_generation,
                                     direct_sum_nonneg_covering,
                                     single_generator_nonneg)
 from algforge.matrices import (Mat, conjugate, direct_sum, identity,
-                               jordan_cell, mat_to_json, matrix_unit, zero)
+                               jordan_cell, mat_to_json, zero)
 from algforge.verify import verify_document
-from oracles import random_unimodular
+from oracles import matrix_unit, random_unimodular
 
 DATA = Path(__file__).parent / "data"
 
@@ -407,9 +407,47 @@ def _extra_documents():
         "inputs": {"algebra": {"n": 5, "basis": []}, "m": empty_matrix},
         "properties": [{"kind": "is_centralizer", "algebra": "in:algebra",
                         "of": "in:m"}]}
+    # two 0 x 0 matrices semi-commute both ways, and a 0 x 0 C conjugates
+    # one onto the other: every product has no rows
+    yield "empty-products", {
+        "C": empty_matrix, "inputs": {"a": empty_matrix, "b": empty_matrix},
+        "outputs": [empty_matrix],
+        "properties": [{"kind": "semi_commuting", "a": "in:a", "b": "in:b",
+                        "sign": sign} for sign in ("nonneg", "nonpos")]
+        + [{"kind": "conjugate_of", "target": "out:0", "source": "in:a"}]}
+    # the same with a 0 x 3 matrix in one place: a matrix with no rows
+    # is square only if it is declared 0 x 0
+    wide = {"rows": 0, "cols": 3, "entries": []}
+    for place in ("a", "b", "C", "out"):
+        m = {k: wide if k == place else empty_matrix
+             for k in ("a", "b", "C", "out")}
+        yield f"empty-products-wide-{place}", {
+            "C": m["C"], "inputs": {"a": m["a"], "b": m["b"]},
+            "outputs": [m["out"]],
+            "properties": [{"kind": "semi_commuting", "a": "in:a",
+                            "b": "in:b", "sign": "nonneg"},
+                           {"kind": "conjugate_of", "target": "out:0",
+                            "source": "in:a"}]}
+    # a 1 x 0 matrix is nonnegative but not positive; a 0 x 0 matrix is
+    # not central in an algebra of 1 x 1 matrices, even one with no basis
+    yield "no-columns", {
+        "inputs": {"m": {"rows": 1, "cols": 0, "entries": [[]]},
+                   "algebra": {"n": 1, "basis": []}, "z": empty_matrix},
+        "properties": [{"kind": "nonneg", "target": "in:m"},
+                       {"kind": "positive", "target": "in:m"},
+                       {"kind": "central", "target": "in:z",
+                        "algebra": "in:algebra"}]}
+    # the conjugated checks read C, and size it, for an empty basis too
+    zero = {"rows": 2, "cols": 2, "entries": [["0", "0"], ["0", "0"]]}
+    for name, c in (("", diag(1, 2)), ("-wrong-size", diag(1))):
+        yield f"conjugated-empty-basis{name}", {
+            "C": mat_to_json(c),
+            "inputs": {"a": {"n": 2, "basis": []}, "z": zero},
+            "properties": [{"kind": kind, "target": "in:z", "algebra": "in:a"}
+                           for kind in ("in_algebra_conjugated",
+                                        "covers_conjugated")]}
     # a basis or a list of positions given as an empty string or object,
     # which reads as an empty list
-    zero = {"rows": 2, "cols": 2, "entries": [["0", "0"], ["0", "0"]]}
     for empty in ("", {}):
         yield f"basis-{type(empty).__name__}", {
             "inputs": {"a": {"n": 2, "basis": empty}, "z": zero},

@@ -12,18 +12,20 @@ textbook Fraction loops instead of the integer kernel, and the verifier's
 integer product by the dense sum over every inner index; phase-1 simplex
 feasibility by a Fraction tableau and by the full integer tableau (and,
 for a system with no solution, by the primal alone instead of the Farkas
-dual); spectral projectors by the min_poly and CRT polynomial instead of
+dual); spectral projectors by the minimal polynomial (the Fraction
+kernel of the flattened powers) and the CRT polynomial instead of
 generalized eigenvectors; kernels, solutions, span intersections, Jordan
-bases, eigenvalue splits, the structural decomposition and the center by
-the Fraction-vector routines that the integer-row engine replaced; the
+bases and eigenvalue splits by the Fraction-vector routines that the
+integer-row engine replaced; the
 semi-commuting pair of a pattern that is not upper-triangular by
 conjugating the triangularized pattern's pair back; a pattern's
 transitivity by the pairwise loop over its positions; rational roots by
 refining each isolated root on the whole Sturm chain; an algebra's
-conjugate and basis matrices by normalized `Mat` products and 1 x n^2
-`span_rows` matrices; and the CLI's document sizes and
+conjugate and basis matrices by normalized `Mat` products and Fraction
+rows of length n^2; and the CLI's document sizes and
 wire matrices by a worklist over every JSON value and by parsing every
-entry on its own.  The verifier is tested against `reference`, whose
+entry on its own.  The last section holds routines that only the tests
+use.  The verifier is tested against `reference`, whose
 `gauss_jordan` is the textbook elimination used here; nothing here comes
 from `algforge.verify`.  Only the tests use `poly_from_roots`,
 `pattern_from_positions`, and `poly_xgcd`, `poly_crt` and
@@ -38,10 +40,13 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from algforge import matrices
-from algforge.algebra import _from_span, _span_of
+from algforge import linear
+from algforge.algebra import (Algebra, _from_span, _numerators, _span_of,
+                              closure_words, conjugate_algebra)
 from algforge.incidence import IncidencePattern
-from algforge.matrices import Mat, identity, inverse, zero
+from algforge.linear import rank
+from algforge.matrices import (Mat, _mat, _normal, _unit_row, identity,
+                               inverse, is_nonneg, zero)
 from algforge.polynomials import (P_ONE, P_ZERO, Poly, _scaled, _sturm_chain,
                                   _variations, parse_rational, poly_gcd,
                                   root_multiplicity)
@@ -369,8 +374,7 @@ def conjugated_pair(p):
                                        prop_spans_pattern)
     from algforge.constructions import _check_pair_generates, _pattern_sum
     from algforge.incidence import triangularize_incidence
-    from algforge.matrices import (commutator, conjugate, direct_sum,
-                                   inverse, is_nonneg, permutation_matrix)
+    from algforge.matrices import conjugate, direct_sum, permutation_matrix
     n = p.n
     d = direct_sum([Mat.from_rows([[n - i]]) for i in range(n)])
     if p.is_upper_triangular:
@@ -440,12 +444,18 @@ def product_conjugate_algebra(a, c):
                                           for b in a.basis]))
 
 
+def echelon_rows(span) -> list[tuple[Fraction, ...]]:
+    """An engine `EchelonSpan`'s canonical rows as Fraction tuples: each
+    primitive integer row divided by its pivot, in pivot order."""
+    return [tuple(Fraction(row.get(j, 0), row[p]) for j in range(span.length))
+            for p, row in span.primitive_rows()]
+
+
 def span_rows_mats(n: int, span) -> list[Mat]:
-    """The span's canonical rows as n x n matrices, through 1 x n^2
-    `span_rows` matrices."""
-    return [Mat.from_ints(n, n, r.den, [r.num[0][i * n:(i + 1) * n]
-                                        for i in range(n)])
-            for r in matrices.span_rows(span)]
+    """The span's canonical rows as n x n matrices, through Fraction
+    rows of length n^2."""
+    return [Mat(n, n, [r[i * n:(i + 1) * n] for i in range(n)])
+            for r in echelon_rows(span)]
 
 
 # -- textbook Fraction linear algebra --------------------------------------------
@@ -769,15 +779,28 @@ def block_projector_poly(mu_target: Poly, mu_others: Poly) -> Poly:
                      (mu_others, Poly())])
 
 
+def fraction_min_poly(a):
+    """The minimal polynomial from the first dependency among the
+    flattened Fraction powers of A: the kernel of the first k + 1 powers,
+    taken as columns, is one line once the first k are independent."""
+    powers = [identity(a.rows)]
+    while True:
+        cols = [[v for row in p.data for v in row] for p in powers]
+        kern = nullspace([list(r) for r in zip(*cols)], len(powers))
+        if kern:
+            (coeffs,) = kern
+            return Poly(coeffs)
+        powers.append(powers[-1] @ a)
+
+
 def polynomial_spectral_projector(a: Mat, lam: int | Fraction) -> Mat:
     """h(A) for the h with h = 1 mod (x - lam)^e and h = 0 mod mu / (x -
     lam)^e, where mu is the minimal polynomial and e the multiplicity of lam
     in it."""
     from algforge.matrices import poly_at
     from algforge.polynomials import root_multiplicity
-    from algforge.spectral import min_poly
     lam = Fraction(lam)
-    mu = min_poly(a)
+    mu = fraction_min_poly(a)
     e = root_multiplicity(mu, lam)
     if e == 0:
         raise ValueError("not an eigenvalue of the matrix")
@@ -950,7 +973,8 @@ def random_nonneg_on_pattern(rng: random.Random, pattern) -> Mat:
 # verbatim.  Only what they stood on is replaced: the echelon span and the
 # elimination behind them are the textbook `gauss_jordan`, and
 # `_apply`, `_column` and `_vectorize` stand for the `Mat` methods of the
-# same names.
+# same names.  The package has no structural decomposition, orbit span or
+# center of its own, so the tests use these three directly.
 
 def _apply(m: Mat, vec) -> tuple[Fraction, ...]:
     """M v for a Fraction vector v."""
@@ -1084,9 +1108,6 @@ def _transpose_orbit(a, v) -> list[tuple[Fraction, ...]]:
 def structural_decomposition(a):
     """Split an algebra containing the (1,1) diagonal matrix unit along its
     minimal and maximal invariant subspaces attached to e_1."""
-    from algforge.matrices import matrix_unit
-    from algforge.spectral import (StructuralDecomposition,
-                                   _verify_decomposition)
     n = a.n
     e1 = tuple(ONE if i == 0 else ZERO for i in range(n))
     if not a.contains(matrix_unit(n, 1, 1)):
@@ -1227,3 +1248,138 @@ def center(a) -> list[Mat]:
     n = a.n
     return [Mat(n, n, [row[i * n:(i + 1) * n] for i in range(n)])
             for row in span.canonical_rows()]
+
+
+# -- routines only the tests use -----------------------------------------------
+#
+# The package keeps only what a verb, the script or the benchmark reaches
+# (`test_reachability`).  These build test inputs (matrix units, companion
+# matrices, commutators, incidence algebras), check criterion 8 (the
+# nonnegative basis), stand as the reference for a future structure
+# engine (`is_simple`, on the Fraction `center` above and the engine's
+# integer `linear.solve`), and type and check `structural_decomposition`.
+
+def matrix_unit(n: int, i: int, j: int) -> Mat:
+    """The n x n matrix with a single 1 at 1-based position (i, j)."""
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise ValueError("position out of range")
+    empty = (0,) * n
+    return _mat(n, n, 1, (empty,) * (i - 1) + (_unit_row(n, j - 1),)
+                + (empty,) * (n - i))
+
+
+def companion(p: Poly) -> Mat:
+    """Companion matrix of a monic polynomial of degree >= 1."""
+    if p.degree < 1:
+        raise ValueError("need degree >= 1")
+    q = p.monic()
+    n = q.degree
+    # den times the matrix: den on the subdiagonal, -num in the last column
+    num = [[0] * n for _ in range(n)]
+    for i in range(1, n):
+        num[i][i - 1] = q.den
+    for i in range(n):
+        num[i][n - 1] = -q.num[i]
+    return _normal(n, n, q.den, tuple(map(tuple, num)))
+
+
+def commutator(a: Mat, b: Mat) -> Mat:
+    if not (a.is_square and b.is_square and a.rows == b.rows):
+        raise ValueError("size mismatch")
+    return a @ b - b @ a
+
+
+def is_simple(a: Algebra) -> bool:
+    """Whether the algebra is simple as a real algebra.
+
+    Radical first (trace-form kernel, exact in characteristic zero); a
+    semisimple algebra is then simple iff its center is a field that stays
+    a field over the reals: dimension 1, or dimension 2 with the quadratic
+    minimal polynomial of a non-scalar central element having no real root.
+    """
+    nums = _numerators(a)
+    gram = [[sum((x @ y).num[i][i] for i in range(a.n)) for y in nums]
+            for x in nums]
+    if rank(gram) < a.dim:
+        return False  # nonzero radical is a proper ideal
+    zc = center(a)
+    if len(zc) == 1:
+        return True
+    if len(zc) > 2:
+        return False
+    z = next((m for m in zc if not _is_scalar(m)), None)
+    if z is None:
+        raise ArithmeticError("two-dimensional center without non-scalar element")
+    # Solve Z^2 = (p I + r Z) / q for the numerators Z of z: the minimal
+    # polynomial x^2 - (r/q) x - p/q of Z, a multiple of z, has a real root
+    # iff that of z does, and its discriminant has the sign of r^2 + 4pq.
+    zn = Mat.from_ints(a.n, a.n, 1, z.num)
+    sol = linear.solve(list(zip(identity(a.n).numerators(),
+                                zn.numerators())), (zn @ zn).numerators())
+    if sol is None:
+        raise ArithmeticError("central element square escapes its plane")
+    q, (p, r) = sol
+    return r * r + 4 * p * q < 0
+
+
+def _is_scalar(m: Mat) -> bool:
+    c = m.num[0][0]
+    return all(m.num[i][j] == (c if i == j else 0)
+               for i in range(m.rows) for j in range(m.cols))
+
+
+def incidence_algebra(p: IncidencePattern) -> Algebra:
+    """The span of the pattern's matrix units (closed by transitivity)."""
+    return _from_span(p.n, _span_of(p.n, [matrix_unit(p.n, i, j).numerators()
+                                          for (i, j) in p.positions]))
+
+
+def nonneg_basis_from_generators(gens: Sequence[Mat]) -> list[Mat]:
+    """A linearly independent, all-nonnegative spanning set of <gens>: the
+    words of the nonnegative generators that `closure_words` retains."""
+    if not gens:
+        raise ValueError("empty generating set")
+    for g in gens:
+        if not is_nonneg(g):
+            raise ValueError("generators must be nonnegative")
+    basis, _ = closure_words(gens[0].rows, gens)
+    if not all(is_nonneg(b) for b in basis):
+        raise ArithmeticError("a selected word is not nonnegative")
+    return basis
+
+
+@dataclass(frozen=True)
+class StructuralDecomposition:
+    """Block upper-triangular presentation isolating a full matrix block.
+
+    The conjugated algebra vanishes below the block diagonal with the
+    stated sizes, the middle block compresses onto the full matrix algebra
+    of its size, and the diagonal matrix unit at index l (1-based) belongs
+    to the conjugated algebra.
+    """
+
+    transform: Mat
+    sizes: tuple[int, int, int]
+    l: int
+    case: int
+
+
+def _verify_decomposition(a: Algebra, d: StructuralDecomposition) -> None:
+    n = a.n
+    k1, k2, _ = d.sizes
+    # The conjugated algebra is block triangular iff every matrix of its
+    # basis is: the block-triangular matrices form a subspace.
+    conj = conjugate_algebra(a, d.transform)
+    s0, s1 = k1, k1 + k2
+    for x in conj.basis:
+        for i in range(s0, n):
+            limit = s0 if i < s1 else s1
+            for j in range(limit):
+                if x.num[i][j]:
+                    raise ArithmeticError("conjugated algebra is not block triangular")
+    if not conj.contains(matrix_unit(n, d.l, d.l)):
+        raise ArithmeticError("distinguished diagonal unit missing")
+    mid = [x.submatrix(range(s0, s1), range(s0, s1)).numerators()
+           for x in conj.basis]
+    if rank(mid) != k2 * k2:
+        raise ArithmeticError("distinguished block is not the full matrix algebra")

@@ -11,27 +11,27 @@ import time
 from fractions import Fraction
 
 from algforge.algebra import (centralizer, conjugate_algebra, generate,
-                              incidence_algebra, nonneg_covering_exists)
+                              nonneg_covering_exists)
 from algforge.constructions import (centralizer_covering,
                                     classify_positive_generation,
                                     direct_sum_min_nonneg_generators,
                                     direct_sum_nonneg_covering,
-                                    nonneg_basis_from_generators,
                                     nonneg_generators_from_covering,
                                     positive_single_generator,
                                     predict_padded_conjugation,
                                     semicommuting_pair, solve_all_dimensions)
-from algforge.matrices import (Mat, commutator, conjugate, direct_sum,
-                               identity, is_nonneg, is_positive, jordan_cell,
-                               matrix_unit, ones, support, uniformizer,
-                               uniformizer_inv, zero)
+from algforge.matrices import (Mat, conjugate, direct_sum, identity,
+                               is_nonneg, is_positive, jordan_cell, ones,
+                               support, uniformizer, uniformizer_inv, zero)
 from algforge.polynomials import Poly
 from algforge.spectral import (JordanSpec, char_poly,
-                               has_simple_real_eigenvalue, min_poly)
+                               has_simple_real_eigenvalue)
 from algforge.verify import verify_document
-from oracles import (numeric_has_simple_real, poly_from_roots, random_mat,
-                     random_nonneg_on_pattern, random_pattern,
-                     random_unimodular)
+from oracles import fraction_min_poly as min_poly
+from oracles import (commutator, incidence_algebra, matrix_unit,
+                     nonneg_basis_from_generators, numeric_has_simple_real,
+                     poly_from_roots, random_mat, random_nonneg_on_pattern,
+                     random_pattern, random_unimodular)
 
 F = Fraction
 
@@ -182,7 +182,7 @@ def test_criterion_06_positive_single_generator():
 
 
 def test_criterion_07_simple_real_eigenvalue_decision():
-    from algforge.matrices import companion
+    from oracles import companion
     fixtures = [
         (poly_from_roots([1]) * poly_from_roots([2, 2]) * Poly.of(1, 0, 1),
          True),

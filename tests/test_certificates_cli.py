@@ -7,8 +7,7 @@ from pathlib import Path
 import pytest
 
 import algforge.verify
-from algforge.algebra import (algebra_from_json, algebra_to_json, generate,
-                              incidence_algebra)
+from algforge.algebra import algebra_from_json, algebra_to_json, generate
 from algforge.cli import format_table, run
 from algforge.constructions import (centralizer_covering,
                                     direct_sum_nonneg_covering,
@@ -20,6 +19,7 @@ from algforge.matrices import (Mat, direct_sum, jordan_cell, mat_from_json,
                                mat_to_json)
 from algforge.spectral import JordanSpec
 from algforge.verify import verify_document
+from oracles import incidence_algebra
 
 F = Fraction
 
@@ -38,7 +38,8 @@ def emitted_certificates():
                                         central_eigenvalue_split,
                                         classify_positive_generation,
                                         direct_sum_min_nonneg_generators)
-    from algforge.matrices import identity, matrix_unit, ones, zero
+    from algforge.matrices import ones, zero
+    from oracles import matrix_unit
 
     t2 = incidence_algebra(incidence_of_dimension(2, 3))
     c_like = generate(2, [Mat.from_rows([[0, 1], [-1, 0]])])

@@ -20,15 +20,15 @@ from algforge.algebra import closure_words, generate
 from algforge.certificates import (Certificate, prop_dimension,
                                    prop_generate_equal,
                                    prop_generate_equal_conjugated)
-from algforge.constructions import (nonneg_basis_from_generators,
-                                    semicommuting_pair, solve_all_dimensions)
+from algforge.constructions import semicommuting_pair, solve_all_dimensions
 from algforge.incidence import incidence_of_dimension
-from algforge.matrices import (Mat, companion, direct_sum, identity,
-                               inverse, is_nonneg, jordan_cell, mat_from_json,
-                               mat_to_json, matrix_unit, ones, zero)
+from algforge.matrices import (Mat, direct_sum, identity, inverse, is_nonneg,
+                               jordan_cell, mat_from_json, mat_to_json, ones,
+                               zero)
 from algforge.polynomials import Poly
 from algforge.verify import verify_document
-from oracles import eager_closure_words, random_pattern
+from oracles import (companion, eager_closure_words, matrix_unit,
+                     nonneg_basis_from_generators, random_pattern)
 from reference import algebra_rref, gauss_jordan
 
 DATA = Path(__file__).parent / "data"

@@ -25,14 +25,13 @@ from algforge.algebra import generate
 from algforge.cli import run
 from algforge.constructions import single_generator_nonneg
 from algforge.matrices import (Mat, conjugate, direct_sum, identity,
-                               jordan_cell, mat_from_json, mat_to_json,
-                               matrix_unit, zero)
+                               jordan_cell, mat_from_json, mat_to_json, zero)
 from algforge.verify import verify_document
 from corpus import (ANNIHILATOR_CASES, ONE_MATRIX, SEEDED,
                     benchmark_documents, diag, generation_doc,
                     golden_documents,
                     matrix_units, one_matrix_doc)
-from oracles import random_unimodular, span_rows
+from oracles import matrix_unit, random_unimodular, span_rows
 import reference
 
 DATA = Path(__file__).parent / "data"

@@ -6,7 +6,7 @@ import pytest
 from algforge import constructions, linear
 from algforge.algebra import (algebra_direct_sum, centralizer,
                               conjugate_algebra, generate, generates,
-                              incidence_algebra, nonneg_covering_exists)
+                              nonneg_covering_exists)
 from algforge.constructions import (_check_pair_generates,
                                     blockwise_rank1_nonneg_covering,
                                     central_eigenvalue_split,
@@ -14,7 +14,6 @@ from algforge.constructions import (_check_pair_generates,
                                     classify_positive_generation,
                                     direct_sum_min_nonneg_generators,
                                     direct_sum_nonneg_covering,
-                                    nonneg_basis_from_generators,
                                     nonneg_generators_from_covering,
                                     positive_generators_from_positive,
                                     positive_single_generator,
@@ -26,14 +25,15 @@ from algforge.constructions import (_check_pair_generates,
                                     uniformize_rank1_idempotent)
 from algforge.incidence import (IncidencePattern, incidence_of_dimension,
                                 triangularize_incidence)
-from algforge.matrices import (Mat, commutator, companion, conjugate,
-                               direct_sum, identity, is_nonneg, is_positive,
-                               jordan_cell, matrix_unit, ones, support,
-                               uniformizer, zero)
+from algforge.matrices import (Mat, conjugate, direct_sum, identity,
+                               is_nonneg, is_positive, jordan_cell, ones,
+                               support, uniformizer, zero)
 from algforge.polynomials import Poly
 from algforge.spectral import JordanSpec
 from algforge.verify import verify_certificate, verify_document
-from oracles import (conjugated_pair, pairwise_is_transitive,
+from oracles import (commutator, companion, conjugated_pair,
+                     incidence_algebra, matrix_unit,
+                     nonneg_basis_from_generators, pairwise_is_transitive,
                      pattern_from_positions, random_mat, random_pattern,
                      random_unimodular)
 
@@ -90,7 +90,7 @@ def test_nonneg_generators_regenerate_conjugated_incidence_algebras():
 
 def test_shift_on_numerators_matches_the_fraction_formula():
     # B + ((|B| + 1) / min support entry of M) M, entry for entry
-    from algforge.matrices import min_support_entry, uniform_norm
+    from algforge.matrices import uniform_norm
     rng = random.Random(84)
     for _ in range(40):
         n = rng.randint(1, 4)
@@ -99,7 +99,7 @@ def test_shift_on_numerators_matches_the_fraction_formula():
                            for _ in range(n)]) + F(1, 7) * matrix_unit(n, 1, 1)
         mats = [random_mat(rng, n, height=20) * F(1, rng.randint(1, 9))
                 for _ in range(3)] + [zero(n)]
-        low = min_support_entry(m)
+        low = min(v for row in m.data for v in row if v)
         assert constructions._shifted(mats, m) == [
             b + ((uniform_norm(b) + 1) / low) * m for b in mats]
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from algforge.algebra import generate, incidence_algebra
+from algforge.algebra import generate
 from algforge.certificates import Certificate
 from algforge.cli import run
 from algforge.constructions import (blockwise_rank1_nonneg_covering,
@@ -31,12 +31,10 @@ from algforge.constructions import (blockwise_rank1_nonneg_covering,
                                     uniformize_rank1_idempotent)
 from algforge.incidence import incidence_of_dimension
 from algforge.matrices import (Mat, conjugate, direct_sum, identity,
-                               jordan_cell, mat_to_json, matrix_unit, ones,
-                               zero)
-from algforge.spectral import (JordanSpec, StructuralDecomposition,
-                               generalized_eigensplit,
-                               structural_decomposition)
-from oracles import pattern_from_positions
+                               jordan_cell, mat_to_json, ones, zero)
+from algforge.spectral import JordanSpec, generalized_eigensplit
+from oracles import (StructuralDecomposition, incidence_algebra, matrix_unit,
+                     pattern_from_positions, structural_decomposition)
 
 DATA = Path(__file__).parent / "data"
 

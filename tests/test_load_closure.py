@@ -12,12 +12,11 @@ import pytest
 
 from algforge import verify
 from algforge.algebra import (Algebra, _from_span, _span_of,
-                              algebra_from_json, conjugate_algebra, generate,
-                              incidence_algebra)
+                              algebra_from_json, conjugate_algebra, generate)
 from algforge.incidence import incidence_of_dimension
-from algforge.matrices import Mat, identity, matrix_unit
-from oracles import (pairwise_is_closed, random_mat, random_pattern,
-                     random_unimodular)
+from algforge.matrices import Mat, identity
+from oracles import (incidence_algebra, matrix_unit, pairwise_is_closed,
+                     random_mat, random_pattern, random_unimodular)
 
 DATA = Path(__file__).parent / "data"
 

@@ -4,15 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from algforge.matrices import (Mat, commutator, companion, conjugate,
-                               direct_sum, identity, inverse, is_nonneg,
-                               is_positive, jordan_cell, mat_from_json,
-                               mat_to_json, matrix_unit, min_support_entry,
-                               ones, permutation_matrix, regular_triangular,
+from algforge.matrices import (Mat, conjugate, direct_sum, identity,
+                               inverse, is_nonneg, is_positive, jordan_cell,
+                               mat_from_json, mat_to_json, ones,
+                               permutation_matrix, regular_triangular,
                                support, support_union, uniform_norm,
                                uniformizer, uniformizer_inv, zero)
 from algforge.polynomials import Poly
-from oracles import random_mat
+from oracles import commutator, companion, matrix_unit, random_mat
 import random
 
 F = Fraction
@@ -88,11 +87,6 @@ def test_predicates():
     assert not is_positive(identity(2))
     assert is_nonneg(identity(2))
     assert uniform_norm(Mat.from_rows([[-3, 2], [0, 1]])) == 3
-    assert min_support_entry(Mat.from_rows([[0, 3], [F(1, 2), 0]])) == F(1, 2)
-    with pytest.raises(ValueError):
-        min_support_entry(zero(2))
-    with pytest.raises(ValueError):
-        min_support_entry(Mat.from_rows([[-1]]))
 
 
 def test_monomial_conjugation_preserves_order():

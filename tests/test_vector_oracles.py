@@ -3,10 +3,10 @@ replaced.
 
 `linear` takes integer rows and returns integers over one denominator,
 and the engine's vector computations run on `1 x n` Mat rows.  On seeded
-random inputs, `nullspace`, `solve`, the span intersection inside
-`structural_decomposition`, `nilpotent_jordan_basis`,
-`generalized_eigensplit`, `structural_decomposition` and `center` must give
-exactly the outputs of the Fraction-vector routines kept in `oracles`.
+random inputs, `nullspace`, `solve`, a span intersection by `kernel` and
+`EchelonSpan`, `nilpotent_jordan_basis` and `generalized_eigensplit` must
+give exactly the outputs of the Fraction-vector routines kept in
+`oracles`.
 """
 
 import random
@@ -15,13 +15,12 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from algforge.algebra import center, generate
 from algforge.linear import EchelonSpan, nullspace, solve
 from algforge.matrices import (Mat, conjugate, direct_sum, jordan_cell,
-                               kernel, matrix_unit, span_rows, stack)
-from algforge.spectral import (generalized_eigensplit, nilpotent_jordan_basis,
-                               structural_decomposition)
-from oracles import cleared, random_mat, random_rat, random_unimodular
+                               kernel, stack)
+from algforge.spectral import generalized_eigensplit, nilpotent_jordan_basis
+from oracles import (cleared, echelon_rows, random_mat, random_rat,
+                     random_unimodular)
 
 F = Fraction
 CASES = 40
@@ -84,8 +83,8 @@ def test_solve_matches_the_fraction_solve():
 
 
 def test_intersection_as_kernel_times_rows_matches_intersect_spans():
-    """span(Z) meets ker(F) in {c Z : c in ker(F Z^T)}, which is how
-    `structural_decomposition` intersects the orbit with the complement."""
+    """span(Z) meets ker(F) in {c Z : c in ker(F Z^T)}: `kernel` and
+    `EchelonSpan` give the intersection of the Fraction routine."""
     rng = random.Random(3030)
     done = 0
     while done < CASES:
@@ -93,19 +92,19 @@ def test_intersection_as_kernel_times_rows_matches_intersect_spans():
         span = EchelonSpan(n)
         for row in low_rank_rows(rng, rng.randint(1, 4), n):
             span.add(cleared(row))
-        z_rows = span_rows(span)
+        z_rows = echelon_rows(span)
         if not z_rows:
             continue
         done += 1
         f_rows = low_rank_rows(rng, rng.randint(1, 4), n)
         f = Mat(len(f_rows), n, f_rows)
-        z = stack(z_rows)
+        z = Mat(len(z_rows), n, z_rows)
         meet = EchelonSpan(n)
         for k in kernel(f @ z.transpose()):
             meet.add((k @ z).num[0])
-        expected = oracles.intersect_spans([r.data[0] for r in z_rows],
+        expected = oracles.intersect_spans(z_rows,
                                            oracles.nullspace(f_rows, n), n)
-        assert [r.data[0] for r in span_rows(meet)] == expected
+        assert echelon_rows(meet) == expected
 
 
 def random_nilpotent(rng, n):
@@ -155,45 +154,6 @@ def test_generalized_eigensplit_matches_the_fraction_routine():
         a, lam = random_split_input(rng, dense=case % 2)
         assert generalized_eigensplit(a, lam) == \
             oracles.generalized_eigensplit(a, lam)
-
-
-def random_sparse(rng, n):
-    return Mat.from_rows([[rng.randint(-3, 3) if rng.random() < 0.3 else 0
-                           for _ in range(n)] for _ in range(n)])
-
-
-def test_structural_decomposition_matches_the_fraction_routine():
-    """Algebras generated by E_11 and sparse matrices, every other one
-    conjugated by 1 (+) U for a unimodular U, which fixes E_11 and moves
-    the invariant subspaces off the coordinate axes."""
-    rng = random.Random(6060)
-    cases = set()
-    for case in range(CASES):
-        n = rng.randint(1, 4)
-        gens = [matrix_unit(n, 1, 1)]
-        gens += [random_sparse(rng, n) for _ in range(rng.randint(0, 2))]
-        if case % 2 and n > 1:
-            c = direct_sum([Mat.from_rows([[1]]),
-                            random_unimodular(rng, n - 1)])
-            gens = [conjugate(g, c) for g in gens]
-        a = generate(n, gens)
-        got = structural_decomposition(a)
-        assert got == oracles.structural_decomposition(a)
-        cases.add(got.case)
-    assert cases == {1, 2, 3, 4}
-
-
-def test_center_matches_the_fraction_routine():
-    rng = random.Random(7070)
-    for case in range(CASES):
-        n = rng.randint(1, 4)
-        if case % 3 == 0:
-            gens = [random_mat(rng, n, height=3, max_den=3)]
-        else:
-            gens = [random_sparse(rng, n) * random_rat(rng, 3, 3)
-                    for _ in range(rng.randint(1, 3))]
-        a = generate(n, gens)
-        assert center(a) == oracles.center(a)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -9,6 +9,10 @@ independent verifier on the certificate they emit (`_certified`), in place
 of engine copies of the same checks; they keep only the checks no
 certificate property states.  All randomized searches take an explicit
 seed and are fully reproducible.
+
+Every similarity onto the flat idempotent ones(n)/n for a simple
+eigenvalue comes from `_flat_similarity`: two eigenvectors give C and
+C^{-1} in closed form, with no projector and no Gauss-Jordan run.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import chain
+from operator import mul
 from typing import Iterator, Sequence
 
 from .algebra import (Algebra, algebra_direct_sum, centralizer,
@@ -35,10 +40,10 @@ from .matrices import (Mat, conjugate, direct_sum, identity, inverse,
                        is_nonneg, is_positive, kernel, ones,
                        permutation_matrix, poly_at, regular_triangular, stack,
                        support, uniform_norm, uniformizer, uniformizer_inv,
-                       zero)
-from .polynomials import (Poly, multiplicity_one_part, poly_gcd,
-                          rational_roots, sturm_real_root_count)
-from .spectral import (JordanSpec, _spectral_projector, char_poly,
+                       with_inverse, zero)
+from .polynomials import (Poly, _squarefree_roots, multiplicity_one_part,
+                          poly_gcd, rational_roots)
+from .spectral import (JordanSpec, char_poly,
                        eigenvalue_multiplicity, generalized_eigensplit,
                        nilpotent_jordan_basis, spectral_radius_bound)
 from .verify import verify_certificate
@@ -130,42 +135,69 @@ def positive_generators_from_positive(a: Algebra, m: Mat) -> list[Mat]:
 
 # -- similarity onto the flat rank-one idempotent -----------------------------
 
-def uniformize_rank1_idempotent(e: Mat) -> Mat:
-    """A nonsingular C with C^{-1} E C = ones(n)/n for a rank-1 idempotent.
-
-    E factors as u v^T with v^T u = 1; [u | basis of ker v^T] moves E onto
-    the (1,1) diagonal unit, and the swap-plus-uniformizer composition
-    turns that into the flat idempotent.  The postcondition is re-checked
-    exactly.
+def _flat_similarity(a: Mat, lam: Fraction) -> Mat:
+    """C with C^{-1} E C = ones(n)/n for the spectral projector E of an
+    eigenvalue lam that is simple in A's characteristic polynomial, with
+    C^{-1} stored on C (`with_inverse`); ArithmeticError unless lam is
+    simple, that is unless the right and left eigenspaces are lines,
+    spanned by u and w, with w^T u != 0.  Then E = u w^T / (w^T u), and
+    with j0 the first nonzero entry of w, v = w / w_j0 and u' = u / (v u),
+        C = [u' | e_j - v_j e_j0 (j != j0)] . swap . U,
+        C^{-1} = U^{-1} . swap . [v; e_j - u'_j v (j != j0)],
+    where swap exchanges the first and last coordinates and U is the
+    uniformizer (C = I for n = 1).  As E = u' v, checking C C^{-1} = I and
+    (C^{-1} u')(v C) = ones(n)/n checks C exactly.
     """
-    if not e.is_square:
-        raise ValueError("matrix must be square")
-    n = e.rows
-    if e @ e != e:
-        raise ValueError("matrix is not idempotent")
-    rk = rank(e.num)
-    if rk != 1:
-        raise ValueError("idempotent does not have rank 1")
+    n = a.rows
+    shifted = a - lam * identity(n)
+    right, left = kernel(shifted), kernel(shifted.transpose())
+    if len(right) != 1 or len(left) != 1:
+        raise ArithmeticError("eigenvalue is not simple: eigenspace is"
+                              " not a line")
+    ur, wr = right[0].num[0], left[0].num[0]
+    s = sum(map(mul, wr, ur))
+    if not s:
+        raise ArithmeticError("eigenvalue is not simple: w^T u = 0")
     if n == 1:
         return identity(1)
-    j0 = next(j for j in range(n) if any(e.num[i][j] for i in range(n)))
-    u = e.submatrix(range(n), [j0])
-    i0 = next(i for i in range(n) if e.num[i][j0])
-    # row i0 of E over its entry in column j0
-    v = Mat.from_ints(1, n, e.num[i0][j0], [e.num[i0]])
-    if v @ u != identity(1):
-        raise ArithmeticError("rank-1 factor trace is not 1")
-    c1 = stack([u.transpose(), *kernel(v)]).transpose()
-    swap = permutation_matrix([n - 1] + list(range(1, n - 1)) + [0])
-    c = c1 @ swap @ uniformizer(n)
-    if conjugate(e, c) != _flat_idempotent(n):
+    j0 = next(j for j, x in enumerate(wr) if x)
+    p = wr[j0]
+    rest = [j for j in range(n) if j != j0]
+    # on the integer rows u and w: u' = p u / s, v = w / p, and for j != j0
+    # the columns (p e_j - w_j e_j0) / p and the rows (s e_j - u_j w) / s
+    u1 = Mat.from_ints(1, n, s, [[p * x for x in ur]])
+    v = Mat.from_ints(1, n, p, [wr])
+    cols = [u1] + [Mat.from_ints(1, n, p, [[
+        p * (i == j) - wr[j] * (i == j0) for i in range(n)]]) for j in rest]
+    rows = [v] + [Mat.from_ints(1, n, s, [[
+        s * (i == j) - ur[j] * x for i, x in enumerate(wr)]]) for j in rest]
+    cols[0], cols[-1] = cols[-1], cols[0]
+    rows[0], rows[-1] = rows[-1], rows[0]
+    c = with_inverse(stack(cols).transpose() @ uniformizer(n),
+                     uniformizer_inv(n) @ stack(rows))
+    if inverse(c) @ u1.transpose() @ (v @ c) != _flat_idempotent(n):
         raise ArithmeticError("uniformizing similarity failed verification")
     return c
 
 
+def uniformize_rank1_idempotent(e: Mat) -> Mat:
+    """A nonsingular C with C^{-1} E C = ones(n)/n for a rank-1 idempotent.
+
+    E's eigenvalue 1 is simple, and E is its spectral projector, so this
+    is `_flat_similarity(E, 1)` once the input is checked.
+    """
+    if not e.is_square:
+        raise ValueError("matrix must be square")
+    if e @ e != e:
+        raise ValueError("matrix is not idempotent")
+    if rank(e.num) != 1:
+        raise ValueError("idempotent does not have rank 1")
+    return _flat_similarity(e, Fraction(1))
+
+
 def _flat_idempotent(n: int) -> Mat:
-    """ones(n)/n, which `uniformize_rank1_idempotent`'s C conjugates its
-    idempotent onto."""
+    """ones(n)/n, which `_flat_similarity`'s C conjugates the projector
+    onto."""
     return Mat.from_ints(n, n, n, ones(n).num)
 
 
@@ -174,39 +206,40 @@ def positive_single_generator(a: Mat, lam: int | Fraction) -> tuple[Mat, Mat]:
     rational eigenvalue lam.
 
     Raises ValueError unless lam has multiplicity 1 in the characteristic
-    polynomial.  `_positive_shift` builds (C, B) and checks positivity;
-    <B> = <A> is checked here, by closing both.
+    polynomial.  `_positive_shift` builds C and C^{-1} B C and checks
+    positivity; B is conjugated back here, and <B> = <A> is checked by
+    closing both.
     """
     lam = Fraction(lam)
     if eigenvalue_multiplicity(char_poly(a), lam) != 1:
         raise ValueError("eigenvalue is not simple (algebraic multiplicity 1)")
-    c, b, _ = _positive_shift(a, lam)
+    c, conj_b = _positive_shift(a, lam)
+    b = c @ conj_b @ inverse(c)
     if not generates(generate(a.rows, [a]), [b]):
         raise ArithmeticError("shift changed the generated algebra")
     return c, b
 
 
-def _positive_shift(a: Mat, lam: Fraction) -> tuple[Mat, Mat, Mat]:
-    """(C, B, C^{-1} B C) for lam of multiplicity 1 in the characteristic
+def _positive_shift(a: Mat, lam: Fraction) -> tuple[Mat, Mat]:
+    """(C, C^{-1} B C) for lam of multiplicity 1 in the characteristic
     polynomial of A, which the caller has checked; raises ArithmeticError
     unless C^{-1} B C is strictly positive.
 
     B = A + beta*E shifts the rank-one spectral projector E of lam by
-    beta = max(n*|C^{-1}AC| + 1, 2*rho_bound(A) + 1).  C^{-1} E C is the
-    flat idempotent (checked by `uniformize_rank1_idempotent`), so
-    C^{-1} B C = C^{-1} A C + beta ones(n)/n with no second conjugation.
-    B is a polynomial in A, so <B> lies in <A>; that the two are equal is
-    not checked here.
+    beta = max(n*|C^{-1}AC| + 1, 2*rho_bound(A) + 1).  `_flat_similarity`
+    builds C and C^{-1} from two eigenvectors and checks that C^{-1} E C
+    is the flat idempotent, so C^{-1} B C = C^{-1} A C + beta ones(n)/n
+    with neither E nor B formed.  B is a polynomial in A, so <B> lies in
+    <A>; that the two are equal is not checked here.
     """
     n = a.rows
-    e = _spectral_projector(a, lam, 1)
-    c = uniformize_rank1_idempotent(e)
+    c = _flat_similarity(a, lam)
     conj_a = conjugate(a, c)
     beta = max(n * uniform_norm(conj_a) + 1, 2 * spectral_radius_bound(a) + 1)
     conj_b = conj_a + beta * _flat_idempotent(n)
     if not is_positive(conj_b):
         raise ArithmeticError("shifted generator is not positive")
-    return c, a + beta * e, conj_b
+    return c, conj_b
 
 
 def scalar_extension_positive_generators(
@@ -528,8 +561,7 @@ def central_eigenvalue_split(a: Algebra, z: Mat,
         nil = cell - lam * identity(n)
         final = poly_at(Poly.of(1, 1) ** (n - 1), nil)  # (I + N)^(n-1)
     elif k == 1:
-        proj = _spectral_projector(z, lam, 1)
-        c_total = uniformize_rank1_idempotent(proj)
+        c_total = _flat_similarity(z, lam)
         final = _flat_idempotent(n)
     else:
         c1, m, sizes = generalized_eigensplit(z, lam)
@@ -588,7 +620,7 @@ def single_generator_nonneg(a: Mat) -> Certificate:
     elif m == 1:
         # <C^{-1} B C> = C^{-1} <A> C is the certificate's claim, which
         # `_certified` checks, so the shift is not closed here as well
-        c_total, _, gen_out = _positive_shift(a, lam)
+        c_total, gen_out = _positive_shift(a, lam)
     else:
         c1, mult, _ = generalized_eigensplit(a, lam)
         if mult != m:
@@ -723,21 +755,21 @@ def classify_positive_generation(a: Algebra, budget: int = 64,
     """Semi-decision for positive generation up to similarity.
 
     Tests every basis element and `budget` seeded random rational
-    combinations for a simple real eigenvalue.  A hit with a rational
-    simple eigenvalue yields a full positive-generation certificate; an
-    irrational hit yields an existence-only witness.  Returns None
+    combinations for a simple real eigenvalue, counted with the rational
+    ones on one Sturm chain.  A hit with a rational simple eigenvalue
+    yields a full positive-generation certificate, whose C and C^{-1} come
+    from `_flat_similarity`; an irrational hit yields an existence-only
+    witness.  Returns None
     (unknown) otherwise -- never a definite 'no'.
     """
     for x in _candidates(a, budget, seed):
-        m1 = multiplicity_one_part(char_poly(x))
-        if not sturm_real_root_count(m1):
+        count, simple_rationals = _squarefree_roots(
+            multiplicity_one_part(char_poly(x)))
+        if not count:
             continue
-        simple_rationals = [r for r, _ in rational_roots(m1)]
         if simple_rationals:
-            lam = simple_rationals[0]
             # a root of the multiplicity-one part is simple in char_poly(x)
-            proj = _spectral_projector(x, lam, 1)
-            c = uniformize_rank1_idempotent(proj)
+            c = _flat_similarity(x, simple_rationals[0])
             conj_alg = conjugate_algebra(a, c)
             gens = positive_generators_from_positive(conj_alg,
                                                      _flat_idempotent(a.n))

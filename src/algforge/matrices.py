@@ -4,7 +4,8 @@ A ``Mat`` is stored in one canonical integer form: a denominator
 ``den > 0`` and a tuple of integer rows ``num`` with gcd(den, every entry)
 = 1, so the matrix is num / den and equal matrices have equal fields.
 Products, sums, transposes, supports, sign tests, ``inverse`` (one integer
-Gauss-Jordan run), ``poly_at`` (integer Horner) and the fixed constructors
+Gauss-Jordan run, or a closed form a caller hands to ``with_inverse``,
+which checks it), ``poly_at`` (integer Horner) and the fixed constructors
 (``jordan_cell``, ``regular_triangular``, ``uniformizer`` and its
 inverse) run on the integers, and every result is brought back to
 canonical form by one gcd.  A rational vector is a ``1 x n`` Mat:
@@ -111,8 +112,8 @@ class Mat:
     @cached_property
     def inverse(self) -> Mat:
         """The inverse, computed by one integer Gauss-Jordan run on first
-        use.  Raises ValueError when the matrix is not square or is
-        singular."""
+        use unless `with_inverse` stored it.  Raises ValueError when the
+        matrix is not square or is singular."""
         if not self.is_square:
             raise ValueError("inverse of a non-square matrix")
         # (num / den)^-1 = den num^-1 = den M / d
@@ -306,6 +307,16 @@ def direct_sum(blocks: Iterable[Mat]) -> Mat:
 def inverse(a: Mat) -> Mat:
     """A^-1, computed once per matrix and then shared (`Mat.inverse`)."""
     return a.inverse
+
+
+def with_inverse(c: Mat, c_inv: Mat) -> Mat:
+    """C, with C_inv stored as its `Mat.inverse` once C C_inv = I is
+    checked; raises ArithmeticError, storing nothing, otherwise."""
+    if not (c.is_square and c_inv.is_square and c.rows == c_inv.rows) \
+            or c @ c_inv != identity(c.rows):
+        raise ArithmeticError("matrix is not the inverse")
+    vars(c)["inverse"] = c_inv
+    return c
 
 
 def stack(mats: Sequence[Mat]) -> Mat:

@@ -384,28 +384,36 @@ def root_multiplicity(p: Poly, r: Fraction) -> int:
 
 
 def rational_roots(p: Poly) -> list[tuple[Fraction, int]]:
-    """All rational roots of p with multiplicities, sorted ascending.
-
-    The Sturm chain of the squarefree part s isolates each real root in a
-    dyadic interval (lo, hi]; then the sign of s alone halves that
-    interval, keeping (lo, mid] when s(mid) is 0 or has the sign of s(hi),
-    until it is narrower than 1/L, where L is the leading coefficient of
-    s's primitive integer form.  A rational root r = u/q of s has q | L
-    (the rational root theorem), so L r is an integer, and a half-open
-    interval narrower than 1/L holds at most one point k/L: the one with
-    k = floor(hi L).  That point is the root exactly when s(k/L) = 0.
-    """
+    """All rational roots of p with multiplicities, sorted ascending: the
+    rational roots of the squarefree part (`_squarefree_roots`), each
+    with its multiplicity in p."""
     if p.is_zero:
         raise ValueError("zero polynomial")
-    s = p // poly_gcd(p, p.derivative())
+    _, roots = _squarefree_roots(p // poly_gcd(p, p.derivative()))
+    return [(r, root_multiplicity(p, r)) for r in roots]
+
+
+def _squarefree_roots(s: Poly) -> tuple[int, list[Fraction]]:
+    """(number of real roots, rational roots ascending) of a squarefree s,
+    both from one Sturm chain.
+
+    The chain isolates each real root in a dyadic interval (lo, hi]; then
+    the sign of s alone halves that interval, keeping (lo, mid] when s(mid)
+    is 0 or has the sign of s(hi), until it is narrower than 1/L, where L
+    is the leading coefficient of s's primitive integer form.  A rational
+    root r = u/q of s has q | L (the rational root theorem), so L r is an
+    integer, and a half-open interval narrower than 1/L holds at most one
+    point k/L: the one with k = floor(hi L).  That point is the root
+    exactly when s(k/L) = 0.
+    """
     chain, b = _sturm_chain(s)
     top = chain[0]
     lead = abs(top[-1])
-    roots: list[tuple[Fraction, int]] = []
+    roots: list[Fraction] = []
     # intervals (lo / 2^e, hi / 2^e] with their end variations; popping the
     # lower half first walks them in ascending order
-    todo = [(-1 << b, 1 << b, 0, _variations(chain, -1 << b, 0),
-             _variations(chain, 1 << b, 0))]
+    ends = (_variations(chain, -1 << b, 0), _variations(chain, 1 << b, 0))
+    todo = [(-1 << b, 1 << b, 0, *ends)]
     while todo:
         lo, hi, e, vlo, vhi = todo.pop()
         if vlo == vhi:
@@ -432,8 +440,8 @@ def rational_roots(p: Poly) -> list[tuple[Fraction, int]]:
         if k << e > lo * lead:
             cand = Fraction(k, lead)
             if s(cand) == 0:
-                roots.append((cand, root_multiplicity(p, cand)))
-    return roots
+                roots.append(cand)
+    return ends[0] - ends[1], roots
 
 
 # -- the wire form of a rational -----------------------------------------------

@@ -6,9 +6,13 @@ with no Fraction built.  Vectors are 1 x n `Mat` rows, on which a matrix
 acts as v @ A^T: Jordan chains and the image of a spectral projector are
 spans of such rows.  Irrational eigenvalues are never materialized:
 existence questions are answered by Sturm counts, and every operation
-that needs an eigenvalue takes a rational one.  The spectral radius is
-replaced throughout by the certified row-sum upper bound, which is all
-the downstream shift constructions require.
+that needs an eigenvalue takes a rational one.  Spectral projectors and
+the eigenvalue splits built on them serve eigenvalues of any
+multiplicity; the constructions never form the rank-one projector of a
+simple eigenvalue, whose flattening similarity comes straight from a
+right and a left eigenvector (`constructions._flat_similarity`).  The
+spectral radius is replaced throughout by the certified row-sum upper
+bound, which is all the downstream shift constructions require.
 """
 
 from __future__ import annotations
@@ -71,26 +75,19 @@ def rational_spectral_projector(a: Mat, lam: int | Fraction) -> Mat:
     """The projector onto the generalized eigenspace of a rational
     eigenvalue, along the remaining generalized eigenspaces.
 
-    It reads the multiplicity m of lam from the characteristic polynomial
-    and hands it to `_spectral_projector`; a caller that already holds m
-    calls that step directly and skips the characteristic polynomial.
+    With m the multiplicity of lam in the characteristic polynomial and
+    N = (A - lam I)^m, the columns of X span ker N (the generalized
+    eigenspace) and the rows of Y^T span the left kernel {y : y N = 0},
+    which annihilates every other generalized eigenspace.  Y^T X is then
+    invertible and the projector is P = X (Y^T X)^-1 Y^T.  For a simple
+    eigenvalue the constructions need no projector: the similarity that
+    flattens it is built from two eigenvectors
+    (`constructions._flat_similarity`).
     """
     lam = Fraction(lam)
     m = eigenvalue_multiplicity(char_poly(a), lam)
     if m == 0:
         raise ValueError("not an eigenvalue of the matrix")
-    return _spectral_projector(a, lam, m)
-
-
-def _spectral_projector(a: Mat, lam: Fraction, m: int) -> Mat:
-    """The spectral projector of lam, given its multiplicity m >= 1 in the
-    characteristic polynomial of A.
-
-    With N = (A - lam I)^m, the columns of X span ker N (the generalized
-    eigenspace) and the rows of Y^T span the left kernel {y : y N = 0},
-    which annihilates every other generalized eigenspace.  Y^T X is then
-    invertible and the projector is P = X (Y^T X)^-1 Y^T.
-    """
     shifted = a - lam * identity(a.rows)
     power = shifted
     for _ in range(m - 1):

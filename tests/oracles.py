@@ -14,7 +14,9 @@ feasibility by a Fraction tableau and by the full integer tableau (and,
 for a system with no solution, by the primal alone instead of the Farkas
 dual); spectral projectors by the minimal polynomial (the Fraction
 kernel of the flattened powers) and the CRT polynomial instead of
-generalized eigenvectors; kernels, solutions, span intersections, Jordan
+generalized eigenvectors; the similarity that flattens a rank-one
+projector by the kernel of one of its rows instead of two eigenvectors;
+kernels, solutions, span intersections, Jordan
 bases and eigenvalue splits by the Fraction-vector routines that the
 integer-row engine replaced; the
 semi-commuting pair of a pattern that is not upper-triangular by
@@ -806,6 +808,28 @@ def polynomial_spectral_projector(a: Mat, lam: int | Fraction) -> Mat:
         raise ValueError("not an eigenvalue of the matrix")
     target = Poly.of(-lam, 1) ** e
     return poly_at(block_projector_poly(target, mu // target), a)
+
+
+# -- the flattening similarity read off the rank-one projector ------------------
+
+def projector_uniformizer(e: Mat) -> Mat:
+    """C with C^{-1} E C = ones(n)/n for a rank-1 idempotent E, read off E
+    itself instead of two eigenvectors: u = E e_j0 for E's first nonzero
+    column j0, v the row of E through u's first nonzero entry scaled to
+    v_j0 = 1, and C = [u | canonical basis of ker v] . swap . uniformizer,
+    where swap exchanges the first and last columns."""
+    from algforge.matrices import (kernel, permutation_matrix, stack,
+                                   uniformizer)
+    n = e.rows
+    if n == 1:
+        return identity(1)
+    j0 = next(j for j in range(n) if any(row[j] for row in e.num))
+    u = e.submatrix(range(n), [j0])
+    i0 = next(i for i in range(n) if e.num[i][j0])
+    v = Mat.from_ints(1, n, e.num[i0][j0], [e.num[i0]])
+    c1 = stack([u.transpose(), *kernel(v)]).transpose()
+    swap = permutation_matrix([n - 1] + list(range(1, n - 1)) + [0])
+    return c1 @ swap @ uniformizer(n)
 
 
 # -- rational roots refined on the whole Sturm chain -------------------------

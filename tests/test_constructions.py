@@ -27,15 +27,16 @@ from algforge.incidence import (IncidencePattern, incidence_of_dimension,
                                 triangularize_incidence)
 from algforge.matrices import (Mat, conjugate, direct_sum, identity,
                                is_nonneg, is_positive, jordan_cell, ones,
-                               support, uniformizer, zero)
-from algforge.polynomials import Poly
-from algforge.spectral import JordanSpec
+                               support, uniformizer, uniformizer_inv, zero)
+from algforge.polynomials import Poly, rational_roots
+from algforge.spectral import (JordanSpec, char_poly, eigenvalue_multiplicity,
+                               rational_spectral_projector)
 from algforge.verify import verify_certificate, verify_document
 from oracles import (commutator, companion, conjugated_pair,
                      incidence_algebra, matrix_unit,
                      nonneg_basis_from_generators, pairwise_is_transitive,
-                     pattern_from_positions, random_mat, random_pattern,
-                     random_unimodular)
+                     pattern_from_positions, projector_uniformizer,
+                     random_mat, random_pattern, random_unimodular)
 
 F = Fraction
 
@@ -141,6 +142,83 @@ def test_uniformize_rank1_idempotent():
         uniformize_rank1_idempotent(Mat.from_rows([[1, 1], [0, 1]]))
     with pytest.raises(ValueError):
         uniformize_rank1_idempotent(identity(2))
+
+
+def _planted_conjugate(rng, n, lam):
+    """lam beside the companion block of an Eisenstein polynomial of degree
+    n - 1, conjugated as the benchmark builds its inputs: by a unimodular
+    matrix, then by a diagonal sign matrix."""
+    coeffs = [2 * (2 * rng.randint(-2, 1) + 1)]
+    coeffs += [2 * rng.randint(-2, 2) for _ in range(n - 2)]
+    rows = [[lam] + [rng.randint(-2, 2) for _ in range(n - 1)]]
+    if n > 1:
+        block = companion(Poly.from_coeffs(coeffs + [1]))
+        rows += [[0] + list(r) for r in block.num]
+    signs = diag(*[rng.choice((-1, 1)) for _ in range(n)])
+    return conjugate(conjugate(Mat.from_rows(rows), random_unimodular(rng, n)),
+                     signs)
+
+
+def test_flat_similarity_is_the_projector_path():
+    rng = random.Random(3301)
+    for n in range(1, 7):
+        # the block's rational root, if any, is +-2 or +-6
+        for lam in (F(rng.choice((-3, -1, 0, 1, 3))),
+                    F(rng.choice((-7, -1, 5)), rng.choice((2, 3)))):
+            for _ in range(2):
+                a = _planted_conjugate(rng, n, lam)
+                assert eigenvalue_multiplicity(char_poly(a), lam) == 1
+                c = constructions._flat_similarity(a, lam)
+                e = rational_spectral_projector(a, lam)
+                assert c == uniformize_rank1_idempotent(e)
+                assert c == projector_uniformizer(e)
+                assert conjugate(e, c) == F(1, n) * ones(n)
+                # the closed-form inverse is cached, and it is the one a
+                # Gauss-Jordan run on a fresh copy of C finds
+                assert n == 1 or "inverse" in vars(c)
+                fresh = Mat.from_ints(n, n, c.den, c.num)
+                assert "inverse" not in vars(fresh)
+                assert c.inverse == fresh.inverse
+
+
+def test_flat_similarity_refuses_an_eigenvalue_that_is_not_simple():
+    # J_2(3) (+) [1]: both eigenspaces of 3 are lines, but w^T u = 0
+    with pytest.raises(ArithmeticError, match="w\\^T u = 0"):
+        constructions._flat_similarity(
+            direct_sum([jordan_cell(2, 3), identity(1)]), F(3))
+    with pytest.raises(ArithmeticError, match="not a line"):
+        constructions._flat_similarity(diag(3, 3, 1), F(3))
+    with pytest.raises(ArithmeticError, match="not a line"):
+        constructions._flat_similarity(diag(3, 3, 1), F(2))
+
+
+def test_flat_similarity_checks_its_closed_forms(monkeypatch):
+    # a wrong closed-form inverse: C C^{-1} = I fails
+    monkeypatch.setattr(constructions, "uniformizer_inv",
+                        lambda n: 2 * uniformizer_inv(n))
+    with pytest.raises(ArithmeticError, match="not the inverse"):
+        constructions._flat_similarity(diag(1, 2, 3), F(2))
+    # inverse factors that do not flatten: C C^{-1} = I holds, and
+    # (C^{-1} u')(v C) = ones(n)/n fails
+    monkeypatch.setattr(constructions, "uniformizer", identity)
+    monkeypatch.setattr(constructions, "uniformizer_inv", identity)
+    with pytest.raises(ArithmeticError, match="failed verification"):
+        constructions._flat_similarity(diag(1, 2, 3), F(2))
+
+
+def test_positive_shift_runs_two_eliminations(monkeypatch):
+    a = _planted_simple_eigenvalue(random.Random(5), 4)
+    lam = rational_roots(char_poly(a))[0][0]
+    calls = {"invert": 0, "nullspace": 0, "solve": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(linear, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(linear, name, counted)
+    # two kernels, and C^{-1} in closed form: conjugate() inverts nothing
+    _, conj_b = constructions._positive_shift(a, lam)
+    assert calls == {"invert": 0, "nullspace": 2, "solve": 0}
+    assert is_positive(conj_b)
 
 
 def test_positive_single_generator():
@@ -517,8 +595,8 @@ def test_positive_single_generator_still_checks_the_shift(monkeypatch):
     real = constructions._positive_shift
 
     def lossy(a, lam):
-        c, _, conj_b = real(a, lam)
-        return c, identity(a.rows), conj_b
+        c, _ = real(a, lam)
+        return c, identity(a.rows)
     monkeypatch.setattr(constructions, "_positive_shift", lossy)
     with pytest.raises(ArithmeticError,
                        match="shift changed the generated algebra"):

@@ -52,6 +52,8 @@ DATA = Path(__file__).parent / "data"
      "conjugated-2x2-classify.json"),
     (["algebra-covering", "single-generator-gens.json"],
      "single-generator-covering.json"),
+    (["algebra-classify", "single-generator-gens.json"],
+     "single-generator-classify.json"),
 ])
 def test_cli_output_is_byte_identical(argv, expected, capsys):
     argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]

@@ -9,7 +9,8 @@ from algforge.matrices import (Mat, conjugate, direct_sum, identity,
                                mat_from_json, mat_to_json, ones,
                                permutation_matrix, regular_triangular,
                                support, support_union, uniform_norm,
-                               uniformizer, uniformizer_inv, zero)
+                               uniformizer, uniformizer_inv, with_inverse,
+                               zero)
 from algforge.polynomials import Poly
 from oracles import commutator, companion, matrix_unit, random_mat
 import random
@@ -22,6 +23,17 @@ def test_uniformizer_displays():
     assert k2 == F(1, 2) * Mat.from_rows([[-1, 1], [1, 1]])
     assert uniformizer_inv(2) == Mat.from_rows([[-1, 1], [1, 1]])
     assert uniformizer_inv(3).data[0] == (F(-1), F(-1), F(1))
+
+
+def test_with_inverse_checks_before_it_caches():
+    c = uniformizer(3)
+    for wrong in (2 * uniformizer_inv(3), identity(2)):
+        with pytest.raises(ArithmeticError, match="not the inverse"):
+            with_inverse(c, wrong)
+        assert "inverse" not in vars(c)
+    assert with_inverse(c, uniformizer_inv(3)) is c
+    assert vars(c)["inverse"] == uniformizer_inv(3)
+    assert conjugate(matrix_unit(3, 3, 3), c) == F(1, 3) * ones(3)
 
 
 @pytest.mark.parametrize("n", range(2, 13))

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from algforge.polynomials import (P_ONE, Poly, _sturm_chain,
-                                  multiplicity_one_part, poly_gcd,
+from algforge.polynomials import (P_ONE, Poly, _squarefree_roots,
+                                  _sturm_chain, multiplicity_one_part,
+                                  poly_gcd,
                                   rational_roots, squarefree_decomposition,
                                   sturm_real_root_count)
 from oracles import (bisection_real_root_count, full_chain_rational_roots,
@@ -249,6 +250,43 @@ def test_rational_roots_match_the_full_chain_oracle():
         assert got == full_chain_rational_roots(p)
         found += len(got)
     assert found > 400
+
+
+def _eisenstein(rng, degree):
+    """A primitive polynomial of the given degree that is Eisenstein at a
+    prime p, hence irreducible over Q: p divides every coefficient but the
+    leading one, and p^2 does not divide the constant term."""
+    p = rng.choice((2, 3, 5))
+    coeffs = [p * rng.choice([k for k in range(-4, 5) if k % p])]
+    coeffs += [p * rng.randint(-3, 3) for _ in range(degree - 1)]
+    return Poly.of(*coeffs, rng.choice([k for k in range(1, 7) if k % p]))
+
+
+def _squarefree_sample(seed):
+    """Distinct planted rational roots times up to two Eisenstein factors,
+    degree <= 8, or None when the factors are not coprime."""
+    rng = random.Random(seed)
+    roots = {Fraction(rng.randint(-12, 12), rng.randint(1, 6))
+             for _ in range(rng.randint(0, 4))}
+    p = poly_from_roots(sorted(roots)) * rng.choice((1, -3, Fraction(5, 12)))
+    for _ in range(rng.randint(0, 2)):
+        if 8 - p.degree >= 2:
+            p = p * _eisenstein(rng, rng.randint(2, 8 - p.degree))
+    return p if poly_gcd(p, p.derivative()).degree == 0 else None
+
+
+def test_one_chain_counts_and_finds_what_two_do():
+    rational = irrational = 0
+    for seed in range(300):
+        p = _squarefree_sample(seed)
+        if p is None:
+            continue
+        count, roots = _squarefree_roots(p)
+        assert count == sturm_real_root_count(p)
+        assert roots == [r for r, _ in full_chain_rational_roots(p)]
+        rational += len(roots)
+        irrational += count - len(roots)
+    assert rational > 300 and irrational > 100
 
 
 @given(st.lists(st.integers(-6, 6), min_size=1, max_size=5))

@@ -48,6 +48,8 @@ PLANNED = {name: "item 10" for name in (
     "constructions.positive_single_generator",
     "constructions.predict_padded_conjugation",
     "constructions.scalar_extension_positive_generators",
+    "constructions.uniformize_rank1_idempotent",
+    "matrices.permutation_matrix",
     "matrices.poly_at",
     "matrices.regular_triangular",
     "spectral.JordanSpec",

@@ -8,7 +8,8 @@ a primitive integer echelon row, whose pivot is its canonical denominator.
 `conjugate_algebra` works on the smaller side: for dim A <= n^2 / 2 it
 spans the integer products N(C^{-1}) N(B) N(C) of the numerators, each a
 positive multiple of C^{-1} B C, and otherwise it conjugates A's
-annihilator, read off its echelon rows, and takes the kernel.
+annihilator, which the verifier's `_annihilator` reads off A's echelon
+rows, and takes the kernel.
 Generation uses a worklist that multiplies each newly independent word on
 the left by every generator.  The span this reaches contains I and is
 mapped into itself by left multiplication with each generator, so it
@@ -24,16 +25,15 @@ unital span is closed exactly when the basis generates no more than it,
 so a closed basis costs a worklist that ends at d, and one that is not
 closed is refused a few products after the span outgrows it.
 `generates` decides whether a list generates a known algebra by closing
-it and comparing the canonical spans.  `centralizer` solves its linear
-system on the integer numerators of the matrix, which has the same
-centralizer.
+it and comparing the canonical spans.  `centralizer` takes the kernel of
+X -> MX - XM, whose rows the verifier's `_commutator_rows` builds from the
+integer numerators of M, which have the same centralizer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
-from math import lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -41,7 +41,7 @@ from . import simplex
 from .linear import EchelonSpan, nullspace
 from .matrices import (Mat, Support, _mat, direct_sum, identity, inverse,
                        mat_from_json, mat_to_json, support_union, zero)
-from .verify import _closure
+from .verify import _annihilator, _closure, _commutator_rows
 
 
 @dataclass(frozen=True)
@@ -187,27 +187,6 @@ def _sandwich(left: Sequence[Sequence[int]], m: Sequence[Sequence[int]],
     return [sum(map(mul, row, col)) for row in left for col in mr]
 
 
-def _annihilator(n: int, span: EchelonSpan) -> list[list[list[int]]]:
-    """One n x n integer matrix G_j per non-pivot column j of the span's
-    rows, with <G_j, X>_F = 0 for every j iff X lies in the span: G_j is
-    L e_j - sum_p (L / r_p) row_p[j] e_p, for r_p the pivot entry of row p
-    and L the lcm of the r_p of the rows that hold column j.  The rows are
-    fully reduced, so a member's coefficient of row p is X_p / r_p."""
-    rows = dict(span.primitive_rows())
-    out = []
-    for j in range(n * n):
-        if j in rows:
-            continue
-        hits = [p for p, row in rows.items() if j in row]
-        scale = lcm(*[rows[p][p] for p in hits])
-        g = [0] * (n * n)
-        g[j] = scale
-        for p in hits:
-            g[p] = -(scale // rows[p][p]) * rows[p][j]
-        out.append([g[i * n:(i + 1) * n] for i in range(n)])
-    return out
-
-
 def conjugate_algebra(a: Algebra, c: Mat) -> Algebra:
     """C^{-1} A C, re-echelonized, through the smaller of A's basis and
     its annihilator.
@@ -231,7 +210,8 @@ def conjugate_algebra(a: Algebra, c: Mat) -> Algebra:
     if 2 * a.dim <= n * n:
         return _from_span(n, _span_of(n, [_sandwich(inv, b.num, ct)
                                           for b in a.basis]))
-    rows = [_sandwich(ct, g, inv)[::-1] for g in _annihilator(n, a._span)]
+    rows = [_sandwich(ct, [g[i * n:(i + 1) * n] for i in range(n)],
+                      inv)[::-1] for g in _annihilator(a._span.rows, n * n)]
     return _from_span(n, _span_of(n, [v[::-1] for v in
                                       nullspace(rows, n * n)[1]]))
 
@@ -300,18 +280,9 @@ def centralizer(m: Mat) -> Algebra:
     """The full algebra {X : MX = XM}, returned closed and unital."""
     if not m.is_square:
         raise ValueError("matrix must be square")
-    n, num = m.rows, m.num  # den * M has the same centralizer as M
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            row = [0] * (n * n)
-            for k in range(n):
-                row[k * n + j] += num[i][k]
-            for l in range(n):
-                row[i * n + l] -= num[l][j]
-            if any(row):
-                rows.append(row)
-    alg = _from_span(n, _span_of(n, nullspace(rows, n * n)[1]))
+    n = m.rows  # den * M has the same centralizer as M
+    alg = _from_span(n, _span_of(n, nullspace(_commutator_rows(m.num),
+                                              n * n)[1]))
     if not (alg.is_unital() and alg.is_closed()):
         raise ArithmeticError("centralizer failed closure check")
     return alg

@@ -8,15 +8,17 @@ Gauss-Jordan run, or a closed form a caller hands to ``with_inverse``,
 which checks it), ``poly_at`` (integer Horner) and the fixed constructors
 (``jordan_cell``, ``regular_triangular``, ``uniformizer`` and its
 inverse) run on the integers, and every result is brought back to
-canonical form by one gcd.  A rational vector is a ``1 x n`` Mat:
-``stack`` and ``kernel`` build such rows, and a matrix acts on them as
-``v @ A.transpose()``.  The wire is read as integers too:
-``mat_from_json`` parses each distinct entry string with
-``polynomials.parse_rational`` into an integer pair, once per document:
-every loader passes one cache for all the matrices of a document.  A Fraction is
-built only where a caller passes one in or reads ``A.data``, a read-only
-Fraction grid built on first use, or the Fraction result of
-``uniform_norm``.
+canonical form by one gcd.  The verifier's integer kernel does what the
+two share: ``inverse`` goes through ``linear.invert``, which runs
+``verify._inverse``; ``is_nonneg`` and ``is_positive`` are the
+verifier's predicates on ``(den, num)``, which is a verifier grid; and
+``mat_from_json`` parses each distinct entry string with the verifier's
+``_rational`` into an integer pair, once per document: every loader
+passes one cache for all the matrices of a document.  A rational vector
+is a ``1 x n`` Mat: ``stack`` and ``kernel`` build such rows, and a
+matrix acts on them as ``v @ A.transpose()``.  A Fraction is built only
+where a caller passes one in or reads ``A.data``, a read-only Fraction
+grid built on first use, or the Fraction result of ``uniform_norm``.
 ``A.data[i][j]`` is 0-based;
 ``Support`` positions (and all serialized position data) are 1-based
 (row, column) pairs.  Matrices are immutable, hashable and safe to share.
@@ -34,7 +36,8 @@ from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 from . import linear
-from .polynomials import Poly, parse_rational, wire_rational
+from .polynomials import Poly, wire_rational
+from .verify import _is_nonneg, _is_positive, _rational
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -371,11 +374,13 @@ def poly_at(p: Poly, a: Mat) -> Mat:
 
 
 def is_nonneg(a: Mat) -> bool:
-    return all(v >= 0 for row in a.num for v in row)
+    return _is_nonneg((a.den, a.num))
 
 
 def is_positive(a: Mat) -> bool:
-    return bool(a.num) and all(v > 0 for row in a.num for v in row)
+    """Whether every entry is positive and there is one: a matrix with no
+    entries is not positive."""
+    return _is_positive((a.den, a.num))
 
 
 def uniform_norm(a: Mat) -> Fraction:
@@ -441,11 +446,12 @@ def mat_to_json(a: Mat) -> dict:
 
 def mat_from_json(obj: dict, parsed: dict[str, tuple[int, int]]) -> Mat:
     """The Mat of a wire matrix.  `parsed` maps each entry string read so
-    far to its `parse_rational` pair; a loader passes one dict for every
-    matrix of a document, so each distinct string is parsed once per
-    document.  An entry that is not a str always goes to `parse_rational`,
-    which refuses it, so the error names the first bad entry in row-major
-    order, as parsing entry by entry does."""
+    far to its `_rational` pair; a loader passes one dict for every matrix
+    of a document, so each distinct string is parsed once per document.
+    An entry that is not a str always goes to `_rational`, which refuses
+    it with a `verify.CertificateError` (a ValueError), so the error names
+    the first bad entry in row-major order, as parsing entry by entry
+    does."""
     if not (isinstance(obj, dict) and {"rows", "cols", "entries"} <= obj.keys()
             and isinstance(obj["entries"], list)
             and all(isinstance(row, list) for row in obj["entries"])):
@@ -458,7 +464,7 @@ def mat_from_json(obj: dict, parsed: dict[str, tuple[int, int]]) -> Mat:
         for v in row:
             pq = parsed.get(v) if type(v) is str else None
             if pq is None:
-                pq = parsed[v] = parse_rational(v)
+                pq = parsed[v] = _rational(v)
             pairs.append(pq)
         grid.append(pairs)
     den = lcm(*{q for row in grid for _, q in row})

@@ -15,11 +15,11 @@ Fraction view built on first use, and ``leading``, ``p(x)`` and the
 rational roots are Fractions.  Everything is immutable and pure, so values
 can be shared freely between threads.
 
-The wire form of a rational lives here, below ``matrices``, whose matrix
-reader and writer use it (polynomials themselves have no wire form):
-``parse_rational`` reads exactly the canonical string ``str(Fraction)``
-writes straight to an integer pair, and ``wire_rational`` writes it from
-an integer over a denominator.
+The writer of a wire rational lives here, below ``matrices``, whose
+matrix writer uses it (polynomials themselves have no wire form):
+``wire_rational`` writes the canonical string ``str(Fraction)`` writes
+from an integer over a denominator.  Wire strings are read by the
+verifier's parser, ``verify._rational``, which ``matrices`` binds.
 
 Real-root counts and rational roots share one integer Sturm chain and one
 sign-variation counter at dyadic points; rational roots (polynomial in the
@@ -30,7 +30,6 @@ L.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from functools import cached_property
 from itertools import zip_longest
@@ -446,23 +445,8 @@ def _squarefree_roots(s: Poly) -> tuple[int, list[Fraction]]:
 
 # -- the wire form of a rational -----------------------------------------------
 
-_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
-
-
 def wire_rational(v: int, den: int) -> str:
     """v / den as `str(Fraction)` writes it: "p", or "p/q" in lowest terms."""
     g = gcd(v, den)
     return str(v // g) if g == den else f"{v // g}/{den // g}"
 
-
-def parse_rational(s: str) -> tuple[int, int]:
-    """(p, q) for exactly the canonical form `wire_rational` writes: "p",
-    or "p/q" in lowest terms with q > 1.  The pattern test comes first, so
-    exponent forms like "1e400" never build a big int."""
-    m = _RATIONAL.fullmatch(s) if isinstance(s, str) else None
-    if m:
-        p = int(m[1])
-        q = 1 if m[2] is None else int(m[2])
-        if str(p) == m[1] and (m[2] is None or q > 1 and gcd(p, q) == 1):
-            return p, q
-    raise ValueError(f"not a canonical rational: {s!r}")

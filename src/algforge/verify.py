@@ -5,6 +5,11 @@ data.  It deliberately avoids the construction code paths: membership,
 conjugation, support and closure checks are re-implemented here, and
 conjugation identities are verified multiplicatively (C * target ==
 source * C with C nonsingular) so no inverse is ever taken on faith.
+Only the standard library is imported at module level.  The engine
+builds on this module's integer kernel, never the other way round: its
+spans are `_Span`s, and it inverts with `_inverse`, parses wire entries
+with `_rational`, and takes `_annihilator` and `_commutator_rows` from
+here.
 Wire strings parse straight to integers: a matrix is read as a canonical
 grid (den, rows), integer rows over a positive denominator with no common
 factor, so equal matrices have equal grids, and products, differences,
@@ -523,6 +528,23 @@ def _annihilator(rows: dict[int, dict[int, int]],
     return out
 
 
+def _commutator_rows(m: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The nonzero rows of the map X -> MX - XM on row-major n^2-vectors,
+    for square integer rows m: its kernel is the centralizer of M."""
+    n = len(m)
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            row = [0] * (n * n)
+            for k in range(n):
+                row[k * n + j] += m[i][k]
+            for l in range(n):
+                row[i * n + l] -= m[l][j]
+            if any(row):
+                rows.append(row)
+    return rows
+
+
 def _rank_reaches(vecs: Sequence[Sequence[int]], k: int) -> bool:
     """Whether integer vectors span at least k dimensions.
 
@@ -969,18 +991,8 @@ def _check_is_centralizer(d: _Document, p: dict) -> bool:
     if not all(_mul(b, m) == _mul(m, b) for b in basis):
         return False
     # dimension must match the kernel of X -> MX - XM
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            row = [0] * (n * n)
-            for k in range(n):
-                row[k * n + j] += rows_m[i][k]
-            for l in range(n):
-                row[i * n + l] -= rows_m[l][j]
-            if any(row):
-                rows.append(row)
     span = _Span()
-    for r in rows:
+    for r in _commutator_rows(rows_m):
         span.add(r)
     kernel_dim = n * n - span.dim
     return d.span(p["algebra"]).dim == len(basis) == kernel_dim

@@ -50,8 +50,7 @@ from algforge.linear import rank
 from algforge.matrices import (Mat, _mat, _normal, _unit_row, identity,
                                inverse, is_nonneg, zero)
 from algforge.polynomials import (P_ONE, P_ZERO, Poly, _scaled, _sturm_chain,
-                                  _variations, parse_rational, poly_gcd,
-                                  root_multiplicity)
+                                  _variations, poly_gcd, root_multiplicity)
 from reference import gauss_jordan
 
 ZERO = Fraction(0)
@@ -894,10 +893,23 @@ def per_entry_mat_from_json(obj: dict) -> Mat:
         raise ValueError("matrix needs rows, cols and entries, a list of rows")
     if not (type(obj["rows"]) is int and type(obj["cols"]) is int):
         raise ValueError("matrix shape must be integers")
-    parsed = [[parse_rational(v) for v in row] for row in obj["entries"]]
-    den = lcm(*[q for row in parsed for _, q in row])
+    parsed = [[_wire_entry(v) for v in row] for row in obj["entries"]]
+    den = lcm(*[v.denominator for row in parsed for v in row])
     return Mat.from_ints(obj["rows"], obj["cols"], den, [
-        [p * (den // q) for p, q in row] for row in parsed])
+        [v.numerator * (den // v.denominator) for v in row]
+        for row in parsed])
+
+
+def _wire_entry(s) -> Fraction:
+    """A wire entry by its definition: a str that `str(Fraction)` writes
+    back unchanged.  str() of an int past Python's digit limit raises
+    ValueError too."""
+    try:
+        if type(s) is str and str(v := Fraction(s)) == s:
+            return v
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ValueError(f"not a canonical rational: {s!r}")
 
 
 # -- builders the tests use and the package does not ---------------------------

@@ -420,7 +420,7 @@ def test_mat_operations_match_fraction_oracles(shape):
         for g in (ga, nonneg, positive):
             m = Mat(r, c, g)
             assert is_nonneg(m) == all(v >= 0 for row in g for v in row)
-            assert is_positive(m) == (bool(g) and
+            assert is_positive(m) == (r * c > 0 and
                                       all(v > 0 for row in g for v in row))
         if r == c:
             expected = {(i + 1, j + 1) for i in range(r) for j in range(c)

@@ -4,7 +4,7 @@
 sort_keys=True)` and refuse what the CLI never writes.  `cli._doc_sizes`
 and `matrices.mat_from_json` must agree with the readers they replaced,
 which `tests/oracles.py` keeps: a worklist over every JSON value, and one
-`parse_rational` per entry.
+parse per entry by the definition of a wire rational.
 """
 
 import io
@@ -225,13 +225,13 @@ def _distinct_entries(mats) -> set:
 
 def _count_parses(monkeypatch) -> list:
     calls = []
-    real = matrices.parse_rational
+    real = matrices._rational
 
     def counting(s):
         calls.append(s)
         return real(s)
 
-    monkeypatch.setattr(matrices, "parse_rational", counting)
+    monkeypatch.setattr(matrices, "_rational", counting)
     return calls
 
 

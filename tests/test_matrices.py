@@ -14,6 +14,7 @@ from algforge.matrices import (Mat, conjugate, direct_sum, identity,
 from algforge.polynomials import Poly
 from oracles import commutator, companion, matrix_unit, random_mat
 import random
+import reference
 
 F = Fraction
 
@@ -99,6 +100,23 @@ def test_predicates():
     assert not is_positive(identity(2))
     assert is_nonneg(identity(2))
     assert uniform_norm(Mat.from_rows([[-3, 2], [0, 1]])) == 3
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (1, 0), (0, 3), (3, 0), (1, 1),
+                                   (2, 3)])
+def test_sign_predicates_follow_the_reference_on_every_shape(shape):
+    # a matrix with no entries is nonnegative and not positive
+    r, c = shape
+    cells = [(i, j) for i in range(r) for j in range(c)]
+    for fill in (F(3, 2), 0, -1):
+        for low in [None] + cells[:2]:
+            m = Mat(r, c, [[F(0) if (i, j) == low else fill
+                            for j in range(c)] for i in range(r)])
+            doc = {"outputs": [mat_to_json(m)]}
+            for kind, predicate in (("positive", is_positive),
+                                    ("nonneg", is_nonneg)):
+                assert predicate(m) == reference.holds(
+                    doc, {"kind": kind, "target": "out:0"}), (kind, m)
 
 
 def test_monomial_conjugation_preserves_order():

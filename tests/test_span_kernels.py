@@ -1,13 +1,13 @@
-"""The gcd-reduced Gauss-Jordan steps of both span kernels against
+"""The gcd-reduced Gauss-Jordan step of the one span kernel against
 textbook Fraction elimination, and the integer conjugation of an algebra
 against the `Mat` products it replaced.
 
-Both kernels keep canonical rows: after every insert, the engine's
-`EchelonSpan` and the verifier's `_Span` hold the same primitive integer
-rows, which divided by their pivots are the reduced row-echelon basis
-`gauss_jordan` gives, and every probe lies in them exactly when
-`gauss_jordan` finds it in the span.  The engine's `rank`, `solve`,
-`invert` and `nullspace` must agree with that elimination too.
+The engine's `EchelonSpan` is the verifier's `_Span`, with the same `add`
+and `contains`.  After every insert it must hold primitive integer rows
+that divided by their pivots are the reduced row-echelon basis Fraction
+Gauss-Jordan elimination gives, and every probe must lie in it exactly
+when that elimination finds it in the span.  The engine's `rank`,
+`solve`, `invert` and `nullspace` must agree with that elimination too.
 """
 
 import random
@@ -16,7 +16,7 @@ from math import gcd
 
 import pytest
 
-from algforge import linear, verify
+from algforge import linear, matrices, verify
 from algforge.algebra import algebra_direct_sum, conjugate_algebra, generate
 from algforge.linear import EchelonSpan
 from algforge.matrices import Mat, identity
@@ -24,6 +24,7 @@ from algforge.verify import _Span
 from oracles import (gauss_jordan, incidence_algebra,
                      product_conjugate_algebra, random_mat, random_pattern,
                      random_unimodular, span_rows_mats)
+from reference import _insert, _reduce
 
 F = Fraction
 FAMILIES = ("dense", "sparse", "wide")
@@ -78,35 +79,44 @@ def combination(rng, vectors, length):
             for j in range(length)]
 
 
+def fraction_entries(vec):
+    """The nonzero entries of an integer vector as Fractions, by index."""
+    return {j: F(v) for j, v in enumerate(vec) if v}
+
+
 def test_rows_and_verdicts_match_gauss_jordan_on_every_insert():
-    """On sequences of length at most 12, the rows are checked against
-    `gauss_jordan` after every insert and each probe's verdict against
-    it; on longer ones the two kernels are checked against each other."""
+    """Each sequence also runs once through the reference's Fraction
+    Gauss-Jordan step, whose rows have 1 at the pivot: after every insert
+    the kernel's rows are primitive with a positive pivot, and divided by
+    their pivots they are those rows.  Before it,
+    the vector lies in the span exactly when the reference's step leaves
+    the span as it was, an integer combination of the vectors so far lies
+    in it, and a fresh vector lies in it exactly when the reference
+    reduces it to zero."""
     rng = random.Random(2026)
     grew = held = 0
     for length in sequence_lengths(1000):
         vectors = kernel_sequence(rng, length)
-        engine, verifier = EchelonSpan(length), _Span()
-        rref, seen = [], []
+        span, rref, seen = EchelonSpan(length), {}, []
         for vec in vectors:
-            inside = combination(rng, seen, length) if seen else vec
-            for probe in (vec, inside, fresh_vector(rng, "dense", length)):
-                residual = linear._residual(engine._rows, linear._sparse(probe))
-                assert (engine.contains(probe) == verifier.contains(probe)
-                        == (not residual))
-                if length <= 12:
-                    assert (not residual) == (len(gauss_jordan(
-                        rref + [probe], length)) == len(rref))
-                held += not residual
-            added = engine.add(vec)
+            fresh = fresh_vector(rng, "dense", length)
+            verdict = span.contains(fresh)
+            assert verdict == (not _reduce(rref, fraction_entries(fresh)))
+            held += verdict
+            if seen:
+                assert span.contains(combination(rng, seen, length))
+            before = span.contains(vec)
+            added = span.add(vec)
+            held += before
             grew += added
-            assert added == verifier.add(vec)
-            assert verifier.rows == engine._rows
+            assert added == (not before) == (
+                _insert(rref, fraction_entries(vec)) is not None)
+            assert span.contains(vec)
+            assert all(row[p] > 0 and gcd(*row.values()) == 1
+                       for p, row in span.rows.items())
+            assert {p: {j: F(v, row[p]) for j, v in row.items()}
+                    for p, row in span.rows.items()} == rref
             seen.append(vec)
-            if length <= 12:
-                rref = gauss_jordan(rref + [vec], length)
-                assert [tuple(F(row.get(j, 0), row[p]) for j in range(length))
-                        for p, row in engine.primitive_rows()] == rref
     assert grew > 2000 and held > 2000
 
 
@@ -116,16 +126,20 @@ def test_back_reduction_divides_out_the_pivot_gcd_before_combining(
     # their gcd the combination is e0 - e2 and its content pass sees 1s,
     # where K (e0 + K e1) - K (K e1 + e2) would hand it multiples of K
     big = 3 ** 80 * 2 ** 40
-    for module, span in ((linear, EchelonSpan(3)), (verify, _Span())):
-        calls = []
-        monkeypatch.setattr(module, "gcd",
-                            lambda *args: calls.append(args) or gcd(*args))
-        span.add([1, big, 0])
-        span.add([0, big, 1])
-        rows = span._rows if module is linear else span.rows
-        assert rows == {0: {0: 1, 2: -1}, 1: {1: big, 2: 1}}
-        assert sorted(map(abs, calls[-1])) == [1, 1]
-        monkeypatch.undo()
+    calls = []
+    monkeypatch.setattr(verify, "gcd",
+                        lambda *args: calls.append(args) or gcd(*args))
+    span = EchelonSpan(3)
+    span.add([1, big, 0])
+    span.add([0, big, 1])
+    assert span.rows == {0: {0: 1, 2: -1}, 1: {1: big, 2: 1}}
+    assert sorted(map(abs, calls[-1])) == [1, 1]
+
+
+def test_the_engine_runs_the_verifiers_kernel():
+    assert EchelonSpan.__dict__["add"] is _Span.add
+    assert EchelonSpan.__dict__["contains"] is _Span.contains
+    assert matrices._rational is verify._rational
 
 
 def kernel_matrix(rng, rows, cols):

@@ -23,7 +23,7 @@ from .constructions import (blockwise_rank1_nonneg_covering,
                             solve_all_dimensions, uniformize_rank1_idempotent)
 from .incidence import (IncidencePattern, incidence_of_dimension,
                         triangularize_incidence)
-from .matrices import (Mat, Support, conjugate, direct_sum, identity, inverse,
+from .matrices import (Mat, conjugate, direct_sum, identity, inverse,
                        is_nonneg, is_positive, jordan_cell, ones,
                        permutation_matrix, poly_at, regular_triangular,
                        support, support_union, uniform_norm, uniformizer,

@@ -9,7 +9,7 @@ a primitive integer echelon row, whose pivot is its canonical denominator.
 spans the integer products N(C^{-1}) N(B) N(C) of the numerators, each a
 positive multiple of C^{-1} B C, and otherwise it conjugates A's
 annihilator, which the verifier's `_annihilator` reads off A's echelon
-rows, and takes the kernel.
+rows, and takes the kernel (`linear.nullspace`, `_annihilator` again).
 Generation uses a worklist that multiplies each newly independent word on
 the left by every generator.  The span this reaches contains I and is
 mapped into itself by left multiplication with each generator, so it
@@ -39,7 +39,7 @@ from typing import Iterable, Sequence
 
 from . import simplex
 from .linear import EchelonSpan, nullspace
-from .matrices import (Mat, Support, _mat, direct_sum, identity, inverse,
+from .matrices import (Mat, _mat, direct_sum, identity, inverse,
                        mat_from_json, mat_to_json, support_union, zero)
 from .verify import _annihilator, _closure, _commutator_rows
 
@@ -78,10 +78,10 @@ class Algebra:
             raise ValueError("size mismatch")
         return self._span.contains(x.numerators())
 
-    def support(self) -> Support:
-        if not self.basis:  # the algebra of 0 x 0 matrices: empty support
-            return Support(self.n, frozenset())
-        return support_union(self.basis)
+    def support(self) -> frozenset[tuple[int, int]]:
+        """The 1-based positions at which some member is nonzero; none for
+        the algebra of 0 x 0 matrices."""
+        return support_union(self.basis) if self.basis else frozenset()
 
     def is_closed(self) -> bool:
         """Whether the span V, which holds I, is closed under products.
@@ -198,11 +198,12 @@ def conjugate_algebra(a: Algebra, c: Mat) -> Algebra:
     matrix G of A, so C^{-1} A C is the kernel of the n^2 - dim A
     conjugated annihilator rows N(C)^T G N(C^{-1})^T.  That kernel is read
     in reversed column order: `nullspace` gives one vector per free column
-    of the reversed system, 1 there and 0 at the other free ones, so,
-    reversed back, each leads at its own column and is 0 at the others'.
-    Those columns are the pivots of the kernel's reduced echelon form, so
-    the vectors are its rows up to a positive scale, and adding each to a
-    span only makes it primitive."""
+    of the reversed system, a positive multiple of the one that is 1
+    there and 0 at the other free ones, so, reversed back, each leads at
+    its own column and is 0 at the others'.  Those columns are the pivots
+    of the kernel's reduced echelon form, so the vectors are its rows up
+    to a positive scale, and adding each to a span only makes it
+    primitive."""
     n = a.n
     if not (c.is_square and c.rows == n):
         raise ValueError("size mismatch")
@@ -213,7 +214,7 @@ def conjugate_algebra(a: Algebra, c: Mat) -> Algebra:
     rows = [_sandwich(ct, [g[i * n:(i + 1) * n] for i in range(n)],
                       inv)[::-1] for g in _annihilator(a._span.rows, n * n)]
     return _from_span(n, _span_of(n, [v[::-1] for v in
-                                      nullspace(rows, n * n)[1]]))
+                                      nullspace(rows, n * n)]))
 
 
 def algebra_direct_sum(a: Algebra, b: Algebra) -> Algebra:
@@ -256,7 +257,7 @@ def nonneg_covering_exists(a: Algebra) -> Mat | None:
     least 1 on every support position (entries off the support vanish
     identically, and by homogeneity strict positivity reduces to >= 1).
     """
-    omega = a.support().sorted_positions()
+    omega = sorted(a.support())
     # Column k holds the numerators N_k = d_k B_k: scaling a variable by
     # d_k > 0 changes no pivot, and sum y_k N_k = sum x_k B_k.
     rows = [[b.num[i - 1][j - 1] for b in a.basis] for (i, j) in omega]
@@ -282,7 +283,7 @@ def centralizer(m: Mat) -> Algebra:
         raise ValueError("matrix must be square")
     n = m.rows  # den * M has the same centralizer as M
     alg = _from_span(n, _span_of(n, nullspace(_commutator_rows(m.num),
-                                              n * n)[1]))
+                                              n * n)))
     if not (alg.is_unital() and alg.is_closed()):
         raise ArithmeticError("centralizer failed closure check")
     return alg

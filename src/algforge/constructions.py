@@ -46,7 +46,7 @@ from .polynomials import (Poly, _squarefree_roots, multiplicity_one_part,
 from .spectral import (JordanSpec, char_poly,
                        eigenvalue_multiplicity, generalized_eigensplit,
                        nilpotent_jordan_basis, spectral_radius_bound)
-from .verify import verify_certificate
+from .verify import _is_distinct_diagonal, verify_certificate
 
 
 # -- shared checks and the covering shift ---------------------------------------
@@ -703,12 +703,9 @@ def _check_pair_generates(p: IncidencePattern, a: Mat, d: Mat) -> None:
     n = p.n
     if not all(m.is_square and m.rows == n for m in (a, d)):
         raise ArithmeticError("pair does not match the pattern's size")
-    if any(v for i, row in enumerate(d.num) for j, v in enumerate(row)
-           if i != j):
-        raise ArithmeticError("D is not diagonal")
-    if len({row[i] for i, row in enumerate(d.num)}) != n:
-        raise ArithmeticError("D has a repeated diagonal entry")
-    if support(a).positions != p.positions:
+    if not _is_distinct_diagonal(d.num):
+        raise ArithmeticError("D is not diagonal with distinct entries")
+    if support(a) != p.positions:
         raise ArithmeticError("A does not have exactly the pattern's support")
 
 
@@ -717,7 +714,7 @@ def _pattern_sum(p: IncidencePattern) -> Mat:
     grid = [[0] * p.n for _ in range(p.n)]
     for (i, j) in p.positions:
         grid[i - 1][j - 1] = 1
-    return Mat(p.n, p.n, grid)
+    return Mat.from_ints(p.n, p.n, 1, grid)
 
 
 def solve_all_dimensions(n: int) -> list[Certificate]:

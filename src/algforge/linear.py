@@ -1,12 +1,13 @@
 """Exact linear algebra over Q on integer rows: echelon spans, solving,
 inverses, kernels.
 
-Every function takes integer rows and returns integers over one
-denominator; a rational matrix is passed as its integer numerators (a
-`Mat`'s `num`), which have the same span, rank and kernel.  The
-elimination is the verifier's: `EchelonSpan` is a `verify._Span` that
-knows its length, `_echelon` fills a `_Span`, and `invert` is
-`verify._inverse`.  So engine and verifier keep every echelon row the same
+Every function takes integer rows and returns integers (a solution or an
+inverse over one denominator); a rational matrix is passed as its integer
+numerators (a `Mat`'s `num`), which have the same span, rank and kernel.
+The elimination is the verifier's: `EchelonSpan` is a `verify._Span`
+that knows its length, `_echelon` fills a `_Span`, `invert` is
+`verify._inverse`, and `nullspace` is `verify._annihilator` of the
+echelon rows.  So engine and verifier keep every echelon row the same
 way, as a sparse dict of primitive integers (content divided out,
 positive pivot) fully reduced against the other rows, which is canonical
 for a given span.  No tolerances anywhere; pivots are the first nonzero
@@ -18,7 +19,7 @@ from __future__ import annotations
 from math import lcm
 from typing import Iterable, Sequence
 
-from .verify import _inverse, _Span
+from .verify import _annihilator, _inverse, _Span
 
 Rows = dict[int, dict[int, int]]
 
@@ -84,19 +85,9 @@ def invert(rows: Sequence[Sequence[int]]
 
 
 def nullspace(rows: Sequence[Sequence[int]],
-              ncols: int) -> tuple[int, list[list[int]]]:
-    """(d, K): the rows of K over d are the canonical basis of
-    {x : A x = 0}, one vector per free column, which holds 1 there and 0
-    at the other free columns."""
-    echelon = _echelon(rows)
-    d = lcm(*[row[p] for p, row in echelon.items()])
-    basis = []
-    for fc in range(ncols):
-        if fc in echelon:
-            continue
-        v = [0] * ncols
-        v[fc] = d
-        for pc, row in echelon.items():
-            v[pc] = -row.get(fc, 0) * (d // row[pc])
-        basis.append(v)
-    return d, basis
+              ncols: int) -> list[list[int]]:
+    """One integer vector per free column of A, a positive multiple of the
+    canonical basis vector of {x : A x = 0} that holds 1 there and 0 at
+    the other free columns: the verifier's `_annihilator` of A's echelon
+    rows.  Its last nonzero entry is at its free column."""
+    return _annihilator(_echelon(rows), ncols)

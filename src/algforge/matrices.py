@@ -3,41 +3,38 @@
 A ``Mat`` is stored in one canonical integer form: a denominator
 ``den > 0`` and a tuple of integer rows ``num`` with gcd(den, every entry)
 = 1, so the matrix is num / den and equal matrices have equal fields.
-Products, sums, transposes, supports, sign tests, ``inverse`` (one integer
-Gauss-Jordan run, or a closed form a caller hands to ``with_inverse``,
-which checks it), ``poly_at`` (integer Horner) and the fixed constructors
-(``jordan_cell``, ``regular_triangular``, ``uniformizer`` and its
-inverse) run on the integers, and every result is brought back to
-canonical form by one gcd.  The verifier's integer kernel does what the
-two share: ``inverse`` goes through ``linear.invert``, which runs
-``verify._inverse``; ``is_nonneg`` and ``is_positive`` are the
-verifier's predicates on ``(den, num)``, which is a verifier grid; and
-``mat_from_json`` parses each distinct entry string with the verifier's
-``_rational`` into an integer pair, once per document: every loader
-passes one cache for all the matrices of a document.  A rational vector
-is a ``1 x n`` Mat: ``stack`` and ``kernel`` build such rows, and a
-matrix acts on them as ``v @ A.transpose()``.  A Fraction is built only
-where a caller passes one in or reads ``A.data``, a read-only Fraction
-grid built on first use, or the Fraction result of ``uniform_norm``.
-``A.data[i][j]`` is 0-based;
-``Support`` positions (and all serialized position data) are 1-based
-(row, column) pairs.  Matrices are immutable, hashable and safe to share.
+That form is a verifier grid, and the verifier's integer kernel does what
+the two share: ``_canonical`` divides out the gcd of every result,
+``mat_from_json`` reads with ``_grid`` (each distinct entry string once
+per document, through one cache a loader passes for all its matrices),
+``inverse`` runs ``_inverse`` through ``linear.invert``, and
+``is_nonneg``, ``is_positive`` and ``support`` are ``_is_nonneg``,
+``_is_positive`` and ``_support``.  Products, sums, transposes,
+``poly_at`` (integer Horner) and the fixed constructors run on the
+integers.  Every rational passed in is an int or a Fraction (or a string
+``Mat.from_rows`` parses); a float raises TypeError.  A rational
+vector is a ``1 x n`` Mat: ``stack`` and ``kernel`` build such rows, and
+a matrix acts on them as ``v @ A.transpose()``.  A Fraction is built
+only where a caller passes one in or reads ``A.data``, a read-only grid
+built on first use, or ``uniform_norm``.  ``A.data[i][j]`` is 0-based; a
+support is a frozenset of 1-based (row, column) positions, as is all
+serialized position data.  Matrices are immutable, hashable and safe to
+share.
 
 Zero-size matrices are legal and act as absent direct summands.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import lcm
 from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 from . import linear
-from .polynomials import Poly, wire_rational
-from .verify import _is_nonneg, _is_positive, _rational
+from .polynomials import Poly, _exact, wire_rational
+from .verify import _canonical, _grid, _is_nonneg, _is_positive, _support
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -45,7 +42,7 @@ Rows = tuple[tuple[int, ...], ...]
 class Mat:
     """The rows x cols matrix num / den, in canonical form: den > 0 and
     gcd(den, every entry of num) = 1.  `Mat(rows, cols, data)` takes a grid
-    of Fraction or int entries."""
+    of Fraction or int entries; any other entry raises TypeError."""
 
     rows: int
     cols: int
@@ -54,7 +51,7 @@ class Mat:
 
     def __init__(self, rows: int, cols: int,
                  data: Iterable[Iterable[int | Fraction]]):
-        grid = [tuple(row) for row in data]
+        grid = [tuple([_exact(v) for v in row]) for row in data]
         if len(grid) != rows or any(len(row) != cols for row in grid):
             raise ValueError("entry grid does not match declared shape")
         # Star-unpack lists, not generators: a generator's tuple is resized
@@ -69,8 +66,7 @@ class Mat:
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable[int | str | Fraction]]) -> Mat:
-        grid = [[v if isinstance(v, (int, Fraction)) else Fraction(v)
-                 for v in row] for row in rows]
+        grid = [[_exact(v, parse=True) for v in row] for row in rows]
         r = len(grid)
         c = len(grid[0]) if r else 0
         if any(len(row) != c for row in grid):
@@ -149,7 +145,7 @@ class Mat:
 
     def __mul__(self, c: int | Fraction) -> Mat:
         if not isinstance(c, (int, Fraction)):
-            c = Fraction(c)
+            return NotImplemented
         p = c.numerator
         return _normal(self.rows, self.cols, self.den * c.denominator,
                        tuple(tuple(p * v for v in row) for row in self.num))
@@ -192,19 +188,11 @@ def _mat(rows: int, cols: int, den: int, num: Rows) -> Mat:
 
 
 def _normal(rows: int, cols: int, den: int, num: Rows) -> Mat:
-    """The Mat num / den for any nonzero den: the common factor of den and
-    the entries divided out, the sign moved into num."""
-    g = abs(den)
-    for row in num:
-        if g == 1:
-            break
-        g = gcd(g, *row)
+    """The Mat num / den for any nonzero den: the sign moved into num, then
+    the verifier's `_canonical` divides out the common factor."""
     if den < 0:
-        g = -g
-    if g == 1:
-        return _mat(rows, cols, den, num)
-    return _mat(rows, cols, den // g,
-                tuple(tuple(v // g for v in row) for row in num))
+        den, num = -den, tuple([tuple([-v for v in row]) for row in num])
+    return _mat(rows, cols, *_canonical(den, num))
 
 
 # -- constructors -----------------------------------------------------------
@@ -229,7 +217,7 @@ def ones(n: int) -> Mat:
 
 def jordan_cell(k: int, lam: int | Fraction) -> Mat:
     """Upper Jordan cell of size k for the eigenvalue lam."""
-    p, q = lam.numerator, lam.denominator
+    p, q = _exact(lam).as_integer_ratio()
     return _normal(k, k, q, tuple(tuple(
         p if i == j else (q if j == i + 1 else 0) for j in range(k))
         for i in range(k)))
@@ -256,7 +244,7 @@ def regular_triangular(p: int, q: int, values: Sequence[int | Fraction]) -> Mat:
     m = min(p, q)
     if len(values) != m:
         raise ValueError("need min(p, q) parameters")
-    den = lcm(*[v.denominator for v in values])
+    den = lcm(*[_exact(v).denominator for v in values])
     vals = [v.numerator * (den // v.denominator) for v in values]
     num = [[0] * q for _ in range(p)]
     coff = q - m
@@ -337,9 +325,11 @@ def stack(mats: Sequence[Mat]) -> Mat:
 
 def kernel(a: Mat) -> list[Mat]:
     """The canonical basis of {x : A x = 0} as 1 x cols rows, one per free
-    column of A, which holds 1 there and 0 at the other free columns."""
-    d, basis = linear.nullspace(a.num, a.cols)
-    return [_normal(1, a.cols, d, (tuple(v),)) for v in basis]
+    column of A, which holds 1 there and 0 at the other free columns: each
+    `linear.nullspace` vector over its last nonzero entry, its free one."""
+    return [_normal(1, a.cols, next(v for v in reversed(vec) if v),
+                    (tuple(vec),))
+            for vec in linear.nullspace(a.num, a.cols)]
 
 
 def conjugate(a: Mat, c: Mat) -> Mat:
@@ -391,45 +381,23 @@ def uniform_norm(a: Mat) -> Fraction:
 
 # -- supports ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Support:
-    """Set of 1-based positions at which some matrix of a set is nonzero."""
-
-    n: int
-    positions: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        for (i, j) in self.positions:
-            if not (1 <= i <= self.n and 1 <= j <= self.n):
-                raise ValueError("position out of range")
-
-    def sorted_positions(self) -> list[tuple[int, int]]:
-        return sorted(self.positions)
-
-
-def support(a: Mat) -> Support:
+def support(a: Mat) -> frozenset[tuple[int, int]]:
+    """The 1-based positions of A's nonzero entries."""
     if not a.is_square:
         raise ValueError("support is defined for square matrices")
-    pos = frozenset((i + 1, j + 1)
-                    for i, row in enumerate(a.num)
-                    for j, v in enumerate(row) if v)
-    return Support(a.rows, pos)
+    return frozenset(_support((a.den, a.num)))
 
 
-def support_union(mats: Iterable[Mat]) -> Support:
+def support_union(mats: Iterable[Mat]) -> frozenset[tuple[int, int]]:
+    """The 1-based positions at which some matrix of a nonempty list of
+    square matrices of one size is nonzero."""
     mats = list(mats)
     if not mats:
         raise ValueError("empty set has no support")
     n = mats[0].rows
-    pos: set[tuple[int, int]] = set()
-    for m in mats:
-        if not (m.is_square and m.rows == n):
-            raise ValueError("size mismatch")
-        for i, row in enumerate(m.num):
-            for j, v in enumerate(row):
-                if v:
-                    pos.add((i + 1, j + 1))
-    return Support(n, frozenset(pos))
+    if not all(m.is_square and m.rows == n for m in mats):
+        raise ValueError("size mismatch")
+    return frozenset().union(*[_support((m.den, m.num)) for m in mats])
 
 
 # -- serialization -----------------------------------------------------------
@@ -445,28 +413,12 @@ def mat_to_json(a: Mat) -> dict:
 
 
 def mat_from_json(obj: dict, parsed: dict[str, tuple[int, int]]) -> Mat:
-    """The Mat of a wire matrix.  `parsed` maps each entry string read so
-    far to its `_rational` pair; a loader passes one dict for every matrix
-    of a document, so each distinct string is parsed once per document.
-    An entry that is not a str always goes to `_rational`, which refuses
-    it with a `verify.CertificateError` (a ValueError), so the error names
-    the first bad entry in row-major order, as parsing entry by entry
-    does."""
-    if not (isinstance(obj, dict) and {"rows", "cols", "entries"} <= obj.keys()
-            and isinstance(obj["entries"], list)
-            and all(isinstance(row, list) for row in obj["entries"])):
-        raise ValueError("matrix needs rows, cols and entries, a list of rows")
-    if not (type(obj["rows"]) is int and type(obj["cols"]) is int):
-        raise ValueError("matrix shape must be integers")
-    grid = []
-    for row in obj["entries"]:
-        pairs = []
-        for v in row:
-            pq = parsed.get(v) if type(v) is str else None
-            if pq is None:
-                pq = parsed[v] = _rational(v)
-            pairs.append(pq)
-        grid.append(pairs)
-    den = lcm(*{q for row in grid for _, q in row})
-    return Mat.from_ints(obj["rows"], obj["cols"], den, [
-        [p * (den // q) for p, q in row] for row in grid])
+    """The Mat of a wire matrix, read by the verifier's `_grid`.  `parsed`
+    maps each entry string read so far to its `_rational` pair; a loader
+    passes one dict for every matrix of a document, so each distinct
+    string is parsed once per document.  `_grid` reads `entries` without a
+    guard, so an object that is no dict holding one is refused here."""
+    if not (isinstance(obj, dict) and "entries" in obj):
+        raise ValueError("matrix needs rows, cols and entries")
+    den, num = _grid(obj, parsed)
+    return _mat(obj["rows"], obj["cols"], den, num)

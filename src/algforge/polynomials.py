@@ -19,7 +19,9 @@ The writer of a wire rational lives here, below ``matrices``, whose
 matrix writer uses it (polynomials themselves have no wire form):
 ``wire_rational`` writes the canonical string ``str(Fraction)`` writes
 from an integer over a denominator.  Wire strings are read by the
-verifier's parser, ``verify._rational``, which ``matrices`` binds.
+verifier's matrix reader ``verify._grid``, which ``matrices`` binds.
+Coefficients, points and scalar factors are ints or Fractions (``Poly``
+parses strings too); a float raises TypeError.
 
 Real-root counts and rational roots share one integer Sturm chain and one
 sign-variation counter at dyadic points; rational roots (polynomial in the
@@ -48,8 +50,7 @@ class Poly:
     num: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable[int | str | Fraction] = ()):
-        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c)
-              for c in coeffs]
+        cs = [_exact(c, parse=True) for c in coeffs]
         # The lcm of the reduced denominators leaves no common factor with
         # the scaled numerators, so the result is canonical.
         den = lcm(*[c.denominator for c in cs])
@@ -129,6 +130,8 @@ class Poly:
     def __mul__(self, other: Poly | int | Fraction) -> Poly:
         if isinstance(other, (int, Fraction)):
             return _scaled(self, other.numerator, other.denominator)
+        if not isinstance(other, Poly):
+            return NotImplemented
         a, b = self.num, other.num
         if not a or not b:
             return P_ZERO
@@ -156,7 +159,7 @@ class Poly:
     def __call__(self, x: int | Fraction) -> Fraction:
         """p(x) for x = u / v: the integer sum of num_i u^i v^(k-i) over
         den v^k, where k is the degree."""
-        u, v = x.numerator, x.denominator
+        u, v = _exact(x).as_integer_ratio()
         acc, scale = 0, 1
         for c in reversed(self.num):
             acc = acc * u + c * scale
@@ -203,6 +206,16 @@ class Poly:
                 else:
                     parts.append(f"{c}*x^{i}" if c != 1 else f"x^{i}")
         return " + ".join(parts)
+
+
+def _exact(v, parse: bool = False) -> int | Fraction:
+    """v, an int or a Fraction, or a str `Fraction` reads when parse is
+    set; TypeError for anything else, so no float's binary value enters."""
+    if isinstance(v, (int, Fraction)):
+        return v
+    if parse and isinstance(v, str):
+        return Fraction(v)
+    raise TypeError(f"{v!r} is not an int or a Fraction")
 
 
 def _poly(den: int, num: tuple[int, ...]) -> Poly:

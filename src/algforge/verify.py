@@ -7,9 +7,9 @@ conjugation identities are verified multiplicatively (C * target ==
 source * C with C nonsingular) so no inverse is ever taken on faith.
 Only the standard library is imported at module level.  The engine
 builds on this module's integer kernel, never the other way round: its
-spans are `_Span`s, and it inverts with `_inverse`, parses wire entries
-with `_rational`, and takes `_annihilator` and `_commutator_rows` from
-here.
+spans are `_Span`s, and it reads wire matrices with `_grid`, and takes
+`_canonical`, `_inverse`, `_support`, `_annihilator` (for kernels too),
+`_commutator_rows` and `_is_distinct_diagonal` from here.
 Wire strings parse straight to integers: a matrix is read as a canonical
 grid (den, rows), integer rows over a positive denominator with no common
 factor, so equal matrices have equal grids, and products, differences,

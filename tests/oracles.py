@@ -1093,6 +1093,16 @@ def nullspace(rows, ncols: int) -> list[tuple[Fraction, ...]]:
     return basis
 
 
+def over_last_entry(vec) -> tuple[Fraction, ...]:
+    """An integer kernel vector divided by its last nonzero entry, which
+    must be positive: `linear.nullspace` returns positive multiples of the
+    canonical basis vectors, whose last nonzero entry is the 1 at their
+    free column."""
+    last = next(v for v in reversed(vec) if v)
+    assert last > 0
+    return tuple(Fraction(v, last) for v in vec)
+
+
 def intersect_spans(rows_a, rows_b, n: int) -> list[tuple[Fraction, ...]]:
     """Canonical basis of span(rows_a) intersected with span(rows_b)."""
     if not rows_a or not rows_b:

@@ -426,8 +426,10 @@ _NEEDS = "matrix needs rows, cols and entries"
     ({"n": 2, "basis": 5}, "'basis' must be a list"),
     ({"n": 2, "basis": [5]}, _NEEDS),
     ({"n": 2, "gens": [{"rows": 2, "cols": 2}]}, _NEEDS),
-    ({"n": 1, "gens": [{"rows": 1, "cols": 1, "entries": 5}]}, _NEEDS),
-    ({"n": 1, "gens": [{"rows": 1, "cols": 1, "entries": ["1"]}]}, _NEEDS),
+    ({"n": 1, "gens": [{"rows": 1, "cols": 1, "entries": 5}]},
+     "matrix entries are a int, not a list of rows"),
+    ({"n": 1, "gens": [{"rows": 1, "cols": 1, "entries": ["1"]}]},
+     "matrix row 0 is a str, not a list"),
     ({"basis": []}, "algebra document needs a nonnegative integer 'n'"),
 ], ids=["gens-dict", "basis-int", "matrix-int", "no-entries",
         "entries-int", "row-not-list", "basis-without-n"])

@@ -4,7 +4,9 @@
 sort_keys=True)` and refuse what the CLI never writes.  `cli._doc_sizes`
 and `matrices.mat_from_json` must agree with the readers they replaced,
 which `tests/oracles.py` keeps: a worklist over every JSON value, and one
-parse per entry by the definition of a wire rational.
+parse per entry by the definition of a wire rational.  `mat_from_json`
+must also accept and refuse every wire matrix as the verifier's `_grid`
+does.
 """
 
 import io
@@ -15,9 +17,10 @@ from pathlib import Path
 
 import pytest
 
-from algforge import cli, matrices
+from algforge import cli, matrices, verify
 from algforge.algebra import algebra_from_json, algebra_to_json, generate
 from algforge.matrices import Mat, mat_from_json, mat_to_json
+import corpus
 from oracles import (per_entry_mat_from_json, random_mat, random_unimodular,
                      worklist_doc_sizes)
 
@@ -190,33 +193,98 @@ def _error(load, wire) -> str:
     return str(info.value)
 
 
-@pytest.mark.parametrize("bad", [3, "2/4", "1e5", ["1"], "01", "1/1", True,
-                                 None, 1.5])
+BAD_ENTRIES = [3, "2/4", "1e5", ["1"], "01", "1/1", True, None, 1.5]
+
+
+def _bad_entry_wires(bad) -> list[dict]:
+    """Wires with a second bad entry after the first in row-major order,
+    and another that comes earlier in column-major order."""
+    return [_wire([["1", bad], ["x/2", "0"]]),
+            _wire([["0", "1"], [bad, "0"]]),
+            _wire([["1/2", "0", bad], ["1/2", "1/2", "1/0"]])]
+
+
+@pytest.mark.parametrize("bad", BAD_ENTRIES)
 def test_mat_from_json_names_the_first_bad_entry(bad):
-    # a second bad entry after the first in row-major order, and another
-    # that comes earlier in column-major order
-    wires = [_wire([["1", bad], ["x/2", "0"]]),
-             _wire([["0", "1"], [bad, "0"]]),
-             _wire([["1/2", "0", bad], ["1/2", "1/2", "1/0"]])]
     warm = {"1": (1, 1), "0": (0, 1), "1/2": (1, 2)}
-    for wire in wires:
+    for wire in _bad_entry_wires(bad):
         want = _error(per_entry_mat_from_json, wire)
         assert repr(bad) in want
         assert _error(lambda w: mat_from_json(w, {}), wire) == want
         assert _error(lambda w: mat_from_json(w, dict(warm)), wire) == want
 
 
-@pytest.mark.parametrize("wire", [
+MALFORMED_SHAPES = [
     {"rows": 2, "cols": 2, "entries": [["1", "0"]]},
     {"rows": 1, "cols": 2, "entries": [["1"]]},
     {"rows": True, "cols": 1, "entries": [["1"]]},
     {"rows": 1, "cols": 1, "entries": ["1"]},
     {"rows": 1, "cols": 1},
     [["1"]],
-], ids=["short", "ragged", "bool-shape", "flat", "no-entries", "not-a-dict"])
+]
+
+
+@pytest.mark.parametrize("wire", MALFORMED_SHAPES, ids=[
+    "short", "ragged", "bool-shape", "flat", "no-entries", "not-a-dict"])
 def test_mat_from_json_refuses_malformed_shapes_as_the_oracle(wire):
-    assert (_error(lambda w: mat_from_json(w, {}), wire)
-            == _error(per_entry_mat_from_json, wire))
+    """The oracle refuses each wire with a ValueError, and so does the
+    engine: with the verifier's `_grid` message, or, where `_grid` would
+    read a missing `entries`, with its own."""
+    _error(per_entry_mat_from_json, wire)
+    got = _error(lambda w: mat_from_json(w, {}), wire)
+    if isinstance(wire, dict) and "entries" in wire:
+        assert got == _error(lambda w: verify._grid(w, {}), wire)
+    else:
+        assert got == "matrix needs rows, cols and entries"
+
+
+def _wire_matrices(obj):
+    """Every dict with an `entries` key inside a JSON value."""
+    todo = [obj]
+    while todo:
+        obj = todo.pop()
+        if isinstance(obj, dict):
+            if "entries" in obj:
+                yield obj
+            todo += obj.values()
+        elif isinstance(obj, list):
+            todo += obj
+
+
+def _read(read, wire, parsed):
+    """What a reader gives: its grid and shape, or its refusal's message."""
+    try:
+        m = read(wire, parsed)
+    except ValueError as exc:
+        return str(exc)
+    return m if type(m) is tuple else ((m.den, m.num), (m.rows, m.cols))
+
+
+def test_mat_from_json_accepts_exactly_what_grid_accepts():
+    """Over this module's wires and every wire matrix of the verifier's
+    corpus, tampered documents included, the engine's reader accepts a
+    matrix exactly when the verifier's `_grid` does, with the same grid,
+    and otherwise refuses it with the same message.  Each document's
+    matrices share one parse cache, as a loader's do."""
+    rng = random.Random(35)
+    documents = [[mat_to_json(random_mat(rng, rng.randrange(5)))
+                  for _ in range(20)], MALFORMED_SHAPES, HIDDEN]
+    documents += [_bad_entry_wires(bad) for bad in BAD_ENTRIES]
+    documents += corpus.documents().values()
+    refused = 0
+    for doc in documents:
+        engine: dict = {}
+        verifier: dict = {}
+        for wire in _wire_matrices(doc):
+            got = _read(mat_from_json, wire, engine)
+            grid = _read(verify._grid, wire, verifier)
+            if type(grid) is str:
+                refused += 1
+                assert got == grid
+            else:
+                assert got == (grid, (wire["rows"], wire["cols"]))
+        assert engine == verifier
+    assert refused > 20
 
 
 def _distinct_entries(mats) -> set:
@@ -225,13 +293,13 @@ def _distinct_entries(mats) -> set:
 
 def _count_parses(monkeypatch) -> list:
     calls = []
-    real = matrices._rational
+    real = verify._rational
 
     def counting(s):
         calls.append(s)
         return real(s)
 
-    monkeypatch.setattr(matrices, "_rational", counting)
+    monkeypatch.setattr(verify, "_rational", counting)
     return calls
 
 

@@ -158,11 +158,11 @@ def test_commutator_examples():
 
 
 def test_support():
-    assert support(identity(2)).positions == frozenset({(1, 1), (2, 2)})
-    assert support(ones(2)).positions == frozenset(
+    assert support(identity(2)) == frozenset({(1, 1), (2, 2)})
+    assert support(ones(2)) == frozenset(
         {(1, 1), (1, 2), (2, 1), (2, 2)})
     got = support_union([matrix_unit(2, 1, 2), matrix_unit(2, 2, 1)])
-    assert got.positions == frozenset({(1, 2), (2, 1)})
+    assert got == frozenset({(1, 2), (2, 1)})
 
 
 def test_mat_json_round_trip():
@@ -175,3 +175,32 @@ def test_mat_json_round_trip():
 @given(st.integers(2, 5))
 def test_ones_squares_to_scaled_ones(n):
     assert ones(n) @ ones(n) == n * ones(n)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Mat(1, 1, [[0.1]]),
+    lambda: Mat.from_rows([[0.1]]),
+    lambda: identity(2) * 0.1,
+    lambda: 0.1 * identity(2),
+    lambda: Poly([0.1]),
+    lambda: Poly.of(0.1),
+    lambda: Poly.from_coeffs([0.1]),
+    lambda: Poly.of(1) * 0.1,
+    lambda: 0.1 * Poly.of(1),
+    lambda: Mat(1, 1, [["1/10"]]),
+    lambda: jordan_cell(2, 0.1),
+    lambda: regular_triangular(2, 2, [1, 0.1]),
+    lambda: Poly.of(1, 1)(0.1),
+], ids=["Mat", "Mat.from_rows", "Mat*", "*Mat", "Poly", "Poly.of",
+        "Poly.from_coeffs", "Poly*", "*Poly", "Mat-str", "jordan_cell",
+        "regular_triangular", "Poly-at"])
+def test_no_float_enters_the_exact_types(build):
+    """0.1 is 3602879701896397 / 2^55 in binary, not 1/10: every entry
+    point refuses a float with a TypeError instead of building that."""
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_a_poly_scales_by_an_int_or_a_fraction():
+    assert Poly.of(2) * F(1, 10) == F(1, 10) * Poly.of(2) == Poly(["1/5"])
+    assert 3 * Poly.of(F(1, 3), 1) == Poly.of(1, 3)

@@ -16,12 +16,12 @@ from math import gcd
 
 import pytest
 
-from algforge import linear, matrices, verify
+from algforge import constructions, linear, matrices, verify
 from algforge.algebra import algebra_direct_sum, conjugate_algebra, generate
 from algforge.linear import EchelonSpan
 from algforge.matrices import Mat, identity
 from algforge.verify import _Span
-from oracles import (gauss_jordan, incidence_algebra,
+from oracles import (gauss_jordan, incidence_algebra, over_last_entry,
                      product_conjugate_algebra, random_mat, random_pattern,
                      random_unimodular, span_rows_mats)
 from reference import _insert, _reduce
@@ -139,7 +139,11 @@ def test_back_reduction_divides_out_the_pivot_gcd_before_combining(
 def test_the_engine_runs_the_verifiers_kernel():
     assert EchelonSpan.__dict__["add"] is _Span.add
     assert EchelonSpan.__dict__["contains"] is _Span.contains
-    assert matrices._rational is verify._rational
+    assert matrices._grid is verify._grid
+    assert matrices._canonical is verify._canonical
+    assert matrices._support is verify._support
+    assert linear._annihilator is verify._annihilator
+    assert constructions._is_distinct_diagonal is verify._is_distinct_diagonal
 
 
 def kernel_matrix(rng, rows, cols):
@@ -166,7 +170,7 @@ def test_routines_match_fraction_elimination():
 
         assert linear.rank(a) == len(gauss_jordan(a, n))
 
-        d, kernel = linear.nullspace(a, n)
+        kernel = linear.nullspace(a, n)
         pivots = rref_pivots(a, n)
         free = [j for j in range(n) if j not in pivots]
         assert len(kernel) == len(free)
@@ -174,7 +178,7 @@ def test_routines_match_fraction_elimination():
             want = [F(int(j == fc)) for j in range(n)]
             for pc, row in pivots.items():
                 want[pc] = -row[fc]
-            assert [F(x, d) for x in v] == want
+            assert list(over_last_entry(v)) == want
 
         sol = linear.solve(a, b)
         augmented = rref_pivots([[*r, bv] for r, bv in zip(a, b)], n + 1)

@@ -13,6 +13,10 @@ seed and are fully reproducible.
 Every similarity onto the flat idempotent ones(n)/n for a simple
 eigenvalue comes from `_flat_similarity`: two eigenvectors give C and
 C^{-1} in closed form, with no projector and no Gauss-Jordan run.
+`classify_positive_generation` reuses the single-generator step
+`_positive_shift` when its witness generates the algebra (dim A = n and
+a squarefree characteristic polynomial), and emits that one positive
+generator in place of the d + 1 shifted basis matrices.
 """
 
 from __future__ import annotations
@@ -747,29 +751,58 @@ def _candidates(a: Algebra, budget: int, seed: int) -> Iterator[Mat]:
         yield combo
 
 
+def _is_scalar(m: Mat) -> bool:
+    """Whether the square matrix M is cI for some c (0 included)."""
+    c = m.num[0][0]
+    return all(v == (c if i == j else 0)
+               for i, row in enumerate(m.num) for j, v in enumerate(row))
+
+
 def classify_positive_generation(a: Algebra, budget: int = 64,
                                  seed: int = 0) -> Certificate | None:
     """Semi-decision for positive generation up to similarity.
 
     Tests every basis element and `budget` seeded random rational
     combinations for a simple real eigenvalue, counted with the rational
-    ones on one Sturm chain.  A hit with a rational simple eigenvalue
-    yields a full positive-generation certificate, whose C and C^{-1} come
-    from `_flat_similarity`; an irrational hit yields an existence-only
-    witness.  Returns None
+    ones on one Sturm chain.  For n > 1 a scalar candidate cI is skipped
+    before its characteristic polynomial is formed: (t - c)^n has no
+    simple root.  A hit x with a rational simple eigenvalue lam yields a
+    full positive-generation certificate, with C from `_flat_similarity`,
+    whose outputs generate C^{-1} A C:
+    - when dim A = n and chi(x) is squarefree, one output, the shift
+      C^{-1} (x + beta E) C > 0 of `_positive_shift`, with E the spectral
+      projector of lam.  It generates C^{-1} A C: chi(x) has n distinct
+      roots, so I, x, ..., x^(n-1) are independent and dim <x> = n =
+      dim A, with <x> in the unital A, so <x> = A.  beta >= 2 rho + 1,
+      for rho the largest absolute row sum of x, which bounds every
+      eigenvalue, so lam + beta >= rho + 1 > |mu| for each other
+      eigenvalue mu: x + beta E is a polynomial in x with n distinct
+      eigenvalues, so <x + beta E> = <x> = A.  Classify closes nothing to
+      check this; the verifier re-checks the claim like any other;
+    - otherwise d + 1 outputs, the conjugated basis shifted by the flat
+      idempotent ones(n)/n, and that idempotent, whose span holds the
+      conjugated basis (`positive_generators_from_positive`).
+    An irrational hit yields an existence-only witness.  Returns None
     (unknown) otherwise -- never a definite 'no'.
     """
+    n = a.n
     for x in _candidates(a, budget, seed):
-        count, simple_rationals = _squarefree_roots(
-            multiplicity_one_part(char_poly(x)))
+        if n > 1 and _is_scalar(x):
+            continue
+        simple = multiplicity_one_part(char_poly(x))
+        count, simple_rationals = _squarefree_roots(simple)
         if not count:
             continue
         if simple_rationals:
             # a root of the multiplicity-one part is simple in char_poly(x)
-            c = _flat_similarity(x, simple_rationals[0])
-            conj_alg = conjugate_algebra(a, c)
-            gens = positive_generators_from_positive(conj_alg,
-                                                     _flat_idempotent(a.n))
+            lam = simple_rationals[0]
+            if a.dim == n and simple.degree == n:
+                c, positive = _positive_shift(x, lam)
+                gens = [positive]
+            else:
+                c = _flat_similarity(x, lam)
+                gens = positive_generators_from_positive(
+                    conjugate_algebra(a, c), _flat_idempotent(n))
             props = [prop_in_algebra("in:witness", "in:algebra")]
             props += [prop_positive(f"out:{i}") for i in range(len(gens))]
             props.append(prop_generate_equal_conjugated(

@@ -383,6 +383,21 @@ def _extra_documents():
     rotation = copy.deepcopy(witness)
     rotation["outputs"][0] = mat_to_json(Mat.from_rows([[0, -1], [1, 0]]))
     yield "simple-real-eigenvalue-rotation", rotation
+    # a singly generated algebra whose witness has a squarefree
+    # characteristic polynomial: one positive output generates C^{-1} A C
+    single = classify_positive_generation(generate(3, [Mat.from_rows(
+        [[1, 1, 0], [0, 0, 2], [0, 1, 0]])])).to_json()
+    assert len(single["outputs"]) == 1
+    yield "one-output", single
+    raised = copy.deepcopy(single)
+    row = raised["outputs"][0]["entries"][0]
+    row[0] = str(Fraction(row[0]) + 1)
+    yield "one-output-raised", raised
+    yield "one-output-identity-C", dict(copy.deepcopy(single),
+                                        C=mat_to_json(identity(3)))
+    outside = copy.deepcopy(single)
+    outside["inputs"]["witness"] = mat_to_json(matrix_unit(3, 3, 1))
+    yield "one-output-witness-outside", outside
     # a direct-sum certificate whose tampered copies still verify: no
     # claim fixes the properties a certificate must assert, and the stored
     # sum is read only by the properties that name it

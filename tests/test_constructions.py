@@ -28,7 +28,8 @@ from algforge.incidence import (IncidencePattern, incidence_of_dimension,
 from algforge.matrices import (Mat, conjugate, direct_sum, identity,
                                is_nonneg, is_positive, jordan_cell, ones,
                                support, uniformizer, uniformizer_inv, zero)
-from algforge.polynomials import Poly, rational_roots
+from algforge.polynomials import (Poly, multiplicity_one_part,
+                                  rational_roots)
 from algforge.spectral import (JordanSpec, char_poly, eigenvalue_multiplicity,
                                rational_spectral_projector)
 from algforge.verify import verify_certificate, verify_document
@@ -798,6 +799,78 @@ def test_classify_positive_generation():
     cert = classify_positive_generation(sqrt2, budget=8, seed=0)
     assert cert is not None and cert.claim == "simple-real-eigenvalue-witness"
     assert verify_certificate(cert) == []
+
+
+def _planted_generator(rng, n):
+    """A unimodular conjugate of [lam] (+) the companion block of a degree
+    n - 1 polynomial that is Eisenstein at 2: lam is the only rational
+    eigenvalue, and the characteristic polynomial is squarefree."""
+    coeffs = [2 * (2 * rng.randint(-2, 1) + 1)]
+    coeffs += [2 * rng.randint(-2, 2) for _ in range(n - 2)] + [1]
+    m = direct_sum([Mat.from_rows([[rng.randint(-3, 3)]]),
+                    companion(Poly.of(*coeffs))])
+    return conjugate(m, random_unimodular(rng, n))
+
+
+def test_classify_single_generator_emits_one_positive_output():
+    # dim A = n for each planted generator, so the witness alone decides
+    # the branch: one output exactly when its characteristic polynomial
+    # is squarefree
+    one = 0
+    for seed in range(24):
+        n = 3 + seed % 3
+        a = generate(n, [_planted_generator(random.Random(seed), n)])
+        cert = classify_positive_generation(a)
+        assert a.dim == n and cert.claim == "positive-generation"
+        assert verify_certificate(cert) == []
+        squarefree = multiplicity_one_part(
+            char_poly(cert.inputs["witness"])).degree == n
+        assert len(cert.outputs) == (1 if squarefree else n + 1)
+        if squarefree:
+            one += 1
+            assert is_positive(cert.outputs[0])
+            assert generate(n, cert.outputs) == conjugate_algebra(
+                a, cert.transform)
+    # seeds 0, 9 and 14 hit a witness with a repeated eigenvalue first
+    assert one == 21
+    # n = 1: the witness [1] generates the algebra alone
+    cert = classify_positive_generation(generate(1, []))
+    assert len(cert.outputs) == 1 and verify_certificate(cert) == []
+
+
+def test_classify_keeps_d_plus_one_outputs_otherwise():
+    # the witness E_11 of <diag(1, 2, 3)> has the repeated eigenvalue 0,
+    # R (+) <J_2(1)> has no witness with a squarefree characteristic
+    # polynomial, and M_2 has dimension 4 > 2
+    r_j2 = algebra_direct_sum(generate(1, []), generate(2, [jordan_cell(2, 1)]))
+    for alg in (generate(3, [diag(1, 2, 3)]), r_j2, M2):
+        cert = classify_positive_generation(alg, budget=16, seed=0)
+        assert cert.claim == "positive-generation"
+        assert len(cert.outputs) == alg.dim + 1
+        assert verify_certificate(cert) == []
+
+
+def test_classify_skips_scalar_candidates(monkeypatch):
+    seen = []
+
+    def counted(x):
+        seen.append(x)
+        return char_poly(x)
+
+    def scalar(x):
+        return x == x.data[0][0] * identity(x.rows)
+
+    monkeypatch.setattr(constructions, "char_poly", counted)
+    for alg in (M2, T2, C_LIKE, generate(3, [diag(1, 2, 3)])):
+        classify_positive_generation(alg, budget=16, seed=0)
+    assert seen and not any(map(scalar, seen))
+    # span{I} has only scalars: none reaches char_poly, and none is a hit
+    seen.clear()
+    assert classify_positive_generation(generate(2, []), budget=16) is None
+    assert not seen
+    # for n = 1 the scalar [1] is the hit
+    assert classify_positive_generation(generate(1, [])) is not None
+    assert seen == [identity(1)]
 
 
 def test_classify_deterministic():

@@ -54,6 +54,8 @@ DATA = Path(__file__).parent / "data"
      "single-generator-covering.json"),
     (["algebra-classify", "single-generator-gens.json"],
      "single-generator-classify.json"),
+    (["algebra-classify", "single-generator-positive-gens.json"],
+     "single-generator-positive-classify.json"),
 ])
 def test_cli_output_is_byte_identical(argv, expected, capsys):
     argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]

@@ -29,8 +29,7 @@ from .matrices import (Mat, conjugate, direct_sum, identity, inverse,
                        support, support_union, uniform_norm, uniformizer,
                        uniformizer_inv, zero)
 from .polynomials import (Poly, multiplicity_one_part, poly_gcd,
-                          rational_roots, squarefree_decomposition,
-                          sturm_real_root_count)
+                          rational_roots, sturm_real_root_count)
 from .spectral import (JordanSpec, char_poly, has_simple_real_eigenvalue,
                        rational_spectral_projector, spectral_radius_bound)
 from .verify import verify_certificate, verify_document

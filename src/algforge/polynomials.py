@@ -299,34 +299,19 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     return _normal(a[-1], a)
 
 
-def squarefree_decomposition(p: Poly) -> list[Poly]:
-    """Yun decomposition of a nonzero p: returns monic [a1, a2, ...] with
-    p ~ prod a_i^i and each a_i squarefree, pairwise coprime."""
+def multiplicity_one_part(p: Poly) -> Poly:
+    """Monic divisor of a nonzero p whose roots are exactly the
+    multiplicity-1 roots of p (over the complex numbers).
+
+    With g = gcd(p, p'), s = p / g has every root of p once, and
+    gcd(s, g) every root of multiplicity at least 2 once, so s / gcd(s, g)
+    has the simple roots once."""
     if p.is_zero:
         raise ValueError("zero polynomial")
     p = p.monic()
-    if p.degree == 0:
-        return []
-    dp = p.derivative()
-    a = poly_gcd(p, dp)
-    b = p // a
-    c = dp // a
-    d = c - b.derivative()
-    out: list[Poly] = []
-    while b.degree > 0:
-        g = poly_gcd(b, d) if not d.is_zero else b.monic()
-        out.append(g)
-        b = b // g
-        c = d // g
-        d = c - b.derivative()
-    return out
-
-
-def multiplicity_one_part(p: Poly) -> Poly:
-    """Monic divisor of p whose roots are exactly the multiplicity-1 roots
-    of p (over the complex numbers)."""
-    dec = squarefree_decomposition(p)
-    return dec[0] if dec else P_ONE
+    g = poly_gcd(p, p.derivative())
+    s = p // g
+    return s // poly_gcd(s, g)
 
 
 def _sturm_chain(p: Poly) -> tuple[list[list[int]], int]:

@@ -9,7 +9,8 @@
 - "one-matrix" (`ONE_MATRIX`): one-matrix generation claims, plain and
   conjugated, true and tampered.
 - "bench": one library pass of each benchmark workload, for each seed.
-- "extra" (`EXTRA`): documents the sets above miss.
+- "extra" (`EXTRA`): documents the sets above miss, among them
+  semi-commuting pairs that break one hypothesis of the generation lemma.
 - "fuzz": seeded structural mutations of every golden: a value replaced,
   a key or item deleted, a list extended, or a value replaced by a copy
   of a sibling.
@@ -29,7 +30,9 @@ from pathlib import Path
 from algforge.algebra import generate
 from algforge.constructions import (classify_positive_generation,
                                     direct_sum_nonneg_covering,
+                                    semicommuting_pair,
                                     single_generator_nonneg)
+from algforge.incidence import incidence_of_dimension
 from algforge.matrices import (Mat, conjugate, direct_sum, identity,
                                jordan_cell, mat_to_json, zero)
 from algforge.verify import verify_document
@@ -488,7 +491,30 @@ def _extra_documents():
             "properties": [dict(kind=kind, **fields)]}
 
 
-EXTRA = list(_extra_documents())
+def _broken_pairs():
+    """The pair of a 3 x 3 pattern with one hypothesis of the generation
+    lemma broken, so the verifier decides its claim in full: a repeated
+    diagonal entry, D off the diagonal, A short of a strict unit, A with a
+    unit outside the pattern, and a pair one size larger than the
+    pattern."""
+    pattern = incidence_of_dimension(3, 5)
+    a, d, cert = semicommuting_pair(pattern)
+    missing = min(pattern.strict())
+    extra = next((i, j) for i in range(1, 4) for j in range(1, 4)
+                 if (i, j) not in pattern.positions)
+    for name, bad_d, bad_a in (
+            ("repeated-diagonal", diag(3, 3, 1), a),
+            ("off-diagonal", d + matrix_unit(3, 1, 2), a),
+            ("missing-unit", d, a - matrix_unit(3, *missing)),
+            ("extra-unit", d, a + matrix_unit(3, *extra)),
+            ("too-big", direct_sum([d, zero(1)]),
+             direct_sum([a, identity(1)]))):
+        doc = cert.to_json()
+        doc["outputs"] = [mat_to_json(bad_d), mat_to_json(bad_a)]
+        yield f"pair-{name}", doc
+
+
+EXTRA = list(_extra_documents()) + list(_broken_pairs())
 
 
 # -- structural mutations of the goldens -----------------------------------------

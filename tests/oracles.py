@@ -22,7 +22,9 @@ integer-row engine replaced; the
 semi-commuting pair of a pattern that is not upper-triangular by
 conjugating the triangularized pattern's pair back; a pattern's
 transitivity by the pairwise loop over its positions; rational roots by
-refining each isolated root on the whole Sturm chain; an algebra's
+refining each isolated root on the whole Sturm chain; the
+multiplicity-one part of a polynomial by Yun's squarefree decomposition
+instead of two gcds; an algebra's
 conjugate and basis matrices by normalized `Mat` products and Fraction
 rows of length n^2; and the CLI's document sizes and
 wire matrices by a worklist over every JSON value and by parsing every
@@ -373,7 +375,7 @@ def conjugated_pair(p):
     from algforge.certificates import (Certificate, prop_dimension,
                                        prop_nonneg, prop_semi_commuting,
                                        prop_spans_pattern)
-    from algforge.constructions import _check_pair_generates, _pattern_sum
+    from algforge.constructions import _pattern_sum
     from algforge.incidence import triangularize_incidence
     from algforge.matrices import conjugate, direct_sum, permutation_matrix
     n = p.n
@@ -389,7 +391,6 @@ def conjugated_pair(p):
     comm = commutator(d, a)
     if not is_nonneg(a) or not is_nonneg(d) or not is_nonneg(comm):
         raise ArithmeticError("pair construction lost nonnegativity")
-    _check_pair_generates(p, a, d)
     cert = Certificate(
         claim="semicommuting-incidence-pair",
         inputs={"pattern": p},
@@ -829,6 +830,32 @@ def projector_uniformizer(e: Mat) -> Mat:
     c1 = stack([u.transpose(), *kernel(v)]).transpose()
     swap = permutation_matrix([n - 1] + list(range(1, n - 1)) + [0])
     return c1 @ swap @ uniformizer(n)
+
+
+# -- Yun's squarefree decomposition --------------------------------------------
+
+def squarefree_decomposition(p: Poly) -> list[Poly]:
+    """Yun decomposition of a nonzero p: returns monic [a1, a2, ...] with
+    p ~ prod a_i^i and each a_i squarefree, pairwise coprime; a1 is the
+    reference for `multiplicity_one_part`."""
+    if p.is_zero:
+        raise ValueError("zero polynomial")
+    p = p.monic()
+    if p.degree == 0:
+        return []
+    dp = p.derivative()
+    a = poly_gcd(p, dp)
+    b = p // a
+    c = dp // a
+    d = c - b.derivative()
+    out: list[Poly] = []
+    while b.degree > 0:
+        g = poly_gcd(b, d) if not d.is_zero else b.monic()
+        out.append(g)
+        b = b // g
+        c = d // g
+        d = c - b.derivative()
+    return out
 
 
 # -- rational roots refined on the whole Sturm chain -------------------------

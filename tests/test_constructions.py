@@ -7,8 +7,7 @@ from algforge import constructions, linear
 from algforge.algebra import (algebra_direct_sum, centralizer,
                               conjugate_algebra, generate, generates,
                               nonneg_covering_exists)
-from algforge.constructions import (_check_pair_generates,
-                                    blockwise_rank1_nonneg_covering,
+from algforge.constructions import (blockwise_rank1_nonneg_covering,
                                     central_eigenvalue_split,
                                     centralizer_covering,
                                     classify_positive_generation,
@@ -23,6 +22,7 @@ from algforge.constructions import (_check_pair_generates,
                                     single_generator_nonneg,
                                     solve_all_dimensions,
                                     uniformize_rank1_idempotent)
+from algforge.cli import _build_parser
 from algforge.incidence import (IncidencePattern, incidence_of_dimension,
                                 triangularize_incidence)
 from algforge.matrices import (Mat, conjugate, direct_sum, identity,
@@ -353,6 +353,11 @@ def test_blockwise_rank1_nonneg_covering():
     with pytest.raises(ValueError):
         blockwise_rank1_nonneg_covering(
             [M2, M2], [zero(2), matrix_unit(2, 1, 1)])
+    # a rank-1 idempotent outside the diagonal algebra is refused as input,
+    # not left for the verifier to refuse (ArithmeticError)
+    with pytest.raises(ValueError, match="part is not in its block algebra"):
+        blockwise_rank1_nonneg_covering([generate(2, [diag(1, 2)])],
+                                        [Mat.from_rows([[1, 1], [0, 0]])])
 
 
 # -- centralizers and centers ----------------------------------------------------
@@ -714,23 +719,6 @@ def test_semicommuting_pair_generates_its_pattern():
     assert relabelled >= 20
 
 
-def test_pair_check_rejects_broken_hypotheses():
-    pat = incidence_of_dimension(3, 5)
-    a, d, _ = semicommuting_pair(pat)
-    _check_pair_generates(pat, a, d)
-    missing = next(iter(pat.strict()))
-    extra = next((i, j) for i in range(1, 4) for j in range(1, 4)
-                 if (i, j) not in pat.positions)
-    for bad_a, bad_d in [
-            (a, diag(3, 3, 1)),
-            (a, d + matrix_unit(3, 1, 2)),
-            (a - matrix_unit(3, *missing), d),
-            (a + matrix_unit(3, *extra), d),
-            (direct_sum([a, identity(1)]), direct_sum([d, zero(1)]))]:
-        with pytest.raises(ArithmeticError):
-            _check_pair_generates(pat, bad_a, bad_d)
-
-
 def test_semicommuting_pair_matches_the_conjugated_construction():
     """One path for every pattern gives the pair and the certificate that
     relabelling, building and conjugating back gave: every staircase
@@ -848,6 +836,23 @@ def test_classify_keeps_d_plus_one_outputs_otherwise():
         assert cert.claim == "positive-generation"
         assert len(cert.outputs) == alg.dim + 1
         assert verify_certificate(cert) == []
+
+
+def test_classify_draws_the_basis_and_64_combinations_by_default(
+        monkeypatch):
+    # no member of <[[0, 1], [-1, 0]]> has a real eigenvalue, so classify
+    # draws every candidate of its default budget
+    drawn = []
+    real = constructions._candidates
+
+    def counted(a, budget, seed):
+        for x in real(a, budget, seed):
+            drawn.append(x)
+            yield x
+    monkeypatch.setattr(constructions, "_candidates", counted)
+    assert classify_positive_generation(C_LIKE) is None
+    assert len(drawn) == C_LIKE.dim + 64 == 66
+    assert _build_parser().parse_args(["algebra-classify"]).budget == 64
 
 
 def test_classify_skips_scalar_candidates(monkeypatch):

@@ -20,12 +20,12 @@ from algforge.linear import invert
 from algforge.matrices import Mat, identity, inverse, poly_at, zero
 from algforge.polynomials import (P_ZERO, Poly, multiplicity_one_part,
                                   poly_gcd, root_multiplicity,
-                                  squarefree_decomposition,
                                   sturm_real_root_count)
 from algforge.spectral import char_poly
 from oracles import (FractionPoly, faddeev_char_poly, fraction_min_poly,
                      fraction_poly_gcd, gauss_jordan, hessenberg_char_poly,
-                     poly_from_roots, poly_xgcd, random_mat)
+                     poly_from_roots, poly_xgcd, random_mat,
+                     squarefree_decomposition)
 
 F = Fraction
 

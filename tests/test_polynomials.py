@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -7,11 +8,12 @@ from hypothesis import strategies as st
 
 from algforge.polynomials import (P_ONE, Poly, _squarefree_roots,
                                   _sturm_chain, multiplicity_one_part,
-                                  poly_gcd,
-                                  rational_roots, squarefree_decomposition,
+                                  poly_gcd, rational_roots,
                                   sturm_real_root_count)
+from algforge.spectral import char_poly
 from oracles import (bisection_real_root_count, full_chain_rational_roots,
-                     poly_crt, poly_from_roots, poly_xgcd)
+                     poly_crt, poly_from_roots, poly_xgcd, random_mat,
+                     squarefree_decomposition)
 
 X = Poly.of(0, 1)
 
@@ -300,6 +302,30 @@ def test_yun_rebuilds_products_of_linear_factors(roots):
     # the multiplicity-one part has exactly the roots appearing once
     once = sorted(r for r in set(roots) if roots.count(r) == 1)
     assert multiplicity_one_part(p) == poly_from_roots(once)
+
+
+def test_multiplicity_one_part_is_yuns_first_factor():
+    """Two gcds give the first factor of Yun's decomposition: on every
+    characteristic polynomial of a 2 x 2 matrix with entries -2..2, on
+    seeded rational matrices of size 1 to 6, and on planted products of
+    linear and quadratic factors with multiplicities 1 to 3."""
+    polys = [Poly.of(a * d - b * c, -a - d, 1)
+             for a, b, c, d in product(range(-2, 3), repeat=4)]
+    rng = random.Random(5)
+    polys += [char_poly(random_mat(rng, rng.randint(1, 6), height=5,
+                                   max_den=3)) for _ in range(300)]
+    for _ in range(200):
+        planted = Poly.of(rng.randint(1, 3))
+        for _ in range(rng.randint(1, 4)):
+            factor = rng.choice((Poly.of(rng.randint(-4, 4), 1),
+                                 Poly.of(rng.randint(-4, 4), 0, 1)))
+            planted = planted * factor ** rng.randint(1, 3)
+        polys.append(planted)
+    for p in polys:
+        dec = squarefree_decomposition(p)
+        assert multiplicity_one_part(p) == (dec[0] if dec else P_ONE)
+    with pytest.raises(ValueError):
+        multiplicity_one_part(Poly())
 
 
 @given(st.lists(st.integers(-6, 6), min_size=1, max_size=5))

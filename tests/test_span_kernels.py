@@ -16,7 +16,7 @@ from math import gcd
 
 import pytest
 
-from algforge import constructions, linear, matrices, verify
+from algforge import linear, matrices, verify
 from algforge.algebra import algebra_direct_sum, conjugate_algebra, generate
 from algforge.linear import EchelonSpan
 from algforge.matrices import Mat, identity
@@ -143,7 +143,6 @@ def test_the_engine_runs_the_verifiers_kernel():
     assert matrices._canonical is verify._canonical
     assert matrices._support is verify._support
     assert linear._annihilator is verify._annihilator
-    assert constructions._is_distinct_diagonal is verify._is_distinct_diagonal
 
 
 def kernel_matrix(rng, rows, cols):

@@ -8,6 +8,8 @@ All output is JSON with rationals as canonical strings; fixed inputs and
 bytes of `json.dumps(obj, indent=2, sort_keys=True)`, built with the C
 string encoder in place of the stdlib's pure-Python indenting encoder.
 Exit codes: 0 success, 1 certificate verification failure, 2 usage error.
+Only the verifier is imported at module level; each verb that constructs
+imports the engine modules it uses, so `verify` loads no engine code.
 """
 
 from __future__ import annotations
@@ -19,13 +21,6 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii as _encode_str
 
-from .algebra import (Algebra, algebra_from_json, algebra_to_json,
-                      covering_matrix, generate, nonneg_covering_exists)
-from .constructions import (classify_positive_generation, semicommuting_pair,
-                            solve_all_dimensions)
-from .incidence import (incidence_of_dimension, pattern_from_json,
-                        pattern_to_json)
-from .matrices import mat_from_json, mat_to_json
 from .verify import verify_document
 
 DEFAULT_MAX_DIM = 16
@@ -129,10 +124,12 @@ def _load_json(path: str | None):
         raise UsageError("invalid JSON: nested too deeply")
 
 
-def _load_algebra_like(doc) -> Algebra:
+def _load_algebra_like(doc):
     """Accept either an algebra document or a generator-set document.
     Every size in it is checked against the cap before anything is
     parsed or closed."""
+    from .algebra import algebra_from_json, generate
+    from .matrices import mat_from_json
     if not isinstance(doc, dict):
         raise UsageError("expected a JSON object")
     for size in _doc_sizes(doc):
@@ -172,6 +169,7 @@ def format_table(cert_docs: list[dict], verified: list[bool]) -> str:
 
 
 def _cmd_algebra_generate(args) -> int:
+    from .algebra import algebra_to_json
     alg = _load_algebra_like(_load_json(args.input))
     _dump(algebra_to_json(alg), args.out)
     return 0
@@ -184,6 +182,8 @@ def _cmd_algebra_dim(args) -> int:
 
 
 def _cmd_algebra_covering(args) -> int:
+    from .algebra import covering_matrix, nonneg_covering_exists
+    from .matrices import mat_to_json
     alg = _load_algebra_like(_load_json(args.input))
     cov = covering_matrix(alg)
     nn = nonneg_covering_exists(alg)
@@ -194,6 +194,7 @@ def _cmd_algebra_covering(args) -> int:
 
 
 def _cmd_algebra_classify(args) -> int:
+    from .constructions import classify_positive_generation
     alg = _load_algebra_like(_load_json(args.input))
     cert = classify_positive_generation(alg, budget=args.budget, seed=args.seed)
     if cert is None:
@@ -207,6 +208,7 @@ def _cmd_algebra_classify(args) -> int:
 
 
 def _cmd_incidence_build(args) -> int:
+    from .incidence import incidence_of_dimension, pattern_to_json
     _check_dim(args.n)
     try:
         pattern = incidence_of_dimension(args.n, args.k)
@@ -217,6 +219,8 @@ def _cmd_incidence_build(args) -> int:
 
 
 def _cmd_incidence_pair(args) -> int:
+    from .constructions import semicommuting_pair
+    from .incidence import pattern_from_json
     doc = _load_json(args.input)
     try:
         pattern = pattern_from_json(doc)
@@ -232,6 +236,7 @@ def _cmd_incidence_pair(args) -> int:
 
 
 def _cmd_problem_solve(args) -> int:
+    from .constructions import solve_all_dimensions
     _check_dim(args.n)
     try:
         certs = solve_all_dimensions(args.n)

@@ -214,17 +214,15 @@ def positive_single_generator(a: Mat, lam: int | Fraction) -> tuple[Mat, Mat]:
 
     Raises ValueError unless lam has multiplicity 1 in the characteristic
     polynomial.  `_positive_shift` builds C and C^{-1} B C, positive by
-    construction; B is conjugated back here, and <B> = <A> is checked by
-    closing both.
+    construction; B is conjugated back here.  <B> = <A>, unchecked: B =
+    A + beta E lies in <A>, and its eigenvalue lam + beta is simple and
+    apart from A's others, so E and A = B - beta E lie in <B>.
     """
     lam = Fraction(lam)
     if eigenvalue_multiplicity(char_poly(a), lam) != 1:
         raise ValueError("eigenvalue is not simple (algebraic multiplicity 1)")
     c, conj_b = _positive_shift(a, lam)
-    b = c @ conj_b @ inverse(c)
-    if not generates(generate(a.rows, [a]), [b]):
-        raise ArithmeticError("shift changed the generated algebra")
-    return c, b
+    return c, c @ conj_b @ inverse(c)
 
 
 def _positive_shift(a: Mat, lam: Fraction) -> tuple[Mat, Mat]:
@@ -255,30 +253,25 @@ def scalar_extension_positive_generators(
     The scalar summand receives an eigenvalue above the spectral radius
     bound of the first generator, which makes it simple; the positive-form
     construction then lifts the remaining generators by support-entry
-    shifts.
+    shifts.  Unchecked: <lifted> = R (+) <b_gens>, as lam is no eigenvalue
+    of b_gens[0], so E_11 (+) 0 is a polynomial in lifted[0]; gens > 0, as
+    top is `_positive_shift`'s C^{-1} B C > 0 and `_shifted` makes every
+    other entry at least 1.
     """
     if not b_gens:
         raise ValueError("empty generating set")
     nb = b_gens[0].rows
-    n = nb + 1
+    if not all(g.is_square and g.rows == nb for g in b_gens):
+        raise ValueError("generators must be square of one size")
     lam = spectral_radius_bound(b_gens[0]) + 1
     lifted = [direct_sum([Mat.from_rows([[lam]]), b_gens[0]])]
     for g in b_gens[1:]:
         lifted.append(direct_sum([zero(1), g]))
-    target = algebra_direct_sum(generate(1, []), generate(nb, b_gens))
-    if not generates(target, lifted):
-        raise ArithmeticError("scalar extension failed to split")
     s, b1 = positive_single_generator(lifted[0], lam)
     top = conjugate(b1, s)
-    # _shifted adds multiples of top, so span(gens) = span{top, S^{-1} g S :
-    # g in lifted[1:]} and <gens> = S^{-1} <b1, lifted[1:]> S; with
-    # <b1> = <lifted[0]> (checked by positive_single_generator) and
-    # <lifted> = target (checked above), <gens> = S^{-1} target S without
-    # a closure.
-    gens = [top] + _shifted([conjugate(g, s) for g in lifted[1:]], top)
-    if not all(is_positive(g) for g in gens):
-        raise ArithmeticError("lifted generators are not positive")
-    return s, gens
+    # _shifted adds multiples of top, so <gens> = S^{-1} <b1, lifted[1:]> S,
+    # which is S^{-1} <lifted> S as <b1> = <lifted[0]>.
+    return s, [top] + _shifted([conjugate(g, s) for g in lifted[1:]], top)
 
 
 # -- direct sums ---------------------------------------------------------------

@@ -9,7 +9,10 @@ powers, derivatives and ``monic`` run on the integers and divide out one
 gcd at the end; ``divmod`` pseudo-divides by the divisor's leading
 numerator (Knuth, Algorithm R) and scales back once; ``poly_gcd`` runs the
 primitive polynomial remainder sequence (Collins 1967), dividing each
-pseudo-remainder by its content.  A Fraction is built only where a
+pseudo-remainder by its content.  These integer routines, with the
+multiplicity-one part and the Sturm chain, are the verifier's; the
+functions of those names here are ``Poly`` fronts.  A Fraction is built
+only where a
 caller passes one in or reads one out: ``p.coeffs`` is a read-only
 Fraction view built on first use, and ``leading``, ``p(x)`` and the
 rational roots are Fractions.  Everything is immutable and pure, so values
@@ -37,7 +40,10 @@ from functools import cached_property
 from itertools import zip_longest
 from math import gcd, lcm
 from operator import add, sub
-from typing import Iterable, Sequence
+from typing import Iterable
+
+from .verify import (_at, _multiplicity_one_part, _poly_gcd, _pseudo_divmod,
+                     _sturm_chain, _variations)
 
 
 class Poly:
@@ -248,113 +254,27 @@ def _scaled(p: Poly, m: int, d: int) -> Poly:
     return _normal(p.den * d, [m * v for v in p.num])
 
 
-def _pseudo_divmod(a: Sequence[int],
-                   b: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Integer (Q, R) with lead^e a = Q b + R and len(R) < len(b), where
-    lead = b[-1] and e = len(a) - len(b) + 1 >= 1 (Knuth, Algorithm R).
-    R may have trailing zeros."""
-    n = len(b) - 1
-    lead = b[-1]
-    rem = list(a)
-    quo = [0] * (len(a) - n)
-    for k in range(len(a) - n - 1, -1, -1):
-        c = rem.pop()
-        quo[k] = c * lead ** k
-        if lead != 1:
-            rem = [lead * v for v in rem]
-        if c:
-            for j, v in enumerate(b[:n], k):
-                rem[j] -= c * v
-    return quo, rem
-
-
-def _primitive(num: Sequence[int]) -> list[int]:
-    """num divided by the gcd of its entries (positive), trailing zeros
-    dropped."""
-    out = list(num)
-    while out and not out[-1]:
-        out.pop()
-    g = gcd(*out)
-    return out if g <= 1 else [v // g for v in out]
-
-
 X = Poly.of(0, 1)
 P_ONE = Poly.of(1)
 P_ZERO = Poly()
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic greatest common divisor; not defined when both are zero.
-
-    Primitive remainder sequence on the numerators: each pseudo-remainder
-    is divided by its content, which keeps the integers as small as the
-    remainders' own primitive forms."""
+    """Monic greatest common divisor (`verify._poly_gcd`); not defined
+    when both are zero."""
     if p.is_zero and q.is_zero:
         raise ValueError("gcd of two zero polynomials")
-    a, b = _primitive(p.num), _primitive(q.num)
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        a, b = b, _primitive(_pseudo_divmod(a, b)[1])
-    return _normal(a[-1], a)
+    g = _poly_gcd(p.num, q.num)
+    return _normal(g[-1], g)
 
 
 def multiplicity_one_part(p: Poly) -> Poly:
     """Monic divisor of a nonzero p whose roots are exactly the
-    multiplicity-1 roots of p (over the complex numbers).
-
-    With g = gcd(p, p'), s = p / g has every root of p once, and
-    gcd(s, g) every root of multiplicity at least 2 once, so s / gcd(s, g)
-    has the simple roots once."""
+    multiplicity-1 roots of p (`verify._multiplicity_one_part`)."""
     if p.is_zero:
         raise ValueError("zero polynomial")
-    p = p.monic()
-    g = poly_gcd(p, p.derivative())
-    s = p // g
-    return s // poly_gcd(s, g)
-
-
-def _sturm_chain(p: Poly) -> tuple[list[list[int]], int]:
-    """Sturm chain of a squarefree p, each member as a primitive integer
-    coefficient list (ascending, same sign), and b >= 1 such that every
-    real root of p lies in (-2^b, 2^b)."""
-    ints = [_primitive(p.num)]
-    nxt = _primitive([i * c for i, c in enumerate(ints[0])][1:])
-    while nxt:
-        ints.append(nxt)
-        a = ints[-2]
-        # a mod nxt = R / lead^e, and the next member is -(a mod nxt) up
-        # to a positive factor: -R unless lead^e < 0.
-        rem = _pseudo_divmod(a, nxt)[1]
-        if nxt[-1] > 0 or (len(a) - len(nxt)) % 2:
-            rem = [-v for v in rem]
-        nxt = _primitive(rem)
-    if len(ints[-1]) > 1:
-        raise ValueError("polynomial is not squarefree")
-    # Fujiwara: |root| <= 2 max_k |c_{d-k} / c_d|^(1/k), each ratio bounded
-    # through bit lengths by a power of two.
-    top, d = ints[0], len(ints[0]) - 1
-    lead_bits = abs(top[-1]).bit_length()
-    b = max([1] + [1 - ((lead_bits - abs(c).bit_length() - 1) // (d - i))
-                   for i, c in enumerate(top[:-1]) if c])
-    return ints, b
-
-
-def _at(coeffs: list[int], a: int, e: int) -> int:
-    """The integer 2^(e deg) q(a / 2^e), whose sign is that of q at the
-    dyadic point a / 2^e, for q with integer coefficients (ascending)."""
-    acc, shift = 0, 0
-    for c in reversed(coeffs):
-        acc = acc * a + (c << shift)
-        shift += e
-    return acc
-
-
-def _variations(chain: list[list[int]], a: int, e: int) -> int:
-    """Sign variations of the chain at the dyadic point a / 2^e, zeros
-    skipped."""
-    signs = [v > 0 for v in (_at(q, a, e) for q in chain) if v]
-    return sum(x != y for x, y in zip(signs, signs[1:]))
+    s = _multiplicity_one_part(p.num)
+    return _normal(s[-1], s)
 
 
 def sturm_real_root_count(p: Poly) -> int:
@@ -362,7 +282,7 @@ def sturm_real_root_count(p: Poly) -> int:
     of its Sturm chain at either end of the root bound."""
     if p.is_zero:
         raise ValueError("zero polynomial")
-    chain, b = _sturm_chain(p)
+    chain, b = _sturm_chain(p.num)
     return _variations(chain, -1 << b, 0) - _variations(chain, 1 << b, 0)
 
 
@@ -403,7 +323,7 @@ def _squarefree_roots(s: Poly) -> tuple[int, list[Fraction]]:
     point k/L: the one with k = floor(hi L).  That point is the root
     exactly when s(k/L) = 0.
     """
-    chain, b = _sturm_chain(s)
+    chain, b = _sturm_chain(s.num)
     top = chain[0]
     lead = abs(top[-1])
     roots: list[Fraction] = []

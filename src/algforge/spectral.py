@@ -1,11 +1,12 @@
 """Exact spectral computations over Q.
 
 Characteristic polynomials are computed on the integer numerators N of
-A = N / d by Berkowitz's division-free algorithm (1984) and rescaled once,
-with no Fraction built.  Vectors are 1 x n `Mat` rows, on which a matrix
-acts as v @ A^T: Jordan chains and the image of a spectral projector are
-spans of such rows.  Irrational eigenvalues are never materialized:
-existence questions are answered by Sturm counts, and every operation
+A = N / d by Berkowitz's division-free algorithm (1984), the verifier's
+`_char_poly`, and rescaled once, with no Fraction built.  Vectors are
+1 x n `Mat` rows, on which a matrix acts as v @ A^T: Jordan chains and
+the image of a spectral projector are spans of such rows.  Irrational
+eigenvalues are never materialized: existence questions are answered by
+Sturm counts, and every operation
 that needs an eigenvalue takes a rational one.  Spectral projectors and
 the eigenvalue splits built on them serve eigenvalues of any
 multiplicity; the constructions never form the rank-one projector of a
@@ -19,39 +20,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
 from .linear import EchelonSpan
 from .matrices import (Mat, conjugate, direct_sum, identity, inverse,
                        jordan_cell, kernel, stack)
 from .polynomials import Poly, multiplicity_one_part, sturm_real_root_count
 from .polynomials import root_multiplicity as eigenvalue_multiplicity
+from .verify import _char_poly
 
 
 def char_poly(a: Mat) -> Poly:
-    """Monic characteristic polynomial det(xI - A).
-
-    Berkowitz (1984) on the integer numerators N of A = N / d: the
-    characteristic polynomial of each leading block [[N_k, c], [r, a]] is
-    a lower-triangular Toeplitz matrix with first column
-    (1, -a, -r c, -r N_k c, ..., -r N_k^(k-1) c) times that of N_k, with no
-    division.  The x^k coefficient of det(xI - N / d) is c_k d^(k - n)."""
+    """Monic det(xI - A): the x^k coefficient c_k of det(xI - N) for the
+    numerators N of A = N / d (`verify._char_poly`), times d^(k - n)."""
     if not a.is_square:
         raise ValueError("matrix must be square")
-    n, m, d = a.rows, a.num, a.den
-    cp = [1]  # det(xI - N_k), highest degree first
-    for k in range(n):
-        col = [m[i][k] for i in range(k)]
-        row = m[k][:k]
-        t = [1, -m[k][k]]
-        for j in range(k):
-            t.append(-sum(map(mul, row, col)))
-            if j < k - 1:
-                col = [sum(map(mul, m[i], col)) for i in range(k)]
-        cp = [sum(t[i - j] * cp[j] for j in range(min(i, k) + 1))
-              for i in range(k + 2)]
-    return Poly.from_ints(d ** n, [c * d ** i
-                                   for i, c in enumerate(reversed(cp))])
+    d = a.den
+    return Poly.from_ints(d ** a.rows, [c * d ** i for i, c in
+                                        enumerate(_char_poly(a.num))])
 
 
 def has_simple_real_eigenvalue(a: Mat) -> bool:

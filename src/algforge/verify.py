@@ -5,11 +5,13 @@ data.  It deliberately avoids the construction code paths: membership,
 conjugation, support and closure checks are re-implemented here, and
 conjugation identities are verified multiplicatively (C * target ==
 source * C with C nonsingular) so no inverse is ever taken on faith.
-Only the standard library is imported at module level.  The engine
-builds on this module's integer kernel, never the other way round: its
-spans are `_Span`s, and it reads wire matrices with `_grid`, and takes
-`_canonical`, `_inverse`, `_support`, `_annihilator` (for kernels too)
-and `_commutator_rows` from here.
+Only the standard library is imported, anywhere in this file, so it
+verifies alone.  The engine builds on this module's integer kernel, never
+the other way round: its spans are `_Span`s, and it reads wire matrices
+with `_grid`, and takes `_canonical`, `_inverse`, `_support`,
+`_annihilator` (for kernels too), `_commutator_rows` and the integer
+polynomial routines (Berkowitz, pseudo-division, gcd, multiplicity-one
+part, Sturm chain; coefficients ascending) from here.
 Wire strings parse straight to integers: a matrix is read as a canonical
 grid (den, rows), integer rows over a positive denominator with no common
 factor, so equal matrices have equal grids, and products, differences,
@@ -86,7 +88,6 @@ at most once under each bound and C is inverted once.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
 from operator import mul
@@ -595,6 +596,124 @@ def _is_cyclic(rows: Sequence[Sequence[int]]) -> bool:
     return False
 
 
+# -- integer polynomials -------------------------------------------------------
+
+def _char_poly(m: Sequence[Sequence[int]]) -> list[int]:
+    """Coefficients of det(xI - M), ascending, for square integer rows M.
+
+    Berkowitz (1984): the characteristic polynomial of each leading block
+    [[M_k, c], [r, a]] is a lower-triangular Toeplitz matrix with first
+    column (1, -a, -r c, -r M_k c, ..., -r M_k^(k-1) c) times that of M_k,
+    with no division."""
+    cp = [1]  # det(xI - M_k), highest degree first
+    for k in range(len(m)):
+        col = [m[i][k] for i in range(k)]
+        row = m[k][:k]
+        t = [1, -m[k][k]]
+        for j in range(k):
+            t.append(-sum(map(mul, row, col)))
+            if j < k - 1:
+                col = [sum(map(mul, m[i], col)) for i in range(k)]
+        cp = [sum(t[i - j] * cp[j] for j in range(min(i, k) + 1))
+              for i in range(k + 2)]
+    return cp[::-1]
+
+
+def _pseudo_divmod(a: Sequence[int],
+                   b: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Integer (Q, R) with lead^e a = Q b + R and len(R) < len(b), where
+    lead = b[-1] and e = len(a) - len(b) + 1 >= 1 (Knuth, Algorithm R).
+    R may have trailing zeros."""
+    n = len(b) - 1
+    lead = b[-1]
+    rem = list(a)
+    quo = [0] * (len(a) - n)
+    for k in range(len(a) - n - 1, -1, -1):
+        c = rem.pop()
+        quo[k] = c * lead ** k
+        if lead != 1:
+            rem = [lead * v for v in rem]
+        if c:
+            for j, v in enumerate(b[:n], k):
+                rem[j] -= c * v
+    return quo, rem
+
+
+def _primitive_poly(num: Sequence[int]) -> list[int]:
+    """num divided by the gcd of its entries (positive), trailing zeros
+    dropped."""
+    out = list(num)
+    while out and not out[-1]:
+        out.pop()
+    g = gcd(*out)
+    return out if g <= 1 else [v // g for v in out]
+
+
+def _poly_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """A primitive gcd of integer polynomials a and b, not both zero: the
+    primitive remainder sequence (Collins 1967), each pseudo-remainder
+    divided by its content, which keeps the integers small."""
+    a, b = _primitive_poly(a), _primitive_poly(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _primitive_poly(_pseudo_divmod(a, b)[1])
+    return a
+
+
+def _multiplicity_one_part(p: Sequence[int]) -> list[int]:
+    """A primitive divisor of a nonzero integer p whose roots are p's
+    simple roots (over C): with g = gcd(p, p'), s = p / g has every root
+    once and gcd(s, g) every multiple root, so s / gcd(s, g) has the simple
+    ones.  The divisions are exact, so pseudo-quotients serve."""
+    g = _poly_gcd(p, [i * c for i, c in enumerate(p)][1:])
+    s = _primitive_poly(_pseudo_divmod(p, g)[0])
+    return _primitive_poly(_pseudo_divmod(s, _poly_gcd(s, g))[0])
+
+
+def _sturm_chain(p: Sequence[int]) -> tuple[list[list[int]], int]:
+    """Sturm chain of a squarefree nonzero integer polynomial p, each
+    member as a primitive integer coefficient list (ascending, same sign),
+    and b >= 1 such that every real root of p lies in (-2^b, 2^b)."""
+    ints = [_primitive_poly(p)]
+    nxt = _primitive_poly([i * c for i, c in enumerate(ints[0])][1:])
+    while nxt:
+        ints.append(nxt)
+        a = ints[-2]
+        # a mod nxt = R / lead^e, and the next member is -(a mod nxt) up
+        # to a positive factor: -R unless lead^e < 0.
+        rem = _pseudo_divmod(a, nxt)[1]
+        if nxt[-1] > 0 or (len(a) - len(nxt)) % 2:
+            rem = [-v for v in rem]
+        nxt = _primitive_poly(rem)
+    if len(ints[-1]) > 1:
+        raise ValueError("polynomial is not squarefree")
+    # Fujiwara: |root| <= 2 max_k |c_{d-k} / c_d|^(1/k), each ratio bounded
+    # through bit lengths by a power of two.
+    top, d = ints[0], len(ints[0]) - 1
+    lead_bits = abs(top[-1]).bit_length()
+    b = max([1] + [1 - ((lead_bits - abs(c).bit_length() - 1) // (d - i))
+                   for i, c in enumerate(top[:-1]) if c])
+    return ints, b
+
+
+def _at(coeffs: list[int], a: int, e: int) -> int:
+    """The integer 2^(e deg) q(a / 2^e), whose sign is that of q at the
+    dyadic point a / 2^e, for q with integer coefficients (ascending)."""
+    acc, shift = 0, 0
+    for c in reversed(coeffs):
+        acc = acc * a + (c << shift)
+        shift += e
+    return acc
+
+
+def _variations(chain: list[list[int]], a: int, e: int) -> int:
+    """Sign variations of the chain at the dyadic point a / 2^e, zeros
+    skipped."""
+    signs = [v > 0 for v in (_at(q, a, e) for q in chain) if v]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
 # -- reference resolution ------------------------------------------------------
 
 # out:<i>, in:<name> or in:<name>:<i> (list or basis item), <i> plain decimal.
@@ -999,11 +1118,13 @@ def _check_is_centralizer(d: _Document, p: dict) -> bool:
 
 
 def _check_has_simple_real_eigenvalue(d: _Document, p: dict) -> bool:
-    from .matrices import Mat
-    from .spectral import has_simple_real_eigenvalue
-    den, rows = d.matrix(p["target"])
-    m = Mat(len(rows), len(rows[0]) if rows else 0, rows) * Fraction(1, den)
-    return has_simple_real_eigenvalue(m)
+    """Whether A = N / d has a simple real eigenvalue, by a Sturm count on
+    N = d A, which has A's eigenvalues times d > 0, multiplicities kept."""
+    rows = d.matrix(p["target"])[1]
+    if not _is_square(rows, len(rows)):
+        raise CertificateError("matrix must be square")
+    chain, b = _sturm_chain(_multiplicity_one_part(_char_poly(rows)))
+    return _variations(chain, -1 << b, 0) > _variations(chain, 1 << b, 0)
 
 
 _CHECKS = {

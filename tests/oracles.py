@@ -872,7 +872,7 @@ def full_chain_rational_roots(p: Poly) -> list[tuple[Fraction, int]]:
     if p.is_zero:
         raise ValueError("zero polynomial")
     s = p // poly_gcd(p, p.derivative())
-    chain, b = _sturm_chain(s)
+    chain, b = _sturm_chain(s.num)
     lead = abs(chain[0][-1])
     roots: list[tuple[Fraction, int]] = []
     # intervals (lo / 2^e, hi / 2^e] with their end variations; popping the

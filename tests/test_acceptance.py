@@ -10,6 +10,8 @@ import random
 import time
 from fractions import Fraction
 
+import pytest
+
 from algforge.algebra import (centralizer, conjugate_algebra, generate,
                               nonneg_covering_exists)
 from algforge.constructions import (centralizer_covering,
@@ -21,8 +23,9 @@ from algforge.constructions import (centralizer_covering,
                                     predict_padded_conjugation,
                                     semicommuting_pair, solve_all_dimensions)
 from algforge.matrices import (Mat, conjugate, direct_sum, identity,
-                               is_nonneg, is_positive, jordan_cell, ones,
-                               support, uniformizer, uniformizer_inv, zero)
+                               is_nonneg, is_positive, jordan_cell,
+                               mat_to_json, ones, support, uniformizer,
+                               uniformizer_inv, zero)
 from algforge.polynomials import Poly
 from algforge.spectral import (JordanSpec, char_poly,
                                has_simple_real_eigenvalue)
@@ -181,6 +184,19 @@ def test_criterion_06_positive_single_generator():
     _passed("6", "100 shifted generators positive with identical closure")
 
 
+def _verifier_decides(a: Mat) -> bool:
+    """The verdict of a one-property has_simple_real_eigenvalue document
+    on A."""
+    failures = verify_document({
+        "outputs": [mat_to_json(a)],
+        "properties": [{"kind": "has_simple_real_eigenvalue",
+                        "target": "out:0"}]})
+    assert failures in ([], ["property 0 (has_simple_real_eigenvalue)"
+                             " failed"]), failures
+    return not failures
+
+
+@pytest.mark.usefixtures("reference_agreement")
 def test_criterion_07_simple_real_eigenvalue_decision():
     from oracles import companion
     fixtures = [
@@ -191,15 +207,40 @@ def test_criterion_07_simple_real_eigenvalue_decision():
     ]
     for poly, expected in fixtures:
         assert has_simple_real_eigenvalue(companion(poly)) is expected
+        assert _verifier_decides(companion(poly)) is expected
     rng = random.Random(707)
     agreements = 0
     for _ in range(300):
         n = rng.randint(1, 6)
         a = Mat.from_rows([[rng.randint(-5, 5) for _ in range(n)]
                            for _ in range(n)])
-        assert has_simple_real_eigenvalue(a) == numeric_has_simple_real(a)
+        expected = numeric_has_simple_real(a)
+        assert has_simple_real_eigenvalue(a) == expected
+        assert _verifier_decides(a) == expected
         agreements += 1
-    _passed("7", f"3 fixtures + {agreements} numeric agreements at 1e-8")
+    # the verifier decides on the integer numerators of A = N / d, which
+    # have A's eigenvalues times d
+    for rows in ([["1/2", "1/3"], ["1/5", "2"]], [["1/6", 0], [0, "1/6"]],
+                 [["-1/4", "1/2", 0], [0, "-1/4", 0], [0, 0, "3/7"]]):
+        a = Mat.from_rows([[F(v) for v in row] for row in rows])
+        assert a.den > 1
+        expected = numeric_has_simple_real(a)
+        assert has_simple_real_eigenvalue(a) == expected
+        assert _verifier_decides(a) == expected
+        agreements += 1
+    # 0 x 0 has no eigenvalue; a 2 x 3 target has no characteristic
+    # polynomial
+    assert not has_simple_real_eigenvalue(zero(0))
+    assert not _verifier_decides(zero(0))
+    wide = {"rows": 2, "cols": 3, "entries": [["1", "0", "0"],
+                                              ["0", "1", "0"]]}
+    assert verify_document({
+        "outputs": [wide],
+        "properties": [{"kind": "has_simple_real_eigenvalue",
+                        "target": "out:0"}]}) == [
+        "property 0 (has_simple_real_eigenvalue): matrix must be square"]
+    _passed("7", f"3 fixtures + {agreements} numeric agreements at 1e-8,"
+                 " in the engine and the verifier")
 
 
 def test_criterion_08_nonneg_generation_loop():

@@ -1,6 +1,9 @@
 import ast
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -246,14 +249,14 @@ def test_cli_max_dim_cap(monkeypatch, capsys):
 
 def test_cap_applies_before_an_algebra_document_is_loaded(monkeypatch,
                                                            capsys):
-    import algforge.cli
+    import algforge.algebra
     from algforge.algebra import algebra_to_json
     from oracles import pattern_from_positions
     n = 17
     upper = incidence_algebra(pattern_from_positions(
         n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]))
     loaded = []
-    monkeypatch.setattr(algforge.cli, "algebra_from_json", loaded.append)
+    monkeypatch.setattr(algforge.algebra, "algebra_from_json", loaded.append)
     code, _, err = _run(["algebra-dim"],
                         stdin_text=json.dumps(algebra_to_json(upper)),
                         monkeypatch=monkeypatch, capsys=capsys)
@@ -686,27 +689,45 @@ def test_empty_pattern_is_a_usage_error(monkeypatch, capsys):
 
 
 def test_verifier_imports_no_package_module_at_module_level():
-    """The constructions call the verifier on what they emit, so an import
-    of package code at the verifier's module level would be a cycle and
-    would let it trust the code it checks."""
+    """The constructions call the verifier on what they emit, and `verify`
+    runs it alone, so no import anywhere in the verifier, at module level
+    or inside a function, may read package code: it would be a cycle and
+    would let the verifier trust the code it checks."""
     tree = ast.parse(Path(algforge.verify.__file__).read_text())
-
-    def module_level(nodes):
-        for node in nodes:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                yield node
-            yield from module_level(ast.iter_child_nodes(node))
-
-    for node in module_level(tree.body):
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             assert node.level == 0, ast.unparse(node)
             names = [node.module]
-        else:
+        elif isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
+        else:
+            continue
         assert not any(name.split(".")[0] == "algforge" for name in names), \
             ast.unparse(node)
+
+
+def test_verify_verb_loads_only_the_verifier(tmp_path):
+    """`python -m algforge verify` on every golden file imports no engine
+    module: `-X importtime` names each module the process imports."""
+    allowed = {"algforge", "algforge.__main__", "algforge.cli",
+               "algforge.verify"}
+    src = Path(algforge.verify.__file__).parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    goldens = sorted((Path(__file__).parent / "data").glob("*.json"))
+    assert goldens
+    for path in goldens:
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "algforge", "verify",
+             str(path), "--out", str(tmp_path / "out.json")],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode in (0, 1), proc.stderr
+        loaded = {line.rsplit("|", 1)[1].strip()
+                  for line in proc.stderr.splitlines()
+                  if line.startswith("import time:")}
+        assert "algforge.verify" in loaded, path.name
+        ours = {m for m in loaded if m.split(".")[0] == "algforge"}
+        assert ours <= allowed, (path.name, ours - allowed)
 
 
 def _one_by_one_document():

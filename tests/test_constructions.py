@@ -265,6 +265,9 @@ def test_scalar_extension_positive_generators():
         target = algebra_direct_sum(generate(1, []), generate(nb, b_gens))
         assert generate(nb + 1, gens) == conjugate_algebra(target, s)
 
+    with pytest.raises(ValueError):
+        scalar_extension_positive_generators([diag(1, 2), diag(1, 2, 3)])
+
 
 # -- padded conjugation blocks ---------------------------------------------------
 
@@ -594,19 +597,6 @@ def test_single_generator_simple_eigenvalue_closes_once(monkeypatch):
         assert calls["char_poly"] == [(a,)]
         assert calls["closure_words"] == []
         assert calls["_closure"] == []
-
-
-def test_positive_single_generator_still_checks_the_shift(monkeypatch):
-    # a shift that loses <A> is refused by the public wrapper's own check
-    real = constructions._positive_shift
-
-    def lossy(a, lam):
-        c, _ = real(a, lam)
-        return c, identity(a.rows)
-    monkeypatch.setattr(constructions, "_positive_shift", lossy)
-    with pytest.raises(ArithmeticError,
-                       match="shift changed the generated algebra"):
-        positive_single_generator(diag(1, 2, 2), 1)
 
 
 # -- incidence constructions -----------------------------------------------------

@@ -16,7 +16,7 @@ from math import gcd
 
 import pytest
 
-from algforge import linear, matrices, verify
+from algforge import linear, matrices, polynomials, spectral, verify
 from algforge.algebra import algebra_direct_sum, conjugate_algebra, generate
 from algforge.linear import EchelonSpan
 from algforge.matrices import Mat, identity
@@ -143,6 +143,10 @@ def test_the_engine_runs_the_verifiers_kernel():
     assert matrices._canonical is verify._canonical
     assert matrices._support is verify._support
     assert linear._annihilator is verify._annihilator
+    assert spectral._char_poly is verify._char_poly
+    for name in ("_pseudo_divmod", "_poly_gcd", "_multiplicity_one_part",
+                 "_sturm_chain", "_at", "_variations"):
+        assert getattr(polynomials, name) is getattr(verify, name), name
 
 
 def kernel_matrix(rng, rows, cols):
